@@ -20,8 +20,8 @@ use cshard_ledger::Transaction;
 use cshard_network::{CommKind, CommStats, LatencyModel};
 use cshard_primitives::{Error, ShardId, SimTime};
 use cshard_runtime::{
-    Batch, ContractShardDriver, Ctx, Event, FlushOutcome, ProtocolDriver, RuntimeConfig,
-    SettleStats, SettlementBatcher, ShardReport, ShardSpec, Submit,
+    Batch, ContractShardDriver, CrosslinkChannel, Ctx, Event, ProtocolDriver, RuntimeConfig,
+    SettleStats, ShardReport, ShardSpec,
 };
 use cshard_sim::SimRng;
 use rand::{Rng, SeedableRng};
@@ -135,7 +135,7 @@ impl ChainspacePlacement {
     /// When `config.settle` enables batching, the per-round booking is
     /// replaced by crosslink settlement: the commit still runs its two
     /// rounds, but the cross-shard messaging toward each foreign shard is
-    /// handed to a [`SettlementBatcher`] and ships one
+    /// handed to a [`CrosslinkChannel`] and ships one
     /// [`CommKind::Crosslink`] per flushed batch.
     pub fn drivers(
         &self,
@@ -208,9 +208,7 @@ pub struct ChainspaceDriver {
     /// Batched settlement (`Some` iff the run's settle config enables
     /// it). `None` keeps the per-round booking path byte-identical to the
     /// pre-settlement driver.
-    settle: Option<SettlementBatcher>,
-    /// Crosslinks shipped, in flush order (batched mode only).
-    settled: Vec<Batch>,
+    settle: Option<CrosslinkChannel>,
 }
 
 impl ChainspaceDriver {
@@ -232,7 +230,7 @@ impl ChainspaceDriver {
         let settle = config
             .settle
             .enabled
-            .then(|| SettlementBatcher::new(shard, &config.settle));
+            .then(|| CrosslinkChannel::new(shard, &config.settle));
         ChainspaceDriver {
             mining: ContractShardDriver::new(&spec, config),
             shard,
@@ -242,7 +240,6 @@ impl ChainspaceDriver {
             outstanding: 0,
             rounds_recorded: 0,
             settle,
-            settled: Vec::new(),
         }
     }
 
@@ -256,43 +253,26 @@ impl ChainspaceDriver {
     /// Crosslink batches this shard shipped (empty when settlement is
     /// disabled).
     pub fn settled_batches(&self) -> &[Batch] {
-        &self.settled
-    }
-
-    /// Installs partition blackout windows toward `dest` on the batched
-    /// settlement path (no-op when settlement is disabled).
-    pub fn set_blackouts(&mut self, dest: ShardId, windows: Vec<(SimTime, SimTime)>) {
-        if let Some(b) = self.settle.as_mut() {
-            b.set_blackouts(dest, windows);
-        }
+        self.settle
+            .as_ref()
+            .map_or(&[], CrosslinkChannel::settled_batches)
     }
 
     fn round_delay(&mut self) -> SimTime {
         self.latency.delay(self.vrng.unit())
     }
 
-    /// Books one crosslink for a flushed batch and logs it.
-    fn ship(&mut self, batch: Batch, ctx: &mut Ctx) {
-        ctx.comm().record(self.shard, CommKind::Crosslink);
-        self.settled.push(batch);
-    }
-
     /// Final-round hook in batched mode: hand the committed transaction's
-    /// messaging toward each foreign shard to the batcher.
+    /// messaging toward each foreign shard to the channel.
     fn submit_transfers(&mut self, now: SimTime, tx: usize, ctx: &mut Ctx) {
+        let Some(channel) = self.settle.as_mut() else {
+            return;
+        };
         let Ok(slot) = self.cross_txs.binary_search_by_key(&tx, |c| c.tx) else {
             return;
         };
-        let foreign = self.cross_txs[slot].foreign.clone();
-        for dest in foreign {
-            let Some(batcher) = self.settle.as_mut() else {
-                return;
-            };
-            match batcher.submit(now, dest, tx as u64) {
-                Submit::Queued => {}
-                Submit::Arm(at) => ctx.schedule(at, Event::SettlementFlush { dest }),
-                Submit::Flushed(batch) => self.ship(batch, ctx),
-            }
+        for &dest in &self.cross_txs[slot].foreign {
+            channel.submit(now, dest, tx as u64, ctx);
         }
     }
 }
@@ -347,23 +327,17 @@ impl ProtocolDriver for ChainspaceDriver {
                     );
                 } else {
                     self.outstanding -= 1;
-                    if self.settle.is_some() {
-                        self.submit_transfers(now, tx, ctx);
-                    }
+                    self.submit_transfers(now, tx, ctx);
                 }
             }
             Event::SettlementFlush { dest } => {
-                let Some(batcher) = self.settle.as_mut() else {
+                let Some(channel) = self.settle.as_mut() else {
                     return Err(Error::UnexpectedEvent {
                         driver: "ChainspaceDriver",
                         event: format!("{ev:?}"),
                     });
                 };
-                match batcher.on_flush(now, dest) {
-                    FlushOutcome::Stale => {}
-                    FlushOutcome::Deferred(at) => ctx.schedule(at, Event::SettlementFlush { dest }),
-                    FlushOutcome::Flushed(batch) => self.ship(batch, ctx),
-                }
+                channel.on_flush(now, dest, ctx);
             }
             mining_ev @ (Event::BlockFound { .. } | Event::BlockDelivered { .. }) => {
                 self.mining.on_event(now, mining_ev, ctx)?;
@@ -381,7 +355,7 @@ impl ProtocolDriver for ChainspaceDriver {
     fn done(&self) -> bool {
         self.mining.done()
             && self.outstanding == 0
-            && self.settle.as_ref().is_none_or(|b| b.is_empty())
+            && self.settle.as_ref().is_none_or(|c| c.batcher().is_empty())
     }
 
     fn completion(&self) -> Option<SimTime> {
@@ -393,7 +367,7 @@ impl ProtocolDriver for ChainspaceDriver {
     }
 
     fn settle_stats(&self) -> Option<SettleStats> {
-        self.settle.as_ref().map(SettlementBatcher::stats)
+        self.settle.as_ref().map(|c| c.batcher().stats())
     }
 }
 

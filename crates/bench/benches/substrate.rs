@@ -4,8 +4,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use cshard_consensus::pow;
 use cshard_crypto::sha256;
 use cshard_ledger::{
-    codec, merkle_root, Block, CallGraph, CompactClassifier, Mempool, SmartContract, State,
-    Transaction,
+    codec, merkle_root, Block, CallGraph, Mempool, SmartContract, State, Transaction,
 };
 use cshard_network::{GossipNet, LatencyModel};
 use cshard_primitives::{Address, Amount, ContractId, Hash32, MinerId, ShardId, SimTime};
@@ -113,18 +112,6 @@ fn bench_classifier(c: &mut Criterion) {
     group.bench_function("callgraph_sets", |b| {
         b.iter(|| {
             let mut g = CallGraph::new();
-            g.observe_all(w.transactions.iter());
-            let isolable = w
-                .transactions
-                .iter()
-                .filter(|t| g.isolable_contract(t).is_some())
-                .count();
-            black_box(isolable)
-        });
-    });
-    group.bench_function("compact_classifier", |b| {
-        b.iter(|| {
-            let mut g = CompactClassifier::new();
             g.observe_all(w.transactions.iter());
             let isolable = w
                 .transactions

@@ -22,9 +22,8 @@ use crate::experiments::grid_config;
 use crate::report::{ExperimentResult, Series};
 use cshard_core::Migration;
 use cshard_core::{
-    EpochInput, EpochPipeline, MigratingShardDriver, MigrationTicket, PipelineConfig,
-    PlacementConfig, Runtime, RuntimeConfig, SettleConfig, SettlingShardDriver, ShardPlan,
-    ShardSpec,
+    EpochInput, EpochPipeline, MigrationTicket, PipelineConfig, PlacementConfig, Runtime,
+    RuntimeConfig, SettleConfig, SettlingShardDriver, ShardPlan, ShardSpec,
 };
 use cshard_crypto::sha256;
 use cshard_network::CommKind;
@@ -172,14 +171,15 @@ fn run_arm(placed: bool, epochs: usize, per_epoch: usize, sched: SchedulerConfig
                 })
                 .collect();
             let spec = ShardSpec::solo_greedy(ShardId::MAX_SHARD, shard_fees);
-            let inner = SettlingShardDriver::new(&spec, &runtime, transfers);
-            let driver = MigratingShardDriver::new(inner, tickets);
+            let driver = SettlingShardDriver::new(&spec, &runtime, transfers)
+                .and_then(|d| d.with_migrations(tickets))
+                .expect("tickets index the epoch's own transfer table");
             let outcome = Runtime::builder()
                 .scheduler(sched)
                 .run(vec![driver])
                 .expect("valid MaxShard run");
             crosslinks += outcome.comm.for_kind(CommKind::Crosslink);
-            applied += outcome.drivers[0].stats().applied;
+            applied += outcome.drivers[0].migration_stats().applied;
         }
         pending.extend(run.migrations);
         points.push((epoch as f64 + 1.0, crosslinks as f64 / txs.max(1) as f64));

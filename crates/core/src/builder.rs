@@ -174,12 +174,7 @@ impl SystemBuilder {
     /// Validates the combination and builds the system.
     pub fn build(self) -> Result<ShardingSystem, Error> {
         let rt = &self.config.runtime;
-        if rt.block_capacity == 0 {
-            return Err(Error::Config {
-                field: "block_capacity",
-                reason: "must be positive".into(),
-            });
-        }
+        rt.validate()?;
         if rt.mean_block_interval == SimTime::ZERO {
             return Err(Error::Config {
                 field: "mean_block_interval",
@@ -226,7 +221,6 @@ impl SystemBuilder {
         if let Some(m) = &self.config.merging {
             m.validate()?;
         }
-        rt.settle.validate()?;
         self.config.placement.validate()?;
         Ok(ShardingSystem::new(self.config))
     }

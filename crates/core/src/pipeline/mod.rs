@@ -414,12 +414,7 @@ impl EpochPipeline {
         input: EpochInput<'_>,
         observer: &mut dyn StageObserver,
     ) -> Result<EpochRun, Error> {
-        if input.runtime.block_capacity == 0 {
-            return Err(Error::Config {
-                field: "block_capacity",
-                reason: "must be positive".into(),
-            });
-        }
+        input.runtime.validate()?;
         let mut ctx = EpochCtx {
             transactions: input.transactions,
             fees: input.fees,

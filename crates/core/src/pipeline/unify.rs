@@ -10,7 +10,7 @@
 use super::{EpochCtx, PipelineStage, StageKind, StageOutput};
 use cshard_games::SelectionWarmCache;
 use cshard_primitives::{Error, ShardId};
-use cshard_runtime::{ContractShardDriver, Runtime, SelectionDynamicsStats};
+use cshard_runtime::{ContractShardDriver, Runtime, SelectionDynamicsStats, ShardSpec};
 use std::collections::BTreeMap;
 
 /// Runs the epoch. With warm starts enabled, each shard's
@@ -67,9 +67,7 @@ impl PipelineStage for UnifyStage {
     fn run(&mut self, ctx: &mut EpochCtx<'_>) -> Result<StageOutput, Error> {
         // The same validation `cshard_runtime::simulate` performs, ahead
         // of driver construction (whose constructor asserts).
-        if let Some(spec) = ctx.specs.iter().find(|s| s.miners == 0) {
-            return Err(Error::NoMiners { shard: spec.shard });
-        }
+        ShardSpec::validate_all(&ctx.specs)?;
         let (hits_before, misses_before) = self.cache_counts();
         let drivers: Vec<ContractShardDriver> = ctx
             .specs

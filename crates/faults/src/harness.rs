@@ -2,8 +2,9 @@
 //!
 //! This harness sits *below* the epoch pipeline: it takes the same
 //! [`ShardSpec`]s the pipeline's select stage produces and wraps the same
-//! [`ContractShardDriver`]s its unify stage builds — there is no second
-//! epoch implementation here. Classification, formation, merging and
+//! `ContractShardDriver`s its unify stage builds (inside the one
+//! cross-shard layer, [`SettlingShardDriver`]) — there is no second epoch
+//! implementation here. Classification, formation, merging and
 //! selection all happen upstream in `cshard_core::pipeline::EpochPipeline`
 //! (or its leader-fault sibling `EpochManager::run_epoch_with_downs` in
 //! [`crate::epochs`]); this module only faults the block-production run.
@@ -14,13 +15,30 @@ use crate::report::FaultReport;
 use cshard_network::{LatencyModel, PartitionModel, PartitionWindow};
 use cshard_primitives::{Error, ShardId, SimTime};
 use cshard_runtime::{
-    Batch, ContractShardDriver, MigratingShardDriver, MigrationStats, MigrationTicket,
-    PropagationModel, RunReport, Runtime, RuntimeConfig, SettleStats, SettlingShardDriver,
-    ShardSpec,
+    Batch, MigrationStats, MigrationTicket, PropagationModel, RunReport, Runtime, RuntimeConfig,
+    SettleStats, SettlingShardDriver, ShardSpec,
 };
 use std::collections::BTreeSet;
 
-/// A faulted run: the ordinary run report plus the fault accounting.
+/// The cross-shard traffic riding on a faulted run: per-shard outbound
+/// transfer tables and migration schedules, in spec order. Each list is
+/// either empty (no shard has any — `Traffic::default()` is the plain
+/// fault run) or holds exactly one entry per shard.
+#[derive(Clone, Debug, Default)]
+pub struct Traffic {
+    /// `transfers[i]` lists shard `i`'s outbound transfers as
+    /// `(local tx index, destination shard)`: each becomes eligible when
+    /// its transaction confirms and ships inside a crosslink batch.
+    pub transfers: Vec<Vec<(usize, ShardId)>>,
+    /// `schedules[i]` lists shard `i`'s [`MigrationTicket`]s. Each apply
+    /// drains the moving account's open settlement pairs, re-keys its
+    /// unsubmitted transfers to the new home shard and books the move as
+    /// one crosslink.
+    pub schedules: Vec<Vec<MigrationTicket>>,
+}
+
+/// A faulted run: the ordinary run report plus what the faults, the
+/// settlement layer and the migration schedule did.
 #[derive(Clone, Debug)]
 pub struct FaultRun {
     /// The standard run report — same fingerprinted surface as
@@ -28,21 +46,18 @@ pub struct FaultRun {
     pub run: RunReport,
     /// What the injected faults did.
     pub faults: FaultReport,
+    /// Settlement accounting folded over all shards.
+    pub settle: SettleStats,
+    /// Per shard (spec order): the batches it flushed, in flush order.
+    pub batches: Vec<Vec<Batch>>,
+    /// Migration accounting folded over all shards.
+    pub migrations: MigrationStats,
+    /// Per shard (spec order), per ticket (schedule order): when the
+    /// ticket applied — the exactly-once surface the fault tests assert.
+    pub applied: Vec<Vec<Option<SimTime>>>,
 }
 
 impl FaultRun {
-    /// Empty-block rate over the whole run (empty blocks / all blocks),
-    /// `0.0` when no block was mined. Crashes and partitions show up
-    /// here: idle shards spin empties.
-    pub fn empty_block_rate(&self) -> f64 {
-        let blocks: usize = self.run.shards.iter().map(|s| s.blocks).sum();
-        if blocks == 0 {
-            return 0.0;
-        }
-        let empties: usize = self.run.shards.iter().map(|s| s.empty_blocks).sum();
-        empties as f64 / blocks as f64
-    }
-
     /// Fraction of transactions left unconfirmed (nonzero only when the
     /// plan deadline cut the run short).
     pub fn unconfirmed_fraction(&self) -> f64 {
@@ -63,268 +78,98 @@ impl FaultRun {
 /// model gains the plan's windows on top of its own.
 fn partitioned(
     propagation: &PropagationModel,
-    windows: Vec<(cshard_primitives::SimTime, cshard_primitives::SimTime)>,
+    windows: &[(SimTime, SimTime)],
 ) -> Result<PropagationModel, Error> {
-    let to_windows = |ws: Vec<(cshard_primitives::SimTime, cshard_primitives::SimTime)>| {
-        ws.into_iter()
-            .map(|(from, until)| PartitionWindow { from, until })
-            .collect::<Vec<_>>()
-    };
-    let model = match propagation {
-        PropagationModel::Window(_) => {
-            PartitionModel::new(LatencyModel::INSTANT, to_windows(windows))?
-        }
-        PropagationModel::Latency(base) => PartitionModel::new(*base, to_windows(windows))?,
+    let mut all: Vec<PartitionWindow> = windows
+        .iter()
+        .map(|&(from, until)| PartitionWindow { from, until })
+        .collect();
+    let base = match propagation {
+        PropagationModel::Window(_) => LatencyModel::INSTANT,
+        PropagationModel::Latency(base) => *base,
         PropagationModel::Partition(existing) => {
-            let mut all: Vec<PartitionWindow> = existing.windows().to_vec();
-            all.extend(to_windows(windows));
-            PartitionModel::new(existing.base, all)?
+            all.splice(0..0, existing.windows().iter().copied());
+            existing.base
         }
     };
-    Ok(PropagationModel::Partition(model))
+    Ok(PropagationModel::Partition(PartitionModel::new(base, all)?))
 }
 
-/// `cshard_runtime::simulate` under a [`FaultPlan`].
+/// A per-shard traffic list as one slice per shard: an empty list means
+/// no shard has any, anything else must hold exactly one entry per shard.
+fn per_shard<'a, T>(
+    field: &'static str,
+    lists: &'a [Vec<T>],
+    shards: usize,
+) -> Result<Vec<&'a [T]>, Error> {
+    if lists.is_empty() {
+        return Ok(vec![&[]; shards]);
+    }
+    if lists.len() != shards {
+        return Err(Error::Config {
+            field,
+            reason: format!(
+                "one list per shard: got {} lists for {shards} shards",
+                lists.len()
+            ),
+        });
+    }
+    Ok(lists.iter().map(Vec::as_slice).collect())
+}
+
+/// `cshard_runtime::simulate` under a [`FaultPlan`], with `traffic`'s
+/// cross-shard transfers and migrations riding on it.
 ///
-/// Builds one [`ContractShardDriver`] per spec (partitioned shards get
+/// Builds one [`SettlingShardDriver`] per spec (partitioned shards get
 /// their propagation model rewritten first), wraps each in a
 /// [`FaultyDriver`], runs the standard two-phase harness, and reads the
-/// fault accounting back out of the wrappers.
+/// fault, settlement and migration accounting back out of the drivers.
 ///
-/// Determinism: the result is a pure function of `(shards, config, plan)`
-/// — bit-identical at any `config.scheduler`, with runtime randomness keyed
-/// by `config.seed` and fault randomness keyed by `plan.seed`. Under
-/// `FaultPlan::none(..)` the report fingerprint equals the unwrapped
-/// `simulate`'s exactly.
+/// Partition windows from the plan black out a `(source, dest)` pair while
+/// *either* endpoint is partitioned — the source cannot send, the
+/// destination cannot receive. A settlement flush or a migration apply
+/// falling inside a blackout defers to the heal and completes exactly
+/// once there, which [`FaultRun::batches`] and [`FaultRun::applied`] let
+/// callers assert transfer-for-transfer and ticket-for-ticket.
+///
+/// Errors on an invalid plan or config, on a traffic list that is neither
+/// empty nor one-per-shard, and on a transfer or ticket pointing outside
+/// its shard's tables (`Error::Config` naming `"transfers"` /
+/// `"schedules"`).
+///
+/// Determinism: the result is a pure function of `(shards, traffic,
+/// config, plan)` — bit-identical at any `config.scheduler`, with runtime
+/// randomness keyed by `config.seed` and fault randomness keyed by
+/// `plan.seed`. Under `FaultPlan::none(..)` and no traffic the report
+/// fingerprint equals the unwrapped `simulate`'s exactly.
 pub fn run_with_faults(
     shards: &[ShardSpec],
+    traffic: &Traffic,
     config: &RuntimeConfig,
     plan: &FaultPlan,
 ) -> Result<FaultRun, Error> {
     plan.validate()?;
-    if config.block_capacity == 0 {
-        return Err(Error::Config {
-            field: "block_capacity",
-            reason: "must be positive".into(),
-        });
-    }
-    if let Some(spec) = shards.iter().find(|s| s.miners == 0) {
-        return Err(Error::NoMiners { shard: spec.shard });
-    }
+    config.validate()?;
+    ShardSpec::validate_all(shards)?;
+    let transfers = per_shard("transfers", &traffic.transfers, shards.len())?;
+    let schedules = per_shard("schedules", &traffic.schedules, shards.len())?;
     let mut drivers = Vec::with_capacity(shards.len());
-    for spec in shards {
+    for (i, spec) in shards.iter().enumerate() {
+        let (outbound, schedule) = (transfers[i], schedules[i]);
         let windows = plan.partitions_for(spec.shard);
-        let driver = if windows.is_empty() {
-            ContractShardDriver::new(spec, config)
-        } else {
-            let mut shard_config = config.clone();
-            shard_config.propagation = partitioned(&config.propagation, windows)?;
-            ContractShardDriver::new(spec, &shard_config)
-        };
-        drivers.push(FaultyDriver::new(driver, spec.shard, plan));
-    }
-    let outcome = Runtime::builder()
-        .scheduler(config.scheduler)
-        .run(drivers)?;
-    let (run, finished) = (outcome.report, outcome.drivers);
-    let faults = FaultReport {
-        shards: finished.iter().map(|d| d.stats().clone()).collect(),
-    };
-    Ok(FaultRun { run, faults })
-}
-
-/// A faulted run with batched cross-shard settlement: the ordinary run
-/// report, the fault accounting, the aggregate settlement accounting and
-/// every crosslink each shard shipped.
-#[derive(Clone, Debug)]
-pub struct SettledFaultRun {
-    /// The standard run report.
-    pub run: RunReport,
-    /// What the injected faults did.
-    pub faults: FaultReport,
-    /// Settlement accounting folded over all shards.
-    pub settle: SettleStats,
-    /// Per shard (spec order): the batches it flushed, in flush order.
-    pub batches: Vec<Vec<Batch>>,
-}
-
-/// [`run_with_faults`] with batched cross-shard settlement
-/// (`cshard-settle`) layered on each shard.
-///
-/// `transfers[i]` lists shard `i`'s outbound transfers as
-/// `(local tx index, destination shard)`: each becomes eligible when its
-/// transaction confirms and ships inside a crosslink batch. Partition
-/// windows from the plan black out settlement pairs on *either* endpoint
-/// — a flush falling inside a blackout defers to the heal and settles
-/// exactly once there, which the returned [`SettledFaultRun::batches`]
-/// lets callers assert transfer-for-transfer.
-///
-/// Determinism matches [`run_with_faults`]: the result is a pure function
-/// of `(shards, transfers, config, plan)` at any `config.scheduler`.
-pub fn run_with_settlement(
-    shards: &[ShardSpec],
-    transfers: &[Vec<(usize, ShardId)>],
-    config: &RuntimeConfig,
-    plan: &FaultPlan,
-) -> Result<SettledFaultRun, Error> {
-    plan.validate()?;
-    config.settle.validate()?;
-    if transfers.len() != shards.len() {
-        return Err(Error::Config {
-            field: "transfers",
-            reason: format!(
-                "one transfer list per shard: got {} lists for {} shards",
-                transfers.len(),
-                shards.len()
-            ),
-        });
-    }
-    if config.block_capacity == 0 {
-        return Err(Error::Config {
-            field: "block_capacity",
-            reason: "must be positive".into(),
-        });
-    }
-    if let Some(spec) = shards.iter().find(|s| s.miners == 0) {
-        return Err(Error::NoMiners { shard: spec.shard });
-    }
-    let mut drivers = Vec::with_capacity(shards.len());
-    for (spec, outbound) in shards.iter().zip(transfers) {
-        let windows = plan.partitions_for(spec.shard);
-        let mut driver = if windows.is_empty() {
-            SettlingShardDriver::new(spec, config, outbound.clone())
-        } else {
-            let mut shard_config = config.clone();
-            shard_config.propagation = partitioned(&config.propagation, windows)?;
-            SettlingShardDriver::new(spec, &shard_config, outbound.clone())
-        };
-        // A settlement pair is blacked out while *either* endpoint is
-        // partitioned: the source cannot send, the destination cannot
-        // receive.
-        let dests: BTreeSet<ShardId> = outbound.iter().map(|&(_, d)| d).collect();
-        for dest in dests {
-            let mut pair: Vec<(SimTime, SimTime)> = plan.partitions_for(spec.shard);
-            pair.extend(plan.partitions_for(dest));
-            driver.set_blackouts(dest, pair);
+        let mut shard_config = config.clone();
+        if !windows.is_empty() {
+            shard_config.propagation = partitioned(&config.propagation, &windows)?;
         }
-        drivers.push(FaultyDriver::new(driver, spec.shard, plan));
-    }
-    let outcome = Runtime::builder()
-        .scheduler(config.scheduler)
-        .run(drivers)?;
-    let settle = outcome.settle;
-    let (run, finished) = (outcome.report, outcome.drivers);
-    let mut shard_stats = Vec::with_capacity(finished.len());
-    let mut batches = Vec::with_capacity(finished.len());
-    for wrapper in finished {
-        let (stats, inner) = wrapper.into_parts();
-        shard_stats.push(stats);
-        batches.push(inner.settled_batches().to_vec());
-    }
-    Ok(SettledFaultRun {
-        run,
-        faults: FaultReport {
-            shards: shard_stats,
-        },
-        settle,
-        batches,
-    })
-}
-
-/// A faulted run with batched settlement *and* scheduled hot-account
-/// migration: everything [`SettledFaultRun`] carries, plus the migration
-/// accounting and per-ticket apply times.
-#[derive(Clone, Debug)]
-pub struct MigratedFaultRun {
-    /// The standard run report.
-    pub run: RunReport,
-    /// What the injected faults did.
-    pub faults: FaultReport,
-    /// Settlement accounting folded over all shards.
-    pub settle: SettleStats,
-    /// Per shard (spec order): the batches it flushed, in flush order.
-    pub batches: Vec<Vec<Batch>>,
-    /// Migration accounting folded over all shards.
-    pub migrations: MigrationStats,
-    /// Per shard (spec order), per ticket (schedule order): when the
-    /// ticket applied — the exactly-once surface the fault tests assert.
-    pub applied: Vec<Vec<Option<SimTime>>>,
-}
-
-/// [`run_with_settlement`] with a hot-account migration schedule layered
-/// on each shard (`cshard_runtime::MigratingShardDriver`).
-///
-/// `schedules[i]` lists shard `i`'s [`MigrationTicket`]s. Each apply
-/// drains the moving account's open settlement pairs, re-keys its
-/// unsubmitted transfers to the new home shard and books the move as one
-/// crosslink. Partition windows from the plan black out the pair toward a
-/// ticket's destination exactly as they black out settlement flushes: an
-/// apply falling inside a blackout defers to the heal and applies exactly
-/// once there, which [`MigratedFaultRun::applied`] lets callers assert
-/// ticket-for-ticket.
-///
-/// Determinism matches [`run_with_settlement`]: the result is a pure
-/// function of `(shards, transfers, schedules, config, plan)` at any
-/// `config.scheduler`.
-pub fn run_with_migration(
-    shards: &[ShardSpec],
-    transfers: &[Vec<(usize, ShardId)>],
-    schedules: &[Vec<MigrationTicket>],
-    config: &RuntimeConfig,
-    plan: &FaultPlan,
-) -> Result<MigratedFaultRun, Error> {
-    plan.validate()?;
-    config.settle.validate()?;
-    if transfers.len() != shards.len() {
-        return Err(Error::Config {
-            field: "transfers",
-            reason: format!(
-                "one transfer list per shard: got {} lists for {} shards",
-                transfers.len(),
-                shards.len()
-            ),
-        });
-    }
-    if schedules.len() != shards.len() {
-        return Err(Error::Config {
-            field: "schedules",
-            reason: format!(
-                "one migration schedule per shard: got {} schedules for {} shards",
-                schedules.len(),
-                shards.len()
-            ),
-        });
-    }
-    if config.block_capacity == 0 {
-        return Err(Error::Config {
-            field: "block_capacity",
-            reason: "must be positive".into(),
-        });
-    }
-    if let Some(spec) = shards.iter().find(|s| s.miners == 0) {
-        return Err(Error::NoMiners { shard: spec.shard });
-    }
-    let mut drivers = Vec::with_capacity(shards.len());
-    for ((spec, outbound), schedule) in shards.iter().zip(transfers).zip(schedules) {
-        let windows = plan.partitions_for(spec.shard);
-        let settling = if windows.is_empty() {
-            SettlingShardDriver::new(spec, config, outbound.clone())
-        } else {
-            let mut shard_config = config.clone();
-            shard_config.propagation = partitioned(&config.propagation, windows)?;
-            SettlingShardDriver::new(spec, &shard_config, outbound.clone())
-        };
-        let mut driver = MigratingShardDriver::new(settling, schedule.clone());
-        // A pair is blacked out while *either* endpoint is partitioned —
-        // settlement pairs toward transfer destinations and migration
-        // pairs toward ticket destinations alike.
+        let mut driver = SettlingShardDriver::new(spec, &shard_config, outbound.to_vec())?
+            .with_migrations(schedule.to_vec())?;
         let dests: BTreeSet<ShardId> = outbound
             .iter()
             .map(|&(_, d)| d)
             .chain(schedule.iter().map(|t| t.to))
             .collect();
         for dest in dests {
-            let mut pair: Vec<(SimTime, SimTime)> = plan.partitions_for(spec.shard);
+            let mut pair = windows.clone();
             pair.extend(plan.partitions_for(dest));
             driver.set_blackouts(dest, pair);
         }
@@ -333,40 +178,28 @@ pub fn run_with_migration(
     let outcome = Runtime::builder()
         .scheduler(config.scheduler)
         .run(drivers)?;
-    let settle = outcome.settle;
-    let (run, finished) = (outcome.report, outcome.drivers);
-    let mut shard_stats = Vec::with_capacity(finished.len());
-    let mut batches = Vec::with_capacity(finished.len());
-    let mut migrations = MigrationStats::default();
-    let mut applied = Vec::with_capacity(finished.len());
-    for wrapper in finished {
-        let (stats, inner) = wrapper.into_parts();
-        shard_stats.push(stats);
-        batches.push(inner.inner().settled_batches().to_vec());
-        migrations = migrations.merge(&inner.stats());
-        applied.push(
-            (0..inner.schedule().len())
-                .map(|slot| inner.applied_at(slot))
-                .collect(),
-        );
+    let mut run = FaultRun {
+        run: outcome.report,
+        faults: FaultReport { shards: Vec::new() },
+        settle: outcome.settle,
+        batches: Vec::new(),
+        migrations: MigrationStats::default(),
+        applied: Vec::new(),
+    };
+    for wrapper in outcome.drivers {
+        let (stats, driver) = wrapper.into_parts();
+        run.faults.shards.push(stats);
+        run.batches.push(driver.settled_batches().to_vec());
+        run.migrations = run.migrations.merge(&driver.migration_stats());
+        run.applied.push(driver.applied_at().to_vec());
     }
-    Ok(MigratedFaultRun {
-        run,
-        faults: FaultReport {
-            shards: shard_stats,
-        },
-        settle,
-        batches,
-        migrations,
-        applied,
-    })
+    Ok(run)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cshard_primitives::{ShardId, SimTime};
-    use cshard_runtime::{simulate, SelectionStrategy};
+    use cshard_runtime::{simulate, SchedulerConfig, SelectionStrategy, SettleConfig};
 
     fn specs() -> Vec<ShardSpec> {
         (0..4u32)
@@ -386,26 +219,198 @@ mod tests {
         }
     }
 
+    fn settled_config(seed: u64, cap: usize, threads: usize) -> RuntimeConfig {
+        RuntimeConfig {
+            settle: SettleConfig::batched(cap),
+            scheduler: SchedulerConfig::new(threads),
+            ..config(seed)
+        }
+    }
+
+    /// Two shards; shard 0 sends one transfer per tx to shard 1.
+    fn settled_fixture() -> (Vec<ShardSpec>, Traffic) {
+        let shards = vec![
+            ShardSpec::solo_greedy(ShardId::new(0), (1..=50u64).collect()),
+            ShardSpec::solo_greedy(ShardId::new(1), (1..=40u64).collect()),
+        ];
+        let traffic = Traffic {
+            transfers: vec![
+                (0..50).map(|tx| (tx, ShardId::new(1))).collect(),
+                Vec::new(),
+            ],
+            schedules: Vec::new(),
+        };
+        (shards, traffic)
+    }
+
+    /// The settled fixture plus one ticket on shard 0: the account owning
+    /// transfer slots 0..10 moves to shard 1 at t = 60 s.
+    fn migrated_fixture() -> (Vec<ShardSpec>, Traffic) {
+        let (shards, mut traffic) = settled_fixture();
+        traffic.schedules = vec![
+            vec![MigrationTicket {
+                account: 7,
+                from: ShardId::new(0),
+                to: ShardId::new(1),
+                at: SimTime::from_secs(60),
+                transfers: (0..10).collect(),
+            }],
+            Vec::new(),
+        ];
+        (shards, traffic)
+    }
+
+    /// Partition shard 1 over `[30 s, 400 s)` and crash `shard`'s only
+    /// miner over `[60 s, 120 s)`.
+    fn partition_and_crash(seed: u64, shard: u32) -> FaultPlan {
+        FaultPlan::none(seed)
+            .with_partition(
+                ShardId::new(1),
+                SimTime::from_secs(30),
+                SimTime::from_secs(400),
+            )
+            .with_crash(
+                ShardId::new(shard),
+                0,
+                SimTime::from_secs(60),
+                Some(SimTime::from_secs(120)),
+            )
+    }
+
+    /// Every observable of two runs agrees.
+    fn assert_same_run(a: &FaultRun, b: &FaultRun, label: &str) {
+        assert_eq!(a.run.fingerprint(), b.run.fingerprint(), "{label}");
+        assert_eq!(a.faults, b.faults, "{label}");
+        assert_eq!(a.settle, b.settle, "{label}");
+        assert_eq!(a.batches, b.batches, "{label}");
+        assert_eq!(a.migrations, b.migrations, "{label}");
+        assert_eq!(a.applied, b.applied, "{label}");
+    }
+
+    /// Shard 0's settled transfer slots, sorted.
+    fn settled_slots(run: &FaultRun) -> Vec<u64> {
+        let mut slots: Vec<u64> = run.batches[0]
+            .iter()
+            .flat_map(|b| b.transfers.iter().copied())
+            .collect();
+        slots.sort_unstable();
+        slots
+    }
+
     #[test]
-    fn zero_fault_plan_matches_simulate_exactly() {
+    fn degenerate_axes_are_transparent() {
+        // No traffic, no faults: the plain simulator.
         let cfg = config(42);
         let plain = simulate(&specs(), &cfg).expect("valid");
-        let faulted = run_with_faults(&specs(), &cfg, &FaultPlan::none(0)).expect("valid");
+        let faulted = run_with_faults(&specs(), &Traffic::default(), &cfg, &FaultPlan::none(0))
+            .expect("valid");
         assert_eq!(faulted.run.fingerprint(), plain.fingerprint());
         assert!(faulted.faults.is_clean());
         assert_eq!(faulted.unconfirmed_fraction(), 0.0);
+        assert!(faulted.settle.is_empty());
+
+        // Transfers, no faults: the bare settling driver on the plain
+        // harness.
+        let (shards, traffic) = settled_fixture();
+        let cfg = settled_config(23, 10, 1);
+        let faulted = run_with_faults(&shards, &traffic, &cfg, &FaultPlan::none(0)).expect("valid");
+        assert!(faulted.faults.is_clean());
+        assert_eq!(faulted.settle.txs_settled, 50);
+        let bare: Vec<SettlingShardDriver> = shards
+            .iter()
+            .zip(&traffic.transfers)
+            .map(|(spec, t)| SettlingShardDriver::new(spec, &cfg, t.clone()).expect("valid"))
+            .collect();
+        let bare = Runtime::builder().run(bare).expect("valid");
+        assert_eq!(faulted.run.fingerprint(), bare.report.fingerprint());
+        assert_eq!(faulted.settle, bare.settle);
+
+        // Explicitly empty schedules, under a partition: the same run as
+        // no schedules at all.
+        let plan = FaultPlan::none(0).with_partition(
+            ShardId::new(1),
+            SimTime::from_secs(30),
+            SimTime::from_secs(400),
+        );
+        let settled = run_with_faults(&shards, &traffic, &cfg, &plan).expect("valid");
+        let unscheduled = Traffic {
+            schedules: vec![Vec::new(), Vec::new()],
+            ..traffic
+        };
+        let migrated = run_with_faults(&shards, &unscheduled, &cfg, &plan).expect("valid");
+        assert_same_run(&migrated, &settled, "empty schedules");
+        assert_eq!(migrated.migrations, MigrationStats::default());
     }
 
     #[test]
     fn invalid_plans_and_configs_are_rejected() {
+        let none = Traffic::default();
         let bad_plan =
             FaultPlan::none(0).with_drops(ShardId::new(0), 2.0, SimTime::ZERO, SimTime::MAX);
-        assert!(run_with_faults(&specs(), &config(1), &bad_plan).is_err());
+        assert!(run_with_faults(&specs(), &none, &config(1), &bad_plan).is_err());
         let zero_cap = RuntimeConfig {
             block_capacity: 0,
             ..config(1)
         };
-        assert!(run_with_faults(&specs(), &zero_cap, &FaultPlan::none(0)).is_err());
+        assert!(run_with_faults(&specs(), &none, &zero_cap, &FaultPlan::none(0)).is_err());
+    }
+
+    #[test]
+    fn malformed_traffic_is_a_typed_error() {
+        let (shards, good) = migrated_fixture();
+        let ticket = |slot: usize| MigrationTicket {
+            transfers: vec![slot],
+            ..good.schedules[0][0].clone()
+        };
+        let cases: [(&str, &str, Traffic); 4] = [
+            (
+                "one transfer list for two shards",
+                "transfers",
+                Traffic {
+                    transfers: vec![Vec::new()],
+                    ..Traffic::default()
+                },
+            ),
+            (
+                "one schedule for two shards",
+                "schedules",
+                Traffic {
+                    schedules: vec![Vec::new()],
+                    ..good.clone()
+                },
+            ),
+            // The next two panicked inside the driver constructors before
+            // the harness validated caller-supplied tables.
+            (
+                "transfer of a tx the shard does not have",
+                "transfers",
+                Traffic {
+                    transfers: vec![vec![(50, ShardId::new(1))], Vec::new()],
+                    ..Traffic::default()
+                },
+            ),
+            (
+                "ticket owning a slot outside the transfer table",
+                "schedules",
+                Traffic {
+                    schedules: vec![vec![ticket(50)], Vec::new()],
+                    ..good.clone()
+                },
+            ),
+        ];
+        for (label, want, traffic) in &cases {
+            let err = run_with_faults(
+                &shards,
+                traffic,
+                &settled_config(1, 10, 1),
+                &FaultPlan::none(0),
+            )
+            .expect_err(label);
+            assert!(
+                matches!(err, Error::Config { field, .. } if field == *want),
+                "{label}: got {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -424,13 +429,14 @@ mod tests {
             ),
             ..config(9)
         };
-        let healthy = run_with_faults(&spec, &cfg, &FaultPlan::none(0)).expect("valid");
+        let none = Traffic::default();
+        let healthy = run_with_faults(&spec, &none, &cfg, &FaultPlan::none(0)).expect("valid");
         let plan = FaultPlan::none(0).with_partition(
             ShardId::new(0),
             SimTime::from_secs(60),
             SimTime::from_secs(4000),
         );
-        let parted = run_with_faults(&spec, &cfg, &plan).expect("valid");
+        let parted = run_with_faults(&spec, &none, &cfg, &plan).expect("valid");
         assert!(
             parted.run.completion > healthy.run.completion,
             "partition did not slow the shard: {} vs {}",
@@ -441,255 +447,99 @@ mod tests {
         assert_eq!(parted.unconfirmed_fraction(), 0.0);
     }
 
-    // ---- batched settlement under faults ----
-
-    use cshard_runtime::SettleConfig;
-
-    /// Two shards; shard 0 sends one transfer per tx to shard 1.
-    fn settled_fixture() -> (Vec<ShardSpec>, Vec<Vec<(usize, ShardId)>>) {
-        let shards = vec![
-            ShardSpec::solo_greedy(ShardId::new(0), (1..=50u64).collect()),
-            ShardSpec::solo_greedy(ShardId::new(1), (1..=40u64).collect()),
-        ];
-        let transfers = vec![
-            (0..50).map(|tx| (tx, ShardId::new(1))).collect(),
-            Vec::new(),
-        ];
-        (shards, transfers)
-    }
-
-    fn settled_config(seed: u64, cap: usize, threads: usize) -> RuntimeConfig {
-        RuntimeConfig {
-            settle: SettleConfig::batched(cap),
-            scheduler: cshard_runtime::SchedulerConfig::new(threads),
-            ..config(seed)
-        }
-    }
-
     #[test]
-    fn partition_mid_batch_defers_and_settles_exactly_once_on_heal() {
-        let (shards, transfers) = settled_fixture();
-        let cfg = settled_config(23, 100, 1);
+    fn mid_partition_work_defers_and_completes_exactly_once_on_heal() {
         // Black out the destination across the whole mining span: every
-        // flush deadline fires inside the partition and must defer.
+        // flush deadline and the migration apply fire inside the
+        // partition and must defer to the heal.
         let heal = SimTime::from_secs(20_000);
         let plan = FaultPlan::none(0).with_partition(ShardId::new(1), SimTime::ZERO, heal);
-        let out = run_with_settlement(&shards, &transfers, &cfg, &plan).expect("valid");
-        assert!(
-            out.settle.deferred_flushes >= 1,
-            "every deadline fired mid-partition: {:?}",
-            out.settle
-        );
-        // Exactly once: each transfer slot appears in exactly one batch.
-        let mut slots: Vec<u64> = out.batches[0]
-            .iter()
-            .flat_map(|b| b.transfers.iter().copied())
-            .collect();
-        slots.sort_unstable();
-        assert_eq!(slots, (0..50).collect::<Vec<u64>>());
-        // And never inside the blackout.
-        for b in &out.batches[0] {
-            assert!(b.at >= heal, "batch flushed mid-partition at {}", b.at);
-        }
-        assert!(out.batches[1].is_empty());
-        assert_eq!(out.settle.txs_settled, 50);
-    }
-
-    #[test]
-    fn settled_fault_runs_are_thread_count_invariant() {
-        let (shards, transfers) = settled_fixture();
-        let plan = FaultPlan::none(9)
-            .with_partition(
-                ShardId::new(1),
-                SimTime::from_secs(30),
-                SimTime::from_secs(400),
-            )
-            .with_crash(
-                ShardId::new(1),
-                0,
-                SimTime::from_secs(60),
-                Some(SimTime::from_secs(120)),
+        for (label, (shards, traffic)) in [
+            ("settlement", settled_fixture()),
+            ("settlement + migration", migrated_fixture()),
+        ] {
+            let cfg = settled_config(23, 100, 1);
+            let out = run_with_faults(&shards, &traffic, &cfg, &plan).expect("valid");
+            assert!(
+                out.settle.deferred_flushes >= 1,
+                "{label}: every deadline fired mid-partition: {:?}",
+                out.settle
             );
-        let base = run_with_settlement(&shards, &transfers, &settled_config(23, 10, 1), &plan)
-            .expect("valid");
-        for threads in [4, 0] {
-            let other =
-                run_with_settlement(&shards, &transfers, &settled_config(23, 10, threads), &plan)
-                    .expect("valid");
-            assert_eq!(base.run.fingerprint(), other.run.fingerprint());
-            assert_eq!(base.faults, other.faults);
-            assert_eq!(base.settle, other.settle);
-            assert_eq!(base.batches, other.batches);
-        }
-    }
-
-    #[test]
-    fn settlement_harness_rejects_mismatched_transfer_lists() {
-        let (shards, _) = settled_fixture();
-        let err = run_with_settlement(
-            &shards,
-            &[Vec::new()],
-            &settled_config(1, 10, 1),
-            &FaultPlan::none(0),
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            Error::Config {
-                field: "transfers",
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn fault_free_settled_run_matches_unfaulted_driver() {
-        let (shards, transfers) = settled_fixture();
-        let cfg = settled_config(23, 10, 1);
-        let faulted =
-            run_with_settlement(&shards, &transfers, &cfg, &FaultPlan::none(0)).expect("valid");
-        assert!(faulted.faults.is_clean());
-        assert_eq!(faulted.settle.txs_settled, 50);
-        // Same trajectory as the bare settling driver on the plain harness.
-        let bare = Runtime::builder()
-            .run(vec![
-                SettlingShardDriver::new(&shards[0], &cfg, transfers[0].clone()),
-                SettlingShardDriver::new(&shards[1], &cfg, transfers[1].clone()),
-            ])
-            .expect("valid");
-        assert_eq!(faulted.run.fingerprint(), bare.report.fingerprint());
-        assert_eq!(faulted.settle, bare.settle);
-    }
-
-    // ---- hot-account migration under faults ----
-
-    /// The settled fixture plus one ticket on shard 0: the account owning
-    /// transfer slots 0..10 moves to shard 1 at t = 60 s.
-    #[allow(clippy::type_complexity)]
-    fn migrated_fixture() -> (
-        Vec<ShardSpec>,
-        Vec<Vec<(usize, ShardId)>>,
-        Vec<Vec<MigrationTicket>>,
-    ) {
-        let (shards, transfers) = settled_fixture();
-        let schedules = vec![
-            vec![MigrationTicket {
-                account: 7,
-                from: ShardId::new(0),
-                to: ShardId::new(1),
-                at: SimTime::from_secs(60),
-                transfers: (0..10).collect(),
-            }],
-            Vec::new(),
-        ];
-        (shards, transfers, schedules)
-    }
-
-    #[test]
-    fn migration_mid_partition_defers_and_applies_exactly_once_on_heal() {
-        let (shards, transfers, schedules) = migrated_fixture();
-        let cfg = settled_config(23, 100, 1);
-        // Black out the destination across the apply time: the migration
-        // event fires mid-partition and must defer to the heal.
-        let heal = SimTime::from_secs(20_000);
-        let plan = FaultPlan::none(0).with_partition(ShardId::new(1), SimTime::ZERO, heal);
-        let out = run_with_migration(&shards, &transfers, &schedules, &cfg, &plan).expect("valid");
-        assert!(out.migrations.deferred >= 1, "{:?}", out.migrations);
-        assert_eq!(out.migrations.scheduled, 1);
-        assert_eq!(out.migrations.applied, 1, "exactly once");
-        assert_eq!(out.applied[0], vec![Some(heal)], "applies at the heal");
-        // The settlement ledger still covers every transfer exactly once,
-        // none of it inside the blackout.
-        let mut slots: Vec<u64> = out.batches[0]
-            .iter()
-            .flat_map(|b| b.transfers.iter().copied())
-            .collect();
-        slots.sort_unstable();
-        assert_eq!(slots, (0..50).collect::<Vec<u64>>());
-        for b in &out.batches[0] {
-            assert!(b.at >= heal, "batch flushed mid-partition at {}", b.at);
-        }
-    }
-
-    #[test]
-    fn migrated_fault_runs_are_thread_count_invariant() {
-        let (shards, transfers, schedules) = migrated_fixture();
-        let plan = FaultPlan::none(9)
-            .with_partition(
-                ShardId::new(1),
-                SimTime::from_secs(30),
-                SimTime::from_secs(400),
-            )
-            .with_crash(
-                ShardId::new(1),
-                0,
-                SimTime::from_secs(60),
-                Some(SimTime::from_secs(120)),
+            // Exactly once: each transfer slot appears in exactly one
+            // batch, and never inside the blackout.
+            assert_eq!(
+                settled_slots(&out),
+                (0..50).collect::<Vec<u64>>(),
+                "{label}"
             );
-        let base = run_with_migration(
-            &shards,
-            &transfers,
-            &schedules,
-            &settled_config(23, 10, 1),
-            &plan,
-        )
-        .expect("valid");
-        for threads in [4, 0] {
-            let other = run_with_migration(
-                &shards,
-                &transfers,
-                &schedules,
-                &settled_config(23, 10, threads),
-                &plan,
-            )
-            .expect("valid");
-            assert_eq!(base.run.fingerprint(), other.run.fingerprint());
-            assert_eq!(base.faults, other.faults);
-            assert_eq!(base.settle, other.settle);
-            assert_eq!(base.batches, other.batches);
-            assert_eq!(base.migrations, other.migrations);
-            assert_eq!(base.applied, other.applied);
+            for b in &out.batches[0] {
+                assert!(
+                    b.at >= heal,
+                    "{label}: batch flushed mid-partition at {}",
+                    b.at
+                );
+            }
+            assert!(out.batches[1].is_empty(), "{label}");
+            assert_eq!(out.settle.txs_settled, 50, "{label}");
+            // Every ticket applies exactly once, at the heal.
+            let tickets = traffic.schedules.first().map_or(0, Vec::len);
+            assert_eq!(out.migrations.scheduled, tickets as u64, "{label}");
+            assert_eq!(
+                out.migrations.applied, tickets as u64,
+                "{label}: exactly once"
+            );
+            assert!(
+                out.migrations.deferred >= tickets as u64,
+                "{label}: {:?}",
+                out.migrations
+            );
+            assert_eq!(out.applied[0], vec![Some(heal); tickets], "{label}");
         }
     }
 
     #[test]
-    fn empty_schedules_match_run_with_settlement_exactly() {
-        let (shards, transfers) = settled_fixture();
-        let cfg = settled_config(23, 10, 1);
-        let plan = FaultPlan::none(0).with_partition(
-            ShardId::new(1),
-            SimTime::from_secs(30),
-            SimTime::from_secs(400),
-        );
-        let settled = run_with_settlement(&shards, &transfers, &cfg, &plan).expect("valid");
-        let migrated =
-            run_with_migration(&shards, &transfers, &[Vec::new(), Vec::new()], &cfg, &plan)
-                .expect("valid");
-        assert_eq!(migrated.run.fingerprint(), settled.run.fingerprint());
-        assert_eq!(migrated.faults, settled.faults);
-        assert_eq!(migrated.settle, settled.settle);
-        assert_eq!(migrated.batches, settled.batches);
-        assert_eq!(migrated.migrations, MigrationStats::default());
+    fn faulted_runs_are_thread_count_invariant() {
+        for (label, (shards, traffic), cap) in [
+            ("settlement", settled_fixture(), 10),
+            ("settlement + migration", migrated_fixture(), 10),
+        ] {
+            let plan = partition_and_crash(9, 1);
+            let run_at = |threads| {
+                run_with_faults(&shards, &traffic, &settled_config(23, cap, threads), &plan)
+                    .expect("valid")
+            };
+            let base = run_at(1);
+            for threads in [4, 0] {
+                assert_same_run(&base, &run_at(threads), label);
+            }
+        }
     }
 
     #[test]
-    fn migration_harness_rejects_mismatched_schedule_lists() {
-        let (shards, transfers) = settled_fixture();
-        let err = run_with_migration(
-            &shards,
-            &transfers,
-            &[Vec::new()],
-            &settled_config(1, 10, 1),
-            &FaultPlan::none(0),
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            Error::Config {
-                field: "schedules",
-                ..
-            }
-        ));
+    fn crash_partition_settlement_and_migration_compose() {
+        // Everything at once: the source shard's only miner crashes and
+        // recovers, the destination is partitioned across the ticket's
+        // apply time, transfers batch at cap 10.
+        let (shards, traffic) = migrated_fixture();
+        let plan = partition_and_crash(9, 0);
+        let run_at = |threads| {
+            run_with_faults(&shards, &traffic, &settled_config(23, 10, threads), &plan)
+                .expect("valid")
+        };
+        let base = run_at(1);
+        assert_eq!(base.faults.total_crashes(), 1);
+        assert_eq!(base.faults.total_recoveries(), 1);
+        assert_eq!(base.unconfirmed_fraction(), 0.0);
+        assert_eq!(settled_slots(&base), (0..50).collect::<Vec<u64>>());
+        assert_eq!(base.migrations.applied, 1, "exactly once");
+        assert_eq!(
+            base.applied,
+            vec![vec![Some(SimTime::from_secs(400))], Vec::new()],
+            "the ticket applies at the heal"
+        );
+        for threads in [4, 0] {
+            assert_same_run(&base, &run_at(threads), "composition");
+        }
     }
 
     #[test]
@@ -707,8 +557,9 @@ mod tests {
                 SimTime::from_secs(60),
                 SimTime::from_secs(300),
             );
-        let a = run_with_faults(&specs(), &cfg, &plan).expect("valid");
-        let b = run_with_faults(&specs(), &cfg, &plan).expect("valid");
+        let none = Traffic::default();
+        let a = run_with_faults(&specs(), &none, &cfg, &plan).expect("valid");
+        let b = run_with_faults(&specs(), &none, &cfg, &plan).expect("valid");
         assert_eq!(a.run.fingerprint(), b.run.fingerprint());
         assert_eq!(a.faults, b.faults);
         assert_eq!(a.faults.total_crashes(), 1);

@@ -12,9 +12,12 @@
 //! * [`FaultyDriver`] — wraps any [`cshard_runtime::ProtocolDriver`] and
 //!   executes the plan by intercepting the event stream; with an empty
 //!   plan it is bit-for-bit transparent ([`driver`]).
-//! * [`run_with_faults`] — the contract-centric `simulate` under a plan,
-//!   returning the ordinary [`cshard_runtime::RunReport`] *plus* a
-//!   [`FaultReport`] of what the faults did ([`harness`]).
+//! * [`run_with_faults`] — the one harness entry point: the
+//!   contract-centric `simulate` under a plan, optionally carrying
+//!   cross-shard [`Traffic`] (settlement transfers, migration tickets),
+//!   returning the ordinary [`cshard_runtime::RunReport`] *plus* what the
+//!   faults, the settlement layer and the migrations did ([`FaultRun`],
+//!   [`harness`]).
 //! * [`epochs`] — VRF-ranked leader failover: crash or equivocate the
 //!   unification leader and watch every miner deterministically agree on
 //!   the next-ranked fallback.
@@ -40,9 +43,6 @@ pub use driver::FaultyDriver;
 pub use epochs::{
     equivocation_detected, run_leader_faults, EpochFaultOutcome, EpochFaultReport, LeaderFaultPlan,
 };
-pub use harness::{
-    run_with_faults, run_with_migration, run_with_settlement, FaultRun, MigratedFaultRun,
-    SettledFaultRun,
-};
+pub use harness::{run_with_faults, FaultRun, Traffic};
 pub use plan::{FaultAction, FaultPlan};
 pub use report::{FaultReport, ShardFaultStats};

@@ -29,16 +29,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod analysis;
 pub mod dynamics;
 pub mod merging;
 pub mod rewards;
 pub mod selection;
 pub mod unification;
 
-pub use analysis::{
-    ess_check, participation_margin, replicator_drift, satisfaction_probability, EssVerdict,
-};
 pub use dynamics::{
     BestReplyDynamics, GameDynamics, GameScratch, MergeInput, ReplicatorMergeDynamics, SelectInput,
     SelectionWarmCache,

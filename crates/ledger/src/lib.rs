@@ -29,7 +29,6 @@ pub mod account;
 pub mod block;
 pub mod callgraph;
 pub mod chain;
-pub mod classifier;
 pub mod codec;
 pub mod contract;
 pub mod error;
@@ -44,7 +43,6 @@ pub use account::{Account, AccountKind};
 pub use block::{Block, BlockHeader};
 pub use callgraph::{CallGraph, SenderClass};
 pub use chain::Chain;
-pub use classifier::CompactClassifier;
 pub use contract::{Condition, SmartContract};
 pub use error::LedgerError;
 pub use light::{InclusionProof, LightClient, LightError};

@@ -79,6 +79,16 @@ impl ShardSpec {
             strategy: SelectionStrategy::IdenticalGreedy,
         }
     }
+
+    /// The one spec-slice check every run entry point performs ahead of
+    /// driver construction (whose constructor asserts): every shard needs
+    /// at least one miner.
+    pub fn validate_all(shards: &[ShardSpec]) -> Result<(), Error> {
+        match shards.iter().find(|s| s.miners == 0) {
+            Some(spec) => Err(Error::NoMiners { shard: spec.shard }),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Global run parameters.
@@ -118,6 +128,18 @@ impl RuntimeConfig {
     /// latency model's worst-case delivery delay.
     pub fn conflict_window(&self) -> SimTime {
         self.propagation.conflict_window()
+    }
+
+    /// The one runtime-config check every run entry point performs: a
+    /// positive block capacity and a well-formed settle knob set.
+    pub fn validate(&self) -> Result<(), Error> {
+        if self.block_capacity == 0 {
+            return Err(Error::Config {
+                field: "block_capacity",
+                reason: "must be positive".into(),
+            });
+        }
+        self.settle.validate()
     }
 }
 
@@ -642,15 +664,8 @@ impl ProtocolDriver for EthereumDriver {
 /// Errors on an invalid configuration (zero [`RuntimeConfig::block_capacity`],
 /// a minerless spec) or a malformed event stream, instead of panicking.
 pub fn simulate(shards: &[ShardSpec], config: &RuntimeConfig) -> Result<RunReport, Error> {
-    if config.block_capacity == 0 {
-        return Err(Error::Config {
-            field: "block_capacity",
-            reason: "must be positive".into(),
-        });
-    }
-    if let Some(spec) = shards.iter().find(|s| s.miners == 0) {
-        return Err(Error::NoMiners { shard: spec.shard });
-    }
+    config.validate()?;
+    ShardSpec::validate_all(shards)?;
     let drivers: Vec<ContractShardDriver> = shards
         .iter()
         .map(|spec| ContractShardDriver::new(spec, config))
@@ -669,12 +684,7 @@ pub fn simulate_ethereum(
     miners: usize,
     config: &RuntimeConfig,
 ) -> Result<RunReport, Error> {
-    if config.block_capacity == 0 {
-        return Err(Error::Config {
-            field: "block_capacity",
-            reason: "must be positive".into(),
-        });
-    }
+    config.validate()?;
     let driver = EthereumDriver::new(fees, miners, config);
     Runtime::builder()
         .scheduler(config.scheduler)

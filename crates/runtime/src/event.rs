@@ -63,8 +63,8 @@ pub enum Event {
         /// Destination shard of the batch whose deadline fired.
         dest: ShardId,
     },
-    /// A scheduled hot-account migration reaches its apply time
-    /// (`cshard-runtime`'s `MigratingShardDriver`): the account's open
+    /// A scheduled hot-account migration reaches its apply time (a ticket
+    /// of `SettlingShardDriver::with_migrations`): the account's open
     /// settlement pairs are drained, its unsubmitted transfers re-keyed
     /// to the new home shard, and the move booked as one crosslink.
     /// Staleness and blackout deferral follow the same deadline rules as

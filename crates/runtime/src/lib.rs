@@ -36,6 +36,14 @@
 //! degenerate single-chain instance). The ChainSpace driver builds on
 //! these from `cshard-baselines`, which layers 2PC validation events on
 //! top.
+//!
+//! Cross-shard traffic is one layer: [`SettlingShardDriver`] wraps a
+//! [`ContractShardDriver`] with batched crosslink settlement and a
+//! hot-account migration schedule, both riding on a [`CrosslinkChannel`]
+//! — the one place a `cshard_settle::SettlementBatcher` meets the event
+//! loop, shared with the ChainSpace driver's batched mode. Fault
+//! injection (`cshard-faults`' generic `FaultyDriver`) wraps whichever of
+//! these a run uses.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -43,10 +51,10 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod contract;
+pub mod crosslink;
 pub mod driver;
 pub mod event;
 pub mod harness;
-pub mod migrate;
 pub mod propagation;
 pub mod report;
 pub mod settle;
@@ -56,6 +64,7 @@ pub use contract::{
     shard_stream, simulate, simulate_ethereum, ContractShardDriver, EthereumDriver, RuntimeConfig,
     SelectionDynamicsStats, SelectionStrategy, ShardSpec,
 };
+pub use crosslink::CrosslinkChannel;
 pub use cshard_settle::{
     Batch, FlushOutcome, SettleConfig, SettleStats, SettlementBatcher, Submit,
 };
@@ -63,8 +72,7 @@ pub use cshard_sim::{DrainStats, SchedulerConfig};
 pub use driver::{Ctx, ProtocolDriver};
 pub use event::Event;
 pub use harness::{RunBuilder, RunObserver, RunOutcome, RunPhase, RunSchedStats, Runtime};
-pub use migrate::{MigratingShardDriver, MigrationStats, MigrationTicket};
 pub use propagation::PropagationModel;
 pub use report::{throughput_improvement, RunReport, ShardReport};
-pub use settle::SettlingShardDriver;
+pub use settle::{MigrationStats, MigrationTicket, SettlingShardDriver};
 pub use stream::{ArrivalSource, StreamDriver};

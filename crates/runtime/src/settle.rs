@@ -1,10 +1,10 @@
-//! The settling shard driver: batched cross-shard settlement layered on
-//! the contract-centric shard.
+//! The settling shard driver: batched cross-shard settlement and
+//! scheduled hot-account migration layered on the contract-centric shard.
 //!
 //! [`SettlingShardDriver`] wraps a [`ContractShardDriver`] and attaches a
 //! set of outbound cross-shard transfers to its local transactions. When
 //! a transaction confirms, its transfers become eligible and are handed
-//! to a [`cshard_settle::SettlementBatcher`]; instead of one message per
+//! to the shard's [`CrosslinkChannel`]; instead of one message per
 //! transfer, the shard books one [`cshard_network::CommKind::Crosslink`]
 //! per flushed batch. Flush deadlines are ordinary simulation events
 //! ([`Event::SettlementFlush`]) on the shard's own queue — no wall clock,
@@ -14,33 +14,110 @@
 //! Exactly-once settlement is the batcher's stale-deadline rule: a flush
 //! event settles a batch only when its timestamp matches the recorded
 //! deadline, so cap-flushes and blackout deferrals supersede older events
-//! rather than double-settling. The wrapper's own contribution is the
+//! rather than double-settling. The driver's own contribution is the
 //! eligibility scan: a transfer is submitted the first time its
 //! transaction is observed confirmed, and the `submitted` flags make the
 //! scan idempotent across events.
+//!
+//! # Migration
+//!
+//! An account move is one more message on the same channel. A schedule of
+//! [`MigrationTicket`]s ([`SettlingShardDriver::with_migrations`]) — the
+//! placement engine's proposals, turned into simulated moves — names for
+//! each account its old and new home shards and the outbound transfer
+//! slots it owns; at the ticket's apply time an [`Event::Migration`]
+//! fires and the driver runs the in-flight story in one atomic step:
+//!
+//! 1. **drain** — every open settlement pair holding one of the account's
+//!    transfers is force-flushed, so nothing settles later under the
+//!    account's stale routing;
+//! 2. **re-key** — the account's not-yet-submitted transfers are re-keyed
+//!    to the new home shard;
+//! 3. **book** — the move itself ships one crosslink (state handoff), and
+//!    the ticket is marked applied.
+//!
+//! A ticket obeys the deadline discipline flushes do, against the same
+//! blackout table: a migration event applies its ticket only when its
+//! timestamp matches the recorded deadline (anything else is stale), and
+//! an apply landing inside a blackout of the pair toward the new home
+//! re-arms at the batcher's `heal_time`.
 
 use crate::contract::{ContractShardDriver, RuntimeConfig, ShardSpec};
+use crate::crosslink::CrosslinkChannel;
 use crate::driver::{Ctx, ProtocolDriver};
 use crate::event::Event;
 use crate::report::ShardReport;
 use cshard_network::CommKind;
 use cshard_primitives::{Error, ShardId, SimTime};
-use cshard_settle::{Batch, FlushOutcome, SettleStats, SettlementBatcher, Submit};
+use cshard_settle::{Batch, SettleStats};
+use std::collections::BTreeSet;
 use std::time::Duration;
 
+/// One scheduled hot-account move, as the runtime executes it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct MigrationTicket {
+    /// Caller-scoped account tag (the bench maps addresses onto these);
+    /// the runtime treats it as opaque.
+    pub account: u64,
+    /// The shard the account is leaving.
+    pub from: ShardId,
+    /// The account's new home shard.
+    pub to: ShardId,
+    /// Scheduled apply time (simulated).
+    pub at: SimTime,
+    /// Outbound transfer slots of the driver owned by this account — the
+    /// ones to drain and re-key before the switch.
+    pub transfers: Vec<usize>,
+}
+
+/// Migration accounting for one shard's run.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MigrationStats {
+    /// Tickets scheduled at start.
+    pub scheduled: u64,
+    /// Tickets applied (each exactly once).
+    pub applied: u64,
+    /// Apply attempts deferred past a partition blackout.
+    pub deferred: u64,
+    /// Transfers force-flushed out of open pairs by applies.
+    pub drained_transfers: u64,
+    /// Unsubmitted transfers re-keyed to new home shards by applies.
+    pub rekeyed_transfers: u64,
+}
+
+impl MigrationStats {
+    /// Field-wise sum, for aggregating per-shard stats into a run total.
+    pub fn merge(&self, other: &MigrationStats) -> MigrationStats {
+        MigrationStats {
+            scheduled: self.scheduled + other.scheduled,
+            applied: self.applied + other.applied,
+            deferred: self.deferred + other.deferred,
+            drained_transfers: self.drained_transfers + other.drained_transfers,
+            rekeyed_transfers: self.rekeyed_transfers + other.rekeyed_transfers,
+        }
+    }
+}
+
 /// One shard of the contract-centric scheme with batched cross-shard
-/// settlement. See the module docs for the lifecycle.
+/// settlement and scheduled hot-account migration. See the module docs
+/// for the lifecycle.
 pub struct SettlingShardDriver {
     inner: ContractShardDriver,
-    batcher: SettlementBatcher,
+    channel: CrosslinkChannel,
     /// Outbound transfers: `(local tx index, destination shard)`. The
     /// slot index is the transfer id the batcher carries in its batches.
     transfers: Vec<(usize, ShardId)>,
     /// Idempotence flags for the eligibility scan.
     submitted: Vec<bool>,
-    /// Every batch this shard settled, in flush order (slot-deterministic;
-    /// the exactly-once tests read this back out of the run outcome).
-    settled: Vec<Batch>,
+    /// The migration schedule; `Event::Migration` slots index it.
+    schedule: Vec<MigrationTicket>,
+    /// The one live apply deadline per ticket (the ticket's own time until
+    /// a deferral moves it, `None` once applied); an event applies its
+    /// ticket only if its timestamp matches.
+    deadlines: Vec<Option<SimTime>>,
+    /// When each ticket applied (the fault tests read this).
+    applied_at: Vec<Option<SimTime>>,
+    migrations: MigrationStats,
 }
 
 impl SettlingShardDriver {
@@ -49,43 +126,74 @@ impl SettlingShardDriver {
     /// settle config degrades to one crosslink per transfer — the
     /// unbatched ledger the experiments use as baseline).
     ///
-    /// # Panics
-    /// Panics when the spec assigns no miners or a transfer references a
+    /// Errors (`field: "transfers"`) when a transfer references a
     /// transaction the shard does not have.
+    ///
+    /// # Panics
+    /// Panics when the spec assigns no miners.
     pub fn new(
         spec: &ShardSpec,
         config: &RuntimeConfig,
         transfers: Vec<(usize, ShardId)>,
-    ) -> SettlingShardDriver {
-        for &(tx, _) in &transfers {
-            assert!(
-                tx < spec.fees.len(),
-                "transfer references tx {tx} outside shard {} ({} txs)",
-                spec.shard,
-                spec.fees.len()
-            );
+    ) -> Result<SettlingShardDriver, Error> {
+        if let Some(&(tx, _)) = transfers.iter().find(|&&(tx, _)| tx >= spec.fees.len()) {
+            return Err(Error::Config {
+                field: "transfers",
+                reason: format!(
+                    "transfer references tx {tx} outside shard {} ({} txs)",
+                    spec.shard,
+                    spec.fees.len()
+                ),
+            });
         }
-        let submitted = vec![false; transfers.len()];
-        SettlingShardDriver {
+        Ok(SettlingShardDriver {
             inner: ContractShardDriver::new(spec, config),
-            batcher: SettlementBatcher::new(spec.shard, &config.settle),
+            channel: CrosslinkChannel::new(spec.shard, &config.settle),
+            submitted: vec![false; transfers.len()],
             transfers,
-            submitted,
-            settled: Vec::new(),
+            schedule: Vec::new(),
+            deadlines: Vec::new(),
+            applied_at: Vec::new(),
+            migrations: MigrationStats::default(),
+        })
+    }
+
+    /// Attaches a migration `schedule` (replacing any earlier one).
+    ///
+    /// Errors (`field: "schedules"`) when a ticket references a transfer
+    /// slot outside this driver's table.
+    pub fn with_migrations(
+        mut self,
+        schedule: Vec<MigrationTicket>,
+    ) -> Result<SettlingShardDriver, Error> {
+        let slots = self.transfers.len();
+        for (i, ticket) in schedule.iter().enumerate() {
+            if let Some(slot) = ticket.transfers.iter().find(|&&s| s >= slots) {
+                return Err(Error::Config {
+                    field: "schedules",
+                    reason: format!(
+                        "migration ticket {i} references transfer slot {slot} outside the \
+                         shard's table ({slots} slots)"
+                    ),
+                });
+            }
         }
+        self.deadlines = schedule.iter().map(|t| Some(t.at)).collect();
+        self.applied_at = vec![None; schedule.len()];
+        self.schedule = schedule;
+        Ok(self)
     }
 
     /// Installs partition blackout windows for the pair toward `dest`
-    /// (half-open `[from, until)`); flushes falling inside defer to the
-    /// heal. The fault harness derives these from its plan's partitions
-    /// of either endpoint.
+    /// (half-open `[from, until)`); settlement flushes *and* migration
+    /// applies falling inside defer to the heal.
     pub fn set_blackouts(&mut self, dest: ShardId, windows: Vec<(SimTime, SimTime)>) {
-        self.batcher.set_blackouts(dest, windows);
+        self.channel.set_blackouts(dest, windows);
     }
 
     /// Every batch settled so far, in flush order.
     pub fn settled_batches(&self) -> &[Batch] {
-        &self.settled
+        self.channel.settled_batches()
     }
 
     /// The outbound transfer table, slot-indexed as the batch ids are.
@@ -93,53 +201,14 @@ impl SettlingShardDriver {
         &self.transfers
     }
 
-    /// The wrapped contract-shard driver.
-    pub fn inner(&self) -> &ContractShardDriver {
-        &self.inner
+    /// The migration accounting so far.
+    pub fn migration_stats(&self) -> MigrationStats {
+        self.migrations
     }
 
-    /// Force-flushes the open batch toward `dest` right now and ships it
-    /// (one crosslink), returning how many transfers it carried — the
-    /// migration drain path: before an account's routing moves, the pairs
-    /// its transfers occupy are emptied so nothing settles under a stale
-    /// key. The batcher clears the pair's deadline, so any armed flush
-    /// event goes stale rather than double-settling.
-    pub fn drain_pair(&mut self, now: SimTime, dest: ShardId, ctx: &mut Ctx) -> usize {
-        match self.batcher.drain(now, dest) {
-            Some(batch) => {
-                let n = batch.transfers.len();
-                self.ship(batch, ctx);
-                n
-            }
-            None => 0,
-        }
-    }
-
-    /// Re-keys every not-yet-submitted transfer in `slots` to destination
-    /// `to`, returning how many actually changed. Submitted transfers are
-    /// already in (or past) a batch and are left alone — draining the
-    /// open pairs first is the caller's job.
-    pub fn rekey_transfers(&mut self, slots: &[usize], to: ShardId) -> usize {
-        let mut changed = 0;
-        for &slot in slots {
-            if self.submitted.get(slot).copied().unwrap_or(true) {
-                continue;
-            }
-            if let Some(entry) = self.transfers.get_mut(slot) {
-                if entry.1 != to {
-                    entry.1 = to;
-                    changed += 1;
-                }
-            }
-        }
-        changed
-    }
-
-    /// Books one crosslink for a flushed batch and logs it.
-    fn ship(&mut self, batch: Batch, ctx: &mut Ctx) {
-        ctx.comm()
-            .record(self.batcher.source(), CommKind::Crosslink);
-        self.settled.push(batch);
+    /// When each ticket applied (schedule order; `None` while pending).
+    pub fn applied_at(&self) -> &[Option<SimTime>] {
+        &self.applied_at
     }
 
     /// Submits every transfer whose transaction has confirmed since the
@@ -155,39 +224,87 @@ impl SettlingShardDriver {
                 continue;
             }
             self.submitted[slot] = true;
-            match self.batcher.submit(now, dest, slot as u64) {
-                Submit::Queued => {}
-                Submit::Arm(at) => ctx.schedule(at, Event::SettlementFlush { dest }),
-                Submit::Flushed(batch) => self.ship(batch, ctx),
+            self.channel.submit(now, dest, slot as u64, ctx);
+        }
+    }
+
+    /// Executes ticket `slot` at `t`: drain, re-key, book, mark applied.
+    fn apply(&mut self, slot: usize, t: SimTime, ctx: &mut Ctx) {
+        let ticket = &self.schedule[slot];
+        // Drain every open pair the account's transfers currently key to
+        // (deterministic order; a pair may also carry other accounts'
+        // transfers — an early flush, never a wrong one).
+        let dests: BTreeSet<ShardId> = ticket
+            .transfers
+            .iter()
+            .map(|&s| self.transfers[s].1)
+            .collect();
+        for dest in dests {
+            self.migrations.drained_transfers += self.channel.drain(t, dest, ctx) as u64;
+        }
+        // Submitted transfers are already in (or past) a batch and keep
+        // their key; the rest follow the account.
+        for &s in &ticket.transfers {
+            if !self.submitted[s] && self.transfers[s].1 != ticket.to {
+                self.transfers[s].1 = ticket.to;
+                self.migrations.rekeyed_transfers += 1;
             }
         }
+        // The move itself: one cross-shard state handoff.
+        ctx.comm().record(ticket.from, CommKind::Crosslink);
+        self.applied_at[slot] = Some(t);
+        self.deadlines[slot] = None;
+        self.migrations.applied += 1;
     }
 }
 
 impl ProtocolDriver for SettlingShardDriver {
     fn on_start(&mut self, ctx: &mut Ctx) {
         self.inner.on_start(ctx);
+        for (slot, ticket) in self.schedule.iter().enumerate() {
+            ctx.schedule(ticket.at, Event::Migration { slot });
+            self.migrations.scheduled += 1;
+        }
     }
 
     fn on_event(&mut self, t: SimTime, ev: Event, ctx: &mut Ctx) -> Result<(), Error> {
-        if let Event::SettlementFlush { dest } = ev {
-            match self.batcher.on_flush(t, dest) {
-                FlushOutcome::Stale => {}
-                FlushOutcome::Deferred(at) => ctx.schedule(at, Event::SettlementFlush { dest }),
-                FlushOutcome::Flushed(batch) => self.ship(batch, ctx),
+        match ev {
+            Event::SettlementFlush { dest } => self.channel.on_flush(t, dest, ctx),
+            Event::Migration { slot } => {
+                let Some(ticket) = self.schedule.get(slot) else {
+                    return Err(Error::UnexpectedEvent {
+                        driver: "SettlingShardDriver",
+                        event: format!("Migration {{ slot: {slot} }} outside the schedule"),
+                    });
+                };
+                if self.deadlines[slot] != Some(t) {
+                    // Stale: already applied, or a deferral moved the
+                    // deadline and superseded this event.
+                } else if let Some(heal) = self.channel.batcher().heal_time(ticket.to, t) {
+                    // Mid-partition: defer the whole apply to the heal,
+                    // exactly like a settlement flush.
+                    self.deadlines[slot] = Some(heal);
+                    ctx.schedule(heal, Event::Migration { slot });
+                    self.migrations.deferred += 1;
+                } else {
+                    self.apply(slot, t, ctx);
+                }
             }
-            return Ok(());
+            other => {
+                self.inner.on_event(t, other, ctx)?;
+                self.sync(t, ctx);
+            }
         }
-        self.inner.on_event(t, ev, ctx)?;
-        self.sync(t, ctx);
         Ok(())
     }
 
     fn done(&self) -> bool {
-        // Phase 1 must outlive the last flush: pending transfers always
-        // hold an armed deadline event (batcher invariant), so this never
-        // stalls the harness.
-        self.inner.done() && self.batcher.is_empty()
+        // Phase 1 must outlive the last flush and the last apply. Both
+        // always hold an armed event (the deadline invariant), so waiting
+        // on them never stalls the harness.
+        self.inner.done()
+            && self.channel.batcher().is_empty()
+            && self.applied_at.iter().all(Option::is_some)
     }
 
     fn completion(&self) -> Option<SimTime> {
@@ -199,23 +316,23 @@ impl ProtocolDriver for SettlingShardDriver {
     }
 
     fn settle_stats(&self) -> Option<SettleStats> {
-        Some(self.batcher.stats())
+        Some(self.channel.batcher().stats())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Runtime;
+    use crate::harness::{RunOutcome, Runtime};
     use cshard_settle::SettleConfig;
 
     fn spec(shard: u32, txs: usize) -> ShardSpec {
         ShardSpec::solo_greedy(ShardId::new(shard), (1..=txs as u64).collect())
     }
 
-    fn config(settle: SettleConfig) -> RuntimeConfig {
+    fn config(seed: u64, settle: SettleConfig) -> RuntimeConfig {
         RuntimeConfig {
-            seed: 11,
+            seed,
             settle,
             ..RuntimeConfig::default()
         }
@@ -226,30 +343,71 @@ mod tests {
         (0..txs).map(|tx| (tx, ShardId::new(dest))).collect()
     }
 
+    fn ticket(at: SimTime, transfers: Vec<usize>) -> MigrationTicket {
+        MigrationTicket {
+            account: 7,
+            from: ShardId::new(0),
+            to: ShardId::new(9),
+            at,
+            transfers,
+        }
+    }
+
+    /// A 30-tx shard 0 under `cfg` with `transfers` and `schedule`.
+    fn driver(
+        cfg: &RuntimeConfig,
+        transfers: Vec<(usize, ShardId)>,
+        schedule: Vec<MigrationTicket>,
+    ) -> SettlingShardDriver {
+        SettlingShardDriver::new(&spec(0, 30), cfg, transfers)
+            .and_then(|d| d.with_migrations(schedule))
+            .expect("well-formed tables")
+    }
+
+    /// Settlement only (seed 11, as the settlement cases were pinned).
     fn run(
         settle: SettleConfig,
         transfers: Vec<(usize, ShardId)>,
         threads: usize,
-    ) -> crate::harness::RunOutcome<SettlingShardDriver> {
-        let cfg = config(settle);
-        let drivers = vec![SettlingShardDriver::new(&spec(0, 30), &cfg, transfers)];
+    ) -> RunOutcome<SettlingShardDriver> {
+        let drivers = vec![driver(&config(11, settle), transfers, Vec::new())];
         Runtime::builder()
             .threads(threads)
             .run(drivers)
             .expect("well-formed")
     }
 
-    #[test]
-    fn every_transfer_settles_exactly_once() {
-        let outcome = run(SettleConfig::batched(8), fan(30, 1), 1);
-        let driver = &outcome.drivers[0];
+    /// Cap-100 settlement of `fan(30, 1)` plus a migration `schedule`
+    /// (seed 23, as the migration cases were pinned).
+    fn run_migrating(
+        schedule: Vec<MigrationTicket>,
+        threads: usize,
+    ) -> RunOutcome<SettlingShardDriver> {
+        let cfg = config(23, SettleConfig::batched(100));
+        Runtime::builder()
+            .threads(threads)
+            .run(vec![driver(&cfg, fan(30, 1), schedule)])
+            .expect("well-formed")
+    }
+
+    /// Every transfer slot settled, sorted.
+    fn settled_slots(driver: &SettlingShardDriver) -> Vec<u64> {
         let mut seen: Vec<u64> = driver
             .settled_batches()
             .iter()
             .flat_map(|b| b.transfers.iter().copied())
             .collect();
         seen.sort_unstable();
-        assert_eq!(seen, (0..30).collect::<Vec<u64>>());
+        seen
+    }
+
+    #[test]
+    fn every_transfer_settles_exactly_once() {
+        let outcome = run(SettleConfig::batched(8), fan(30, 1), 1);
+        assert_eq!(
+            settled_slots(&outcome.drivers[0]),
+            (0..30).collect::<Vec<u64>>()
+        );
         assert_eq!(outcome.settle.txs_settled, 30);
         assert!(!outcome.settle.is_empty());
     }
@@ -289,17 +447,45 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_settlement() {
-        let base = run(SettleConfig::batched(7), fan(30, 1), 1);
-        for threads in [4, 0] {
-            let other = run(SettleConfig::batched(7), fan(30, 1), threads);
-            assert_eq!(base.report.fingerprint(), other.report.fingerprint());
-            assert_eq!(base.settle, other.settle);
-            assert_eq!(
-                base.drivers[0].settled_batches(),
-                other.drivers[0].settled_batches()
-            );
-        }
+    fn thread_count_changes_neither_settlement_nor_migration() {
+        let two_tickets = vec![
+            ticket(SimTime::from_secs(1), (0..8).collect()),
+            MigrationTicket {
+                account: 11,
+                from: ShardId::new(0),
+                to: ShardId::new(4),
+                at: SimTime::from_secs(2),
+                transfers: (8..16).collect(),
+            },
+        ];
+        let invariant = |label: &str, case: &dyn Fn(usize) -> RunOutcome<SettlingShardDriver>| {
+            let base = case(1);
+            for threads in [4, 0] {
+                let other = case(threads);
+                assert_eq!(
+                    base.report.fingerprint(),
+                    other.report.fingerprint(),
+                    "{label}"
+                );
+                assert_eq!(base.settle, other.settle, "{label}");
+                assert_eq!(
+                    base.drivers[0].migration_stats(),
+                    other.drivers[0].migration_stats(),
+                    "{label}"
+                );
+                assert_eq!(
+                    base.drivers[0].settled_batches(),
+                    other.drivers[0].settled_batches(),
+                    "{label}"
+                );
+            }
+        };
+        invariant("settlement", &|threads| {
+            run(SettleConfig::batched(7), fan(30, 1), threads)
+        });
+        invariant("migration", &|threads| {
+            run_migrating(two_tickets.clone(), threads)
+        });
     }
 
     #[test]
@@ -326,8 +512,8 @@ mod tests {
 
     #[test]
     fn blackout_defers_and_settles_exactly_once_at_the_heal() {
-        let cfg = config(SettleConfig::batched(100));
-        let mut driver = SettlingShardDriver::new(&cfg_spec(), &cfg, fan(30, 1));
+        let cfg = config(11, SettleConfig::batched(100));
+        let mut driver = driver(&cfg, fan(30, 1), Vec::new());
         // Black out the pair well past every timeout deadline.
         driver.set_blackouts(
             ShardId::new(1),
@@ -336,13 +522,7 @@ mod tests {
         let outcome = Runtime::builder().run(vec![driver]).expect("well-formed");
         let driver = &outcome.drivers[0];
         assert!(outcome.settle.deferred_flushes >= 1);
-        let mut seen: Vec<u64> = driver
-            .settled_batches()
-            .iter()
-            .flat_map(|b| b.transfers.iter().copied())
-            .collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..30).collect::<Vec<u64>>());
+        assert_eq!(settled_slots(driver), (0..30).collect::<Vec<u64>>());
         for b in driver.settled_batches() {
             assert!(
                 b.at >= SimTime::from_secs(600),
@@ -356,15 +536,120 @@ mod tests {
         );
     }
 
-    fn cfg_spec() -> ShardSpec {
-        spec(0, 30)
-    }
-
     #[test]
     fn transfer_free_shard_settles_nothing() {
         let outcome = run(SettleConfig::batched(10), Vec::new(), 1);
         assert!(outcome.settle.is_empty());
         assert_eq!(outcome.comm.for_kind(CommKind::Crosslink), 0);
         assert_eq!(outcome.report.shards[0].confirmed, 30);
+    }
+
+    #[test]
+    fn empty_schedule_is_bit_invisible() {
+        let cfg = config(23, SettleConfig::batched(100));
+        let plain = SettlingShardDriver::new(&spec(0, 30), &cfg, fan(30, 1)).expect("valid");
+        let plain = Runtime::builder().run(vec![plain]).expect("well-formed");
+        let scheduled = run_migrating(Vec::new(), 1);
+        assert_eq!(plain.report.fingerprint(), scheduled.report.fingerprint());
+        assert_eq!(plain.settle, scheduled.settle);
+        assert_eq!(
+            plain.drivers[0].settled_batches(),
+            scheduled.drivers[0].settled_batches()
+        );
+        assert_eq!(
+            scheduled.drivers[0].migration_stats(),
+            MigrationStats::default()
+        );
+    }
+
+    #[test]
+    fn apply_drains_rekeys_and_books_the_move_exactly_once() {
+        // Move the account owning slots 0..10 at t=1s; cap 100 with a
+        // long-lived run means its pair is still open when the move hits.
+        let schedule = vec![ticket(SimTime::from_secs(1), (0..10).collect())];
+        let outcome = run_migrating(schedule, 1);
+        let driver = &outcome.drivers[0];
+        let s = driver.migration_stats();
+        assert_eq!((s.scheduled, s.applied, s.deferred), (1, 1, 0));
+        assert_eq!(driver.applied_at(), [Some(SimTime::from_secs(1))]);
+        // Unsubmitted owned slots were re-keyed to the new home.
+        let rekeyed = driver
+            .transfers()
+            .iter()
+            .take(10)
+            .filter(|&&(_, d)| d == ShardId::new(9))
+            .count();
+        assert_eq!(rekeyed, s.rekeyed_transfers as usize);
+        assert!(s.drained_transfers as usize + rekeyed == 10);
+        // Every transfer still settles exactly once, across both keys.
+        assert_eq!(settled_slots(driver), (0..30).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn mid_blackout_apply_defers_to_the_heal_and_applies_once() {
+        let cfg = config(23, SettleConfig::batched(100));
+        let mut driver = driver(
+            &cfg,
+            fan(30, 1),
+            vec![ticket(SimTime::from_secs(1), vec![0, 1, 2])],
+        );
+        // Black out the pair toward the *new* home across the apply time.
+        driver.set_blackouts(
+            ShardId::new(9),
+            vec![(SimTime::ZERO, SimTime::from_secs(300))],
+        );
+        let outcome = Runtime::builder().run(vec![driver]).expect("well-formed");
+        let d = &outcome.drivers[0];
+        let s = d.migration_stats();
+        assert_eq!((s.applied, s.deferred), (1, 1));
+        assert_eq!(d.applied_at(), [Some(SimTime::from_secs(300))]);
+    }
+
+    #[test]
+    fn out_of_schedule_event_is_rejected_not_panicked() {
+        let cfg = config(23, SettleConfig::batched(4));
+        let mut driver = SettlingShardDriver::new(&spec(0, 4), &cfg, Vec::new()).expect("valid");
+        let comm = cshard_network::CommStats::new();
+        let mut queue = cshard_sim::EventQueue::new();
+        let mut ctx = Ctx::new(&mut queue, &comm);
+        let err = driver
+            .on_event(SimTime::ZERO, Event::Migration { slot: 3 }, &mut ctx)
+            .expect_err("foreign slot must be rejected");
+        assert!(matches!(
+            err,
+            Error::UnexpectedEvent {
+                driver: "SettlingShardDriver",
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn stats_merge_is_fieldwise() {
+        let a = MigrationStats {
+            scheduled: 1,
+            applied: 1,
+            deferred: 0,
+            drained_transfers: 3,
+            rekeyed_transfers: 2,
+        };
+        let b = MigrationStats {
+            scheduled: 2,
+            applied: 1,
+            deferred: 1,
+            drained_transfers: 0,
+            rekeyed_transfers: 5,
+        };
+        let m = a.merge(&b);
+        assert_eq!(
+            (
+                m.scheduled,
+                m.applied,
+                m.deferred,
+                m.drained_transfers,
+                m.rekeyed_transfers
+            ),
+            (3, 2, 1, 3, 7)
+        );
     }
 }

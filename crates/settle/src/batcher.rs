@@ -144,8 +144,10 @@ impl SettlementBatcher {
 
     /// If the pair is blacked out at `t`, the instant it heals (chains
     /// through overlapping windows: the heal of one window may land
-    /// inside another).
-    fn heal_time(&self, dest: ShardId, t: SimTime) -> Option<SimTime> {
+    /// inside another). The one defer-to-heal rule: flushes consult it
+    /// here, and a driver deferring other pair-bound work (a migration
+    /// apply) consults the same table through it.
+    pub fn heal_time(&self, dest: ShardId, t: SimTime) -> Option<SimTime> {
         let windows = self.blackouts.get(&dest)?;
         let mut at = t;
         let mut blacked = false;

@@ -28,15 +28,16 @@ audit-baseline:
         --json results/audit/AUDIT_baseline.json
     git diff --stat results/audit/AUDIT_baseline.json
 
-# Quick-mode run of the golden experiments, diffed against results/golden.
-# fig4a exercises the ChainSpace driver with settlement disabled: the diff
-# pins the settle subsystem bit-invisible on the unbatched path.
+# Quick-mode run of all twelve golden experiments, diffed against
+# results/golden. fig4a exercises the ChainSpace driver with settlement
+# disabled: the diff pins the settle subsystem bit-invisible on the
+# unbatched path.
 golden:
+    rm -rf /tmp/golden-smoke
     cargo run --release -p cshard-bench --bin experiments -- \
-        table1 fig3a fig4a --quick --json /tmp/golden-smoke
-    diff results/golden/table1.json /tmp/golden-smoke/table1.json
-    diff results/golden/fig3a.json /tmp/golden-smoke/fig3a.json
-    diff results/golden/fig4a.json /tmp/golden-smoke/fig4a.json
+        table1 fig3a fig3b fig3c fig3d fig3e fig3f fig3g fig3h fig4a fig4b fig4c \
+        --quick --json /tmp/golden-smoke
+    diff -r results/golden /tmp/golden-smoke
 
 # Fault-injection gate: the chaos suite (zero-fault transparency, VRF
 # failover, corruption bounds) plus the faults experiment grid as JSON.

@@ -90,7 +90,7 @@ pub mod prelude {
     pub use cshard_crypto::{sha256, RandomnessBeacon, Vrf};
     pub use cshard_faults::{
         measure_corruption, run_leader_faults, run_with_faults, FaultPlan, FaultyDriver,
-        LeaderFaultPlan,
+        LeaderFaultPlan, Traffic,
     };
     pub use cshard_games::{
         best_reply_equilibrium, iterative_merge, GameInputs, MergingConfig, SelectionConfig,
@@ -103,9 +103,9 @@ pub mod prelude {
     pub use cshard_primitives::Error;
     pub use cshard_primitives::{Address, Amount, ContractId, Hash32, MinerId, ShardId, SimTime};
     pub use cshard_runtime::{
-        ContractShardDriver, Ctx, EthereumDriver, Event, MigratingShardDriver, MigrationStats,
-        MigrationTicket, PropagationModel, ProtocolDriver, RunBuilder, RunObserver, RunOutcome,
-        RunPhase, RunSchedStats, Runtime,
+        ContractShardDriver, Ctx, EthereumDriver, Event, MigrationStats, MigrationTicket,
+        PropagationModel, ProtocolDriver, RunBuilder, RunObserver, RunOutcome, RunPhase,
+        RunSchedStats, Runtime, SettlingShardDriver,
     };
     pub use cshard_security::{shard_safety, CorruptionThreshold};
     pub use cshard_sim::{DrainStats, SchedulerConfig, WorkScheduler};

@@ -37,7 +37,8 @@ fn zero_fault_plan_reproduces_the_golden_battery_fingerprints() {
         let specs: Vec<ShardSpec> = (0..9)
             .map(|s| ShardSpec::solo_greedy(ShardId::new(s), fees(12, s as u64)))
             .collect();
-        let faulted = run_with_faults(&specs, &cfg, &FaultPlan::none(0)).expect("valid");
+        let faulted =
+            run_with_faults(&specs, &Traffic::default(), &cfg, &FaultPlan::none(0)).expect("valid");
         assert_eq!(
             faulted.run.fingerprint().to_string(),
             "0x1411acaa59d31b418e6928c8b8aa5efb86c59ea1aa22a70f345d2ebbb5977272",
@@ -58,7 +59,8 @@ fn zero_fault_plan_reproduces_the_golden_battery_fingerprints() {
                 strategy: SelectionStrategy::Equilibrium { max_rounds: 64 },
             })
             .collect();
-        let faulted = run_with_faults(&specs, &cfg, &FaultPlan::none(0)).expect("valid");
+        let faulted =
+            run_with_faults(&specs, &Traffic::default(), &cfg, &FaultPlan::none(0)).expect("valid");
         assert_eq!(
             faulted.run.fingerprint().to_string(),
             "0x546f8363442551473becc93ae2f3bdaadcdd5d26694a51c9e4bfe7534dc6c257",
@@ -128,7 +130,7 @@ fn partitioned_runs_are_identical_across_scheduler_configs() {
             scheduler,
             ..RuntimeConfig::default()
         };
-        run_with_faults(&specs, &cfg, &plan).expect("valid faulted run")
+        run_with_faults(&specs, &Traffic::default(), &cfg, &plan).expect("valid faulted run")
     };
     let sequential = run_at(SchedulerConfig::sequential());
     let pooled = run_at(SchedulerConfig::new(4).with_turn_events(4));
@@ -236,7 +238,7 @@ fn faulted_shards_heal_and_finish_their_workload() {
             SimTime::from_secs(50),
             SimTime::from_secs(300),
         );
-    let run = run_with_faults(&specs, &cfg, &plan).expect("valid");
+    let run = run_with_faults(&specs, &Traffic::default(), &cfg, &plan).expect("valid");
     assert_eq!(run.faults.total_crashes(), 1);
     assert_eq!(run.faults.total_recoveries(), 1);
     assert_eq!(

@@ -127,7 +127,7 @@ fn faulted_runs_are_bit_identical_across_thread_counts() {
             scheduler: SchedulerConfig::new(threads),
             ..RuntimeConfig::default()
         };
-        run_with_faults(&specs, &cfg, &plan).expect("valid faulted run")
+        run_with_faults(&specs, &Traffic::default(), &cfg, &plan).expect("valid faulted run")
     };
     let sequential = run_at(1);
     let pooled = run_at(4);

@@ -1,8 +1,8 @@
-//! Integration across the newer substrates: snapshots, traces, the compact
-//! classifier, epochs and proportional allocation working together.
+//! Integration across the newer substrates: snapshots, traces, epochs and
+//! proportional allocation working together.
 
 use contractshard::core::system::{MinerAllocation, SystemConfig};
-use contractshard::ledger::{CompactClassifier, StateSnapshot};
+use contractshard::ledger::StateSnapshot;
 use contractshard::prelude::*;
 use contractshard::workload::{mainnet_shaped, Trace};
 
@@ -57,23 +57,6 @@ fn trace_export_replay_runs_identically_through_the_system() {
     let b = run(&replayed);
     assert_eq!(a.shard_sizes, b.shard_sizes, "formation identical");
     assert_eq!(a.run.completion, b.run.completion, "simulation identical");
-}
-
-#[test]
-fn compact_classifier_agrees_with_callgraph_on_real_workloads() {
-    let w = mainnet_shaped(3_000, 30, 0.15, FEES, 3);
-    let mut graph = CallGraph::new();
-    let mut compact = CompactClassifier::new();
-    graph.observe_all(w.transactions.iter());
-    compact.observe_all(w.transactions.iter());
-    for tx in &w.transactions {
-        assert_eq!(
-            graph.isolable_contract(tx),
-            compact.isolable_contract(tx),
-            "divergence on {tx:?}"
-        );
-    }
-    assert_eq!(graph.sender_count(), compact.sender_count());
 }
 
 #[test]
