@@ -248,8 +248,7 @@ pub fn run_alloc(quick: bool) -> ExperimentResult {
             let total_miners = 18;
             let shard_count = {
                 use cshard_core::ShardPlan;
-                use cshard_ledger::CallGraph;
-                ShardPlan::build(&wl.transactions, &CallGraph::new()).active_shard_count()
+                ShardPlan::build(&wl.transactions).active_shard_count()
             };
             let flat_run = ShardingSystem::new(SystemConfig {
                 runtime: rt.clone(),

@@ -25,7 +25,6 @@ use cshard_core::system::{SystemConfig, SystemReport};
 use cshard_core::{simulate, RuntimeConfig, ShardSpec, ShardingSystem};
 use cshard_core::{throughput_improvement, RunReport};
 use cshard_games::MergingConfig;
-use cshard_ledger::CallGraph;
 use cshard_primitives::{ShardId, SimTime};
 use cshard_workload::Workload;
 use rand::{Rng, SeedableRng};
@@ -69,7 +68,7 @@ fn small_sizes(count: usize, seed: u64) -> Vec<u64> {
 /// Runs the randomized-merging (p = ½) variant: same formation, coin-flip
 /// coalitions instead of the game.
 fn run_randomized(w: &Workload, cfg: &RuntimeConfig, seed: u64) -> (RunReport, usize) {
-    let plan = ShardPlan::build(&w.transactions, &CallGraph::new());
+    let plan = ShardPlan::build(&w.transactions);
     let fees = w.fees();
     let mut groups: Vec<(ShardId, Vec<u64>)> = plan
         .contract_shards

@@ -10,7 +10,6 @@ pub mod fig4;
 pub mod fig5;
 pub mod migrate;
 pub mod pipeline;
-pub mod scale;
 pub mod sched;
 pub mod sec4d;
 pub mod settle;
@@ -48,8 +47,8 @@ pub fn grid_scheduler() -> WorkScheduler {
 /// All experiment ids, in paper order.
 pub const ALL: &[&str] = &[
     "table1", "fig1d", "fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f", "fig3g", "fig3h",
-    "fig4a", "fig4b", "fig4c", "fig5a", "fig5b", "sec4d", "faults", "pipeline", "sched", "scale",
-    "settle", "migrate",
+    "fig4a", "fig4b", "fig4c", "fig5a", "fig5b", "sec4d", "faults", "pipeline", "sched", "settle",
+    "migrate",
 ];
 
 /// The ablation studies of DESIGN.md §8 (run with `experiments ablations`
@@ -86,7 +85,6 @@ pub fn run(id: &str, quick: bool) -> Option<ExperimentResult> {
         "faults" => faults::run(quick),
         "pipeline" => pipeline::run(quick),
         "sched" => sched::run(quick),
-        "scale" => scale::run(quick),
         "settle" => settle::run(quick),
         "migrate" => migrate::run(quick),
         "abl-eta" => ablations::run_eta(quick),

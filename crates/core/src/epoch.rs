@@ -89,18 +89,17 @@ impl EpochManager {
     }
 
     /// Runs one epoch over a transaction batch: elect leader → derive
-    /// randomness → form shards (using all accumulated history) → assign
-    /// miners. The batch is then absorbed into the history.
-    pub fn run_epoch(&mut self, batch: &[Transaction]) -> EpochOutcome {
-        let epoch = self.epoch;
-        self.epoch += 1;
-
-        // Leader election: lowest VRF output on the epoch tag wins.
-        let vrfs: Vec<Vrf> = self.miners.iter().map(|m| m.vrf.clone()).collect();
-        // `vrfs` is never empty: the constructor asserts at least one miner,
-        // so a `None` here is unreachable and 0 is a safe fallback (PH001).
-        let winner = elect_leader(&vrfs, epoch).unwrap_or(0);
-        self.complete_epoch(epoch, winner, 0, batch)
+    /// randomness → absorb the batch into the history → form shards
+    /// (using all accumulated history) → assign miners.
+    ///
+    /// Fails with `Error::Config { field: "batch" }` — without consuming
+    /// the epoch number — on an empty batch.
+    pub fn run_epoch(&mut self, batch: &[Transaction]) -> Result<EpochOutcome, Error> {
+        // Leader election: lowest VRF output on the epoch tag wins. The
+        // enrolment is never empty (the constructor asserts at least one
+        // miner), so `None` is unreachable and 0 a safe fallback (PH001).
+        let winner = elect_leader(&self.vrfs(), self.epoch).unwrap_or(0);
+        self.complete_epoch(winner, 0, batch)
     }
 
     /// Elects the next epoch's leader and consumes the epoch number,
@@ -112,9 +111,8 @@ impl EpochManager {
     pub fn elect(&mut self) -> (u64, MinerId) {
         let epoch = self.epoch;
         self.epoch += 1;
-        let vrfs: Vec<Vrf> = self.miners.iter().map(|m| m.vrf.clone()).collect();
         // Same unreachable-`None` reasoning as in `run_epoch` (PH001).
-        let winner = elect_leader(&vrfs, epoch).unwrap_or(0);
+        let winner = elect_leader(&self.vrfs(), epoch).unwrap_or(0);
         (epoch, self.miners[winner].id)
     }
 
@@ -126,15 +124,15 @@ impl EpochManager {
     /// walk locally, so the fallback is agreed without extra rounds.
     ///
     /// Fails with [`Error::NoLiveLeader`] — without consuming the epoch
-    /// number or absorbing the batch — when every candidate is down.
+    /// number or absorbing the batch — when every candidate is down, and
+    /// like [`EpochManager::run_epoch`] on an empty batch.
     pub fn run_epoch_with_downs(
         &mut self,
         batch: &[Transaction],
         down: &BTreeSet<MinerId>,
     ) -> Result<EpochOutcome, Error> {
         let epoch = self.epoch;
-        let vrfs: Vec<Vrf> = self.miners.iter().map(|m| m.vrf.clone()).collect();
-        let ranking = rank_leaders(&vrfs, epoch);
+        let ranking = rank_leaders(&self.vrfs(), epoch);
         let live = ranking
             .iter()
             .enumerate()
@@ -142,16 +140,14 @@ impl EpochManager {
         let Some((depth, &winner)) = live else {
             return Err(Error::NoLiveLeader { epoch });
         };
-        self.epoch += 1;
-        Ok(self.complete_epoch(epoch, winner, depth, batch))
+        self.complete_epoch(winner, depth, batch)
     }
 
     /// The epoch's full VRF failover schedule: rank 0 is the lottery
     /// winner ([`elect_leader`] over the same enrolment), rank 1 takes
     /// over if rank 0 misses the broadcast timeout, and so on.
     pub fn leader_ranking(&self, epoch: u64) -> Vec<MinerId> {
-        let vrfs: Vec<Vrf> = self.miners.iter().map(|m| m.vrf.clone()).collect();
-        rank_leaders(&vrfs, epoch)
+        rank_leaders(&self.vrfs(), epoch)
             .into_iter()
             .map(|i| self.miners[i].id)
             .collect()
@@ -175,39 +171,44 @@ impl EpochManager {
         &self.miners
     }
 
+    /// The miners' VRF keys, in registration order.
+    fn vrfs(&self) -> Vec<Vrf> {
+        self.miners.iter().map(|m| m.vrf.clone()).collect()
+    }
+
     /// Shared epoch body: the elected (or failed-over) `winner` derives
-    /// the randomness, shards are formed against accumulated history, and
-    /// every miner is reassigned. The batch is then absorbed.
+    /// the randomness, the batch is absorbed into the history, shards are
+    /// formed against it, and every miner is reassigned. The epoch number
+    /// is consumed only on success (the one failure, an empty batch,
+    /// absorbs nothing).
     fn complete_epoch(
         &mut self,
-        epoch: u64,
         winner: usize,
         failover_depth: usize,
         batch: &[Transaction],
-    ) -> EpochOutcome {
+    ) -> Result<EpochOutcome, Error> {
+        let epoch = self.epoch;
         let leader = self.miners[winner].id;
         let (randomness, _proof) = self.miners[winner].vrf.evaluate(epoch.to_be_bytes());
 
-        // Formation against accumulated history.
-        let plan = ShardPlan::build(batch, &self.history);
-        let assignment = MinerAssignment::new(randomness, &plan.fractions_percent());
+        self.history.observe_all(batch.iter());
+        let plan = ShardPlan::classify(batch, &self.history);
+        let assignment = MinerAssignment::new(randomness, &plan.fractions_percent()?);
         let shard_of: BTreeMap<MinerId, ShardId> = self
             .miners
             .iter()
             .map(|m| (m.id, assignment.shard_of(m.vrf.public_key())))
             .collect();
 
-        // Absorb the batch.
-        self.history.observe_all(batch.iter());
-
-        EpochOutcome {
+        self.epoch += 1;
+        Ok(EpochOutcome {
             epoch,
             leader,
             failover_depth,
             plan,
             assignment,
             shard_of,
-        }
+        })
     }
 
     /// Public key of a miner (for verification paths in tests/examples).
@@ -235,7 +236,7 @@ mod tests {
         let mut mgr = EpochManager::with_miner_count(20);
         let mut leaders = std::collections::HashSet::new();
         for e in 0..10 {
-            let out = mgr.run_epoch(&batch(e));
+            let out = mgr.run_epoch(&batch(e)).unwrap();
             assert_eq!(out.epoch, e);
             leaders.insert(out.leader);
         }
@@ -247,8 +248,8 @@ mod tests {
     #[test]
     fn reassignment_shuffles_between_epochs() {
         let mut mgr = EpochManager::with_miner_count(200);
-        let a = mgr.run_epoch(&batch(1));
-        let b = mgr.run_epoch(&batch(2));
+        let a = mgr.run_epoch(&batch(1)).unwrap();
+        let b = mgr.run_epoch(&batch(2)).unwrap();
         let moved = a
             .shard_of
             .iter()
@@ -260,7 +261,7 @@ mod tests {
     #[test]
     fn every_assignment_is_verifiable() {
         let mut mgr = EpochManager::with_miner_count(30);
-        let out = mgr.run_epoch(&batch(3));
+        let out = mgr.run_epoch(&batch(3)).unwrap();
         for (id, shard) in &out.shard_of {
             let pk = mgr.public_key(*id).unwrap();
             assert!(out.assignment.verify_claim(pk, *shard));
@@ -279,7 +280,7 @@ mod tests {
             Amount(10),
             Amount(1),
         );
-        let out0 = mgr.run_epoch(std::slice::from_ref(&tx0));
+        let out0 = mgr.run_epoch(std::slice::from_ref(&tx0)).unwrap();
         assert_eq!(out0.plan.maxshard.len(), 0);
         // Epoch 1: same user calls contract 1 — multi-contract now, so the
         // new call goes to the MaxShard.
@@ -290,7 +291,7 @@ mod tests {
             Amount(10),
             Amount(1),
         );
-        let out1 = mgr.run_epoch(std::slice::from_ref(&tx1));
+        let out1 = mgr.run_epoch(std::slice::from_ref(&tx1)).unwrap();
         assert_eq!(out1.plan.maxshard.len(), 1, "history must persist");
     }
 
@@ -298,8 +299,8 @@ mod tests {
     fn deterministic_across_replays() {
         let run = || {
             let mut mgr = EpochManager::with_miner_count(25);
-            let a = mgr.run_epoch(&batch(7));
-            let b = mgr.run_epoch(&batch(8));
+            let a = mgr.run_epoch(&batch(7)).unwrap();
+            let b = mgr.run_epoch(&batch(8)).unwrap();
             (a.leader, a.shard_of, b.leader, b.shard_of)
         };
         assert_eq!(run(), run());
@@ -316,7 +317,7 @@ mod tests {
         let mut plain = EpochManager::with_miner_count(15);
         let mut faulty = EpochManager::with_miner_count(15);
         for e in 0..4 {
-            let a = plain.run_epoch(&batch(e));
+            let a = plain.run_epoch(&batch(e)).unwrap();
             let b = faulty
                 .run_epoch_with_downs(&batch(e), &BTreeSet::new())
                 .expect("a live leader always exists with no downs");
@@ -339,7 +340,7 @@ mod tests {
         // The fallback changes the epoch randomness (different leader VRF),
         // so assignments differ from the no-fault run.
         let mut plain = EpochManager::with_miner_count(12);
-        let base = plain.run_epoch(&batch(0));
+        let base = plain.run_epoch(&batch(0)).unwrap();
         assert_ne!(base.leader, out.leader);
     }
 
@@ -364,8 +365,30 @@ mod tests {
         assert_eq!(err, cshard_primitives::Error::NoLiveLeader { epoch: 0 });
         // The failed attempt consumed nothing: the next epoch is still 0.
         assert_eq!(mgr.epoch(), 0);
-        let out = mgr.run_epoch(&batch(0));
+        let out = mgr.run_epoch(&batch(0)).unwrap();
         assert_eq!(out.epoch, 0);
+    }
+
+    #[test]
+    fn empty_batch_is_a_typed_error_and_preserves_state() {
+        type Entry = fn(&mut EpochManager, &[Transaction]) -> Result<EpochOutcome, Error>;
+        let entries: [(&str, Entry); 2] = [
+            ("run_epoch", |m, b| m.run_epoch(b)),
+            ("run_epoch_with_downs", |m, b| {
+                m.run_epoch_with_downs(b, &BTreeSet::new())
+            }),
+        ];
+        for (label, entry) in entries {
+            let mut mgr = EpochManager::with_miner_count(5);
+            let err = entry(&mut mgr, &[]).unwrap_err();
+            assert!(
+                matches!(err, Error::Config { field: "batch", .. }),
+                "{label}: {err:?}"
+            );
+            assert_eq!(mgr.epoch(), 0, "{label}: epoch consumed");
+            let out = entry(&mut mgr, &batch(0)).expect("non-empty batch");
+            assert_eq!(out.epoch, 0, "{label}");
+        }
     }
 
     #[test]
@@ -374,7 +397,7 @@ mod tests {
         let mut running = EpochManager::with_miner_count(20);
         for e in 0..8 {
             let (epoch, leader) = electing.elect();
-            let out = running.run_epoch(&batch(e));
+            let out = running.run_epoch(&batch(e)).unwrap();
             assert_eq!(epoch, out.epoch);
             assert_eq!(leader, out.leader, "epoch {e}");
         }
@@ -385,7 +408,7 @@ mod tests {
         let mut mgr = EpochManager::with_miner_count(16);
         for e in 0..6 {
             let head = mgr.leader_ranking(mgr.epoch())[0];
-            let out = mgr.run_epoch(&batch(e));
+            let out = mgr.run_epoch(&batch(e)).unwrap();
             assert_eq!(out.leader, head);
         }
     }

@@ -5,8 +5,8 @@
 //! participate in more than one contract or have directly sent transactions
 //! to other users] form a unique shard, called the MaxShard."
 
-use cshard_ledger::{CallGraph, SenderClass, Transaction, TxKind};
-use cshard_primitives::{Address, ContractId, ShardId};
+use cshard_ledger::{CallGraph, Transaction, TxKind};
+use cshard_primitives::{Address, ContractId, Error, ShardId};
 use std::collections::BTreeMap;
 
 /// The partition of a transaction batch into shards.
@@ -22,78 +22,38 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Builds the plan for a batch: observe the whole batch on the call
-    /// graph (history), then classify every transaction.
+    /// Builds the plan for a batch with no prior history: observe the
+    /// whole batch on a fresh call graph, then classify every transaction.
     ///
-    /// A transaction lands in contract shard `c` iff it is a contract call
-    /// and its sender's *entire* history touches only `c` — otherwise the
-    /// MaxShard takes it. This is exactly the Fig. 1 classification.
-    pub fn build(transactions: &[Transaction], history: &CallGraph) -> ShardPlan {
-        // The effective call graph includes the batch itself: a sender that
-        // invokes two contracts within the batch is multi-contract.
-        let mut graph = history.clone();
+    /// The effective call graph includes the batch itself: a sender that
+    /// invokes two contracts within the batch is multi-contract.
+    pub fn build(transactions: &[Transaction]) -> ShardPlan {
+        let mut graph = CallGraph::new();
         graph.observe_all(transactions.iter());
         Self::classify(transactions, &graph)
     }
 
     /// Classifies a batch against a call graph that has *already observed
-    /// it* — the incremental twin of [`ShardPlan::build`]. A pipeline that
-    /// owns its history absorbs each batch into the graph once and
-    /// classifies in place, instead of cloning the whole accumulated
-    /// history every epoch.
-    pub fn classify(transactions: &[Transaction], graph: &CallGraph) -> ShardPlan {
-        let mut contract_shards: BTreeMap<ShardId, Vec<usize>> = BTreeMap::new();
-        let mut maxshard = Vec::new();
-        let mut shard_of = Vec::with_capacity(transactions.len());
-        for (i, tx) in transactions.iter().enumerate() {
-            match graph.isolable_contract(tx) {
-                Some(c) => {
-                    let shard = Self::shard_for_contract(c);
-                    contract_shards.entry(shard).or_default().push(i);
-                    shard_of.push(shard);
-                }
-                None => {
-                    maxshard.push(i);
-                    shard_of.push(ShardId::MAX_SHARD);
-                }
-            }
-        }
-        ShardPlan {
-            contract_shards,
-            maxshard,
-            shard_of,
-        }
-    }
-
-    /// Classifies a batch against *cached* sender classes instead of the
-    /// call graph — the churn-proportional twin of [`ShardPlan::classify`].
+    /// it*.
     ///
-    /// `routes` must hold, for every sender in the batch, the class the
-    /// graph would report **after** observing the batch (the classify
-    /// stage maintains exactly this: it refreshes the dirty senders and
-    /// carries the rest forward). Under that contract the plan is
-    /// bit-identical to a full reclassification: the isolable predicate
-    /// ([`CallGraph::isolable_contract`]) reads nothing but the sender's
-    /// class and the transaction's own kind.
-    pub fn classify_cached(
-        transactions: &[Transaction],
-        routes: &BTreeMap<Address, SenderClass>,
-    ) -> ShardPlan {
-        static NO_PINS: BTreeMap<Address, ShardId> = BTreeMap::new();
-        Self::classify_placed(transactions, routes, &NO_PINS)
+    /// A transaction lands in contract shard `c` iff it is a contract call
+    /// and its sender's *entire* history touches only `c` — otherwise the
+    /// MaxShard takes it. This is exactly the Fig. 1 classification
+    /// ([`CallGraph::isolable_contract`]).
+    pub fn classify(transactions: &[Transaction], graph: &CallGraph) -> ShardPlan {
+        Self::classify_placed(transactions, graph, &BTreeMap::new())
     }
 
-    /// [`ShardPlan::classify_cached`] with placement pins on top.
+    /// [`ShardPlan::classify`] with placement pins on top.
     ///
     /// A pinned sender was migrated off the MaxShard to a contract's home
     /// shard: its calls *to that contract* route home regardless of its
-    /// cached class, while everything else (calls to other contracts,
-    /// direct transfers, multi-input) still follows the cached rules —
-    /// those touch cross-contract state and belong on the MaxShard. With
-    /// no pins this is exactly `classify_cached`.
+    /// class, while everything else (calls to other contracts, direct
+    /// transfers, multi-input) still follows the call graph — those touch
+    /// cross-contract state and belong on the MaxShard.
     pub fn classify_placed(
         transactions: &[Transaction],
-        routes: &BTreeMap<Address, SenderClass>,
+        graph: &CallGraph,
         pins: &BTreeMap<Address, ShardId>,
     ) -> ShardPlan {
         let mut contract_shards: BTreeMap<ShardId, Vec<usize>> = BTreeMap::new();
@@ -106,15 +66,7 @@ impl ShardPlan {
                 {
                     Some(*contract)
                 }
-                TxKind::ContractCall { contract, .. } => match routes.get(&tx.sender) {
-                    Some(SenderClass::SingleContract(c)) if c == contract => Some(*c),
-                    // Mirrors the graph's Unknown-sender rule; unreachable
-                    // when routes cover the observed batch, kept for the
-                    // same semantics on partial caches.
-                    Some(SenderClass::Unknown) | None => Some(*contract),
-                    _ => None,
-                },
-                _ => None,
+                _ => graph.isolable_contract(tx),
             };
             match isolable {
                 Some(c) => {
@@ -168,10 +120,17 @@ impl ShardPlan {
     /// shard — the statistic the verifiable leader broadcasts for miner
     /// separation. Fractions are rounded to sum to exactly 100 (largest-
     /// remainder method) so the RandHound group intervals tile `1..=100`.
-    pub fn fractions_percent(&self) -> Vec<(ShardId, u32)> {
+    ///
+    /// An empty plan has no fractions: `Error::Config { field: "batch" }`.
+    pub fn fractions_percent(&self) -> Result<Vec<(ShardId, u32)>, Error> {
         let sizes = self.shard_sizes();
         let total: u64 = sizes.iter().map(|&(_, s)| s).sum();
-        assert!(total > 0, "cannot take fractions of an empty plan");
+        if total == 0 {
+            return Err(Error::Config {
+                field: "batch",
+                reason: "an epoch needs transactions".into(),
+            });
+        }
         // Largest-remainder rounding.
         let mut entries: Vec<(ShardId, u32, f64)> = sizes
             .iter()
@@ -198,7 +157,7 @@ impl ShardPlan {
             entries[idx].1 += 1;
             rest -= 1;
         }
-        entries.into_iter().map(|(s, pct, _)| (s, pct)).collect()
+        Ok(entries.into_iter().map(|(s, pct, _)| (s, pct)).collect())
     }
 
     /// The small shards: active shards strictly below `lower_bound`
@@ -221,7 +180,7 @@ mod tests {
     const FEES: FeeDistribution = FeeDistribution::Uniform { lo: 1, hi: 99 };
 
     fn plan(w: &Workload) -> ShardPlan {
-        ShardPlan::build(&w.transactions, &CallGraph::new())
+        ShardPlan::build(&w.transactions)
     }
 
     #[test]
@@ -280,7 +239,7 @@ mod tests {
                 Amount(1),
             ),
         ];
-        let p = ShardPlan::build(&txs, &CallGraph::new());
+        let p = ShardPlan::build(&txs);
         assert_eq!(p.maxshard, vec![0, 1]);
         assert_eq!(p.contract_shards[&ShardId::new(0)], vec![2]);
     }
@@ -305,7 +264,8 @@ mod tests {
             Amount(10),
             Amount(1),
         )];
-        let p = ShardPlan::build(&txs, &history);
+        history.observe_all(txs.iter());
+        let p = ShardPlan::classify(&txs, &history);
         assert_eq!(p.maxshard, vec![0], "history forces MaxShard");
     }
 
@@ -323,7 +283,7 @@ mod tests {
         for contracts in 1..=9 {
             let w = Workload::uniform_contracts(200, contracts, FEES, 4);
             let p = plan(&w);
-            let fr = p.fractions_percent();
+            let fr = p.fractions_percent().expect("non-empty plan");
             let total: u32 = fr.iter().map(|&(_, pct)| pct).sum();
             assert_eq!(total, 100, "contracts={contracts}: {fr:?}");
         }
@@ -333,7 +293,7 @@ mod tests {
     fn fractions_track_sizes() {
         let w = Workload::with_small_shards(200, 9, 2, &[5, 5], FEES, 5);
         let p = plan(&w);
-        let fr = p.fractions_percent();
+        let fr = p.fractions_percent().expect("non-empty plan");
         // Small shards (5/200 = 2.5 %) get 2–3 %.
         for &(shard, pct) in &fr {
             if shard == ShardId::new(0) || shard == ShardId::new(1) {
@@ -353,72 +313,11 @@ mod tests {
     }
 
     #[test]
-    fn classify_matches_build_on_an_observed_graph() {
-        // `build` = clone + observe + classify; a graph that has already
-        // absorbed the batch classifies identically without the clone.
-        let w = Workload::uniform_contracts(150, 6, FEES, 9);
-        let built = ShardPlan::build(&w.transactions, &CallGraph::new());
-        let mut graph = CallGraph::new();
-        graph.observe_all(w.transactions.iter());
-        let classified = ShardPlan::classify(&w.transactions, &graph);
-        assert_eq!(built.contract_shards, classified.contract_shards);
-        assert_eq!(built.maxshard, classified.maxshard);
-        assert_eq!(built.shard_of, classified.shard_of);
-    }
-
-    #[test]
-    fn classify_cached_matches_classify_on_full_routes() {
+    fn classify_placed_routes_only_pinned_home_calls() {
         use cshard_ledger::Transaction;
         use cshard_primitives::{Address, Amount};
-        // A mix that exercises every classification branch: single-contract,
-        // multi-contract, direct-then-call, and multi-input side effects.
-        let mut txs = Vec::new();
-        for u in 0..20u64 {
-            txs.push(Transaction::call(
-                Address::user(u),
-                0,
-                ContractId::new((u % 4) as u32),
-                Amount(10),
-                Amount(1),
-            ));
-        }
-        txs.push(Transaction::call(
-            Address::user(1),
-            1,
-            ContractId::new(3),
-            Amount(10),
-            Amount(1),
-        ));
-        txs.push(Transaction::direct(
-            Address::user(2),
-            1,
-            Address::user(50),
-            Amount(5),
-            Amount(1),
-        ));
-        txs.push(Transaction::multi_input(
-            Address::user(3),
-            1,
-            vec![Address::user(3), Address::user(4)],
-            Address::user(51),
-            Amount(6),
-            Amount::ZERO,
-        ));
-        let mut graph = CallGraph::new();
-        graph.observe_all(txs.iter());
-        let full = ShardPlan::classify(&txs, &graph);
-        let routes: BTreeMap<_, _> = graph.senders().map(|a| (a, graph.classify(a))).collect();
-        let cached = ShardPlan::classify_cached(&txs, &routes);
-        assert_eq!(full.contract_shards, cached.contract_shards);
-        assert_eq!(full.maxshard, cached.maxshard);
-        assert_eq!(full.shard_of, cached.shard_of);
-    }
-
-    #[test]
-    fn classify_placed_routes_only_pinned_home_calls() {
-        use cshard_ledger::{SenderClass, Transaction};
-        use cshard_primitives::{Address, Amount};
-        // A multi-contract sender, pinned to contract 0's home shard.
+        // A multi-contract, direct-transacting sender, pinned to contract
+        // 0's home shard.
         let txs = vec![
             Transaction::call(
                 Address::user(1),
@@ -436,9 +335,10 @@ mod tests {
             ),
             Transaction::direct(Address::user(1), 2, Address::user(9), Amount(5), Amount(1)),
         ];
-        let routes: BTreeMap<_, _> = [(Address::user(1), SenderClass::MultiContract)].into();
+        let mut graph = CallGraph::new();
+        graph.observe_all(txs.iter());
         let pins: BTreeMap<_, _> = [(Address::user(1), ShardId::new(0))].into();
-        let placed = ShardPlan::classify_placed(&txs, &routes, &pins);
+        let placed = ShardPlan::classify_placed(&txs, &graph, &pins);
         assert_eq!(placed.shard_of[0], ShardId::new(0), "home call routes home");
         assert_eq!(placed.shard_of[1], ShardId::MAX_SHARD, "foreign call stays");
         assert_eq!(
@@ -446,17 +346,8 @@ mod tests {
             ShardId::MAX_SHARD,
             "direct transfer stays"
         );
-        // With no pins, classify_placed IS classify_cached.
-        let unpinned = ShardPlan::classify_placed(&txs, &routes, &BTreeMap::new());
-        let cached = ShardPlan::classify_cached(&txs, &routes);
-        assert_eq!(unpinned.shard_of, cached.shard_of);
+        // Without the pin the whole batch is MaxShard.
+        let unpinned = ShardPlan::classify(&txs, &graph);
         assert_eq!(unpinned.maxshard, vec![0, 1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty plan")]
-    fn fractions_of_empty_plan_panic() {
-        let p = ShardPlan::build(&[], &CallGraph::new());
-        p.fractions_percent();
     }
 }

@@ -2,39 +2,29 @@
 
 use super::{EpochCtx, PipelineStage, StageKind, StageOutput};
 use crate::formation::ShardPlan;
-use cshard_ledger::{CallGraph, SenderClass};
+use cshard_ledger::CallGraph;
 use cshard_place::Migration;
 use cshard_primitives::{Address, Error, ShardId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Classifies each epoch's batch against the call graph it **owns** and
-/// keeps across epochs, reclassifying only *dirty* senders.
+/// keeps across epochs (Sec. III-C: "miners can check the call graph
+/// instead of remotely referring to the whole history").
 ///
-/// [`CallGraph::observe_all`] reports exactly the addresses whose
-/// participation record changed; everyone else's cached [`SenderClass`]
-/// is carried forward untouched (classification is a pure function of
-/// the participation record, so a clean sender classifies exactly as
-/// before). The plan is then built from the cache
-/// ([`ShardPlan::classify_cached`]), bit-identical to a full
-/// reclassification but with per-epoch classification work proportional
-/// to *churn* — new or diversifying senders — instead of batch size.
+/// Each epoch the batch is absorbed into the graph, then every transaction
+/// is classified with one graph lookup ([`ShardPlan::classify_placed`]). A
+/// fresh stage starts with an empty graph (single-workload runs); a
+/// long-running pipeline accumulates sender history here, so users who
+/// diversify migrate to the MaxShard.
 ///
-/// A fresh stage starts with an empty graph and cache (single-workload
-/// runs); a long-running pipeline accumulates sender history here, so
-/// users who diversify migrate to the MaxShard exactly as under the old
-/// `EpochManager`-owned history.
 /// When placement is enabled, migrations feed back into the stage between
-/// epochs ([`ClassifyStage::apply_migrations`]): a moved sender's cached
-/// route is *invalidated* — dirty-sender churn alone would never touch it,
-/// since a migration changes where the sender lives, not what it calls —
-/// and a pin records its new home so [`ShardPlan::classify_placed`] routes
-/// its home-contract calls there from the next epoch on.
+/// epochs ([`ClassifyStage::apply_migrations`]): a pin records the moved
+/// sender's new home so its home-contract calls route there from the next
+/// epoch on. A pin is an override on top of the predicate — a sender's
+/// class does not depend on where the sender lives.
 #[derive(Debug, Default)]
 pub struct ClassifyStage {
     graph: CallGraph,
-    /// Cached class per ever-observed sender; refreshed only for dirty
-    /// addresses each epoch.
-    routes: BTreeMap<Address, SenderClass>,
     /// Placement pins: migrated senders and the shard they moved to.
     pins: BTreeMap<Address, ShardId>,
 }
@@ -45,36 +35,12 @@ impl ClassifyStage {
         ClassifyStage::default()
     }
 
-    /// A classifier seeded with pre-existing history. The route cache is
-    /// rebuilt from the graph so carried-forward assignments agree with
-    /// the seeded history from the first epoch on.
-    pub fn with_history(graph: CallGraph) -> Self {
-        let routes = graph.senders().map(|a| (a, graph.classify(a))).collect();
-        ClassifyStage {
-            graph,
-            routes,
-            pins: BTreeMap::new(),
-        }
-    }
-
-    /// The accumulated cross-epoch call graph.
-    pub fn history(&self) -> &CallGraph {
-        &self.graph
-    }
-
-    /// Applies the epoch's migrations: each moved sender's cached route is
-    /// dropped — it must reclassify next epoch even with zero call-graph
-    /// churn — and a pin records its new home shard.
+    /// Applies the epoch's migrations: a pin records each moved sender's
+    /// new home shard.
     pub fn apply_migrations(&mut self, moves: &[Migration]) {
         for m in moves {
-            self.routes.remove(&m.account);
             self.pins.insert(m.account, m.to);
         }
-    }
-
-    /// The currently pinned senders and their home shards.
-    pub fn pins(&self) -> &BTreeMap<Address, ShardId> {
-        &self.pins
     }
 }
 
@@ -85,31 +51,21 @@ impl PipelineStage for ClassifyStage {
 
     fn run(&mut self, ctx: &mut EpochCtx<'_>) -> Result<StageOutput, Error> {
         let dirty = self.graph.observe_all(ctx.transactions.iter());
-        for &addr in &dirty {
-            self.routes.insert(addr, self.graph.classify(addr));
-        }
-        let batch_senders: BTreeSet<Address> =
-            ctx.transactions.iter().map(|tx| tx.sender).collect();
-        // A clean sender missing from the cache was invalidated by a
-        // migration (first sight always dirties): reclassify it now.
-        let mut reclassified = dirty.len() as u64;
-        let mut carried = 0u64;
-        for &addr in &batch_senders {
-            if dirty.contains(&addr) {
-                continue;
-            }
-            if self.routes.contains_key(&addr) {
-                carried += 1;
-            } else {
-                self.routes.insert(addr, self.graph.classify(addr));
-                reclassified += 1;
-            }
-        }
-        let plan = ShardPlan::classify_placed(ctx.transactions, &self.routes, &self.pins);
+        let plan = ShardPlan::classify_placed(ctx.transactions, &self.graph, &self.pins);
+        // Counters only: the distinct batch senders whose participation
+        // did not change this epoch.
+        let mut carried: Vec<Address> = ctx
+            .transactions
+            .iter()
+            .map(|tx| tx.sender)
+            .filter(|sender| !dirty.contains(sender))
+            .collect();
+        carried.sort_unstable();
+        carried.dedup();
         let out = StageOutput {
             items: plan.active_shard_count() as u64,
-            reclassified,
-            carried,
+            reclassified: dirty.len() as u64,
+            carried: carried.len() as u64,
             ..StageOutput::default()
         };
         ctx.plan = Some(plan);
@@ -152,9 +108,9 @@ mod tests {
     }
 
     #[test]
-    fn incremental_plan_matches_full_reclassification() {
-        // Run the same epoch sequence through the incremental stage and a
-        // from-scratch classifier; plans must be bit-identical each epoch.
+    fn stage_plan_matches_a_from_scratch_graph() {
+        // Run the same epoch sequence through the stage and a from-scratch
+        // graph; plans must be bit-identical each epoch.
         let epochs: Vec<Vec<Transaction>> = vec![
             (0..10).map(|u| call(u, (u % 3) as u32, 0)).collect(),
             // Repeat senders (clean) + one diversifier (dirty).
@@ -196,18 +152,25 @@ mod tests {
     }
 
     #[test]
-    fn diversifying_sender_is_reclassified_and_moves_to_maxshard() {
-        let mut stage = ClassifyStage::new();
-        run_stage(&mut stage, &[call(1, 0, 0)]);
-        let (plan, out) = run_stage(&mut stage, &[call(1, 1, 1)]);
-        assert_eq!(out.reclassified, 1);
-        assert_eq!(out.carried, 0);
-        assert_eq!(plan.maxshard, vec![0], "multi-contract sender → MaxShard");
+    fn history_from_an_earlier_epoch_moves_a_sender_to_maxshard() {
+        let direct =
+            Transaction::direct(Address::user(1), 0, Address::user(9), Amount(5), Amount(1));
+        for (label, first) in [("other contract", call(1, 0, 0)), ("direct", direct)] {
+            let mut stage = ClassifyStage::new();
+            run_stage(&mut stage, &[first]);
+            let (plan, out) = run_stage(&mut stage, &[call(1, 1, 1)]);
+            assert_eq!(out.reclassified, 1, "{label}: a new contract is a change");
+            assert_eq!(out.carried, 0, "{label}");
+            assert_eq!(plan.maxshard, vec![0], "{label}: history forces MaxShard");
+            // A pure repeat afterwards is carried and classifies the same.
+            let (plan, out) = run_stage(&mut stage, &[call(1, 1, 2)]);
+            assert_eq!((out.reclassified, out.carried), (0, 1), "{label}");
+            assert_eq!(plan.maxshard, vec![0], "{label}");
+        }
     }
 
     #[test]
-    fn migrated_sender_is_invalidated_and_routed_to_its_pin() {
-        use cshard_primitives::ShardId;
+    fn migrated_sender_is_routed_to_its_pin() {
         let mut stage = ClassifyStage::new();
         // Sender 1 calls two contracts: MultiContract, lands on MaxShard.
         let (plan0, _) = run_stage(&mut stage, &[call(1, 0, 0), call(1, 1, 1)]);
@@ -219,47 +182,16 @@ mod tests {
             to: ShardId::new(0),
             txs: 2,
         }]);
-        // Next epoch repeats the same participation — zero call-graph
-        // churn — yet the mover must be reclassified, not carried, and its
-        // home-contract call must route to the pinned shard.
+        // Next epoch repeats the same participation: a move alone
+        // reclassifies nobody, and the home-contract call routes to the
+        // pinned shard.
         let (plan, out) = run_stage(&mut stage, &[call(1, 0, 2), call(1, 1, 3)]);
-        assert_eq!(out.reclassified, 1, "moved sender reclassifies");
-        assert_eq!(out.carried, 0);
+        assert_eq!((out.reclassified, out.carried), (0, 1));
         assert_eq!(
             plan.shard_of[0],
             ShardId::new(0),
             "home call follows the pin"
         );
         assert_eq!(plan.shard_of[1], ShardId::MAX_SHARD, "foreign call stays");
-        // A further epoch with unchanged behaviour is carried again.
-        let (_, out2) = run_stage(&mut stage, &[call(1, 0, 4)]);
-        assert_eq!(out2.carried, 1);
-        assert_eq!(out2.reclassified, 0);
-    }
-
-    #[test]
-    fn with_history_seeds_the_route_cache() {
-        // Pre-existing history must constrain the first epoch even though
-        // the batch itself leaves the sender's participation unchanged.
-        let mut graph = CallGraph::new();
-        graph.observe(&Transaction::direct(
-            Address::user(1),
-            0,
-            Address::user(9),
-            Amount(5),
-            Amount(1),
-        ));
-        let mut stage = ClassifyStage::with_history(graph);
-        let (plan, out) = run_stage(&mut stage, &[call(1, 0, 1)]);
-        assert_eq!(
-            plan.maxshard,
-            vec![0],
-            "direct history forces MaxShard on a carried sender"
-        );
-        assert_eq!(out.reclassified, 1, "first call still adds a contract");
-        // A pure repeat afterwards is carried and classifies the same.
-        let (plan2, out2) = run_stage(&mut stage, &[call(1, 0, 2)]);
-        assert_eq!(out2.carried, 1);
-        assert_eq!(plan2.maxshard, vec![0]);
     }
 }

@@ -84,11 +84,6 @@ impl MergeStage {
         }
     }
 
-    /// Memoized merge outcomes currently held.
-    pub fn memo_len(&self) -> usize {
-        self.memo.len()
-    }
-
     /// Whether a decided partition is currently carried.
     pub fn has_carried_groups(&self) -> bool {
         self.carried.is_some()

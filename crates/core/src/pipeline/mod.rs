@@ -137,12 +137,12 @@ pub struct StageOutput {
     /// Scheduler task slots skipped (no queued work, never stepped) — the
     /// idle-shard saving, as a number.
     pub tasks_skipped: u64,
-    /// Senders whose classification was recomputed this epoch because
-    /// their call-graph participation changed (classify stage only).
+    /// Classify stage: addresses whose call-graph participation changed
+    /// this epoch (first sight, a new contract, a first direct transfer).
     pub reclassified: u64,
-    /// Batch senders whose cached classification was carried forward
-    /// unchanged (classify stage only) — the churn-proportionality
-    /// saving, as a number.
+    /// Classify stage: the remaining distinct batch senders, whose class
+    /// is what it was last epoch. The merge stage reports carried merge
+    /// *groups* here.
     pub carried: u64,
 }
 
@@ -206,18 +206,6 @@ impl PipelineMetrics {
     /// scheduler exists to make nonzero on sparse workloads.
     pub fn total_tasks_skipped(&self) -> u64 {
         self.counters.iter().map(|c| c.tasks_skipped).sum()
-    }
-
-    /// Total senders reclassified across all epochs (classify stage).
-    pub fn total_reclassified(&self) -> u64 {
-        self.counters.iter().map(|c| c.reclassified).sum()
-    }
-
-    /// Total cached sender classifications carried forward across all
-    /// epochs (classify stage) — what churn-proportional classification
-    /// saves over reclassify-everything.
-    pub fn total_carried(&self) -> u64 {
-        self.counters.iter().map(|c| c.carried).sum()
     }
 
     fn absorb(&mut self, kind: StageKind, out: &StageOutput) {
@@ -341,7 +329,7 @@ pub struct EpochRun {
     /// The block-production report.
     pub run: RunReport,
     /// Migrations the placement stage proposed this epoch. Already applied
-    /// to the classify stage's route map — routing changes next epoch —
+    /// to the classify stage's pins — routing changes next epoch —
     /// and handed out so a runtime harness can execute the moves (drain,
     /// re-key, switch) through `Event::Migration`.
     pub migrations: Vec<Migration>,

@@ -10,7 +10,7 @@
 use super::{EpochCtx, PipelineStage, StageKind, StageOutput};
 use cshard_games::SelectionWarmCache;
 use cshard_primitives::{Error, ShardId};
-use cshard_runtime::{ContractShardDriver, Runtime, SelectionDynamicsStats, ShardSpec};
+use cshard_runtime::{ContractShardDriver, Runtime, ShardSpec};
 use std::collections::BTreeMap;
 
 /// Runs the epoch. With warm starts enabled, each shard's
@@ -24,8 +24,6 @@ use std::collections::BTreeMap;
 pub struct UnifyStage {
     warm: bool,
     caches: BTreeMap<ShardId, SelectionWarmCache>,
-    epochs: u64,
-    rounds: u64,
 }
 
 impl UnifyStage {
@@ -34,21 +32,6 @@ impl UnifyStage {
         UnifyStage {
             warm,
             caches: BTreeMap::new(),
-            epochs: 0,
-            rounds: 0,
-        }
-    }
-
-    /// Cumulative selection-dynamics accounting across every epoch this
-    /// stage ran (sweep counts from the drivers, hit/miss counts from the
-    /// per-shard caches).
-    pub fn selection_stats(&self) -> SelectionDynamicsStats {
-        let (hits, misses) = self.cache_counts();
-        SelectionDynamicsStats {
-            epochs: self.epochs,
-            rounds: self.rounds,
-            warm_hits: hits,
-            warm_misses: misses,
         }
     }
 
@@ -91,16 +74,13 @@ impl PipelineStage for UnifyStage {
 
         let mut epoch_rounds = 0;
         for (spec, driver) in ctx.specs.iter().zip(finished) {
-            let stats = driver.selection_stats();
-            self.epochs += stats.epochs;
-            epoch_rounds += stats.rounds;
+            epoch_rounds += driver.selection_stats().rounds;
             if self.warm {
                 if let Some(cache) = driver.into_warm_cache() {
                     self.caches.insert(spec.shard, cache);
                 }
             }
         }
-        self.rounds += epoch_rounds;
         let (hits_after, misses_after) = self.cache_counts();
 
         let out = StageOutput {

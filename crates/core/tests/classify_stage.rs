@@ -1,0 +1,236 @@
+//! The classify-stage pins: across a 200-seed fuzz grid of churn patterns
+//! (repeat-heavy pools, diversifiers, spam floods, direct traffic), a
+//! stage that accumulates history across epochs must plan **bit-
+//! identically** to a from-scratch [`CallGraph`] fed the same batches, and
+//! placement pins must override exactly the pinned senders' home-contract
+//! calls and nothing else.
+
+use cshard_core::pipeline::{ClassifyStage, EpochCtx, PipelineStage};
+use cshard_core::ShardPlan;
+use cshard_crypto::sha256;
+use cshard_ledger::{CallGraph, Transaction, TxKind};
+use cshard_network::CommStats;
+use cshard_place::Migration;
+use cshard_primitives::{Address, ShardId, SimTime};
+use cshard_runtime::RuntimeConfig;
+use cshard_sim::SimRng;
+use cshard_workload::{SpamFlood, StreamConfig, TxStream};
+use std::collections::BTreeMap;
+
+/// Runs just the classify stage over one batch and returns its plan plus
+/// (reclassified, carried).
+fn run_stage(stage: &mut ClassifyStage, batch: &[Transaction]) -> (ShardPlan, u64, u64) {
+    let mut ctx = EpochCtx {
+        transactions: batch,
+        fees: &[],
+        randomness: sha256(0u64.to_be_bytes()),
+        runtime: RuntimeConfig::default(),
+        plan: None,
+        groups: Vec::new(),
+        merge: None,
+        specs: Vec::new(),
+        comm: CommStats::new(),
+        run: None,
+        migrations: Vec::new(),
+    };
+    let out = stage.run(&mut ctx).expect("classification is total");
+    (
+        ctx.plan.expect("classify sets the plan"),
+        out.reclassified,
+        out.carried,
+    )
+}
+
+/// The fuzz grid: seed-indexed churn patterns. Small account pools make
+/// repeats (clean senders) dominate; high diversify makes churn dominate;
+/// spam floods stream never-repeating senders.
+fn grid_config(seed: u64) -> StreamConfig {
+    let accounts = [8, 40, 200, 5_000][(seed % 4) as usize];
+    let contracts = [2, 5, 9][(seed % 3) as usize];
+    let diversify = [0.0, 0.1, 0.5][((seed / 4) % 3) as usize];
+    let direct_fraction = [0.0, 0.2][((seed / 12) % 2) as usize];
+    let spam = if seed.is_multiple_of(5) {
+        Some(SpamFlood {
+            start: SimTime::ZERO,
+            end: SimTime::MAX,
+            fraction: 0.3,
+        })
+    } else {
+        None
+    };
+    StreamConfig {
+        accounts,
+        contracts,
+        diversify,
+        direct_fraction,
+        spam,
+        seed,
+        ..StreamConfig::default()
+    }
+}
+
+#[test]
+fn accumulating_stage_matches_a_from_scratch_graph_over_200_seeds() {
+    for seed in 0..200u64 {
+        let config = grid_config(seed);
+        let txs: Vec<Transaction> = TxStream::new(config).take(180).map(|(_, tx)| tx).collect();
+        let mut stage = ClassifyStage::new();
+        let mut full_graph = CallGraph::new();
+        for (e, batch) in txs.chunks(60).enumerate() {
+            let (staged, _, _) = run_stage(&mut stage, batch);
+            full_graph.observe_all(batch.iter());
+            let full = ShardPlan::classify(batch, &full_graph);
+            assert_eq!(
+                staged.shard_of, full.shard_of,
+                "seed {seed} epoch {e}: shard_of diverged"
+            );
+            assert_eq!(
+                staged.contract_shards, full.contract_shards,
+                "seed {seed} epoch {e}: contract shards diverged"
+            );
+            assert_eq!(
+                staged.maxshard, full.maxshard,
+                "seed {seed} epoch {e}: maxshard diverged"
+            );
+        }
+    }
+}
+
+/// Every index in exactly one group, and `shard_of` naming that group.
+fn assert_plan_consistent(plan: &ShardPlan, len: usize, label: &str) {
+    assert_eq!(plan.shard_of.len(), len, "{label}: shard_of length");
+    let mut seen = vec![false; len];
+    let groups = plan
+        .contract_shards
+        .iter()
+        .map(|(&shard, idxs)| (shard, idxs))
+        .chain([(ShardId::MAX_SHARD, &plan.maxshard)]);
+    for (shard, idxs) in groups {
+        for &i in idxs {
+            assert_eq!(plan.shard_of[i], shard, "{label}: tx {i} group vs shard_of");
+            assert!(
+                !std::mem::replace(&mut seen[i], true),
+                "{label}: tx {i} twice"
+            );
+        }
+    }
+    assert!(seen.iter().all(|&s| s), "{label}: a tx is in no group");
+    assert!(
+        !plan.contract_shards.contains_key(&ShardId::MAX_SHARD),
+        "{label}: MaxShard listed as a contract shard"
+    );
+}
+
+#[test]
+fn pins_override_exactly_the_home_contract_calls() {
+    // The benchmark cannot check routing while pins are in force, so this
+    // does: random pin sets drawn between epochs over the same churn grid.
+    let mut rerouted = 0u32;
+    for seed in 0..200u64 {
+        let config = grid_config(seed);
+        let contracts = config.contracts as u64;
+        let txs: Vec<Transaction> = TxStream::new(config).take(180).map(|(_, tx)| tx).collect();
+        let mut rng = SimRng::new(seed);
+        let mut stage = ClassifyStage::new();
+        let mut graph = CallGraph::new();
+        let mut pins: BTreeMap<Address, ShardId> = BTreeMap::new();
+        for (e, batch) in txs.chunks(60).enumerate() {
+            let label = format!("seed {seed} epoch {e}");
+            let (placed, _, _) = run_stage(&mut stage, batch);
+            graph.observe_all(batch.iter());
+            let unpinned = ShardPlan::classify(batch, &graph);
+            assert_plan_consistent(&placed, batch.len(), &label);
+            for (i, tx) in batch.iter().enumerate() {
+                let home = match &tx.kind {
+                    TxKind::ContractCall { contract, .. } => pins
+                        .get(&tx.sender)
+                        .copied()
+                        .filter(|&pin| pin == ShardPlan::shard_for_contract(*contract)),
+                    _ => None,
+                };
+                assert_eq!(
+                    placed.shard_of[i],
+                    home.unwrap_or(unpinned.shard_of[i]),
+                    "{label}: tx {i} (pinned home call: {})",
+                    home.is_some()
+                );
+                rerouted += u32::from(home.is_some_and(|pin| pin != unpinned.shard_of[i]));
+            }
+            // Pin (or re-pin) a few of this batch's senders to random
+            // contracts' shards; the moves take effect next epoch.
+            let moves: Vec<Migration> = (0..rng.below(6))
+                .map(|_| Migration {
+                    account: batch[rng.below(batch.len() as u64) as usize].sender,
+                    from: ShardId::MAX_SHARD,
+                    to: ShardId::new(rng.below(contracts) as u32),
+                    txs: 1,
+                })
+                .collect();
+            stage.apply_migrations(&moves);
+            pins.extend(moves.iter().map(|m| (m.account, m.to)));
+        }
+    }
+    assert!(rerouted > 100, "the grid barely exercises pins: {rerouted}");
+}
+
+#[test]
+fn repeat_heavy_epochs_carry_most_senders() {
+    // A tiny pool with no churn knobs: after the first epoch every sender
+    // repeats, so reclassification must be the exception, not the rule.
+    let txs: Vec<Transaction> = TxStream::new(StreamConfig {
+        accounts: 16,
+        contracts: 4,
+        diversify: 0.0,
+        direct_fraction: 0.0,
+        seed: 7,
+        ..StreamConfig::default()
+    })
+    .take(240)
+    .map(|(_, tx)| tx)
+    .collect();
+    let mut stage = ClassifyStage::new();
+    let mut later_reclassified = 0u64;
+    let mut later_carried = 0u64;
+    for (e, batch) in txs.chunks(80).enumerate() {
+        let (_, reclassified, carried) = run_stage(&mut stage, batch);
+        if e > 0 {
+            later_reclassified += reclassified;
+            later_carried += carried;
+        }
+    }
+    // First sight can trickle into later epochs (a cold community member
+    // appearing for the first time), but with 16 accounts that is bounded
+    // by the pool size; everything else must be carried.
+    assert!(
+        later_reclassified <= 16,
+        "a churn-free pool reclassifies at most one first sight per account: {later_reclassified}"
+    );
+    assert!(
+        later_carried > 4 * later_reclassified.max(1),
+        "repeat traffic must dominate: carried={later_carried} reclassified={later_reclassified}"
+    );
+}
+
+#[test]
+fn spam_floods_reclassify_every_fresh_sender() {
+    // Pure spam: every arrival is a brand-new throwaway sender, so nobody
+    // is carried — the opposite corner of the grid.
+    let txs: Vec<Transaction> = TxStream::new(StreamConfig {
+        spam: Some(SpamFlood {
+            start: SimTime::ZERO,
+            end: SimTime::MAX,
+            fraction: 1.0,
+        }),
+        seed: 11,
+        ..StreamConfig::default()
+    })
+    .take(120)
+    .map(|(_, tx)| tx)
+    .collect();
+    let mut stage = ClassifyStage::new();
+    for batch in txs.chunks(40) {
+        let (_, reclassified, carried) = run_stage(&mut stage, batch);
+        assert_eq!(reclassified, 40, "every spam sender is fresh");
+        assert_eq!(carried, 0);
+    }
+}

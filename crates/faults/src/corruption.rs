@@ -146,7 +146,7 @@ pub fn measure_corruption(
             seed ^ step.wrapping_mul(0xA5A5_5A5A),
         )
         .transactions;
-        let out = mgr.run_epoch(&batch);
+        let out = mgr.run_epoch(&batch)?;
         if malicious.contains(&out.leader) {
             malicious_leader_epochs += 1;
         }

@@ -237,7 +237,7 @@ pub fn run_leader_faults(
                 // operators restore miners; model one lost interval, then
                 // retry healthy.
                 stalled_epochs += 1;
-                let out = mgr.run_epoch(&batch);
+                let out = mgr.run_epoch(&batch)?;
                 outcomes.push(EpochFaultOutcome {
                     epoch: out.epoch,
                     leader: out.leader,

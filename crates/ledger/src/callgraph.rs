@@ -60,8 +60,7 @@ impl CallGraph {
     ///
     /// [`CallGraph::classify`] is a pure function of the participation
     /// record, so an address absent from `dirty` is guaranteed to classify
-    /// exactly as it did before the observation — the invariant that lets
-    /// the pipeline's classify stage carry cached assignments forward.
+    /// exactly as it did before the observation.
     fn observe_tracking(&mut self, tx: &Transaction, dirty: &mut BTreeSet<Address>) {
         let p = self.senders.entry(tx.sender).or_default();
         match &tx.kind {
@@ -101,8 +100,8 @@ impl CallGraph {
     /// senders*. A first-ever observation always dirties its sender;
     /// repeat observations that add no new participation (the same sender
     /// calling its usual contract, or transacting directly again) leave
-    /// the sender clean, so classification work can scale with batch
-    /// churn instead of batch size.
+    /// the sender clean. The pipeline's classify stage reports the set's
+    /// size as its per-epoch churn counter.
     pub fn observe_all<'a>(
         &mut self,
         txs: impl IntoIterator<Item = &'a Transaction>,
@@ -154,22 +153,6 @@ impl CallGraph {
     /// Number of tracked senders.
     pub fn sender_count(&self) -> usize {
         self.senders.len()
-    }
-
-    /// Every tracked address, in ascending order (deterministic: the
-    /// graph is a `BTreeMap`). Callers seeding a classification cache
-    /// from pre-existing history iterate this.
-    pub fn senders(&self) -> impl Iterator<Item = Address> + '_ {
-        self.senders.keys().copied()
-    }
-
-    /// All contracts a sender participates in, in ascending id order
-    /// (`BTreeSet` iteration is already sorted).
-    pub fn contracts_of(&self, sender: Address) -> Vec<ContractId> {
-        self.senders
-            .get(&sender)
-            .map(|p| p.contracts.iter().copied().collect())
-            .unwrap_or_default()
     }
 }
 
@@ -285,7 +268,6 @@ mod tests {
             g.classify(Address::user(1)),
             SenderClass::SingleContract(ContractId::new(2))
         );
-        assert_eq!(g.contracts_of(Address::user(1)), vec![ContractId::new(2)]);
     }
 
     #[test]
@@ -341,8 +323,8 @@ mod tests {
 
     #[test]
     fn clean_senders_classify_identically_before_and_after() {
-        // The carry-forward invariant: an address outside the dirty set
-        // classifies exactly as it did before the batch was observed.
+        // An address outside the dirty set classifies exactly as it did
+        // before the batch was observed.
         let mut g = CallGraph::new();
         g.observe_all([call(1, 0), direct(2, 9), call(3, 1)].iter());
         let before: Vec<SenderClass> = (1..=3).map(|u| g.classify(Address::user(u))).collect();
@@ -358,19 +340,6 @@ mod tests {
         }
         // User 3 diversified and must be dirty.
         assert!(dirty.contains(&Address::user(3)));
-    }
-
-    #[test]
-    fn senders_iterates_in_address_order() {
-        let mut g = CallGraph::new();
-        g.observe(&call(5, 0));
-        g.observe(&call(2, 0));
-        g.observe(&direct(9, 1));
-        let all: Vec<Address> = g.senders().collect();
-        assert_eq!(
-            all,
-            vec![Address::user(2), Address::user(5), Address::user(9)]
-        );
     }
 
     #[test]

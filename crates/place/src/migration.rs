@@ -5,9 +5,9 @@ use cshard_primitives::{Address, ShardId};
 /// One account move decided by the placement engine.
 ///
 /// Produced by the pipeline's placement stage at the end of an epoch and
-/// *executed* the following epoch: the classify stage re-keys the
-/// account's route map entry, and the runtime's migrating driver drains
-/// the account's in-flight settlement state before switching shards.
+/// *executed* the following epoch: the classify stage pins the account to
+/// its new shard, and the runtime's settling driver drains the account's
+/// in-flight settlement state before switching shards.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Migration {
     /// The account being moved.

@@ -19,8 +19,7 @@
 //! * **Zipf-hot contracts** — contract `k` is drawn with probability
 //!   ∝ `k^-s`, echoing the paper's Sec. II-A mainnet statistics. Each
 //!   contract owns a disjoint slice of the account space (its community);
-//!   hot contracts therefore have hot, *repeating* senders, which is what
-//!   makes incremental classification pay off downstream.
+//!   hot contracts therefore have hot, *repeating* senders.
 //! * **Burst episodes** — inside a [`BurstEpisode`] window the arrival
 //!   rate is multiplied; timestamps stay monotone non-decreasing because
 //!   only the gap distribution changes, never the clock.

@@ -17,7 +17,7 @@ fn main() {
         // drifts (a contract is added every other epoch).
         let contracts = 4 + (epoch / 2) as usize;
         let batch = Workload::uniform_contracts(150, contracts, fees, 100 + epoch);
-        let out = mgr.run_epoch(&batch.transactions);
+        let out = mgr.run_epoch(&batch.transactions).expect("non-empty batch");
 
         // Miner movement vs. the previous epoch.
         let moved = prev_assignment
@@ -55,14 +55,18 @@ fn main() {
     // Demonstrate cross-epoch reclassification.
     let loyal = Address::user(5_000_000);
     let call0 = Transaction::call(loyal, 0, ContractId::new(0), Amount(10), Amount(1));
-    let out = mgr.run_epoch(std::slice::from_ref(&call0));
+    let out = mgr
+        .run_epoch(std::slice::from_ref(&call0))
+        .expect("non-empty batch");
     println!(
         "  epoch {}: first-time sender calling contract-0 -> {} MaxShard txs (isolable)",
         out.epoch,
         out.plan.maxshard.len()
     );
     let call1 = Transaction::call(loyal, 1, ContractId::new(1), Amount(10), Amount(1));
-    let out = mgr.run_epoch(std::slice::from_ref(&call1));
+    let out = mgr
+        .run_epoch(std::slice::from_ref(&call1))
+        .expect("non-empty batch");
     println!(
         "  epoch {}: same sender calling contract-1 -> {} MaxShard txs (history forces MaxShard)",
         out.epoch,

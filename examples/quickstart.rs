@@ -12,7 +12,7 @@ fn main() {
 
     // How the transactions are classified (Sec. III-A): single-contract
     // senders are isolable; everything else goes to the MaxShard.
-    let plan = ShardPlan::build(&workload.transactions, &CallGraph::new());
+    let plan = ShardPlan::build(&workload.transactions);
     println!("shard formation:");
     for (shard, size) in plan.shard_sizes() {
         println!("  {shard}: {size} transactions");

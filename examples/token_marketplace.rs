@@ -16,7 +16,7 @@ fn main() {
     // top contract takes ~25%, the tail contracts a handful each.
     let workload =
         Workload::heavy_tail(600, 24, 1.2, FeeDistribution::Exponential { mean: 40.0 }, 7);
-    let plan = ShardPlan::build(&workload.transactions, &CallGraph::new());
+    let plan = ShardPlan::build(&workload.transactions);
     let sizes = plan.shard_sizes();
     let small = plan.small_shards(10).len();
     println!(

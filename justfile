@@ -4,7 +4,7 @@
 verify:
     cargo fmt --check
     cargo build --release --workspace
-    cargo test -q --workspace
+    cargo test --workspace --no-fail-fast
     cargo clippy --workspace --all-targets -- -D warnings
 
 # Determinism & safety lint over every workspace crate (policy.toml is the
@@ -60,13 +60,6 @@ bench-sched:
         sched --quick --json /tmp/bench-sched
     @echo "wrote /tmp/bench-sched/BENCH_sched.json"
 
-# Streaming scale grid: epochs/sec and reclassified fraction, accounts
-# 10^3 -> 10^6 under steady/bursty/spam mixes, as BENCH_scale.json.
-bench-scale:
-    cargo run --release -p cshard-bench --bin experiments -- \
-        scale --quick --json /tmp/bench-scale
-    @echo "wrote /tmp/bench-scale/BENCH_scale.json"
-
 # Settlement grid: messages per cross-shard tx, per-tx 2PC baseline vs a
 # crosslink batch-cap sweep on the fig4(b) point, as BENCH_settle.json.
 bench-settle:
@@ -84,7 +77,7 @@ bench-migrate:
 
 # Fast feedback loop: tests only.
 test:
-    cargo test -q --workspace
+    cargo test --workspace --no-fail-fast
 
 # Undefined-behaviour check on the leaf crates (requires nightly + miri
 # component; heavy statistical tests are gated off under the interpreter).

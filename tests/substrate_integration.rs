@@ -94,7 +94,7 @@ fn epoch_manager_drives_node_verification() {
     // block shard-claims against.
     let mut mgr = EpochManager::with_miner_count(40);
     let w = Workload::uniform_contracts(100, 3, FEES, 6);
-    let out = mgr.run_epoch(&w.transactions);
+    let out = mgr.run_epoch(&w.transactions).expect("non-empty batch");
     for (id, shard) in out.shard_of.iter().take(10) {
         let pk = mgr.public_key(*id).unwrap();
         assert!(out.assignment.verify_claim(pk, *shard));
