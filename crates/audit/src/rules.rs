@@ -420,8 +420,12 @@ fn typed_names(tokens: &[Token], types: &[String]) -> Vec<String> {
                     push(&tokens[i].text);
                     break;
                 }
-                // Only walk through path segments (`std :: collections ::`).
-                if tokens[j].kind == TokenKind::Ident || tokens[j].is_punct("::") {
+                // Only walk through borrows and path segments
+                // (`& mut std :: collections ::`).
+                if tokens[j].kind == TokenKind::Ident
+                    || tokens[j].is_punct("::")
+                    || tokens[j].is_punct("&")
+                {
                     j += 1;
                     hops += 1;
                 } else {
@@ -565,6 +569,22 @@ mod tests {
         let f = run("ND003", src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("seen"));
+    }
+
+    #[test]
+    fn nd003_tracks_borrowed_hash_parameters() {
+        let src = "
+            fn f(seen: &HashSet<u64>, by_id: &mut std::collections::HashMap<u64, u64>, v: &Vec<u64>) {
+                for s in seen {}
+                for x in v {}
+                for n in by_id.values_mut() {}
+                let n = by_id.len();
+            }
+        ";
+        let f = run("ND003", src);
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f[0].message.contains("seen"));
+        assert!(f[1].message.contains("by_id"));
     }
 
     #[test]

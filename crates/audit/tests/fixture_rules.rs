@@ -55,6 +55,21 @@ fn every_token_rule_has_a_failing_and_passing_fixture() {
     }
 }
 
+/// ND003 has nothing to say about a newtype that wraps a hash table
+/// without an iterator, and flags one that leaks its order — through a
+/// method, or through a walk over the borrowed table.
+#[test]
+fn nd003_newtype_fixtures_fail_and_pass() {
+    let policy = policy_for("ND003");
+    let rp = &policy.rules["ND003"];
+    let file = "nd003_newtype.rs";
+    let fail = apply_token_rule("ND003", rp, file, &lex(&fixture("fail", file)));
+    let lines: Vec<usize> = fail.iter().map(|f| f.line).collect();
+    assert_eq!(lines, [12, 18], "{fail:?}");
+    let pass = apply_token_rule("ND003", rp, file, &lex(&fixture("pass", file)));
+    assert!(pass.is_empty(), "pass fixture flagged: {pass:?}");
+}
+
 /// Builds `<tmp>/<name>/crates/core/src/lib.rs` with the given source and
 /// returns the workspace root.
 fn mini_workspace(name: &str, lib_rs: &str) -> std::path::PathBuf {

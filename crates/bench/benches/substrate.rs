@@ -112,13 +112,13 @@ fn bench_classifier(c: &mut Criterion) {
     group.bench_function("callgraph_sets", |b| {
         b.iter(|| {
             let mut g = CallGraph::new();
-            g.observe_all(w.transactions.iter());
+            let churn = g.observe_all(w.transactions.iter());
             let isolable = w
                 .transactions
                 .iter()
                 .filter(|t| g.isolable_contract(t).is_some())
                 .count();
-            black_box(isolable)
+            black_box((churn, isolable))
         });
     });
     group.finish();

@@ -6,7 +6,7 @@
 //! to other users] form a unique shard, called the MaxShard."
 
 use cshard_ledger::{CallGraph, Transaction, TxKind};
-use cshard_primitives::{Address, ContractId, Error, ShardId};
+use cshard_primitives::{AddressSlots, ContractId, Error, ShardId};
 use std::collections::BTreeMap;
 
 /// The partition of a transaction batch into shards.
@@ -41,7 +41,7 @@ impl ShardPlan {
     /// MaxShard takes it. This is exactly the Fig. 1 classification
     /// ([`CallGraph::isolable_contract`]).
     pub fn classify(transactions: &[Transaction], graph: &CallGraph) -> ShardPlan {
-        Self::classify_placed(transactions, graph, &BTreeMap::new())
+        Self::classify_placed(transactions, graph, &AddressSlots::new())
     }
 
     /// [`ShardPlan::classify`] with placement pins on top.
@@ -50,11 +50,12 @@ impl ShardPlan {
     /// shard: its calls *to that contract* route home regardless of its
     /// class, while everything else (calls to other contracts, direct
     /// transfers, multi-input) still follows the call graph — those touch
-    /// cross-contract state and belong on the MaxShard.
+    /// cross-contract state and belong on the MaxShard. `pins` maps each
+    /// migrated sender to the shard it moved to.
     pub fn classify_placed(
         transactions: &[Transaction],
         graph: &CallGraph,
-        pins: &BTreeMap<Address, ShardId>,
+        pins: &AddressSlots<ShardId>,
     ) -> ShardPlan {
         let mut contract_shards: BTreeMap<ShardId, Vec<usize>> = BTreeMap::new();
         let mut maxshard = Vec::new();
@@ -337,7 +338,8 @@ mod tests {
         ];
         let mut graph = CallGraph::new();
         graph.observe_all(txs.iter());
-        let pins: BTreeMap<_, _> = [(Address::user(1), ShardId::new(0))].into();
+        let mut pins = AddressSlots::new();
+        pins.entry(Address::user(1), || ShardId::new(0));
         let placed = ShardPlan::classify_placed(&txs, &graph, &pins);
         assert_eq!(placed.shard_of[0], ShardId::new(0), "home call routes home");
         assert_eq!(placed.shard_of[1], ShardId::MAX_SHARD, "foreign call stays");

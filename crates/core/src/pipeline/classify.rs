@@ -4,8 +4,7 @@ use super::{EpochCtx, PipelineStage, StageKind, StageOutput};
 use crate::formation::ShardPlan;
 use cshard_ledger::CallGraph;
 use cshard_place::Migration;
-use cshard_primitives::{Address, Error, ShardId};
-use std::collections::BTreeMap;
+use cshard_primitives::{AddressSlots, Error, ShardId};
 
 /// Classifies each epoch's batch against the call graph it **owns** and
 /// keeps across epochs (Sec. III-C: "miners can check the call graph
@@ -26,7 +25,7 @@ use std::collections::BTreeMap;
 pub struct ClassifyStage {
     graph: CallGraph,
     /// Placement pins: migrated senders and the shard they moved to.
-    pins: BTreeMap<Address, ShardId>,
+    pins: AddressSlots<ShardId>,
 }
 
 impl ClassifyStage {
@@ -36,10 +35,10 @@ impl ClassifyStage {
     }
 
     /// Applies the epoch's migrations: a pin records each moved sender's
-    /// new home shard.
+    /// new home shard, replacing an earlier pin.
     pub fn apply_migrations(&mut self, moves: &[Migration]) {
         for m in moves {
-            self.pins.insert(m.account, m.to);
+            *self.pins.entry(m.account, || m.to) = m.to;
         }
     }
 }
@@ -50,22 +49,12 @@ impl PipelineStage for ClassifyStage {
     }
 
     fn run(&mut self, ctx: &mut EpochCtx<'_>) -> Result<StageOutput, Error> {
-        let dirty = self.graph.observe_all(ctx.transactions.iter());
+        let churn = self.graph.observe_all(ctx.transactions.iter());
         let plan = ShardPlan::classify_placed(ctx.transactions, &self.graph, &self.pins);
-        // Counters only: the distinct batch senders whose participation
-        // did not change this epoch.
-        let mut carried: Vec<Address> = ctx
-            .transactions
-            .iter()
-            .map(|tx| tx.sender)
-            .filter(|sender| !dirty.contains(sender))
-            .collect();
-        carried.sort_unstable();
-        carried.dedup();
         let out = StageOutput {
             items: plan.active_shard_count() as u64,
-            reclassified: dirty.len() as u64,
-            carried: carried.len() as u64,
+            reclassified: churn.reclassified,
+            carried: churn.carried,
             ..StageOutput::default()
         };
         ctx.plan = Some(plan);
@@ -77,7 +66,7 @@ impl PipelineStage for ClassifyStage {
 mod tests {
     use super::*;
     use cshard_ledger::Transaction;
-    use cshard_primitives::{Amount, ContractId};
+    use cshard_primitives::{Address, Amount, ContractId};
 
     fn call(user: u64, contract: u32, nonce: u64) -> Transaction {
         Transaction::call(
@@ -175,13 +164,15 @@ mod tests {
         // Sender 1 calls two contracts: MultiContract, lands on MaxShard.
         let (plan0, _) = run_stage(&mut stage, &[call(1, 0, 0), call(1, 1, 1)]);
         assert_eq!(plan0.maxshard, vec![0, 1]);
-        // Placement moves sender 1 home to contract 0's shard.
-        stage.apply_migrations(&[Migration {
+        // Placement moves sender 1 home to contract 0's shard; a later
+        // move replaces an earlier pin.
+        let move_to = |to| Migration {
             account: Address::user(1),
             from: ShardId::MAX_SHARD,
-            to: ShardId::new(0),
+            to,
             txs: 2,
-        }]);
+        };
+        stage.apply_migrations(&[move_to(ShardId::new(7)), move_to(ShardId::new(0))]);
         // Next epoch repeats the same participation: a move alone
         // reclassifies nobody, and the home-contract call routes to the
         // pinned shard.

@@ -1,21 +1,26 @@
 //! The classify-stage pins: across a 200-seed fuzz grid of churn patterns
 //! (repeat-heavy pools, diversifiers, spam floods, direct traffic), a
-//! stage that accumulates history across epochs must plan **bit-
-//! identically** to a from-scratch [`CallGraph`] fed the same batches, and
+//! stage that accumulates history across epochs must plan — and count its
+//! churn — **bit-identically** to the ordered-map reference model of the
+//! call graph (`crates/ledger/tests/reference`) fed the same batches, and
 //! placement pins must override exactly the pinned senders' home-contract
 //! calls and nothing else.
+
+#[path = "../../ledger/tests/reference/mod.rs"]
+mod reference;
 
 use cshard_core::pipeline::{ClassifyStage, EpochCtx, PipelineStage};
 use cshard_core::ShardPlan;
 use cshard_crypto::sha256;
-use cshard_ledger::{CallGraph, Transaction, TxKind};
+use cshard_ledger::{Transaction, TxKind};
 use cshard_network::CommStats;
 use cshard_place::Migration;
 use cshard_primitives::{Address, ShardId, SimTime};
 use cshard_runtime::RuntimeConfig;
 use cshard_sim::SimRng;
 use cshard_workload::{SpamFlood, StreamConfig, TxStream};
-use std::collections::BTreeMap;
+use reference::ReferenceGraph;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Runs just the classify stage over one batch and returns its plan plus
 /// (reclassified, carried).
@@ -69,28 +74,41 @@ fn grid_config(seed: u64) -> StreamConfig {
     }
 }
 
+/// The shard the reference model routes each transaction of `batch` to.
+fn reference_routing(reference: &ReferenceGraph, batch: &[Transaction]) -> Vec<ShardId> {
+    batch
+        .iter()
+        .map(|tx| {
+            reference
+                .isolable_contract(tx)
+                .map_or(ShardId::MAX_SHARD, ShardPlan::shard_for_contract)
+        })
+        .collect()
+}
+
 #[test]
-fn accumulating_stage_matches_a_from_scratch_graph_over_200_seeds() {
+fn accumulating_stage_matches_the_reference_model_over_200_seeds() {
     for seed in 0..200u64 {
         let config = grid_config(seed);
         let txs: Vec<Transaction> = TxStream::new(config).take(180).map(|(_, tx)| tx).collect();
         let mut stage = ClassifyStage::new();
-        let mut full_graph = CallGraph::new();
+        let mut reference = ReferenceGraph::default();
         for (e, batch) in txs.chunks(60).enumerate() {
-            let (staged, _, _) = run_stage(&mut stage, batch);
-            full_graph.observe_all(batch.iter());
-            let full = ShardPlan::classify(batch, &full_graph);
+            let label = format!("seed {seed} epoch {e}");
+            let (staged, reclassified, carried) = run_stage(&mut stage, batch);
+            let dirty = reference.observe_all(batch);
             assert_eq!(
-                staged.shard_of, full.shard_of,
-                "seed {seed} epoch {e}: shard_of diverged"
+                staged.shard_of,
+                reference_routing(&reference, batch),
+                "{label}: shard_of diverged"
             );
+            assert_plan_consistent(&staged, batch.len(), &label);
+            let senders: BTreeSet<Address> = batch.iter().map(|tx| tx.sender).collect();
+            assert_eq!(reclassified, dirty.len() as u64, "{label}: reclassified");
             assert_eq!(
-                staged.contract_shards, full.contract_shards,
-                "seed {seed} epoch {e}: contract shards diverged"
-            );
-            assert_eq!(
-                staged.maxshard, full.maxshard,
-                "seed {seed} epoch {e}: maxshard diverged"
+                carried,
+                senders.difference(&dirty).count() as u64,
+                "{label}: carried"
             );
         }
     }
@@ -132,13 +150,13 @@ fn pins_override_exactly_the_home_contract_calls() {
         let txs: Vec<Transaction> = TxStream::new(config).take(180).map(|(_, tx)| tx).collect();
         let mut rng = SimRng::new(seed);
         let mut stage = ClassifyStage::new();
-        let mut graph = CallGraph::new();
+        let mut reference = ReferenceGraph::default();
         let mut pins: BTreeMap<Address, ShardId> = BTreeMap::new();
         for (e, batch) in txs.chunks(60).enumerate() {
             let label = format!("seed {seed} epoch {e}");
             let (placed, _, _) = run_stage(&mut stage, batch);
-            graph.observe_all(batch.iter());
-            let unpinned = ShardPlan::classify(batch, &graph);
+            reference.observe_all(batch);
+            let unpinned = reference_routing(&reference, batch);
             assert_plan_consistent(&placed, batch.len(), &label);
             for (i, tx) in batch.iter().enumerate() {
                 let home = match &tx.kind {
@@ -150,11 +168,11 @@ fn pins_override_exactly_the_home_contract_calls() {
                 };
                 assert_eq!(
                     placed.shard_of[i],
-                    home.unwrap_or(unpinned.shard_of[i]),
+                    home.unwrap_or(unpinned[i]),
                     "{label}: tx {i} (pinned home call: {})",
                     home.is_some()
                 );
-                rerouted += u32::from(home.is_some_and(|pin| pin != unpinned.shard_of[i]));
+                rerouted += u32::from(home.is_some_and(|pin| pin != unpinned[i]));
             }
             // Pin (or re-pin) a few of this batch's senders to random
             // contracts' shards; the moves take effect next epoch.

@@ -9,8 +9,7 @@
 //! that decides which shard a transaction belongs to (Sec. III-A).
 
 use crate::transaction::{Transaction, TxKind};
-use cshard_primitives::{Address, ContractId};
-use std::collections::{BTreeMap, BTreeSet};
+use cshard_primitives::{Address, AddressSlots, ContractId};
 
 /// How a sender participates in the system — the three cases of Fig. 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,17 +27,100 @@ pub enum SenderClass {
     Direct,
 }
 
-/// Per-sender participation record.
-#[derive(Clone, Debug, Default)]
+/// What one observed batch changed — the classify stage's per-epoch churn
+/// counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BatchChurn {
+    /// Distinct addresses whose classification inputs changed: a new
+    /// contract in the participation set, or a fresh direct-transacting
+    /// flag — including multi-input side effects on input accounts that
+    /// sent nothing themselves.
+    pub reclassified: u64,
+    /// Distinct batch senders whose inputs did *not* change.
+    /// [`CallGraph::classify`] is a pure function of the participation
+    /// record, so these classify exactly as they did before the batch.
+    pub carried: u64,
+}
+
+/// Per-address participation record.
+#[derive(Clone, Debug)]
 struct Participation {
-    contracts: BTreeSet<ContractId>,
+    /// The first contract called; meaningful once `called` is set.
+    first: ContractId,
+    called: bool,
     direct: bool,
+    /// The last batch this address sent in / was dirtied in (0 = never):
+    /// batch membership without a per-batch set.
+    sent: u32,
+    dirtied: u32,
+    /// Distinct contracts beyond the first. Almost every sender has none
+    /// (Sec. II-A), so the record carries one pointer, not a `Vec` header.
+    #[allow(clippy::box_collection)]
+    more: Option<Box<Vec<ContractId>>>,
+}
+
+impl Participation {
+    /// No history yet.
+    fn empty() -> Self {
+        Participation {
+            first: ContractId::new(0),
+            called: false,
+            direct: false,
+            sent: 0,
+            dirtied: 0,
+            more: None,
+        }
+    }
+
+    /// Adds `contract` to the participation set; true when it was new.
+    fn call(&mut self, contract: ContractId) -> bool {
+        if !self.called {
+            self.called = true;
+            self.first = contract;
+            return true;
+        }
+        if self.first == contract {
+            return false;
+        }
+        let more = self.more.get_or_insert_with(Box::default);
+        let new = !more.contains(&contract);
+        if new {
+            more.push(contract);
+        }
+        new
+    }
+
+    /// Sets the direct-transacting flag; true when it was clear.
+    fn transact_directly(&mut self) -> bool {
+        !std::mem::replace(&mut self.direct, true)
+    }
+
+    /// Counts this address as a sender of `batch`, once: carried, unless
+    /// the batch has dirtied it already.
+    fn mark_sent(&mut self, batch: u32, churn: &mut BatchChurn) {
+        if self.sent != batch {
+            self.sent = batch;
+            churn.carried += u64::from(self.dirtied != batch);
+        }
+    }
+
+    /// Counts this address as dirtied in `batch`, once: reclassified, and
+    /// no longer carried if it was counted as an unchanged sender.
+    fn mark_dirtied(&mut self, batch: u32, churn: &mut BatchChurn) {
+        if self.dirtied != batch {
+            self.dirtied = batch;
+            churn.reclassified += 1;
+            churn.carried -= u64::from(self.sent == batch);
+        }
+    }
 }
 
 /// The call graph.
 #[derive(Clone, Debug, Default)]
 pub struct CallGraph {
-    senders: BTreeMap<Address, Participation>,
+    records: AddressSlots<Participation>,
+    /// The stamp of the batch being observed.
+    batch: u32,
 }
 
 impl CallGraph {
@@ -49,84 +131,65 @@ impl CallGraph {
 
     /// Records one observed transaction.
     pub fn observe(&mut self, tx: &Transaction) {
-        let mut dirty = BTreeSet::new();
-        self.observe_tracking(tx, &mut dirty);
+        self.observe_all([tx]);
     }
 
-    /// Records one transaction, adding every address whose classification
-    /// inputs *changed* (a new contract in its participation set, or a
-    /// fresh direct-transacting flag — including multi-input side effects
-    /// on input accounts) to `dirty`.
-    ///
-    /// [`CallGraph::classify`] is a pure function of the participation
-    /// record, so an address absent from `dirty` is guaranteed to classify
-    /// exactly as it did before the observation.
-    fn observe_tracking(&mut self, tx: &Transaction, dirty: &mut BTreeSet<Address>) {
-        let p = self.senders.entry(tx.sender).or_default();
-        match &tx.kind {
-            TxKind::ContractCall { contract, .. } => {
-                if p.contracts.insert(*contract) {
-                    dirty.insert(tx.sender);
+    /// Records a whole batch (e.g. an injected workload) and returns what
+    /// it changed. A first-ever observation always reclassifies its
+    /// sender; repeat observations that add no new participation (the same
+    /// sender calling its usual contract, or transacting directly again)
+    /// carry it.
+    pub fn observe_all<'a>(
+        &mut self,
+        txs: impl IntoIterator<Item = &'a Transaction>,
+    ) -> BatchChurn {
+        self.batch = match self.batch.checked_add(1) {
+            Some(next) => next,
+            None => {
+                // 2³² batches on one graph: forget the stamps, which only
+                // ever mean "in the current batch", and start over.
+                for p in self.records.values_mut() {
+                    (p.sent, p.dirtied) = (0, 0);
                 }
+                1
             }
-            TxKind::DirectTransfer { .. } => {
-                if !p.direct {
-                    p.direct = true;
-                    dirty.insert(tx.sender);
+        };
+        let batch = self.batch;
+        let mut churn = BatchChurn::default();
+        for tx in txs {
+            let sender = self.records.entry(tx.sender, Participation::empty);
+            sender.mark_sent(batch, &mut churn);
+            let changed = match &tx.kind {
+                TxKind::ContractCall { contract, .. } => sender.call(*contract),
+                // Every input account's funds are touched, so each input
+                // is "transacting directly" for classification purposes.
+                TxKind::DirectTransfer { .. } | TxKind::MultiInput { .. } => {
+                    sender.transact_directly()
                 }
+            };
+            if changed {
+                sender.mark_dirtied(batch, &mut churn);
             }
-            TxKind::MultiInput { inputs, .. } => {
-                // Every input account's funds are touched, so each input is
-                // "transacting directly" for classification purposes.
-                if !p.direct {
-                    p.direct = true;
-                    dirty.insert(tx.sender);
-                }
+            if let TxKind::MultiInput { inputs, .. } = &tx.kind {
                 for input in inputs {
-                    if *input != tx.sender {
-                        let q = self.senders.entry(*input).or_default();
-                        if !q.direct {
-                            q.direct = true;
-                            dirty.insert(*input);
-                        }
+                    let input = self.records.entry(*input, Participation::empty);
+                    if input.transact_directly() {
+                        input.mark_dirtied(batch, &mut churn);
                     }
                 }
             }
         }
-    }
-
-    /// Records a whole batch (e.g. an injected workload) and returns the
-    /// set of addresses whose classification inputs changed — the *dirty
-    /// senders*. A first-ever observation always dirties its sender;
-    /// repeat observations that add no new participation (the same sender
-    /// calling its usual contract, or transacting directly again) leave
-    /// the sender clean. The pipeline's classify stage reports the set's
-    /// size as its per-epoch churn counter.
-    pub fn observe_all<'a>(
-        &mut self,
-        txs: impl IntoIterator<Item = &'a Transaction>,
-    ) -> BTreeSet<Address> {
-        let mut dirty = BTreeSet::new();
-        for tx in txs {
-            self.observe_tracking(tx, &mut dirty);
-        }
-        dirty
+        churn
     }
 
     /// Classifies a sender from its observed history.
     pub fn classify(&self, sender: Address) -> SenderClass {
-        match self.senders.get(&sender) {
+        match self.records.get(&sender) {
             None => SenderClass::Unknown,
             Some(p) if p.direct => SenderClass::Direct,
-            Some(p) => match p.contracts.len() {
-                0 => SenderClass::Unknown,
-                1 => p
-                    .contracts
-                    .first()
-                    .map(|c| SenderClass::SingleContract(*c))
-                    .unwrap_or(SenderClass::Unknown),
-                _ => SenderClass::MultiContract,
-            },
+            Some(p) if !p.called => SenderClass::Unknown,
+            Some(p) if p.more.is_none() => SenderClass::SingleContract(p.first),
+            Some(_) => SenderClass::MultiContract,
         }
     }
 
@@ -152,7 +215,7 @@ impl CallGraph {
 
     /// Number of tracked senders.
     pub fn sender_count(&self) -> usize {
-        self.senders.len()
+        self.records.len()
     }
 }
 
@@ -279,26 +342,36 @@ mod tests {
         assert_eq!(g.isolable_contract(&t), None);
     }
 
+    fn churn(reclassified: u64, carried: u64) -> BatchChurn {
+        BatchChurn {
+            reclassified,
+            carried,
+        }
+    }
+
     #[test]
-    fn observe_all_reports_exactly_the_changed_senders() {
+    fn observe_all_counts_exactly_the_changed_senders() {
         let mut g = CallGraph::new();
-        // First sight of user 1: dirty.
-        let first = g.observe_all([call(1, 0)].iter());
+        // First sight of user 1: reclassified.
+        assert_eq!(g.observe_all(&[call(1, 0)]), churn(1, 0));
+        // Same sender, same contract: participation unchanged — carried,
+        // and counted once however often it sends.
+        assert_eq!(g.observe_all(&[call(1, 0), call(1, 0)]), churn(0, 1));
+        // Same sender, NEW contract: reclassified again.
+        assert_eq!(g.observe_all(&[call(1, 1)]), churn(1, 0));
+        assert_eq!(g.classify(Address::user(1)), SenderClass::MultiContract);
+        // A third distinct contract still changes the participation set;
+        // going back to the second does not.
+        assert_eq!(g.observe_all(&[call(1, 2)]), churn(1, 0));
+        assert_eq!(g.observe_all(&[call(1, 1), call(1, 2)]), churn(0, 1));
+        // A repeat direct transfer only reclassifies the first time.
+        assert_eq!(g.observe_all(&[direct(2, 3)]), churn(1, 0));
+        assert_eq!(g.observe_all(&[direct(2, 4)]), churn(0, 1));
+        // Changed and unchanged senders in one batch, each counted once.
         assert_eq!(
-            first.into_iter().collect::<Vec<_>>(),
-            vec![Address::user(1)]
+            g.observe_all(&[call(1, 0), call(5, 0), direct(2, 9), call(5, 1)]),
+            churn(1, 2)
         );
-        // Same sender, same contract: participation unchanged — clean.
-        let repeat = g.observe_all([call(1, 0), call(1, 0)].iter());
-        assert!(repeat.is_empty(), "repeat observation dirtied: {repeat:?}");
-        // Same sender, NEW contract: dirty again.
-        let diversified = g.observe_all([call(1, 1)].iter());
-        assert!(diversified.contains(&Address::user(1)));
-        // A repeat direct transfer only dirties the first time.
-        let d1 = g.observe_all([direct(2, 3)].iter());
-        assert!(d1.contains(&Address::user(2)));
-        let d2 = g.observe_all([direct(2, 4)].iter());
-        assert!(d2.is_empty(), "repeat direct dirtied: {d2:?}");
     }
 
     #[test]
@@ -314,32 +387,77 @@ mod tests {
             Amount::from_coins(3),
             Amount::ZERO,
         );
-        let dirty = g.observe_all([t].iter());
-        assert!(dirty.contains(&Address::user(1)));
-        assert!(!dirty.contains(&Address::user(2)), "already direct");
-        assert!(dirty.contains(&Address::user(3)));
-        assert!(!dirty.contains(&Address::user(4)), "recipient untouched");
+        // Users 1 and 3 change; user 2 is already direct, the recipient is
+        // untouched. Input 3 is reclassified but sent nothing, so it is
+        // not a sender — nobody is carried.
+        assert_eq!(g.observe_all([&t]), churn(2, 0));
+        assert_eq!(g.classify(Address::user(3)), SenderClass::Direct);
+        assert_eq!(g.classify(Address::user(4)), SenderClass::Unknown);
+        assert_eq!(
+            g.sender_count(),
+            3,
+            "inputs are tracked, the recipient is not"
+        );
+        // Replayed, only the sender is in the batch, and it is unchanged.
+        assert_eq!(g.observe_all([&t]), churn(0, 1));
+    }
+
+    #[test]
+    fn a_sender_dirtied_as_an_input_is_not_carried() {
+        // The two orders in which one address can both send unchanged and
+        // be dirtied by someone else's multi-input in the same batch.
+        let spend = |from: u64, input: u64| {
+            Transaction::multi_input(
+                Address::user(from),
+                0,
+                vec![Address::user(from), Address::user(input)],
+                Address::user(99),
+                Amount::from_coins(2),
+                Amount::ZERO,
+            )
+        };
+        for sends_first in [true, false] {
+            let mut g = CallGraph::new();
+            g.observe_all(&[call(1, 0), direct(7, 8)]);
+            let batch = if sends_first {
+                [call(1, 0), spend(7, 1)]
+            } else {
+                [spend(7, 1), call(1, 0)]
+            };
+            // User 1 is reclassified (newly direct); user 7 is carried.
+            assert_eq!(g.observe_all(&batch), churn(1, 1), "{sends_first}");
+            assert_eq!(g.classify(Address::user(1)), SenderClass::Direct);
+        }
     }
 
     #[test]
     fn clean_senders_classify_identically_before_and_after() {
-        // An address outside the dirty set classifies exactly as it did
+        // Every sender the batch carries classifies exactly as it did
         // before the batch was observed.
         let mut g = CallGraph::new();
-        g.observe_all([call(1, 0), direct(2, 9), call(3, 1)].iter());
+        g.observe_all(&[call(1, 0), direct(2, 9), call(3, 1)]);
         let before: Vec<SenderClass> = (1..=3).map(|u| g.classify(Address::user(u))).collect();
-        let dirty = g.observe_all([call(1, 0), direct(2, 5), call(3, 2)].iter());
-        for u in 1..=3u64 {
-            if !dirty.contains(&Address::user(u)) {
-                assert_eq!(
-                    g.classify(Address::user(u)),
-                    before[(u - 1) as usize],
-                    "clean sender {u} changed class"
-                );
-            }
-        }
-        // User 3 diversified and must be dirty.
-        assert!(dirty.contains(&Address::user(3)));
+        // User 3 diversifies; users 1 and 2 repeat themselves.
+        let after = g.observe_all(&[call(1, 0), direct(2, 5), call(3, 2)]);
+        assert_eq!(after, churn(1, 2));
+        assert_eq!(g.classify(Address::user(1)), before[0]);
+        assert_eq!(g.classify(Address::user(2)), before[1]);
+        assert_ne!(g.classify(Address::user(3)), before[2]);
+    }
+
+    #[test]
+    fn batch_stamps_survive_the_counter_wrapping() {
+        let mut g = CallGraph::new();
+        g.observe_all(&[call(1, 0), call(2, 0)]);
+        // The next batch is the last stamp; the one after wraps.
+        g.batch = u32::MAX - 1;
+        assert_eq!(g.observe_all(&[call(1, 0)]), churn(0, 1));
+        assert_eq!(g.batch, u32::MAX);
+        assert_eq!(g.observe_all(&[call(1, 0), call(2, 1)]), churn(1, 1));
+        assert_eq!(g.batch, 1);
+        // Stamp 1 was user 1's and 2's very first batch: a stale stamp
+        // must not pass for membership of the new batch 1.
+        assert_eq!(g.observe_all(&[call(2, 1), call(3, 0)]), churn(1, 1));
     }
 
     #[test]
@@ -349,5 +467,12 @@ mod tests {
         g.observe(&call(1, 0));
         g.observe(&call(2, 0));
         assert_eq!(g.sender_count(), 2);
+    }
+
+    #[test]
+    fn a_record_stays_compact() {
+        // One record per address ever seen (the spam flood mints one per
+        // transaction): the stamps and the spill pointer must not grow it.
+        assert!(std::mem::size_of::<Participation>() <= 24);
     }
 }

@@ -41,7 +41,7 @@ pub mod transaction;
 
 pub use account::{Account, AccountKind};
 pub use block::{Block, BlockHeader};
-pub use callgraph::{CallGraph, SenderClass};
+pub use callgraph::{BatchChurn, CallGraph, SenderClass};
 pub use chain::Chain;
 pub use contract::{Condition, SmartContract};
 pub use error::LedgerError;

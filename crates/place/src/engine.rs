@@ -1,9 +1,7 @@
 //! Hot-account tracking and migration proposals.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use cshard_network::CommSnapshot;
-use cshard_primitives::{Address, ContractId, ShardId};
+use cshard_primitives::{Address, AddressSlots, ContractId, ShardId};
 
 use crate::config::PlacementConfig;
 
@@ -19,6 +17,16 @@ pub struct HotAccount {
     pub txs: u64,
 }
 
+/// One sender's observed MaxShard-routed calls.
+#[derive(Clone, Debug)]
+struct Traffic {
+    account: Address,
+    /// Calls per contract, in first-called order: a handful of entries.
+    calls: Vec<(ContractId, u64)>,
+    /// Already proposed for migration.
+    moved: bool,
+}
+
 /// Persistent placement state, carried across epochs.
 ///
 /// The engine sees only what the classify stage routes to the MaxShard:
@@ -26,15 +34,15 @@ pub struct HotAccount {
 /// where its traffic is. Counters accumulate across epochs so a sender
 /// slowly concentrating on one contract eventually crosses the dominance
 /// threshold, and an account is proposed at most once — after a move its
-/// calls are no longer MaxShard traffic, and the `moved` set keeps
+/// calls are no longer MaxShard traffic, and the `moved` flag keeps
 /// re-proposals out even if stale observations linger.
 #[derive(Clone, Debug, Default)]
 pub struct PlacementEngine {
     config: PlacementConfig,
-    /// Per-sender, per-contract observed MaxShard-routed calls.
-    traffic: BTreeMap<Address, BTreeMap<ContractId, u64>>,
-    /// Accounts already proposed for migration.
-    moved: BTreeSet<Address>,
+    /// Per-sender traffic, in first-seen order.
+    traffic: AddressSlots<Traffic>,
+    /// Accounts proposed for migration so far.
+    moved: usize,
 }
 
 impl PlacementEngine {
@@ -42,8 +50,7 @@ impl PlacementEngine {
     pub fn new(config: PlacementConfig) -> Self {
         PlacementEngine {
             config,
-            traffic: BTreeMap::new(),
-            moved: BTreeSet::new(),
+            ..PlacementEngine::default()
         }
     }
 
@@ -54,12 +61,16 @@ impl PlacementEngine {
 
     /// Records one MaxShard-routed contract call.
     pub fn observe(&mut self, sender: Address, contract: ContractId) {
-        *self
-            .traffic
-            .entry(sender)
-            .or_default()
-            .entry(contract)
-            .or_insert(0) += 1;
+        let traffic = self.traffic.entry(sender, || Traffic {
+            account: sender,
+            calls: Vec::new(),
+            moved: false,
+        });
+        let calls = &mut traffic.calls;
+        match calls.iter_mut().find(|(c, _)| *c == contract) {
+            Some((_, txs)) => *txs += 1,
+            None => calls.push((contract, 1)),
+        }
     }
 
     /// Number of distinct senders observed so far.
@@ -69,7 +80,7 @@ impl PlacementEngine {
 
     /// Number of accounts proposed for migration over the engine's life.
     pub fn moved_accounts(&self) -> usize {
-        self.moved.len()
+        self.moved
     }
 
     /// The epoch's load-imbalance metric: `max(load) / mean(load) - 1`,
@@ -103,38 +114,41 @@ impl PlacementEngine {
         if !self.config.enabled || self.config.max_moves_per_epoch == 0 {
             return Vec::new();
         }
-        let mut candidates: Vec<HotAccount> = Vec::new();
-        for (&account, calls) in &self.traffic {
-            if self.moved.contains(&account) {
+        // Slot order is first-seen order; the sort below fixes the
+        // proposal order whatever order the scan visits senders in.
+        let mut candidates: Vec<(usize, HotAccount)> = Vec::new();
+        for (slot, sender) in self.traffic.values().iter().enumerate() {
+            if sender.moved {
                 continue;
             }
-            let total: u64 = calls.values().sum();
+            let total: u64 = sender.calls.iter().map(|&(_, txs)| txs).sum();
             if total < self.config.min_account_txs {
                 continue;
             }
-            // Ascending ContractId iteration + strict `>` keeps the
-            // smallest dominant contract on a tie.
-            let Some((&contract, &txs)) =
-                calls
-                    .iter()
-                    .reduce(|best, cur| if cur.1 > best.1 { cur } else { best })
+            // The smallest dominant contract on a tie.
+            let Some(&(contract, txs)) = sender
+                .calls
+                .iter()
+                .min_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)))
             else {
                 continue;
             };
             if txs * 100 >= total * u64::from(self.config.min_dominance_percent) {
-                candidates.push(HotAccount {
-                    account,
+                let hot = HotAccount {
+                    account: sender.account,
                     contract,
                     txs,
-                });
+                };
+                candidates.push((slot, hot));
             }
         }
-        candidates.sort_by(|a, b| b.txs.cmp(&a.txs).then(a.account.cmp(&b.account)));
+        candidates.sort_by(|(_, a), (_, b)| b.txs.cmp(&a.txs).then(a.account.cmp(&b.account)));
         candidates.truncate(self.config.max_moves_per_epoch);
-        for hot in &candidates {
-            self.moved.insert(hot.account);
+        self.moved += candidates.len();
+        for &(slot, _) in &candidates {
+            self.traffic.values_mut()[slot].moved = true;
         }
-        candidates
+        candidates.into_iter().map(|(_, hot)| hot).collect()
     }
 }
 
@@ -217,6 +231,24 @@ mod tests {
                 txs: 4
             }]
         );
+    }
+
+    #[test]
+    fn tied_contracts_resolve_to_the_smallest_id_whatever_the_call_order() {
+        for order in [[7, 2], [2, 7]] {
+            let mut e = PlacementEngine::new(PlacementConfig {
+                min_dominance_percent: 50,
+                ..PlacementConfig::engaged()
+            });
+            for _ in 0..3 {
+                e.observe(addr(1), ContractId::new(order[0]));
+                e.observe(addr(1), ContractId::new(order[1]));
+            }
+            let hot = e.propose();
+            assert_eq!(hot.len(), 1, "{order:?}");
+            assert_eq!(hot[0].contract, ContractId::new(2), "{order:?}");
+            assert_eq!(hot[0].txs, 3);
+        }
     }
 
     #[test]

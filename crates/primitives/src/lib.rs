@@ -4,7 +4,9 @@
 //! the system — hashes, addresses, amounts, identifiers and simulated time —
 //! and nothing else. Every other crate builds on these types, so they are all
 //! small, `Copy` where possible, and implement the full complement of
-//! ordering/hashing traits needed to be used as map keys.
+//! ordering/hashing traits needed to be used as map keys. The one container
+//! is [`AddressSlots`] over [`AddressIndex`], which interns addresses to
+//! dense slots so per-address state lives in a `Vec`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -15,6 +17,7 @@ pub mod error;
 pub mod hash;
 pub mod hex;
 pub mod ids;
+pub mod index;
 pub mod time;
 
 pub use address::Address;
@@ -22,4 +25,5 @@ pub use amount::Amount;
 pub use error::Error;
 pub use hash::Hash32;
 pub use ids::{BlockHeight, ContractId, MinerId, Nonce, ShardId, TxId};
+pub use index::{AddressIndex, AddressSlots};
 pub use time::SimTime;

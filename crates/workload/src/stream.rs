@@ -37,9 +37,8 @@
 use crate::fees::FeeDistribution;
 use crate::generator::{Workload, WorkloadKind};
 use cshard_ledger::{SmartContract, State, Transaction, TxKind};
-use cshard_primitives::{Address, Amount, ContractId, SimTime};
+use cshard_primitives::{Address, AddressIndex, AddressSlots, Amount, ContractId, SimTime};
 use cshard_sim::SimRng;
-use std::collections::BTreeMap;
 
 /// Value carried by every streamed transfer (mirrors the eager
 /// generators: metrics never depend on transfer size).
@@ -147,7 +146,7 @@ pub struct TxStream {
     /// Cumulative (unnormalized) Zipf weights per contract rank.
     contract_cdf: Vec<f64>,
     /// Lazy per-sender nonces: grows with *emitted* senders only.
-    nonces: BTreeMap<Address, u64>,
+    nonces: AddressSlots<u64>,
     /// Next throwaway spam account index.
     spam_next: u64,
     emitted: u64,
@@ -206,7 +205,7 @@ impl TxStream {
             shape,
             fee_rng,
             contract_cdf,
-            nonces: BTreeMap::new(),
+            nonces: AddressSlots::new(),
             spam_next: 0,
             emitted: 0,
         }
@@ -260,7 +259,7 @@ impl TxStream {
     }
 
     fn next_nonce(&mut self, sender: Address) -> u64 {
-        let n = self.nonces.entry(sender).or_insert(0);
+        let n = self.nonces.entry(sender, || 0);
         let v = *n;
         *n += 1;
         v
@@ -285,16 +284,19 @@ impl TxStream {
             contracts.push(sc.clone());
             state.register_contract(sc);
         }
-        let mut funded: std::collections::BTreeSet<Address> = std::collections::BTreeSet::new();
+        let mut funded = AddressIndex::new();
+        // Funds `user` the first time the prefix touches it.
+        let mut fund = |user: Address| {
+            let seen = funded.len();
+            if funded.intern(user) == seen {
+                state.fund_user(user, USER_FUNDS);
+            }
+        };
         let mut transactions = Vec::with_capacity(n);
         for (_, tx) in self.by_ref().take(n) {
-            if funded.insert(tx.sender) {
-                state.fund_user(tx.sender, USER_FUNDS);
-            }
+            fund(tx.sender);
             if let TxKind::DirectTransfer { to, .. } = &tx.kind {
-                if funded.insert(*to) {
-                    state.fund_user(*to, USER_FUNDS);
-                }
+                fund(*to);
             }
             transactions.push(tx);
         }
@@ -364,6 +366,7 @@ impl Iterator for TxStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn collect_n(config: StreamConfig, n: usize) -> Vec<(SimTime, Transaction)> {
         TxStream::new(config).take(n).collect()
@@ -522,6 +525,10 @@ mod tests {
                 contracts: 8
             }
         ));
+        // Senders repeat, and each is funded exactly once.
+        for tx in &w.transactions {
+            assert_eq!(w.genesis.balance_of(tx.sender), USER_FUNDS);
+        }
         let mut state = w.genesis.clone();
         for tx in &w.transactions {
             state

@@ -75,6 +75,24 @@ bench-migrate:
         migrate --quick --json /tmp/bench-migrate
     @echo "wrote /tmp/bench-migrate/BENCH_migrate.json"
 
+# The repo's benchmark (`benchmark/`, a package outside the workspace;
+# workloads, metrics and the comparison protocol are in benchmark/README.md).
+# One workload as the `BENCHMARK.json` driver runs it; the last stdout line
+# is the JSON result.
+bench workload:
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload {{workload}} --seed 11 --seconds 16 --trace 0
+
+# Every workload, untraced then traced: all metrics, all output checks,
+# benchmark/out/results.json (about 4 minutes).
+bench-all:
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- all
+
+# Two results.json files, metric by metric; exit 1 on a regression.
+bench-compare a b:
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        compare {{a}} {{b}}
+
 # Fast feedback loop: tests only.
 test:
     cargo test --workspace --no-fail-fast
