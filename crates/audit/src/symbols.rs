@@ -568,8 +568,8 @@ mod tests {
     fn impl_trait_method_is_owned_and_traited() {
         let src = "
             struct MergeStage;
-            impl PipelineStage for MergeStage {
-                fn run(&mut self, ctx: &mut EpochCtx<'_>) -> Result<(), Error> { Ok(()) }
+            impl Stage for MergeStage {
+                fn run(&mut self, ctx: &mut Ctx<'_>) -> Result<(), Error> { Ok(()) }
             }
             impl MergeStage {
                 fn inherent(&self) {}
@@ -578,7 +578,7 @@ mod tests {
         let t = table(src);
         let run = t.fns.iter().find(|d| d.name == "run").unwrap();
         assert_eq!(run.owner.as_deref(), Some("MergeStage"));
-        assert_eq!(run.trait_name.as_deref(), Some("PipelineStage"));
+        assert_eq!(run.trait_name.as_deref(), Some("Stage"));
         assert_eq!(run.arity, 2);
         let inherent = t.fns.iter().find(|d| d.name == "inherent").unwrap();
         assert_eq!(inherent.owner.as_deref(), Some("MergeStage"));

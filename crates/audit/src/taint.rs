@@ -12,12 +12,12 @@
 //! Sink specs come in two forms:
 //!
 //! * `"Trait::method"` — every bodied, non-test impl of that trait
-//!   method is a root (`ProtocolDriver::on_event`, `PipelineStage::run`,
-//!   `GameDynamics::step`);
+//!   method is a root (`ProtocolDriver::on_event`, `GameDynamics::step`);
 //! * `"calls:Owner::method"` — every function with a resolved edge to
 //!   that method is a root. Closures inline into the enclosing
 //!   function's body span, so this captures task bodies handed to
-//!   `WorkScheduler::drain` via the function that passes them.
+//!   `WorkScheduler::drain` via the function that passes them, and the
+//!   epoch's six stage calls via `EpochPipeline::run_epoch_observed`.
 //!
 //! Reachability-scoped rules (the `1xx` ids mirror their file-scoped
 //! `0xx` cousins, which stay as the first line of defence in protocol

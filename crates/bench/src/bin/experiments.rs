@@ -86,9 +86,9 @@ fn main() -> ExitCode {
         };
         println!("{}", result.to_table());
         if let Some(dir) = &json_dir {
-            // The pipeline, scheduler, settlement and migration grids are
-            // bench artefacts, not paper figures — they ship under BENCH_.
-            let bench_grid = matches!(id.as_str(), "pipeline" | "sched" | "settle" | "migrate");
+            // The scheduler, settlement and migration grids are bench
+            // artefacts, not paper figures — they ship under BENCH_.
+            let bench_grid = matches!(id.as_str(), "sched" | "settle" | "migrate");
             let file = if bench_grid {
                 format!("BENCH_{id}.json")
             } else {

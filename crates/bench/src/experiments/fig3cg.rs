@@ -20,6 +20,7 @@ use crate::experiments::default_fees;
 use crate::report::{ExperimentResult, Series};
 use cshard_baselines::random_merge;
 use cshard_core::formation::ShardPlan;
+use cshard_core::pipeline::form;
 use cshard_core::simulate_ethereum;
 use cshard_core::system::{SystemConfig, SystemReport};
 use cshard_core::{simulate, RuntimeConfig, ShardSpec, ShardingSystem};
@@ -29,6 +30,7 @@ use cshard_primitives::{ShardId, SimTime};
 use cshard_workload::Workload;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::sync::OnceLock;
 
 /// One block's worth — the merge bound for these experiments.
 const LOWER_BOUND: u64 = 10;
@@ -69,18 +71,7 @@ fn small_sizes(count: usize, seed: u64) -> Vec<u64> {
 /// coalitions instead of the game.
 fn run_randomized(w: &Workload, cfg: &RuntimeConfig, seed: u64) -> (RunReport, usize) {
     let plan = ShardPlan::build(&w.transactions);
-    let fees = w.fees();
-    let mut groups: Vec<(ShardId, Vec<u64>)> = plan
-        .contract_shards
-        .iter()
-        .map(|(&shard, idxs)| (shard, idxs.iter().map(|&i| fees[i]).collect()))
-        .collect();
-    if !plan.maxshard.is_empty() {
-        groups.push((
-            ShardId::MAX_SHARD,
-            plan.maxshard.iter().map(|&i| fees[i]).collect(),
-        ));
-    }
+    let mut groups = form(&plan, &w.fees());
     let small: Vec<usize> = (0..groups.len())
         .filter(|&i| !groups[i].0.is_max_shard() && (groups[i].1.len() as u64) < LOWER_BOUND)
         .collect();
@@ -185,10 +176,13 @@ fn measure(small_count: usize, repeats: u64) -> Avg {
     }
 }
 
-/// Runs the whole Fig. 3(c)–(g) sweep.
+/// Renders the five Fig. 3(c)–(g) views of one sweep, computed once per
+/// process and `quick` value: `experiments all` asks for each id in turn.
 pub fn run(quick: bool) -> MergeFigures {
+    static SWEEPS: [OnceLock<Vec<(usize, Avg)>>; 2] = [OnceLock::new(), OnceLock::new()];
     let repeats = if quick { 5 } else { 30 };
-    let data: Vec<(usize, Avg)> = (2..=7).map(|k| (k, measure(k, repeats))).collect();
+    let data = SWEEPS[usize::from(quick)]
+        .get_or_init(|| (2..=7).map(|k| (k, measure(k, repeats))).collect());
 
     let series = |f: fn(&Avg) -> f64| -> Vec<(f64, f64)> {
         data.iter().map(|&(k, ref a)| (k as f64, f(a))).collect()

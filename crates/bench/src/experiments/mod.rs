@@ -9,7 +9,6 @@ pub mod fig3h;
 pub mod fig4;
 pub mod fig5;
 pub mod migrate;
-pub mod pipeline;
 pub mod sched;
 pub mod sec4d;
 pub mod settle;
@@ -47,8 +46,7 @@ pub fn grid_scheduler() -> WorkScheduler {
 /// All experiment ids, in paper order.
 pub const ALL: &[&str] = &[
     "table1", "fig1d", "fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f", "fig3g", "fig3h",
-    "fig4a", "fig4b", "fig4c", "fig5a", "fig5b", "sec4d", "faults", "pipeline", "sched", "settle",
-    "migrate",
+    "fig4a", "fig4b", "fig4c", "fig5a", "fig5b", "sec4d", "faults", "sched", "settle", "migrate",
 ];
 
 /// The ablation studies of DESIGN.md §8 (run with `experiments ablations`
@@ -83,7 +81,6 @@ pub fn run(id: &str, quick: bool) -> Option<ExperimentResult> {
         "fig5b" => fig5::run_b(quick),
         "sec4d" => sec4d::run(),
         "faults" => faults::run(quick),
-        "pipeline" => pipeline::run(quick),
         "sched" => sched::run(quick),
         "settle" => settle::run(quick),
         "migrate" => migrate::run(quick),

@@ -61,9 +61,11 @@ impl MinerAssignment {
 
     /// The shard a miner belongs to this epoch.
     pub fn shard_of(&self, pk: VrfPublicKey) -> ShardId {
-        let r = self.group_of(pk) as u32;
+        let r = self.group_of(pk);
         // First shard whose cumulative bound covers r.
-        let idx = self.cumulative.partition_point(|&bound| bound < r);
+        let idx = self
+            .cumulative
+            .partition_point(|&bound| u64::from(bound) < r);
         self.shards[idx.min(self.shards.len() - 1)]
     }
 

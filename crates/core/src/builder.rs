@@ -382,14 +382,6 @@ mod tests {
                 }),
                 Want::Config("placement.min_account_txs"),
             ),
-            (
-                "NaN placement imbalance threshold",
-                SystemBuilder::new().placement(PlacementConfig {
-                    min_imbalance: f64::NAN,
-                    ..PlacementConfig::engaged()
-                }),
-                Want::Config("placement.min_imbalance"),
-            ),
         ];
         for (label, builder, want) in cases {
             let err = builder.build().err();

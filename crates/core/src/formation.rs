@@ -137,7 +137,9 @@ impl ShardPlan {
             .iter()
             .map(|&(shard, s)| {
                 let exact = s as f64 * 100.0 / total as f64;
-                (shard, exact.floor() as u32, exact - exact.floor())
+                // `s <= total`, so the whole percent is at most 100.
+                let whole = u32::try_from(s * 100 / total).unwrap_or(100);
+                (shard, whole, exact - exact.floor())
             })
             .collect();
         let assigned: u32 = entries.iter().map(|e| e.1).sum();

@@ -7,12 +7,13 @@
 //! * [`assignment`] — Sec. III-B: miners are mapped to shards by verifiable
 //!   leader randomness, proportionally to each shard's transaction
 //!   fraction, and any claimed assignment is publicly checkable.
-//! * [`pipeline`] — the staged epoch: `Classify → Form → Merge → Select →
-//!   Unify → Place`, each stage a struct with persistent cross-epoch state
-//!   (call-graph history, merge memoization and carried merge groups,
-//!   selection warm caches, placement traffic counters) and per-stage
-//!   counters. This is the *only* epoch implementation in the workspace;
-//!   everything below drives it.
+//! * [`pipeline`] — the epoch: six typed calls, `Classify → Form → Merge →
+//!   Select → Unify → Place`, each one's product the next one's argument.
+//!   The stage structs hold the persistent cross-epoch state (call-graph
+//!   history, merge memoization and carried merge groups, selection warm
+//!   caches, placement traffic counters); per-stage counters accumulate
+//!   beside them. This is the *only* epoch implementation in the
+//!   workspace; everything below drives it.
 //! * [`system`] — [`system::ShardingSystem`]: the workload-level facade
 //!   over one cold pipeline epoch, with every stage optional so
 //!   experiments can ablate each mechanism; [`builder`] holds its

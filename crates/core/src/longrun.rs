@@ -177,6 +177,12 @@ impl LongRun {
         stream: impl Iterator<Item = (SimTime, Transaction)> + Send + 'static,
         epoch_interval: SimTime,
     ) -> Result<Vec<EpochReport>, Error> {
+        if epoch_interval == SimTime::ZERO {
+            return Err(Error::Config {
+                field: "epoch_interval",
+                reason: "epochs need a positive sealing interval".into(),
+            });
+        }
         let driver = StreamDriver::new(stream, epoch_interval);
         let outcome = Runtime::builder()
             .scheduler(self.config.runtime.scheduler)
@@ -201,14 +207,6 @@ impl LongRun {
             return 0.0;
         }
         self.reports.iter().map(|r| r.improvement).sum::<f64>() / self.reports.len() as f64
-    }
-}
-
-impl crate::epoch::EpochOutcome {
-    /// The randomness the epoch's unified parameters derive from — see
-    /// [`game_randomness`].
-    pub fn assignment_randomness(&self) -> Hash32 {
-        game_randomness(self.epoch)
     }
 }
 
@@ -387,11 +385,11 @@ mod tests {
             .pipeline_metrics()
             .stage(crate::pipeline::StageKind::Classify);
         assert!(
-            c.carried > c.reclassified,
+            c.totals.carried > c.totals.reclassified,
             "repeat-sender traffic must be carried, not reclassified: \
              carried={} reclassified={}",
-            c.carried,
-            c.reclassified
+            c.totals.carried,
+            c.totals.reclassified
         );
     }
 

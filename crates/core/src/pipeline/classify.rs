@@ -1,10 +1,10 @@
 //! Stage 1 — Classify: call-graph classification (Sec. III-A).
 
-use super::{EpochCtx, PipelineStage, StageKind, StageOutput};
+use super::StageOutput;
 use crate::formation::ShardPlan;
-use cshard_ledger::CallGraph;
+use cshard_ledger::{CallGraph, Transaction};
 use cshard_place::Migration;
-use cshard_primitives::{AddressSlots, Error, ShardId};
+use cshard_primitives::{AddressSlots, ShardId};
 
 /// Classifies each epoch's batch against the call graph it **owns** and
 /// keeps across epochs (Sec. III-C: "miners can check the call graph
@@ -41,31 +41,24 @@ impl ClassifyStage {
             *self.pins.entry(m.account, || m.to) = m.to;
         }
     }
-}
 
-impl PipelineStage for ClassifyStage {
-    fn kind(&self) -> StageKind {
-        StageKind::Classify
-    }
-
-    fn run(&mut self, ctx: &mut EpochCtx<'_>) -> Result<StageOutput, Error> {
-        let churn = self.graph.observe_all(ctx.transactions.iter());
-        let plan = ShardPlan::classify_placed(ctx.transactions, &self.graph, &self.pins);
+    /// Absorbs `batch` into the call graph and classifies it.
+    pub fn run(&mut self, batch: &[Transaction]) -> (ShardPlan, StageOutput) {
+        let churn = self.graph.observe_all(batch.iter());
+        let plan = ShardPlan::classify_placed(batch, &self.graph, &self.pins);
         let out = StageOutput {
             items: plan.active_shard_count() as u64,
             reclassified: churn.reclassified,
             carried: churn.carried,
             ..StageOutput::default()
         };
-        ctx.plan = Some(plan);
-        Ok(out)
+        (plan, out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cshard_ledger::Transaction;
     use cshard_primitives::{Address, Amount, ContractId};
 
     fn call(user: u64, contract: u32, nonce: u64) -> Transaction {
@@ -76,24 +69,6 @@ mod tests {
             Amount(10),
             Amount(1),
         )
-    }
-
-    fn run_stage(stage: &mut ClassifyStage, txs: &[Transaction]) -> (ShardPlan, StageOutput) {
-        let mut ctx = EpochCtx {
-            transactions: txs,
-            fees: &[],
-            randomness: cshard_crypto::sha256(0u64.to_be_bytes()),
-            runtime: cshard_runtime::RuntimeConfig::default(),
-            plan: None,
-            groups: Vec::new(),
-            merge: None,
-            specs: Vec::new(),
-            comm: cshard_network::CommStats::new(),
-            run: None,
-            migrations: Vec::new(),
-        };
-        let out = stage.run(&mut ctx).expect("classify never fails");
-        (ctx.plan.expect("classify sets the plan"), out)
     }
 
     #[test]
@@ -118,7 +93,7 @@ mod tests {
         let mut stage = ClassifyStage::new();
         let mut full_graph = CallGraph::new();
         for batch in &epochs {
-            let (plan, _) = run_stage(&mut stage, batch);
+            let (plan, _) = stage.run(batch);
             full_graph.observe_all(batch.iter());
             let full = ShardPlan::classify(batch, &full_graph);
             assert_eq!(plan.shard_of, full.shard_of);
@@ -131,11 +106,11 @@ mod tests {
     fn repeat_senders_are_carried_not_reclassified() {
         let batch: Vec<Transaction> = (0..8).map(|u| call(u, 0, 0)).collect();
         let mut stage = ClassifyStage::new();
-        let (_, first) = run_stage(&mut stage, &batch);
+        let (_, first) = stage.run(&batch);
         assert_eq!(first.reclassified, 8, "first sight dirties everyone");
         assert_eq!(first.carried, 0);
         let repeat: Vec<Transaction> = (0..8).map(|u| call(u, 0, 1)).collect();
-        let (_, second) = run_stage(&mut stage, &repeat);
+        let (_, second) = stage.run(&repeat);
         assert_eq!(second.reclassified, 0, "no participation change");
         assert_eq!(second.carried, 8);
     }
@@ -146,13 +121,13 @@ mod tests {
             Transaction::direct(Address::user(1), 0, Address::user(9), Amount(5), Amount(1));
         for (label, first) in [("other contract", call(1, 0, 0)), ("direct", direct)] {
             let mut stage = ClassifyStage::new();
-            run_stage(&mut stage, &[first]);
-            let (plan, out) = run_stage(&mut stage, &[call(1, 1, 1)]);
+            stage.run(&[first]);
+            let (plan, out) = stage.run(&[call(1, 1, 1)]);
             assert_eq!(out.reclassified, 1, "{label}: a new contract is a change");
             assert_eq!(out.carried, 0, "{label}");
             assert_eq!(plan.maxshard, vec![0], "{label}: history forces MaxShard");
             // A pure repeat afterwards is carried and classifies the same.
-            let (plan, out) = run_stage(&mut stage, &[call(1, 1, 2)]);
+            let (plan, out) = stage.run(&[call(1, 1, 2)]);
             assert_eq!((out.reclassified, out.carried), (0, 1), "{label}");
             assert_eq!(plan.maxshard, vec![0], "{label}");
         }
@@ -162,7 +137,7 @@ mod tests {
     fn migrated_sender_is_routed_to_its_pin() {
         let mut stage = ClassifyStage::new();
         // Sender 1 calls two contracts: MultiContract, lands on MaxShard.
-        let (plan0, _) = run_stage(&mut stage, &[call(1, 0, 0), call(1, 1, 1)]);
+        let (plan0, _) = stage.run(&[call(1, 0, 0), call(1, 1, 1)]);
         assert_eq!(plan0.maxshard, vec![0, 1]);
         // Placement moves sender 1 home to contract 0's shard; a later
         // move replaces an earlier pin.
@@ -176,7 +151,7 @@ mod tests {
         // Next epoch repeats the same participation: a move alone
         // reclassifies nobody, and the home-contract call routes to the
         // pinned shard.
-        let (plan, out) = run_stage(&mut stage, &[call(1, 0, 2), call(1, 1, 3)]);
+        let (plan, out) = stage.run(&[call(1, 0, 2), call(1, 1, 3)]);
         assert_eq!((out.reclassified, out.carried), (0, 1));
         assert_eq!(
             plan.shard_of[0],

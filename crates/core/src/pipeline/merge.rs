@@ -1,8 +1,9 @@
 //! Stage 3 — Merge: the inter-shard merging game (Sec. IV-A, Algorithm 1)
 //! under unified parameters (Sec. IV-C).
 
-use super::{EpochCtx, PipelineStage, StageKind, StageOutput};
+use super::StageOutput;
 use cshard_games::{GameInputs, IterativeMergeOutcome, MergingConfig, UnifiedParameters};
+use cshard_network::CommStats;
 use cshard_primitives::{Error, Hash32, MinerId, ShardId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -90,16 +91,47 @@ impl MergeStage {
     }
 }
 
-impl PipelineStage for MergeStage {
-    fn kind(&self) -> StageKind {
-        StageKind::Merge
-    }
+/// What one epoch's merge game decided, whichever path decided it.
+struct Decision {
+    /// Merged groups, as member-index lists into the epoch's `groups`.
+    member_groups: Vec<Vec<usize>>,
+    /// Small shards left unmerged.
+    leftover: usize,
+    /// The path's counters: slots run, warm hit or miss, groups carried.
+    out: StageOutput,
+}
 
-    fn run(&mut self, ctx: &mut EpochCtx<'_>) -> Result<StageOutput, Error> {
-        let Some(mcfg) = self.config.as_ref() else {
-            return Ok(StageOutput::default());
+impl Decision {
+    /// A freshly computed outcome over `players` (each player's index into
+    /// `groups`).
+    fn computed(outcome: &IterativeMergeOutcome, players: &[usize]) -> Self {
+        Decision {
+            member_groups: outcome
+                .new_shards
+                .iter()
+                .map(|g| g.iter().filter_map(|&p| players.get(p).copied()).collect())
+                .collect(),
+            leftover: outcome.leftover.len(),
+            out: StageOutput {
+                iterations: outcome.total_slots as u64,
+                ..StageOutput::default()
+            },
+        }
+    }
+}
+
+impl MergeStage {
+    /// Merges the small shards of `groups` in place, booking the unified
+    /// broadcast on `comm`. `None` when merging is disabled.
+    pub fn run(
+        &mut self,
+        groups: &mut Vec<(ShardId, Vec<u64>)>,
+        randomness: Hash32,
+        comm: &CommStats,
+    ) -> Result<(Option<MergeSummary>, StageOutput), Error> {
+        let Some(mcfg) = self.config else {
+            return Ok((None, StageOutput::default()));
         };
-        let groups = &mut ctx.groups;
         let small: Vec<usize> = groups
             .iter()
             .enumerate()
@@ -108,161 +140,108 @@ impl PipelineStage for MergeStage {
             })
             .map(|(i, _)| i)
             .collect();
-        let shard_sizes: Vec<(ShardId, u64)> = small
-            .iter()
-            .map(|&i| (groups[i].0, groups[i].1.len() as u64))
-            .collect();
+        let sizes_of = |members: &[usize]| -> Vec<(ShardId, u64)> {
+            members
+                .iter()
+                .map(|&i| (groups[i].0, groups[i].1.len() as u64))
+                .collect()
+        };
+        let shard_sizes = sizes_of(&small);
         let miners: Vec<MinerId> = (0..u32::try_from(groups.len()).unwrap_or(u32::MAX))
             .map(MinerId::new)
             .collect();
         let params = UnifiedParameters::from_randomness(
-            ctx.randomness,
+            randomness,
             miners.clone(),
             GameInputs::Merge {
                 shard_sizes: shard_sizes.clone(),
-                config: *mcfg,
+                config: mcfg,
             },
         );
-        params.record_communication(&ctx.comm);
+        params.record_communication(comm);
         let digest = params.digest();
         // Where each small shard id currently sits in `groups`.
         let pos: BTreeMap<ShardId, usize> = small.iter().map(|&i| (groups[i].0, i)).collect();
-
-        // Decide the merged groups, as member-index lists into `groups`.
-        let mut warm_hit = false;
-        let mut warm_miss = false;
-        let mut carried_groups = 0u64;
-        let iterations: u64;
-        let leftover: usize;
-        let member_groups: Vec<Vec<usize>>;
-
-        let carry_match = self
-            .carry
-            .then_some(self.carried.as_ref())
-            .flatten()
-            .filter(|c| c.digest == digest)
-            .cloned();
-        let memo_hit = if self.warm {
-            self.memo.get(&digest).cloned()
-        } else {
-            None
+        let located = |group: &[(ShardId, u64)]| -> Vec<usize> {
+            group
+                .iter()
+                .filter_map(|(id, _)| pos.get(id).copied())
+                .collect()
         };
-        if let Some(c) = carry_match {
+
+        let carried = self.carried.as_ref().filter(|_| self.carry);
+        let mut decision = if let Some(c) = carried.filter(|c| c.digest == digest) {
             // Identical broadcast: the whole carried partition stands.
-            member_groups = c
-                .groups
-                .iter()
-                .map(|g| {
-                    g.iter()
-                        .filter_map(|(id, _)| pos.get(id).copied())
-                        .collect()
-                })
-                .collect();
-            carried_groups = member_groups.len() as u64;
-            iterations = 0;
-            leftover = small.len()
-                - member_groups
-                    .iter()
-                    .map(|g: &Vec<usize>| g.len())
-                    .sum::<usize>();
-        } else if let Some(outcome) = memo_hit {
-            warm_hit = true;
-            member_groups = outcome
-                .new_shards
-                .iter()
-                .map(|players| {
-                    players
-                        .iter()
-                        .filter_map(|&p| small.get(p).copied())
-                        .collect()
-                })
-                .collect();
-            iterations = 0;
-            leftover = outcome.leftover.len();
-        } else if let Some(c) = self.carry.then(|| self.carried.take()).flatten() {
+            let member_groups: Vec<Vec<usize>> = c.groups.iter().map(|g| located(g)).collect();
+            Decision {
+                leftover: small.len() - member_groups.iter().map(Vec::len).sum::<usize>(),
+                out: StageOutput {
+                    carried: member_groups.len() as u64,
+                    ..StageOutput::default()
+                },
+                member_groups,
+            }
+        } else if let Some(outcome) = self.memo.get(&digest) {
+            Decision {
+                out: StageOutput {
+                    warm_hits: 1,
+                    ..StageOutput::default()
+                },
+                ..Decision::computed(outcome, &small)
+            }
+        } else if let Some(c) = carried {
             // Changed inputs: keep every group whose members all survived
             // at their decision size, re-run the game for the rest.
             let size_of: BTreeMap<ShardId, u64> = shard_sizes.iter().copied().collect();
             let mut taken: BTreeSet<ShardId> = BTreeSet::new();
-            let mut decided: Vec<Vec<usize>> = Vec::new();
+            let mut kept: Vec<Vec<usize>> = Vec::new();
             for g in &c.groups {
                 let valid = !g.is_empty()
                     && g.iter()
                         .all(|(id, sz)| size_of.get(id) == Some(sz) && !taken.contains(id));
                 if valid {
                     taken.extend(g.iter().map(|(id, _)| *id));
-                    decided.push(
-                        g.iter()
-                            .filter_map(|(id, _)| pos.get(id).copied())
-                            .collect(),
-                    );
+                    kept.push(located(g));
                 }
             }
-            carried_groups = decided.len() as u64;
             let rerun: Vec<usize> = small
                 .iter()
                 .copied()
                 .filter(|&i| !taken.contains(&groups[i].0))
                 .collect();
-            let rerun_sizes: Vec<(ShardId, u64)> = rerun
-                .iter()
-                .map(|&i| (groups[i].0, groups[i].1.len() as u64))
-                .collect();
             // Same broadcast randomness, restricted player set. The full
             // broadcast's communication is already recorded above; the
             // restricted re-run is local replay work, not a second round
             // of messages.
-            let rparams = UnifiedParameters::from_randomness(
-                ctx.randomness,
+            let outcome = UnifiedParameters::from_randomness(
+                randomness,
                 miners,
                 GameInputs::Merge {
-                    shard_sizes: rerun_sizes,
-                    config: *mcfg,
+                    shard_sizes: sizes_of(&rerun),
+                    config: mcfg,
                 },
-            );
-            let outcome = rparams.merge_outcome()?;
-            iterations = outcome.total_slots as u64;
-            leftover = outcome.leftover.len();
-            decided.extend(outcome.new_shards.iter().map(|players| {
-                players
-                    .iter()
-                    .filter_map(|&p| rerun.get(p).copied())
-                    .collect::<Vec<usize>>()
-            }));
-            member_groups = decided;
+            )
+            .merge_outcome()?;
+            let mut decision = Decision::computed(&outcome, &rerun);
+            decision.out.carried = kept.len() as u64;
+            decision.member_groups.splice(0..0, kept);
+            decision
         } else {
             let outcome = params.merge_outcome()?;
+            let mut decision = Decision::computed(&outcome, &small);
             if self.warm {
-                warm_miss = true;
-                self.memo.insert(digest, outcome.clone());
+                decision.out.warm_misses = 1;
+                self.memo.insert(digest, outcome);
             }
-            member_groups = outcome
-                .new_shards
-                .iter()
-                .map(|players| {
-                    players
-                        .iter()
-                        .filter_map(|&p| small.get(p).copied())
-                        .collect()
-                })
-                .collect();
-            iterations = outcome.total_slots as u64;
-            leftover = outcome.leftover.len();
-        }
+            decision
+        };
 
         // Snapshot the decided partition (member ids + sizes) before
         // fusion rewrites the groups.
         if self.carry {
             self.carried = Some(CarriedMerge {
                 digest,
-                groups: member_groups
-                    .iter()
-                    .map(|g| {
-                        g.iter()
-                            .map(|&i| (groups[i].0, groups[i].1.len() as u64))
-                            .collect()
-                    })
-                    .collect(),
+                groups: decision.member_groups.iter().map(|g| sizes_of(g)).collect(),
             });
         }
 
@@ -270,7 +249,7 @@ impl PipelineStage for MergeStage {
         // lowest-numbered member; consumed members are dropped.
         let mut consumed: Vec<usize> = Vec::new();
         let mut fused: Vec<(ShardId, Vec<u64>)> = Vec::new();
-        for members in &member_groups {
+        for members in &decision.member_groups {
             // The merge game never emits an empty group, but a typed
             // skip keeps this off the panic path (audit rule PH001).
             let Some(id) = members.iter().map(|&g| groups[g].0).min() else {
@@ -283,11 +262,6 @@ impl PipelineStage for MergeStage {
             consumed.extend_from_slice(members);
             fused.push((id, queue));
         }
-        let summary = MergeSummary {
-            small_shards: small.len(),
-            new_shards: member_groups.len(),
-            leftover,
-        };
         consumed.sort_unstable();
         consumed.dedup();
         for &g in consumed.iter().rev() {
@@ -296,16 +270,13 @@ impl PipelineStage for MergeStage {
         groups.extend(fused);
         groups.sort_by_key(|&(shard, _)| shard);
 
-        let out = StageOutput {
-            items: summary.new_shards as u64,
-            iterations,
-            warm_hits: u64::from(warm_hit),
-            warm_misses: u64::from(warm_miss),
-            carried: carried_groups,
-            ..StageOutput::default()
+        let summary = MergeSummary {
+            small_shards: small.len(),
+            new_shards: decision.member_groups.len(),
+            leftover: decision.leftover,
         };
-        ctx.merge = Some(summary);
-        Ok(out)
+        decision.out.items = summary.new_shards as u64;
+        Ok((Some(summary), decision.out))
     }
 }
 
@@ -313,29 +284,21 @@ impl PipelineStage for MergeStage {
 mod tests {
     use super::*;
     use cshard_crypto::sha256;
-    use cshard_network::CommStats;
-    use cshard_runtime::RuntimeConfig;
 
-    fn ctx_with_groups(groups: Vec<(ShardId, Vec<u64>)>) -> EpochCtx<'static> {
-        EpochCtx {
-            transactions: &[],
-            fees: &[],
-            randomness: sha256(9u64.to_be_bytes()),
-            runtime: RuntimeConfig::default(),
-            plan: None,
-            groups,
-            merge: None,
-            specs: Vec::new(),
-            comm: CommStats::new(),
-            run: None,
-            migrations: Vec::new(),
-        }
+    type Groups = Vec<(ShardId, Vec<u64>)>;
+
+    /// Runs the stage over `groups`; returns the fused groups and counters.
+    fn run(stage: &mut MergeStage, mut groups: Groups) -> (Groups, StageOutput) {
+        let (_, out) = stage
+            .run(&mut groups, sha256(9u64.to_be_bytes()), &CommStats::new())
+            .expect("valid merge config");
+        (groups, out)
     }
 
     /// Twelve small shards (sizes 3–5) plus one large shard that never
     /// enters the game; a `lower_bound` of 10 lets several groups form.
-    fn small_world() -> Vec<(ShardId, Vec<u64>)> {
-        let mut groups: Vec<(ShardId, Vec<u64>)> = (0..12)
+    fn small_world() -> Groups {
+        let mut groups: Groups = (0..12)
             .map(|i| (ShardId::new(i), vec![1u64; 3 + (i as usize % 3)]))
             .collect();
         groups.push((ShardId::new(100), vec![2u64; 64]));
@@ -352,41 +315,35 @@ mod tests {
     #[test]
     fn identical_broadcast_reuses_the_carried_partition_bit_identically() {
         let mut carry = MergeStage::new(config(), false, true);
-        let mut c1 = ctx_with_groups(small_world());
-        let o1 = carry.run(&mut c1).expect("valid merge config");
+        let (_, o1) = run(&mut carry, small_world());
         assert!(o1.iterations > 0, "the first epoch runs the dynamics");
         assert_eq!(o1.carried, 0, "nothing to carry on first sight");
         assert!(carry.has_carried_groups());
 
-        let mut c2 = ctx_with_groups(small_world());
-        let o2 = carry.run(&mut c2).expect("valid merge config");
+        let (g2, o2) = run(&mut carry, small_world());
         assert_eq!(o2.iterations, 0, "identical broadcast re-runs nothing");
         assert_eq!(o2.carried, o2.items, "the whole partition is carried");
 
         let mut cold_stage = MergeStage::new(config(), false, false);
-        let mut cc = ctx_with_groups(small_world());
-        let oc = cold_stage.run(&mut cc).expect("valid merge config");
-        assert_eq!(c2.groups, cc.groups, "carried fusion is bit-identical");
+        let (gc, oc) = run(&mut cold_stage, small_world());
+        assert_eq!(g2, gc, "carried fusion is bit-identical");
         assert_eq!(o2.items, oc.items);
     }
 
     #[test]
     fn changed_shard_keeps_valid_groups_and_reruns_only_the_rest() {
         let mut carry = MergeStage::new(config(), false, true);
-        let mut c1 = ctx_with_groups(small_world());
-        let o1 = carry.run(&mut c1).expect("valid merge config");
+        let (_, o1) = run(&mut carry, small_world());
         assert!(o1.items >= 2, "the world must form several groups");
 
         // Grow one small shard by a transaction: only groups containing
         // it go invalid; everything else stands at its decision size.
         let mut grown = small_world();
         grown[0].1.push(7);
-        let mut c2 = ctx_with_groups(grown.clone());
-        let o2 = carry.run(&mut c2).expect("valid merge config");
+        let (_, o2) = run(&mut carry, grown.clone());
 
         let mut cold_stage = MergeStage::new(config(), false, false);
-        let mut cc = ctx_with_groups(grown);
-        let oc = cold_stage.run(&mut cc).expect("valid merge config");
+        let (_, oc) = run(&mut cold_stage, grown);
 
         assert!(o2.carried >= 1, "groups without the grown shard stand");
         assert!(
@@ -400,8 +357,7 @@ mod tests {
     #[test]
     fn fully_invalidated_carry_matches_a_cold_recompute() {
         let mut carry = MergeStage::new(config(), false, true);
-        let mut c1 = ctx_with_groups(small_world());
-        carry.run(&mut c1).expect("valid merge config");
+        run(&mut carry, small_world());
 
         // Grow every small shard: no carried group survives validation,
         // so the re-run covers the full player set under the same
@@ -412,15 +368,13 @@ mod tests {
                 queue.push(3);
             }
         }
-        let mut c2 = ctx_with_groups(grown.clone());
-        let o2 = carry.run(&mut c2).expect("valid merge config");
+        let (g2, o2) = run(&mut carry, grown.clone());
 
         let mut cold_stage = MergeStage::new(config(), false, false);
-        let mut cc = ctx_with_groups(grown);
-        let oc = cold_stage.run(&mut cc).expect("valid merge config");
+        let (gc, oc) = run(&mut cold_stage, grown);
 
         assert_eq!(o2.carried, 0, "no group survives a global size drift");
         assert_eq!(o2.iterations, oc.iterations);
-        assert_eq!(c2.groups, cc.groups, "full re-run is bit-identical");
+        assert_eq!(g2, gc, "full re-run is bit-identical");
     }
 }

@@ -1,38 +1,42 @@
-//! The staged epoch pipeline: one implementation of the paper's per-epoch
+//! The epoch pipeline: one implementation of the paper's per-epoch
 //! protocol.
 //!
 //! Every consumer of the protocol — [`crate::system::ShardingSystem`] on a
 //! single workload, [`crate::longrun::LongRun`] across epochs, the fault
-//! harness replaying the same drivers — runs the *same* fixed sequence:
+//! harness replaying the same drivers — enters through
+//! [`EpochPipeline::run_epoch_observed`], which is six calls in a fixed
+//! order, each one's product the next one's argument:
 //!
 //! ```text
 //! Classify → Form → Merge → Select → Unify → Place
 //! ```
 //!
-//! * [`ClassifyStage`] (Sec. III-A) — absorb the batch into the owned call
-//!   graph and classify every transaction into contract shards + MaxShard.
-//! * [`FormStage`] — materialize per-shard local fee queues from the plan.
-//! * [`MergeStage`] (Sec. IV-A) — run Algorithm 1 over the small shards
-//!   under unified parameters and fuse the merged queues. With placement
-//!   enabled it carries merge groups across epochs, re-validating each
-//!   carried group and re-running the dynamics only where sizes moved.
-//! * [`SelectStage`] (Sec. III-B / IV-B) — allocate miners to shards and
-//!   attach each shard's selection strategy.
-//! * [`UnifyStage`] (Sec. IV-C) — every miner replays the agreed
+//! * [`ClassifyStage::run`] (Sec. III-A) — absorb the batch into the owned
+//!   call graph and classify every transaction into contract shards +
+//!   MaxShard: `batch -> ShardPlan`.
+//! * [`form`] — materialize per-shard local fee queues: `(&plan, fees) ->
+//!   groups`.
+//! * [`MergeStage::run`] (Sec. IV-A) — run Algorithm 1 over the small
+//!   shards under unified parameters and fuse the merged queues in place.
+//!   With placement enabled it carries merge groups across epochs,
+//!   re-validating each carried group and re-running the dynamics only
+//!   where sizes moved.
+//! * [`SelectStage::run`] (Sec. III-B / IV-B) — allocate miners to shards
+//!   and attach each shard's selection strategy: `groups -> specs`.
+//! * [`UnifyStage::run`] (Sec. IV-C) — every miner replays the agreed
 //!   parameters; the block-production runtime drives all shards to
-//!   completion.
-//! * [`PlacementStage`] — observe the epoch's MaxShard traffic and, when
-//!   placement is enabled, propose hot-account migrations that take
+//!   completion: `(&specs, &runtime) -> RunReport`.
+//! * [`PlacementStage::run`] — observe the epoch's MaxShard traffic and,
+//!   when placement is enabled, propose hot-account migrations that take
 //!   effect next epoch (off by default; bit-invisible when off).
 //!
-//! Each stage is a struct implementing [`PipelineStage`]: it reads and
-//! writes the epoch's [`EpochCtx`] and may carry **persistent cross-epoch
-//! state** (the classifier's accumulated call graph, the merge stage's
-//! outcome memo, the unify stage's per-shard warm caches). Warm-start
-//! state never changes results — identical inputs reach bit-identical
-//! equilibria, only the iteration counters shrink — and is off by default
-//! ([`PipelineConfig::warm_start`]), which keeps every golden fingerprint
-//! byte-identical to the pre-pipeline code.
+//! The stage structs exist for their **persistent cross-epoch state** (the
+//! classifier's accumulated call graph and pins, the merge stage's outcome
+//! memo and carried groups, the unify stage's per-shard warm caches, the
+//! placement engine's traffic counters). Warm-start state never changes
+//! results — identical inputs reach bit-identical equilibria, only the
+//! iteration counters shrink — and is off by default
+//! ([`PipelineConfig::warm_start`]).
 //!
 //! Instrumentation is split per the determinism contract: iteration and
 //! item *counts* (sim-clock-free) accumulate in [`PipelineMetrics`] inside
@@ -41,14 +45,12 @@
 //! rule ND001 keeps such reads out of protocol crates).
 
 pub mod classify;
-pub mod form;
 pub mod merge;
 pub mod place;
 pub mod select;
 pub mod unify;
 
 pub use classify::ClassifyStage;
-pub use form::FormStage;
 pub use merge::{MergeStage, MergeSummary};
 pub use place::PlacementStage;
 pub use select::SelectStage;
@@ -61,7 +63,7 @@ use cshard_ledger::Transaction;
 use cshard_network::CommStats;
 use cshard_place::{Migration, PlacementConfig};
 use cshard_primitives::{Error, Hash32, ShardId};
-use cshard_runtime::{RunReport, RuntimeConfig, ShardSpec};
+use cshard_runtime::{RunReport, RuntimeConfig};
 
 /// The six stages, in execution order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,17 +104,6 @@ impl StageKind {
             StageKind::Place => "place",
         }
     }
-
-    fn index(self) -> usize {
-        match self {
-            StageKind::Classify => 0,
-            StageKind::Form => 1,
-            StageKind::Merge => 2,
-            StageKind::Select => 3,
-            StageKind::Unify => 4,
-            StageKind::Place => 5,
-        }
-    }
 }
 
 /// What one stage reports for one epoch: counts only, no clocks.
@@ -146,27 +137,26 @@ pub struct StageOutput {
     pub carried: u64,
 }
 
+impl std::ops::AddAssign for StageOutput {
+    fn add_assign(&mut self, rhs: Self) {
+        self.items += rhs.items;
+        self.iterations += rhs.iterations;
+        self.warm_hits += rhs.warm_hits;
+        self.warm_misses += rhs.warm_misses;
+        self.tasks_scheduled += rhs.tasks_scheduled;
+        self.tasks_skipped += rhs.tasks_skipped;
+        self.reclassified += rhs.reclassified;
+        self.carried += rhs.carried;
+    }
+}
+
 /// Cumulative per-stage counters across a pipeline's lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageCounters {
     /// Epochs this stage ran in.
     pub runs: u64,
-    /// Sum of [`StageOutput::items`].
-    pub items: u64,
-    /// Sum of [`StageOutput::iterations`].
-    pub iterations: u64,
-    /// Sum of [`StageOutput::warm_hits`].
-    pub warm_hits: u64,
-    /// Sum of [`StageOutput::warm_misses`].
-    pub warm_misses: u64,
-    /// Sum of [`StageOutput::tasks_scheduled`].
-    pub tasks_scheduled: u64,
-    /// Sum of [`StageOutput::tasks_skipped`].
-    pub tasks_skipped: u64,
-    /// Sum of [`StageOutput::reclassified`].
-    pub reclassified: u64,
-    /// Sum of [`StageOutput::carried`].
-    pub carried: u64,
+    /// Field-wise sum of the stage's per-epoch [`StageOutput`]s.
+    pub totals: StageOutput,
 }
 
 /// Iteration accounting for a whole pipeline, surfaced in
@@ -182,43 +172,18 @@ pub struct PipelineMetrics {
 impl PipelineMetrics {
     /// The cumulative counters of one stage.
     pub fn stage(&self, kind: StageKind) -> &StageCounters {
-        &self.counters[kind.index()]
+        &self.counters[kind as usize]
     }
 
     /// Total game-dynamics iterations across all stages and epochs — the
     /// number warm starts strictly shrink.
     pub fn total_iterations(&self) -> u64 {
-        self.counters.iter().map(|c| c.iterations).sum()
+        self.counters.iter().map(|c| c.totals.iterations).sum()
     }
 
     /// Total warm-start cache hits across all stages.
     pub fn total_warm_hits(&self) -> u64 {
-        self.counters.iter().map(|c| c.warm_hits).sum()
-    }
-
-    /// Total scheduler task slots admitted across all stages and epochs.
-    pub fn total_tasks_scheduled(&self) -> u64 {
-        self.counters.iter().map(|c| c.tasks_scheduled).sum()
-    }
-
-    /// Total scheduler task slots skipped (idle shards never scheduled)
-    /// across all stages and epochs — the number the shard-lifecycle
-    /// scheduler exists to make nonzero on sparse workloads.
-    pub fn total_tasks_skipped(&self) -> u64 {
-        self.counters.iter().map(|c| c.tasks_skipped).sum()
-    }
-
-    fn absorb(&mut self, kind: StageKind, out: &StageOutput) {
-        let c = &mut self.counters[kind.index()];
-        c.runs += 1;
-        c.items += out.items;
-        c.iterations += out.iterations;
-        c.warm_hits += out.warm_hits;
-        c.warm_misses += out.warm_misses;
-        c.tasks_scheduled += out.tasks_scheduled;
-        c.tasks_skipped += out.tasks_skipped;
-        c.reclassified += out.reclassified;
-        c.carried += out.carried;
+        self.counters.iter().map(|c| c.totals.warm_hits).sum()
     }
 }
 
@@ -227,13 +192,9 @@ impl PipelineMetrics {
 /// brackets each stage with its own `Instant` reads.
 pub trait StageObserver {
     /// Called immediately before a stage runs.
-    fn stage_started(&mut self, stage: StageKind) {
-        let _ = stage;
-    }
+    fn stage_started(&mut self, _stage: StageKind) {}
     /// Called after the stage completed, with its counters.
-    fn stage_finished(&mut self, stage: StageKind, output: &StageOutput) {
-        let _ = (stage, output);
-    }
+    fn stage_finished(&mut self, _stage: StageKind, _output: &StageOutput) {}
 }
 
 /// The do-nothing observer [`EpochPipeline::run_epoch`] uses.
@@ -287,34 +248,6 @@ pub struct EpochInput<'a> {
     pub runtime: RuntimeConfig,
 }
 
-/// The working state stages read and write while an epoch executes.
-#[derive(Debug)]
-pub struct EpochCtx<'a> {
-    /// The epoch's transaction batch.
-    pub transactions: &'a [Transaction],
-    /// Fee of each transaction, by batch index.
-    pub fees: &'a [u64],
-    /// The epoch's leader randomness.
-    pub randomness: Hash32,
-    /// Block-production parameters.
-    pub runtime: RuntimeConfig,
-    /// Set by [`ClassifyStage`]: the batch's shard plan.
-    pub plan: Option<ShardPlan>,
-    /// Set by [`FormStage`], rewritten by [`MergeStage`]: per-shard local
-    /// fee queues, in shard-id order.
-    pub groups: Vec<(ShardId, Vec<u64>)>,
-    /// Set by [`MergeStage`] when merging is enabled.
-    pub merge: Option<MergeSummary>,
-    /// Set by [`SelectStage`]: one runtime spec per shard.
-    pub specs: Vec<ShardSpec>,
-    /// Cross-shard communication booked during the epoch.
-    pub comm: CommStats,
-    /// Set by [`UnifyStage`]: the epoch's block-production report.
-    pub run: Option<RunReport>,
-    /// Set by [`PlacementStage`]: migrations to take effect next epoch.
-    pub migrations: Vec<Migration>,
-}
-
 /// One completed epoch, as the pipeline hands it back.
 #[derive(Clone, Debug)]
 pub struct EpochRun {
@@ -335,33 +268,37 @@ pub struct EpochRun {
     pub migrations: Vec<Migration>,
 }
 
-/// One pipeline stage: reads and writes the [`EpochCtx`], may keep
-/// persistent cross-epoch state on `self`, and reports sim-clock-free
-/// counters. See the module docs for the "writing a new stage" contract
-/// (DESIGN.md §4 walks through an example).
-pub trait PipelineStage {
-    /// Which of the six slots this stage fills.
-    fn kind(&self) -> StageKind;
-    /// Executes the stage for one epoch.
-    fn run(&mut self, ctx: &mut EpochCtx<'_>) -> Result<StageOutput, Error>;
-}
-
-/// A typed out-of-order error: `stage` ran before the stage that produces
-/// its input. Unreachable through [`EpochPipeline`], which fixes the
-/// order; kept typed so a hand-assembled pipeline cannot panic (PH001).
-pub(crate) fn missing_product(stage: &'static str, needs: &'static str) -> Error {
-    Error::Config {
-        field: "pipeline",
-        reason: format!("{stage} stage ran before {needs} produced its output"),
+/// Per-shard local fee queues from the classify stage's plan — contract
+/// shards in id order, the MaxShard last (its id sorts highest, so the
+/// order survives the merge stage's re-sort).
+pub fn form(plan: &ShardPlan, fees: &[u64]) -> Vec<(ShardId, Vec<u64>)> {
+    let queue = |idxs: &[usize]| idxs.iter().map(|&i| fees[i]).collect();
+    let mut groups: Vec<(ShardId, Vec<u64>)> = plan
+        .contract_shards
+        .iter()
+        .map(|(&shard, idxs)| (shard, queue(idxs)))
+        .collect();
+    if !plan.maxshard.is_empty() {
+        groups.push((ShardId::MAX_SHARD, queue(&plan.maxshard)));
     }
+    groups
 }
 
-/// The staged epoch driver: owns the six stages and their cross-epoch
-/// state, and runs them in order once per [`EpochPipeline::run_epoch`].
+/// Pairs a stage's product with an output counting its length.
+fn counted<T>(product: Vec<T>) -> (Vec<T>, StageOutput) {
+    let out = StageOutput {
+        items: product.len() as u64,
+        ..StageOutput::default()
+    };
+    (product, out)
+}
+
+/// The epoch driver: owns the stages' cross-epoch state and runs the six
+/// calls in order once per [`EpochPipeline::run_epoch`].
 #[derive(Debug)]
 pub struct EpochPipeline {
+    config: PipelineConfig,
     classify: ClassifyStage,
-    form: FormStage,
     merge: MergeStage,
     select: SelectStage,
     unify: UnifyStage,
@@ -372,11 +309,10 @@ pub struct EpochPipeline {
 impl EpochPipeline {
     /// Builds a pipeline; each stage takes its slice of the configuration.
     pub fn new(config: PipelineConfig) -> Self {
-        let carry = config.placement.enabled && config.placement.carry_merge_groups;
         EpochPipeline {
+            config,
             classify: ClassifyStage::new(),
-            form: FormStage::new(),
-            merge: MergeStage::new(config.merging, config.warm_start, carry),
+            merge: MergeStage::new(config.merging, config.warm_start, config.placement.enabled),
             select: SelectStage::new(config.allocation, config.selection),
             unify: UnifyStage::new(config.warm_start),
             place: PlacementStage::new(config.placement),
@@ -397,63 +333,78 @@ impl EpochPipeline {
     /// Like [`EpochPipeline::run_epoch`], bracketing every stage with the
     /// observer's hooks (how the bench harness times stages without this
     /// crate touching a clock).
+    ///
+    /// Errors — before any stage runs — on a malformed runtime, merging or
+    /// placement configuration; a pipeline is constructible from raw
+    /// config structs, so this is where they are checked.
     pub fn run_epoch_observed(
         &mut self,
         input: EpochInput<'_>,
         observer: &mut dyn StageObserver,
     ) -> Result<EpochRun, Error> {
-        input.runtime.validate()?;
-        let mut ctx = EpochCtx {
-            transactions: input.transactions,
-            fees: input.fees,
-            randomness: input.randomness,
-            runtime: input.runtime,
-            plan: None,
-            groups: Vec::new(),
-            merge: None,
-            specs: Vec::new(),
-            comm: CommStats::new(),
-            run: None,
-            migrations: Vec::new(),
-        };
-        let EpochPipeline {
-            classify,
-            form,
-            merge,
-            select,
-            unify,
-            place,
-            metrics,
-        } = self;
-        let stages: [&mut dyn PipelineStage; 6] =
-            [&mut *classify, form, merge, select, unify, place];
-        for stage in stages {
-            let kind = stage.kind();
-            observer.stage_started(kind);
-            let out = stage.run(&mut ctx)?;
-            metrics.absorb(kind, &out);
-            observer.stage_finished(kind, &out);
+        let EpochInput {
+            transactions,
+            fees,
+            randomness,
+            runtime,
+        } = input;
+        runtime.validate()?;
+        if let Some(merging) = &self.config.merging {
+            merging.validate()?;
         }
+        self.config.placement.validate()?;
+
+        let comm = CommStats::new();
+        let metrics = &mut self.metrics;
+        let plan = observed(StageKind::Classify, metrics, observer, || {
+            Ok(self.classify.run(transactions))
+        })?;
+        let mut groups = observed(StageKind::Form, metrics, observer, || {
+            Ok(counted(form(&plan, fees)))
+        })?;
+        let merge = observed(StageKind::Merge, metrics, observer, || {
+            self.merge.run(&mut groups, randomness, &comm)
+        })?;
+        let shard_sizes = groups.iter().map(|(s, q)| (*s, q.len() as u64)).collect();
+        let specs = observed(StageKind::Select, metrics, observer, || {
+            self.select.run(groups).map(counted)
+        })?;
+        let run = observed(StageKind::Unify, metrics, observer, || {
+            self.unify.run(&specs, &runtime)
+        })?;
+        let migrations = observed(StageKind::Place, metrics, observer, || {
+            Ok(self.place.run(transactions, &plan))
+        })?;
         metrics.epochs += 1;
         // Feed the epoch's migrations back into the classifier so the
         // moves take effect from the next epoch on.
-        classify.apply_migrations(&ctx.migrations);
-        let (Some(plan), Some(run)) = (ctx.plan.take(), ctx.run.take()) else {
-            return Err(missing_product("report", "a mandatory stage"));
-        };
+        self.classify.apply_migrations(&migrations);
         Ok(EpochRun {
             plan,
-            shard_sizes: ctx
-                .groups
-                .iter()
-                .map(|(s, q)| (*s, q.len() as u64))
-                .collect(),
-            merge: ctx.merge,
-            comm: ctx.comm,
+            shard_sizes,
+            merge,
+            comm,
             run,
-            migrations: ctx.migrations,
+            migrations,
         })
     }
+}
+
+/// Brackets one stage call with the observer's hooks and books the
+/// stage's counters.
+fn observed<T>(
+    kind: StageKind,
+    metrics: &mut PipelineMetrics,
+    observer: &mut dyn StageObserver,
+    stage: impl FnOnce() -> Result<(T, StageOutput), Error>,
+) -> Result<T, Error> {
+    observer.stage_started(kind);
+    let (product, out) = stage()?;
+    let counters = &mut metrics.counters[kind as usize];
+    counters.runs += 1;
+    counters.totals += out;
+    observer.stage_finished(kind, &out);
+    Ok(product)
 }
 
 #[cfg(test)]
@@ -514,7 +465,7 @@ mod tests {
             assert_eq!(m.stage(kind).runs, 3, "{} runs", kind.name());
         }
         // 4 contract shards + MaxShard, every epoch.
-        assert_eq!(m.stage(StageKind::Form).items, 15);
+        assert_eq!(m.stage(StageKind::Form).totals.items, 15);
         // No games configured: zero dynamics iterations.
         assert_eq!(m.total_iterations(), 0);
     }

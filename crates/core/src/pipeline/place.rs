@@ -1,27 +1,24 @@
 //! Stage 6 — Place: cross-epoch placement decisions.
 //!
-//! Runs last so it sees the epoch whole: the classified plan (who routed
-//! to the MaxShard), the post-merge shard sizes and the communication the
-//! epoch actually booked. It feeds the persistent [`PlacementEngine`] and
-//! emits the epoch's [`Migration`] list into the context; the pipeline
-//! applies those to the classify stage *after* the epoch completes, so a
-//! move decided in epoch `e` reroutes traffic from epoch `e + 1` on —
-//! matching the runtime side, where the migrating driver executes the
-//! move at the start of the next epoch's run.
+//! Runs last, over the classified plan (who routed to the MaxShard). It
+//! feeds the persistent [`PlacementEngine`] and returns the epoch's
+//! [`Migration`] list; the pipeline applies those to the classify stage
+//! *after* the epoch completes, so a move decided in epoch `e` reroutes
+//! traffic from epoch `e + 1` on — matching the runtime side, where the
+//! migrating driver executes the move at the start of the next epoch's
+//! run.
 
-use super::{missing_product, EpochCtx, PipelineStage, StageKind, StageOutput};
+use super::{counted, StageOutput};
 use crate::formation::ShardPlan;
-use cshard_ledger::TxKind;
+use cshard_ledger::{Transaction, TxKind};
 use cshard_place::{Migration, PlacementConfig, PlacementEngine};
-use cshard_primitives::{Error, ShardId};
+use cshard_primitives::ShardId;
 
 /// The placement stage: disabled it is a no-op with a default output —
 /// bit-invisible, like a disabled merge stage — and enabled it observes
-/// MaxShard traffic and proposes hot-account migrations when the epoch's
-/// load imbalance crosses the configured threshold.
+/// MaxShard traffic and proposes hot-account migrations.
 #[derive(Debug)]
 pub struct PlacementStage {
-    config: PlacementConfig,
     engine: PlacementEngine,
 }
 
@@ -29,7 +26,6 @@ impl PlacementStage {
     /// Builds the stage; the engine persists across epochs.
     pub fn new(config: PlacementConfig) -> Self {
         PlacementStage {
-            config,
             engine: PlacementEngine::new(config),
         }
     }
@@ -38,61 +34,43 @@ impl PlacementStage {
     pub fn engine(&self) -> &PlacementEngine {
         &self.engine
     }
-}
 
-impl PipelineStage for PlacementStage {
-    fn kind(&self) -> StageKind {
-        StageKind::Place
-    }
-
-    fn run(&mut self, ctx: &mut EpochCtx<'_>) -> Result<StageOutput, Error> {
-        if !self.config.enabled {
-            return Ok(StageOutput::default());
+    /// Feeds `batch`'s MaxShard-routed contract calls to the engine and
+    /// returns the migrations it proposes for the next epoch.
+    pub fn run(
+        &mut self,
+        batch: &[Transaction],
+        plan: &ShardPlan,
+    ) -> (Vec<Migration>, StageOutput) {
+        if !self.engine.config().enabled {
+            return (Vec::new(), StageOutput::default());
         }
-        let plan = ctx
-            .plan
-            .as_ref()
-            .ok_or_else(|| missing_product("place", "classify"))?;
         for &i in &plan.maxshard {
-            if let Some(tx) = ctx.transactions.get(i) {
+            if let Some(tx) = batch.get(i) {
                 if let TxKind::ContractCall { contract, .. } = &tx.kind {
                     self.engine.observe(tx.sender, *contract);
                 }
             }
         }
-        let sizes: Vec<(ShardId, u64)> = ctx
-            .groups
-            .iter()
-            .map(|(s, q)| (*s, q.len() as u64))
+        let migrations = self
+            .engine
+            .propose()
+            .into_iter()
+            .map(|hot| Migration {
+                account: hot.account,
+                from: ShardId::MAX_SHARD,
+                to: ShardPlan::shard_for_contract(hot.contract),
+                txs: hot.txs,
+            })
             .collect();
-        let imbalance = PlacementEngine::imbalance(&sizes, &ctx.comm.snapshot());
-        if imbalance >= self.config.min_imbalance {
-            ctx.migrations = self
-                .engine
-                .propose()
-                .into_iter()
-                .map(|hot| Migration {
-                    account: hot.account,
-                    from: ShardId::MAX_SHARD,
-                    to: ShardPlan::shard_for_contract(hot.contract),
-                    txs: hot.txs,
-                })
-                .collect();
-        }
-        Ok(StageOutput {
-            items: ctx.migrations.len() as u64,
-            ..StageOutput::default()
-        })
+        counted(migrations)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cshard_ledger::Transaction;
-    use cshard_network::CommStats;
-    use cshard_primitives::{Address, Amount, ContractId, Hash32};
-    use cshard_runtime::RuntimeConfig;
+    use cshard_primitives::{Address, Amount, ContractId};
 
     fn call(user: u64, contract: u32, nonce: u64) -> Transaction {
         Transaction::call(
@@ -125,21 +103,7 @@ mod tests {
             maxshard,
             shard_of,
         };
-        let mut ctx = EpochCtx {
-            transactions: txs,
-            fees: &[],
-            randomness: Hash32::default(),
-            runtime: RuntimeConfig::default(),
-            plan: Some(plan),
-            groups: Vec::new(),
-            merge: None,
-            specs: Vec::new(),
-            comm: CommStats::new(),
-            run: None,
-            migrations: Vec::new(),
-        };
-        let out = stage.run(&mut ctx).expect("place never fails with a plan");
-        (ctx.migrations, out)
+        stage.run(txs, &plan)
     }
 
     #[test]
@@ -178,18 +142,5 @@ mod tests {
         // The same epoch again proposes nothing: the account moved.
         let (again, _) = run_stage(&mut stage, &txs, vec![0, 1, 2, 3, 4]);
         assert!(again.is_empty());
-    }
-
-    #[test]
-    fn imbalance_threshold_gates_proposals() {
-        let mut stage = PlacementStage::new(PlacementConfig {
-            min_imbalance: 100.0,
-            ..PlacementConfig::engaged()
-        });
-        let txs: Vec<Transaction> = (0..5).map(|n| call(1, 3, n)).collect();
-        // Empty groups -> imbalance 0.0 < 100.0: observed but not proposed.
-        let (migrations, _) = run_stage(&mut stage, &txs, vec![0, 1, 2, 3, 4]);
-        assert!(migrations.is_empty());
-        assert_eq!(stage.engine().tracked_senders(), 1);
     }
 }

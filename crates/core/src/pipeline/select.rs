@@ -1,9 +1,8 @@
 //! Stage 4 — Select: miner allocation (Sec. III-B) and per-shard selection
 //! strategy (Sec. IV-B).
 
-use super::{EpochCtx, PipelineStage, StageKind, StageOutput};
 use crate::system::MinerAllocation;
-use cshard_primitives::Error;
+use cshard_primitives::{Error, ShardId};
 use cshard_runtime::{SelectionStrategy, ShardSpec};
 
 /// Splits `total` miners over shards proportionally to `sizes`, giving
@@ -51,15 +50,9 @@ impl SelectStage {
             selection,
         }
     }
-}
 
-impl PipelineStage for SelectStage {
-    fn kind(&self) -> StageKind {
-        StageKind::Select
-    }
-
-    fn run(&mut self, ctx: &mut EpochCtx<'_>) -> Result<StageOutput, Error> {
-        let groups = &ctx.groups;
+    /// One runtime spec per shard; the fee queues move into the specs.
+    pub fn run(&self, groups: Vec<(ShardId, Vec<u64>)>) -> Result<Vec<ShardSpec>, Error> {
         let per_shard_miners: Vec<usize> = match self.allocation {
             MinerAllocation::OnePerShard => vec![1; groups.len()],
             MinerAllocation::PerShard(n) => {
@@ -87,28 +80,22 @@ impl PipelineStage for SelectStage {
                 )
             }
         };
-        let specs: Vec<ShardSpec> = groups
-            .iter()
-            .zip(&per_shard_miners)
-            .map(|((shard, queue), &miners)| {
+        Ok(groups
+            .into_iter()
+            .zip(per_shard_miners)
+            .map(|((shard, fees), miners)| {
                 let strategy = match self.selection {
                     Some(max_rounds) if miners > 1 => SelectionStrategy::Equilibrium { max_rounds },
                     _ => SelectionStrategy::IdenticalGreedy,
                 };
                 ShardSpec {
-                    shard: *shard,
-                    fees: queue.clone(),
+                    shard,
+                    fees,
                     miners,
                     strategy,
                 }
             })
-            .collect();
-        let out = StageOutput {
-            items: specs.len() as u64,
-            ..StageOutput::default()
-        };
-        ctx.specs = specs;
-        Ok(out)
+            .collect())
     }
 }
 

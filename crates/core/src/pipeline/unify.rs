@@ -7,10 +7,10 @@
 //! `ShardingSystem`, the long run, and (through the same driver type) the
 //! fault harness all end here.
 
-use super::{EpochCtx, PipelineStage, StageKind, StageOutput};
+use super::StageOutput;
 use cshard_games::SelectionWarmCache;
 use cshard_primitives::{Error, ShardId};
-use cshard_runtime::{ContractShardDriver, Runtime, ShardSpec};
+use cshard_runtime::{ContractShardDriver, RunReport, Runtime, RuntimeConfig, ShardSpec};
 use std::collections::BTreeMap;
 
 /// Runs the epoch. With warm starts enabled, each shard's
@@ -40,40 +40,35 @@ impl UnifyStage {
             .values()
             .fold((0, 0), |(h, m), c| (h + c.hits(), m + c.misses()))
     }
-}
 
-impl PipelineStage for UnifyStage {
-    fn kind(&self) -> StageKind {
-        StageKind::Unify
-    }
-
-    fn run(&mut self, ctx: &mut EpochCtx<'_>) -> Result<StageOutput, Error> {
+    /// Drives every shard of `specs` to completion under `runtime`.
+    pub fn run(
+        &mut self,
+        specs: &[ShardSpec],
+        runtime: &RuntimeConfig,
+    ) -> Result<(RunReport, StageOutput), Error> {
         // The same validation `cshard_runtime::simulate` performs, ahead
         // of driver construction (whose constructor asserts).
-        ShardSpec::validate_all(&ctx.specs)?;
+        ShardSpec::validate_all(specs)?;
         let (hits_before, misses_before) = self.cache_counts();
-        let drivers: Vec<ContractShardDriver> = ctx
-            .specs
+        let drivers: Vec<ContractShardDriver> = specs
             .iter()
             .map(|spec| {
                 if self.warm {
-                    let cache = match self.caches.remove(&spec.shard) {
-                        Some(carried) => carried,
-                        None => SelectionWarmCache::new(),
-                    };
-                    ContractShardDriver::with_warm_cache(spec, &ctx.runtime, cache)
+                    let cache = self.caches.remove(&spec.shard).unwrap_or_default();
+                    ContractShardDriver::with_warm_cache(spec, runtime, cache)
                 } else {
-                    ContractShardDriver::new(spec, &ctx.runtime)
+                    ContractShardDriver::new(spec, runtime)
                 }
             })
             .collect();
         let outcome = Runtime::builder()
-            .scheduler(ctx.runtime.scheduler)
+            .scheduler(runtime.scheduler)
             .run(drivers)?;
         let (run, finished, sched) = (outcome.report, outcome.drivers, outcome.sched);
 
         let mut epoch_rounds = 0;
-        for (spec, driver) in ctx.specs.iter().zip(finished) {
+        for (spec, driver) in specs.iter().zip(finished) {
             epoch_rounds += driver.selection_stats().rounds;
             if self.warm {
                 if let Some(cache) = driver.into_warm_cache() {
@@ -84,7 +79,7 @@ impl PipelineStage for UnifyStage {
         let (hits_after, misses_after) = self.cache_counts();
 
         let out = StageOutput {
-            items: ctx.specs.len() as u64,
+            items: specs.len() as u64,
             iterations: epoch_rounds,
             warm_hits: hits_after - hits_before,
             warm_misses: misses_after - misses_before,
@@ -92,7 +87,6 @@ impl PipelineStage for UnifyStage {
             tasks_skipped: sched.skipped(),
             ..StageOutput::default()
         };
-        ctx.run = Some(run);
-        Ok(out)
+        Ok((run, out))
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! [`ShardingSystem::run`] is the whole pipeline of the paper on one
 //! workload, driven through the staged [`EpochPipeline`]
-//! (`Classify → Form → Merge → Select → Unify`, see [`crate::pipeline`]):
+//! (`Classify → Form → Merge → Select → Unify → Place`, see
+//! [`crate::pipeline`]):
 //!
 //! 1. **Formation** (Sec. III-A) — classify transactions into contract
 //!    shards + MaxShard via the call graph.

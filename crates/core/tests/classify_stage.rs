@@ -9,14 +9,11 @@
 #[path = "../../ledger/tests/reference/mod.rs"]
 mod reference;
 
-use cshard_core::pipeline::{ClassifyStage, EpochCtx, PipelineStage};
+use cshard_core::pipeline::ClassifyStage;
 use cshard_core::ShardPlan;
-use cshard_crypto::sha256;
 use cshard_ledger::{Transaction, TxKind};
-use cshard_network::CommStats;
 use cshard_place::Migration;
 use cshard_primitives::{Address, ShardId, SimTime};
-use cshard_runtime::RuntimeConfig;
 use cshard_sim::SimRng;
 use cshard_workload::{SpamFlood, StreamConfig, TxStream};
 use reference::ReferenceGraph;
@@ -25,25 +22,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Runs just the classify stage over one batch and returns its plan plus
 /// (reclassified, carried).
 fn run_stage(stage: &mut ClassifyStage, batch: &[Transaction]) -> (ShardPlan, u64, u64) {
-    let mut ctx = EpochCtx {
-        transactions: batch,
-        fees: &[],
-        randomness: sha256(0u64.to_be_bytes()),
-        runtime: RuntimeConfig::default(),
-        plan: None,
-        groups: Vec::new(),
-        merge: None,
-        specs: Vec::new(),
-        comm: CommStats::new(),
-        run: None,
-        migrations: Vec::new(),
-    };
-    let out = stage.run(&mut ctx).expect("classification is total");
-    (
-        ctx.plan.expect("classify sets the plan"),
-        out.reclassified,
-        out.carried,
-    )
+    let (plan, out) = stage.run(batch);
+    (plan, out.reclassified, out.carried)
 }
 
 /// The fuzz grid: seed-indexed churn patterns. Small account pools make

@@ -30,7 +30,7 @@ fn testbed_run_confirms_everything() {
     assert!(report.run.shards.iter().all(|s| s.confirmed == s.txs));
     // The pipeline counters describe the one epoch this run was.
     assert_eq!(report.pipeline.epochs, 1);
-    assert_eq!(report.pipeline.stage(StageKind::Unify).items, 9);
+    assert_eq!(report.pipeline.stage(StageKind::Unify).totals.items, 9);
 }
 
 #[test]
@@ -326,7 +326,7 @@ fn carried_merge_groups_match_cold_recompute_over_200_seeds() {
                     .expect("valid config");
                 runs.push((out.run.fingerprint(), out.shard_sizes, out.migrations));
             }
-            let merge = *pipeline.metrics().stage(StageKind::Merge);
+            let merge = pipeline.metrics().stage(StageKind::Merge).totals;
             (runs, merge)
         };
         let (cold_runs, cold_merge) = drive(PlacementConfig::disabled());
@@ -410,4 +410,106 @@ fn warm_start_is_bit_identical_with_strictly_fewer_iterations() {
         warm_total += warm_iters;
     }
     assert!(warm_total < cold_total);
+}
+
+/// `StageCounters` is the observer's view, summed: over three epochs each
+/// stage's `totals` equals the field-wise sum of the `StageOutput`s the
+/// observer was handed for it.
+#[test]
+fn stage_counters_sum_stage_outputs() {
+    #[derive(Default)]
+    struct Seen(Vec<(StageKind, StageOutput)>);
+    impl StageObserver for Seen {
+        fn stage_finished(&mut self, stage: StageKind, output: &StageOutput) {
+            self.0.push((stage, *output));
+        }
+    }
+    let w = Workload::with_small_shards(200, 9, 4, &[3, 4, 5, 4], FEES, 17);
+    let fees = w.fees();
+    // Merging, selection and warm starts on, so iteration, warm-cache and
+    // scheduler counters are all live.
+    let mut pipeline = EpochPipeline::new(PipelineConfig {
+        merging: Some(MergingConfig {
+            lower_bound: 16,
+            ..MergingConfig::default()
+        }),
+        selection: Some(500),
+        allocation: MinerAllocation::PerShard(3),
+        warm_start: true,
+        placement: PlacementConfig::engaged(),
+    });
+    let mut seen = Seen::default();
+    for _ in 0..3 {
+        pipeline
+            .run_epoch_observed(
+                EpochInput {
+                    transactions: &w.transactions,
+                    fees: &fees,
+                    randomness: sha256(17u64.to_be_bytes()),
+                    runtime: runtime(17),
+                },
+                &mut seen,
+            )
+            .expect("valid config");
+    }
+    for kind in StageKind::ALL {
+        let outs = seen.0.iter().filter(|(k, _)| *k == kind);
+        let sum = |field: fn(&StageOutput) -> u64| outs.clone().map(|(_, o)| field(o)).sum();
+        let want = StageOutput {
+            items: sum(|o| o.items),
+            iterations: sum(|o| o.iterations),
+            warm_hits: sum(|o| o.warm_hits),
+            warm_misses: sum(|o| o.warm_misses),
+            tasks_scheduled: sum(|o| o.tasks_scheduled),
+            tasks_skipped: sum(|o| o.tasks_skipped),
+            reclassified: sum(|o| o.reclassified),
+            carried: sum(|o| o.carried),
+        };
+        let counters = pipeline.metrics().stage(kind);
+        assert_eq!(counters.runs, 3, "{} runs", kind.name());
+        assert_eq!(counters.totals, want, "{} totals", kind.name());
+    }
+    let totals = |kind| pipeline.metrics().stage(kind).totals;
+    assert!(totals(StageKind::Merge).iterations > 0);
+    assert!(totals(StageKind::Unify).tasks_scheduled > 0);
+    assert!(totals(StageKind::Classify).carried > 0);
+}
+
+/// A `LongRun` is constructible from raw config structs, so nothing has
+/// validated them before the first epoch: every malformed knob must come
+/// back as a typed `Error::Config` naming its field, never as a panic.
+#[test]
+fn malformed_long_run_input_is_a_typed_error() {
+    type Patch = fn(&mut LongRunConfig, &mut SimTime);
+    let rows: [(&str, Patch); 5] = [
+        ("merging.eta", |c, _| {
+            c.merging.as_mut().expect("on by default").eta = f64::NAN
+        }),
+        ("merging.reward", |c, _| {
+            let m = c.merging.as_mut().expect("on by default");
+            m.reward = m.cost;
+        }),
+        ("placement.min_dominance_percent", |c, _| {
+            c.placement = PlacementConfig {
+                min_dominance_percent: 0,
+                ..PlacementConfig::engaged()
+            }
+        }),
+        ("epoch_interval", |_, interval| *interval = SimTime::ZERO),
+        ("block_capacity", |c, _| c.runtime.block_capacity = 0),
+    ];
+    for (field, patch) in rows {
+        let (mut config, mut interval) = (LongRunConfig::default(), SimTime::from_secs(60));
+        patch(&mut config, &mut interval);
+        let stream = Workload::uniform_contracts(40, 3, FEES, 21)
+            .transactions
+            .into_iter()
+            .enumerate()
+            .map(|(i, tx)| (SimTime::from_millis(i as u64), tx));
+        let err = LongRun::new(config).run_stream(stream, interval).err();
+        assert!(
+            matches!(err, Some(Error::Config { field: got, .. }) if got == field),
+            "expected a config error on `{field}`, got {err:?}"
+        );
+    }
 }

@@ -11,12 +11,12 @@ use cshard_primitives::Error;
 /// byte-identical to a build without the engine.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PlacementConfig {
-    /// Master switch. When `false` every other knob is ignored.
+    /// Master switch. When `false` every other knob is ignored. When
+    /// `true` the merge stage carries its groups across epochs
+    /// (re-validating each against the new shard sizes, re-running the
+    /// replicator dynamics only where a group went out of bounds) and the
+    /// placement stage proposes migrations.
     pub enabled: bool,
-    /// Carry merge groups across epochs: re-validate each carried group
-    /// against the new shard sizes and re-run the replicator dynamics
-    /// only for the shards whose groups went out of bounds.
-    pub carry_merge_groups: bool,
     /// A MaxShard-routed sender is migration-eligible only when at least
     /// this percentage of its observed contract calls target one
     /// contract. Must lie in `1..=100` when enabled.
@@ -27,9 +27,6 @@ pub struct PlacementConfig {
     /// Upper bound on migrations proposed per epoch. Zero is legal and
     /// means "carry merge groups but never move an account".
     pub max_moves_per_epoch: usize,
-    /// Minimum load imbalance (see `PlacementEngine::imbalance`) before
-    /// any move is proposed. Must be finite and non-negative.
-    pub min_imbalance: f64,
 }
 
 impl PlacementConfig {
@@ -38,11 +35,9 @@ impl PlacementConfig {
     pub const fn disabled() -> Self {
         PlacementConfig {
             enabled: false,
-            carry_merge_groups: false,
             min_dominance_percent: 0,
             min_account_txs: 0,
             max_moves_per_epoch: 0,
-            min_imbalance: 0.0,
         }
     }
 
@@ -52,11 +47,9 @@ impl PlacementConfig {
     pub const fn engaged() -> Self {
         PlacementConfig {
             enabled: true,
-            carry_merge_groups: true,
             min_dominance_percent: 60,
             min_account_txs: 4,
             max_moves_per_epoch: 16,
-            min_imbalance: 0.0,
         }
     }
 
@@ -81,15 +74,6 @@ impl PlacementConfig {
                 reason: "a sender needs at least one observed call".into(),
             });
         }
-        if !self.min_imbalance.is_finite() || self.min_imbalance < 0.0 {
-            return Err(Error::Config {
-                field: "placement.min_imbalance",
-                reason: format!(
-                    "imbalance threshold must be finite and >= 0, got {}",
-                    self.min_imbalance
-                ),
-            });
-        }
         Ok(())
     }
 }
@@ -108,7 +92,6 @@ mod tests {
     fn disabled_is_valid_regardless_of_knobs() {
         let mut cfg = PlacementConfig::disabled();
         cfg.min_dominance_percent = 9999;
-        cfg.min_imbalance = f64::NAN;
         assert!(cfg.validate().is_ok());
     }
 
@@ -152,20 +135,6 @@ mod tests {
                 ..PlacementConfig::engaged()
             }),
             "placement.min_account_txs"
-        );
-        assert_eq!(
-            field(PlacementConfig {
-                min_imbalance: f64::NAN,
-                ..PlacementConfig::engaged()
-            }),
-            "placement.min_imbalance"
-        );
-        assert_eq!(
-            field(PlacementConfig {
-                min_imbalance: -0.5,
-                ..PlacementConfig::engaged()
-            }),
-            "placement.min_imbalance"
         );
     }
 

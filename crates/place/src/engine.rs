@@ -1,7 +1,6 @@
 //! Hot-account tracking and migration proposals.
 
-use cshard_network::CommSnapshot;
-use cshard_primitives::{Address, AddressSlots, ContractId, ShardId};
+use cshard_primitives::{Address, AddressSlots, ContractId};
 
 use crate::config::PlacementConfig;
 
@@ -83,28 +82,6 @@ impl PlacementEngine {
         self.moved
     }
 
-    /// The epoch's load-imbalance metric: `max(load) / mean(load) - 1`,
-    /// where a shard's load is its planned transaction count plus its
-    /// recorded cross-shard messages. `0.0` means perfectly balanced; a
-    /// value of `1.0` means the hottest shard carries twice the mean.
-    /// Deterministic: folds in `sizes` order, reads the snapshot per key.
-    pub fn imbalance(sizes: &[(ShardId, u64)], comm: &CommSnapshot) -> f64 {
-        if sizes.is_empty() {
-            return 0.0;
-        }
-        let loads: Vec<u64> = sizes
-            .iter()
-            .map(|&(id, size)| size + comm.for_shard(id))
-            .collect();
-        let total: u64 = loads.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let mean = total as f64 / loads.len() as f64;
-        let max = loads.iter().copied().max().unwrap_or(0);
-        max as f64 / mean - 1.0
-    }
-
     /// Proposes up to `max_moves_per_epoch` hot accounts, hottest first
     /// (ties broken by address). A sender qualifies when it has at least
     /// `min_account_txs` observed calls and one contract holds at least
@@ -155,7 +132,6 @@ impl PlacementEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cshard_network::CommStats;
 
     fn addr(n: u8) -> Address {
         Address([n; 20])
@@ -267,23 +243,5 @@ mod tests {
             assert!(e.propose().is_empty());
             assert_eq!(e.moved_accounts(), 0);
         }
-    }
-
-    #[test]
-    fn imbalance_is_zero_when_balanced_and_scales_with_skew() {
-        let comm = CommStats::new();
-        let even = [(ShardId::new(0), 10), (ShardId::new(1), 10)];
-        assert_eq!(PlacementEngine::imbalance(&even, &comm.snapshot()), 0.0);
-        let skewed = [(ShardId::new(0), 30), (ShardId::new(1), 10)];
-        // loads 30/10, mean 20, max 30 -> 0.5
-        assert!((PlacementEngine::imbalance(&skewed, &comm.snapshot()) - 0.5).abs() < 1e-12);
-        // Communication counts toward load.
-        comm.record_many(ShardId::new(1), cshard_network::CommKind::Crosslink, 20);
-        assert!((PlacementEngine::imbalance(&even, &comm.snapshot()) - 0.5).abs() < 1e-12);
-        assert_eq!(PlacementEngine::imbalance(&[], &comm.snapshot()), 0.0);
-        assert_eq!(
-            PlacementEngine::imbalance(&[(ShardId::new(0), 0)], &CommStats::new().snapshot()),
-            0.0
-        );
     }
 }

@@ -11,17 +11,16 @@
 //! * [`PlacementConfig`] — the off-by-default knob block threaded through
 //!   `SystemBuilder::placement()`. Disabled, the engine is bit-invisible;
 //! * [`PlacementEngine`] — observes MaxShard-routed contract calls across
-//!   epochs, measures load imbalance ([`PlacementEngine::imbalance`]) and
-//!   proposes dominance-based hot-account moves ([`PlacementEngine::propose`]);
+//!   epochs and proposes dominance-based hot-account moves
+//!   ([`PlacementEngine::propose`]);
 //! * [`HotAccount`] — a proposed move in contract space (who, where, how
 //!   hot), mapped to a shard-level [`Migration`] by the pipeline's
 //!   placement stage;
 //! * [`Migration`] — the shard-level move record carried in each epoch's
 //!   output and executed by the runtime's migrating driver.
 //!
-//! Everything here is deterministic: traffic counters live in `BTreeMap`s,
-//! proposals sort by (descending traffic, address), and the imbalance
-//! metric folds shard loads in key order.
+//! Everything here is deterministic: traffic counters sit in first-seen
+//! slot order and proposals sort by (descending traffic, address).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

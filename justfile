@@ -46,13 +46,6 @@ chaos:
     cargo run --release -p cshard-bench --bin experiments -- \
         faults --quick --json /tmp/chaos
 
-# Pipeline instrumentation grid: cold vs warm iteration counts and
-# per-stage timing, written as BENCH_pipeline.json.
-bench-pipeline:
-    cargo run --release -p cshard-bench --bin experiments -- \
-        pipeline --quick --json /tmp/bench-pipeline
-    @echo "wrote /tmp/bench-pipeline/BENCH_pipeline.json"
-
 # Scheduler lifecycle grid: launch throughput and scheduled/skipped task
 # counts on a sparse 10→2000-shard workload, written as BENCH_sched.json.
 bench-sched:

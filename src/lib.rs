@@ -56,7 +56,7 @@
 //! | [`security`] | Fig. 1(d) shard safety and the Eq. (3)–(6) corruption bounds |
 //! | [`workload`] | the Sec. VI injection generators |
 //! | [`baselines`] | randomized merging, ChainSpace model, optimal oracles |
-//! | [`place`] | cross-epoch placement engine: hot-account traffic tracking, imbalance metric, migration proposals |
+//! | [`place`] | cross-epoch placement engine: hot-account traffic tracking, migration proposals |
 //! | [`core`] | shard formation, miner assignment, the staged `EpochPipeline`, the end-to-end system |
 //! | [`faults`] | deterministic fault injection, VRF leader failover, empirical corruption checks |
 
