@@ -17,8 +17,16 @@
 //!   entropy (audit rules ND001/ND002).
 //! * **Allocation-free after `init`** — buffers are sized during `init`
 //!   (and reused across re-inits); `step` touches only pre-allocated
-//!   scratch. This is what makes per-epoch replay cheap enough to run
-//!   inside every miner's verification path (Sec. IV-C).
+//!   scratch, and a re-`init` with same-or-smaller inputs allocates
+//!   nothing either, so a whole selection epoch of the runtime
+//!   (`ShardState::start_epoch`) runs without touching the allocator.
+//!   This is what makes per-epoch replay cheap enough to run inside
+//!   every miner's verification path (Sec. IV-C).
+//! * **One pass per best reply** — a miner-sweep of Algorithm 2 is one
+//!   O(t) *certification* over integer-encoded marginal values (see
+//!   [`BestReplyDynamics`]); only a miner that actually moves pays for a
+//!   selection (`select_nth_unstable`, never a full sort), and the
+//!   Rosenthal potential is evaluated once, in `solution`.
 //! * **Wrapper equality** — [`one_shot_merge`] and
 //!   [`best_reply_equilibrium`] are thin wrappers over these dynamics
 //!   and are pinned draw-for-draw equal to the pre-refactor free
@@ -94,14 +102,16 @@ pub struct GameScratch {
     util_merge_sum: Vec<f64>,
     /// Subslots in which player i merged this slot.
     merge_count: Vec<u32>,
-    /// Per-transaction membership flags for the sweeping miner
-    /// (selection game) — a dense stand-in for a hash-set, cleared
-    /// after each miner so it never needs re-zeroing wholesale.
+    /// Per-transaction membership flags while `init` sanitizes one
+    /// miner's initial set (selection game) — a dense stand-in for a
+    /// hash-set, point-cleared after each miner so it never needs
+    /// re-zeroing wholesale.
     member: Vec<bool>,
-    /// `(marginal value, tx index)` pairs, re-sorted per miner.
-    scored: Vec<(f64, usize)>,
-    /// The sweeping miner's candidate best-reply set.
-    best: Vec<usize>,
+    /// Marginal-value keys ([`value_key`]) of every transaction as seen
+    /// by the moving miner: a copy of the game's non-holder keys with
+    /// the miner's own entries patched, partitioned by
+    /// `select_nth_unstable`. Written only when a certification fails.
+    keys: Vec<u128>,
 }
 
 impl GameScratch {
@@ -127,9 +137,8 @@ impl GameScratch {
     fn reset_select(&mut self, t: usize) {
         self.member.clear();
         self.member.resize(t, false);
-        self.scored.clear();
-        self.scored.reserve(t);
-        self.best.clear();
+        self.keys.clear();
+        self.keys.reserve(t);
     }
 }
 
@@ -387,14 +396,56 @@ pub struct SelectInput<'a> {
     pub config: &'a SelectionConfig,
 }
 
+/// Encodes "marginal value `fee / holders`, then transaction index" as
+/// one integer whose *ascending* order is Algorithm 2's preference
+/// order: best value first, ties by lower index. Marginal values are
+/// non-negative finite doubles, which order exactly like their bit
+/// patterns, so complementing the bits turns `total_cmp` descending
+/// into integer ascending; the index in the low half makes the order
+/// total — no two transactions share a key, so the best `capacity` of
+/// them are a unique set.
+fn value_key(fee: u64, holders: u32, j: usize) -> u128 {
+    let value = fee as f64 / holders as f64;
+    (u128::from(!value.to_bits()) << 64) | j as u128
+}
+
+/// The marginal value a [`value_key`] encodes, bit for bit.
+fn key_value(key: u128) -> f64 {
+    f64::from_bits(!((key >> 64) as u64))
+}
+
+/// The transaction index a [`value_key`] encodes.
+fn key_index(key: u128) -> usize {
+    (key as u64) as usize
+}
+
 /// Best-reply dynamics for the selection game, one sweep per [`step`].
 ///
 /// Each step sweeps every miner once, moving it to its best reply under
 /// Eq. (2) whenever that strictly improves its expected profit; the
-/// Rosenthal potential's monotone increase (debug-asserted per move)
-/// guarantees termination at a pure strategy Nash equilibrium. The
-/// sweep that applies no move is the equilibrium certificate and counts
-/// toward [`iterations`] — exactly the `rounds` the wrapper reports.
+/// Rosenthal potential's monotone increase (asserted per move in debug
+/// builds) guarantees termination at a pure strategy Nash equilibrium.
+/// The sweep that applies no move is the equilibrium certificate and
+/// counts toward [`iterations`] — exactly the `rounds` the wrapper
+/// reports.
+///
+/// # Cost of one sweep
+///
+/// A transaction's marginal value for a miner is `fee / (others + 1)`
+/// (Eq. 2, `others` = holders besides the miner): `fee / (load + 1)` for
+/// a transaction it does not hold, `fee / load` for one it does. The
+/// non-holder values do not depend on the miner, so the game keeps them
+/// as one vector of [`value_key`]s (`free_keys`), re-keyed only for the
+/// ≤ 2·capacity transactions a move touches. Per miner the sweep then
+///
+/// 1. **certifies**: the held set is the best reply exactly when no
+///    unheld key sorts before the worst held key — one O(t) pass of
+///    integer compares, `capacity` divisions, no writes. Most
+///    miner-sweeps end here (every miner of the final sweep does);
+/// 2. only when that fails **selects**: `select_nth_unstable` over a
+///    copy of the keys with the miner's own entries patched to their
+///    held values, then sorts the `capacity` winners by index — O(t),
+///    never a full sort.
 ///
 /// [`step`]: GameDynamics::step
 /// [`iterations`]: GameDynamics::iterations
@@ -405,6 +456,12 @@ pub struct BestReplyDynamics {
     capacity: usize,
     assignments: Vec<Vec<usize>>,
     load: Vec<u32>,
+    /// `value_key(fees[j], load[j] + 1, j)` per transaction: what `j` is
+    /// worth to a miner that does not hold it.
+    free_keys: Vec<u128>,
+    /// Rosenthal potential after the last move. Maintained in debug
+    /// builds only, for the monotonicity assertion; release builds
+    /// evaluate the potential once, in `solution`.
     phi: f64,
     rounds: usize,
     converged: bool,
@@ -421,6 +478,7 @@ impl BestReplyDynamics {
             capacity: 0,
             assignments: Vec::new(),
             load: Vec::new(),
+            free_keys: Vec::new(),
             phi: 0.0,
             rounds: 0,
             converged: true,
@@ -445,6 +503,35 @@ impl BestReplyDynamics {
     /// The current per-miner assignments (each sorted ascending).
     pub fn assignments(&self) -> &[Vec<usize>] {
         &self.assignments
+    }
+
+    /// Number of transactions held by at least one miner — the size of
+    /// the union of the current assignments.
+    pub fn covered(&self) -> usize {
+        self.load.iter().filter(|&&c| c > 0).count()
+    }
+
+    /// Whether miner `i`'s held set is its best reply: no transaction it
+    /// does not hold sorts before the worst one it does. The held
+    /// indices are ascending, so the unheld transactions are the gaps
+    /// between them and the scan needs no membership lookups.
+    fn holds_best_reply(&self, i: usize) -> bool {
+        let held = &self.assignments[i];
+        let Some(worst) = held
+            .iter()
+            .map(|&j| value_key(self.fees[j], self.load[j], j))
+            .max()
+        else {
+            return true; // an empty game: nothing to hold, nothing to gain
+        };
+        let mut from = 0;
+        for &j in held.iter().chain(std::iter::once(&self.free_keys.len())) {
+            if self.free_keys[from..j].iter().any(|&key| key < worst) {
+                return false;
+            }
+            from = j + 1;
+        }
+        true
     }
 }
 
@@ -505,7 +592,17 @@ impl GameDynamics for BestReplyDynamics {
                 self.load[j] += 1;
             }
         }
-        self.phi = potential(&self.fees, &self.load);
+        self.free_keys.clear();
+        self.free_keys.extend(
+            self.fees
+                .iter()
+                .zip(&self.load)
+                .enumerate()
+                .map(|(j, (&fee, &load))| value_key(fee, load + 1, j)),
+        );
+        if cfg!(debug_assertions) {
+            self.phi = potential(&self.fees, &self.load);
+        }
         self.rounds = 0;
         self.converged = self.rounds >= self.config.max_rounds;
     }
@@ -515,83 +612,62 @@ impl GameDynamics for BestReplyDynamics {
             return;
         }
         self.rounds += 1;
-        let t = self.fees.len();
-        let u = self.assignments.len();
         let mut improved = false;
         // One best-reply sweep: "while some miner can get a higher
         // expected profit … pick a miner who can improve" (Algorithm 2).
-        for i in 0..u {
-            // Marginal value of tx j for miner i: fee over one more
-            // holder than the *others* currently have (Eq. 2 with n_j
-            // excluding i).
-            for &j in &self.assignments[i] {
-                self.scratch.member[j] = true;
-            }
-            self.scratch.scored.clear();
-            for j in 0..t {
-                let others = self.load[j] - u32::from(self.scratch.member[j]);
-                self.scratch
-                    .scored
-                    .push((self.fees[j] as f64 / (others + 1) as f64, j));
-            }
-            // Deterministic order: best value first, ties by index. The
-            // index tiebreak makes the order total, so the unstable sort
-            // is as deterministic as a stable one.
-            self.scratch
-                .scored
-                .sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-            self.scratch.best.clear();
-            self.scratch.best.extend(
-                self.scratch
-                    .scored
-                    .iter()
-                    .take(self.capacity)
-                    .map(|&(_, j)| j),
-            );
-            self.scratch.best.sort_unstable();
-            if self.scratch.best == self.assignments[i] {
-                for &j in &self.assignments[i] {
-                    self.scratch.member[j] = false;
-                }
+        for i in 0..self.assignments.len() {
+            if self.holds_best_reply(i) {
                 continue;
             }
+            // The miner's view of every marginal value: non-holder keys,
+            // with its own transactions at `fee / load` (Eq. 2 with n_j
+            // excluding the miner itself).
+            let keys = &mut self.scratch.keys;
+            keys.clear();
+            keys.extend_from_slice(&self.free_keys);
+            for &j in &self.assignments[i] {
+                keys[j] = value_key(self.fees[j], self.load[j], j);
+            }
+            // Certification failed, so an unheld transaction exists and
+            // `capacity < t`: the partition index is in range. Keys are
+            // distinct, so the `capacity` smallest are a unique set no
+            // matter how the unstable partition orders them; sorting the
+            // winners by index fixes the summation order.
+            keys.select_nth_unstable(self.capacity);
+            let best = &mut keys[..self.capacity];
+            best.sort_unstable_by_key(|&key| key_index(key));
             // Profit strictly improves? (Avoid churn on exact ties.)
             let old_profit: f64 = self.assignments[i]
                 .iter()
                 .map(|&j| self.fees[j] as f64 / self.load[j] as f64)
                 .sum();
-            let new_profit: f64 = self
-                .scratch
-                .best
-                .iter()
-                .map(|&j| {
-                    let others = self.load[j] - u32::from(self.scratch.member[j]);
-                    self.fees[j] as f64 / (others + 1) as f64
-                })
-                .sum();
-            for &j in &self.assignments[i] {
-                self.scratch.member[j] = false;
-            }
+            let new_profit: f64 = best.iter().map(|&key| key_value(key)).sum();
             if new_profit <= old_profit + 1e-12 {
                 continue;
             }
-            // Apply the move.
+            // Apply the move, re-keying only what it touched.
+            let moved_to = best.iter().map(|&key| key_index(key));
             for &j in &self.assignments[i] {
                 self.load[j] -= 1;
             }
-            for &j in &self.scratch.best {
+            for j in moved_to.clone() {
                 self.load[j] += 1;
             }
+            for j in self.assignments[i].iter().copied().chain(moved_to.clone()) {
+                self.free_keys[j] = value_key(self.fees[j], self.load[j] + 1, j);
+            }
             self.assignments[i].clear();
-            self.assignments[i].extend_from_slice(&self.scratch.best);
+            self.assignments[i].extend(moved_to);
             improved = true;
-            let new_phi = potential(&self.fees, &self.load);
-            debug_assert!(
-                new_phi > self.phi - 1e-9,
-                "Rosenthal potential must not decrease: {} -> {new_phi}",
-                self.phi
-            );
-            self.phi = new_phi;
+            if cfg!(debug_assertions) {
+                let new_phi = potential(&self.fees, &self.load);
+                assert!(
+                    new_phi > self.phi - 1e-9,
+                    "Rosenthal potential must not decrease: {} -> {new_phi}",
+                    self.phi
+                );
+                self.phi = new_phi;
+            }
         }
         if !improved || self.rounds >= self.config.max_rounds {
             self.converged = true;
@@ -611,7 +687,7 @@ impl GameDynamics for BestReplyDynamics {
             assignments: self.assignments.clone(),
             load: self.load.clone(),
             rounds: self.rounds,
-            potential: self.phi,
+            potential: potential(&self.fees, &self.load),
         }
     }
 }

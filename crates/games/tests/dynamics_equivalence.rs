@@ -5,8 +5,9 @@
 //! over `ReplicatorMergeDynamics` / `BestReplyDynamics`. This test keeps
 //! frozen copies of the original direct implementations (verbatim from
 //! the pre-refactor `merging.rs` / `selection.rs`) as references and
-//! fuzzes both games over seeded grids of ≥ 200 cases, requiring every
-//! output field to match exactly — same RNG stream consumption, same
+//! fuzzes both games over seeded grids of ≥ 200 cases (the selection
+//! game over a second grid of 320 at paper scale and on hostile fee
+//! shapes), requiring every output field to match exactly — same RNG stream consumption, same
 //! tie-breaks, same iteration counts. If the dynamics ever drift, the
 //! golden run-report fingerprints would shift; this catches the drift at
 //! the game layer with a precise counterexample seed.
@@ -292,8 +293,11 @@ fn assert_selection_equal(case: u64, got: &SelectionOutcome, want: &SelectionOut
     assert_eq!(got.load, want.load, "case {case}: load differs");
     assert_eq!(got.rounds, want.rounds, "case {case}: rounds differ");
     assert_eq!(
-        got.potential, want.potential,
-        "case {case}: potential differs"
+        got.potential.to_bits(),
+        want.potential.to_bits(),
+        "case {case}: potential differs ({} vs {})",
+        got.potential,
+        want.potential
     );
 }
 
@@ -323,6 +327,92 @@ fn best_reply_wrapper_matches_reference_over_200_seeded_cases() {
         let got = best_reply_equilibrium(&fees, &initial, &config);
         assert_selection_equal(case, &got, &want);
     }
+}
+
+/// Where a certify-or-select kernel can actually part from the full
+/// sort: at the paper's scale and beyond (t ≤ 400, miners ≤ 32,
+/// capacity ≤ 16), on fee shapes chosen to stress the order itself.
+///
+/// * `Uniform{1..=100}` fees over hundreds of transactions — heavy value
+///   ties, so most decisions fall to the index tie-break;
+/// * fees ≥ 2⁵³, `u64::MAX` included, and runs of consecutive integers
+///   up there — distinct fees that round to the same or adjacent
+///   doubles, and quotients `fee / k` that collapse further;
+/// * all-zero fees — every marginal value is `+0.0`;
+/// * `capacity ≥ t` — every miner holds everything, nothing is unheld;
+/// * dirty initial sets (out of range, duplicated, over- and
+///   under-sized) and round caps of 1..=6 that bite mid-flight.
+#[test]
+fn best_reply_wrapper_matches_reference_at_paper_scale_and_on_hostile_fees() {
+    const TWO_53: u64 = 1 << 53;
+    let mut moved = 0u64;
+    for case in 0..320u64 {
+        let mut gen = ChaCha8Rng::seed_from_u64(0xE5F6_0000 ^ case);
+        let mut below = |n: u64| gen.gen::<u64>() % n;
+        let shape = case % 8;
+        let capacity = 1 + below(16) as usize;
+        let t = match shape {
+            // capacity ≥ t: the clamp makes every set the whole game.
+            5 => 1 + below(capacity as u64) as usize,
+            // Every fourth case of the others at the full 400.
+            _ if case % 32 < 8 => 400,
+            _ => 1 + below(400) as usize,
+        };
+        let miners = 1 + below(32) as usize;
+        let fees: Vec<u64> = match shape {
+            // Anywhere in [2⁵³, u64::MAX], with the maximum itself planted.
+            2 => {
+                let mut fees: Vec<u64> = (0..t)
+                    .map(|_| TWO_53 + below(u64::MAX - TWO_53 + 1))
+                    .collect();
+                fees[below(t as u64) as usize] = u64::MAX;
+                fees
+            }
+            // Runs of consecutive integers just above 2⁵³ and just below
+            // u64::MAX: neighbours share a double, or sit one ulp apart.
+            3 => {
+                let run = 1 + below(24);
+                (0..t as u64)
+                    .map(|j| match (j / run) % 3 {
+                        0 => TWO_53 + j,
+                        1 => u64::MAX - j,
+                        _ => TWO_53 * (2 + j / run) + j % run,
+                    })
+                    .collect()
+            }
+            4 => vec![0; t],
+            // Near-zero fees: ties everywhere, zeros among them.
+            7 => (0..t).map(|_| below(4)).collect(),
+            _ => (0..t).map(|_| 1 + below(100)).collect(),
+        };
+        let initial: Vec<Vec<usize>> = (0..miners)
+            .map(|m| {
+                if shape % 2 == 0 {
+                    // The runtime's unified stride (`start_epoch`).
+                    let offset = below(t as u64) as usize;
+                    (0..capacity.min(t))
+                        .map(|k| (offset + k * 7 + m) % t)
+                        .collect()
+                } else {
+                    let len = below(2 * capacity as u64 + 1) as usize;
+                    (0..len).map(|_| below(t as u64 + 3) as usize).collect()
+                }
+            })
+            .collect();
+        let config = SelectionConfig {
+            capacity,
+            max_rounds: match shape {
+                6 => 1 + below(6) as usize,
+                _ => 10_000,
+            },
+        };
+        let want = reference_best_reply(&fees, &initial, &config);
+        let got = best_reply_equilibrium(&fees, &initial, &config);
+        assert_selection_equal(case, &got, &want);
+        moved += u64::from(want.rounds > 1);
+    }
+    // The grid is not a grid of first-sweep certifications.
+    assert!(moved >= 160, "only {moved} of 320 cases applied a move");
 }
 
 #[test]

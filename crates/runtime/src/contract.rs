@@ -189,12 +189,20 @@ struct ShardState {
     visible_at: Vec<Option<SimTime>>,
     unconfirmed: usize,
     /// Greedy order (fee desc, index asc) with a monotone scan cursor.
+    /// Built for [`SelectionStrategy::IdenticalGreedy`] only — an
+    /// equilibrium shard never reads it.
     greedy_order: Vec<usize>,
     cursor: usize,
     /// Equilibrium epoch state.
     epoch_assignments: Vec<Vec<usize>>,
     epoch_unconfirmed: usize,
     epoch_counter: u64,
+    /// Per-epoch selection-game inputs, kept so an epoch after the first
+    /// allocates nothing: the unconfirmed local indices, their fees, and
+    /// each miner's unified initial choice.
+    remaining: Vec<usize>,
+    sub_fees: Vec<u64>,
+    initial: Vec<Vec<usize>>,
     /// Report accumulators.
     blocks: usize,
     empty_blocks: usize,
@@ -205,8 +213,7 @@ struct ShardState {
     /// Per-shard RNG stream for epoch initial choices.
     epoch_rng: SimRng,
     /// The selection game's dynamics, re-initialized per epoch so its
-    /// scratch buffers persist across epochs (allocation-free after the
-    /// first).
+    /// scratch buffers persist across epochs.
     dynamics: BestReplyDynamics,
     /// Cross-epoch equilibrium memo. `None` (the default) disables warm
     /// starts entirely — the cold path is untouched, which is what keeps
@@ -218,9 +225,12 @@ struct ShardState {
 
 impl ShardState {
     fn new(spec: ShardSpec, epoch_rng: SimRng) -> Self {
-        let mut greedy_order: Vec<usize> = (0..spec.fees.len()).collect();
-        greedy_order.sort_by(|&a, &b| spec.fees[b].cmp(&spec.fees[a]).then(a.cmp(&b)));
         let n = spec.fees.len();
+        let mut greedy_order = Vec::new();
+        if matches!(spec.strategy, SelectionStrategy::IdenticalGreedy) {
+            greedy_order.extend(0..n);
+            greedy_order.sort_by(|&a, &b| spec.fees[b].cmp(&spec.fees[a]).then(a.cmp(&b)));
+        }
         ShardState {
             confirmed: vec![None; n],
             visible_at: vec![None; n],
@@ -230,6 +240,9 @@ impl ShardState {
             epoch_assignments: Vec::new(),
             epoch_unconfirmed: 0,
             epoch_counter: 0,
+            remaining: Vec::new(),
+            sub_fees: Vec::new(),
+            initial: Vec::new(),
             blocks: 0,
             empty_blocks: 0,
             stale_blocks: 0,
@@ -270,30 +283,36 @@ impl ShardState {
     }
 
     /// Starts a new selection-game epoch over the currently unconfirmed
-    /// transactions (Algorithm 2 under unified parameters).
+    /// transactions (Algorithm 2 under unified parameters). Every buffer
+    /// it fills lives in `self`, so after a shard's first epoch this
+    /// allocates nothing (a warm-cache miss aside, which stores a copy).
     fn start_epoch(&mut self, capacity: usize, max_rounds: usize) {
-        let remaining: Vec<usize> = (0..self.spec.fees.len())
-            .filter(|&i| self.confirmed[i].is_none())
-            .collect();
+        let miners = self.spec.miners;
         self.epoch_counter += 1;
-        if remaining.is_empty() {
-            self.epoch_assignments = vec![Vec::new(); self.spec.miners];
+        self.epoch_assignments.resize_with(miners, Vec::new);
+        self.epoch_assignments.iter_mut().for_each(Vec::clear);
+        self.remaining.clear();
+        self.remaining
+            .extend((0..self.spec.fees.len()).filter(|&i| self.confirmed[i].is_none()));
+        if self.remaining.is_empty() {
             self.epoch_unconfirmed = 0;
             return;
         }
-        let sub_fees: Vec<u64> = remaining.iter().map(|&i| self.spec.fees[i]).collect();
-        let t = sub_fees.len();
+        self.sub_fees.clear();
+        self.sub_fees
+            .extend(self.remaining.iter().map(|&i| self.spec.fees[i]));
+        let t = self.sub_fees.len();
         let cap = capacity.min(t);
         // Unified initial choices: a seeded stride per miner. Always
         // drawn — warm hit or miss — so the epoch stream's position is a
         // pure function of the epoch count and warm starts cannot shift
         // any later draw.
-        let initial: Vec<Vec<usize>> = (0..self.spec.miners)
-            .map(|m| {
-                let offset = self.epoch_rng.below(t as u64) as usize;
-                (0..cap).map(|k| (offset + k * 7 + m) % t).collect()
-            })
-            .collect();
+        self.initial.resize_with(miners, Vec::new);
+        for (m, choice) in self.initial.iter_mut().enumerate() {
+            let offset = self.epoch_rng.below(t as u64) as usize;
+            choice.clear();
+            choice.extend((0..cap).map(|k| (offset + k * 7 + m) % t));
+        }
         let sel_config = SelectionConfig {
             capacity: cap,
             max_rounds,
@@ -306,43 +325,38 @@ impl ShardState {
         let key = self
             .warm_cache
             .as_ref()
-            .map(|_| SelectionWarmCache::key(&sub_fees, &initial, &sel_config));
+            .map(|_| SelectionWarmCache::key(&self.sub_fees, &self.initial, &sel_config));
         let mut warmed = false;
         if let (Some(cache), Some(k)) = (&mut self.warm_cache, &key) {
             if let Some(previous) = cache.lookup(k) {
-                self.dynamics.init_warm(&sub_fees, previous, &sel_config);
+                self.dynamics
+                    .init_warm(&self.sub_fees, previous, &sel_config);
                 warmed = true;
             }
         }
         if !warmed {
             self.dynamics.init(SelectInput {
-                fees: &sub_fees,
-                initial: &initial,
+                fees: &self.sub_fees,
+                initial: &self.initial,
                 config: &sel_config,
             });
         }
-        self.dynamics.run_to_convergence();
-        let outcome = self.dynamics.solution();
-        self.game_rounds += outcome.rounds as u64;
+        self.game_rounds += self.dynamics.run_to_convergence() as u64;
         if let (Some(cache), Some(k)) = (&mut self.warm_cache, key) {
             if !warmed {
-                cache.store(k, outcome.assignments.clone());
+                cache.store(k, self.dynamics.assignments().to_vec());
             }
         }
         // Map sub-indices back to local tx indices.
-        self.epoch_assignments = outcome
-            .assignments
-            .iter()
-            .map(|set| set.iter().map(|&j| remaining[j]).collect())
-            .collect();
-        // Union size = number of covered (distinct) remaining txs.
-        let mut covered = vec![false; t];
-        for set in &outcome.assignments {
-            for &j in set {
-                covered[j] = true;
-            }
+        for (epoch_set, set) in self
+            .epoch_assignments
+            .iter_mut()
+            .zip(self.dynamics.assignments())
+        {
+            epoch_set.extend(set.iter().map(|&j| self.remaining[j]));
         }
-        self.epoch_unconfirmed = covered.iter().filter(|&&c| c).count();
+        // Union size = number of covered (distinct) remaining txs.
+        self.epoch_unconfirmed = self.dynamics.covered();
     }
 }
 
@@ -1031,5 +1045,63 @@ mod tests {
             cold_stats.rounds
         );
         assert_eq!(warm_stats.rounds, warm_stats.epochs);
+    }
+
+    #[test]
+    fn selection_epochs_reuse_scratch_without_leaking_state() {
+        // One contended equilibrium shard played through several
+        // selection epochs (100 txs, 3 miners × capacity 10 ⇒ at most 30
+        // covered per epoch), beside a solo shard so `threads: 2` takes
+        // the pooled path. The literals were captured at the parent of
+        // the commit that made `start_epoch` reuse its buffers and
+        // `BestReplyDynamics` certify-or-select: an epoch that read a
+        // stale `remaining` / `initial` / key entry would move them.
+        const FINGERPRINT: &str =
+            "0x90c83ed5617c98ff18e165f7867bc833474dc231cfd1bd553d9a396bcbebb814";
+        const EPOCHS: u64 = 5;
+        const ROUNDS: u64 = 9;
+        let specs = [
+            ShardSpec {
+                shard: ShardId::new(0),
+                fees: fees(100),
+                miners: 3,
+                strategy: SelectionStrategy::Equilibrium { max_rounds: 200 },
+            },
+            ShardSpec::solo_greedy(ShardId::new(1), fees(30)),
+        ];
+        let config = cfg(5);
+        let run = |threads: usize, cache: Option<SelectionWarmCache>| {
+            let contended = match cache {
+                Some(cache) => ContractShardDriver::with_warm_cache(&specs[0], &config, cache),
+                None => ContractShardDriver::new(&specs[0], &config),
+            };
+            let outcome = Runtime::builder()
+                .scheduler(SchedulerConfig::new(threads))
+                .run(vec![
+                    contended,
+                    ContractShardDriver::new(&specs[1], &config),
+                ])
+                .expect("valid test config");
+            assert_eq!(outcome.report.fingerprint().to_string(), FINGERPRINT);
+            let mut drivers = outcome.drivers.into_iter();
+            drivers.next().expect("the contended shard's driver")
+        };
+        for threads in [1, 2] {
+            let stats = run(threads, None).selection_stats();
+            assert!(stats.epochs >= 4, "only {} epochs", stats.epochs);
+            assert_eq!((stats.epochs, stats.rounds), (EPOCHS, ROUNDS));
+            assert_eq!((stats.warm_hits, stats.warm_misses), (0, 0));
+
+            // Filling the cache changes nothing; replaying from it costs
+            // exactly one certification sweep per epoch.
+            let cold = run(threads, Some(SelectionWarmCache::new()));
+            let stats = cold.selection_stats();
+            assert_eq!((stats.epochs, stats.rounds), (EPOCHS, ROUNDS));
+            assert_eq!((stats.warm_hits, stats.warm_misses), (0, EPOCHS));
+            let cache = cold.into_warm_cache().expect("cache was installed");
+            let stats = run(threads, Some(cache)).selection_stats();
+            assert_eq!((stats.epochs, stats.rounds), (EPOCHS, EPOCHS));
+            assert_eq!(stats.warm_hits, EPOCHS);
+        }
     }
 }

@@ -12,7 +12,9 @@
 //!   enqueued onto the ready queue — idle shards are skipped and counted,
 //!   never scheduled;
 //! * a worker pool sized to the machine (`threads: 0` = one worker per
-//!   core) drains the queue; a slot whose turn ends with more work
+//!   core) drains the queue — the calling thread is one of the workers,
+//!   so a pool of `w` spawns `w − 1` threads and a drain that admits one
+//!   slot spawns none; a slot whose turn ends with more work
 //!   outstanding ([`Turn::Yield`]) is re-enqueued (`Running → Pending`),
 //!   one that finishes ([`Turn::Done`]) goes back to `Idle`;
 //! * per-slot scheduled-turn counters and the skipped count come back in
@@ -142,6 +144,16 @@ struct Slot<T> {
     turns: AtomicU64,
 }
 
+/// Runs the drain's `retire` if a slot's step unwinds through it (the
+/// worker forgets the guard when the step returns).
+struct RetireOnUnwind<'a, R: Fn()>(&'a R);
+
+impl<R: Fn()> Drop for RetireOnUnwind<'_, R> {
+    fn drop(&mut self) {
+        (self.0)();
+    }
+}
+
 /// The shard-lifecycle scheduler: a ready queue of `Pending` slots drained
 /// by a fixed worker pool. See the module docs for the lifecycle and the
 /// determinism argument.
@@ -186,7 +198,10 @@ impl WorkScheduler {
     ///
     /// # Panics
     ///
-    /// Panics if the lifecycle invariant is violated (a slot claimed from
+    /// A panicking `step` propagates at any thread count: its slot is
+    /// retired on unwind, the remaining workers drain what they can and
+    /// exit, and the panic is re-raised once they have joined. Also
+    /// panics if the lifecycle invariant is violated (a slot claimed from
     /// the ready queue that is not `Pending` — a scheduler bug, not a
     /// caller condition).
     pub fn drain<T, E, A, F>(
@@ -243,71 +258,83 @@ impl WorkScheduler {
         let errors: Mutex<Vec<(usize, E)>> = Mutex::new(Vec::new());
 
         if admitted > 0 {
-            let slots = &slots;
-            let step = &step;
-            let live = &live;
-            let queue = &queue;
-            let available = &available;
-            let errors = &errors;
+            // Retires one slot from the drain; the last one out wakes
+            // every parked worker to exit. Taking the queue lock orders
+            // the wake against workers between their failed pop and
+            // their wait. The lock result is held, not unwrapped: this
+            // also runs from `RetireOnUnwind::drop`, which must not panic.
+            let retire = || {
+                if live.fetch_sub(1, Ordering::SeqCst) == 1 {
+                    let _q = queue.lock();
+                    available.notify_all();
+                }
+            };
+            // Captures shared references only, so it is `Copy`: every
+            // worker runs the same loop.
+            let worker = || loop {
+                // Claim the next Pending slot, or exit once the drain is
+                // over.
+                let i = {
+                    let mut q = queue.lock().expect("ready-queue lock");
+                    loop {
+                        if let Some(i) = q.pop_front() {
+                            break i;
+                        }
+                        if live.load(Ordering::SeqCst) == 0 {
+                            return;
+                        }
+                        q = available.wait(q).expect("ready-queue wait");
+                    }
+                };
+                let slot = &slots[i];
+                // From here until the turn's outcome is in hand, a panic
+                // (the caller's step, or the lifecycle check below) must
+                // still retire the slot, or `live` never reaches zero,
+                // peers park forever and the scope never joins to
+                // re-raise the panic.
+                let unwinding = RetireOnUnwind(&retire);
+                // Pending → Running. Exactly one worker pops a given
+                // queue entry, and a slot is re-enqueued only after its
+                // previous turn stored a non-Running state, so this CAS
+                // cannot race.
+                slot.state
+                    .compare_exchange(PENDING, RUNNING, Ordering::SeqCst, Ordering::SeqCst)
+                    .unwrap_or_else(|s| {
+                        panic!("slot {i} claimed while in state {s} (not Pending)")
+                    });
+                slot.turns.fetch_add(1, Ordering::SeqCst);
+                let outcome = {
+                    let mut item = slot.item.lock().expect("slot lock");
+                    step(i, &mut item)
+                };
+                std::mem::forget(unwinding);
+                match outcome {
+                    Ok(Turn::Yield) => {
+                        // Running → Pending: more work, back in line.
+                        slot.state.store(PENDING, Ordering::SeqCst);
+                        let mut q = queue.lock().expect("ready-queue lock");
+                        q.push_back(i);
+                        available.notify_one();
+                    }
+                    Ok(Turn::Done) | Err(_) => {
+                        if let Err(e) = outcome {
+                            errors.lock().expect("error lock").push((i, e));
+                        }
+                        // Running → Idle.
+                        slot.state.store(IDLE, Ordering::SeqCst);
+                        retire();
+                    }
+                }
+            };
+            // The pool is the calling thread plus `pool − 1` spawned
+            // peers: the caller works instead of parking on the join, and
+            // a drain with one admitted slot spawns nothing.
             let pool = workers.min(admitted);
             std::thread::scope(|scope| {
-                for _ in 0..pool {
-                    scope.spawn(move || loop {
-                        // Claim the next Pending slot, or exit once the
-                        // drain is over.
-                        let i = {
-                            let mut q = queue.lock().expect("ready-queue lock");
-                            loop {
-                                if let Some(i) = q.pop_front() {
-                                    break i;
-                                }
-                                if live.load(Ordering::SeqCst) == 0 {
-                                    return;
-                                }
-                                q = available.wait(q).expect("ready-queue wait");
-                            }
-                        };
-                        let slot = &slots[i];
-                        // Pending → Running. Exactly one worker pops a
-                        // given queue entry, and a slot is re-enqueued
-                        // only after its previous turn stored a non-
-                        // Running state, so this CAS cannot race.
-                        slot.state
-                            .compare_exchange(PENDING, RUNNING, Ordering::SeqCst, Ordering::SeqCst)
-                            .unwrap_or_else(|s| {
-                                panic!("slot {i} claimed while in state {s} (not Pending)")
-                            });
-                        slot.turns.fetch_add(1, Ordering::SeqCst);
-                        let outcome = {
-                            let mut item = slot.item.lock().expect("slot lock");
-                            step(i, &mut item)
-                        };
-                        match outcome {
-                            Ok(Turn::Yield) => {
-                                // Running → Pending: more work, back in line.
-                                slot.state.store(PENDING, Ordering::SeqCst);
-                                let mut q = queue.lock().expect("ready-queue lock");
-                                q.push_back(i);
-                                available.notify_one();
-                            }
-                            Ok(Turn::Done) | Err(_) => {
-                                if let Err(e) = outcome {
-                                    errors.lock().expect("error lock").push((i, e));
-                                }
-                                // Running → Idle; if this was the last live
-                                // slot, wake every parked worker to exit.
-                                // Taking the queue lock orders the wake
-                                // against workers between their failed pop
-                                // and their wait.
-                                slot.state.store(IDLE, Ordering::SeqCst);
-                                if live.fetch_sub(1, Ordering::SeqCst) == 1 {
-                                    let _q = queue.lock().expect("ready-queue lock");
-                                    available.notify_all();
-                                }
-                            }
-                        }
-                    });
+                for _ in 1..pool {
+                    scope.spawn(worker);
                 }
+                worker();
             });
         }
 

@@ -10,10 +10,17 @@
 //!   scheduling order must never leak into anything observable.
 //! * **Error order** — when several slots fail, the lowest slot index wins
 //!   at any thread count.
+//! * **Panics** — a panicking step propagates out of the drain at any
+//!   thread count instead of parking the pool forever.
+//! * **The caller is a worker** — a pooled drain that admits one slot
+//!   steps it on the calling thread and spawns nothing.
 
 use cshard_sim::{DrainStats, SchedulerConfig, Turn, WorkScheduler};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc;
+use std::thread::ThreadId;
+use std::time::Duration;
 
 /// A slot counting down `work` steps; `stepped` records how often the
 /// scheduler actually ran it.
@@ -146,4 +153,75 @@ fn no_slot_runs_twice_concurrently_under_yields() {
     assert_eq!(stats.turns, SLOTS as u64 * TURNS_PER_SLOT);
     assert_eq!(stats.scheduled, SLOTS as u64);
     assert_eq!(stats.skipped, 0);
+}
+
+/// A step that panics must come out of `drain` as a panic. Before the
+/// unwind guard, the pooled path never decremented `live` for the
+/// panicking slot: peers parked on the condvar forever and the drain
+/// never returned. The drain runs on a helper thread so a regression
+/// fails this test on the timeout instead of hanging the suite.
+#[test]
+fn panicking_step_propagates_instead_of_hanging_the_pool() {
+    for threads in [2usize, 4, 0] {
+        let (done, waited) = mpsc::channel();
+        std::thread::spawn(move || {
+            let drained = std::panic::catch_unwind(|| {
+                WorkScheduler::new(SchedulerConfig::new(threads)).drain(
+                    vec![0u32; 8],
+                    |_| true,
+                    |i, _| {
+                        if i == 0 {
+                            panic!("step 0 panics");
+                        }
+                        Ok::<_, std::convert::Infallible>(Turn::Done)
+                    },
+                )
+            });
+            // The receiver may have timed out and gone; nothing to do then.
+            let _ = done.send(drained.is_err());
+        });
+        let panicked = waited
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("threads={threads}: drain hung on a panicking step"));
+        assert!(panicked, "threads={threads}: the panic was swallowed");
+    }
+}
+
+/// The draining thread is the pool's last worker: with one admitted slot
+/// of several the pool is one worker wide, which is the caller itself —
+/// every turn runs on the calling `ThreadId`, nothing is spawned — and
+/// the stats are the ones every other thread count reports.
+#[test]
+fn single_admitted_slot_runs_on_the_calling_thread() {
+    let run = |threads: usize| -> (Vec<(u64, Vec<ThreadId>)>, DrainStats) {
+        let slots: Vec<(u64, Vec<ThreadId>)> = [0u64, 0, 3, 0, 0]
+            .iter()
+            .map(|&w| (w, Vec::new()))
+            .collect();
+        WorkScheduler::new(SchedulerConfig::new(threads))
+            .drain(
+                slots,
+                |(work, _)| *work > 0,
+                |_, (work, ran_on)| {
+                    ran_on.push(std::thread::current().id());
+                    *work -= 1;
+                    Ok::<_, std::convert::Infallible>(if *work == 0 {
+                        Turn::Done
+                    } else {
+                        Turn::Yield
+                    })
+                },
+            )
+            .expect("infallible drain")
+    };
+    let me = std::thread::current().id();
+    let sequential = run(1);
+    assert_eq!(sequential.1.scheduled, 1);
+    assert_eq!(sequential.1.skipped, 4);
+    assert_eq!(sequential.1.per_slot_turns, vec![0, 0, 3, 0, 0]);
+    assert_eq!(sequential.0[2].1, vec![me; 3]);
+    for threads in [2usize, 4, 0] {
+        // Equal slots means equal `ThreadId`s: every pooled turn ran here.
+        assert_eq!(run(threads), sequential, "threads={threads}");
+    }
 }

@@ -76,6 +76,17 @@ bench workload:
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --workload {{workload}} --seed 11 --seconds 16 --trace 0
 
+# What CI's "Benchmark surface" step runs: one second each of the stream,
+# selection and pooled-scheduler workloads, output checks only (no timing).
+bench-smoke:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    for workload in stream_steady paper_epochs paper_epochs_mt; do
+        cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+            --workload "$workload" --seconds 1 --trace 0 | tee /tmp/bench-smoke.txt
+        tail -n 1 /tmp/bench-smoke.txt | grep -q '"correct":true'
+    done
+
 # Every workload, untraced then traced: all metrics, all output checks,
 # benchmark/out/results.json (about 4 minutes).
 bench-all:
