@@ -2,16 +2,18 @@
 //!
 //! ```text
 //! experiments <id>... [--quick] [--threads <n>] [--json <dir>] [--svg <dir>]
-//! experiments all [--quick] [--threads <n>] [--json <dir>] [--svg <dir>]
+//! experiments all|golden|ablations [--quick] [--threads <n>] [--json <dir>] [--svg <dir>]
 //! experiments list
 //! ```
 //!
-//! Ids: table1, fig1d, fig3a..fig3h, fig4a..fig4c, fig5a, fig5b, sec4d.
+//! Ids: table1, fig1d, fig3a..fig3h, fig4a..fig4c, fig5a, fig5b, sec4d,
+//! faults, sched, settle, migrate and the `abl-*` ablations. `golden` is
+//! the ids whose quick-mode JSON is committed under `results/golden/`.
 //! `--quick` shrinks repeat counts (same sweeps, noisier averages);
 //! `--threads <n>` caps the workers used for independent grid points
 //! (default 0 = one per core; 1 = sequential — results are identical
 //! either way, only wall-clock changes);
-//! `--json <dir>` additionally writes one JSON file per experiment.
+//! `--json <dir>` additionally writes `<dir>/<id>.json` per experiment.
 
 use cshard_bench::experiments;
 use std::process::ExitCode;
@@ -55,6 +57,7 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "all" => ids.extend(experiments::ALL.iter().map(|s| s.to_string())),
+            "golden" => ids.extend(experiments::GOLDEN.iter().map(|s| s.to_string())),
             "ablations" => ids.extend(experiments::ABLATIONS.iter().map(|s| s.to_string())),
             other if other.starts_with('-') => {
                 eprintln!("unknown flag {other}");
@@ -65,7 +68,7 @@ fn main() -> ExitCode {
     }
     if ids.is_empty() {
         eprintln!(
-            "usage: experiments <id>...|all|ablations [--quick] [--threads <n>] [--json <dir>]"
+            "usage: experiments <id>...|all|golden|ablations [--quick] [--threads <n>] [--json <dir>]"
         );
         eprintln!("ids: {}", experiments::ALL.join(", "));
         eprintln!("ablations: {}", experiments::ABLATIONS.join(", "));
@@ -86,15 +89,7 @@ fn main() -> ExitCode {
         };
         println!("{}", result.to_table());
         if let Some(dir) = &json_dir {
-            // The scheduler, settlement and migration grids are bench
-            // artefacts, not paper figures — they ship under BENCH_.
-            let bench_grid = matches!(id.as_str(), "sched" | "settle" | "migrate");
-            let file = if bench_grid {
-                format!("BENCH_{id}.json")
-            } else {
-                format!("{id}.json")
-            };
-            let path = format!("{dir}/{file}");
+            let path = format!("{dir}/{id}.json");
             if let Err(e) = std::fs::write(&path, result.to_json()) {
                 eprintln!("cannot write {path}: {e}");
                 return ExitCode::FAILURE;

@@ -49,6 +49,15 @@ pub const ALL: &[&str] = &[
     "fig4a", "fig4b", "fig4c", "fig5a", "fig5b", "sec4d", "faults", "sched", "settle", "migrate",
 ];
 
+/// The ids whose quick-mode JSON is committed under `results/golden/`
+/// and must regenerate byte-identically at every `--threads` value (run
+/// with `experiments golden --quick`): the paper artefacts cheap enough
+/// for a debug-mode test, then the four beyond-paper grids.
+pub const GOLDEN: &[&str] = &[
+    "table1", "fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f", "fig3g", "fig3h", "fig4a",
+    "fig4b", "fig4c", "faults", "sched", "settle", "migrate",
+];
+
 /// The ablation studies of DESIGN.md §8 (run with `experiments ablations`
 /// or by id).
 pub const ABLATIONS: &[&str] = &[

@@ -189,7 +189,7 @@ impl PipelineMetrics {
 
 /// Caller-side stage hooks. The pipeline itself never reads a clock
 /// (ND001); a harness that wants per-stage wall time implements this and
-/// brackets each stage with its own `Instant` reads.
+/// brackets each stage with its own clock reads.
 pub trait StageObserver {
     /// Called immediately before a stage runs.
     fn stage_started(&mut self, _stage: StageKind) {}

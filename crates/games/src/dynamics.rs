@@ -205,25 +205,6 @@ impl ReplicatorMergeDynamics {
         }
     }
 
-    /// Warm-start `init`: seeds the probabilities from a previous
-    /// equilibrium's final mixed strategies instead of fresh leader
-    /// randomness. When the game inputs repeat, the dynamics start at
-    /// (or next to) the fixed point and converge in fewer slots.
-    pub fn init_warm(
-        &mut self,
-        sizes: &[u64],
-        previous: &OneShotOutcome,
-        config: &MergingConfig,
-        seed: u64,
-    ) {
-        self.init(MergeInput {
-            sizes,
-            initial_probs: &previous.final_probs,
-            config,
-            seed,
-        });
-    }
-
     /// The current mixed strategies (clamped to the exploration band).
     pub fn probabilities(&self) -> &[f64] {
         &self.x
@@ -241,7 +222,7 @@ impl GameDynamics for ReplicatorMergeDynamics {
     type Solution = OneShotOutcome;
 
     fn init(&mut self, input: MergeInput<'_>) {
-        input.config.check();
+        debug_assert_eq!(input.config.validate(), Ok(()));
         assert_eq!(
             input.sizes.len(),
             input.initial_probs.len(),
@@ -856,26 +837,6 @@ mod tests {
         assert!(out.merged.is_empty());
         assert!(!out.satisfied);
         assert_eq!(out.slots, 0);
-    }
-
-    #[test]
-    fn merge_warm_start_converges_in_fewer_slots() {
-        let sizes = vec![6u64, 5, 7, 6, 4, 8, 5, 6];
-        let probs = vec![0.5; 8];
-        let cfg = MergingConfig {
-            lower_bound: 24,
-            ..MergingConfig::default()
-        };
-        let cold = one_shot_merge(&sizes, &probs, &cfg, 17);
-        assert!(cold.slots > 1, "cold run must iterate for this test");
-        let mut warm = ReplicatorMergeDynamics::new();
-        warm.init_warm(&sizes, &cold, &cfg, 17);
-        let warm_slots = warm.run_to_convergence();
-        assert!(
-            warm_slots < cold.slots,
-            "warm {warm_slots} !< cold {}",
-            cold.slots
-        );
     }
 
     #[test]

@@ -64,21 +64,10 @@ impl Default for MergingConfig {
 }
 
 impl MergingConfig {
-    /// Validates invariants the dynamics rely on, panicking on the
-    /// protocol replay path (a miner replaying leader-unified inputs
-    /// with a broken config is a programming error, not bad input).
-    pub(crate) fn check(&self) {
-        assert!(self.reward > self.cost, "reward must exceed merging cost");
-        assert!(self.eta > 0.0 && self.eta < 1.0, "eta in (0,1)");
-        assert!(self.subslots > 0, "need at least one subslot");
-        assert!(self.tolerance > 0.0);
-        assert!(self.max_slots > 0);
-        assert!(self.lower_bound > 0);
-    }
-
-    /// The fallible twin of [`check`](Self::check): the same invariants
-    /// as a typed [`Error`] for configuration surfaces (builders) that
-    /// must reject bad values instead of panicking mid-run.
+    /// The invariants the dynamics rely on, as a typed [`Error`]. Every
+    /// surface that accepts a config from outside — the system builder,
+    /// a miner replaying a leader's broadcast — calls this before the
+    /// game runs; the dynamics themselves only `debug_assert` it.
     pub fn validate(&self) -> Result<(), Error> {
         let reject = |field: &'static str, reason: &str| {
             Err(Error::Config {
@@ -191,7 +180,6 @@ pub fn iterative_merge(
     config: &MergingConfig,
     seed: u64,
 ) -> IterativeMergeOutcome {
-    config.check();
     assert_eq!(sizes.len(), initial_probs.len());
     let mut remaining: Vec<usize> = (0..sizes.len()).collect();
     let mut new_shards = Vec::new();
@@ -426,17 +414,6 @@ mod tests {
         let ratio = total_ours as f64 / total_opt as f64;
         assert!(ratio >= 0.4, "ratio {ratio:.2} too far from optimal");
         assert!(ratio <= 1.0 + 1e-9, "cannot beat optimal");
-    }
-
-    #[test]
-    #[should_panic(expected = "reward must exceed merging cost")]
-    fn config_validation() {
-        let config = MergingConfig {
-            reward: Amount::from_raw(1),
-            cost: Amount::from_raw(2),
-            ..MergingConfig::default()
-        };
-        one_shot_merge(&[5], &[0.5], &config, 0);
     }
 
     #[test]

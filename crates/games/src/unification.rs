@@ -269,7 +269,9 @@ impl UnifiedParameters {
     /// Replays Algorithm 1 locally: the merge outcome every honest miner
     /// agrees on without exchanging a single in-game message.
     ///
-    /// Errors when the broadcast carries selection inputs.
+    /// Errors when the broadcast carries selection inputs, or a merging
+    /// config the game cannot run on (`Error::Config`, `merging.*`): the
+    /// broadcast is a message, and a leader can put anything in it.
     pub fn merge_outcome(&self) -> Result<IterativeMergeOutcome, Error> {
         let GameInputs::Merge {
             shard_sizes,
@@ -278,6 +280,7 @@ impl UnifiedParameters {
         else {
             return Err(self.wrong_inputs("merge_outcome", "merge"));
         };
+        config.validate()?;
         let sizes: Vec<u64> = shard_sizes.iter().map(|&(_, s)| s).collect();
         Ok(iterative_merge(
             &sizes,
@@ -289,11 +292,18 @@ impl UnifiedParameters {
 
     /// Replays Algorithm 2 locally: the selection equilibrium.
     ///
-    /// Errors when the broadcast carries merge inputs.
+    /// Errors when the broadcast carries merge inputs, or a zero block
+    /// capacity (`Error::Config`, `selection.capacity`).
     pub fn selection_outcome(&self) -> Result<SelectionOutcome, Error> {
         let GameInputs::Select { fees, config, .. } = &self.inputs else {
             return Err(self.wrong_inputs("selection_outcome", "selection"));
         };
+        if config.capacity == 0 {
+            return Err(Error::Config {
+                field: "selection.capacity",
+                reason: "a miner must be able to pack at least one transaction".into(),
+            });
+        }
         Ok(best_reply_equilibrium(
             fees,
             &self.initial_selections()?,
@@ -623,5 +633,48 @@ mod tests {
             select_params().verify_merge_claim(&[]),
             Err(VerificationError::WrongInputs(Error::GameInputs { .. }))
         ));
+    }
+
+    #[test]
+    fn hostile_config_in_a_broadcast_is_a_typed_error() {
+        type Corrupt = fn(&mut MergingConfig);
+        let hostile: [(&str, Corrupt); 8] = [
+            ("merging.eta", |c| c.eta = f64::NAN),
+            ("merging.eta", |c| c.eta = 0.0),
+            ("merging.eta", |c| c.eta = 1.0),
+            ("merging.subslots", |c| c.subslots = 0),
+            ("merging.tolerance", |c| c.tolerance = f64::NAN),
+            ("merging.max_slots", |c| c.max_slots = 0),
+            ("merging.lower_bound", |c| c.lower_bound = 0),
+            ("merging.reward", |c| c.reward = c.cost),
+        ];
+        for (row, (want, corrupt)) in hostile.into_iter().enumerate() {
+            let mut p = merge_params();
+            if let GameInputs::Merge { config, .. } = &mut p.inputs {
+                corrupt(config);
+            }
+            let got = p.merge_outcome();
+            assert!(
+                matches!(got, Err(Error::Config { field, .. }) if field == want),
+                "row {row}: wanted {want}, got {got:?}"
+            );
+            assert!(
+                matches!(
+                    p.verify_merge_claim(&[]),
+                    Err(VerificationError::WrongInputs(Error::Config { .. }))
+                ),
+                "row {row}"
+            );
+        }
+
+        let mut p = select_params();
+        if let GameInputs::Select { config, .. } = &mut p.inputs {
+            config.capacity = 0;
+        }
+        let got = p.selection_outcome();
+        assert!(
+            matches!(got, Err(Error::Config { field, .. }) if field == "selection.capacity"),
+            "got {got:?}"
+        );
     }
 }

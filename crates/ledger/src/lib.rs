@@ -29,10 +29,8 @@ pub mod account;
 pub mod block;
 pub mod callgraph;
 pub mod chain;
-pub mod codec;
 pub mod contract;
 pub mod error;
-pub mod light;
 pub mod mempool;
 pub mod merkle;
 pub mod snapshot;
@@ -45,7 +43,6 @@ pub use callgraph::{BatchChurn, CallGraph, SenderClass};
 pub use chain::Chain;
 pub use contract::{Condition, SmartContract};
 pub use error::LedgerError;
-pub use light::{InclusionProof, LightClient, LightError};
 pub use mempool::Mempool;
 pub use merkle::merkle_root;
 pub use snapshot::StateSnapshot;

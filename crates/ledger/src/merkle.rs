@@ -43,64 +43,10 @@ pub fn merkle_root(ids: &[Hash32]) -> Hash32 {
     level[0]
 }
 
-/// A Merkle inclusion proof: sibling hashes from leaf to root.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MerkleProof {
-    /// Index of the proven leaf.
-    pub index: usize,
-    /// Sibling hash at each level, bottom-up.
-    pub siblings: Vec<Hash32>,
-}
-
-/// Builds an inclusion proof for leaf `index`.
-///
-/// Returns `None` when `index` is out of range.
-pub fn merkle_proof(ids: &[Hash32], index: usize) -> Option<MerkleProof> {
-    if index >= ids.len() {
-        return None;
-    }
-    let mut level: Vec<Hash32> = ids.iter().map(leaf).collect();
-    let mut idx = index;
-    let mut siblings = Vec::new();
-    while level.len() > 1 {
-        let sib = if idx.is_multiple_of(2) {
-            // Right sibling, or self-duplicate at an odd tail.
-            *level.get(idx + 1).unwrap_or(&level[idx])
-        } else {
-            level[idx - 1]
-        };
-        siblings.push(sib);
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        for pair in level.chunks(2) {
-            let right = pair.get(1).unwrap_or(&pair[0]);
-            next.push(node(&pair[0], right));
-        }
-        level = next;
-        idx /= 2;
-    }
-    Some(MerkleProof { index, siblings })
-}
-
-/// Verifies an inclusion proof against a root.
-pub fn verify_proof(id: &Hash32, proof: &MerkleProof, root: &Hash32) -> bool {
-    let mut acc = leaf(id);
-    let mut idx = proof.index;
-    for sib in &proof.siblings {
-        acc = if idx.is_multiple_of(2) {
-            node(&acc, sib)
-        } else {
-            node(sib, &acc)
-        };
-        idx /= 2;
-    }
-    acc == *root
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cshard_crypto::sha256;
-    use proptest::prelude::*;
 
     fn ids(n: usize) -> Vec<Hash32> {
         (0..n as u64).map(|i| sha256(i.to_be_bytes())).collect()
@@ -132,56 +78,5 @@ mod tests {
         let mut w = v.clone();
         w.swap(0, 1);
         assert_ne!(merkle_root(&v), merkle_root(&w));
-    }
-
-    #[test]
-    fn proofs_verify_for_all_sizes_and_positions() {
-        for n in 1..=17 {
-            let v = ids(n);
-            let root = merkle_root(&v);
-            for i in 0..n {
-                let p = merkle_proof(&v, i).unwrap();
-                assert!(verify_proof(&v[i], &p, &root), "n={n} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn proof_fails_for_wrong_leaf_or_root() {
-        let v = ids(8);
-        let root = merkle_root(&v);
-        let p = merkle_proof(&v, 3).unwrap();
-        assert!(!verify_proof(&v[4], &p, &root));
-        assert!(!verify_proof(&v[3], &p, &sha256(b"other-root")));
-    }
-
-    #[test]
-    fn out_of_range_proof_is_none() {
-        assert!(merkle_proof(&ids(3), 3).is_none());
-        assert!(merkle_proof(&[], 0).is_none());
-    }
-
-    proptest! {
-        #[test]
-        fn prop_every_proof_verifies(n in 1usize..64, seed in any::<u64>()) {
-            let v: Vec<Hash32> = (0..n as u64)
-                .map(|i| sha256((seed ^ i).to_be_bytes()))
-                .collect();
-            let root = merkle_root(&v);
-            for i in 0..n {
-                let p = merkle_proof(&v, i).unwrap();
-                prop_assert!(verify_proof(&v[i], &p, &root));
-            }
-        }
-
-        #[test]
-        fn prop_tampered_leaf_fails(n in 2usize..64, at in any::<prop::sample::Index>()) {
-            let v = ids(n);
-            let root = merkle_root(&v);
-            let i = at.index(n);
-            let p = merkle_proof(&v, i).unwrap();
-            let wrong = sha256(b"tampered");
-            prop_assert!(!verify_proof(&wrong, &p, &root));
-        }
     }
 }

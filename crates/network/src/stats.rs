@@ -1,9 +1,8 @@
 //! Cross-shard communication accounting.
 
 use cshard_primitives::ShardId;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// What a communication round was for — lets experiments slice the totals.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -46,6 +45,15 @@ impl CommStats {
         CommStats::default()
     }
 
+    /// Takes the lock whether or not a holder panicked: every update is a
+    /// plain counter addition, so the counters are valid at every step and
+    /// one crashed recorder must not fail every later reader of the run.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     /// Records one communication round in which `shard` participated.
     pub fn record(&self, shard: ShardId, kind: CommKind) {
         self.record_many(shard, kind, 1);
@@ -56,7 +64,7 @@ impl CommStats {
         if count == 0 {
             return;
         }
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         *inner.per_shard.entry(shard).or_insert(0) += count;
         *inner.per_kind.entry(kind).or_insert(0) += count;
         inner.total += count;
@@ -64,22 +72,17 @@ impl CommStats {
 
     /// Total communication rounds across all shards.
     pub fn total(&self) -> u64 {
-        self.inner.lock().total
+        self.lock().total
     }
 
     /// Rounds in which a specific shard participated.
     pub fn for_shard(&self, shard: ShardId) -> u64 {
-        self.inner
-            .lock()
-            .per_shard
-            .get(&shard)
-            .copied()
-            .unwrap_or(0)
+        self.lock().per_shard.get(&shard).copied().unwrap_or(0)
     }
 
     /// Rounds of a specific kind.
     pub fn for_kind(&self, kind: CommKind) -> u64 {
-        self.inner.lock().per_kind.get(&kind).copied().unwrap_or(0)
+        self.lock().per_kind.get(&kind).copied().unwrap_or(0)
     }
 
     /// Average rounds per shard over `shard_count` shards — the y-axis of
@@ -91,18 +94,12 @@ impl CommStats {
 
     /// Maximum rounds over the shards that communicated at all.
     pub fn per_shard_max(&self) -> u64 {
-        self.inner
-            .lock()
-            .per_shard
-            .values()
-            .copied()
-            .max()
-            .unwrap_or(0)
+        self.lock().per_shard.values().copied().max().unwrap_or(0)
     }
 
     /// Resets every counter (reused between experiment repetitions).
     pub fn reset(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.per_shard.clear();
         inner.per_kind.clear();
         inner.total = 0;
@@ -112,7 +109,7 @@ impl CommStats {
     /// with snapshots instead of re-reading individual kinds ad hoc, and
     /// diff them with [`CommSnapshot::since`] / [`CommStats::delta`].
     pub fn snapshot(&self) -> CommSnapshot {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         CommSnapshot {
             per_shard: inner.per_shard.clone(),
             per_kind: inner.per_kind.clone(),
@@ -289,6 +286,27 @@ mod tests {
         s.record(ShardId::new(0), CommKind::Other);
         let snap = s.snapshot();
         assert_eq!(s.delta(&snap), CommSnapshot::default());
+    }
+
+    #[test]
+    fn keeps_counting_after_a_recorder_panics_holding_the_lock() {
+        let s = CommStats::new();
+        s.record(ShardId::new(0), CommKind::Other);
+        let crashed = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = s.lock();
+                    panic!("recorder crashed mid-run");
+                })
+                .join()
+        });
+        assert!(crashed.is_err());
+        s.record_many(ShardId::new(1), CommKind::Crosslink, 2);
+        assert_eq!(s.total(), 3);
+        assert_eq!(s.for_shard(ShardId::new(0)), 1);
+        assert_eq!(s.snapshot().for_kind(CommKind::Crosslink), 2);
+        s.reset();
+        assert_eq!(s.total(), 0);
     }
 
     #[test]

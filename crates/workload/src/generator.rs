@@ -44,11 +44,6 @@ pub enum WorkloadKind {
         /// Number of registered contracts.
         contracts: u32,
     },
-    /// Materialised from an imported [`crate::trace::Trace`].
-    Replayed {
-        /// Number of contracts the trace references.
-        contracts: u32,
-    },
 }
 
 /// A generated workload: the genesis state, the registered contracts and

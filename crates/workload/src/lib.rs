@@ -33,9 +33,7 @@
 pub mod fees;
 pub mod generator;
 pub mod stream;
-pub mod trace;
 
 pub use fees::FeeDistribution;
 pub use generator::{Workload, WorkloadKind};
 pub use stream::{BurstEpisode, SpamFlood, StreamConfig, TxStream};
-pub use trace::{mainnet_shaped, Trace, TraceRecord};

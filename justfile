@@ -28,45 +28,21 @@ audit-baseline:
         --json results/audit/AUDIT_baseline.json
     git diff --stat results/audit/AUDIT_baseline.json
 
-# Quick-mode run of all twelve golden experiments, diffed against
-# results/golden. fig4a exercises the ChainSpace driver with settlement
-# disabled: the diff pins the settle subsystem bit-invisible on the
-# unbatched path.
+# Quick-mode run of every golden experiment (`experiments::GOLDEN`: twelve
+# paper artefacts plus the faults, sched, settle and migrate grids), diffed
+# against results/golden. fig4a exercises the ChainSpace driver with
+# settlement disabled: the diff pins the settle subsystem bit-invisible on
+# the unbatched path.
 golden:
     rm -rf /tmp/golden-smoke
     cargo run --release -p cshard-bench --bin experiments -- \
-        table1 fig3a fig3b fig3c fig3d fig3e fig3f fig3g fig3h fig4a fig4b fig4c \
-        --quick --json /tmp/golden-smoke
+        golden --quick --json /tmp/golden-smoke
     diff -r results/golden /tmp/golden-smoke
 
 # Fault-injection gate: the chaos suite (zero-fault transparency, VRF
-# failover, corruption bounds) plus the faults experiment grid as JSON.
+# failover, corruption bounds; its golden loop regenerates the faults grid).
 chaos:
     cargo test -q --test chaos
-    cargo run --release -p cshard-bench --bin experiments -- \
-        faults --quick --json /tmp/chaos
-
-# Scheduler lifecycle grid: launch throughput and scheduled/skipped task
-# counts on a sparse 10→2000-shard workload, written as BENCH_sched.json.
-bench-sched:
-    cargo run --release -p cshard-bench --bin experiments -- \
-        sched --quick --json /tmp/bench-sched
-    @echo "wrote /tmp/bench-sched/BENCH_sched.json"
-
-# Settlement grid: messages per cross-shard tx, per-tx 2PC baseline vs a
-# crosslink batch-cap sweep on the fig4(b) point, as BENCH_settle.json.
-bench-settle:
-    cargo run --release -p cshard-bench --bin experiments -- \
-        settle --quick --json /tmp/bench-settle
-    @echo "wrote /tmp/bench-settle/BENCH_settle.json"
-
-# Migration grid: cross-shard messages per tx, static placement vs the
-# cross-epoch placement engine (>= 2x reduction asserted in the grid), as
-# BENCH_migrate.json.
-bench-migrate:
-    cargo run --release -p cshard-bench --bin experiments -- \
-        migrate --quick --json /tmp/bench-migrate
-    @echo "wrote /tmp/bench-migrate/BENCH_migrate.json"
 
 # The repo's benchmark (`benchmark/`, a package outside the workspace;
 # workloads, metrics and the comparison protocol are in benchmark/README.md).

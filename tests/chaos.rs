@@ -3,8 +3,8 @@
 //! Three contracts, end to end:
 //!
 //! 1. **Transparency** — a zero-fault [`FaultPlan`] is bit-invisible: the
-//!    wrapped runtime reproduces the pre-fault golden fingerprints and all
-//!    twelve checked-in quick-mode experiment JSONs byte-identically.
+//!    wrapped runtime reproduces the pre-fault golden fingerprints and
+//!    every checked-in quick-mode experiment JSON byte-identically.
 //! 2. **Recovery** — a crashed (or equivocating) epoch leader is replaced
 //!    via the VRF failover ranking within one epoch interval, and the
 //!    takeover verifies against public data.
@@ -84,7 +84,12 @@ fn all_twelve_golden_jsons_regenerate_byte_identically() {
         })
         .collect();
     ids.sort();
-    assert_eq!(ids.len(), 12, "expected the 12 golden JSONs, got {ids:?}");
+    let mut listed = cshard_bench::experiments::GOLDEN.to_vec();
+    listed.sort_unstable();
+    assert_eq!(
+        ids, listed,
+        "results/golden/ and experiments::GOLDEN differ"
+    );
     for id in &ids {
         let result = cshard_bench::experiments::run(id, true)
             .unwrap_or_else(|| panic!("golden id {id} is not a known experiment"));
