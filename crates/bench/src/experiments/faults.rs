@@ -21,7 +21,7 @@ pub fn run(quick: bool) -> ExperimentResult {
 
     // Corruption sweep: each fraction is an independent measurement, so
     // fan the grid points out (each is a pure function of its inputs).
-    let measurements = grid_scheduler().map(fractions.clone(), |_, f| {
+    let measurements = grid_scheduler().map(fractions.clone(), move |_, f| {
         measure_corruption(miners, f, epochs, txs, 0xFA017)
             .unwrap_or_else(|e| panic!("corruption measurement at f={f}: {e}"))
     });

@@ -108,7 +108,7 @@ pub fn run_b(quick: bool) -> ExperimentResult {
     let mut cs_pts = Vec::new();
     for &count in &xs {
         // The repeats are independently seeded runs — fan them out.
-        let per_seed = grid_scheduler().map((0..repeats).collect(), |_, seed| {
+        let per_seed = grid_scheduler().map((0..repeats).collect(), move |_, seed| {
             let w = Workload::three_input(count, 3, default_fees(), seed);
             // ChainSpace: random placement, then an actual run — each 2PC
             // validation round is a scheduled event that books one

@@ -27,7 +27,7 @@ pub fn run_a(quick: bool) -> ExperimentResult {
         ..MergingConfig::default()
     };
     // Grid points are seeded by `n` alone, so they are independent tasks.
-    let points = grid_scheduler().map(xs.clone(), |_, n| {
+    let points = grid_scheduler().map(xs.clone(), move |_, n| {
         let mut rng = ChaCha8Rng::seed_from_u64(n as u64);
         // "We randomly generate different numbers of transactions in
         // multiple small shards" — 1..=9 like the testbed runs.
@@ -93,7 +93,7 @@ pub fn run_b(quick: bool) -> ExperimentResult {
         .iter()
         .flat_map(|&miners| (0..repeats).map(move |rep| (miners, rep)))
         .collect();
-    let counts = grid_scheduler().map(pairs, |_, (miners, rep)| {
+    let counts = grid_scheduler().map(pairs, move |_, (miners, rep)| {
         let mut rng = ChaCha8Rng::seed_from_u64((miners * 31 + rep) as u64 ^ 0xBEEF);
         // Candidate-set fee = sum of `capacity` heavy-tailed tx fees.
         let fee_model = FeeDistribution::Zipf {

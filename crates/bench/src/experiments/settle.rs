@@ -68,7 +68,7 @@ pub fn run(quick: bool) -> ExperimentResult {
     let count = if quick { 600 } else { 4_000 };
     let baseline = messages_per_tx(count, None);
     // Each cap is an independent run — fan them out on the grid.
-    let batched = grid_scheduler().map(CAPS.to_vec(), |_, cap| {
+    let batched = grid_scheduler().map(CAPS.to_vec(), move |_, cap| {
         (cap as f64, messages_per_tx(count, Some(wide(cap))))
     });
     let baseline_pts: Vec<(f64, f64)> = CAPS.iter().map(|&c| (c as f64, baseline)).collect();

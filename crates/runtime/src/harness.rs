@@ -173,7 +173,7 @@ impl<'obs> RunBuilder<'obs> {
     /// simulated time and the last event handled) or an `on_event` hook
     /// rejects an event ([`Error::UnexpectedEvent`]). The event loop
     /// itself never panics.
-    pub fn run<D: ProtocolDriver>(self, drivers: Vec<D>) -> Result<RunOutcome<D>, Error> {
+    pub fn run<D: ProtocolDriver + 'static>(self, drivers: Vec<D>) -> Result<RunOutcome<D>, Error> {
         let RunBuilder {
             config,
             comm,
@@ -232,7 +232,7 @@ impl Runtime {
 }
 
 /// The shared two-phase engine behind [`RunBuilder::run`].
-fn execute<D: ProtocolDriver>(
+fn execute<D: ProtocolDriver + 'static>(
     config: SchedulerConfig,
     comm: &CommStats,
     mut observer: Option<&mut dyn RunObserver>,
@@ -270,10 +270,14 @@ fn execute<D: ProtocolDriver>(
     if let Some(obs) = observer.as_deref_mut() {
         obs.phase_started(RunPhase::Active);
     }
+    // The step closures outlive this frame on the pooled path (helper
+    // threads are process-wide), so each owns a handle on the counter.
+    let shared = comm.clone();
     let (tasks, active) = scheduler.drain(
         tasks,
         |t| !t.driver.done(),
-        |index, t| {
+        move |index, t| {
+            let comm = &shared;
             let start = Instant::now();
             let mut processed = 0;
             let outcome = loop {
@@ -326,7 +330,9 @@ fn execute<D: ProtocolDriver>(
         obs.phase_started(RunPhase::IdleDrain);
     }
     let pending = |t: &DriverTask<D>| t.queue.next_time().is_some_and(|at| at < completion);
-    let (tasks, idle_drain) = scheduler.drain(tasks, pending, |_, t| {
+    let shared = comm.clone();
+    let (tasks, idle_drain) = scheduler.drain(tasks, pending, move |_, t| {
+        let comm = &shared;
         let start = Instant::now();
         let mut processed = 0;
         let outcome = loop {

@@ -21,14 +21,15 @@
 //!   simulator) or explicit [`Event::BlockDelivered`] events drawn from a
 //!   [`cshard_network::LatencyModel`];
 //! * [`Runtime`] — the two-phase harness that runs one driver per shard
-//!   on the shard-lifecycle scheduler (`cshard_sim::WorkScheduler`) and
-//!   assembles the [`RunReport`]. Runs launch through the fluent
-//!   [`Runtime::builder`] ([`RunBuilder`]), which threads a
-//!   [`SchedulerConfig`] (worker count + turn budget), an optional shared
-//!   [`cshard_network::CommStats`] and an optional [`RunObserver`]
-//!   through both phases. All host wall-clock reads live here, behind the
-//!   report layer — drivers are replayable pure functions of their event
-//!   streams.
+//!   on the shard-lifecycle scheduler (`cshard_sim::WorkScheduler`; at
+//!   `threads > 1` its helpers are process-wide parked threads, so driver
+//!   types must be `'static`) and assembles the [`RunReport`]. Runs launch
+//!   through the fluent [`Runtime::builder`] ([`RunBuilder`]), which
+//!   threads a [`SchedulerConfig`] (worker count + turn budget), an
+//!   optional shared [`cshard_network::CommStats`] and an optional
+//!   [`RunObserver`] through both phases. All host wall-clock reads live
+//!   here, behind the report layer — drivers are replayable pure functions
+//!   of their event streams.
 //!
 //! The concrete drivers for the paper's protocols live here too:
 //! [`ContractShardDriver`] (one shard of the contract-centric scheme or,

@@ -13,8 +13,9 @@
 //!   never scheduled;
 //! * a worker pool sized to the machine (`threads: 0` = one worker per
 //!   core) drains the queue — the calling thread is one of the workers,
-//!   so a pool of `w` spawns `w − 1` threads and a drain that admits one
-//!   slot spawns none; a slot whose turn ends with more work
+//!   so a drain over `w` workers offers its job to `w − 1` parked helper
+//!   threads (see "Pool") and a drain that admits one slot offers it to
+//!   none; a slot whose turn ends with more work
 //!   outstanding ([`Turn::Yield`]) is re-enqueued (`Running → Pending`),
 //!   one that finishes ([`Turn::Done`]) goes back to `Idle`;
 //! * per-slot scheduled-turn counters and the skipped count come back in
@@ -37,9 +38,34 @@
 //! slot's own doing (its step scheduled further events and yielded);
 //! cross-slot work injection would break slot independence and is exactly
 //! what the determinism contract forbids.
+//!
+//! # Pool
+//!
+//! Helper threads are process-wide and long-lived: one private static
+//! pool, started by the first pooled drain, grown to the largest helper
+//! count any drain has asked for (at most its admitted slots − 1, so a
+//! huge `threads` cannot inflate it), never shrunk, and never touched at
+//! `threads: 1`. Helpers outlive every call, so a pooled drain moves its
+//! slots, step closure, ready queue and error list into one `Arc`'d job
+//! (hence the `'static` bounds), queues a ticket per wanted helper, and
+//! then *works the job itself*. Helpers are optional — the caller alone
+//! always finishes its job — so nested drains, many threads draining at
+//! once or a pool busy elsewhere cannot deadlock. A helper leaves a job
+//! once its ready queue is empty (every live slot is then on a worker
+//! that re-claims it if it yields); one that turns up after the drain is
+//! over steps nothing. The caller takes unclaimed tickets back.
+//!
+//! Parking and waking a thread costs about as much as a paper-scale
+//! drain, so a helper waiting for a ticket and a caller waiting for the
+//! last running slot spin for a *counted* number of iterations before
+//! they park on a plain `Condvar` wait — a count, never a duration: the
+//! scheduler reads no clock (audit rule ND001).
 
+use std::any::Any;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, LazyLock, Mutex, OnceLock};
 
 /// How a run is scheduled: worker pool size and turn granularity.
 ///
@@ -87,12 +113,11 @@ impl SchedulerConfig {
     }
 
     /// The worker count this configuration resolves to (`0` → the number
-    /// of available cores).
+    /// of available cores, asked of the OS once per process).
     pub fn worker_count(&self) -> usize {
+        static CORES: OnceLock<usize> = OnceLock::new();
         if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
         } else {
             self.threads
         }
@@ -137,20 +162,178 @@ const IDLE: u8 = 0;
 const PENDING: u8 = 1;
 const RUNNING: u8 = 2;
 
-/// One resident slot: the caller's item plus its lifecycle atomics.
+/// One resident slot: the caller's item (taken back by the caller once
+/// the drain is over) plus its lifecycle atomics.
 struct Slot<T> {
-    item: Mutex<T>,
+    item: Mutex<Option<T>>,
     state: AtomicU8,
     turns: AtomicU64,
 }
 
-/// Runs the drain's `retire` if a slot's step unwinds through it (the
-/// worker forgets the guard when the step returns).
-struct RetireOnUnwind<'a, R: Fn()>(&'a R);
+/// Spin iterations before a waiting worker parks (see "Pool"): about one
+/// park-and-wake round trip, tens of microseconds.
+const SPINS: usize = 4096;
 
-impl<R: Fn()> Drop for RetireOnUnwind<'_, R> {
-    fn drop(&mut self) {
-        (self.0)();
+/// Spins until `ready()` or the iteration budget runs out.
+fn spin_until(ready: impl Fn() -> bool) {
+    for _ in 0..SPINS {
+        if ready() {
+            return;
+        }
+        std::hint::spin_loop();
+    }
+}
+
+/// One pooled drain, shared by the caller and the helpers it invited.
+struct Job<T, E, F> {
+    slots: Vec<Slot<T>>,
+    step: F,
+    queue: Mutex<VecDeque<usize>>,
+    available: Condvar,
+    /// Slots still Pending or Running: the drain is over at zero, not at
+    /// an empty queue (a running slot may still yield a new entry).
+    live: AtomicUsize,
+    errors: Mutex<Vec<(usize, E)>>,
+    /// The first panic payload any worker's turn raised.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl<T, E, F: Fn(usize, &mut T) -> Result<Turn, E>> Job<T, E, F> {
+    fn over(&self) -> bool {
+        self.live.load(Ordering::SeqCst) == 0
+    }
+
+    /// The worker loop: claim a Pending slot, run one turn, re-enqueue or
+    /// retire it. The caller (`helper == false`) returns once the drain
+    /// is over, a helper as soon as there is nothing to claim.
+    fn work(&self, helper: bool) {
+        loop {
+            let i = {
+                let mut q = self.queue.lock().expect("ready-queue lock");
+                loop {
+                    if let Some(i) = q.pop_front() {
+                        break i;
+                    }
+                    if helper || self.over() {
+                        return;
+                    }
+                    // The last slots are running on helpers: spin for
+                    // them, then park until one yields or the last retires.
+                    drop(q);
+                    spin_until(|| self.over());
+                    q = self.queue.lock().expect("ready-queue lock");
+                    if q.is_empty() && !self.over() {
+                        q = self.available.wait(q).expect("ready-queue wait");
+                    }
+                }
+            };
+            let slot = &self.slots[i];
+            let turn = catch_unwind(AssertUnwindSafe(|| {
+                // Pending → Running. Exactly one worker pops a given
+                // queue entry, and a slot is re-enqueued only after its
+                // previous turn stored a non-Running state, so this CAS
+                // cannot race.
+                slot.state
+                    .compare_exchange(PENDING, RUNNING, Ordering::SeqCst, Ordering::SeqCst)
+                    .unwrap_or_else(|s| {
+                        panic!("slot {i} claimed while in state {s} (not Pending)")
+                    });
+                slot.turns.fetch_add(1, Ordering::SeqCst);
+                let mut item = slot.item.lock().expect("slot lock");
+                (self.step)(i, item.as_mut().expect("slot taken mid-drain"))
+            }));
+            match turn {
+                Ok(Ok(Turn::Yield)) => {
+                    // Running → Pending: more work, back in line.
+                    slot.state.store(PENDING, Ordering::SeqCst);
+                    let mut q = self.queue.lock().expect("ready-queue lock");
+                    q.push_back(i);
+                    self.available.notify_one();
+                    continue;
+                }
+                Ok(Ok(Turn::Done)) => {}
+                Ok(Err(e)) => self.errors.lock().expect("error lock").push((i, e)),
+                // Recorded *before* the slot retires: a caller that sees
+                // the drain over also sees the panic, and never hands a
+                // half-stepped slot back.
+                Err(payload) => {
+                    let mut first = self.panic.lock().expect("panic lock");
+                    first.get_or_insert(payload);
+                }
+            }
+            // Running → Idle; the last slot out wakes a parked caller (the
+            // queue lock orders the wake against its failed pop and wait).
+            slot.state.store(IDLE, Ordering::SeqCst);
+            if self.live.fetch_sub(1, Ordering::SeqCst) == 1 {
+                let _q = self.queue.lock().expect("ready-queue lock");
+                self.available.notify_all();
+            }
+        }
+    }
+}
+
+/// A queued invitation to help with one job.
+type Ticket = Arc<dyn Fn() + Send + Sync>;
+
+/// The process-wide helper threads (see "Pool").
+#[derive(Default)]
+struct Pool {
+    state: Mutex<PoolState>,
+    wake: Condvar,
+    /// `state.tickets.len()`, mirrored so a spinning helper polls no lock.
+    pending: AtomicUsize,
+}
+
+#[derive(Default)]
+struct PoolState {
+    tickets: VecDeque<Ticket>,
+    helpers: usize,
+}
+
+static POOL: LazyLock<Pool> = LazyLock::new(Pool::default);
+
+impl Pool {
+    /// Queues `helpers` copies of `ticket`, growing the pool to that many
+    /// threads first.
+    fn offer(&self, ticket: &Ticket, helpers: usize) {
+        let mut state = self.state.lock().expect("pool lock");
+        while state.helpers < helpers {
+            // Detached on purpose: helpers live as long as the process
+            // and never unwind (every turn's panic is caught in `work`).
+            std::thread::spawn(|| POOL.help());
+            state.helpers += 1;
+        }
+        let copies = std::iter::repeat_n(ticket, helpers).cloned();
+        state.tickets.extend(copies);
+        self.pending.store(state.tickets.len(), Ordering::SeqCst);
+        for _ in 0..helpers {
+            self.wake.notify_one();
+        }
+    }
+
+    /// Takes back the copies of `ticket` no helper claimed.
+    fn withdraw(&self, ticket: &Ticket) {
+        let mut state = self.state.lock().expect("pool lock");
+        state.tickets.retain(|t| !Arc::ptr_eq(t, ticket));
+        self.pending.store(state.tickets.len(), Ordering::SeqCst);
+    }
+
+    /// A helper thread's life: claim a ticket (spin, then park), run it.
+    fn help(&self) -> ! {
+        loop {
+            spin_until(|| self.pending.load(Ordering::SeqCst) > 0);
+            let ticket = {
+                let mut state = self.state.lock().expect("pool lock");
+                loop {
+                    if let Some(ticket) = state.tickets.pop_front() {
+                        self.pending.store(state.tickets.len(), Ordering::SeqCst);
+                        break ticket;
+                    }
+                    state = self.wake.wait(state).expect("pool wait");
+                }
+            };
+            ticket();
+        }
     }
 }
 
@@ -198,12 +381,14 @@ impl WorkScheduler {
     ///
     /// # Panics
     ///
-    /// A panicking `step` propagates at any thread count: its slot is
-    /// retired on unwind, the remaining workers drain what they can and
-    /// exit, and the panic is re-raised once they have joined. Also
-    /// panics if the lifecycle invariant is violated (a slot claimed from
-    /// the ready queue that is not `Pending` — a scheduler bug, not a
-    /// caller condition).
+    /// A panicking `step` propagates at any thread count, whichever
+    /// worker ran it: the pooled path catches it around the turn, records
+    /// the payload (the first wins) *before* the slot retires, drains the
+    /// remaining slots, and re-raises it on the calling thread — no helper
+    /// is inside a step when the panic leaves `drain`, and helper threads
+    /// survive. A violated lifecycle invariant (a slot claimed from the
+    /// ready queue that is not `Pending` — a scheduler bug, not a caller
+    /// condition) panics the same way.
     pub fn drain<T, E, A, F>(
         &self,
         slots: Vec<T>,
@@ -211,10 +396,10 @@ impl WorkScheduler {
         step: F,
     ) -> Result<(Vec<T>, DrainStats), E>
     where
-        T: Send,
-        E: Send,
+        T: Send + 'static,
+        E: Send + 'static,
         A: Fn(&T) -> bool,
-        F: Fn(usize, &mut T) -> Result<Turn, E> + Sync,
+        F: Fn(usize, &mut T) -> Result<Turn, E> + Send + Sync + 'static,
     {
         let n = slots.len();
         let workers = self.workers();
@@ -222,133 +407,64 @@ impl WorkScheduler {
             return Self::drain_sequential(slots, admit, step);
         }
 
-        let slots: Vec<Slot<T>> = slots
-            .into_iter()
-            .map(|item| Slot {
-                item: Mutex::new(item),
-                state: AtomicU8::new(IDLE),
-                turns: AtomicU64::new(0),
+        // Admission, in slot order: only slots with work enter the queue.
+        let mut ready = VecDeque::with_capacity(n);
+        let slots: Vec<Slot<T>> = (slots.into_iter().enumerate())
+            .map(|(i, item)| {
+                let has_work = admit(&item);
+                if has_work {
+                    ready.push_back(i);
+                }
+                Slot {
+                    item: Mutex::new(Some(item)),
+                    state: AtomicU8::new(if has_work { PENDING } else { IDLE }),
+                    turns: AtomicU64::new(0),
+                }
             })
             .collect();
-
-        // Admission, in slot order: only slots with work enter the queue.
+        let admitted = ready.len();
         let mut stats = DrainStats {
-            per_slot_turns: vec![0; n],
+            scheduled: admitted as u64,
+            skipped: (n - admitted) as u64,
             ..DrainStats::default()
         };
-        let mut ready = std::collections::VecDeque::with_capacity(n);
-        for (i, slot) in slots.iter().enumerate() {
-            let has_work = admit(&slot.item.lock().expect("slot lock"));
-            if has_work {
-                slot.state.store(PENDING, Ordering::SeqCst);
-                ready.push_back(i);
-                stats.scheduled += 1;
-            } else {
-                stats.skipped += 1;
-            }
+        let job = Arc::new(Job {
+            slots,
+            step,
+            queue: Mutex::new(ready),
+            available: Condvar::new(),
+            live: AtomicUsize::new(admitted),
+            errors: Mutex::new(Vec::new()),
+            panic: Mutex::new(None),
+        });
+
+        // The calling thread plus `helpers` invited ones: the caller
+        // works instead of parking, and one admitted slot invites nobody.
+        let helpers = workers.min(admitted).saturating_sub(1);
+        let ticket: Ticket = Arc::new({
+            let job = Arc::clone(&job);
+            move || job.work(true)
+        });
+        POOL.offer(&ticket, helpers);
+        job.work(false);
+        POOL.withdraw(&ticket);
+
+        if let Some(payload) = job.panic.lock().expect("panic lock").take() {
+            resume_unwind(payload);
         }
-
-        // `live` counts slots still Pending or Running; the drain is over
-        // when the queue is empty *and* nothing is running (a running slot
-        // may still yield new queue entries).
-        let admitted = ready.len();
-        let live = AtomicUsize::new(admitted);
-        let queue = Mutex::new(ready);
-        let available = Condvar::new();
-        let errors: Mutex<Vec<(usize, E)>> = Mutex::new(Vec::new());
-
-        if admitted > 0 {
-            // Retires one slot from the drain; the last one out wakes
-            // every parked worker to exit. Taking the queue lock orders
-            // the wake against workers between their failed pop and
-            // their wait. The lock result is held, not unwrapped: this
-            // also runs from `RetireOnUnwind::drop`, which must not panic.
-            let retire = || {
-                if live.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    let _q = queue.lock();
-                    available.notify_all();
-                }
-            };
-            // Captures shared references only, so it is `Copy`: every
-            // worker runs the same loop.
-            let worker = || loop {
-                // Claim the next Pending slot, or exit once the drain is
-                // over.
-                let i = {
-                    let mut q = queue.lock().expect("ready-queue lock");
-                    loop {
-                        if let Some(i) = q.pop_front() {
-                            break i;
-                        }
-                        if live.load(Ordering::SeqCst) == 0 {
-                            return;
-                        }
-                        q = available.wait(q).expect("ready-queue wait");
-                    }
-                };
-                let slot = &slots[i];
-                // From here until the turn's outcome is in hand, a panic
-                // (the caller's step, or the lifecycle check below) must
-                // still retire the slot, or `live` never reaches zero,
-                // peers park forever and the scope never joins to
-                // re-raise the panic.
-                let unwinding = RetireOnUnwind(&retire);
-                // Pending → Running. Exactly one worker pops a given
-                // queue entry, and a slot is re-enqueued only after its
-                // previous turn stored a non-Running state, so this CAS
-                // cannot race.
-                slot.state
-                    .compare_exchange(PENDING, RUNNING, Ordering::SeqCst, Ordering::SeqCst)
-                    .unwrap_or_else(|s| {
-                        panic!("slot {i} claimed while in state {s} (not Pending)")
-                    });
-                slot.turns.fetch_add(1, Ordering::SeqCst);
-                let outcome = {
-                    let mut item = slot.item.lock().expect("slot lock");
-                    step(i, &mut item)
-                };
-                std::mem::forget(unwinding);
-                match outcome {
-                    Ok(Turn::Yield) => {
-                        // Running → Pending: more work, back in line.
-                        slot.state.store(PENDING, Ordering::SeqCst);
-                        let mut q = queue.lock().expect("ready-queue lock");
-                        q.push_back(i);
-                        available.notify_one();
-                    }
-                    Ok(Turn::Done) | Err(_) => {
-                        if let Err(e) = outcome {
-                            errors.lock().expect("error lock").push((i, e));
-                        }
-                        // Running → Idle.
-                        slot.state.store(IDLE, Ordering::SeqCst);
-                        retire();
-                    }
-                }
-            };
-            // The pool is the calling thread plus `pool − 1` spawned
-            // peers: the caller works instead of parking on the join, and
-            // a drain with one admitted slot spawns nothing.
-            let pool = workers.min(admitted);
-            std::thread::scope(|scope| {
-                for _ in 1..pool {
-                    scope.spawn(worker);
-                }
-                worker();
-            });
-        }
-
-        let mut errors = errors.into_inner().expect("error lock");
+        let mut errors = std::mem::take(&mut *job.errors.lock().expect("error lock"));
         if !errors.is_empty() {
             errors.sort_by_key(|(i, _)| *i);
             let (_, first) = errors.swap_remove(0);
             return Err(first);
         }
         let mut out = Vec::with_capacity(n);
-        for (i, slot) in slots.into_iter().enumerate() {
-            stats.per_slot_turns[i] = slot.turns.into_inner();
-            stats.turns += stats.per_slot_turns[i];
-            out.push(slot.item.into_inner().expect("slot lock"));
+        for slot in &job.slots {
+            let turns = slot.turns.load(Ordering::SeqCst);
+            stats.turns += turns;
+            stats.per_slot_turns.push(turns);
+            let item = slot.item.lock().expect("slot lock").take();
+            out.push(item.expect("slot taken once"));
         }
         Ok((out, stats))
     }
@@ -408,9 +524,9 @@ impl WorkScheduler {
     /// A panicking task aborts the whole run (the panic propagates).
     pub fn map<T, R, F>(&self, items: Vec<T>, task: F) -> Vec<R>
     where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
+        T: Send + 'static,
+        R: Send + 'static,
+        F: Fn(usize, T) -> R + Send + Sync + 'static,
     {
         enum MapSlot<T, R> {
             Input(T),
@@ -421,7 +537,7 @@ impl WorkScheduler {
         let run = self.drain(
             slots,
             |_| true,
-            |i, slot| {
+            move |i, slot| {
                 let MapSlot::Input(item) = std::mem::replace(slot, MapSlot::Taken) else {
                     unreachable!("map slot stepped twice");
                 };

@@ -14,11 +14,16 @@
 //!   thread count instead of parking the pool forever.
 //! * **The caller is a worker** — a pooled drain that admits one slot
 //!   steps it on the calling thread and spawns nothing.
+//! * **The pool** — helper threads are reused from drain to drain, a
+//!   helper's panic reaches the caller, nested and concurrent drains
+//!   neither deadlock nor leak into each other, and a helper that turns
+//!   up after its drain is over steps nothing.
 
 use cshard_sim::{DrainStats, SchedulerConfig, Turn, WorkScheduler};
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Duration;
 
@@ -125,16 +130,17 @@ fn no_slot_runs_twice_concurrently_under_yields() {
     const SLOTS: usize = 24;
     const TURNS_PER_SLOT: u64 = 16;
     let in_step: Vec<AtomicBool> = (0..SLOTS).map(|_| AtomicBool::new(false)).collect();
-    let total_steps = AtomicU64::new(0);
+    let total_steps = Arc::new(AtomicU64::new(0));
+    let counted = Arc::clone(&total_steps);
     let slots: Vec<u64> = vec![TURNS_PER_SLOT; SLOTS];
     let (out, stats) = WorkScheduler::new(SchedulerConfig::new(8))
         .drain(
             slots,
             |&remaining| remaining > 0,
-            |i, remaining| {
+            move |i, remaining| {
                 let was = in_step[i].swap(true, Ordering::SeqCst);
                 assert!(!was, "slot {i} entered by two workers at once");
-                total_steps.fetch_add(1, Ordering::SeqCst);
+                counted.fetch_add(1, Ordering::SeqCst);
                 *remaining -= 1;
                 in_step[i].store(false, Ordering::SeqCst);
                 Ok::<_, std::convert::Infallible>(if *remaining == 0 {
@@ -224,4 +230,161 @@ fn single_admitted_slot_runs_on_the_calling_thread() {
         // Equal slots means equal `ThreadId`s: every pooled turn ran here.
         assert_eq!(run(threads), sequential, "threads={threads}");
     }
+}
+
+/// Runs `f` on a thread of its own, so a pool regression fails the test on
+/// a timeout instead of hanging the suite.
+fn within_30s<R: Send + 'static>(what: &str, f: impl FnOnce() -> R + Send + 'static) -> R {
+    let (done, waited) = mpsc::channel();
+    std::thread::spawn(move || {
+        // The receiver may have timed out and gone; nothing to do then.
+        let _ = done.send(f());
+    });
+    waited
+        .recv_timeout(Duration::from_secs(30))
+        .unwrap_or_else(|_| panic!("{what}: hung or panicked"))
+}
+
+/// Holds a step until `parties` steps of one drain are inside it at once.
+/// `Running` is exclusive per slot and a thread runs one step at a time,
+/// so this returns only when that many distinct threads work the drain.
+fn rendezvous(inside: &AtomicUsize, parties: usize) {
+    inside.fetch_add(1, Ordering::SeqCst);
+    while inside.load(Ordering::SeqCst) < parties {
+        std::thread::yield_now();
+    }
+}
+
+/// A two-slot drain at `threads: 2` that provably runs on two threads,
+/// each recording its id.
+fn two_party_drain(ids: &Arc<Mutex<HashSet<ThreadId>>>) {
+    let (ids, inside) = (Arc::clone(ids), AtomicUsize::new(0));
+    WorkScheduler::new(SchedulerConfig::new(2))
+        .drain(
+            vec![(); 2],
+            |_| true,
+            move |_, _| {
+                ids.lock()
+                    .expect("id lock")
+                    .insert(std::thread::current().id());
+                rendezvous(&inside, 2);
+                Ok::<_, std::convert::Infallible>(Turn::Done)
+            },
+        )
+        .expect("infallible drain");
+}
+
+/// The widest pool any drain in this file can ask for: the largest
+/// explicit `threads` below, or the core count for `threads: 0`. The pool
+/// is process-wide and the tests of this file share it.
+fn widest_pool() -> usize {
+    16.max(SchedulerConfig::per_core().worker_count())
+}
+
+/// Helpers are parked between drains, not minted per drain: a thousand
+/// pooled drains, each provably two threads wide, meet no more thread ids
+/// than the pool can hold (two, when this test runs alone). With a thread
+/// spawned per drain they meet a thousand and one.
+#[test]
+fn pooled_drains_reuse_their_threads() {
+    let seen = within_30s("1000 pooled drains", || {
+        let ids = Arc::new(Mutex::new(HashSet::new()));
+        for _ in 0..1000 {
+            two_party_drain(&ids);
+        }
+        let seen = ids.lock().expect("id lock").len();
+        seen
+    });
+    assert!(seen >= 2, "a helper took part in every drain");
+    assert!(
+        seen <= widest_pool(),
+        "{seen} distinct threads over 1000 drains: helpers are not reused"
+    );
+}
+
+/// A panic on a helper thread is the drain's panic. Both steps are held
+/// until both are running, so a thread other than the caller provably has
+/// a slot; that one panics. The pool must still serve the next drain.
+#[test]
+fn a_helpers_panic_propagates_to_the_caller() {
+    let panicked = within_30s("drain with a panicking helper", || {
+        let caller = std::thread::current().id();
+        let inside = AtomicUsize::new(0);
+        std::panic::catch_unwind(|| {
+            WorkScheduler::new(SchedulerConfig::new(2)).drain(
+                vec![(); 2],
+                |_| true,
+                move |_, _| {
+                    rendezvous(&inside, 2);
+                    if std::thread::current().id() != caller {
+                        panic!("the helper's step panics");
+                    }
+                    Ok::<_, std::convert::Infallible>(Turn::Done)
+                },
+            )
+        })
+        .is_err()
+    });
+    assert!(panicked, "the helper's panic was swallowed");
+    within_30s("drain after a helper panicked", || {
+        two_party_drain(&Arc::new(Mutex::new(HashSet::new())));
+    });
+}
+
+/// Helpers are optional: a drain started from inside a pooled task, and
+/// many threads draining at once, finish (the caller alone can always
+/// finish its own job) with the sequential results and stats.
+#[test]
+fn nested_and_concurrent_drains_match_sequential() {
+    let works: Vec<Vec<u64>> = (0..8u64)
+        .map(|k| (0..12 + k).map(|i| (i * 5 + k) % 7).collect())
+        .collect();
+    let expected: Vec<_> = works
+        .iter()
+        .map(|w| drain_counters(w, SchedulerConfig::sequential()))
+        .collect();
+
+    let nested = within_30s("nested drains", {
+        let works = works.clone();
+        || {
+            WorkScheduler::new(SchedulerConfig::new(4))
+                .map(works, |_, w| drain_counters(&w, SchedulerConfig::new(2)))
+        }
+    });
+    assert_eq!(nested, expected);
+
+    let concurrent = within_30s("concurrent drains", move || {
+        let threads: Vec<_> = works
+            .into_iter()
+            .map(|w| {
+                std::thread::spawn(move || {
+                    let first = drain_counters(&w, SchedulerConfig::new(4));
+                    for _ in 0..50 {
+                        assert_eq!(drain_counters(&w, SchedulerConfig::new(4)), first);
+                    }
+                    first
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().expect("draining thread"))
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(concurrent, expected);
+}
+
+/// A helper that picks its ticket up after the drain is over must step
+/// nothing: sixteen one-turn slots invite fifteen helpers, most of which
+/// arrive late or never. Every slot is stepped exactly `work` times —
+/// `Counter::work` would underflow on a second step — drain after drain.
+#[test]
+fn late_helpers_step_nothing() {
+    let works = vec![1u64; 16];
+    let expected = drain_counters(&works, SchedulerConfig::sequential());
+    within_30s("back-to-back wide drains", move || {
+        for _ in 0..500 {
+            assert_eq!(drain_counters(&works, SchedulerConfig::new(16)), expected);
+        }
+    });
 }

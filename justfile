@@ -5,6 +5,7 @@ verify:
     cargo fmt --check
     cargo build --release --workspace
     cargo test --workspace --no-fail-fast
+    cargo test --release -p cshard-sim
     cargo clippy --workspace --all-targets -- -D warnings
 
 # Determinism & safety lint over every workspace crate (policy.toml is the
@@ -53,7 +54,8 @@ bench workload:
         --workload {{workload}} --seed 11 --seconds 16 --trace 0
 
 # What CI's "Benchmark surface" step runs: one second each of the stream,
-# selection and pooled-scheduler workloads, output checks only (no timing).
+# selection and pooled-scheduler workloads, output checks only (no timing):
+# every result must be `correct` with no failed operation.
 bench-smoke:
     #!/usr/bin/env bash
     set -euo pipefail
@@ -61,6 +63,7 @@ bench-smoke:
         cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
             --workload "$workload" --seconds 1 --trace 0 | tee /tmp/bench-smoke.txt
         tail -n 1 /tmp/bench-smoke.txt | grep -q '"correct":true'
+        tail -n 1 /tmp/bench-smoke.txt | grep -q '"failed":0'
     done
 
 # Every workload, untraced then traced: all metrics, all output checks,
