@@ -22,6 +22,10 @@
 //!   (`ShardState::start_epoch`) runs without touching the allocator.
 //!   This is what makes per-epoch replay cheap enough to run inside
 //!   every miner's verification path (Sec. IV-C).
+//! * **One pass per slot** — a slot of Algorithm 3 is one bulk draw of
+//!   its `n · M` coin tosses and one branch-free integer pass over them;
+//!   Eqs. (12)–(13) are bit counts, exact by construction (see
+//!   [`ReplicatorMergeDynamics`]).
 //! * **One pass per best reply** — a miner-sweep of Algorithm 2 is one
 //!   O(t) *certification* over integer-encoded marginal values (see
 //!   [`BestReplyDynamics`]); only a miner that actually moves pays for a
@@ -39,7 +43,7 @@ use std::collections::BTreeMap;
 
 use cshard_crypto::Sha256;
 use cshard_primitives::Hash32;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::merging::{MergingConfig, OneShotOutcome, X_MAX, X_MIN};
@@ -94,14 +98,21 @@ pub trait GameDynamics {
 /// instance with same-or-smaller inputs allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct GameScratch {
-    /// Per-player coin results within one subslot (merge game).
-    merged_flag: Vec<bool>,
-    /// Σ_s U_i(t,s) over the slot's subslots (Eq. 13 numerator).
-    util_sum: Vec<f64>,
-    /// Σ_s U_i·a_i over subslots where i merged (Eq. 12 numerator).
-    util_merge_sum: Vec<f64>,
+    /// One chunk of a slot's coin tosses (merge game): the next
+    /// `n · chunk` `next_u64` draws of the game's stream, little-endian,
+    /// subslot-major, fetched by one `fill_bytes`. At most
+    /// [`SUBSLOT_CHUNK`] subslots, so `8 · n · 64` bytes however many
+    /// subslots a config names.
+    draws: Vec<u8>,
+    /// Player i merges on a toss `u` exactly when `u >> 11` is below
+    /// this ([`toss_threshold`] of its probability), fixed for the slot.
+    threshold: Vec<u64>,
+    /// Bit `s` set when player i merged in subslot `s` of the chunk.
+    merged_mask: Vec<u64>,
     /// Subslots in which player i merged this slot.
-    merge_count: Vec<u32>,
+    merge_count: Vec<u64>,
+    /// Subslots in which player i merged *and* Eq. (1) held this slot.
+    both_count: Vec<u64>,
     /// Per-transaction membership flags while `init` sanitizes one
     /// miner's initial set (selection game) — a dense stand-in for a
     /// hash-set, point-cleared after each miner so it never needs
@@ -120,16 +131,20 @@ impl GameScratch {
         Self::default()
     }
 
-    /// Grows the merge-game buffers to `n` players and zeroes them.
-    fn reset_merge(&mut self, n: usize) {
-        self.merged_flag.clear();
-        self.merged_flag.resize(n, false);
-        self.util_sum.clear();
-        self.util_sum.resize(n, 0.0);
-        self.util_merge_sum.clear();
-        self.util_merge_sum.resize(n, 0.0);
-        self.merge_count.clear();
-        self.merge_count.resize(n, 0);
+    /// Sizes the merge-game buffers for `n` players and slots of
+    /// `subslots` subslots, so no `step` allocates.
+    fn reset_merge(&mut self, n: usize, subslots: usize) {
+        self.draws.clear();
+        self.draws.reserve(8 * n * subslots.min(SUBSLOT_CHUNK));
+        for counts in [
+            &mut self.threshold,
+            &mut self.merged_mask,
+            &mut self.merge_count,
+            &mut self.both_count,
+        ] {
+            counts.clear();
+            counts.resize(n, 0);
+        }
     }
 
     /// Grows the selection-game buffers to `t` transactions. `member`
@@ -140,6 +155,23 @@ impl GameScratch {
         self.keys.clear();
         self.keys.reserve(t);
     }
+}
+
+/// Subslots scored per pass of [`ReplicatorMergeDynamics::step`]: one
+/// bit each in a `u64` mask. A slot of more subslots runs in several
+/// passes over consecutive draws, so any `subslots` works.
+const SUBSLOT_CHUNK: usize = 64;
+
+/// The coin toss `gen::<f64>() < x` as an integer compare: a toss `u`
+/// (one `next_u64`) merges exactly when `u >> 11 < toss_threshold(x)`.
+///
+/// `gen::<f64>()` is `k / 2⁵³` for the 53-bit integer `k = u >> 11`, and
+/// both that quotient and `x · 2⁵³` are exact (a power-of-two scaling of
+/// a double in the exploration band), so `k / 2⁵³ < x` ⇔ `k < x · 2⁵³` ⇔
+/// `k < ⌈x · 2⁵³⌉`. A NaN probability casts to 0 — never merges, just
+/// as `u < NaN` is never true.
+fn toss_threshold(x: f64) -> u64 {
+    (x * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// Inputs of one replicator-dynamics run (Algorithm 3).
@@ -165,6 +197,36 @@ pub struct MergeInput<'a> {
 /// (bounded realization draws from the same seeded stream) to produce
 /// the stable shard.
 ///
+/// # Cost of one slot
+///
+/// A slot is one bulk draw and one integer pass. The `n · M` tosses are
+/// the next `n · M` `next_u64` values of the stream, subslot-major, so
+/// one `fill_bytes` fetches them (ChaCha8's 16-block batches instead of
+/// a call and a one-block refill per toss). Each toss is then a shift,
+/// a subtraction of the player's [`toss_threshold`] whose sign says
+/// "merges", and two branch-free accumulations: bit `s` of the player's
+/// merged-mask, and the player's size or 0 into the subslot's coalition
+/// size, whose test against `L` is bit `s` of one satisfied-mask.
+/// Eq. (14) is never evaluated per toss; three bit counts per player
+/// stand in for it.
+///
+/// With `sat`, `mc`, `both` the number of subslots in which Eq. (1)
+/// held, player i merged, and both, the Eq. (13) and Eq. (12)
+/// numerators are
+///
+/// ```text
+/// Σ_s U_i(s)       = g · sat  − c · mc
+/// Σ_s U_i(s)·a_i(s) = g · both − c · mc
+/// ```
+///
+/// These equal the toss-by-toss `f64` sums of `g − c`, `−c`, `g` and `0`
+/// bit for bit, not approximately: `g` and `c` are integer-valued
+/// ([`Amount::as_f64`]), so every partial sum is an integer of
+/// magnitude at most `g · M`, and [`MergingConfig::validate`] bounds
+/// that by `2⁵³` — no addition in either form ever rounds. The frozen
+/// toss-by-toss reference in `tests/dynamics_equivalence.rs` pins it.
+///
+/// [`Amount::as_f64`]: cshard_primitives::Amount::as_f64
 /// [`step`]: GameDynamics::step
 /// [`solution`]: GameDynamics::solution
 #[derive(Clone, Debug)]
@@ -237,7 +299,8 @@ impl GameDynamics for ReplicatorMergeDynamics {
         self.x.clear();
         self.x
             .extend(input.initial_probs.iter().map(|&p| p.clamp(X_MIN, X_MAX)));
-        self.scratch.reset_merge(input.sizes.len());
+        self.scratch
+            .reset_merge(input.sizes.len(), input.config.subslots);
         self.slots = 0;
         self.memoized = None;
         // An empty game is trivially converged: no players, no draws.
@@ -260,47 +323,74 @@ impl GameDynamics for ReplicatorMergeDynamics {
         self.slots += 1;
         let n = self.sizes.len();
         let m = self.config.subslots;
-        self.scratch.util_sum.iter_mut().for_each(|v| *v = 0.0);
-        self.scratch
-            .util_merge_sum
-            .iter_mut()
-            .for_each(|v| *v = 0.0);
-        self.scratch.merge_count.iter_mut().for_each(|v| *v = 0);
+        let scratch = &mut self.scratch;
+        for (threshold, &x) in scratch.threshold.iter_mut().zip(&self.x) {
+            *threshold = toss_threshold(x);
+        }
+        scratch.merge_count.fill(0);
+        scratch.both_count.fill(0);
+        let mut satisfied_count: u64 = 0;
 
-        let (g, c) = (self.reward, self.cost);
-        for _subslot in 0..m {
-            // Line 3: every player tosses its coin.
-            let mut total: u64 = 0;
-            for i in 0..n {
-                let merges = self.rng.gen::<f64>() < self.x[i];
-                self.scratch.merged_flag[i] = merges;
-                if merges {
-                    total += self.sizes[i];
+        let mut scored = 0;
+        while scored < m {
+            let chunk = (m - scored).min(SUBSLOT_CHUNK);
+            // Line 3: every player tosses its coin, `chunk` subslots'
+            // worth in one draw.
+            scratch.draws.resize(8 * n * chunk, 0);
+            self.rng.fill_bytes(&mut scratch.draws);
+            scratch.merged_mask.fill(0);
+            let mut satisfied_mask: u64 = 0;
+            for (subslot, tosses) in scratch.draws.chunks_exact(8 * n).enumerate() {
+                let mut total: u128 = 0;
+                for (((toss, &threshold), &size), mask) in tosses
+                    .chunks_exact(8)
+                    .zip(&scratch.threshold)
+                    .zip(&self.sizes)
+                    .zip(scratch.merged_mask.iter_mut())
+                {
+                    let mut word = [0u8; 8];
+                    word.copy_from_slice(toss);
+                    let toss = u64::from_le_bytes(word);
+                    // All ones when the toss merges, else zero: both
+                    // sides are below 2⁶³, so the subtraction's sign bit
+                    // is its borrow. Spelled as a compare (`size *
+                    // u64::from(toss >> 11 < threshold)`) this compiles
+                    // to a branch on a coin flip.
+                    let merges = ((toss >> 11).wrapping_sub(threshold) as i64 >> 63) as u64;
+                    *mask |= (merges & 1) << subslot;
+                    total += u128::from(size & merges);
                 }
+                let satisfied = total >= u128::from(self.config.lower_bound);
+                satisfied_mask |= u64::from(satisfied) << subslot;
             }
-            let satisfied = total >= self.config.lower_bound;
-            // Line 4: utilities via Eq. (14).
-            for i in 0..n {
-                let u = match (self.scratch.merged_flag[i], satisfied) {
-                    (true, true) => g - c,
-                    (true, false) => -c,
-                    (false, true) => g,
-                    (false, false) => 0.0,
-                };
-                self.scratch.util_sum[i] += u;
-                if self.scratch.merged_flag[i] {
-                    self.scratch.util_merge_sum[i] += u;
-                    self.scratch.merge_count[i] += 1;
-                }
+            // Line 4: Eq. (14), summed over the chunk by counting bits.
+            satisfied_count += u64::from(satisfied_mask.count_ones());
+            for ((&mask, merge_count), both_count) in scratch
+                .merged_mask
+                .iter()
+                .zip(scratch.merge_count.iter_mut())
+                .zip(scratch.both_count.iter_mut())
+            {
+                *merge_count += u64::from(mask.count_ones());
+                *both_count += u64::from((mask & satisfied_mask).count_ones());
             }
+            scored += chunk;
         }
 
         // Lines 5–7: averages (12), (13) and the replicator update (11).
+        let (g, c) = (self.reward, self.cost);
+        let paid_all = g * satisfied_count as f64;
         let mut max_delta = 0.0f64;
-        for i in 0..n {
-            let avg_all = self.scratch.util_sum[i] / m as f64;
-            let avg_merge = if self.scratch.merge_count[i] > 0 {
-                self.scratch.util_merge_sum[i] / self.scratch.merge_count[i] as f64
+        for ((x, &merge_count), &both_count) in self
+            .x
+            .iter_mut()
+            .zip(&scratch.merge_count)
+            .zip(&scratch.both_count)
+        {
+            let cost_paid = c * merge_count as f64;
+            let avg_all = (paid_all - cost_paid) / m as f64;
+            let avg_merge = if merge_count > 0 {
+                (g * both_count as f64 - cost_paid) / merge_count as f64
             } else {
                 // Never merged this slot: estimate the merge payoff from
                 // the satisfaction frequency seen while staying. Staying
@@ -309,10 +399,10 @@ impl GameDynamics for ReplicatorMergeDynamics {
                 avg_all - c
             };
             // Normalise by g so eta is scale-free in the reward units.
-            let delta = self.config.eta * ((avg_merge - avg_all) / g) * self.x[i];
-            let next = (self.x[i] + delta).clamp(X_MIN, X_MAX);
-            max_delta = max_delta.max((next - self.x[i]).abs());
-            self.x[i] = next;
+            let delta = self.config.eta * ((avg_merge - avg_all) / g) * *x;
+            let next = (*x + delta).clamp(X_MIN, X_MAX);
+            max_delta = max_delta.max((next - *x).abs());
+            *x = next;
         }
         if max_delta < self.config.tolerance || self.slots >= self.config.max_slots {
             self.converged = true;
@@ -346,7 +436,7 @@ impl GameDynamics for ReplicatorMergeDynamics {
             for i in 0..n {
                 if self.rng.gen::<f64>() < self.x[i] {
                     merged.push(i);
-                    merged_size += self.sizes[i];
+                    merged_size = merged_size.saturating_add(self.sizes[i]);
                 }
             }
             if merged_size >= self.config.lower_bound {

@@ -68,6 +68,13 @@ impl MergingConfig {
     /// surface that accepts a config from outside — the system builder,
     /// a miner replaying a leader's broadcast — calls this before the
     /// game runs; the dynamics themselves only `debug_assert` it.
+    ///
+    /// One of them is a precision bound: `reward × subslots ≤ 2⁵³` in
+    /// raw units. A slot's utility sums are integers of at most that
+    /// magnitude, so under the bound they are exact in `f64` and the
+    /// bit-counted closed forms of [`ReplicatorMergeDynamics`] equal the
+    /// toss-by-toss sums of Eq. (12)/(13) by construction rather than by
+    /// luck. The default config sits four orders of magnitude below it.
     pub fn validate(&self) -> Result<(), Error> {
         let reject = |field: &'static str, reason: &str| {
             Err(Error::Config {
@@ -77,6 +84,12 @@ impl MergingConfig {
         };
         if self.reward <= self.cost {
             return reject("merging.reward", "reward must exceed merging cost");
+        }
+        if u128::from(self.reward.raw()) * self.subslots as u128 > 1 << 53 {
+            return reject(
+                "merging.reward",
+                "reward × subslots must not exceed 2^53 raw units (exact utility sums)",
+            );
         }
         if self.eta.is_nan() || self.eta <= 0.0 || self.eta >= 1.0 {
             return reject("merging.eta", "step size must lie in (0, 1)");
@@ -194,8 +207,22 @@ pub fn iterative_merge(
     // state, so the scratch buffers are allocated once per size class
     // rather than once per round.
     let mut dynamics = ReplicatorMergeDynamics::new();
+    // Per-round buffers, and a dense "joined this round's shard" flag
+    // per player, point-cleared after use.
+    let mut round_players: Vec<usize> = Vec::new();
+    let mut round_sizes: Vec<u64> = Vec::new();
+    let mut round_probs: Vec<f64> = Vec::new();
+    let mut in_shard = vec![false; sizes.len()];
 
-    while remaining.iter().map(|&i| sizes[i]).sum::<u64>() >= config.lower_bound {
+    loop {
+        // Saturating: sizes come off a broadcast, and a sum past
+        // `u64::MAX` clears any bound just the same.
+        let remaining_size = remaining
+            .iter()
+            .fold(0u64, |sum, &i| sum.saturating_add(sizes[i]));
+        if remaining_size < config.lower_bound {
+            break;
+        }
         // Algorithm 1 forms ONE shard per round; the round's game runs
         // among a bounded candidate set whose expected size is a few
         // multiples of the lower bound. This keeps the replicator
@@ -204,27 +231,23 @@ pub fn iterative_merge(
         // player vanishes and the dynamics are absorbed at "stay".
         // Candidates are drawn from the (leader-seeded) randomness, so
         // replays remain deterministic.
-        let round_players: Vec<usize> = {
-            let mean_size = (remaining.iter().map(|&i| sizes[i]).sum::<u64>() as f64
-                / remaining.len() as f64)
-                .max(1.0);
-            let cap = ((2.5 * config.lower_bound as f64 / mean_size).ceil() as usize)
-                .clamp(2, remaining.len());
-            if cap >= remaining.len() {
-                remaining.clone()
-            } else {
-                let mut pool = remaining.clone();
-                // Seeded partial Fisher–Yates: first `cap` entries.
-                for k in 0..cap {
-                    let j = k + (subset_rng.gen::<u64>() as usize) % (pool.len() - k);
-                    pool.swap(k, j);
-                }
-                pool.truncate(cap);
-                pool
+        let mean_size = (remaining_size as f64 / remaining.len() as f64).max(1.0);
+        let cap = ((2.5 * config.lower_bound as f64 / mean_size).ceil() as usize)
+            .clamp(2.min(remaining.len()), remaining.len());
+        round_players.clear();
+        round_players.extend_from_slice(&remaining);
+        if cap < remaining.len() {
+            // Seeded partial Fisher–Yates: first `cap` entries.
+            for k in 0..cap {
+                let j = k + (subset_rng.gen::<u64>() as usize) % (round_players.len() - k);
+                round_players.swap(k, j);
             }
-        };
-        let round_sizes: Vec<u64> = round_players.iter().map(|&i| sizes[i]).collect();
-        let round_probs: Vec<f64> = round_players.iter().map(|&i| initial_probs[i]).collect();
+            round_players.truncate(cap);
+        }
+        round_sizes.clear();
+        round_sizes.extend(round_players.iter().map(|&i| sizes[i]));
+        round_probs.clear();
+        round_probs.extend(round_players.iter().map(|&i| initial_probs[i]));
         let round_seed = seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(round.wrapping_mul(0x2545_F491_4F6C_DD1D));
@@ -240,8 +263,13 @@ pub fn iterative_merge(
         round += 1;
         if outcome.satisfied {
             let shard: Vec<usize> = outcome.merged.iter().map(|&j| round_players[j]).collect();
-            let shard_set: std::collections::HashSet<usize> = shard.iter().copied().collect();
-            remaining.retain(|i| !shard_set.contains(i));
+            for &i in &shard {
+                in_shard[i] = true;
+            }
+            remaining.retain(|&i| !in_shard[i]);
+            for &i in &shard {
+                in_shard[i] = false;
+            }
             new_shards.push(shard);
             retries = 0;
         } else {
@@ -388,6 +416,22 @@ mod tests {
                 "leftover {leftover_total}"
             );
         }
+    }
+
+    #[test]
+    fn iterative_merge_is_total_on_sizes_no_merge_stage_builds() {
+        // A lone player at the bound: the candidate cap used to be
+        // `clamp(2, 1)`. It satisfies Eq. (1) by itself.
+        let out = iterative_merge(&[1000], &[0.5], &cfg(500), 1);
+        assert_eq!(out.new_shards, vec![vec![0]]);
+        assert!(out.leftover.is_empty());
+        // Sizes whose sum overflows u64 saturate instead of wrapping.
+        let out = iterative_merge(&[u64::MAX, 5], &probs(2), &cfg(500), 1);
+        assert!(out.new_shards.iter().flatten().any(|&i| i == 0));
+        let mut placed: Vec<usize> = out.new_shards.into_iter().flatten().collect();
+        placed.extend(out.leftover);
+        placed.sort_unstable();
+        assert_eq!(placed, vec![0, 1]);
     }
 
     #[test]

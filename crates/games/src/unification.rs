@@ -269,9 +269,12 @@ impl UnifiedParameters {
     /// Replays Algorithm 1 locally: the merge outcome every honest miner
     /// agrees on without exchanging a single in-game message.
     ///
-    /// Errors when the broadcast carries selection inputs, or a merging
-    /// config the game cannot run on (`Error::Config`, `merging.*`): the
-    /// broadcast is a message, and a leader can put anything in it.
+    /// Errors when the broadcast carries selection inputs, a merging
+    /// config the game cannot run on (`Error::Config`, `merging.*`), or
+    /// shard sizes no merge stage builds (`merging.shard_sizes`: a
+    /// "small" shard already at the lower bound, or sizes whose sum
+    /// overflows `u64`): the broadcast is a message, and a leader can put
+    /// anything in it.
     pub fn merge_outcome(&self) -> Result<IterativeMergeOutcome, Error> {
         let GameInputs::Merge {
             shard_sizes,
@@ -282,6 +285,19 @@ impl UnifiedParameters {
         };
         config.validate()?;
         let sizes: Vec<u64> = shard_sizes.iter().map(|&(_, s)| s).collect();
+        let reject = |reason: &str| Error::Config {
+            field: "merging.shard_sizes",
+            reason: reason.into(),
+        };
+        if sizes.iter().any(|&s| s >= config.lower_bound) {
+            return Err(reject(
+                "every small shard must be below the size lower bound",
+            ));
+        }
+        sizes
+            .iter()
+            .try_fold(0u64, |sum, &s| sum.checked_add(s))
+            .ok_or_else(|| reject("shard sizes must sum within u64"))?;
         Ok(iterative_merge(
             &sizes,
             &self.initial_merge_probs()?,
@@ -382,6 +398,7 @@ impl UnifiedParameters {
 mod tests {
     use super::*;
     use cshard_crypto::sha256;
+    use cshard_primitives::Amount;
 
     fn miner_ids(n: u32) -> Vec<MinerId> {
         (0..n).map(MinerId::new).collect()
@@ -638,7 +655,7 @@ mod tests {
     #[test]
     fn hostile_config_in_a_broadcast_is_a_typed_error() {
         type Corrupt = fn(&mut MergingConfig);
-        let hostile: [(&str, Corrupt); 8] = [
+        let hostile: [(&str, Corrupt); 9] = [
             ("merging.eta", |c| c.eta = f64::NAN),
             ("merging.eta", |c| c.eta = 0.0),
             ("merging.eta", |c| c.eta = 1.0),
@@ -647,6 +664,11 @@ mod tests {
             ("merging.max_slots", |c| c.max_slots = 0),
             ("merging.lower_bound", |c| c.lower_bound = 0),
             ("merging.reward", |c| c.reward = c.cost),
+            // One raw unit past the precision bound reward × subslots = 2⁵³.
+            ("merging.reward", |c| {
+                c.subslots = 64;
+                c.reward = Amount::from_raw((1 << 47) + 1);
+            }),
         ];
         for (row, (want, corrupt)) in hostile.into_iter().enumerate() {
             let mut p = merge_params();
@@ -664,6 +686,52 @@ mod tests {
                     Err(VerificationError::WrongInputs(Error::Config { .. }))
                 ),
                 "row {row}"
+            );
+        }
+
+        // At the bound itself the sums are still exact: accepted.
+        let mut p = merge_params();
+        if let GameInputs::Merge { config, .. } = &mut p.inputs {
+            config.subslots = 64;
+            config.reward = Amount::from_raw(1 << 47);
+            config.max_slots = 2;
+        }
+        assert!(p.merge_outcome().is_ok());
+
+        // Shard sizes the merge stage never builds but a leader can send:
+        // a lone "small" shard at the bound (used to panic in the round's
+        // candidate cap), and sizes that overflow their own sum.
+        let hostile_sizes: [(u64, Vec<u64>); 3] = [
+            (15, vec![15]),
+            (15, vec![1, 30, 1]),
+            // Every size under the bound, the sum past u64::MAX.
+            (u64::MAX, vec![0, u64::MAX - 1, u64::MAX - 1]),
+        ];
+        for (row, (bound, sizes)) in hostile_sizes.into_iter().enumerate() {
+            let mut p = merge_params();
+            if let GameInputs::Merge {
+                shard_sizes,
+                config,
+            } = &mut p.inputs
+            {
+                config.lower_bound = bound;
+                *shard_sizes = sizes
+                    .into_iter()
+                    .zip(0..)
+                    .map(|(size, id)| (ShardId::new(id), size))
+                    .collect();
+            }
+            let got = p.merge_outcome();
+            assert!(
+                matches!(got, Err(Error::Config { field, .. }) if field == "merging.shard_sizes"),
+                "sizes row {row}: got {got:?}"
+            );
+            assert!(
+                matches!(
+                    p.verify_merge_claim(&[]),
+                    Err(VerificationError::WrongInputs(Error::Config { .. }))
+                ),
+                "sizes row {row}"
             );
         }
 

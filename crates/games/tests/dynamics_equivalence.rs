@@ -11,10 +11,21 @@
 //! tie-breaks, same iteration counts. If the dynamics ever drift, the
 //! golden run-report fingerprints would shift; this catches the drift at
 //! the game layer with a precise counterexample seed.
+//!
+//! The merge game's slot is no longer the toss-by-toss loop the reference
+//! keeps: it draws a slot's tosses in bulk (the generator's 16-block
+//! batches from 128 draws up) and counts bits instead of summing
+//! utilities. A second merge grid of 320 cases therefore runs at the
+//! scale where that machinery engages — up to 64 players, slots of 1 to
+//! 130 subslots, payoffs up to the `reward × subslots = 2⁵³` precision
+//! bound — and `iterative_merge` is pinned against a frozen Algorithm 1
+//! over the reference on stream-shaped inputs.
 
 use std::collections::HashSet;
 
-use cshard_games::merging::{one_shot_merge, MergingConfig, OneShotOutcome};
+use cshard_games::merging::{
+    iterative_merge, one_shot_merge, IterativeMergeOutcome, MergingConfig, OneShotOutcome,
+};
 use cshard_games::selection::{
     best_reply_equilibrium, potential, SelectionConfig, SelectionOutcome,
 };
@@ -234,14 +245,85 @@ fn reference_best_reply(
     }
 }
 
+/// The original Algorithm 1 loop, frozen as the reference, over the
+/// frozen Algorithm 3 above.
+fn reference_iterative_merge(
+    sizes: &[u64],
+    initial_probs: &[f64],
+    config: &MergingConfig,
+    seed: u64,
+) -> IterativeMergeOutcome {
+    assert_eq!(sizes.len(), initial_probs.len());
+    let mut remaining: Vec<usize> = (0..sizes.len()).collect();
+    let mut new_shards = Vec::new();
+    let mut total_slots = 0;
+    let mut round: u64 = 0;
+    let mut retries = 0;
+    const MAX_RETRIES: usize = 4;
+    let mut subset_rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5EED_CAFE);
+
+    while remaining.iter().map(|&i| sizes[i]).sum::<u64>() >= config.lower_bound {
+        let round_players: Vec<usize> = {
+            let mean_size = (remaining.iter().map(|&i| sizes[i]).sum::<u64>() as f64
+                / remaining.len() as f64)
+                .max(1.0);
+            let cap = ((2.5 * config.lower_bound as f64 / mean_size).ceil() as usize)
+                .clamp(2, remaining.len());
+            if cap >= remaining.len() {
+                remaining.clone()
+            } else {
+                let mut pool = remaining.clone();
+                for k in 0..cap {
+                    let j = k + (subset_rng.gen::<u64>() as usize) % (pool.len() - k);
+                    pool.swap(k, j);
+                }
+                pool.truncate(cap);
+                pool
+            }
+        };
+        let round_sizes: Vec<u64> = round_players.iter().map(|&i| sizes[i]).collect();
+        let round_probs: Vec<f64> = round_players.iter().map(|&i| initial_probs[i]).collect();
+        let round_seed = seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(round.wrapping_mul(0x2545_F491_4F6C_DD1D));
+        let outcome = reference_one_shot_merge(&round_sizes, &round_probs, config, round_seed);
+        total_slots += outcome.slots;
+        round += 1;
+        if outcome.satisfied {
+            let shard: Vec<usize> = outcome.merged.iter().map(|&j| round_players[j]).collect();
+            let shard_set: HashSet<usize> = shard.iter().copied().collect();
+            remaining.retain(|i| !shard_set.contains(i));
+            new_shards.push(shard);
+            retries = 0;
+        } else {
+            retries += 1;
+            if retries > MAX_RETRIES {
+                break;
+            }
+        }
+    }
+
+    IterativeMergeOutcome {
+        new_shards,
+        leftover: remaining,
+        total_slots,
+    }
+}
+
+/// Every field, probabilities by bit pattern (so NaN strategies and the
+/// sign of zero count too).
 fn assert_merge_equal(case: u64, got: &OneShotOutcome, want: &OneShotOutcome) {
     assert_eq!(got.merged, want.merged, "case {case}: merged set differs");
     assert_eq!(got.merged_size, want.merged_size, "case {case}");
     assert_eq!(got.satisfied, want.satisfied, "case {case}");
     assert_eq!(got.slots, want.slots, "case {case}: slot count differs");
+    let bits = |probs: &[f64]| probs.iter().map(|p| p.to_bits()).collect::<Vec<u64>>();
     assert_eq!(
-        got.final_probs, want.final_probs,
-        "case {case}: probabilities differ"
+        bits(&got.final_probs),
+        bits(&want.final_probs),
+        "case {case}: probabilities differ ({:?} vs {:?})",
+        got.final_probs,
+        want.final_probs
     );
 }
 
@@ -263,6 +345,109 @@ fn merge_wrapper_matches_reference_over_200_seeded_cases() {
         let got = one_shot_merge(&sizes, &probs, &config, seed);
         assert_merge_equal(case, &got, &want);
     }
+}
+
+/// The scale the bulk-draw, bit-counted slot actually runs at.
+///
+/// * `n` up to 64 and `subslots` in {1, 8, 24, 63, 64, 65, 130}: slots of
+///   1 to 8 320 draws, so runs below one 128-draw generator batch, across
+///   several, and (every third case) with `n · M` within a player of a
+///   multiple of 128; 63/64/65 and 130 straddle the 64-subslot mask.
+/// * odd raw payoffs — `600 + 50·case` against `550`, one raw unit apart,
+///   and `⌊2⁵³ / subslots⌋`, the largest reward `validate()` accepts;
+/// * `lower_bound` from 1 (every subslot satisfied) to past the total
+///   (never satisfied);
+/// * initial probabilities that include 0, 1 and NaN;
+/// * slot caps of 1..=400 that bite mid-flight.
+#[test]
+fn merge_wrapper_matches_reference_at_stream_scale_and_at_the_precision_bound() {
+    const SUBSLOTS: [usize; 7] = [1, 8, 24, 63, 64, 65, 130];
+    let (mut multi_slot, mut batched, mut satisfied) = (0u64, 0u64, 0u64);
+    for case in 0..320u64 {
+        let mut gen = ChaCha8Rng::seed_from_u64(0x5107_0000 ^ case);
+        let mut below = |n: u64| gen.gen::<u64>() % n;
+        let subslots = SUBSLOTS[case as usize % SUBSLOTS.len()];
+        let n = if case % 3 == 0 {
+            let draws = 128 * (1 + below(3));
+            (draws.div_ceil(subslots as u64) + below(3)).clamp(2, 65) as usize - 1
+        } else {
+            1 + below(64) as usize
+        };
+        let sizes: Vec<u64> = (0..n).map(|_| 1 + below(120)).collect();
+        let total: u64 = sizes.iter().sum();
+        let probs: Vec<f64> = (0..n)
+            .map(|_| match below(12) {
+                0 => 0.0,
+                1 => 1.0,
+                2 => f64::NAN,
+                _ => below(1 << 20) as f64 / (1 << 20) as f64,
+            })
+            .collect();
+        let (reward, cost) = match case % 4 {
+            0 => ((1 << 53) / subslots as u64, 1 + below(1 << 40)),
+            1 => (2 + below(5), 1),
+            _ => (600 + 50 * case, 550),
+        };
+        let config = MergingConfig {
+            reward: Amount::from_raw(reward),
+            cost: Amount::from_raw(cost),
+            lower_bound: match case % 5 {
+                0 => 1,
+                1 => total + 1,
+                _ => 1 + below(total),
+            },
+            eta: 0.05 + below(20) as f64 * 0.01,
+            subslots,
+            tolerance: if case % 3 == 1 { 1e-9 } else { 5e-3 },
+            // The full 1..=400 where a slot is cheap, a tenth of it
+            // where a slot is thousands of tosses.
+            max_slots: 1 + below(if n * subslots > 1024 { 40 } else { 400 }) as usize,
+        };
+        assert_eq!(config.validate(), Ok(()), "case {case}");
+        let seed = below(u64::MAX);
+        let want = reference_one_shot_merge(&sizes, &probs, &config, seed);
+        let got = one_shot_merge(&sizes, &probs, &config, seed);
+        assert_merge_equal(case, &got, &want);
+        multi_slot += u64::from(want.slots > 1);
+        batched += u64::from(n * subslots.min(64) >= 128 + 8);
+        satisfied += u64::from(want.satisfied);
+    }
+    // The grid is not one of first-slot exits, word-path draws or
+    // one-sided outcomes.
+    assert!(
+        multi_slot >= 160,
+        "only {multi_slot} cases ran a second slot"
+    );
+    assert!(
+        batched >= 160,
+        "only {batched} cases reach a 128-draw batch"
+    );
+    assert!((80..=240).contains(&satisfied), "{satisfied} satisfied");
+}
+
+#[test]
+fn iterative_merge_matches_reference_on_stream_shaped_inputs() {
+    // What `MergeStage` hands Algorithm 1 on the stream workloads: a few
+    // dozen small shards far under a bound of 500, several rounds each.
+    let config = MergingConfig {
+        lower_bound: 500,
+        ..MergingConfig::default()
+    };
+    let mut rounds = 0usize;
+    for case in 0..20u64 {
+        let mut gen = ChaCha8Rng::seed_from_u64(0x17E8_0000 ^ case);
+        let n = 30 + (gen.gen::<u64>() % 31) as usize;
+        let sizes: Vec<u64> = (0..n).map(|_| 1 + gen.gen::<u64>() % 150).collect();
+        let probs: Vec<f64> = (0..n).map(|_| 0.25 + 0.5 * gen.gen::<f64>()).collect();
+        let seed = gen.gen::<u64>();
+        let want = reference_iterative_merge(&sizes, &probs, &config, seed);
+        let got = iterative_merge(&sizes, &probs, &config, seed);
+        assert_eq!(got.new_shards, want.new_shards, "case {case}");
+        assert_eq!(got.leftover, want.leftover, "case {case}");
+        assert_eq!(got.total_slots, want.total_slots, "case {case}");
+        rounds += want.new_shards.len();
+    }
+    assert!(rounds >= 40, "only {rounds} shards formed over 20 inputs");
 }
 
 #[test]

@@ -6,6 +6,7 @@ verify:
     cargo build --release --workspace
     cargo test --workspace --no-fail-fast
     cargo test --release -p cshard-sim
+    cargo test --release -p rand_chacha -p cshard-games
     cargo clippy --workspace --all-targets -- -D warnings
 
 # Determinism & safety lint over every workspace crate (policy.toml is the
@@ -54,12 +55,12 @@ bench workload:
         --workload {{workload}} --seed 11 --seconds 16 --trace 0
 
 # What CI's "Benchmark surface" step runs: one second each of the stream,
-# selection and pooled-scheduler workloads, output checks only (no timing):
-# every result must be `correct` with no failed operation.
+# merge-heavy, selection and pooled-scheduler workloads, output checks only
+# (no timing): every result must be `correct` with no failed operation.
 bench-smoke:
     #!/usr/bin/env bash
     set -euo pipefail
-    for workload in stream_steady paper_epochs paper_epochs_mt; do
+    for workload in stream_steady stream_churn paper_epochs paper_epochs_mt; do
         cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
             --workload "$workload" --seconds 1 --trace 0 | tee /tmp/bench-smoke.txt
         tail -n 1 /tmp/bench-smoke.txt | grep -q '"correct":true'
