@@ -173,14 +173,7 @@ impl SystemBuilder {
 
     /// Validates the combination and builds the system.
     pub fn build(self) -> Result<ShardingSystem, Error> {
-        let rt = &self.config.runtime;
-        rt.validate()?;
-        if rt.mean_block_interval == SimTime::ZERO {
-            return Err(Error::Config {
-                field: "mean_block_interval",
-                reason: "must be positive".into(),
-            });
-        }
+        self.config.runtime.validate()?;
         if self.shards == Some(0) {
             return Err(Error::Config {
                 field: "shards",

@@ -481,7 +481,7 @@ fn stage_counters_sum_stage_outputs() {
 #[test]
 fn malformed_long_run_input_is_a_typed_error() {
     type Patch = fn(&mut LongRunConfig, &mut SimTime);
-    let rows: [(&str, Patch); 5] = [
+    let rows: [(&str, Patch); 6] = [
         ("merging.eta", |c, _| {
             c.merging.as_mut().expect("on by default").eta = f64::NAN
         }),
@@ -497,6 +497,9 @@ fn malformed_long_run_input_is_a_typed_error() {
         }),
         ("epoch_interval", |_, interval| *interval = SimTime::ZERO),
         ("block_capacity", |c, _| c.runtime.block_capacity = 0),
+        ("mean_block_interval", |c, _| {
+            c.runtime.mean_block_interval = SimTime::ZERO
+        }),
     ];
     for (field, patch) in rows {
         let (mut config, mut interval) = (LongRunConfig::default(), SimTime::from_secs(60));

@@ -29,17 +29,26 @@ impl SimTime {
         SimTime(secs * 1000)
     }
 
-    /// Builds a time from fractional seconds, rounding to milliseconds.
+    /// Builds a time from fractional seconds, rounding to milliseconds
+    /// (half away from zero, saturating at [`SimTime::MAX`]).
     ///
     /// # Panics
     /// Panics on negative or non-finite input — simulated time never runs
     /// backwards.
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(
             secs.is_finite() && secs >= 0.0,
             "time must be finite and non-negative, got {secs}"
         );
-        SimTime((secs * 1000.0).round() as u64)
+        // `f64::round` is a libm call on baseline x86-64 (no `roundsd`),
+        // and every mining tick passes through here. This is the same
+        // rounding without it: below 2^53 the fraction `ms - t` is exact,
+        // from 2^53 on `ms` is an integer (fraction 0), and past `u64`
+        // both `as u64` and the saturating add stop at `u64::MAX`.
+        let ms = secs * 1000.0;
+        let t = ms as u64;
+        SimTime(t.saturating_add(u64::from(ms - t as f64 >= 0.5)))
     }
 
     /// Raw milliseconds.
@@ -114,6 +123,59 @@ mod tests {
     fn rounding_to_millis() {
         assert_eq!(SimTime::from_secs_f64(0.0004).as_millis(), 0);
         assert_eq!(SimTime::from_secs_f64(0.0006).as_millis(), 1);
+
+        // The branch-free rounding equals the libm reference bit for bit.
+        let reference = |secs: f64| (secs * 1000.0).round() as u64;
+        let check = |secs: f64| {
+            assert_eq!(
+                SimTime::from_secs_f64(secs).as_millis(),
+                reference(secs),
+                "secs = {secs:e}"
+            );
+        };
+        // Ties at x.5 milliseconds, from the first few to past 2^51 ms
+        // (where the fraction is still representable); count the exact
+        // ties so the grid provably contains some.
+        let mut ties = 0;
+        for k in (0..2_000u64).chain((1u64 << 51) - 1_000..(1u64 << 51) + 1_000) {
+            let secs = (k as f64 + 0.5) / 1000.0;
+            ties += usize::from((secs * 1000.0).fract() == 0.5);
+            check(secs);
+            check(f64::from_bits(secs.to_bits() + 1));
+            check(f64::from_bits(secs.to_bits() - 1));
+        }
+        assert!(ties > 1_000, "only {ties} exact ties");
+        // The largest double below 0.5, as seconds and as milliseconds.
+        check(0.499_999_999_999_999_94);
+        check(0.499_999_999_999_999_94 / 1000.0);
+        // Milliseconds in [2^52, 2^53): every double there is an integer.
+        let base = (1u64 << 52) as f64;
+        for k in 0..1_000u64 {
+            check((base + (k * 4_503_599_627) as f64) / 1000.0);
+        }
+        check(((1u64 << 53) as f64 - 1.0) / 1000.0);
+        // Saturation: 2^64 - 2048 ms (the last double below 2^64) and far
+        // beyond, as milliseconds and as seconds.
+        let below_2_64 = 18_446_744_073_709_549_568.0_f64;
+        check(below_2_64 / 1000.0);
+        check(below_2_64);
+        check(1e300);
+        assert_eq!(SimTime::from_secs_f64(1e300), SimTime::MAX);
+        // Exponential tick delays at the calibrations the runtime uses:
+        // 1 ms, the ChainSpace 132 ms, the paper's 60 s and an hour.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        for mean in [0.001, 0.132, 60.0, 3_600.0] {
+            for _ in 0..1_000_000 {
+                // SplitMix64 → a uniform in [0, 1) → Exp(mean).
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                let u = (z ^ (z >> 31)) >> 11;
+                let unit = u as f64 / (1u64 << 53) as f64;
+                check(-(1.0 - unit).ln() * mean);
+            }
+        }
     }
 
     #[test]

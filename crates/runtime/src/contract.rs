@@ -28,6 +28,16 @@
 //! fixed conflict window (bit-identical to the pre-refactor simulator) or
 //! explicit [`Event::BlockDelivered`] events drawn from the network's
 //! latency model.
+//!
+//! Once a shard has confirmed everything it keeps mining until the run's
+//! last shard finishes, and at stream scale those idle ticks are almost
+//! every event of a run. They cannot confirm anything, so each one's
+//! classification (empty, or stale while a competitor's confirmation is
+//! still inside the window) is a pure function of its time and miner:
+//! [`ContractShardDriver`]'s phase-2 [`ProtocolDriver::idle_turn`]
+//! replays each miner's chain of ticks in one loop — a draw and a
+//! classification per tick, no queue round trip — with counters and turn
+//! counts identical to the event-by-event default.
 
 use crate::driver::{Ctx, ProtocolDriver};
 use crate::event::Event;
@@ -39,7 +49,7 @@ use cshard_games::dynamics::{BestReplyDynamics, GameDynamics, SelectInput, Selec
 use cshard_games::selection::SelectionConfig;
 use cshard_primitives::{Error, ShardId, SimTime};
 use cshard_settle::SettleConfig;
-use cshard_sim::{SchedulerConfig, SimRng};
+use cshard_sim::{SchedulerConfig, SimRng, Turn};
 use std::time::Duration;
 
 /// How miners of a shard pick transactions.
@@ -131,11 +141,18 @@ impl RuntimeConfig {
     }
 
     /// The one runtime-config check every run entry point performs: a
-    /// positive block capacity and a well-formed settle knob set.
+    /// positive block capacity, a positive block interval (every miner
+    /// draws its next tick from it) and a well-formed settle knob set.
     pub fn validate(&self) -> Result<(), Error> {
         if self.block_capacity == 0 {
             return Err(Error::Config {
                 field: "block_capacity",
+                reason: "must be positive".into(),
+            });
+        }
+        if self.mean_block_interval == SimTime::ZERO {
+            return Err(Error::Config {
+                field: "mean_block_interval",
                 reason: "must be positive".into(),
             });
         }
@@ -457,9 +474,10 @@ impl ContractShardDriver {
     }
 
     /// Processes one block-found event: build the miner's candidate block,
-    /// classify it (useful / empty / stale), apply confirmations, and (under
-    /// latency propagation) emit the delivery event.
-    fn on_block_found(&mut self, now: SimTime, miner: usize, ctx: &mut Ctx) {
+    /// classify it (useful / empty / stale) and apply confirmations. Under
+    /// delivery-scheduling propagation a confirming block returns the time
+    /// its [`Event::BlockDelivered`] is due; the caller schedules it.
+    fn on_block_found(&mut self, now: SimTime, miner: usize) -> Option<SimTime> {
         let st = &mut self.st;
         st.blocks += 1;
 
@@ -552,18 +570,23 @@ impl ContractShardDriver {
         // RNG draw happens only when a delivery is materialized, so
         // window-model trajectories stay bit-identical to the pre-refactor
         // simulator.
-        if newly > 0 && self.config.propagation.schedules_deliveries() {
-            let u = self.prop_rng.unit();
-            if let Some(delivered) = self.config.propagation.delivery_time(now, u) {
-                for &tx in self.candidate.iter() {
-                    if st.confirmed[tx] == Some((now, miner)) {
-                        st.visible_at[tx] = Some(delivered);
-                    }
-                }
-                st.latest_visible = Some(st.latest_visible.map_or(delivered, |v| v.max(delivered)));
-                ctx.schedule(delivered, Event::BlockDelivered { origin: miner });
+        if newly == 0 || !self.config.propagation.schedules_deliveries() {
+            return None;
+        }
+        let u = self.prop_rng.unit();
+        let delivered = self.config.propagation.delivery_time(now, u)?;
+        for &tx in self.candidate.iter() {
+            if st.confirmed[tx] == Some((now, miner)) {
+                st.visible_at[tx] = Some(delivered);
             }
         }
+        st.latest_visible = Some(st.latest_visible.map_or(delivered, |v| v.max(delivered)));
+        Some(delivered)
+    }
+
+    /// The miner's next tick after `now`.
+    fn next_tick(&mut self, now: SimTime, miner: usize) -> SimTime {
+        now.saturating_add(self.miner_rngs[miner].exp_delay(self.config.mean_block_interval))
     }
 }
 
@@ -578,9 +601,12 @@ impl ProtocolDriver for ContractShardDriver {
     fn on_event(&mut self, now: SimTime, ev: Event, ctx: &mut Ctx) -> Result<(), Error> {
         match ev {
             Event::BlockFound { miner } => {
-                self.on_block_found(now, miner, ctx);
-                let dt = self.miner_rngs[miner].exp_delay(self.config.mean_block_interval);
-                ctx.schedule_in(dt, Event::BlockFound { miner });
+                // The delivery goes in first: ties fire in insertion order.
+                if let Some(delivered) = self.on_block_found(now, miner) {
+                    ctx.schedule(delivered, Event::BlockDelivered { origin: miner });
+                }
+                let next = self.next_tick(now, miner);
+                ctx.schedule(next, Event::BlockFound { miner });
                 Ok(())
             }
             Event::BlockDelivered { .. } => {
@@ -604,6 +630,48 @@ impl ProtocolDriver for ContractShardDriver {
 
     fn completion(&self) -> Option<SimTime> {
         self.st.last_confirmation
+    }
+
+    /// Idle mining as one closed loop per miner (see the module docs).
+    /// With nothing left unconfirmed a tick's classification depends only
+    /// on `(now, miner)` and only bumps counters, so the miners' ticks may
+    /// be replayed in any order: each popped `BlockFound` runs its miner's
+    /// ticks here — one [`SimRng::exp_delay`] draw and one
+    /// `on_block_found` each — and puts back only the first tick at or
+    /// after `completion`, or the one the budget stops at. Every tick
+    /// counts as one event and other events go through `on_event`, so the
+    /// counts match the event-by-event default.
+    fn idle_turn(
+        &mut self,
+        ctx: &mut Ctx,
+        completion: SimTime,
+        budget: usize,
+    ) -> Result<(usize, Turn), Error> {
+        let mut replayed = 0;
+        while ctx.next_time().is_some_and(|at| at < completion) {
+            if replayed >= budget {
+                return Ok((replayed, Turn::Yield));
+            }
+            let Some((mut now, ev)) = ctx.pop() else {
+                break;
+            };
+            replayed += 1;
+            match ev {
+                Event::BlockFound { miner } if self.st.unconfirmed == 0 => loop {
+                    let delivered = self.on_block_found(now, miner);
+                    debug_assert_eq!(delivered, None, "a finished shard confirms nothing");
+                    let next = self.next_tick(now, miner);
+                    if next >= completion || replayed >= budget {
+                        ctx.schedule(next, Event::BlockFound { miner });
+                        break;
+                    }
+                    now = next;
+                    replayed += 1;
+                },
+                ev => self.on_event(now, ev, ctx)?,
+            }
+        }
+        Ok((replayed, Turn::Done))
     }
 
     fn report(&self, events: usize, wall: Duration) -> ShardReport {
@@ -917,20 +985,32 @@ mod tests {
         );
     }
 
+    /// A zero block capacity or block interval is a typed error at both
+    /// entry points. (A zero interval used to pass `validate()` and panic
+    /// in the first miner's `exp_delay`.)
     #[test]
-    fn zero_block_capacity_rejected() {
-        let bad = RuntimeConfig {
-            block_capacity: 0,
-            ..cfg(0)
-        };
-        let err = super::simulate_ethereum(fees(5), 1, &bad).unwrap_err();
-        assert!(matches!(
-            err,
-            Error::Config {
-                field: "block_capacity",
-                ..
+    fn malformed_runtime_config_is_a_typed_error() {
+        type Patch = fn(&mut RuntimeConfig);
+        let rows: [(&str, Patch); 2] = [
+            ("block_capacity", |c| c.block_capacity = 0),
+            ("mean_block_interval", |c| {
+                c.mean_block_interval = SimTime::ZERO
+            }),
+        ];
+        for (field, patch) in rows {
+            let mut bad = cfg(0);
+            patch(&mut bad);
+            let specs = [ShardSpec::solo_greedy(ShardId::new(0), fees(5))];
+            for err in [
+                super::simulate(&specs, &bad).unwrap_err(),
+                super::simulate_ethereum(fees(5), 1, &bad).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(err, Error::Config { field: got, .. } if got == field),
+                    "expected a config error on `{field}`, got {err:?}"
+                );
             }
-        ));
+        }
     }
 
     // ---- latency propagation (new in the unified runtime) ----

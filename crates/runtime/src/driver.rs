@@ -1,11 +1,20 @@
 //! The `ProtocolDriver` trait and the context handed to its hooks.
+//!
+//! A driver reacts to one event at a time through
+//! [`ProtocolDriver::on_event`]. The one exception is the harness's
+//! phase-2 idle drain, which hands a driver whole turns through
+//! [`ProtocolDriver::idle_turn`]: its default replays the pending events
+//! one by one through `on_event` — the only copy of that loop — and a
+//! driver whose idle events are a pure function of their timestamps may
+//! replay them in a tighter loop, as `ContractShardDriver` does for the
+//! empty blocks a finished shard mines.
 
 use crate::event::Event;
 use crate::report::ShardReport;
 use cshard_network::CommStats;
 use cshard_primitives::{Error, SimTime};
 use cshard_settle::SettleStats;
-use cshard_sim::EventQueue;
+use cshard_sim::{EventQueue, Turn};
 use std::time::Duration;
 
 /// What a driver may do while handling an event: schedule further events
@@ -51,6 +60,19 @@ impl<'a> Ctx<'a> {
     pub fn comm(&self) -> &CommStats {
         self.comm
     }
+
+    /// The time of the next pending event. Crate-private: only the
+    /// phase-2 turn loops (the [`ProtocolDriver::idle_turn`] default and
+    /// `ContractShardDriver`'s override) read the queue.
+    pub(crate) fn next_time(&self) -> Option<SimTime> {
+        self.queue.next_time()
+    }
+
+    /// Pops the next pending event, advancing the queue's clock to it.
+    /// Crate-private, like [`Ctx::next_time`].
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, Event)> {
+        self.queue.pop()
+    }
 }
 
 /// One shard's protocol logic, driven by the shared event loop.
@@ -73,7 +95,9 @@ impl<'a> Ctx<'a> {
 /// 3. Report local progress through [`ProtocolDriver::done`] and
 ///    [`ProtocolDriver::completion`]; the harness runs phase 1 until
 ///    every driver is done, then replays idle events up to the global
-///    completion time so cross-shard accounting is exact.
+///    completion time so cross-shard accounting is exact. That replay
+///    goes through [`ProtocolDriver::idle_turn`], whose default feeds
+///    each event to `on_event` — a new driver need not override it.
 pub trait ProtocolDriver: Send {
     /// Schedules the driver's initial events. Called once, at t = 0,
     /// before any event fires.
@@ -106,6 +130,37 @@ pub trait ProtocolDriver: Send {
     fn settle_stats(&self) -> Option<SettleStats> {
         None
     }
+
+    /// Replays one phase-2 (idle-drain) turn: the pending events strictly
+    /// before the run's `completion`, at most `budget` of them. Returns
+    /// how many events it replayed and [`Turn::Done`] once none before
+    /// `completion` is left, [`Turn::Yield`] when the budget ran out
+    /// first. `budget` is the scheduler's `turn_events` (`usize::MAX`
+    /// when unbounded).
+    ///
+    /// The default is the event loop itself: each event goes through
+    /// [`ProtocolDriver::on_event`]. An override must be indistinguishable
+    /// from it — the same driver state and report, the same count per
+    /// turn and the same `Done`/`Yield` decision — because the count
+    /// feeds `events_processed` and the decision the scheduler's turn
+    /// statistics.
+    fn idle_turn(
+        &mut self,
+        ctx: &mut Ctx,
+        completion: SimTime,
+        budget: usize,
+    ) -> Result<(usize, Turn), Error> {
+        let mut replayed = 0;
+        while ctx.next_time().is_some_and(|at| at < completion) {
+            if replayed >= budget {
+                return Ok((replayed, Turn::Yield));
+            }
+            let Some((now, ev)) = ctx.pop() else { break };
+            replayed += 1;
+            self.on_event(now, ev, ctx)?;
+        }
+        Ok((replayed, Turn::Done))
+    }
 }
 
 impl<D: ProtocolDriver + ?Sized> ProtocolDriver for Box<D> {
@@ -126,5 +181,13 @@ impl<D: ProtocolDriver + ?Sized> ProtocolDriver for Box<D> {
     }
     fn settle_stats(&self) -> Option<SettleStats> {
         (**self).settle_stats()
+    }
+    fn idle_turn(
+        &mut self,
+        ctx: &mut Ctx,
+        completion: SimTime,
+        budget: usize,
+    ) -> Result<(usize, Turn), Error> {
+        (**self).idle_turn(ctx, completion, budget)
     }
 }

@@ -1,5 +1,11 @@
 //! The two-phase run harness: one driver per shard on the shard-lifecycle
 //! scheduler, launched through [`Runtime::builder`].
+//!
+//! Phase 1 pops a driver's events here and feeds them to
+//! [`ProtocolDriver::on_event`]; a phase-2 turn is one
+//! [`ProtocolDriver::idle_turn`] call, so the idle-drain loop lives once,
+//! as that method's default, and a driver may replay its idle events
+//! faster (the harness only counts what it reports and times the call).
 
 use crate::driver::{Ctx, ProtocolDriver};
 use crate::event::Event;
@@ -206,7 +212,10 @@ impl<'obs> RunBuilder<'obs> {
 ///    driver finishing last sets the run's global completion time.
 /// 2. **Idle drain** — drivers that finished early replay their pending
 ///    events strictly before the global completion time, so idle-mining
-///    (empty/stale block) accounting matches a fully serialized run.
+///    (empty/stale block) accounting matches a fully serialized run. Each
+///    turn is one [`ProtocolDriver::idle_turn`] call: the default feeds
+///    the events to `on_event` one by one, and `ContractShardDriver`
+///    replays a finished shard's idle mining one miner at a time.
 ///
 /// Each phase is one scheduler drain: only drivers with queued work are
 /// admitted (idle shards are skipped and counted, never scheduled), and
@@ -324,7 +333,7 @@ fn execute<D: ProtocolDriver + 'static>(
         .unwrap_or(SimTime::ZERO);
 
     // Phase 2: idle-drain early finishers up to the global completion.
-    // Admission is the same predicate the turn loop re-checks: an event
+    // Admission is the same predicate `idle_turn` re-checks: an event
     // strictly before the completion time is pending replay.
     if let Some(obs) = observer.as_deref_mut() {
         obs.phase_started(RunPhase::IdleDrain);
@@ -332,30 +341,14 @@ fn execute<D: ProtocolDriver + 'static>(
     let pending = |t: &DriverTask<D>| t.queue.next_time().is_some_and(|at| at < completion);
     let shared = comm.clone();
     let (tasks, idle_drain) = scheduler.drain(tasks, pending, move |_, t| {
-        let comm = &shared;
         let start = Instant::now();
-        let mut processed = 0;
-        let outcome = loop {
-            if t.queue.next_time().is_none_or(|at| at >= completion) {
-                break Ok(Turn::Done);
-            }
-            if processed >= budget {
-                break Ok(Turn::Yield);
-            }
-            let Some((now, ev)) = t.queue.pop() else {
-                break Ok(Turn::Done); // next_time() said Some; drained means done
-            };
-            t.events += 1;
-            processed += 1;
-            if let Err(e) = t
-                .driver
-                .on_event(now, ev, &mut Ctx::new(&mut t.queue, comm))
-            {
-                break Err(e);
-            }
-        };
+        let turn = t
+            .driver
+            .idle_turn(&mut Ctx::new(&mut t.queue, &shared), completion, budget);
         t.wall += start.elapsed();
-        outcome
+        let (replayed, turn) = turn?;
+        t.events += replayed;
+        Ok(turn)
     })?;
     if let Some(obs) = observer {
         obs.phase_finished(RunPhase::IdleDrain, &idle_drain);

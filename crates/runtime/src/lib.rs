@@ -10,8 +10,10 @@
 //!   advancement, cross-shard validation rounds);
 //! * [`ProtocolDriver`] — the per-shard protocol state machine. A driver
 //!   owns one shard's state and reacts to events through
-//!   [`ProtocolDriver::on_event`]; it never touches the clock, another
-//!   shard's state, or host wall-time;
+//!   [`ProtocolDriver::on_event`] (the harness's idle drain hands it whole
+//!   turns through [`ProtocolDriver::idle_turn`], whose default is that
+//!   same event loop); it never touches the clock, another shard's state,
+//!   or host wall-time;
 //! * [`Ctx`] — what a driver may do in response: schedule further events
 //!   on its own queue and account cross-shard messaging through
 //!   [`cshard_network::CommStats`];
@@ -69,7 +71,7 @@ pub use crosslink::CrosslinkChannel;
 pub use cshard_settle::{
     Batch, FlushOutcome, SettleConfig, SettleStats, SettlementBatcher, Submit,
 };
-pub use cshard_sim::{DrainStats, SchedulerConfig};
+pub use cshard_sim::{DrainStats, SchedulerConfig, Turn};
 pub use driver::{Ctx, ProtocolDriver};
 pub use event::Event;
 pub use harness::{RunBuilder, RunObserver, RunOutcome, RunPhase, RunSchedStats, Runtime};

@@ -41,6 +41,7 @@ impl SimRng {
     }
 
     /// Uniform `f64` in `[0, 1)`.
+    #[inline]
     pub fn unit(&mut self) -> f64 {
         self.inner.gen::<f64>()
     }
@@ -69,6 +70,7 @@ impl SimRng {
     ///
     /// Used for PoW inter-block times: a miner with hash rate `rate`
     /// blocks-per-second finds blocks as a Poisson process.
+    #[inline]
     pub fn exponential(&mut self, rate: f64) -> f64 {
         assert!(rate > 0.0 && rate.is_finite(), "rate must be positive");
         // 1 - unit() is in (0, 1], avoiding ln(0).
@@ -76,6 +78,8 @@ impl SimRng {
     }
 
     /// An exponential inter-event delay as a `SimTime` (mean `mean`).
+    /// Every mining tick is one call, across crates, hence `#[inline]`.
+    #[inline]
     pub fn exp_delay(&mut self, mean: SimTime) -> SimTime {
         let mean_s = mean.as_secs_f64();
         assert!(mean_s > 0.0, "mean delay must be positive");

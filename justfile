@@ -54,13 +54,14 @@ bench workload:
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --workload {{workload}} --seed 11 --seconds 16 --trace 0
 
-# What CI's "Benchmark surface" step runs: one second each of the stream,
-# merge-heavy, selection and pooled-scheduler workloads, output checks only
-# (no timing): every result must be `correct` with no failed operation.
+# What CI's "Benchmark surface" step runs: one second of every workload
+# (stream, merge-heavy, placement, selection, pooled scheduler, settlement),
+# output checks only (no timing): every result must be `correct` with no
+# failed operation.
 bench-smoke:
     #!/usr/bin/env bash
     set -euo pipefail
-    for workload in stream_steady stream_churn paper_epochs paper_epochs_mt; do
+    for workload in stream_steady stream_churn stream_placed paper_epochs paper_epochs_mt xshard_settle; do
         cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
             --workload "$workload" --seconds 1 --trace 0 | tee /tmp/bench-smoke.txt
         tail -n 1 /tmp/bench-smoke.txt | grep -q '"correct":true'
