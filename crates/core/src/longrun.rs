@@ -19,7 +19,7 @@ use cshard_ledger::Transaction;
 use cshard_place::PlacementConfig;
 use cshard_primitives::{Error, Hash32, MinerId, SimTime};
 use cshard_runtime::report::throughput_improvement;
-use cshard_runtime::{simulate_ethereum, Runtime, RuntimeConfig, StreamDriver};
+use cshard_runtime::{simulate_ethereum, EpochBatches, RuntimeConfig};
 
 /// The randomness an epoch's unified game parameters derive from (the
 /// leader's VRF output is already baked into the assignment; a stable
@@ -160,42 +160,29 @@ impl LongRun {
     }
 
     /// Drives epochs from a lazy arrival stream instead of pre-cut
-    /// batches: arrivals are injected through a
-    /// [`cshard_runtime::StreamDriver`] (one [`cshard_runtime::Event::TxInjected`]
-    /// in flight at a time), sealed into per-epoch batches every
-    /// `epoch_interval` of simulated time, and each non-empty batch is
-    /// replayed through [`LongRun::run_epoch`]. Intervals with no
-    /// arrivals produce no epoch — a long-lived deployment idles through
-    /// quiet periods instead of erroring on empty batches.
+    /// batches: arrivals are sealed into per-epoch batches every
+    /// `epoch_interval` of simulated time by [`EpochBatches`], and each
+    /// batch runs through [`LongRun::run_epoch`] as soon as it is sealed,
+    /// before the next arrival past it is pulled. Sealing is arithmetic on
+    /// timestamps — no injection run, no scheduler — so memory is
+    /// O(epoch), not O(stream), and the stream may be unbounded. Intervals
+    /// with no arrivals produce no epoch — a long-lived deployment idles
+    /// through quiet periods instead of erroring on empty batches.
     ///
     /// Returns the reports of the epochs this call ran, in order (they
-    /// are also appended to [`LongRun::reports`]). The injection run
-    /// uses the configured scheduler; results are bit-identical at any
-    /// thread count.
+    /// are also appended to [`LongRun::reports`]). On an error — a
+    /// rewinding timestamp (`Error::Config { field: "stream" }`), a zero
+    /// interval with a non-empty stream (`field: "epoch_interval"`) or a
+    /// rejected epoch — the epochs sealed before it have already run and
+    /// stay in [`LongRun::reports`].
     pub fn run_stream(
         &mut self,
-        stream: impl Iterator<Item = (SimTime, Transaction)> + Send + 'static,
+        stream: impl Iterator<Item = (SimTime, Transaction)>,
         epoch_interval: SimTime,
     ) -> Result<Vec<EpochReport>, Error> {
-        if epoch_interval == SimTime::ZERO {
-            return Err(Error::Config {
-                field: "epoch_interval",
-                reason: "epochs need a positive sealing interval".into(),
-            });
-        }
-        let driver = StreamDriver::new(stream, epoch_interval);
-        let outcome = Runtime::builder()
-            .scheduler(self.config.runtime.scheduler)
-            .run(vec![driver])?;
-        let mut drivers = outcome.drivers;
-        let Some(driver) = drivers.pop() else {
-            return Err(Error::Config {
-                field: "stream",
-                reason: "injection run returned no driver".into(),
-            });
-        };
         let mut reports = Vec::new();
-        for (_sim_epoch, batch) in driver.into_batches() {
+        for sealed in EpochBatches::new(stream, epoch_interval) {
+            let (_sim_epoch, batch) = sealed?;
             reports.push(self.run_epoch(&batch)?);
         }
         Ok(reports)
@@ -339,6 +326,31 @@ mod tests {
         let a: Vec<f64> = reports.iter().map(|r| r.improvement).collect();
         let b: Vec<f64> = batched.reports().iter().map(|r| r.improvement).collect();
         assert_eq!(a, b, "stream-fed epochs must replay batch-fed exactly");
+    }
+
+    #[test]
+    fn epochs_sealed_before_a_rewind_have_already_run() {
+        // 40 txs per 1 600 ms epoch; arrival 100 rewinds, after arrivals
+        // 40 and 80 sealed epochs 0 and 1.
+        let txs = Workload::uniform_contracts(120, 4, FEES, 9).transactions;
+        let stream = txs.into_iter().enumerate().map(|(i, tx)| {
+            let ms = if i == 100 { 0 } else { i as u64 * 40 };
+            (SimTime::from_millis(ms), tx)
+        });
+        let mut lr = LongRun::new(LongRunConfig::default());
+        let err = lr.run_stream(stream, SimTime::from_millis(1_600)).err();
+        assert!(
+            matches!(
+                err,
+                Some(Error::Config {
+                    field: "stream",
+                    ..
+                })
+            ),
+            "{err:?}"
+        );
+        let epochs: Vec<u64> = lr.reports().iter().map(|r| r.epoch).collect();
+        assert_eq!(epochs, [0, 1]);
     }
 
     #[test]

@@ -516,3 +516,68 @@ fn malformed_long_run_input_is_a_typed_error() {
         );
     }
 }
+
+/// Seals `source` with the lazy adaptor and with the event-loop driver at
+/// threads 1 and 4, asserting all three yield the same batches.
+fn assert_shells_agree<T, S>(source: impl Fn() -> S, interval: SimTime)
+where
+    T: PartialEq + std::fmt::Debug + Send + 'static,
+    S: Iterator<Item = (SimTime, T)> + Send + 'static,
+{
+    let lazy: Vec<(u64, Vec<T>)> = EpochBatches::new(source(), interval)
+        .collect::<Result<_, _>>()
+        .expect("well-formed stream");
+    for threads in [1, 4] {
+        let driven = Runtime::builder()
+            .threads(threads)
+            .run(vec![StreamDriver::new(source(), interval)])
+            .expect("well-formed stream")
+            .drivers
+            .remove(0)
+            .into_batches();
+        assert_eq!(lazy, driven, "interval {interval}, threads {threads}");
+    }
+}
+
+#[test]
+fn epoch_batches_match_the_stream_driver() {
+    use cshard_workload::{BurstEpisode, SpamFlood};
+    let intervals = [1, 7, 60_000].map(SimTime::from_millis);
+    let hand: [&[u64]; 5] = [
+        // On boundaries of every interval, then quiet gaps of many epochs.
+        &[0, 7, 14, 14, 21, 60_000, 60_007, 420_000, 420_001],
+        &[3, 3, 3, 6, 8, 9, 13, 700, 60_001, 180_003],
+        &[],
+        &[5],
+        &[59_999, 60_000],
+    ];
+    let config = StreamConfig {
+        accounts: 5_000,
+        contracts: 16,
+        bursts: vec![BurstEpisode {
+            start: SimTime::from_secs(400),
+            end: SimTime::from_secs(900),
+            rate_multiplier: 6.0,
+        }],
+        spam: Some(SpamFlood {
+            start: SimTime::from_secs(1_200),
+            end: SimTime::from_secs(2_000),
+            fraction: 0.6,
+        }),
+        seed: 27,
+        ..StreamConfig::default()
+    };
+    for interval in intervals {
+        for ms in hand {
+            let arrivals = || {
+                ms.iter()
+                    .enumerate()
+                    .map(|(i, &t)| (SimTime::from_millis(t), i))
+                    .collect::<Vec<_>>()
+                    .into_iter()
+            };
+            assert_shells_agree(arrivals, interval);
+        }
+        assert_shells_agree(|| TxStream::new(config.clone()).take(10_000), interval);
+    }
+}

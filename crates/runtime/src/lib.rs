@@ -78,4 +78,4 @@ pub use harness::{RunBuilder, RunObserver, RunOutcome, RunPhase, RunSchedStats, 
 pub use propagation::PropagationModel;
 pub use report::{throughput_improvement, RunReport, ShardReport};
 pub use settle::{MigrationStats, MigrationTicket, SettlingShardDriver};
-pub use stream::{ArrivalSource, StreamDriver};
+pub use stream::{ArrivalSource, EpochBatches, StreamDriver};

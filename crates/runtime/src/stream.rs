@@ -1,29 +1,24 @@
-//! Streaming transaction injection: a [`ProtocolDriver`] that feeds a
-//! lazy `(SimTime, payload)` stream into the event loop one
-//! [`Event::TxInjected`] at a time and accumulates per-epoch batches.
+//! Sealing a lazy `(SimTime, payload)` arrival stream into per-epoch
+//! batches.
 //!
-//! The golden experiment paths inject a whole materialized workload at
-//! t = 0 (matching the paper's setup, where injection precedes the
-//! measured run). Million-user workloads cannot afford that: the batch
-//! vector alone would dwarf the state being measured. [`StreamDriver`]
-//! instead keeps exactly **one transaction in flight** — the next
-//! arrival is pulled from the iterator only when the previous injection
-//! event fires — so the driver's live footprint is O(1) in the length of
-//! the stream, and the only growing state is the sealed per-epoch
-//! batches the caller asked it to collect.
+//! Epoch boundaries are derived from arrival timestamps, not from control
+//! events: an arrival at time `t` belongs to epoch `t / interval`, and an
+//! arrival in a later epoch seals the open batch. Batch contents are
+//! therefore a pure function of the stream — independent of scheduler
+//! interleaving, thread count and tie-breaking order. That rule lives once,
+//! in the private `EpochSealer`, behind two shells:
 //!
-//! Epoch boundaries are derived from arrival timestamps, not from extra
-//! control events: an arrival at time `t` belongs to epoch
-//! `t / interval`, and crossing a boundary seals the previous batch.
-//! This keeps the event stream minimal (one event per transaction) and
-//! makes batch contents a pure function of the stream — independent of
-//! scheduler interleaving, thread count, and tie-breaking order.
+//! * [`EpochBatches`] — a plain iterator adaptor. It pulls at most one
+//!   arrival past the batch it yields, so a consumer that runs each batch
+//!   before pulling the next holds O(epoch) transactions, never O(stream).
+//!   `cshard-core`'s `LongRun::run_stream` runs each sealed epoch this way.
+//! * [`StreamDriver`] — the same rule as a [`ProtocolDriver`]: one
+//!   [`Event::TxInjected`] per arrival, one arrival staged at a time, and
+//!   every sealed batch kept until the run ends. Only the benchmark's
+//!   decomposed replay still uses it.
 //!
-//! The driver is payload-generic: the runtime crate does not know what a
-//! ledger transaction is, and tests drive it with plain integers.
-//! `cshard-core`'s `LongRun::run_stream` instantiates it with real
-//! transactions and replays each sealed batch through the epoch
-//! pipeline.
+//! Both shells are payload-generic: the runtime crate does not know what a
+//! ledger transaction is, and tests drive them with plain integers.
 
 use crate::driver::{Ctx, ProtocolDriver};
 use crate::event::Event;
@@ -32,46 +27,145 @@ use cshard_primitives::{Error, ShardId, SimTime};
 use std::time::Duration;
 
 /// A boxed lazy arrival source: simulated arrival time plus payload.
-/// Arrival times must be non-decreasing; the driver rejects a rewinding
-/// stream with a typed error instead of corrupting the event queue.
+/// Arrival times must be non-decreasing; both shells reject a rewinding
+/// stream with a typed error.
 pub type ArrivalSource<T> = Box<dyn Iterator<Item = (SimTime, T)> + Send>;
 
+/// The sealing rule: epoch = `at / interval`; an arrival in a later epoch
+/// seals the open batch; quiet intervals seal nothing.
+#[derive(Debug)]
+struct EpochSealer<T> {
+    interval: SimTime,
+    open: Vec<T>,
+    open_epoch: u64,
+    last_arrival: Option<SimTime>,
+}
+
+impl<T> EpochSealer<T> {
+    fn new(interval: SimTime) -> Self {
+        EpochSealer {
+            interval,
+            open: Vec::new(),
+            open_epoch: 0,
+            last_arrival: None,
+        }
+    }
+
+    /// Rejects an arrival that would rewind the stream.
+    fn admit(&self, at: SimTime) -> Result<(), Error> {
+        match self.last_arrival {
+            Some(last) if at < last => Err(Error::Config {
+                field: "stream",
+                reason: format!("non-monotone arrival stream: {at} after {last}"),
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Adds one arrival, returning the batch it sealed, if any.
+    fn push(&mut self, at: SimTime, item: T) -> Result<Option<(u64, Vec<T>)>, Error> {
+        if self.interval == SimTime::ZERO {
+            return Err(Error::Config {
+                field: "epoch_interval",
+                reason: "epochs need a positive sealing interval".into(),
+            });
+        }
+        self.admit(at)?;
+        let epoch = at.as_millis() / self.interval.as_millis();
+        let sealed = if epoch > self.open_epoch {
+            let sealed = self.seal();
+            self.open_epoch = epoch;
+            sealed
+        } else {
+            None
+        };
+        self.open.push(item);
+        self.last_arrival = Some(at);
+        Ok(sealed)
+    }
+
+    /// Seals the open batch (at the end of the stream, or on a boundary).
+    fn seal(&mut self) -> Option<(u64, Vec<T>)> {
+        (!self.open.is_empty()).then(|| (self.open_epoch, std::mem::take(&mut self.open)))
+    }
+}
+
+/// Seals a lazy arrival source into `(epoch index, batch)` pairs, in epoch
+/// order, pulling arrivals only as far as the batch it yields needs: after
+/// yielding batch *k* the source has been pulled once past it (the arrival
+/// that sealed it), or not at all once it is exhausted. Epochs with no
+/// arrivals yield no batch.
+///
+/// A rewinding timestamp yields `Error::Config { field: "stream" }` and a
+/// zero interval `Error::Config { field: "epoch_interval" }` at the first
+/// arrival (an empty source yields nothing); either error ends the
+/// iteration.
+#[derive(Debug)]
+pub struct EpochBatches<I, T> {
+    source: I,
+    sealer: EpochSealer<T>,
+    done: bool,
+}
+
+impl<I: Iterator<Item = (SimTime, T)>, T> EpochBatches<I, T> {
+    /// Batches of `source`, sealed every `interval` of simulated time.
+    pub fn new(source: impl IntoIterator<IntoIter = I>, interval: SimTime) -> Self {
+        EpochBatches {
+            source: source.into_iter(),
+            sealer: EpochSealer::new(interval),
+            done: false,
+        }
+    }
+}
+
+impl<I: Iterator<Item = (SimTime, T)>, T> Iterator for EpochBatches<I, T> {
+    type Item = Result<(u64, Vec<T>), Error>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        for (at, item) in self.source.by_ref() {
+            match self.sealer.push(at, item) {
+                Ok(None) => {}
+                Ok(Some(sealed)) => return Some(Ok(sealed)),
+                Err(e) => {
+                    self.done = true;
+                    return Some(Err(e));
+                }
+            }
+        }
+        self.done = true;
+        self.sealer.seal().map(Ok)
+    }
+}
+
 /// Injects a lazy arrival stream as [`Event::TxInjected`] events and
-/// seals arrivals into per-epoch batches (epoch = arrival time divided
-/// by the configured interval). See the module docs for the O(1)
-/// in-flight contract.
+/// seals arrivals into per-epoch batches by the same rule as
+/// [`EpochBatches`], keeping every sealed batch until the run ends.
 pub struct StreamDriver<T> {
     source: ArrivalSource<T>,
-    interval: SimTime,
+    sealer: EpochSealer<T>,
     /// The staged arrival behind the one in-flight `TxInjected` event.
     pending: Option<(SimTime, T)>,
-    current: Vec<T>,
-    current_epoch: u64,
     batches: Vec<(u64, Vec<T>)>,
-    last_arrival: Option<SimTime>,
     injected: usize,
     exhausted: bool,
 }
 
 impl<T: Send> StreamDriver<T> {
     /// A driver over `source`, sealing batches every `interval` of
-    /// simulated time.
-    ///
-    /// # Panics
-    /// Panics when `interval` is zero — epochs must have extent.
+    /// simulated time. A zero interval fails the run at the first
+    /// injection with `Error::Config { field: "epoch_interval" }`.
     pub fn new(
         source: impl Iterator<Item = (SimTime, T)> + Send + 'static,
         interval: SimTime,
     ) -> Self {
-        assert!(interval > SimTime::ZERO, "epoch interval must be positive");
         StreamDriver {
             source: Box::new(source),
-            interval,
+            sealer: EpochSealer::new(interval),
             pending: None,
-            current: Vec::new(),
-            current_epoch: 0,
             batches: Vec::new(),
-            last_arrival: None,
             injected: 0,
             exhausted: false,
         }
@@ -93,47 +187,23 @@ impl<T: Send> StreamDriver<T> {
         self.batches
     }
 
-    /// The epoch an arrival at `at` belongs to.
-    fn epoch_of(&self, at: SimTime) -> u64 {
-        at.as_millis() / self.interval.as_millis()
-    }
-
-    /// Seals the open batch when `epoch` has moved past it.
-    fn seal_until(&mut self, epoch: u64) {
-        if epoch > self.current_epoch {
-            if !self.current.is_empty() {
-                let sealed = std::mem::take(&mut self.current);
-                self.batches.push((self.current_epoch, sealed));
-            }
-            self.current_epoch = epoch;
-        }
-    }
-
     /// Pulls the next arrival, stages it, and schedules its injection.
     /// Marks the stream exhausted (sealing the final batch) when the
-    /// source runs dry.
-    fn stage_next(&mut self, after: SimTime, ctx: &mut Ctx) -> Result<(), Error> {
+    /// source runs dry. A rewinding arrival is rejected here, before it
+    /// can reach the event queue.
+    fn stage_next(&mut self, ctx: &mut Ctx) -> Result<(), Error> {
         match self.source.next() {
             Some((at, item)) => {
-                if at < after {
-                    return Err(Error::Config {
-                        field: "stream",
-                        reason: format!("non-monotone arrival stream: {at} after {after}"),
-                    });
-                }
+                self.sealer.admit(at)?;
                 self.pending = Some((at, item));
                 ctx.schedule(at, Event::TxInjected { tx: self.injected });
-                Ok(())
             }
             None => {
                 self.exhausted = true;
-                if !self.current.is_empty() {
-                    let sealed = std::mem::take(&mut self.current);
-                    self.batches.push((self.current_epoch, sealed));
-                }
-                Ok(())
+                self.batches.extend(self.sealer.seal());
             }
         }
+        Ok(())
     }
 }
 
@@ -142,7 +212,7 @@ impl<T: Send> ProtocolDriver for StreamDriver<T> {
         // The first pull cannot rewind (nothing precedes it) and an
         // empty source just leaves the driver born-done, so the staged
         // error path is unreachable here.
-        let _ = self.stage_next(SimTime::ZERO, ctx);
+        let _ = self.stage_next(ctx);
     }
 
     fn on_event(&mut self, t: SimTime, ev: Event, ctx: &mut Ctx) -> Result<(), Error> {
@@ -167,12 +237,9 @@ impl<T: Send> ProtocolDriver for StreamDriver<T> {
                 ),
             });
         }
-        let epoch = self.epoch_of(at);
-        self.seal_until(epoch);
-        self.current.push(item);
+        self.batches.extend(self.sealer.push(at, item)?);
         self.injected += 1;
-        self.last_arrival = Some(at);
-        self.stage_next(at, ctx)
+        self.stage_next(ctx)
     }
 
     fn done(&self) -> bool {
@@ -180,7 +247,7 @@ impl<T: Send> ProtocolDriver for StreamDriver<T> {
     }
 
     fn completion(&self) -> Option<SimTime> {
-        self.last_arrival
+        self.sealer.last_arrival
     }
 
     /// A synthetic report: injection is not block production, so every
@@ -192,7 +259,7 @@ impl<T: Send> ProtocolDriver for StreamDriver<T> {
             shard: ShardId::new(0),
             txs: self.injected,
             confirmed: self.injected,
-            completion: self.last_arrival,
+            completion: self.sealer.last_arrival,
             blocks: 0,
             empty_blocks: 0,
             stale_blocks: 0,
@@ -208,6 +275,7 @@ mod tests {
     use crate::harness::Runtime;
     use cshard_network::CommStats;
     use cshard_sim::EventQueue;
+    use std::cell::Cell;
 
     fn arrivals(ms: &[u64]) -> Vec<(SimTime, usize)> {
         ms.iter()
@@ -216,10 +284,23 @@ mod tests {
             .collect()
     }
 
+    /// Runs the driver shell, checking the iterator shell seals the same
+    /// batches.
     fn run(ms: &[u64], interval_ms: u64) -> StreamDriver<usize> {
-        let driver = StreamDriver::new(arrivals(ms).into_iter(), SimTime::from_millis(interval_ms));
+        let interval = SimTime::from_millis(interval_ms);
+        let driver = StreamDriver::new(arrivals(ms).into_iter(), interval);
         let outcome = Runtime::builder().run(vec![driver]).expect("well-formed");
-        outcome.drivers.into_iter().next().expect("one driver")
+        let driver = outcome.drivers.into_iter().next().expect("one driver");
+        let lazy: Result<Vec<_>, _> = EpochBatches::new(arrivals(ms), interval).collect();
+        assert_eq!(lazy.expect("well-formed"), driver.batches());
+        driver
+    }
+
+    fn assert_config_error(err: Option<Error>, want: &str) {
+        assert!(
+            matches!(err, Some(Error::Config { field, .. }) if field == want),
+            "expected a config error on `{want}`, got {err:?}"
+        );
     }
 
     #[test]
@@ -282,23 +363,19 @@ mod tests {
     }
 
     #[test]
-    fn non_monotone_stream_is_a_typed_error() {
-        let source = vec![
-            (SimTime::from_millis(100), 0usize),
-            (SimTime::from_millis(50), 1),
-        ];
-        let driver = StreamDriver::new(source.into_iter(), SimTime::from_millis(100));
-        let err = Runtime::builder().run(vec![driver]).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                Error::Config {
-                    field: "stream",
-                    ..
-                }
-            ),
-            "{err:?}"
-        );
+    fn non_monotone_stream_is_a_typed_error_in_both_shells() {
+        let source = || {
+            vec![
+                (SimTime::from_millis(100), 0usize),
+                (SimTime::from_millis(50), 1),
+            ]
+        };
+        let interval = SimTime::from_millis(100);
+        let driver = StreamDriver::new(source().into_iter(), interval);
+        assert_config_error(Runtime::builder().run(vec![driver]).err(), "stream");
+        let mut lazy = EpochBatches::new(source(), interval);
+        assert_config_error(lazy.next().and_then(Result::err), "stream");
+        assert!(lazy.next().is_none(), "an error ends the iteration");
     }
 
     #[test]
@@ -323,8 +400,40 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "interval must be positive")]
-    fn zero_interval_panics() {
-        StreamDriver::new(arrivals(&[]).into_iter(), SimTime::ZERO);
+    fn zero_interval_is_a_typed_error_in_both_shells() {
+        let driver = StreamDriver::new(arrivals(&[10]).into_iter(), SimTime::ZERO);
+        assert_config_error(Runtime::builder().run(vec![driver]).err(), "epoch_interval");
+        let mut lazy = EpochBatches::new(arrivals(&[10]), SimTime::ZERO);
+        assert_config_error(lazy.next().and_then(Result::err), "epoch_interval");
+        assert!(lazy.next().is_none(), "an error ends the iteration");
+    }
+
+    #[test]
+    fn empty_source_with_zero_interval_is_not_an_error() {
+        let d = run(&[], 0);
+        assert!(d.batches().is_empty());
+        assert!(EpochBatches::new(arrivals(&[]), SimTime::ZERO)
+            .next()
+            .is_none());
+    }
+
+    #[test]
+    fn epoch_batches_pull_one_arrival_past_each_batch() {
+        let ms = [1, 2, 3, 150, 151, 420, 430, 431, 432, 999];
+        let pulled = Cell::new(0usize);
+        let source = arrivals(&ms)
+            .into_iter()
+            .inspect(|_| pulled.set(pulled.get() + 1));
+        let mut lazy = EpochBatches::new(source, SimTime::from_millis(100));
+        let mut sealed = 0;
+        for batch in lazy.by_ref() {
+            let (_, batch) = batch.expect("well-formed");
+            sealed += batch.len();
+            let ahead = usize::from(sealed < ms.len());
+            assert_eq!(pulled.get(), sealed + ahead, "after {sealed} sealed");
+        }
+        assert_eq!((sealed, pulled.get()), (ms.len(), ms.len()));
+        assert!(lazy.next().is_none(), "nothing after exhaustion");
+        assert_eq!(pulled.get(), ms.len(), "no pull after exhaustion");
     }
 }

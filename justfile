@@ -57,7 +57,7 @@ bench workload:
 # What CI's "Benchmark surface" step runs: one second of every workload
 # (stream, merge-heavy, placement, selection, pooled scheduler, settlement),
 # output checks only (no timing): every result must be `correct` with no
-# failed operation.
+# failed operation, and `stream_steady` must peak under 32 MB RSS.
 bench-smoke:
     #!/usr/bin/env bash
     set -euo pipefail
@@ -66,6 +66,10 @@ bench-smoke:
             --workload "$workload" --seconds 1 --trace 0 | tee /tmp/bench-smoke.txt
         tail -n 1 /tmp/bench-smoke.txt | grep -q '"correct":true'
         tail -n 1 /tmp/bench-smoke.txt | grep -q '"failed":0'
+        # One epoch in memory, not the whole stream (≈ 22 MB vs ≈ 44 MB).
+        if [ "$workload" = stream_steady ]; then
+            tail -n 1 /tmp/bench-smoke.txt | python3 -c 'import json, sys; rss = json.load(sys.stdin)["metrics"]["peak_rss_mb"]["value"]; print(f"stream_steady peak_rss_mb {rss:.1f} (limit 32)"); sys.exit(rss >= 32)'
+        fi
     done
 
 # Every workload, untraced then traced: all metrics, all output checks,
