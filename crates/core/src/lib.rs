@@ -10,9 +10,8 @@
 //! * [`pipeline`] — the epoch: six typed calls, `Classify → Form → Merge →
 //!   Select → Unify → Place`, each one's product the next one's argument.
 //!   The stage structs hold the persistent cross-epoch state (call-graph
-//!   history, merge memoization and carried merge groups, selection warm
-//!   caches, placement traffic counters); per-stage counters accumulate
-//!   beside them. This is the *only* epoch implementation in the
+//!   history, carried merge groups, placement traffic counters);
+//!   per-stage counters accumulate beside them. This is the *only* epoch implementation in the
 //!   workspace; everything below drives it.
 //! * [`system`] — [`system::ShardingSystem`]: the workload-level facade
 //!   over one cold pipeline epoch, with every stage optional so

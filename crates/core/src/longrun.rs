@@ -59,8 +59,10 @@ pub struct LongRunConfig {
     /// but the simulated run still uses one miner per shard, as in the
     /// paper's testbed).
     pub miners: u32,
-    /// Consult cross-epoch warm-start state in the pipeline (bit-identical
-    /// results, fewer game iterations on repeated inputs). Off by default.
+    /// Retired: `false` is its one legal value, and
+    /// [`LongRun::run_epoch`] rejects `true` as a config error. Kept only
+    /// because the benchmark harness names it; deleted once ROADMAP item
+    /// 1(c) stops it doing so.
     pub warm_start: bool,
     /// The cross-epoch placement engine (merge-group carry-over +
     /// hot-account migration). Disabled by default.
@@ -120,8 +122,10 @@ impl LongRun {
     /// Drives one epoch over `batch` (the epoch's injected transactions
     /// with their fees) and records its report.
     ///
-    /// Errors on an empty batch, on merge-game misuse, or when the epoch's
-    /// simulation run is rejected — the long run never panics on input.
+    /// Errors on an empty batch, on a malformed configuration (including
+    /// the retired `warm_start: true`), on merge-game misuse, or when the
+    /// epoch's simulation run is rejected — the long run never panics on
+    /// input.
     pub fn run_epoch(&mut self, batch: &[Transaction]) -> Result<EpochReport, Error> {
         if batch.is_empty() {
             return Err(Error::Config {
@@ -280,28 +284,6 @@ mod tests {
             (lr.reports()[0].improvement, lr.reports()[1].improvement)
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn warm_start_never_changes_epoch_reports() {
-        // A long run salts every epoch's randomness and seed, so the warm
-        // caches never hit here — this pins the other half of the
-        // contract: consulting them is bit-invisible regardless. (The
-        // fewer-iterations half is pinned at pipeline level, where epochs
-        // can repeat identical inputs.)
-        let run = |warm: bool| {
-            let mut lr = LongRun::new(LongRunConfig {
-                warm_start: warm,
-                ..LongRunConfig::default()
-            });
-            let b = batch(0, 5);
-            let mut improvements = Vec::new();
-            for _ in 0..3 {
-                improvements.push(lr.run_epoch(&b).expect("valid batch").improvement);
-            }
-            improvements
-        };
-        assert_eq!(run(false), run(true), "warm start must be bit-invisible");
     }
 
     #[test]

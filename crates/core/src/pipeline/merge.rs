@@ -35,39 +35,25 @@ struct CarriedMerge {
 
 /// Runs Algorithm 1 over the small shards and fuses the merged queues.
 ///
-/// With warm starts enabled, the replayed outcome is memoized by the
-/// unified broadcast's canonical [`UnifiedParameters::digest`]: a repeated
-/// epoch (same randomness, miner set, shard sizes and game config) reuses
-/// the stored equilibrium instead of re-running the replicator dynamics.
-/// The digest covers *every* input the dynamics read, so a hit is exact by
-/// construction — the fused groups are bit-identical, only the slot count
-/// drops to zero. (Re-running "fewer slots from a warm seed" is not an
-/// option here: the one-shot game draws its realization randomness from
-/// the stream position the slots leave behind, so a shorter run would
-/// change the outcome. Memoization is the warm start that preserves
-/// bit-identity.)
-///
-/// With the placement engine's carry switch on, the stage additionally
-/// keeps the *decided groups* across epochs. An epoch whose broadcast
-/// digest matches the carried one reuses the whole partition (zero
-/// dynamics slots, bit-identical to a cold run — the digest covers every
-/// input). When the digest differs, each carried group is re-validated
-/// against the new small-shard sizes: groups whose members all survived
-/// at the same size are kept as-is, and the replicator dynamics re-run
-/// only over the shards left outside any surviving group. Carry-over can
-/// change outcomes relative to a cold run when sizes drift (that is its
-/// point — placement persistence), which is why it lives behind the
-/// off-by-default placement switch rather than the always-bit-identical
-/// `warm_start` flag. The unified broadcast itself is unchanged in every
-/// path: full parameters are built and their communication recorded, so
-/// a disabled engine is bit-invisible and an enabled one books identical
-/// cross-shard messaging.
+/// With the placement engine's carry switch on, the stage keeps the
+/// *decided groups* across epochs. An epoch whose broadcast
+/// [`UnifiedParameters::digest`] matches the carried one reuses the whole
+/// partition (zero dynamics slots, bit-identical to a cold run — the
+/// digest covers every input). When the digest differs, each carried
+/// group is re-validated against the new small-shard sizes: groups whose
+/// members all survived at the same size are kept as-is, and the
+/// replicator dynamics re-run only over the shards left outside any
+/// surviving group. Carry-over can change outcomes relative to a cold run
+/// when sizes drift (that is its point — placement persistence), which is
+/// why it lives behind the off-by-default placement switch. The unified
+/// broadcast itself is unchanged in every path: full parameters are built
+/// and their communication recorded, so a disabled engine is
+/// bit-invisible and an enabled one books identical cross-shard
+/// messaging.
 #[derive(Debug)]
 pub struct MergeStage {
     config: Option<MergingConfig>,
-    warm: bool,
     carry: bool,
-    memo: BTreeMap<Hash32, IterativeMergeOutcome>,
     carried: Option<CarriedMerge>,
 }
 
@@ -75,12 +61,10 @@ impl MergeStage {
     /// A merge stage; `config: None` disables merging entirely, `carry`
     /// enables cross-epoch group carry-over (the placement engine's
     /// merge-persistence half).
-    pub fn new(config: Option<MergingConfig>, warm: bool, carry: bool) -> Self {
+    pub fn new(config: Option<MergingConfig>, carry: bool) -> Self {
         MergeStage {
             config,
-            warm,
             carry,
-            memo: BTreeMap::new(),
             carried: None,
         }
     }
@@ -97,7 +81,7 @@ struct Decision {
     member_groups: Vec<Vec<usize>>,
     /// Small shards left unmerged.
     leftover: usize,
-    /// The path's counters: slots run, warm hit or miss, groups carried.
+    /// The path's counters: slots run, groups carried.
     out: StageOutput,
 }
 
@@ -181,14 +165,6 @@ impl MergeStage {
                 },
                 member_groups,
             }
-        } else if let Some(outcome) = self.memo.get(&digest) {
-            Decision {
-                out: StageOutput {
-                    warm_hits: 1,
-                    ..StageOutput::default()
-                },
-                ..Decision::computed(outcome, &small)
-            }
         } else if let Some(c) = carried {
             // Changed inputs: keep every group whose members all survived
             // at their decision size, re-run the game for the rest.
@@ -227,13 +203,7 @@ impl MergeStage {
             decision.member_groups.splice(0..0, kept);
             decision
         } else {
-            let outcome = params.merge_outcome()?;
-            let mut decision = Decision::computed(&outcome, &small);
-            if self.warm {
-                decision.out.warm_misses = 1;
-                self.memo.insert(digest, outcome);
-            }
-            decision
+            Decision::computed(&params.merge_outcome()?, &small)
         };
 
         // Snapshot the decided partition (member ids + sizes) before
@@ -314,7 +284,7 @@ mod tests {
 
     #[test]
     fn identical_broadcast_reuses_the_carried_partition_bit_identically() {
-        let mut carry = MergeStage::new(config(), false, true);
+        let mut carry = MergeStage::new(config(), true);
         let (_, o1) = run(&mut carry, small_world());
         assert!(o1.iterations > 0, "the first epoch runs the dynamics");
         assert_eq!(o1.carried, 0, "nothing to carry on first sight");
@@ -324,7 +294,7 @@ mod tests {
         assert_eq!(o2.iterations, 0, "identical broadcast re-runs nothing");
         assert_eq!(o2.carried, o2.items, "the whole partition is carried");
 
-        let mut cold_stage = MergeStage::new(config(), false, false);
+        let mut cold_stage = MergeStage::new(config(), false);
         let (gc, oc) = run(&mut cold_stage, small_world());
         assert_eq!(g2, gc, "carried fusion is bit-identical");
         assert_eq!(o2.items, oc.items);
@@ -332,7 +302,7 @@ mod tests {
 
     #[test]
     fn changed_shard_keeps_valid_groups_and_reruns_only_the_rest() {
-        let mut carry = MergeStage::new(config(), false, true);
+        let mut carry = MergeStage::new(config(), true);
         let (_, o1) = run(&mut carry, small_world());
         assert!(o1.items >= 2, "the world must form several groups");
 
@@ -342,7 +312,7 @@ mod tests {
         grown[0].1.push(7);
         let (_, o2) = run(&mut carry, grown.clone());
 
-        let mut cold_stage = MergeStage::new(config(), false, false);
+        let mut cold_stage = MergeStage::new(config(), false);
         let (_, oc) = run(&mut cold_stage, grown);
 
         assert!(o2.carried >= 1, "groups without the grown shard stand");
@@ -356,7 +326,7 @@ mod tests {
 
     #[test]
     fn fully_invalidated_carry_matches_a_cold_recompute() {
-        let mut carry = MergeStage::new(config(), false, true);
+        let mut carry = MergeStage::new(config(), true);
         run(&mut carry, small_world());
 
         // Grow every small shard: no carried group survives validation,
@@ -370,7 +340,7 @@ mod tests {
         }
         let (g2, o2) = run(&mut carry, grown.clone());
 
-        let mut cold_stage = MergeStage::new(config(), false, false);
+        let mut cold_stage = MergeStage::new(config(), false);
         let (gc, oc) = run(&mut cold_stage, grown);
 
         assert_eq!(o2.carried, 0, "no group survives a global size drift");

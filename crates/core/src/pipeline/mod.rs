@@ -23,7 +23,7 @@
 //!   where sizes moved.
 //! * [`SelectStage::run`] (Sec. III-B / IV-B) — allocate miners to shards
 //!   and attach each shard's selection strategy: `groups -> specs`.
-//! * [`UnifyStage::run`] (Sec. IV-C) — every miner replays the agreed
+//! * [`unify()`] (Sec. IV-C) — every miner replays the agreed
 //!   parameters; the block-production runtime drives all shards to
 //!   completion: `(&specs, &runtime) -> RunReport`.
 //! * [`PlacementStage::run`] — observe the epoch's MaxShard traffic and,
@@ -31,12 +31,9 @@
 //!   effect next epoch (off by default; bit-invisible when off).
 //!
 //! The stage structs exist for their **persistent cross-epoch state** (the
-//! classifier's accumulated call graph and pins, the merge stage's outcome
-//! memo and carried groups, the unify stage's per-shard warm caches, the
-//! placement engine's traffic counters). Warm-start state never changes
-//! results — identical inputs reach bit-identical equilibria, only the
-//! iteration counters shrink — and is off by default
-//! ([`PipelineConfig::warm_start`]).
+//! classifier's accumulated call graph and pins, the merge stage's carried
+//! groups, the placement engine's traffic counters); `form` and `unify`
+//! keep none and are functions.
 //!
 //! Instrumentation is split per the determinism contract: iteration and
 //! item *counts* (sim-clock-free) accumulate in [`PipelineMetrics`] inside
@@ -54,7 +51,7 @@ pub use classify::ClassifyStage;
 pub use merge::{MergeStage, MergeSummary};
 pub use place::PlacementStage;
 pub use select::SelectStage;
-pub use unify::UnifyStage;
+pub use unify::unify;
 
 use crate::formation::ShardPlan;
 use crate::system::MinerAllocation;
@@ -116,10 +113,10 @@ pub struct StageOutput {
     /// slots for merge; best-reply sweeps for the selection games, counted
     /// in the unify stage where they run).
     pub iterations: u64,
-    /// Warm-start cache hits this epoch.
+    /// Retired: always 0. Every epoch runs one cold path, so there is no
+    /// warm-start cache to hit. Kept only because the benchmark harness
+    /// names it; deleted once ROADMAP item 1(c) stops it doing so.
     pub warm_hits: u64,
-    /// Warm-start cache misses (computed cold, stored for reuse).
-    pub warm_misses: u64,
     /// Scheduler task slots admitted (they had queued work) while the
     /// stage ran. Only the unify stage — the one that launches the
     /// block-production run — reports these; see
@@ -142,7 +139,6 @@ impl std::ops::AddAssign for StageOutput {
         self.items += rhs.items;
         self.iterations += rhs.iterations;
         self.warm_hits += rhs.warm_hits;
-        self.warm_misses += rhs.warm_misses;
         self.tasks_scheduled += rhs.tasks_scheduled;
         self.tasks_skipped += rhs.tasks_skipped;
         self.reclassified += rhs.reclassified;
@@ -175,15 +171,9 @@ impl PipelineMetrics {
         &self.counters[kind as usize]
     }
 
-    /// Total game-dynamics iterations across all stages and epochs — the
-    /// number warm starts strictly shrink.
+    /// Total game-dynamics iterations across all stages and epochs.
     pub fn total_iterations(&self) -> u64 {
         self.counters.iter().map(|c| c.totals.iterations).sum()
-    }
-
-    /// Total warm-start cache hits across all stages.
-    pub fn total_warm_hits(&self) -> u64 {
-        self.counters.iter().map(|c| c.totals.warm_hits).sum()
     }
 }
 
@@ -201,8 +191,7 @@ pub trait StageObserver {
 struct SilentObserver;
 impl StageObserver for SilentObserver {}
 
-/// Static pipeline configuration: which optional stages engage and whether
-/// cross-epoch warm-start state is consulted.
+/// Static pipeline configuration: which optional stages engage.
 #[derive(Clone, Copy, Debug)]
 pub struct PipelineConfig {
     /// Inter-shard merging game settings; `None` makes [`MergeStage`] a
@@ -213,9 +202,10 @@ pub struct PipelineConfig {
     pub selection: Option<usize>,
     /// How miners spread over shards.
     pub allocation: MinerAllocation,
-    /// Consult cross-epoch warm-start state (merge-outcome memo, selection
-    /// equilibrium caches). Results are bit-identical either way; only
-    /// iteration counts differ. Off by default.
+    /// Retired: `false` is its one legal value, and
+    /// [`EpochPipeline::run_epoch`] rejects `true` as a config error. Kept
+    /// only because the benchmark harness names it; deleted once ROADMAP
+    /// item 1(c) stops it doing so.
     pub warm_start: bool,
     /// The cross-epoch placement engine: merge-group carry-over and
     /// hot-account migration. Off by default; bit-invisible when off.
@@ -301,7 +291,6 @@ pub struct EpochPipeline {
     classify: ClassifyStage,
     merge: MergeStage,
     select: SelectStage,
-    unify: UnifyStage,
     place: PlacementStage,
     metrics: PipelineMetrics,
 }
@@ -312,9 +301,8 @@ impl EpochPipeline {
         EpochPipeline {
             config,
             classify: ClassifyStage::new(),
-            merge: MergeStage::new(config.merging, config.warm_start, config.placement.enabled),
+            merge: MergeStage::new(config.merging, config.placement.enabled),
             select: SelectStage::new(config.allocation, config.selection),
-            unify: UnifyStage::new(config.warm_start),
             place: PlacementStage::new(config.placement),
             metrics: PipelineMetrics::default(),
         }
@@ -335,8 +323,9 @@ impl EpochPipeline {
     /// crate touching a clock).
     ///
     /// Errors — before any stage runs — on a malformed runtime, merging or
-    /// placement configuration; a pipeline is constructible from raw
-    /// config structs, so this is where they are checked.
+    /// placement configuration, or the retired `warm_start: true`; a
+    /// pipeline is constructible from raw config structs, so this is where
+    /// they are checked.
     pub fn run_epoch_observed(
         &mut self,
         input: EpochInput<'_>,
@@ -353,6 +342,12 @@ impl EpochPipeline {
             merging.validate()?;
         }
         self.config.placement.validate()?;
+        if self.config.warm_start {
+            return Err(Error::Config {
+                field: "warm_start",
+                reason: "retired: every epoch runs cold".into(),
+            });
+        }
 
         let comm = CommStats::new();
         let metrics = &mut self.metrics;
@@ -370,7 +365,7 @@ impl EpochPipeline {
             self.select.run(groups).map(counted)
         })?;
         let run = observed(StageKind::Unify, metrics, observer, || {
-            self.unify.run(&specs, &runtime)
+            unify(&specs, &runtime)
         })?;
         let migrations = observed(StageKind::Place, metrics, observer, || {
             Ok(self.place.run(transactions, &plan))
@@ -508,6 +503,25 @@ mod tests {
             err,
             Error::Config {
                 field: "block_capacity",
+                ..
+            }
+        ));
+        assert_eq!(pipeline.metrics().epochs, 0);
+    }
+
+    #[test]
+    fn retired_warm_start_is_rejected_before_any_stage() {
+        let w = Workload::uniform_contracts(30, 2, FEES, 4);
+        let fees = w.fees();
+        let mut pipeline = EpochPipeline::new(PipelineConfig {
+            warm_start: true,
+            ..PipelineConfig::default()
+        });
+        let err = pipeline.run_epoch(input_for(&w, &fees, 4)).unwrap_err();
+        assert!(matches!(
+            err,
+            Error::Config {
+                field: "warm_start",
                 ..
             }
         ));

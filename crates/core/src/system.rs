@@ -100,8 +100,8 @@ pub struct SystemReport {
     /// Cross-shard communication incurred (validation is always zero for
     /// the contract-centric design; merging contributes 2 per small shard).
     pub comm: CommStats,
-    /// Per-stage pipeline counters (items, game iterations, warm-start
-    /// hits). Diagnostics only — never part of a golden fingerprint.
+    /// Per-stage pipeline counters (items, game iterations, scheduler
+    /// tasks, carried classifications). Diagnostics only — never part of a golden fingerprint.
     pub pipeline: PipelineMetrics,
 }
 
@@ -149,8 +149,8 @@ impl ShardingSystem {
         &self.config
     }
 
-    /// The pipeline configuration this system drives its epochs with
-    /// (warm starts off: a workload run is a single cold epoch).
+    /// The pipeline configuration this system drives its single epoch
+    /// with.
     pub fn pipeline_config(&self) -> PipelineConfig {
         PipelineConfig {
             merging: self.config.merging,

@@ -5,9 +5,8 @@
 //! (Algorithm 2) — share the same shape: seed state from leader-unified
 //! inputs, iterate a deterministic update until a fixed point, read the
 //! equilibrium off. [`GameDynamics`] names that shape so the epoch
-//! pipeline can drive either game through one interface, count
-//! iterations uniformly, and warm-start from a previous epoch's
-//! equilibrium.
+//! pipeline can drive either game through one interface and count
+//! iterations uniformly.
 //!
 //! Design constraints, in force for every implementor:
 //!
@@ -39,10 +38,6 @@
 //! [`one_shot_merge`]: crate::merging::one_shot_merge
 //! [`best_reply_equilibrium`]: crate::selection::best_reply_equilibrium
 
-use std::collections::BTreeMap;
-
-use cshard_crypto::Sha256;
-use cshard_primitives::Hash32;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -557,20 +552,6 @@ impl BestReplyDynamics {
         }
     }
 
-    /// Warm-start `init`: seeds every miner's strategy from a previous
-    /// equilibrium instead of leader-distributed initial sets. If the
-    /// game inputs repeat, the previous equilibrium is still a Nash
-    /// equilibrium, so the dynamics certify it in a single sweep and
-    /// provably reproduce the identical assignment (pinned by
-    /// `warm_start_from_equilibrium_certifies_in_one_sweep`).
-    pub fn init_warm(&mut self, fees: &[u64], previous: &[Vec<usize>], config: &SelectionConfig) {
-        self.init(SelectInput {
-            fees,
-            initial: previous,
-            config,
-        });
-    }
-
     /// The current per-miner assignments (each sorted ascending).
     pub fn assignments(&self) -> &[Vec<usize>] {
         &self.assignments
@@ -763,90 +744,6 @@ impl GameDynamics for BestReplyDynamics {
     }
 }
 
-/// Cross-epoch memo of selection equilibria, keyed by a digest of the
-/// full game inputs.
-///
-/// Warm starts must not change what the protocol computes — only how
-/// fast. The cache therefore keys on *exact* input repetition: the
-/// digest covers fees, every sanitized initial set, capacity, and the
-/// round cap. On a hit the stored equilibrium seeds
-/// [`BestReplyDynamics::init_warm`], which certifies it in one sweep
-/// and yields the bit-identical assignment the cold run would have
-/// reached; on a miss the cold equilibrium is stored for next epoch.
-#[derive(Clone, Debug, Default)]
-pub struct SelectionWarmCache {
-    entries: BTreeMap<Hash32, Vec<Vec<usize>>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl SelectionWarmCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Digest of one selection game's complete inputs — the cache key.
-    /// Versioned so a future input change cannot alias an old entry.
-    pub fn key(fees: &[u64], initial: &[Vec<usize>], config: &SelectionConfig) -> Hash32 {
-        let mut h = Sha256::new();
-        h.update(b"selection-warm-key-v1");
-        h.update((fees.len() as u64).to_be_bytes());
-        for &f in fees {
-            h.update(f.to_be_bytes());
-        }
-        h.update((initial.len() as u64).to_be_bytes());
-        for set in initial {
-            h.update((set.len() as u64).to_be_bytes());
-            for &j in set {
-                h.update((j as u64).to_be_bytes());
-            }
-        }
-        h.update((config.capacity as u64).to_be_bytes());
-        h.update((config.max_rounds as u64).to_be_bytes());
-        h.finalize()
-    }
-
-    /// The cached equilibrium for `key`, counting a hit or a miss.
-    pub fn lookup(&mut self, key: &Hash32) -> Option<&Vec<Vec<usize>>> {
-        match self.entries.get(key) {
-            Some(eq) => {
-                self.hits += 1;
-                Some(eq)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Stores the equilibrium reached under `key`'s inputs.
-    pub fn store(&mut self, key: Hash32, equilibrium: Vec<Vec<usize>>) {
-        self.entries.insert(key, equilibrium);
-    }
-
-    /// Lookups that found a cached equilibrium.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that found nothing.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Distinct game inputs cached.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -953,7 +850,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_from_equilibrium_certifies_in_one_sweep() {
+    fn equilibrium_as_initial_sets_certifies_in_one_sweep() {
         let fees = vec![100u64, 90, 80, 70, 60, 50, 40, 30, 20, 10];
         let cfg = SelectionConfig {
             capacity: 2,
@@ -961,10 +858,16 @@ mod tests {
         };
         let cold = best_reply_equilibrium(&fees, &seq_initial(5, 2, 10), &cfg);
         assert!(cold.rounds > 1, "cold run must iterate for this test");
-        let mut warm = BestReplyDynamics::new();
-        warm.init_warm(&fees, &cold.assignments, &cfg);
-        let rounds = warm.run_to_convergence();
-        let out = warm.solution();
+        // A Nash equilibrium passed back as the initial sets is already
+        // every miner's best reply.
+        let mut dynamics = BestReplyDynamics::new();
+        dynamics.init(SelectInput {
+            fees: &fees,
+            initial: &cold.assignments,
+            config: &cfg,
+        });
+        let rounds = dynamics.run_to_convergence();
+        let out = dynamics.solution();
         // Identical equilibrium, one certification sweep.
         assert_eq!(out.assignments, cold.assignments);
         assert_eq!(rounds, 1);
@@ -983,33 +886,5 @@ mod tests {
         });
         assert_eq!(dynamics.run_to_convergence(), 1);
         assert_eq!(dynamics.solution().assignments.len(), 0);
-    }
-
-    #[test]
-    fn warm_cache_round_trip_counts_hits_and_misses() {
-        let fees = vec![10u64, 20, 30, 40];
-        let initial = seq_initial(2, 2, 4);
-        let cfg = SelectionConfig {
-            capacity: 2,
-            max_rounds: 100,
-        };
-        let key = SelectionWarmCache::key(&fees, &initial, &cfg);
-        let mut cache = SelectionWarmCache::new();
-        assert!(cache.lookup(&key).is_none());
-        let eq = best_reply_equilibrium(&fees, &initial, &cfg).assignments;
-        cache.store(key, eq.clone());
-        assert_eq!(cache.lookup(&key), Some(&eq));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert_eq!(cache.len(), 1);
-        // Any input change — here the capacity — changes the key.
-        let other = SelectionWarmCache::key(
-            &fees,
-            &initial,
-            &SelectionConfig {
-                capacity: 3,
-                max_rounds: 100,
-            },
-        );
-        assert_ne!(key, other);
     }
 }

@@ -14,10 +14,8 @@
 //!   asserted in debug builds.
 //! * [`dynamics`] — the [`GameDynamics`] stepping interface both
 //!   equilibrium searches implement: deterministic `init / step /
-//!   converged / solution`, allocation-free after `init`, with
-//!   warm-start entry points that seed from a previous epoch's
-//!   equilibrium. The classic free functions above are thin wrappers
-//!   over these instances.
+//!   converged / solution`, allocation-free after `init`. The classic
+//!   free functions above are thin wrappers over these instances.
 //! * [`unification`] — the parameter unification scheme (Sec. IV-C): a
 //!   VRF-elected leader broadcasts identical inputs (randomness, miner set,
 //!   shard sizes / fees, initial choices), every miner replays the
@@ -37,7 +35,6 @@ pub mod unification;
 
 pub use dynamics::{
     BestReplyDynamics, GameDynamics, GameScratch, MergeInput, ReplicatorMergeDynamics, SelectInput,
-    SelectionWarmCache,
 };
 pub use merging::{
     iterative_merge, one_shot_merge, IterativeMergeOutcome, MergingConfig, OneShotOutcome,

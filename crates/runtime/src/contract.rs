@@ -45,7 +45,7 @@ use crate::harness::Runtime;
 use crate::propagation::PropagationModel;
 use crate::report::{RunReport, ShardReport};
 use cshard_crypto::Prf;
-use cshard_games::dynamics::{BestReplyDynamics, GameDynamics, SelectInput, SelectionWarmCache};
+use cshard_games::dynamics::{BestReplyDynamics, GameDynamics, SelectInput};
 use cshard_games::selection::SelectionConfig;
 use cshard_primitives::{Error, ShardId, SimTime};
 use cshard_settle::SettleConfig;
@@ -178,9 +178,9 @@ impl Default for RuntimeConfig {
 }
 
 /// Iteration accounting of a shard's selection-game dynamics — how many
-/// epochs were played, how many best-reply sweeps they cost, and how the
-/// warm cache fared. Sim-clock-free counters (ND001): pure event-path
-/// arithmetic, no wall time.
+/// epochs were played and how many best-reply sweeps they cost.
+/// Sim-clock-free counters (ND001): pure event-path arithmetic, no wall
+/// time.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SelectionDynamicsStats {
     /// Selection epochs started over the run.
@@ -188,10 +188,6 @@ pub struct SelectionDynamicsStats {
     /// Total best-reply sweeps across all epochs (including the final
     /// certification sweep of each).
     pub rounds: u64,
-    /// Epochs seeded from a cached equilibrium (one certification sweep).
-    pub warm_hits: u64,
-    /// Epochs computed cold and stored for later reuse.
-    pub warm_misses: u64,
 }
 
 struct ShardState {
@@ -232,10 +228,6 @@ struct ShardState {
     /// The selection game's dynamics, re-initialized per epoch so its
     /// scratch buffers persist across epochs.
     dynamics: BestReplyDynamics,
-    /// Cross-epoch equilibrium memo. `None` (the default) disables warm
-    /// starts entirely — the cold path is untouched, which is what keeps
-    /// the golden fingerprints byte-identical.
-    warm_cache: Option<SelectionWarmCache>,
     /// Total best-reply sweeps across all epochs.
     game_rounds: u64,
 }
@@ -267,7 +259,6 @@ impl ShardState {
             latest_visible: None,
             epoch_rng,
             dynamics: BestReplyDynamics::new(),
-            warm_cache: None,
             game_rounds: 0,
             spec,
         }
@@ -302,7 +293,7 @@ impl ShardState {
     /// Starts a new selection-game epoch over the currently unconfirmed
     /// transactions (Algorithm 2 under unified parameters). Every buffer
     /// it fills lives in `self`, so after a shard's first epoch this
-    /// allocates nothing (a warm-cache miss aside, which stores a copy).
+    /// allocates nothing.
     fn start_epoch(&mut self, capacity: usize, max_rounds: usize) {
         let miners = self.spec.miners;
         self.epoch_counter += 1;
@@ -320,50 +311,22 @@ impl ShardState {
             .extend(self.remaining.iter().map(|&i| self.spec.fees[i]));
         let t = self.sub_fees.len();
         let cap = capacity.min(t);
-        // Unified initial choices: a seeded stride per miner. Always
-        // drawn — warm hit or miss — so the epoch stream's position is a
-        // pure function of the epoch count and warm starts cannot shift
-        // any later draw.
+        // Unified initial choices: a seeded stride per miner.
         self.initial.resize_with(miners, Vec::new);
         for (m, choice) in self.initial.iter_mut().enumerate() {
             let offset = self.epoch_rng.below(t as u64) as usize;
             choice.clear();
             choice.extend((0..cap).map(|k| (offset + k * 7 + m) % t));
         }
-        let sel_config = SelectionConfig {
-            capacity: cap,
-            max_rounds,
-        };
-        // Warm path: if this exact game (fees, initial sets, tunables)
-        // was solved before, seed the dynamics at the cached equilibrium.
-        // A Nash equilibrium of the identical game certifies in a single
-        // sweep and reproduces the identical assignment — strictly fewer
-        // sweeps, bit-identical outcome.
-        let key = self
-            .warm_cache
-            .as_ref()
-            .map(|_| SelectionWarmCache::key(&self.sub_fees, &self.initial, &sel_config));
-        let mut warmed = false;
-        if let (Some(cache), Some(k)) = (&mut self.warm_cache, &key) {
-            if let Some(previous) = cache.lookup(k) {
-                self.dynamics
-                    .init_warm(&self.sub_fees, previous, &sel_config);
-                warmed = true;
-            }
-        }
-        if !warmed {
-            self.dynamics.init(SelectInput {
-                fees: &self.sub_fees,
-                initial: &self.initial,
-                config: &sel_config,
-            });
-        }
+        self.dynamics.init(SelectInput {
+            fees: &self.sub_fees,
+            initial: &self.initial,
+            config: &SelectionConfig {
+                capacity: cap,
+                max_rounds,
+            },
+        });
         self.game_rounds += self.dynamics.run_to_convergence() as u64;
-        if let (Some(cache), Some(k)) = (&mut self.warm_cache, key) {
-            if !warmed {
-                cache.store(k, self.dynamics.assignments().to_vec());
-            }
-        }
         // Map sub-indices back to local tx indices.
         for (epoch_set, set) in self
             .epoch_assignments
@@ -423,34 +386,6 @@ impl ContractShardDriver {
         }
     }
 
-    /// Builds the driver with a cross-epoch [`SelectionWarmCache`]
-    /// carried in from a previous run of the same shard.
-    ///
-    /// Warm starts never change what the driver computes — every epoch's
-    /// initial choices are drawn from the same stream positions, and a
-    /// cache hit seeds the dynamics at an equilibrium of the *identical*
-    /// game, which certifies in one sweep to the identical assignment.
-    /// Only the sweep counts in [`selection_stats`](Self::selection_stats)
-    /// shrink.
-    ///
-    /// # Panics
-    /// Panics when the spec assigns no miners.
-    pub fn with_warm_cache(
-        spec: &ShardSpec,
-        config: &RuntimeConfig,
-        cache: SelectionWarmCache,
-    ) -> ContractShardDriver {
-        let mut driver = ContractShardDriver::new(spec, config);
-        driver.st.warm_cache = Some(cache);
-        driver
-    }
-
-    /// Takes the warm cache back out after a run (to thread it into the
-    /// next epoch's driver). `None` when the driver ran cold.
-    pub fn into_warm_cache(self) -> Option<SelectionWarmCache> {
-        self.st.warm_cache
-    }
-
     /// Whether local transaction `tx` has been confirmed. Settlement
     /// wrappers poll this after each event to decide when a cross-shard
     /// transfer attached to `tx` becomes eligible for batching.
@@ -460,16 +395,9 @@ impl ContractShardDriver {
 
     /// Iteration accounting of this shard's selection dynamics.
     pub fn selection_stats(&self) -> SelectionDynamicsStats {
-        let (hits, misses) = self
-            .st
-            .warm_cache
-            .as_ref()
-            .map_or((0, 0), |c| (c.hits(), c.misses()));
         SelectionDynamicsStats {
             epochs: self.st.epoch_counter,
             rounds: self.st.game_rounds,
-            warm_hits: hits,
-            warm_misses: misses,
         }
     }
 
@@ -702,6 +630,9 @@ pub struct EthereumDriver {
 impl EthereumDriver {
     /// All transactions on one chain, `miners` identical greedy miners
     /// (Sec. VI-A's benchmark).
+    ///
+    /// # Panics
+    /// Panics when `miners` is zero.
     pub fn new(fees: Vec<u64>, miners: usize, config: &RuntimeConfig) -> EthereumDriver {
         let spec = ShardSpec {
             shard: ShardId::MAX_SHARD,
@@ -760,13 +691,19 @@ pub fn simulate(shards: &[ShardSpec], config: &RuntimeConfig) -> Result<RunRepor
 
 /// Convenience: the Ethereum baseline — all transactions on one chain,
 /// `miners` identical greedy miners (Sec. VI-A's benchmark). Thin wrapper
-/// over [`EthereumDriver`] on the shared [`Runtime`].
+/// over [`EthereumDriver`] on the shared [`Runtime`]. Errors, instead of
+/// panicking, on an invalid configuration or zero miners.
 pub fn simulate_ethereum(
     fees: Vec<u64>,
     miners: usize,
     config: &RuntimeConfig,
 ) -> Result<RunReport, Error> {
     config.validate()?;
+    if miners == 0 {
+        return Err(Error::NoMiners {
+            shard: ShardId::MAX_SHARD,
+        });
+    }
     let driver = EthereumDriver::new(fees, miners, config);
     Runtime::builder()
         .scheduler(config.scheduler)
@@ -985,6 +922,17 @@ mod tests {
         );
     }
 
+    #[test]
+    fn ethereum_without_miners_rejected() {
+        let err = super::simulate_ethereum(fees(5), 0, &cfg(0)).unwrap_err();
+        assert_eq!(
+            err,
+            Error::NoMiners {
+                shard: ShardId::MAX_SHARD
+            }
+        );
+    }
+
     /// A zero block capacity or block interval is a typed error at both
     /// entry points. (A zero interval used to pass `validate()` and panic
     /// in the first miner's `exp_delay`.)
@@ -1075,59 +1023,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_cache_is_bit_invisible_and_saves_sweeps() {
-        // Replaying the identical run with a warm cache must reproduce
-        // the identical report — warm starts may only cut sweep counts.
-        let spec = ShardSpec {
-            shard: ShardId::new(0),
-            fees: fees(60),
-            miners: 5,
-            strategy: SelectionStrategy::Equilibrium { max_rounds: 200 },
-        };
-        let config = cfg(3);
-        let plain = simulate(std::slice::from_ref(&spec), &config);
-
-        let cold = ContractShardDriver::with_warm_cache(&spec, &config, SelectionWarmCache::new());
-        let outcome = Runtime::builder()
-            .run(vec![cold])
-            .expect("valid test config");
-        let (cold_run, cold_done) = (outcome.report, outcome.drivers);
-        assert_eq!(cold_run.fingerprint(), plain.fingerprint());
-        let cold_stats = cold_done[0].selection_stats();
-        assert_eq!(cold_stats.warm_hits, 0);
-        assert!(cold_stats.epochs > 0);
-        let cache = cold_done
-            .into_iter()
-            .next()
-            .and_then(ContractShardDriver::into_warm_cache)
-            .expect("cache was installed");
-        assert_eq!(cache.len() as u64, cold_stats.warm_misses);
-
-        let warm = ContractShardDriver::with_warm_cache(&spec, &config, cache);
-        let outcome = Runtime::builder()
-            .run(vec![warm])
-            .expect("valid test config");
-        let (warm_run, warm_done) = (outcome.report, outcome.drivers);
-        let warm_stats = warm_done[0].selection_stats();
-        // Bit-identical trajectory and report…
-        assert_eq!(warm_run.fingerprint(), plain.fingerprint());
-        assert_eq!(warm_stats.epochs, cold_stats.epochs);
-        // …every epoch replays the identical game, so every lookup hits
-        // (the cache counters carry over; cold hits were zero)…
-        assert_eq!(warm_stats.warm_hits, cold_stats.epochs);
-        assert_eq!(warm_stats.warm_misses, cold_stats.warm_misses);
-        // …and each warm epoch is one certification sweep: strictly
-        // fewer total sweeps than the cold run.
-        assert!(
-            warm_stats.rounds < cold_stats.rounds,
-            "warm {} !< cold {}",
-            warm_stats.rounds,
-            cold_stats.rounds
-        );
-        assert_eq!(warm_stats.rounds, warm_stats.epochs);
-    }
-
-    #[test]
     fn selection_epochs_reuse_scratch_without_leaking_state() {
         // One contended equilibrium shard played through several
         // selection epochs (100 txs, 3 miners × capacity 10 ⇒ at most 30
@@ -1135,7 +1030,7 @@ mod tests {
         // the pooled path. The literals were captured at the parent of
         // the commit that made `start_epoch` reuse its buffers and
         // `BestReplyDynamics` certify-or-select: an epoch that read a
-        // stale `remaining` / `initial` / key entry would move them.
+        // stale `remaining` / `initial` entry would move them.
         const FINGERPRINT: &str =
             "0x90c83ed5617c98ff18e165f7867bc833474dc231cfd1bd553d9a396bcbebb814";
         const EPOCHS: u64 = 5;
@@ -1150,15 +1045,11 @@ mod tests {
             ShardSpec::solo_greedy(ShardId::new(1), fees(30)),
         ];
         let config = cfg(5);
-        let run = |threads: usize, cache: Option<SelectionWarmCache>| {
-            let contended = match cache {
-                Some(cache) => ContractShardDriver::with_warm_cache(&specs[0], &config, cache),
-                None => ContractShardDriver::new(&specs[0], &config),
-            };
+        let run = |threads: usize| {
             let outcome = Runtime::builder()
                 .scheduler(SchedulerConfig::new(threads))
                 .run(vec![
-                    contended,
+                    ContractShardDriver::new(&specs[0], &config),
                     ContractShardDriver::new(&specs[1], &config),
                 ])
                 .expect("valid test config");
@@ -1167,21 +1058,9 @@ mod tests {
             drivers.next().expect("the contended shard's driver")
         };
         for threads in [1, 2] {
-            let stats = run(threads, None).selection_stats();
+            let stats = run(threads).selection_stats();
             assert!(stats.epochs >= 4, "only {} epochs", stats.epochs);
             assert_eq!((stats.epochs, stats.rounds), (EPOCHS, ROUNDS));
-            assert_eq!((stats.warm_hits, stats.warm_misses), (0, 0));
-
-            // Filling the cache changes nothing; replaying from it costs
-            // exactly one certification sweep per epoch.
-            let cold = run(threads, Some(SelectionWarmCache::new()));
-            let stats = cold.selection_stats();
-            assert_eq!((stats.epochs, stats.rounds), (EPOCHS, ROUNDS));
-            assert_eq!((stats.warm_hits, stats.warm_misses), (0, EPOCHS));
-            let cache = cold.into_warm_cache().expect("cache was installed");
-            let stats = run(threads, Some(cache)).selection_stats();
-            assert_eq!((stats.epochs, stats.rounds), (EPOCHS, EPOCHS));
-            assert_eq!(stats.warm_hits, EPOCHS);
         }
     }
 }

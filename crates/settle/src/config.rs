@@ -1,6 +1,5 @@
 //! The settlement knob set, threaded through `RuntimeConfig` and
-//! `SystemBuilder` exactly like the selection warm cache: off by default,
-//! bit-invisible until a run opts in.
+//! `SystemBuilder`: off by default, bit-invisible until a run opts in.
 
 use cshard_primitives::{Error, SimTime};
 
