@@ -130,7 +130,7 @@ mod tests {
         let run_at = |threads: usize| {
             let cfg = RuntimeConfig {
                 seed: 7,
-                scheduler: cshard_core::SchedulerConfig::new(threads).with_turn_events(8),
+                scheduler: cshard_core::SchedulerConfig::new(threads),
                 ..RuntimeConfig::default()
             };
             let drivers: Vec<ContractShardDriver> = specs

@@ -19,7 +19,7 @@ use crate::system::{MinerAllocation, ShardingSystem, SystemConfig};
 use cshard_games::MergingConfig;
 use cshard_place::PlacementConfig;
 use cshard_primitives::{Error, SimTime};
-use cshard_runtime::{PropagationModel, SchedulerConfig, SettleConfig};
+use cshard_runtime::{PropagationModel, SettleConfig};
 
 /// Builds a validated [`ShardingSystem`].
 #[derive(Clone, Debug)]
@@ -67,15 +67,9 @@ impl SystemBuilder {
         self
     }
 
-    /// The conflict window (default one block interval). Sets the legacy
-    /// fixed-window propagation regime; use [`SystemBuilder::propagation`]
-    /// for the network-backed latency model.
-    pub fn conflict_window(mut self, window: SimTime) -> Self {
-        self.config.runtime.propagation = PropagationModel::Window(window);
-        self
-    }
-
-    /// The block-propagation model (window or network latency).
+    /// The block-propagation model (default: the legacy fixed conflict
+    /// window of one block interval, [`PropagationModel::Window`]; or the
+    /// network-backed latency model).
     pub fn propagation(mut self, propagation: PropagationModel) -> Self {
         self.config.runtime.propagation = propagation;
         self
@@ -93,20 +87,11 @@ impl SystemBuilder {
         self
     }
 
-    /// Scheduler worker threads: `1` = sequential (default), `0` = one per
-    /// core. Results are bit-identical across settings. Shorthand for
-    /// [`SystemBuilder::scheduler`] with just a worker count.
+    /// Scheduler worker threads for the block-production runs: `1` =
+    /// sequential (default), `0` = one per core. Results are bit-identical
+    /// across settings.
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.runtime.scheduler.threads = threads;
-        self
-    }
-
-    /// The full scheduler configuration for the block-production runs:
-    /// worker count and per-turn event budget (see
-    /// [`cshard_runtime::SchedulerConfig`]). Results are bit-identical at
-    /// any setting.
-    pub fn scheduler(mut self, scheduler: SchedulerConfig) -> Self {
-        self.config.runtime.scheduler = scheduler;
         self
     }
 

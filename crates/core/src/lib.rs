@@ -45,10 +45,10 @@ pub use assignment::MinerAssignment;
 pub use cshard_place::{HotAccount, Migration, PlacementConfig, PlacementEngine};
 pub use cshard_runtime::report::{throughput_improvement, RunReport, ShardReport};
 pub use cshard_runtime::{
-    simulate, simulate_ethereum, ContractShardDriver, EpochBatches, EthereumDriver, Event,
-    MigrationStats, MigrationTicket, PropagationModel, ProtocolDriver, RunBuilder, RunObserver,
-    RunOutcome, RunPhase, RunSchedStats, Runtime, RuntimeConfig, SchedulerConfig,
-    SelectionStrategy, SettleConfig, SettleStats, SettlingShardDriver, ShardSpec, StreamDriver,
+    simulate, simulate_ethereum, ContractShardDriver, EpochBatches, Event, MigrationStats,
+    MigrationTicket, PropagationModel, ProtocolDriver, RunBuilder, RunObserver, RunOutcome,
+    RunPhase, RunSchedStats, Runtime, RuntimeConfig, SchedulerConfig, SelectionStrategy,
+    SettleConfig, SettleStats, SettlingShardDriver, ShardSpec, StreamDriver,
 };
 pub use epoch::{EpochManager, EpochOutcome};
 pub use formation::ShardPlan;
@@ -82,10 +82,10 @@ pub mod prelude {
     pub use cshard_place::{Migration, PlacementConfig, PlacementEngine};
     pub use cshard_primitives::{Error, ShardId, SimTime};
     pub use cshard_runtime::{
-        ContractShardDriver, Ctx, EpochBatches, EthereumDriver, Event, MigrationStats,
-        MigrationTicket, PropagationModel, ProtocolDriver, RunBuilder, RunObserver, RunOutcome,
-        RunPhase, RunReport, RunSchedStats, Runtime, RuntimeConfig, SchedulerConfig,
-        SelectionStrategy, SettleConfig, SettleStats, SettlingShardDriver, ShardSpec, StreamDriver,
+        ContractShardDriver, Ctx, EpochBatches, Event, MigrationStats, MigrationTicket,
+        PropagationModel, ProtocolDriver, RunBuilder, RunObserver, RunOutcome, RunPhase, RunReport,
+        RunSchedStats, Runtime, RuntimeConfig, SchedulerConfig, SelectionStrategy, SettleConfig,
+        SettleStats, SettlingShardDriver, ShardSpec, StreamDriver,
     };
     pub use cshard_workload::{StreamConfig, TxStream};
 }

@@ -57,7 +57,7 @@ pub struct LongRunConfig {
     pub merging: Option<MergingConfig>,
     /// Number of enrolled miners (assignment is proportional per epoch,
     /// but the simulated run still uses one miner per shard, as in the
-    /// paper's testbed).
+    /// paper's testbed). Zero is a config error: no leader can be elected.
     pub miners: u32,
     /// Retired: `false` is its one legal value, and
     /// [`LongRun::run_epoch`] rejects `true` as a config error. Kept only
@@ -85,7 +85,8 @@ impl Default for LongRunConfig {
 #[derive(Debug)]
 pub struct LongRun {
     config: LongRunConfig,
-    epochs: EpochManager,
+    /// `None` for an empty enrolment, which every epoch rejects.
+    epochs: Option<EpochManager>,
     pipeline: EpochPipeline,
     reports: Vec<EpochReport>,
 }
@@ -93,7 +94,7 @@ pub struct LongRun {
 impl LongRun {
     /// Creates a long run with a fresh miner enrolment.
     pub fn new(config: LongRunConfig) -> Self {
-        let epochs = EpochManager::with_miner_count(config.miners);
+        let epochs = (config.miners > 0).then(|| EpochManager::with_miner_count(config.miners));
         let pipeline = EpochPipeline::new(PipelineConfig {
             merging: config.merging,
             selection: None,
@@ -122,11 +123,17 @@ impl LongRun {
     /// Drives one epoch over `batch` (the epoch's injected transactions
     /// with their fees) and records its report.
     ///
-    /// Errors on an empty batch, on a malformed configuration (including
-    /// the retired `warm_start: true`), on merge-game misuse, or when the
-    /// epoch's simulation run is rejected — the long run never panics on
-    /// input.
+    /// Errors on an empty enrolment (`Error::Config { field: "miners" }`),
+    /// an empty batch, a malformed configuration (including the retired
+    /// `warm_start: true`), merge-game misuse, or when the epoch's
+    /// simulation run is rejected — the long run never panics on input.
     pub fn run_epoch(&mut self, batch: &[Transaction]) -> Result<EpochReport, Error> {
+        let Some(epochs) = self.epochs.as_mut() else {
+            return Err(Error::Config {
+                field: "miners",
+                reason: "an epoch needs at least one enrolled miner".into(),
+            });
+        };
         if batch.is_empty() {
             return Err(Error::Config {
                 field: "batch",
@@ -134,7 +141,7 @@ impl LongRun {
             });
         }
         let fees: Vec<u64> = batch.iter().map(|t| t.fee.raw()).collect();
-        let (epoch, leader) = self.epochs.elect();
+        let (epoch, leader) = epochs.elect();
 
         // Epoch-salted seed; the pipeline's persistent classify stage
         // carries the accumulated sender history.

@@ -177,10 +177,10 @@ fn builder_sets_every_knob() {
         .shards(9)
         .block_capacity(12)
         .mean_block_interval(SimTime::from_secs(30))
-        .conflict_window(SimTime::from_secs(15))
+        .propagation(PropagationModel::Window(SimTime::from_secs(15)))
         .empty_block_window(SimTime::from_secs(212))
         .seed(42)
-        .scheduler(SchedulerConfig::new(4).with_turn_events(64))
+        .threads(4)
         .total_miners(20)
         .merging(16)
         .selection(500)
@@ -201,8 +201,7 @@ fn builder_sets_every_knob() {
         Some(SimTime::from_secs(212))
     );
     assert_eq!(cfg.runtime.seed, 42);
-    assert_eq!(cfg.runtime.scheduler.threads, 4);
-    assert_eq!(cfg.runtime.scheduler.turn_events, 64);
+    assert_eq!(cfg.runtime.scheduler, SchedulerConfig::new(4));
     assert!(matches!(
         cfg.allocation,
         MinerAllocation::Proportional { total: 20 }
@@ -425,7 +424,7 @@ fn stage_counters_sum_stage_outputs() {
 #[test]
 fn malformed_long_run_input_is_a_typed_error() {
     type Patch = fn(&mut LongRunConfig, &mut SimTime);
-    let rows: [(&str, Patch); 7] = [
+    let rows: [(&str, Patch); 8] = [
         ("merging.eta", |c, _| {
             c.merging.as_mut().expect("on by default").eta = f64::NAN
         }),
@@ -445,6 +444,7 @@ fn malformed_long_run_input_is_a_typed_error() {
             c.runtime.mean_block_interval = SimTime::ZERO
         }),
         ("warm_start", |c, _| c.warm_start = true),
+        ("miners", |c, _| c.miners = 0),
     ];
     for (field, patch) in rows {
         let (mut config, mut interval) = (LongRunConfig::default(), SimTime::from_secs(60));

@@ -36,7 +36,7 @@
 //! still inside the window) is a pure function of its time and miner:
 //! [`ContractShardDriver`]'s phase-2 [`ProtocolDriver::idle_turn`]
 //! replays each miner's chain of ticks in one loop — a draw and a
-//! classification per tick, no queue round trip — with counters and turn
+//! classification per tick, no queue round trip — with counters and event
 //! counts identical to the event-by-event default.
 
 use crate::driver::{Ctx, ProtocolDriver};
@@ -49,7 +49,7 @@ use cshard_games::dynamics::{BestReplyDynamics, GameDynamics, SelectInput};
 use cshard_games::selection::SelectionConfig;
 use cshard_primitives::{Error, ShardId, SimTime};
 use cshard_settle::SettleConfig;
-use cshard_sim::{SchedulerConfig, SimRng, Turn};
+use cshard_sim::{SchedulerConfig, SimRng};
 use std::time::Duration;
 
 /// How miners of a shard pick transactions.
@@ -121,10 +121,10 @@ pub struct RuntimeConfig {
     /// RNG seed; identical seeds reproduce runs bit-for-bit.
     pub seed: u64,
     /// How the per-shard drivers are scheduled: worker count (`threads: 1`
-    /// runs shard drivers inline, `0` uses one worker per available core)
-    /// and per-turn event budget. Results are bit-identical across all
-    /// settings — each shard's randomness is derived from `(seed, shard)`
-    /// by a PRF, never from cross-shard draw order or worker interleaving.
+    /// runs shard drivers inline, `0` uses one worker per available core).
+    /// Results are bit-identical across all settings — each shard's
+    /// randomness is derived from `(seed, shard)` by a PRF, never from
+    /// cross-shard draw order or worker interleaving.
     pub scheduler: SchedulerConfig,
     /// Cross-shard settlement batching (`cshard-settle`). Disabled by
     /// default; only drivers that opt into settlement (the settling
@@ -566,30 +566,19 @@ impl ProtocolDriver for ContractShardDriver {
     /// be replayed in any order: each popped `BlockFound` runs its miner's
     /// ticks here — one [`SimRng::exp_delay`] draw and one
     /// `on_block_found` each — and puts back only the first tick at or
-    /// after `completion`, or the one the budget stops at. Every tick
-    /// counts as one event and other events go through `on_event`, so the
-    /// counts match the event-by-event default.
-    fn idle_turn(
-        &mut self,
-        ctx: &mut Ctx,
-        completion: SimTime,
-        budget: usize,
-    ) -> Result<(usize, Turn), Error> {
+    /// after `completion`. Every tick counts as one event and other events
+    /// go through `on_event`, so the count matches the event-by-event
+    /// default.
+    fn idle_turn(&mut self, ctx: &mut Ctx, completion: SimTime) -> Result<usize, Error> {
         let mut replayed = 0;
-        while ctx.next_time().is_some_and(|at| at < completion) {
-            if replayed >= budget {
-                return Ok((replayed, Turn::Yield));
-            }
-            let Some((mut now, ev)) = ctx.pop() else {
-                break;
-            };
+        while let Some((mut now, ev)) = ctx.pop_before(completion) {
             replayed += 1;
             match ev {
                 Event::BlockFound { miner } if self.st.unconfirmed == 0 => loop {
                     let delivered = self.on_block_found(now, miner);
                     debug_assert_eq!(delivered, None, "a finished shard confirms nothing");
                     let next = self.next_tick(now, miner);
-                    if next >= completion || replayed >= budget {
+                    if next >= completion {
                         ctx.schedule(next, Event::BlockFound { miner });
                         break;
                     }
@@ -599,7 +588,7 @@ impl ProtocolDriver for ContractShardDriver {
                 ev => self.on_event(now, ev, ctx)?,
             }
         }
-        Ok((replayed, Turn::Done))
+        Ok(replayed)
     }
 
     fn report(&self, events: usize, wall: Duration) -> ShardReport {
@@ -614,53 +603,6 @@ impl ProtocolDriver for ContractShardDriver {
             events_processed: events,
             wall,
         }
-    }
-}
-
-/// Vanilla Ethereum as a [`ProtocolDriver`]: the degenerate sharding where
-/// nothing is separated, so the single chain is the
-/// [`ShardId::MAX_SHARD`]. Because RNG streams are keyed by
-/// `(seed, shard)`, this is bit-identical to a one-shard run of the full
-/// system under the same configuration — there is no separate Ethereum
-/// simulation loop anymore.
-pub struct EthereumDriver {
-    inner: ContractShardDriver,
-}
-
-impl EthereumDriver {
-    /// All transactions on one chain, `miners` identical greedy miners
-    /// (Sec. VI-A's benchmark).
-    ///
-    /// # Panics
-    /// Panics when `miners` is zero.
-    pub fn new(fees: Vec<u64>, miners: usize, config: &RuntimeConfig) -> EthereumDriver {
-        let spec = ShardSpec {
-            shard: ShardId::MAX_SHARD,
-            fees,
-            miners,
-            strategy: SelectionStrategy::IdenticalGreedy,
-        };
-        EthereumDriver {
-            inner: ContractShardDriver::new(&spec, config),
-        }
-    }
-}
-
-impl ProtocolDriver for EthereumDriver {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        self.inner.on_start(ctx)
-    }
-    fn on_event(&mut self, now: SimTime, ev: Event, ctx: &mut Ctx) -> Result<(), Error> {
-        self.inner.on_event(now, ev, ctx)
-    }
-    fn done(&self) -> bool {
-        self.inner.done()
-    }
-    fn completion(&self) -> Option<SimTime> {
-        self.inner.completion()
-    }
-    fn report(&self, events: usize, wall: Duration) -> ShardReport {
-        self.inner.report(events, wall)
     }
 }
 
@@ -690,25 +632,25 @@ pub fn simulate(shards: &[ShardSpec], config: &RuntimeConfig) -> Result<RunRepor
 }
 
 /// Convenience: the Ethereum baseline — all transactions on one chain,
-/// `miners` identical greedy miners (Sec. VI-A's benchmark). Thin wrapper
-/// over [`EthereumDriver`] on the shared [`Runtime`]. Errors, instead of
-/// panicking, on an invalid configuration or zero miners.
+/// `miners` identical greedy miners (Sec. VI-A's benchmark). Vanilla
+/// Ethereum is the degenerate sharding where nothing is separated: a
+/// [`simulate`] run of one greedy shard, the [`ShardId::MAX_SHARD`], so,
+/// because RNG streams are keyed by `(seed, shard)`, it is bit-identical
+/// to a one-shard run of the full system under the same configuration.
+/// Errors, instead of panicking, on an invalid configuration or zero
+/// miners.
 pub fn simulate_ethereum(
     fees: Vec<u64>,
     miners: usize,
     config: &RuntimeConfig,
 ) -> Result<RunReport, Error> {
-    config.validate()?;
-    if miners == 0 {
-        return Err(Error::NoMiners {
-            shard: ShardId::MAX_SHARD,
-        });
-    }
-    let driver = EthereumDriver::new(fees, miners, config);
-    Runtime::builder()
-        .scheduler(config.scheduler)
-        .run(vec![driver])
-        .map(|outcome| outcome.report)
+    let spec = ShardSpec {
+        shard: ShardId::MAX_SHARD,
+        fees,
+        miners,
+        strategy: SelectionStrategy::IdenticalGreedy,
+    };
+    simulate(&[spec], config)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //!
 //! A driver reacts to one event at a time through
 //! [`ProtocolDriver::on_event`]. The one exception is the harness's
-//! phase-2 idle drain, which hands a driver whole turns through
+//! phase-2 idle drain, which hands a driver one whole turn through
 //! [`ProtocolDriver::idle_turn`]: its default replays the pending events
 //! one by one through `on_event` — the only copy of that loop — and a
 //! driver whose idle events are a pure function of their timestamps may
@@ -14,7 +14,7 @@ use crate::report::ShardReport;
 use cshard_network::CommStats;
 use cshard_primitives::{Error, SimTime};
 use cshard_settle::SettleStats;
-use cshard_sim::{EventQueue, Turn};
+use cshard_sim::EventQueue;
 use std::time::Duration;
 
 /// What a driver may do while handling an event: schedule further events
@@ -61,17 +61,16 @@ impl<'a> Ctx<'a> {
         self.comm
     }
 
-    /// The time of the next pending event. Crate-private: only the
-    /// phase-2 turn loops (the [`ProtocolDriver::idle_turn`] default and
+    /// Pops the next pending event if it fires strictly before `end`,
+    /// advancing the queue's clock to it. Crate-private: only the phase-2
+    /// turn loops (the [`ProtocolDriver::idle_turn`] default and
     /// `ContractShardDriver`'s override) read the queue.
-    pub(crate) fn next_time(&self) -> Option<SimTime> {
-        self.queue.next_time()
-    }
-
-    /// Pops the next pending event, advancing the queue's clock to it.
-    /// Crate-private, like [`Ctx::next_time`].
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.queue.pop()
+    pub(crate) fn pop_before(&mut self, end: SimTime) -> Option<(SimTime, Event)> {
+        if self.queue.next_time()? < end {
+            self.queue.pop()
+        } else {
+            None
+        }
     }
 }
 
@@ -131,35 +130,21 @@ pub trait ProtocolDriver: Send {
         None
     }
 
-    /// Replays one phase-2 (idle-drain) turn: the pending events strictly
-    /// before the run's `completion`, at most `budget` of them. Returns
-    /// how many events it replayed and [`Turn::Done`] once none before
-    /// `completion` is left, [`Turn::Yield`] when the budget ran out
-    /// first. `budget` is the scheduler's `turn_events` (`usize::MAX`
-    /// when unbounded).
+    /// Replays the driver's phase-2 (idle-drain) turn: every pending
+    /// event strictly before the run's `completion`. Returns how many
+    /// events it replayed.
     ///
     /// The default is the event loop itself: each event goes through
     /// [`ProtocolDriver::on_event`]. An override must be indistinguishable
-    /// from it — the same driver state and report, the same count per
-    /// turn and the same `Done`/`Yield` decision — because the count
-    /// feeds `events_processed` and the decision the scheduler's turn
-    /// statistics.
-    fn idle_turn(
-        &mut self,
-        ctx: &mut Ctx,
-        completion: SimTime,
-        budget: usize,
-    ) -> Result<(usize, Turn), Error> {
+    /// from it — the same driver state, report and count — because the
+    /// count feeds `events_processed`.
+    fn idle_turn(&mut self, ctx: &mut Ctx, completion: SimTime) -> Result<usize, Error> {
         let mut replayed = 0;
-        while ctx.next_time().is_some_and(|at| at < completion) {
-            if replayed >= budget {
-                return Ok((replayed, Turn::Yield));
-            }
-            let Some((now, ev)) = ctx.pop() else { break };
+        while let Some((now, ev)) = ctx.pop_before(completion) {
             replayed += 1;
             self.on_event(now, ev, ctx)?;
         }
-        Ok((replayed, Turn::Done))
+        Ok(replayed)
     }
 }
 
@@ -182,12 +167,7 @@ impl<D: ProtocolDriver + ?Sized> ProtocolDriver for Box<D> {
     fn settle_stats(&self) -> Option<SettleStats> {
         (**self).settle_stats()
     }
-    fn idle_turn(
-        &mut self,
-        ctx: &mut Ctx,
-        completion: SimTime,
-        budget: usize,
-    ) -> Result<(usize, Turn), Error> {
-        (**self).idle_turn(ctx, completion, budget)
+    fn idle_turn(&mut self, ctx: &mut Ctx, completion: SimTime) -> Result<usize, Error> {
+        (**self).idle_turn(ctx, completion)
     }
 }

@@ -2,7 +2,7 @@
 //! scheduler, launched through [`Runtime::builder`].
 //!
 //! Phase 1 pops a driver's events here and feeds them to
-//! [`ProtocolDriver::on_event`]; a phase-2 turn is one
+//! [`ProtocolDriver::on_event`]; a driver's phase-2 turn is one
 //! [`ProtocolDriver::idle_turn`] call, so the idle-drain loop lives once,
 //! as that method's default, and a driver may replay its idle events
 //! faster (the harness only counts what it reports and times the call).
@@ -76,11 +76,6 @@ impl RunSchedStats {
     pub fn skipped(&self) -> u64 {
         self.active.skipped + self.idle_drain.skipped
     }
-
-    /// Scheduled turns across both phases.
-    pub fn turns(&self) -> u64 {
-        self.active.turns + self.idle_drain.turns
-    }
 }
 
 /// Everything a run produced: the fingerprinted [`RunReport`], the
@@ -95,7 +90,7 @@ pub struct RunOutcome<D> {
     pub drivers: Vec<D>,
     /// The communication counter the drivers recorded into (Fig. 4(b)).
     pub comm: CommStats,
-    /// Per-phase scheduling statistics (admitted/skipped/turns).
+    /// Per-phase scheduling statistics (admitted/skipped).
     pub sched: RunSchedStats,
     /// Settlement accounting, folded over every driver's
     /// [`ProtocolDriver::settle_stats`]. All-zero (and
@@ -141,8 +136,8 @@ pub struct RunBuilder<'obs> {
 }
 
 impl<'obs> RunBuilder<'obs> {
-    /// The scheduler configuration (worker count + turn budget) for both
-    /// phases. Defaults to sequential.
+    /// The scheduler configuration (worker count) for both phases.
+    /// Defaults to sequential.
     pub fn scheduler(mut self, config: SchedulerConfig) -> Self {
         self.config = config;
         self
@@ -212,15 +207,16 @@ impl<'obs> RunBuilder<'obs> {
 ///    driver finishing last sets the run's global completion time.
 /// 2. **Idle drain** — drivers that finished early replay their pending
 ///    events strictly before the global completion time, so idle-mining
-///    (empty/stale block) accounting matches a fully serialized run. Each
-///    turn is one [`ProtocolDriver::idle_turn`] call: the default feeds
-///    the events to `on_event` one by one, and `ContractShardDriver`
-///    replays a finished shard's idle mining one miner at a time.
+///    (empty/stale block) accounting matches a fully serialized run. A
+///    driver's replay is one [`ProtocolDriver::idle_turn`] call: the
+///    default feeds the events to `on_event` one by one, and
+///    `ContractShardDriver` replays a finished shard's idle mining one
+///    miner at a time.
 ///
 /// Each phase is one scheduler drain: only drivers with queued work are
 /// admitted (idle shards are skipped and counted, never scheduled), and
-/// a driver whose turn budget runs out yields the worker and re-enters
-/// the ready queue. All host wall-clock reads happen here, around the
+/// each admitted driver runs its whole phase in one turn — shards never
+/// interact mid-phase. All host wall-clock reads happen here, around the
 /// driver hooks — drivers themselves are replayable pure functions of
 /// their event streams, and `wall` feeds only the diagnostic fields of
 /// the report.
@@ -249,11 +245,6 @@ fn execute<D: ProtocolDriver + 'static>(
 ) -> Result<(RunReport, Vec<D>, RunSchedStats), Error> {
     let run_start = Instant::now();
     let scheduler = WorkScheduler::new(config);
-    let budget = if config.turn_events == 0 {
-        usize::MAX
-    } else {
-        config.turn_events
-    };
 
     // Seed every driver's queue. `on_start` is part of every shard's
     // trajectory — an "idle" shard still schedules its miners' first
@@ -274,8 +265,8 @@ fn execute<D: ProtocolDriver + 'static>(
         });
     }
 
-    // Phase 1: admit drivers with unfinished work; each turn processes up
-    // to `budget` events, yielding (and re-enqueueing) in between.
+    // Phase 1: admit drivers with unfinished work; each runs to `done()`
+    // in one turn.
     if let Some(obs) = observer.as_deref_mut() {
         obs.phase_started(RunPhase::Active);
     }
@@ -288,13 +279,9 @@ fn execute<D: ProtocolDriver + 'static>(
         move |index, t| {
             let comm = &shared;
             let start = Instant::now();
-            let mut processed = 0;
             let outcome = loop {
                 if t.driver.done() {
                     break Ok(Turn::Done);
-                }
-                if processed >= budget {
-                    break Ok(Turn::Yield);
                 }
                 let Some((now, ev)) = t.queue.pop() else {
                     // The queue drained with work outstanding: surface
@@ -308,7 +295,6 @@ fn execute<D: ProtocolDriver + 'static>(
                     });
                 };
                 t.events += 1;
-                processed += 1;
                 t.last_event = Some(ev);
                 if let Err(e) = t
                     .driver
@@ -342,13 +328,12 @@ fn execute<D: ProtocolDriver + 'static>(
     let shared = comm.clone();
     let (tasks, idle_drain) = scheduler.drain(tasks, pending, move |_, t| {
         let start = Instant::now();
-        let turn = t
+        let replayed = t
             .driver
-            .idle_turn(&mut Ctx::new(&mut t.queue, &shared), completion, budget);
+            .idle_turn(&mut Ctx::new(&mut t.queue, &shared), completion);
         t.wall += start.elapsed();
-        let (replayed, turn) = turn?;
-        t.events += replayed;
-        Ok(turn)
+        t.events += replayed?;
+        Ok(Turn::Done)
     })?;
     if let Some(obs) = observer {
         obs.phase_finished(RunPhase::IdleDrain, &idle_drain);
@@ -456,24 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn turn_budget_does_not_change_results_but_adds_turns() {
-        let mk = || vec![ticker(0, 5), ticker(1, 2), ticker(2, 9)];
-        let whole = Runtime::builder().run(mk()).expect("well-formed");
-        let chopped = Runtime::builder()
-            .scheduler(SchedulerConfig::new(4).with_turn_events(2))
-            .run(mk())
-            .expect("well-formed");
-        assert_eq!(whole.report.fingerprint(), chopped.report.fingerprint());
-        assert!(
-            chopped.sched.turns() > whole.sched.turns(),
-            "a 2-event budget must yield between turns"
-        );
-        // Same admissions either way — budgets change only turn granularity.
-        assert_eq!(whole.sched.scheduled(), chopped.sched.scheduled());
-        assert_eq!(whole.sched.skipped(), chopped.sched.skipped());
-    }
-
-    #[test]
     fn idle_drivers_are_skipped_not_scheduled() {
         // Shard 0 has no work at all: done() is true from the start and
         // nothing is queued below the completion time, so both phases
@@ -483,7 +450,6 @@ mod tests {
             .expect("well-formed");
         assert_eq!(outcome.sched.active.skipped, 1);
         assert_eq!(outcome.sched.active.scheduled, 1);
-        assert_eq!(outcome.sched.active.per_slot_turns[0], 0);
         assert!(outcome.sched.idle_drain.skipped >= 1);
         assert_eq!(outcome.report.shards[0].events_processed, 0);
     }

@@ -10,9 +10,9 @@
 //!   advancement, cross-shard validation rounds);
 //! * [`ProtocolDriver`] — the per-shard protocol state machine. A driver
 //!   owns one shard's state and reacts to events through
-//!   [`ProtocolDriver::on_event`] (the harness's idle drain hands it whole
-//!   turns through [`ProtocolDriver::idle_turn`], whose default is that
-//!   same event loop); it never touches the clock, another shard's state,
+//!   [`ProtocolDriver::on_event`] (the harness's idle drain hands it one
+//!   whole turn through [`ProtocolDriver::idle_turn`], whose default is
+//!   that same event loop); it never touches the clock, another shard's state,
 //!   or host wall-time;
 //! * [`Ctx`] — what a driver may do in response: schedule further events
 //!   on its own queue and account cross-shard messaging through
@@ -27,18 +27,17 @@
 //!   `threads > 1` its helpers are process-wide parked threads, so driver
 //!   types must be `'static`) and assembles the [`RunReport`]. Runs launch
 //!   through the fluent [`Runtime::builder`] ([`RunBuilder`]), which
-//!   threads a [`SchedulerConfig`] (worker count + turn budget), an
+//!   threads a [`SchedulerConfig`] (worker count), an
 //!   optional shared [`cshard_network::CommStats`] and an optional
 //!   [`RunObserver`] through both phases. All host wall-clock reads live
 //!   here, behind the report layer — drivers are replayable pure functions
 //!   of their event streams.
 //!
-//! The concrete drivers for the paper's protocols live here too:
+//! The concrete driver for the paper's protocols lives here too:
 //! [`ContractShardDriver`] (one shard of the contract-centric scheme or,
-//! on the MaxShard, vanilla Ethereum) and [`EthereumDriver`] (the
-//! degenerate single-chain instance). The ChainSpace driver builds on
-//! these from `cshard-baselines`, which layers 2PC validation events on
-//! top.
+//! on the MaxShard, vanilla Ethereum — [`simulate_ethereum`]). The
+//! ChainSpace driver builds on it from `cshard-baselines`, which layers
+//! 2PC validation events on top.
 //!
 //! Cross-shard traffic is one layer: [`SettlingShardDriver`] wraps a
 //! [`ContractShardDriver`] with batched crosslink settlement and a
@@ -64,14 +63,14 @@ pub mod settle;
 pub mod stream;
 
 pub use contract::{
-    shard_stream, simulate, simulate_ethereum, ContractShardDriver, EthereumDriver, RuntimeConfig,
+    shard_stream, simulate, simulate_ethereum, ContractShardDriver, RuntimeConfig,
     SelectionDynamicsStats, SelectionStrategy, ShardSpec,
 };
 pub use crosslink::CrosslinkChannel;
 pub use cshard_settle::{
     Batch, FlushOutcome, SettleConfig, SettleStats, SettlementBatcher, Submit,
 };
-pub use cshard_sim::{DrainStats, SchedulerConfig, Turn};
+pub use cshard_sim::{DrainStats, SchedulerConfig};
 pub use driver::{Ctx, ProtocolDriver};
 pub use event::Event;
 pub use harness::{RunBuilder, RunObserver, RunOutcome, RunPhase, RunSchedStats, Runtime};

@@ -6,7 +6,7 @@ use cshard_network::{CommStats, LatencyModel, PartitionModel, PartitionWindow};
 use cshard_primitives::{Error, ShardId, SimTime};
 use cshard_runtime::{
     ContractShardDriver, Ctx, Event, PropagationModel, ProtocolDriver, RunOutcome, Runtime,
-    RuntimeConfig, SchedulerConfig, SelectionStrategy, SettleStats, ShardReport, ShardSpec, Turn,
+    RuntimeConfig, SchedulerConfig, SelectionStrategy, SettleStats, ShardReport, ShardSpec,
 };
 use cshard_sim::EventQueue;
 use std::time::Duration;
@@ -133,11 +133,10 @@ fn fields(
 }
 
 /// The closed loop replays the same ticks as the event path: identical
-/// fingerprints, shard reports and scheduler statistics (per-slot turns
-/// included) across strategies, miner counts, propagation models,
-/// empty-block windows, turn budgets and thread counts — including 1–3 ms
-/// intervals, where millisecond rounding puts ticks exactly on the
-/// completion time.
+/// fingerprints, shard reports and scheduler statistics across
+/// strategies, miner counts, propagation models, empty-block windows and
+/// thread counts — including 1–3 ms intervals, where millisecond rounding
+/// puts ticks exactly on the completion time.
 #[test]
 fn closed_loop_idle_drain_equals_the_event_path() {
     let (mut runs, mut idle_empty, mut idle_stale) = (0, 0, 0);
@@ -145,40 +144,38 @@ fn closed_loop_idle_drain_equals_the_event_path() {
         let interval = SimTime::from_millis(interval_ms);
         for (p, propagation) in propagations(interval).into_iter().enumerate() {
             for empty_block_window in [None, Some(SimTime::from_millis(4 * interval_ms))] {
-                for turn_events in [0, 1, 2, 7, 64] {
-                    for threads in [1, 2, 4] {
-                        let config = RuntimeConfig {
-                            mean_block_interval: interval,
-                            propagation: propagation.clone(),
-                            empty_block_window,
-                            seed: interval_ms ^ ((p as u64) << 20) ^ turn_events as u64,
-                            scheduler: SchedulerConfig::new(threads).with_turn_events(turn_events),
-                            ..RuntimeConfig::default()
-                        };
-                        let reference = run(&config, EventByEvent);
-                        let closed = run(&config, |d| d);
-                        let case = format!("{config:?}");
-                        assert_eq!(
-                            closed.report.fingerprint(),
-                            reference.report.fingerprint(),
-                            "{case}"
-                        );
-                        assert_eq!(closed.report.completion, reference.report.completion);
-                        for (c, r) in closed.report.shards.iter().zip(&reference.report.shards) {
-                            assert_eq!(fields(c), fields(r), "{case}");
-                        }
-                        assert_eq!(closed.sched, reference.sched, "{case}");
-                        runs += 1;
-                        if closed.sched.idle_drain.scheduled > 0 {
-                            idle_empty += closed.report.total_empty_blocks();
-                            idle_stale += closed.report.total_stale_blocks();
-                        }
+                for threads in [1, 2, 4] {
+                    let config = RuntimeConfig {
+                        mean_block_interval: interval,
+                        propagation: propagation.clone(),
+                        empty_block_window,
+                        seed: interval_ms ^ ((p as u64) << 20) ^ threads as u64,
+                        scheduler: SchedulerConfig::new(threads),
+                        ..RuntimeConfig::default()
+                    };
+                    let reference = run(&config, EventByEvent);
+                    let closed = run(&config, |d| d);
+                    let case = format!("{config:?}");
+                    assert_eq!(
+                        closed.report.fingerprint(),
+                        reference.report.fingerprint(),
+                        "{case}"
+                    );
+                    assert_eq!(closed.report.completion, reference.report.completion);
+                    for (c, r) in closed.report.shards.iter().zip(&reference.report.shards) {
+                        assert_eq!(fields(c), fields(r), "{case}");
+                    }
+                    assert_eq!(closed.sched, reference.sched, "{case}");
+                    runs += 1;
+                    if closed.sched.idle_drain.scheduled > 0 {
+                        idle_empty += closed.report.total_empty_blocks();
+                        idle_stale += closed.report.total_stale_blocks();
                     }
                 }
             }
         }
     }
-    assert_eq!(runs, 4 * 4 * 2 * 5 * 3);
+    assert_eq!(runs, 4 * 4 * 2 * 3);
     // The grid reaches both idle classifications.
     assert!(
         idle_empty > 0 && idle_stale > 0,
@@ -186,33 +183,24 @@ fn closed_loop_idle_drain_equals_the_event_path() {
     );
 }
 
-/// What [`drain_by_hand`] observed: every turn's replayed count and
-/// decision, the report, and the events left queued.
-type Drained = (Vec<(usize, Turn)>, ShardReport, Vec<(SimTime, String)>);
+/// What [`drain_by_hand`] observed: the replayed count, the report, and
+/// the events left queued.
+type Drained = (usize, ShardReport, Vec<(SimTime, String)>);
 
-/// One driver's phase 2, turn by turn, outside the harness. The leftover
-/// queue is sorted, since insertion order — and with it the tie order —
-/// differs between the two loops.
-fn drain_by_hand(driver: &mut dyn ProtocolDriver, completion: SimTime, budget: usize) -> Drained {
+/// One driver's phase 2 outside the harness. The leftover queue is
+/// sorted, since insertion order — and with it the tie order — differs
+/// between the two loops.
+fn drain_by_hand(driver: &mut dyn ProtocolDriver, completion: SimTime) -> Drained {
     let (mut queue, comm) = (EventQueue::new(), CommStats::new());
     driver.on_start(&mut Ctx::new(&mut queue, &comm));
-    let mut turns = Vec::new();
-    let mut events = 0;
-    loop {
-        let turn = driver
-            .idle_turn(&mut Ctx::new(&mut queue, &comm), completion, budget)
-            .expect("well-formed stream");
-        turns.push(turn);
-        events += turn.0;
-        if turn.1 == Turn::Done {
-            break;
-        }
-    }
+    let events = driver
+        .idle_turn(&mut Ctx::new(&mut queue, &comm), completion)
+        .expect("well-formed stream");
     let mut left: Vec<(SimTime, String)> = std::iter::from_fn(|| queue.pop())
         .map(|(t, ev)| (t, format!("{ev:?}")))
         .collect();
     left.sort();
-    (turns, driver.report(events, Duration::ZERO), left)
+    (events, driver.report(events, Duration::ZERO), left)
 }
 
 /// Phase 2 admits only events strictly before the completion time, so a
@@ -240,17 +228,14 @@ fn ticks_on_the_completion_time_stay_queued() {
         };
         for end in 0..40 {
             let completion = SimTime::from_millis(end);
-            for budget in [1, 2, 7, usize::MAX] {
-                let mut reference = EventByEvent(ContractShardDriver::new(&spec, &config));
-                let mut closed = ContractShardDriver::new(&spec, &config);
-                let want = drain_by_hand(&mut reference, completion, budget);
-                let got = drain_by_hand(&mut closed, completion, budget);
-                assert_eq!(got.0, want.0, "turns, end {end} budget {budget}");
-                assert_eq!(fields(&got.1), fields(&want.1), "end {end}");
-                assert_eq!(got.2, want.2, "queue, end {end}");
-                on_the_boundary +=
-                    usize::from(got.2.first().is_some_and(|(t, _)| *t == completion));
-            }
+            let mut reference = EventByEvent(ContractShardDriver::new(&spec, &config));
+            let mut closed = ContractShardDriver::new(&spec, &config);
+            let want = drain_by_hand(&mut reference, completion);
+            let got = drain_by_hand(&mut closed, completion);
+            assert_eq!(got.0, want.0, "events, end {end}");
+            assert_eq!(fields(&got.1), fields(&want.1), "end {end}");
+            assert_eq!(got.2, want.2, "queue, end {end}");
+            on_the_boundary += usize::from(got.2.first().is_some_and(|(t, _)| *t == completion));
         }
     }
     assert!(on_the_boundary > 0, "no tick landed on a completion time");

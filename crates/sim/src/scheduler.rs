@@ -1,25 +1,24 @@
-//! The shard-lifecycle work scheduler.
+//! The shard work scheduler.
 //!
 //! The old `Executor` (since removed) fanned a *fixed* task set out: every shard
 //! paid a task slot per phase whether or not it had queued work. This
-//! scheduler replaces that with shard-granular lifecycle scheduling, the
-//! shape execution-sharding designs (Katana-style engines, Shard
-//! Scheduler) use to reach thousands of shards:
+//! scheduler replaces that with shard-granular admission, the shape
+//! execution-sharding designs (Katana-style engines, Shard Scheduler) use
+//! to reach thousands of shards:
 //!
-//! * every slot (one shard's task) carries an atomic lifecycle state,
-//!   `Idle → Pending → Running`;
-//! * only slots that *have work* (the caller's admission predicate) are
-//!   enqueued onto the ready queue — idle shards are skipped and counted,
-//!   never scheduled;
+//! * only slots (one shard's task each) that *have work* — the caller's
+//!   admission predicate — are admitted; idle shards are skipped and
+//!   counted, never stepped;
+//! * each admitted slot is stepped exactly once: a shard's run within one
+//!   drain is one indivisible turn, because shard chains confirm disjoint
+//!   transaction sets and never interact mid-phase;
 //! * a worker pool sized to the machine (`threads: 0` = one worker per
-//!   core) drains the queue — the calling thread is one of the workers,
-//!   so a drain over `w` workers offers its job to `w − 1` parked helper
-//!   threads (see "Pool") and a drain that admits one slot offers it to
-//!   none; a slot whose turn ends with more work
-//!   outstanding ([`Turn::Yield`]) is re-enqueued (`Running → Pending`),
-//!   one that finishes ([`Turn::Done`]) goes back to `Idle`;
-//! * per-slot scheduled-turn counters and the skipped count come back in
-//!   [`DrainStats`], so idle-shard savings are a measured number.
+//!   core) claims admitted slots through one shared cursor — the calling
+//!   thread is one of the workers, so a drain over `w` workers offers its
+//!   job to `w − 1` parked helper threads (see "Pool") and a drain that
+//!   admits one slot offers it to none;
+//! * the scheduled and skipped counts come back in [`DrainStats`], so
+//!   idle-shard savings are a measured number.
 //!
 //! # Determinism
 //!
@@ -31,13 +30,7 @@
 //! sequential path (`threads <= 1`) steps slots in index order on the
 //! caller's thread and runs the *same* step code, so any thread count
 //! yields bit-identical slot states — and identical [`DrainStats`], since
-//! turn counts are per-slot functions of the step logic, not of the
-//! interleaving.
-//!
-//! Within one [`WorkScheduler::drain`] call, "new work arrival" is the
-//! slot's own doing (its step scheduled further events and yielded);
-//! cross-slot work injection would break slot independence and is exactly
-//! what the determinism contract forbids.
+//! admission is evaluated once, in slot order, before any worker starts.
 //!
 //! # Pool
 //!
@@ -46,14 +39,13 @@
 //! count any drain has asked for (at most its admitted slots − 1, so a
 //! huge `threads` cannot inflate it), never shrunk, and never touched at
 //! `threads: 1`. Helpers outlive every call, so a pooled drain moves its
-//! slots, step closure, ready queue and error list into one `Arc`'d job
-//! (hence the `'static` bounds), queues a ticket per wanted helper, and
-//! then *works the job itself*. Helpers are optional — the caller alone
-//! always finishes its job — so nested drains, many threads draining at
-//! once or a pool busy elsewhere cannot deadlock. A helper leaves a job
-//! once its ready queue is empty (every live slot is then on a worker
-//! that re-claims it if it yields); one that turns up after the drain is
-//! over steps nothing. The caller takes unclaimed tickets back.
+//! slots, step closure and error list into one `Arc`'d job (hence the
+//! `'static` bounds), queues a ticket per wanted helper, and then *works
+//! the job itself*. Helpers are optional — the caller alone always
+//! finishes its job — so nested drains, many threads draining at once or
+//! a pool busy elsewhere cannot deadlock. A helper leaves a job once the
+//! cursor has passed the last admitted slot; one that turns up after the
+//! drain is over steps nothing. The caller takes unclaimed tickets back.
 //!
 //! Parking and waking a thread costs about as much as a paper-scale
 //! drain, so a helper waiting for a ticket and a caller waiting for the
@@ -64,13 +56,13 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, LazyLock, Mutex, OnceLock};
 
-/// How a run is scheduled: worker pool size and turn granularity.
+/// How a run is scheduled: the worker pool size.
 ///
 /// This is the one configuration surface the whole workspace threads
-/// through — `RuntimeConfig`, `SystemBuilder::scheduler`, and the bench
+/// through — `RuntimeConfig`, `SystemBuilder::threads`, and the bench
 /// grids all consume it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SchedulerConfig {
@@ -79,21 +71,12 @@ pub struct SchedulerConfig {
     /// any other value is an explicit pool size. Results are bit-identical
     /// across all settings.
     pub threads: usize,
-    /// Maximum events a slot processes per scheduled turn before it yields
-    /// the worker and re-enters the ready queue (`0` = no budget: a slot
-    /// runs to phase completion in one turn). Smaller budgets exercise the
-    /// `Running → Pending` re-enqueue path and interleave slots more
-    /// fairly; the outputs are bit-identical at any setting.
-    pub turn_events: usize,
 }
 
 impl SchedulerConfig {
-    /// A scheduler over `threads` workers with no turn budget.
+    /// A scheduler over `threads` workers.
     pub fn new(threads: usize) -> Self {
-        SchedulerConfig {
-            threads,
-            turn_events: 0,
-        }
+        SchedulerConfig { threads }
     }
 
     /// The sequential scheduler (slots step inline, in index order).
@@ -104,12 +87,6 @@ impl SchedulerConfig {
     /// One worker per available core.
     pub fn per_core() -> Self {
         SchedulerConfig::new(0)
-    }
-
-    /// Sets the per-turn event budget (see [`SchedulerConfig::turn_events`]).
-    pub fn with_turn_events(mut self, turn_events: usize) -> Self {
-        self.turn_events = turn_events;
-        self
     }
 
     /// The worker count this configuration resolves to (`0` → the number
@@ -130,12 +107,12 @@ impl Default for SchedulerConfig {
     }
 }
 
-/// What a slot's scheduled turn decided.
+/// What a slot's step returns. Retired to its one variant: every
+/// admitted slot is stepped exactly once. Kept only because the
+/// benchmark harness names it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Turn {
-    /// The slot has more work: re-enqueue it (`Running → Pending`).
-    Yield,
-    /// The slot's work for this drain is finished (`Running → Idle`).
+    /// The slot's work for this drain is finished.
     Done,
 }
 
@@ -144,30 +121,24 @@ pub enum Turn {
 /// identical at any thread count.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DrainStats {
-    /// Slots admitted to the ready queue (they had work).
+    /// Slots admitted and stepped (they had work).
     pub scheduled: u64,
-    /// Slots whose admission predicate was false: never enqueued, never
-    /// stepped — the idle-shard saving, as a number.
+    /// Slots whose admission predicate was false: never stepped — the
+    /// idle-shard saving, as a number.
     pub skipped: u64,
-    /// Total scheduled turns across all slots (≥ `scheduled`; each
-    /// [`Turn::Yield`] adds one).
+    /// Scheduled turns: always equal to `scheduled`, one turn per
+    /// admitted slot. Kept only because the benchmark harness reads it.
     pub turns: u64,
-    /// Scheduled turns per slot, in slot order (`0` = the slot was
-    /// skipped).
-    pub per_slot_turns: Vec<u64>,
 }
 
-// Lifecycle encoding for the per-slot atomic.
-const IDLE: u8 = 0;
-const PENDING: u8 = 1;
-const RUNNING: u8 = 2;
-
-/// One resident slot: the caller's item (taken back by the caller once
-/// the drain is over) plus its lifecycle atomics.
-struct Slot<T> {
-    item: Mutex<Option<T>>,
-    state: AtomicU8,
-    turns: AtomicU64,
+impl DrainStats {
+    fn new(scheduled: usize, skipped: usize) -> Self {
+        DrainStats {
+            scheduled: scheduled as u64,
+            skipped: skipped as u64,
+            turns: scheduled as u64,
+        }
+    }
 }
 
 /// Spin iterations before a waiting worker parks (see "Pool"): about one
@@ -186,15 +157,22 @@ fn spin_until(ready: impl Fn() -> bool) {
 
 /// One pooled drain, shared by the caller and the helpers it invited.
 struct Job<T, E, F> {
-    slots: Vec<Slot<T>>,
+    /// Every slot's item, taken back by the caller once the drain is over.
+    slots: Vec<Mutex<Option<T>>>,
+    /// The admitted slot indices, in slot order.
+    admitted: Vec<usize>,
+    /// The next entry of `admitted` to claim: one `fetch_add` per claim,
+    /// so each admitted slot is stepped exactly once.
+    cursor: AtomicUsize,
     step: F,
-    queue: Mutex<VecDeque<usize>>,
-    available: Condvar,
-    /// Slots still Pending or Running: the drain is over at zero, not at
-    /// an empty queue (a running slot may still yield a new entry).
+    /// Admitted slots not yet stepped to the end: the drain is over at
+    /// zero, not when the cursor runs out (a helper may still be stepping).
     live: AtomicUsize,
+    /// Where the caller parks until `live` reaches zero.
+    parked: Mutex<()>,
+    finished: Condvar,
     errors: Mutex<Vec<(usize, E)>>,
-    /// The first panic payload any worker's turn raised.
+    /// The first panic payload any worker's step raised.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
@@ -203,54 +181,19 @@ impl<T, E, F: Fn(usize, &mut T) -> Result<Turn, E>> Job<T, E, F> {
         self.live.load(Ordering::SeqCst) == 0
     }
 
-    /// The worker loop: claim a Pending slot, run one turn, re-enqueue or
-    /// retire it. The caller (`helper == false`) returns once the drain
-    /// is over, a helper as soon as there is nothing to claim.
+    /// The worker loop: claim the next admitted slot and step it, until
+    /// the cursor has passed the last one. A helper (`helper == true`)
+    /// then leaves; the caller waits for slots still running on helpers.
     fn work(&self, helper: bool) {
-        loop {
-            let i = {
-                let mut q = self.queue.lock().expect("ready-queue lock");
-                loop {
-                    if let Some(i) = q.pop_front() {
-                        break i;
-                    }
-                    if helper || self.over() {
-                        return;
-                    }
-                    // The last slots are running on helpers: spin for
-                    // them, then park until one yields or the last retires.
-                    drop(q);
-                    spin_until(|| self.over());
-                    q = self.queue.lock().expect("ready-queue lock");
-                    if q.is_empty() && !self.over() {
-                        q = self.available.wait(q).expect("ready-queue wait");
-                    }
-                }
-            };
-            let slot = &self.slots[i];
-            let turn = catch_unwind(AssertUnwindSafe(|| {
-                // Pending → Running. Exactly one worker pops a given
-                // queue entry, and a slot is re-enqueued only after its
-                // previous turn stored a non-Running state, so this CAS
-                // cannot race.
-                slot.state
-                    .compare_exchange(PENDING, RUNNING, Ordering::SeqCst, Ordering::SeqCst)
-                    .unwrap_or_else(|s| {
-                        panic!("slot {i} claimed while in state {s} (not Pending)")
-                    });
-                slot.turns.fetch_add(1, Ordering::SeqCst);
-                let mut item = slot.item.lock().expect("slot lock");
+        while let Some(&i) = self
+            .admitted
+            .get(self.cursor.fetch_add(1, Ordering::SeqCst))
+        {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let mut item = self.slots[i].lock().expect("slot lock");
                 (self.step)(i, item.as_mut().expect("slot taken mid-drain"))
             }));
-            match turn {
-                Ok(Ok(Turn::Yield)) => {
-                    // Running → Pending: more work, back in line.
-                    slot.state.store(PENDING, Ordering::SeqCst);
-                    let mut q = self.queue.lock().expect("ready-queue lock");
-                    q.push_back(i);
-                    self.available.notify_one();
-                    continue;
-                }
+            match outcome {
                 Ok(Ok(Turn::Done)) => {}
                 Ok(Err(e)) => self.errors.lock().expect("error lock").push((i, e)),
                 // Recorded *before* the slot retires: a caller that sees
@@ -261,13 +204,20 @@ impl<T, E, F: Fn(usize, &mut T) -> Result<Turn, E>> Job<T, E, F> {
                     first.get_or_insert(payload);
                 }
             }
-            // Running → Idle; the last slot out wakes a parked caller (the
-            // queue lock orders the wake against its failed pop and wait).
-            slot.state.store(IDLE, Ordering::SeqCst);
+            // The last slot out wakes a parked caller (the lock orders the
+            // wake against its failed check and wait).
             if self.live.fetch_sub(1, Ordering::SeqCst) == 1 {
-                let _q = self.queue.lock().expect("ready-queue lock");
-                self.available.notify_all();
+                let _parked = self.parked.lock().expect("park lock");
+                self.finished.notify_all();
             }
+        }
+        if helper {
+            return;
+        }
+        spin_until(|| self.over());
+        let mut parked = self.parked.lock().expect("park lock");
+        while !self.over() {
+            parked = self.finished.wait(parked).expect("park wait");
         }
     }
 }
@@ -299,7 +249,7 @@ impl Pool {
         let mut state = self.state.lock().expect("pool lock");
         while state.helpers < helpers {
             // Detached on purpose: helpers live as long as the process
-            // and never unwind (every turn's panic is caught in `work`).
+            // and never unwind (every step's panic is caught in `work`).
             std::thread::spawn(|| POOL.help());
             state.helpers += 1;
         }
@@ -337,9 +287,9 @@ impl Pool {
     }
 }
 
-/// The shard-lifecycle scheduler: a ready queue of `Pending` slots drained
-/// by a fixed worker pool. See the module docs for the lifecycle and the
-/// determinism argument.
+/// The shard work scheduler: admitted slots claimed once each by a fixed
+/// worker pool. See the module docs for admission and the determinism
+/// argument.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WorkScheduler {
     config: SchedulerConfig,
@@ -365,12 +315,9 @@ impl WorkScheduler {
     /// order) and the drain's scheduling statistics.
     ///
     /// * `admit` is evaluated once per slot, up front, in slot order: a
-    ///   `true` slot enters the ready queue `Pending`; a `false` slot is
-    ///   counted skipped and never stepped.
-    /// * `step` runs one scheduled turn of a slot. [`Turn::Yield`]
-    ///   re-enqueues the slot; [`Turn::Done`] retires it to `Idle`. The
-    ///   step owns the turn-budget policy (the scheduler does not count
-    ///   the slot's events — only its turns).
+    ///   `true` slot is admitted; a `false` slot is counted skipped and
+    ///   never stepped.
+    /// * `step` runs an admitted slot's whole turn, exactly once.
     ///
     /// # Errors
     ///
@@ -382,13 +329,11 @@ impl WorkScheduler {
     /// # Panics
     ///
     /// A panicking `step` propagates at any thread count, whichever
-    /// worker ran it: the pooled path catches it around the turn, records
+    /// worker ran it: the pooled path catches it around the step, records
     /// the payload (the first wins) *before* the slot retires, drains the
     /// remaining slots, and re-raises it on the calling thread — no helper
     /// is inside a step when the panic leaves `drain`, and helper threads
-    /// survive. A violated lifecycle invariant (a slot claimed from the
-    /// ready queue that is not `Pending` — a scheduler bug, not a caller
-    /// condition) panics the same way.
+    /// survive.
     pub fn drain<T, E, A, F>(
         &self,
         slots: Vec<T>,
@@ -407,40 +352,27 @@ impl WorkScheduler {
             return Self::drain_sequential(slots, admit, step);
         }
 
-        // Admission, in slot order: only slots with work enter the queue.
-        let mut ready = VecDeque::with_capacity(n);
-        let slots: Vec<Slot<T>> = (slots.into_iter().enumerate())
-            .map(|(i, item)| {
-                let has_work = admit(&item);
-                if has_work {
-                    ready.push_back(i);
-                }
-                Slot {
-                    item: Mutex::new(Some(item)),
-                    state: AtomicU8::new(if has_work { PENDING } else { IDLE }),
-                    turns: AtomicU64::new(0),
-                }
-            })
-            .collect();
-        let admitted = ready.len();
-        let mut stats = DrainStats {
-            scheduled: admitted as u64,
-            skipped: (n - admitted) as u64,
-            ..DrainStats::default()
-        };
+        // Admission, in slot order.
+        let admitted: Vec<usize> = (0..n).filter(|&i| admit(&slots[i])).collect();
+        let stats = DrainStats::new(admitted.len(), n - admitted.len());
+        // The calling thread plus `helpers` invited ones: the caller
+        // works instead of parking, and one admitted slot invites nobody.
+        let helpers = workers.min(admitted.len()).saturating_sub(1);
         let job = Arc::new(Job {
-            slots,
+            slots: slots
+                .into_iter()
+                .map(|item| Mutex::new(Some(item)))
+                .collect(),
+            cursor: AtomicUsize::new(0),
             step,
-            queue: Mutex::new(ready),
-            available: Condvar::new(),
-            live: AtomicUsize::new(admitted),
+            live: AtomicUsize::new(admitted.len()),
+            admitted,
+            parked: Mutex::new(()),
+            finished: Condvar::new(),
             errors: Mutex::new(Vec::new()),
             panic: Mutex::new(None),
         });
 
-        // The calling thread plus `helpers` invited ones: the caller
-        // works instead of parking, and one admitted slot invites nobody.
-        let helpers = workers.min(admitted).saturating_sub(1);
         let ticket: Ticket = Arc::new({
             let job = Arc::clone(&job);
             move || job.work(true)
@@ -453,25 +385,23 @@ impl WorkScheduler {
             resume_unwind(payload);
         }
         let mut errors = std::mem::take(&mut *job.errors.lock().expect("error lock"));
-        if !errors.is_empty() {
-            errors.sort_by_key(|(i, _)| *i);
-            let (_, first) = errors.swap_remove(0);
-            return Err(first);
+        if let Some(lowest) = (0..errors.len()).min_by_key(|&k| errors[k].0) {
+            return Err(errors.swap_remove(lowest).1);
         }
-        let mut out = Vec::with_capacity(n);
-        for slot in &job.slots {
-            let turns = slot.turns.load(Ordering::SeqCst);
-            stats.turns += turns;
-            stats.per_slot_turns.push(turns);
-            let item = slot.item.lock().expect("slot lock").take();
-            out.push(item.expect("slot taken once"));
-        }
+        let out = (job.slots.iter())
+            .map(|slot| {
+                slot.lock()
+                    .expect("slot lock")
+                    .take()
+                    .expect("slot taken once")
+            })
+            .collect();
         Ok((out, stats))
     }
 
     /// The inline path: slots step in index order on the caller's thread,
-    /// through the same admission/turn logic as the pool, so the results
-    /// (and the [`DrainStats`]) are bit-identical.
+    /// through the same admission as the pool, so the results (and the
+    /// [`DrainStats`]) are bit-identical.
     fn drain_sequential<T, E, A, F>(
         mut slots: Vec<T>,
         admit: A,
@@ -481,44 +411,32 @@ impl WorkScheduler {
         A: Fn(&T) -> bool,
         F: Fn(usize, &mut T) -> Result<Turn, E>,
     {
-        let mut stats = DrainStats {
-            per_slot_turns: vec![0; slots.len()],
-            ..DrainStats::default()
-        };
-        let mut first_error: Option<(usize, E)> = None;
+        let mut scheduled = 0;
+        let mut first_error = None;
         for (i, slot) in slots.iter_mut().enumerate() {
             if !admit(slot) {
-                stats.skipped += 1;
                 continue;
             }
-            stats.scheduled += 1;
-            loop {
-                stats.per_slot_turns[i] += 1;
-                stats.turns += 1;
-                match step(i, slot) {
-                    Ok(Turn::Yield) => continue,
-                    Ok(Turn::Done) => break,
-                    Err(e) => {
-                        // Record and keep draining the remaining slots —
-                        // the pool path runs every admitted slot too.
-                        if first_error.is_none() {
-                            first_error = Some((i, e));
-                        }
-                        break;
-                    }
-                }
+            scheduled += 1;
+            // Record and keep draining the remaining slots — the pool
+            // path runs every admitted slot too.
+            if let Err(e) = step(i, slot) {
+                first_error.get_or_insert(e);
             }
         }
         match first_error {
-            Some((_, e)) => Err(e),
-            None => Ok((slots, stats)),
+            Some(e) => Err(e),
+            None => {
+                let stats = DrainStats::new(scheduled, slots.len() - scheduled);
+                Ok((slots, stats))
+            }
         }
     }
 
     /// Applies `task` to every item, returning results in input order —
     /// the old `Executor::run` shape, expressed as a drain where every
-    /// item is one single-turn slot. Grid sweeps (independent experiment
-    /// points) use this.
+    /// item is one slot. Grid sweeps (independent experiment points) use
+    /// this.
     ///
     /// # Panics
     /// A panicking task aborts the whole run (the panic propagates).
@@ -563,47 +481,33 @@ impl WorkScheduler {
 mod tests {
     use super::*;
 
-    /// A slot that needs `work` turns to finish and records each step.
-    struct Counter {
-        work: u64,
-        stepped: u64,
-    }
-
+    /// Drains slots that count their steps, admitting those with `work`.
     fn drain_counters(threads: usize, work: &[u64]) -> (Vec<u64>, DrainStats) {
-        let slots: Vec<Counter> = work
-            .iter()
-            .map(|&w| Counter {
-                work: w,
-                stepped: 0,
-            })
-            .collect();
+        let slots: Vec<(u64, u64)> = work.iter().map(|&w| (w, 0)).collect();
         let sched = WorkScheduler::new(SchedulerConfig::new(threads));
         let (slots, stats) = sched
             .drain(
                 slots,
-                |c| c.work > 0,
-                |_, c| {
-                    c.stepped += 1;
-                    Ok::<Turn, std::convert::Infallible>(if c.stepped < c.work {
-                        Turn::Yield
-                    } else {
-                        Turn::Done
-                    })
+                |&(work, _)| work > 0,
+                |_, (_, stepped)| {
+                    *stepped += 1;
+                    Ok::<Turn, std::convert::Infallible>(Turn::Done)
                 },
             )
             .expect("infallible");
-        (slots.into_iter().map(|c| c.stepped).collect(), stats)
+        (
+            slots.into_iter().map(|(_, stepped)| stepped).collect(),
+            stats,
+        )
     }
 
     #[test]
     fn skipped_slots_are_never_stepped_and_counted() {
-        let work = [3, 0, 1, 0, 0, 5];
-        let (stepped, stats) = drain_counters(4, &work);
-        assert_eq!(stepped, vec![3, 0, 1, 0, 0, 5]);
+        let (stepped, stats) = drain_counters(4, &[3, 0, 1, 0, 0, 5]);
+        assert_eq!(stepped, vec![1, 0, 1, 0, 0, 1]);
         assert_eq!(stats.scheduled, 3);
         assert_eq!(stats.skipped, 3);
-        assert_eq!(stats.turns, 9);
-        assert_eq!(stats.per_slot_turns, vec![3, 0, 1, 0, 0, 5]);
+        assert_eq!(stats.turns, 3);
     }
 
     #[test]
@@ -672,7 +576,7 @@ mod tests {
     #[test]
     fn more_workers_than_slots() {
         let (stepped, stats) = drain_counters(64, &[2, 1]);
-        assert_eq!(stepped, vec![2, 1]);
-        assert_eq!(stats.turns, 3);
+        assert_eq!(stepped, vec![1, 1]);
+        assert_eq!(stats.turns, 2);
     }
 }

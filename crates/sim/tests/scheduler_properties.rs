@@ -1,13 +1,11 @@
-//! Property tests for the shard-lifecycle work scheduler: the invariants
-//! the runtime's two-phase harness leans on.
+//! Property tests for the shard work scheduler: the invariants the
+//! runtime's two-phase harness leans on.
 //!
-//! * **Lifecycle** — a slot is never stepped while another worker holds it
-//!   (`Running` is exclusive), an admitted slot is stepped at least once
-//!   (no `Pending → Idle` shortcut), and a skipped slot is never stepped.
-//! * **Determinism** — results, errors and [`DrainStats`] (including the
-//!   per-slot turn counts) are identical at 1 worker, 4 workers and
-//!   one-per-core, for arbitrary work vectors and turn budgets. Worker
-//!   scheduling order must never leak into anything observable.
+//! * **Admission** — an admitted slot is stepped exactly once, never by
+//!   two workers at once, and a skipped slot is never stepped.
+//! * **Determinism** — results, errors and [`DrainStats`] are identical at
+//!   1 worker, 2, 4 and one-per-core, for arbitrary admission vectors.
+//!   Worker scheduling order must never leak into anything observable.
 //! * **Error order** — when several slots fail, the lowest slot index wins
 //!   at any thread count.
 //! * **Panics** — a panicking step propagates out of the drain at any
@@ -27,16 +25,16 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Duration;
 
-/// A slot counting down `work` steps; `stepped` records how often the
-/// scheduler actually ran it.
+/// A slot with `work` pending; `stepped` records how often the scheduler
+/// actually ran it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct Counter {
     work: u64,
     stepped: u64,
 }
 
-/// Drains `works` with one step of work per turn, returning the finished
-/// slots and stats.
+/// Drains `works`, admitting the slots with work; each step takes all of
+/// a slot's work at once.
 fn drain_counters(works: &[u64], config: SchedulerConfig) -> (Vec<Counter>, DrainStats) {
     let slots: Vec<Counter> = works
         .iter()
@@ -48,12 +46,8 @@ fn drain_counters(works: &[u64], config: SchedulerConfig) -> (Vec<Counter>, Drai
             |c: &Counter| c.work > 0,
             |_, c| {
                 c.stepped += 1;
-                c.work -= 1;
-                Ok::<_, std::convert::Infallible>(if c.work == 0 {
-                    Turn::Done
-                } else {
-                    Turn::Yield
-                })
+                c.work = 0;
+                Ok::<_, std::convert::Infallible>(Turn::Done)
             },
         )
         .expect("infallible drain")
@@ -62,10 +56,10 @@ fn drain_counters(works: &[u64], config: SchedulerConfig) -> (Vec<Counter>, Drai
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Admitted slots are stepped exactly `work` times (never zero, never
-    /// while idle); skipped slots are never stepped; the counters add up.
+    /// Admitted slots are stepped exactly once; skipped slots are never
+    /// stepped; one turn per admitted slot, so `turns == scheduled`.
     #[test]
-    fn admitted_slots_drain_fully_and_skipped_slots_are_untouched(
+    fn admitted_slots_step_once_and_skipped_slots_are_untouched(
         works in proptest::collection::vec(0u64..6, 1..40),
         threads in 0usize..6,
     ) {
@@ -73,16 +67,15 @@ proptest! {
         let busy = works.iter().filter(|&&w| w > 0).count() as u64;
         prop_assert_eq!(stats.scheduled, busy);
         prop_assert_eq!(stats.skipped, works.len() as u64 - busy);
-        prop_assert_eq!(stats.turns, works.iter().sum::<u64>());
+        prop_assert_eq!(stats.turns, stats.scheduled);
         for (i, (c, &w)) in out.iter().zip(&works).enumerate() {
             prop_assert_eq!(c.work, 0, "slot {} not drained", i);
-            prop_assert_eq!(c.stepped, w, "slot {} stepped a wrong number of times", i);
-            prop_assert_eq!(stats.per_slot_turns[i], w);
+            prop_assert_eq!(c.stepped, u64::from(w > 0), "slot {} stepped a wrong number of times", i);
         }
     }
 
-    /// The full observable surface — results, per-slot turn counts, drain
-    /// stats — is identical at every worker count.
+    /// The full observable surface — results and drain stats — is
+    /// identical at every worker count.
     #[test]
     fn drains_are_identical_across_thread_counts(
         works in proptest::collection::vec(0u64..8, 1..32),
@@ -122,41 +115,32 @@ proptest! {
     }
 }
 
-/// `Running` is exclusive: with many workers and yielding slots, no slot
-/// is ever stepped by two workers at once (the entry/exit flag would
-/// trip), and re-enqueued slots keep draining to completion.
+/// Each of 24 slots is stepped exactly once under 8 workers: never by two
+/// workers at once (the entry/exit flag would trip), never twice (the
+/// per-slot count would exceed one), never skipped.
 #[test]
-fn no_slot_runs_twice_concurrently_under_yields() {
+fn each_slot_steps_exactly_once_under_eight_workers() {
     const SLOTS: usize = 24;
-    const TURNS_PER_SLOT: u64 = 16;
     let in_step: Vec<AtomicBool> = (0..SLOTS).map(|_| AtomicBool::new(false)).collect();
     let total_steps = Arc::new(AtomicU64::new(0));
     let counted = Arc::clone(&total_steps);
-    let slots: Vec<u64> = vec![TURNS_PER_SLOT; SLOTS];
     let (out, stats) = WorkScheduler::new(SchedulerConfig::new(8))
         .drain(
-            slots,
-            |&remaining| remaining > 0,
-            move |i, remaining| {
+            vec![0u64; SLOTS],
+            |_| true,
+            move |i, stepped| {
                 let was = in_step[i].swap(true, Ordering::SeqCst);
                 assert!(!was, "slot {i} entered by two workers at once");
                 counted.fetch_add(1, Ordering::SeqCst);
-                *remaining -= 1;
+                *stepped += 1;
                 in_step[i].store(false, Ordering::SeqCst);
-                Ok::<_, std::convert::Infallible>(if *remaining == 0 {
-                    Turn::Done
-                } else {
-                    Turn::Yield
-                })
+                Ok::<_, std::convert::Infallible>(Turn::Done)
             },
         )
         .expect("infallible drain");
-    assert!(out.iter().all(|&r| r == 0), "every slot drained");
-    assert_eq!(
-        total_steps.load(Ordering::SeqCst),
-        SLOTS as u64 * TURNS_PER_SLOT
-    );
-    assert_eq!(stats.turns, SLOTS as u64 * TURNS_PER_SLOT);
+    assert_eq!(out, vec![1; SLOTS], "every slot stepped exactly once");
+    assert_eq!(total_steps.load(Ordering::SeqCst), SLOTS as u64);
+    assert_eq!(stats.turns, SLOTS as u64);
     assert_eq!(stats.scheduled, SLOTS as u64);
     assert_eq!(stats.skipped, 0);
 }
@@ -195,27 +179,22 @@ fn panicking_step_propagates_instead_of_hanging_the_pool() {
 
 /// The draining thread is the pool's last worker: with one admitted slot
 /// of several the pool is one worker wide, which is the caller itself —
-/// every turn runs on the calling `ThreadId`, nothing is spawned — and
-/// the stats are the ones every other thread count reports.
+/// the step runs on the calling `ThreadId`, nothing is spawned — and the
+/// stats are the ones every other thread count reports.
 #[test]
 fn single_admitted_slot_runs_on_the_calling_thread() {
-    let run = |threads: usize| -> (Vec<(u64, Vec<ThreadId>)>, DrainStats) {
-        let slots: Vec<(u64, Vec<ThreadId>)> = [0u64, 0, 3, 0, 0]
+    let run = |threads: usize| -> (Vec<(bool, Vec<ThreadId>)>, DrainStats) {
+        let slots: Vec<(bool, Vec<ThreadId>)> = [false, false, true, false, false]
             .iter()
-            .map(|&w| (w, Vec::new()))
+            .map(|&busy| (busy, Vec::new()))
             .collect();
         WorkScheduler::new(SchedulerConfig::new(threads))
             .drain(
                 slots,
-                |(work, _)| *work > 0,
-                |_, (work, ran_on)| {
+                |(busy, _)| *busy,
+                |_, (_, ran_on)| {
                     ran_on.push(std::thread::current().id());
-                    *work -= 1;
-                    Ok::<_, std::convert::Infallible>(if *work == 0 {
-                        Turn::Done
-                    } else {
-                        Turn::Yield
-                    })
+                    Ok::<_, std::convert::Infallible>(Turn::Done)
                 },
             )
             .expect("infallible drain")
@@ -224,8 +203,10 @@ fn single_admitted_slot_runs_on_the_calling_thread() {
     let sequential = run(1);
     assert_eq!(sequential.1.scheduled, 1);
     assert_eq!(sequential.1.skipped, 4);
-    assert_eq!(sequential.1.per_slot_turns, vec![0, 0, 3, 0, 0]);
-    assert_eq!(sequential.0[2].1, vec![me; 3]);
+    assert_eq!(sequential.1.turns, 1);
+    let steps: Vec<usize> = sequential.0.iter().map(|(_, ran)| ran.len()).collect();
+    assert_eq!(steps, [0, 0, 1, 0, 0]);
+    assert_eq!(sequential.0[2].1, vec![me]);
     for threads in [2usize, 4, 0] {
         // Equal slots means equal `ThreadId`s: every pooled turn ran here.
         assert_eq!(run(threads), sequential, "threads={threads}");
@@ -246,7 +227,7 @@ fn within_30s<R: Send + 'static>(what: &str, f: impl FnOnce() -> R + Send + 'sta
 }
 
 /// Holds a step until `parties` steps of one drain are inside it at once.
-/// `Running` is exclusive per slot and a thread runs one step at a time,
+/// Each slot is claimed once and a thread runs one step at a time,
 /// so this returns only when that many distinct threads work the drain.
 fn rendezvous(inside: &AtomicUsize, parties: usize) {
     inside.fetch_add(1, Ordering::SeqCst);
@@ -375,9 +356,9 @@ fn nested_and_concurrent_drains_match_sequential() {
 }
 
 /// A helper that picks its ticket up after the drain is over must step
-/// nothing: sixteen one-turn slots invite fifteen helpers, most of which
-/// arrive late or never. Every slot is stepped exactly `work` times —
-/// `Counter::work` would underflow on a second step — drain after drain.
+/// nothing: sixteen slots invite fifteen helpers, most of which arrive
+/// late or never. Every slot is stepped exactly once — `Counter::stepped`
+/// would read 2 after a second step — drain after drain.
 #[test]
 fn late_helpers_step_nothing() {
     let works = vec![1u64; 16];

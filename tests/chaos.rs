@@ -103,11 +103,10 @@ fn all_twelve_golden_jsons_regenerate_byte_identically() {
     }
 }
 
-/// A partition-mid-epoch plan through the lifecycle scheduler: the run —
+/// A partition-mid-epoch plan through the shard scheduler: the run —
 /// including the fault accounting — is bit-identical at 1 worker, 4
-/// workers and one-per-core, with a small per-turn event budget forcing
-/// every shard through the `Running → Pending → Running` re-enqueue path.
-/// Worker scheduling order must never leak into results.
+/// workers and one-per-core. Worker scheduling order must never leak into
+/// results.
 #[test]
 fn partitioned_runs_are_identical_across_scheduler_configs() {
     let specs: Vec<ShardSpec> = (0..6u32)
@@ -138,8 +137,8 @@ fn partitioned_runs_are_identical_across_scheduler_configs() {
         run_with_faults(&specs, &Traffic::default(), &cfg, &plan).expect("valid faulted run")
     };
     let sequential = run_at(SchedulerConfig::sequential());
-    let pooled = run_at(SchedulerConfig::new(4).with_turn_events(4));
-    let per_core = run_at(SchedulerConfig::per_core().with_turn_events(4));
+    let pooled = run_at(SchedulerConfig::new(4));
+    let per_core = run_at(SchedulerConfig::per_core());
     assert_eq!(
         sequential.run.fingerprint(),
         pooled.run.fingerprint(),

@@ -112,7 +112,7 @@ fn battery(threads: usize) -> Vec<(&'static str, String)> {
         .merging(40)
         .total_miners(24)
         .empty_block_window(SimTime::from_secs(212))
-        .conflict_window(SimTime::from_secs(30))
+        .propagation(PropagationModel::Window(SimTime::from_secs(30)))
         .build()
         .expect("valid config")
         .run(&workload(150, 11, 16))
