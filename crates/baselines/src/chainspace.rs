@@ -566,7 +566,7 @@ mod tests {
         };
         let fees = w.fees();
         let outcome = Runtime::builder()
-            .threads(threads)
+            .scheduler(cshard_runtime::SchedulerConfig::new(threads))
             .comm_stats(CommStats::new())
             .run(p.drivers(&fees, &cfg, LatencyModel::wide_area()))
             .expect("well-formed drivers");

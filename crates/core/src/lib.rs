@@ -54,8 +54,8 @@ pub use epoch::{EpochManager, EpochOutcome};
 pub use formation::ShardPlan;
 pub use longrun::{LongRun, LongRunConfig};
 pub use pipeline::{
-    EpochInput, EpochPipeline, EpochRun, MergeSummary, PipelineConfig, PipelineMetrics,
-    PlacementStage, StageKind, StageObserver, StageOutput,
+    EpochInput, EpochPipeline, EpochRun, MergeSummary, PipelineConfig, PlacementStage, StageKind,
+    StageObserver, StageOutput,
 };
 pub use system::{MinerAllocation, ShardingSystem, SystemBuilder, SystemConfig, SystemReport};
 
@@ -72,8 +72,8 @@ pub mod prelude {
     pub use crate::formation::ShardPlan;
     pub use crate::longrun::{LongRun, LongRunConfig};
     pub use crate::pipeline::{
-        EpochInput, EpochPipeline, EpochRun, PipelineConfig, PipelineMetrics, PlacementStage,
-        StageKind, StageObserver, StageOutput,
+        EpochInput, EpochPipeline, EpochRun, PipelineConfig, PlacementStage, StageKind,
+        StageObserver, StageOutput,
     };
     pub use crate::system::{MinerAllocation, ShardingSystem, SystemConfig, SystemReport};
     pub use crate::{simulate, simulate_ethereum, throughput_improvement, MinerAssignment};

@@ -12,7 +12,7 @@
 //! drift.
 
 use crate::epoch::EpochManager;
-use crate::pipeline::{EpochInput, EpochPipeline, PipelineConfig, PipelineMetrics};
+use crate::pipeline::{EpochInput, EpochPipeline, PipelineConfig, SilentObserver, StageObserver};
 use crate::system::MinerAllocation;
 use cshard_games::MergingConfig;
 use cshard_ledger::Transaction;
@@ -115,11 +115,6 @@ impl LongRun {
         &self.reports
     }
 
-    /// Cumulative per-stage pipeline counters across every epoch run.
-    pub fn pipeline_metrics(&self) -> &PipelineMetrics {
-        self.pipeline.metrics()
-    }
-
     /// Drives one epoch over `batch` (the epoch's injected transactions
     /// with their fees) and records its report.
     ///
@@ -128,6 +123,15 @@ impl LongRun {
     /// `warm_start: true`), merge-game misuse, or when the epoch's
     /// simulation run is rejected — the long run never panics on input.
     pub fn run_epoch(&mut self, batch: &[Transaction]) -> Result<EpochReport, Error> {
+        self.epoch(batch, &mut SilentObserver)
+    }
+
+    /// [`LongRun::run_epoch`], handing every stage's counts to `observer`.
+    fn epoch(
+        &mut self,
+        batch: &[Transaction],
+        observer: &mut dyn StageObserver,
+    ) -> Result<EpochReport, Error> {
         let Some(epochs) = self.epochs.as_mut() else {
             return Err(Error::Config {
                 field: "miners",
@@ -149,12 +153,15 @@ impl LongRun {
             seed: self.config.runtime.seed ^ epoch.wrapping_mul(0x9E37_79B9),
             ..self.config.runtime.clone()
         };
-        let out = self.pipeline.run_epoch(EpochInput {
-            transactions: batch,
-            fees: &fees,
-            randomness: game_randomness(epoch),
-            runtime: runtime.clone(),
-        })?;
+        let out = self.pipeline.run_epoch_observed(
+            EpochInput {
+                transactions: batch,
+                fees: &fees,
+                randomness: game_randomness(epoch),
+                runtime: runtime.clone(),
+            },
+            observer,
+        )?;
         let ethereum = simulate_ethereum(fees, 1, &runtime)?;
 
         let report = EpochReport {
@@ -191,10 +198,22 @@ impl LongRun {
         stream: impl Iterator<Item = (SimTime, Transaction)>,
         epoch_interval: SimTime,
     ) -> Result<Vec<EpochReport>, Error> {
+        self.run_stream_observed(stream, epoch_interval, &mut SilentObserver)
+    }
+
+    /// [`LongRun::run_stream`], bracketing every stage of every epoch with
+    /// the caller's observer — how a harness times or counts the stages
+    /// of a long run.
+    pub fn run_stream_observed(
+        &mut self,
+        stream: impl Iterator<Item = (SimTime, Transaction)>,
+        epoch_interval: SimTime,
+        observer: &mut dyn StageObserver,
+    ) -> Result<Vec<EpochReport>, Error> {
         let mut reports = Vec::new();
         for sealed in EpochBatches::new(stream, epoch_interval) {
             let (_sim_epoch, batch) = sealed?;
-            reports.push(self.run_epoch(&batch)?);
+            reports.push(self.epoch(&batch, observer)?);
         }
         Ok(reports)
     }
@@ -230,7 +249,6 @@ mod tests {
         }
         assert_eq!(lr.reports().len(), 4);
         assert!(lr.mean_improvement() > 1.5);
-        assert_eq!(lr.pipeline_metrics().epochs, 4);
     }
 
     #[test]
@@ -378,19 +396,18 @@ mod tests {
             merging: None,
             ..LongRunConfig::default()
         });
+        let mut sums = crate::pipeline::StageSums::default();
         let reports = lr
-            .run_stream(stream, SimTime::from_secs(60))
+            .run_stream_observed(stream, SimTime::from_secs(60), &mut sums)
             .expect("valid stream");
         assert!(reports.len() >= 2, "expected several epochs");
-        let c = lr
-            .pipeline_metrics()
-            .stage(crate::pipeline::StageKind::Classify);
+        let c = sums.totals[crate::pipeline::StageKind::Classify as usize];
         assert!(
-            c.totals.carried > c.totals.reclassified,
+            c.carried > c.reclassified,
             "repeat-sender traffic must be carried, not reclassified: \
              carried={} reclassified={}",
-            c.totals.carried,
-            c.totals.reclassified
+            c.carried,
+            c.reclassified
         );
     }
 

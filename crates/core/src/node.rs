@@ -14,7 +14,6 @@
 //! Examples and integration tests drive networks of these nodes.
 
 use crate::assignment::MinerAssignment;
-use cshard_consensus::pow;
 use cshard_crypto::{Vrf, VrfPublicKey};
 use cshard_ledger::{Block, CallGraph, Chain, LedgerError, Mempool, State, Transaction};
 use cshard_primitives::{MinerId, ShardId, SimTime};
@@ -175,7 +174,7 @@ impl Node {
             self.difficulty_bits,
             chosen,
         );
-        if pow::mine(&mut block).is_none() {
+        if block.header.mine().is_none() {
             return Err(NodeError::PowExhausted {
                 difficulty_bits: self.difficulty_bits,
             });
@@ -368,7 +367,7 @@ mod tests {
             .expect("test-scale difficulty");
         let victim_shard = net.nodes[1].shard();
         block.header.shard = victim_shard;
-        pow::mine(&mut block); // re-grind after tampering
+        block.header.mine(); // re-grind after tampering
         let err = net.nodes[1].receive_block(block).unwrap_err();
         assert_eq!(
             err,
@@ -386,7 +385,7 @@ mod tests {
             .mine_block(SimTime::from_secs(60))
             .expect("test-scale difficulty");
         block.header.miner = MinerId::new(99);
-        pow::mine(&mut block);
+        block.header.mine();
         assert_eq!(
             net.nodes[0].receive_block(block).unwrap_err(),
             NodeError::UnknownPacker(MinerId::new(99))
@@ -412,7 +411,7 @@ mod tests {
             .mine_block(SimTime::from_secs(60))
             .expect("test-scale difficulty");
         block.header.height = 5; // breaks linkage
-        pow::mine(&mut block);
+        block.header.mine();
         assert!(matches!(
             net.nodes[0].receive_block(block).unwrap_err(),
             NodeError::Ledger(LedgerError::BadHeight { .. })

@@ -35,11 +35,10 @@
 //! groups, the placement engine's traffic counters); `form` and `unify`
 //! keep none and are functions.
 //!
-//! Instrumentation is split per the determinism contract: iteration and
-//! item *counts* (sim-clock-free) accumulate in [`PipelineMetrics`] inside
-//! this crate; wall-clock timing belongs to the caller via
-//! [`StageObserver`] (the bench harness times stages with host clocks —
-//! rule ND001 keeps such reads out of protocol crates).
+//! Instrumentation has one channel, [`StageObserver`]: each stage hands
+//! its sim-clock-free counts ([`StageOutput`]) to the caller's observer,
+//! which sums or times them as it likes (the bench harness times stages
+//! with host clocks — rule ND001 keeps such reads out of protocol crates).
 
 pub mod classify;
 pub mod merge;
@@ -146,40 +145,10 @@ impl std::ops::AddAssign for StageOutput {
     }
 }
 
-/// Cumulative per-stage counters across a pipeline's lifetime.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StageCounters {
-    /// Epochs this stage ran in.
-    pub runs: u64,
-    /// Field-wise sum of the stage's per-epoch [`StageOutput`]s.
-    pub totals: StageOutput,
-}
-
-/// Iteration accounting for a whole pipeline, surfaced in
-/// [`crate::system::SystemReport`]. Deliberately *not* part of any golden
-/// fingerprint: counters describe the work done, not the outcome.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PipelineMetrics {
-    /// Epochs completed end to end.
-    pub epochs: u64,
-    counters: [StageCounters; 6],
-}
-
-impl PipelineMetrics {
-    /// The cumulative counters of one stage.
-    pub fn stage(&self, kind: StageKind) -> &StageCounters {
-        &self.counters[kind as usize]
-    }
-
-    /// Total game-dynamics iterations across all stages and epochs.
-    pub fn total_iterations(&self) -> u64 {
-        self.counters.iter().map(|c| c.totals.iterations).sum()
-    }
-}
-
-/// Caller-side stage hooks. The pipeline itself never reads a clock
-/// (ND001); a harness that wants per-stage wall time implements this and
-/// brackets each stage with its own clock reads.
+/// Caller-side stage hooks — the one place stage counts surface. The
+/// pipeline itself never reads a clock (ND001) nor keeps a running sum; a
+/// harness that wants per-stage wall time or cumulative counts implements
+/// this and brackets each stage with its own clock reads.
 pub trait StageObserver {
     /// Called immediately before a stage runs.
     fn stage_started(&mut self, _stage: StageKind) {}
@@ -188,7 +157,7 @@ pub trait StageObserver {
 }
 
 /// The do-nothing observer [`EpochPipeline::run_epoch`] uses.
-struct SilentObserver;
+pub(crate) struct SilentObserver;
 impl StageObserver for SilentObserver {}
 
 /// Static pipeline configuration: which optional stages engage.
@@ -292,7 +261,6 @@ pub struct EpochPipeline {
     merge: MergeStage,
     select: SelectStage,
     place: PlacementStage,
-    metrics: PipelineMetrics,
 }
 
 impl EpochPipeline {
@@ -304,13 +272,7 @@ impl EpochPipeline {
             merge: MergeStage::new(config.merging, config.placement.enabled),
             select: SelectStage::new(config.allocation, config.selection),
             place: PlacementStage::new(config.placement),
-            metrics: PipelineMetrics::default(),
         }
-    }
-
-    /// Cumulative per-stage counters since construction.
-    pub fn metrics(&self) -> &PipelineMetrics {
-        &self.metrics
     }
 
     /// Runs one epoch through all six stages.
@@ -350,27 +312,21 @@ impl EpochPipeline {
         }
 
         let comm = CommStats::new();
-        let metrics = &mut self.metrics;
-        let plan = observed(StageKind::Classify, metrics, observer, || {
+        let plan = observed(StageKind::Classify, observer, || {
             Ok(self.classify.run(transactions))
         })?;
-        let mut groups = observed(StageKind::Form, metrics, observer, || {
-            Ok(counted(form(&plan, fees)))
-        })?;
-        let merge = observed(StageKind::Merge, metrics, observer, || {
+        let mut groups = observed(StageKind::Form, observer, || Ok(counted(form(&plan, fees))))?;
+        let merge = observed(StageKind::Merge, observer, || {
             self.merge.run(&mut groups, randomness, &comm)
         })?;
         let shard_sizes = groups.iter().map(|(s, q)| (*s, q.len() as u64)).collect();
-        let specs = observed(StageKind::Select, metrics, observer, || {
+        let specs = observed(StageKind::Select, observer, || {
             self.select.run(groups).map(counted)
         })?;
-        let run = observed(StageKind::Unify, metrics, observer, || {
-            unify(&specs, &runtime)
-        })?;
-        let migrations = observed(StageKind::Place, metrics, observer, || {
+        let run = observed(StageKind::Unify, observer, || unify(&specs, &runtime))?;
+        let migrations = observed(StageKind::Place, observer, || {
             Ok(self.place.run(transactions, &plan))
         })?;
-        metrics.epochs += 1;
         // Feed the epoch's migrations back into the classifier so the
         // moves take effect from the next epoch on.
         self.classify.apply_migrations(&migrations);
@@ -385,21 +341,35 @@ impl EpochPipeline {
     }
 }
 
-/// Brackets one stage call with the observer's hooks and books the
-/// stage's counters.
+/// Brackets one stage call with the observer's hooks.
 fn observed<T>(
     kind: StageKind,
-    metrics: &mut PipelineMetrics,
     observer: &mut dyn StageObserver,
     stage: impl FnOnce() -> Result<(T, StageOutput), Error>,
 ) -> Result<T, Error> {
     observer.stage_started(kind);
     let (product, out) = stage()?;
-    let counters = &mut metrics.counters[kind as usize];
-    counters.runs += 1;
-    counters.totals += out;
     observer.stage_finished(kind, &out);
     Ok(product)
+}
+
+/// Test observer: per stage, the runs started and the field-wise sum of
+/// the outputs handed over.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct StageSums {
+    pub(crate) started: [u64; 6],
+    pub(crate) totals: [StageOutput; 6],
+}
+
+#[cfg(test)]
+impl StageObserver for StageSums {
+    fn stage_started(&mut self, stage: StageKind) {
+        self.started[stage as usize] += 1;
+    }
+    fn stage_finished(&mut self, stage: StageKind, output: &StageOutput) {
+        self.totals[stage as usize] += *output;
+    }
 }
 
 #[cfg(test)]
@@ -449,20 +419,17 @@ mod tests {
         let w = Workload::uniform_contracts(120, 4, FEES, 7);
         let fees = w.fees();
         let mut pipeline = EpochPipeline::new(PipelineConfig::default());
+        let mut sums = StageSums::default();
         for _ in 0..3 {
             pipeline
-                .run_epoch(input_for(&w, &fees, 7))
+                .run_epoch_observed(input_for(&w, &fees, 7), &mut sums)
                 .expect("valid config");
         }
-        let m = pipeline.metrics();
-        assert_eq!(m.epochs, 3);
-        for kind in StageKind::ALL {
-            assert_eq!(m.stage(kind).runs, 3, "{} runs", kind.name());
-        }
+        assert_eq!(sums.started, [3; 6]);
         // 4 contract shards + MaxShard, every epoch.
-        assert_eq!(m.stage(StageKind::Form).totals.items, 15);
+        assert_eq!(sums.totals[StageKind::Form as usize].items, 15);
         // No games configured: zero dynamics iterations.
-        assert_eq!(m.total_iterations(), 0);
+        assert!(sums.totals.iter().all(|t| t.iterations == 0));
     }
 
     #[test]
@@ -498,7 +465,8 @@ mod tests {
         let mut pipeline = EpochPipeline::new(PipelineConfig::default());
         let mut input = input_for(&w, &fees, 4);
         input.runtime.block_capacity = 0;
-        let err = pipeline.run_epoch(input).unwrap_err();
+        let mut sums = StageSums::default();
+        let err = pipeline.run_epoch_observed(input, &mut sums).unwrap_err();
         assert!(matches!(
             err,
             Error::Config {
@@ -506,7 +474,7 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(pipeline.metrics().epochs, 0);
+        assert_eq!(sums.started, [0; 6], "no stage may start");
     }
 
     #[test]
@@ -517,7 +485,10 @@ mod tests {
             warm_start: true,
             ..PipelineConfig::default()
         });
-        let err = pipeline.run_epoch(input_for(&w, &fees, 4)).unwrap_err();
+        let mut sums = StageSums::default();
+        let err = pipeline
+            .run_epoch_observed(input_for(&w, &fees, 4), &mut sums)
+            .unwrap_err();
         assert!(matches!(
             err,
             Error::Config {
@@ -525,6 +496,6 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(pipeline.metrics().epochs, 0);
+        assert_eq!(sums.started, [0; 6], "no stage may start");
     }
 }

@@ -23,7 +23,7 @@
 //! the stages themselves live in [`crate::pipeline`], and the fluent
 //! builder in [`crate::builder`].
 
-use crate::pipeline::{EpochInput, EpochPipeline, PipelineConfig, PipelineMetrics};
+use crate::pipeline::{EpochInput, EpochPipeline, PipelineConfig};
 use cshard_crypto::sha256;
 use cshard_games::MergingConfig;
 use cshard_network::CommStats;
@@ -100,9 +100,6 @@ pub struct SystemReport {
     /// Cross-shard communication incurred (validation is always zero for
     /// the contract-centric design; merging contributes 2 per small shard).
     pub comm: CommStats,
-    /// Per-stage pipeline counters (items, game iterations, scheduler
-    /// tasks, carried classifications). Diagnostics only — never part of a golden fingerprint.
-    pub pipeline: PipelineMetrics,
 }
 
 /// The contract-centric sharding system.
@@ -181,7 +178,6 @@ impl ShardingSystem {
             shard_sizes: out.shard_sizes,
             merge: out.merge,
             comm: out.comm,
-            pipeline: pipeline.metrics().clone(),
         })
     }
 }

@@ -29,7 +29,6 @@
 
 pub mod dynamics;
 pub mod merging;
-pub mod rewards;
 pub mod selection;
 pub mod unification;
 
@@ -39,7 +38,6 @@ pub use dynamics::{
 pub use merging::{
     iterative_merge, one_shot_merge, IterativeMergeOutcome, MergingConfig, OneShotOutcome,
 };
-pub use rewards::{apply_shard_rewards, Payout};
 pub use selection::{
     best_reply_equilibrium, greedy_assignment, potential, SelectionConfig, SelectionOutcome,
 };

@@ -10,6 +10,12 @@ use crate::transaction::Transaction;
 use cshard_crypto::Sha256;
 use cshard_primitives::{BlockHeight, Hash32, MinerId, ShardId, SimTime};
 
+/// Upper bound on nonce trials before [`BlockHeader::mine`] gives up. At
+/// the toy difficulties used in examples/tests (≤ 20 bits) the expected
+/// search is ≤ ~10⁶ trials, far under this bound; hitting it indicates a
+/// misconfigured difficulty rather than bad luck.
+pub const MAX_POW_ITERATIONS: u64 = 1 << 28;
+
 /// A block header.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BlockHeader {
@@ -51,6 +57,22 @@ impl BlockHeader {
     pub fn has_valid_pow(&self) -> bool {
         self.hash().meets_difficulty(self.difficulty_bits)
     }
+
+    /// Real Proof-of-Work: searches for a nonce making the hash meet the
+    /// header's own `difficulty_bits`, starting from the current
+    /// `pow_nonce` (so an interrupted search resumes). Returns the winning
+    /// hash, or `None` once [`MAX_POW_ITERATIONS`] trials are exhausted.
+    pub fn mine(&mut self) -> Option<Hash32> {
+        let start = self.pow_nonce;
+        for trial in 0..MAX_POW_ITERATIONS {
+            self.pow_nonce = start.wrapping_add(trial);
+            let h = self.hash();
+            if h.meets_difficulty(self.difficulty_bits) {
+                return Some(h);
+            }
+        }
+        None
+    }
 }
 
 /// A block: header plus the confirmed transactions.
@@ -65,8 +87,8 @@ pub struct Block {
 impl Block {
     /// Assembles a block, computing the transaction Merkle root.
     ///
-    /// The PoW nonce starts at zero; the consensus crate's miner searches
-    /// for a satisfying nonce. `difficulty_bits = 0` makes any nonce valid,
+    /// The PoW nonce starts at zero; [`BlockHeader::mine`] searches for a
+    /// satisfying nonce. `difficulty_bits = 0` makes any nonce valid,
     /// which is what the pure-simulation paths use.
     #[allow(clippy::too_many_arguments)]
     pub fn assemble(
@@ -196,5 +218,63 @@ mod tests {
         b.header.difficulty_bits = 20;
         // Overwhelmingly unlikely that nonce 0 already meets 20 bits.
         assert!(!b.header.has_valid_pow());
+    }
+
+    fn header(bits: u32) -> BlockHeader {
+        let mut b = block(vec![tx(5)]);
+        b.header.difficulty_bits = bits;
+        b.header
+    }
+
+    #[test]
+    fn mines_at_moderate_difficulty() {
+        let mut h = header(12);
+        let won = h.mine().expect("12 bits is quick");
+        assert!(won.meets_difficulty(12));
+        assert_eq!(won, h.hash());
+        assert!(h.has_valid_pow());
+    }
+
+    #[test]
+    fn zero_difficulty_succeeds_immediately() {
+        let mut h = header(0);
+        assert!(h.mine().is_some());
+        assert_eq!(h.pow_nonce, 0, "first nonce already valid");
+    }
+
+    #[test]
+    fn tampering_invalidates_pow() {
+        let mut h = header(12);
+        h.mine().unwrap();
+        h.timestamp = SimTime::from_secs(61);
+        // Overwhelmingly likely the tampered hash fails 12 bits.
+        assert!(!h.has_valid_pow());
+    }
+
+    #[test]
+    fn search_resumes_from_current_nonce() {
+        let mut h = header(10);
+        h.mine().unwrap();
+        let won = h.pow_nonce;
+        // Restarting from the winning nonce finds it with zero extra work.
+        assert!(h.mine().is_some());
+        assert_eq!(h.pow_nonce, won);
+    }
+
+    #[test]
+    fn difficulty_increases_search_effort_statistically() {
+        // Summed winning nonces over 8 headers: expectations are 16 vs
+        // 4096 trials per header, so the order is all but certain.
+        let total_nonce = |bits: u32| -> u64 {
+            (0..8u64)
+                .map(|i| {
+                    let mut h = header(bits);
+                    h.timestamp = SimTime::from_secs(i);
+                    h.mine().unwrap();
+                    h.pow_nonce
+                })
+                .sum()
+        };
+        assert!(total_nonce(4) < total_nonce(12));
     }
 }

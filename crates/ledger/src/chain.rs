@@ -79,19 +79,22 @@ impl Chain {
     /// extends the longest chain (ties keep the current tip — first seen
     /// wins, the standard rule).
     ///
-    /// Checks, in order: duplicate, shard id, parent known, height, PoW,
-    /// Merkle root, and full transaction validity against the parent state.
+    /// Checks, in order: duplicate, shard id, parent known, height,
+    /// difficulty claim, PoW, Merkle root, and full transaction validity
+    /// against the parent state. A rejected block leaves the chain as it
+    /// was.
     pub fn accept_block(&mut self, block: Block) -> Result<(), LedgerError> {
         let hash = block.hash();
         if self.blocks.contains_key(&hash) {
             return Err(LedgerError::DuplicateBlock(hash));
         }
-        // A block for another shard is simply not ours to record; the outer
-        // node logic filters those, so reaching here with one is an error.
-        assert_eq!(
-            block.header.shard, self.shard,
-            "block routed to the wrong shard's chain"
-        );
+        // A block for another shard is simply not ours to record.
+        if block.header.shard != self.shard {
+            return Err(LedgerError::WrongShard {
+                got: block.header.shard,
+                expected: self.shard,
+            });
+        }
         let parent = block.header.parent;
         let parent_height = *self
             .heights
@@ -104,10 +107,16 @@ impl Chain {
                 expected,
             });
         }
-        if !block.hash().meets_difficulty(self.difficulty_bits) {
+        if block.header.difficulty_bits != self.difficulty_bits {
+            return Err(LedgerError::WrongDifficulty {
+                got: block.header.difficulty_bits,
+                expected: self.difficulty_bits,
+            });
+        }
+        if !hash.meets_difficulty(self.difficulty_bits) {
             return Err(LedgerError::InsufficientWork {
                 required_bits: self.difficulty_bits,
-                got_bits: block.hash().leading_zero_bits(),
+                got_bits: hash.leading_zero_bits(),
             });
         }
         // State transition: apply onto the parent's state.
@@ -288,7 +297,8 @@ mod tests {
     #[test]
     fn pow_difficulty_is_enforced() {
         let mut c = Chain::new(ShardId::new(0), 16, genesis_state());
-        let b = make_block(Hash32::ZERO, 1, 0, vec![]);
+        let mut b = make_block(Hash32::ZERO, 1, 0, vec![]);
+        b.header.difficulty_bits = 16;
         // Nonce 0 almost surely fails 16 bits.
         assert!(matches!(
             c.accept_block(b).unwrap_err(),
@@ -297,6 +307,37 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn foreign_shard_and_wrong_difficulty_claim_are_typed_errors() {
+        let mut c = Chain::new(ShardId::new(0), 8, genesis_state());
+        let mut foreign = make_block(Hash32::ZERO, 1, 0, vec![]);
+        foreign.header.shard = ShardId::new(3);
+        foreign.header.difficulty_bits = 8;
+        foreign.header.mine().unwrap();
+        assert_eq!(
+            c.accept_block(foreign).unwrap_err(),
+            LedgerError::WrongShard {
+                got: ShardId::new(3),
+                expected: ShardId::new(0)
+            }
+        );
+        // A 4-bit claim is rejected even when the hash also meets the
+        // chain's 8 bits: a header may not under-claim its difficulty.
+        let mut under = make_block(Hash32::ZERO, 1, 0, vec![]);
+        under.header.difficulty_bits = 4;
+        while !under.header.mine().unwrap().meets_difficulty(8) {
+            under.header.pow_nonce += 1;
+        }
+        assert_eq!(
+            c.accept_block(under).unwrap_err(),
+            LedgerError::WrongDifficulty {
+                got: 4,
+                expected: 8
+            }
+        );
+        assert_eq!((c.height(), c.block_count()), (0, 0));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Ledger error types.
 
-use cshard_primitives::{Address, Amount, BlockHeight, ContractId, Hash32, Nonce};
+use cshard_primitives::{Address, Amount, BlockHeight, ContractId, Hash32, Nonce, ShardId};
 use std::fmt;
 
 /// Everything that can go wrong when validating transactions or blocks.
@@ -39,6 +39,21 @@ pub enum LedgerError {
     /// The value would be transferred to a contract account directly, which
     /// this model does not allow (contracts hold no balance).
     TransferToContract(Address),
+    /// The block's header names another shard than the chain's own.
+    WrongShard {
+        /// Shard the header named.
+        got: ShardId,
+        /// The chain's shard.
+        expected: ShardId,
+    },
+    /// The header's difficulty claim differs from the chain's requirement
+    /// (a header may not under-claim the work it needs).
+    WrongDifficulty {
+        /// Leading zero bits the header claimed.
+        got: u32,
+        /// Leading zero bits the chain requires.
+        expected: u32,
+    },
     /// The block's parent hash is not known to this chain.
     UnknownParent(Hash32),
     /// The block's height is not parent height + 1.
@@ -92,6 +107,13 @@ impl fmt::Display for LedgerError {
             LedgerError::TransferToContract(a) => {
                 write!(f, "direct value transfer to contract account {a:?}")
             }
+            LedgerError::WrongShard { got, expected } => {
+                write!(f, "block for {got} on {expected}'s chain")
+            }
+            LedgerError::WrongDifficulty { got, expected } => write!(
+                f,
+                "header claims {got} difficulty bits, chain requires {expected}"
+            ),
             LedgerError::UnknownParent(h) => write!(f, "unknown parent block {h}"),
             LedgerError::BadHeight { got, expected } => {
                 write!(f, "bad block height: got {got}, expected {expected}")

@@ -15,7 +15,8 @@
 //! * [`transaction`] — contract calls, direct user-to-user transfers and
 //!   multi-input transactions (the 3-input workload of Fig. 4(b)).
 //! * [`merkle`] / [`block`] — transaction Merkle roots and blocks whose
-//!   headers carry the packer's `ShardId` (Sec. III-C).
+//!   headers carry the packer's `ShardId` (Sec. III-C), mined by a real
+//!   SHA-256 nonce search.
 //! * [`chain`] — per-shard ledgers with longest-chain fork choice.
 //! * [`mempool`] — the unvalidated-transaction pool with fee-greedy
 //!   selection (the behaviour that serializes vanilla Ethereum, Sec. II-B).
@@ -38,7 +39,7 @@ pub mod state;
 pub mod transaction;
 
 pub use account::{Account, AccountKind};
-pub use block::{Block, BlockHeader};
+pub use block::{Block, BlockHeader, MAX_POW_ITERATIONS};
 pub use callgraph::{BatchChurn, CallGraph, SenderClass};
 pub use chain::Chain;
 pub use contract::{Condition, SmartContract};

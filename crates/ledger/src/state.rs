@@ -285,9 +285,7 @@ impl State {
         Ok(())
     }
 
-    /// Mints new value to an address — block rewards and the merging game's
-    /// shard reward (Sec. IV-A: "the shard reward is also transferred to
-    /// miners' accounts by the system").
+    /// Mints new value to an address — the block reward.
     pub fn mint(&mut self, to: Address, amount: Amount) {
         self.credit(to, amount);
         self.minted += amount;

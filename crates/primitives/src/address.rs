@@ -11,8 +11,8 @@ use std::fmt;
 pub struct Address(pub [u8; 20]);
 
 impl Address {
-    /// The zero address, conventionally "the system" (mints block rewards
-    /// and shard rewards).
+    /// The zero address, conventionally "the system" (mints block
+    /// rewards).
     pub const SYSTEM: Address = Address([0u8; 20]);
 
     /// Builds an address from raw bytes.

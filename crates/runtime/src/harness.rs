@@ -143,13 +143,6 @@ impl<'obs> RunBuilder<'obs> {
         self
     }
 
-    /// Shorthand for [`RunBuilder::scheduler`] with just a worker count
-    /// (`0` = one per core, `1` = inline/sequential).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
     /// Uses an existing communication counter, so callers can read the
     /// messaging a run emitted (Fig. 4(b)) or pool several runs. A fresh
     /// counter is created (and handed back in the outcome) otherwise.
@@ -433,7 +426,7 @@ mod tests {
         let mk = || vec![ticker(0, 5), ticker(1, 2), ticker(2, 9)];
         let seq = Runtime::builder().run(mk()).expect("well-formed");
         let par = Runtime::builder()
-            .threads(4)
+            .scheduler(SchedulerConfig::new(4))
             .run(mk())
             .expect("well-formed");
         assert_eq!(seq.report.fingerprint(), par.report.fingerprint());

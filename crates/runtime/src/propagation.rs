@@ -1,6 +1,6 @@
 //! How found blocks become visible to a shard's other miners.
 
-use cshard_network::{GossipNet, LatencyModel, PartitionModel};
+use cshard_network::{LatencyModel, PartitionModel};
 use cshard_primitives::SimTime;
 
 /// The block-propagation regime of a run.
@@ -60,13 +60,6 @@ impl PropagationModel {
     pub fn schedules_deliveries(&self) -> bool {
         !matches!(self, PropagationModel::Window(_))
     }
-
-    /// A window calibrated from a gossip overlay: the time a broadcast
-    /// needs to reach every node from `origin` (the ablation experiments
-    /// derive their sweep anchor this way).
-    pub fn from_gossip(net: &GossipNet, origin: usize, seed: u64) -> Self {
-        PropagationModel::Window(net.full_coverage_time(origin, seed))
-    }
 }
 
 #[cfg(test)]
@@ -119,15 +112,5 @@ mod tests {
             Some(SimTime::from_millis(5100))
         );
         assert_eq!(p.conflict_window(), SimTime::from_millis(100 + 4000),);
-    }
-
-    #[test]
-    fn gossip_anchor_is_a_window() {
-        let net = GossipNet::random(20, 3, LatencyModel::wide_area(), 7);
-        let p = PropagationModel::from_gossip(&net, 0, 1);
-        match p {
-            PropagationModel::Window(w) => assert!(w > SimTime::ZERO),
-            _ => panic!("expected a window"),
-        }
     }
 }

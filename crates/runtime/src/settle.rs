@@ -325,6 +325,7 @@ mod tests {
     use super::*;
     use crate::harness::{RunOutcome, Runtime};
     use cshard_settle::SettleConfig;
+    use cshard_sim::SchedulerConfig;
 
     fn spec(shard: u32, txs: usize) -> ShardSpec {
         ShardSpec::solo_greedy(ShardId::new(shard), (1..=txs as u64).collect())
@@ -372,7 +373,7 @@ mod tests {
     ) -> RunOutcome<SettlingShardDriver> {
         let drivers = vec![driver(&config(11, settle), transfers, Vec::new())];
         Runtime::builder()
-            .threads(threads)
+            .scheduler(SchedulerConfig::new(threads))
             .run(drivers)
             .expect("well-formed")
     }
@@ -385,7 +386,7 @@ mod tests {
     ) -> RunOutcome<SettlingShardDriver> {
         let cfg = config(23, SettleConfig::batched(100));
         Runtime::builder()
-            .threads(threads)
+            .scheduler(SchedulerConfig::new(threads))
             .run(vec![driver(&cfg, fan(30, 1), schedule)])
             .expect("well-formed")
     }

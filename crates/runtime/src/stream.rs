@@ -274,7 +274,7 @@ mod tests {
     use super::*;
     use crate::harness::Runtime;
     use cshard_network::CommStats;
-    use cshard_sim::EventQueue;
+    use cshard_sim::{EventQueue, SchedulerConfig};
     use std::cell::Cell;
 
     fn arrivals(ms: &[u64]) -> Vec<(SimTime, usize)> {
@@ -351,7 +351,7 @@ mod tests {
                 SimTime::from_millis(100),
             );
             Runtime::builder()
-                .threads(threads)
+                .scheduler(SchedulerConfig::new(threads))
                 .run(vec![driver])
                 .expect("well-formed")
                 .drivers

@@ -149,7 +149,7 @@ fn main() {
     // --- An adversary forges its shard id --------------------------------
     let mut forged = blocks[0].clone();
     forged.header.shard = ShardId::new(1);
-    contractshard::consensus::pow::mine(&mut forged).expect("regrind");
+    forged.header.mine().expect("regrind");
     match nodes[1].receive_block(forged) {
         Err(NodeError::ShardClaimMismatch { packer, claimed }) => println!(
             "forged block by {packer} claiming {claimed}: REJECTED \

@@ -47,8 +47,7 @@
 //! |---|---|
 //! | [`primitives`] | hashes, addresses, amounts, ids, simulated time |
 //! | [`crypto`] | SHA-256, PRF, simulated VRF, randomness beacon |
-//! | [`ledger`] | accounts, contracts, transactions, blocks, chains, mempool, call graph |
-//! | [`consensus`] | real PoW + the Poisson mining model |
+//! | [`ledger`] | accounts, contracts, transactions, blocks and their real SHA-256 PoW, chains, mempool, call graph |
 //! | [`network`] | latency model + cross-shard communication accounting |
 //! | [`sim`] | deterministic discrete-event engine + the shard-lifecycle work scheduler |
 //! | [`runtime`] | typed events, the `ProtocolDriver` trait, propagation models, the `Runtime::builder()` run harness |
@@ -63,7 +62,6 @@
 #![warn(missing_docs)]
 
 pub use cshard_baselines as baselines;
-pub use cshard_consensus as consensus;
 pub use cshard_core as core;
 pub use cshard_crypto as crypto;
 pub use cshard_faults as faults;
@@ -86,7 +84,7 @@ pub mod prelude {
         MinerAssignment, PipelineConfig, RunReport, RuntimeConfig, SelectionStrategy, ShardPlan,
         ShardSpec, ShardingSystem, StageKind, StageObserver, SystemReport,
     };
-    pub use cshard_core::{EpochManager, EpochOutcome, LongRun, LongRunConfig, PipelineMetrics};
+    pub use cshard_core::{EpochManager, EpochOutcome, LongRun, LongRunConfig};
     pub use cshard_crypto::{sha256, RandomnessBeacon, Vrf};
     pub use cshard_faults::{
         measure_corruption, run_leader_faults, run_with_faults, FaultPlan, FaultyDriver,

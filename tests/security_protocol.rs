@@ -1,7 +1,6 @@
 //! Adversarial integration tests: every cheat the paper's verifications
 //! must catch, executed against the real node/ledger substrates.
 
-use contractshard::consensus::pow;
 use contractshard::core::assignment::MinerAssignment;
 use contractshard::core::node::{Node, NodeError};
 use contractshard::crypto::VrfPublicKey;
@@ -136,7 +135,7 @@ fn forged_shard_id_rejected_by_every_receiver() {
         .mine_block(SimTime::from_secs(60))
         .expect("test-scale difficulty");
     forged.header.shard = ShardId::new(1);
-    pow::mine(&mut forged).unwrap();
+    forged.header.mine().unwrap();
     for node in net.nodes.iter_mut() {
         let err = node.receive_block(forged.clone()).unwrap_err();
         assert!(
@@ -191,7 +190,7 @@ fn replayed_transaction_rejected_across_blocks() {
         BITS,
         vec![tx],
     );
-    pow::mine(&mut replay).unwrap();
+    replay.header.mine().unwrap();
     let err = net.nodes[0].receive_block(replay).unwrap_err();
     assert!(
         matches!(
