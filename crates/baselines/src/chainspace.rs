@@ -149,34 +149,46 @@ impl ChainspacePlacement {
             .map(|(s, idxs)| {
                 let shard = ShardId::new(s as u32);
                 let local_fees: Vec<u64> = idxs.iter().map(|&i| fees[i]).collect();
-                let cross: Vec<CrossTx> = idxs
-                    .into_iter()
-                    .filter(|&i| self.is_cross_shard(i))
-                    .map(|i| CrossTx {
-                        tx: i,
-                        foreign: self.touched[i]
-                            .iter()
-                            .copied()
-                            .filter(|&t| t != self.home_shard[i])
-                            .collect(),
-                    })
-                    .collect();
+                let mut cross = CrossTable::default();
+                for i in idxs {
+                    if self.is_cross_shard(i) {
+                        cross.push(i, self.touched[i].iter().copied().filter(|&t| t != shard));
+                    }
+                }
                 ChainspaceDriver::new(shard, local_fees, cross, config, latency)
             })
             .collect()
     }
 }
 
-/// One cross-shard transaction homed at a driver's shard: its global
-/// workload index and the foreign shards its inputs touch (home
-/// excluded). The foreign list is what the batched settlement path keys
-/// its per-destination crosslinks by.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CrossTx {
-    /// Global transaction index in the workload.
-    pub tx: usize,
-    /// Foreign input shards (deduplicated, home shard excluded).
-    pub foreign: Vec<ShardId>,
+/// The cross-shard transactions homed at one driver's shard, addressed by
+/// slot: slot `s` is the global workload index `txs[s]`, and its foreign
+/// input shards (home excluded) are `foreign[ends[s - 1]..ends[s]]` — one
+/// flat table per driver, not a list per transaction. The foreign shards
+/// are what the batched settlement path keys its per-destination
+/// crosslinks by.
+#[derive(Debug, Default)]
+struct CrossTable {
+    txs: Vec<usize>,
+    ends: Vec<usize>,
+    foreign: Vec<ShardId>,
+}
+
+impl CrossTable {
+    fn push(&mut self, tx: usize, foreign: impl IntoIterator<Item = ShardId>) {
+        self.txs.push(tx);
+        self.foreign.extend(foreign);
+        self.ends.push(self.foreign.len());
+    }
+
+    fn len(&self) -> usize {
+        self.txs.len()
+    }
+
+    fn foreign(&self, slot: usize) -> &[ShardId] {
+        let start = slot.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.foreign[start..self.ends[slot]]
+    }
 }
 
 /// One ChainSpace shard as a [`ProtocolDriver`]: home-queue mining plus
@@ -195,13 +207,17 @@ pub struct CrossTx {
 pub struct ChainspaceDriver {
     mining: ContractShardDriver,
     shard: ShardId,
-    /// Cross-shard transactions homed here (sorted by global index).
-    cross_txs: Vec<CrossTx>,
+    /// Cross-shard transactions homed here. `TxInjected` and
+    /// `ValidationRound` carry a slot of this table, not a global index.
+    cross: CrossTable,
     latency: LatencyModel,
     /// Round-spacing stream, derived from `(seed, shard)` by the PRF —
     /// independent of the mining streams, so validation never perturbs
     /// block production.
     vrng: SimRng,
+    /// Whether the `EpochAdvance` kick-off has fired; a second one is a
+    /// malformed stream.
+    kicked_off: bool,
     /// Protocol events still owed before the shard's 2PC work is done.
     outstanding: usize,
     rounds_recorded: u64,
@@ -214,10 +230,10 @@ pub struct ChainspaceDriver {
 impl ChainspaceDriver {
     /// A shard driver over its home-queue `fees` (local order) and its
     /// cross-shard transactions.
-    pub fn new(
+    fn new(
         shard: ShardId,
         fees: Vec<u64>,
-        cross_txs: Vec<CrossTx>,
+        cross: CrossTable,
         config: &RuntimeConfig,
         latency: LatencyModel,
     ) -> ChainspaceDriver {
@@ -234,9 +250,10 @@ impl ChainspaceDriver {
         ChainspaceDriver {
             mining: ContractShardDriver::new(&spec, config),
             shard,
-            cross_txs,
+            cross,
             latency,
             vrng,
+            kicked_off: false,
             outstanding: 0,
             rounds_recorded: 0,
             settle,
@@ -264,23 +281,28 @@ impl ChainspaceDriver {
 
     /// Final-round hook in batched mode: hand the committed transaction's
     /// messaging toward each foreign shard to the channel.
-    fn submit_transfers(&mut self, now: SimTime, tx: usize, ctx: &mut Ctx) {
+    fn submit_transfers(&mut self, now: SimTime, slot: usize, ctx: &mut Ctx) {
         let Some(channel) = self.settle.as_mut() else {
             return;
         };
-        let Ok(slot) = self.cross_txs.binary_search_by_key(&tx, |c| c.tx) else {
-            return;
-        };
-        for &dest in &self.cross_txs[slot].foreign {
-            channel.submit(now, dest, tx as u64, ctx);
+        let tx = self.cross.txs[slot] as u64;
+        for &dest in self.cross.foreign(slot) {
+            channel.submit(now, dest, tx, ctx);
         }
+    }
+}
+
+fn unexpected(ev: Event) -> Error {
+    Error::UnexpectedEvent {
+        driver: "ChainspaceDriver",
+        event: format!("{ev:?}"),
     }
 }
 
 impl ProtocolDriver for ChainspaceDriver {
     fn on_start(&mut self, ctx: &mut Ctx) {
         self.mining.on_start(ctx);
-        if !self.cross_txs.is_empty() {
+        if self.cross.len() > 0 {
             // The commit pipeline opens with an epoch kick-off that injects
             // this shard's cross-shard transactions.
             ctx.schedule(SimTime::ZERO, Event::EpochAdvance { epoch: 0 });
@@ -291,22 +313,31 @@ impl ProtocolDriver for ChainspaceDriver {
     fn on_event(&mut self, now: SimTime, ev: Event, ctx: &mut Ctx) -> Result<(), Error> {
         match ev {
             Event::EpochAdvance { .. } => {
-                self.outstanding -= 1;
-                self.outstanding += self.cross_txs.len();
-                for i in 0..self.cross_txs.len() {
-                    ctx.schedule(
-                        now,
-                        Event::TxInjected {
-                            tx: self.cross_txs[i].tx,
-                        },
-                    );
+                if self.kicked_off || self.outstanding == 0 {
+                    return Err(unexpected(ev));
+                }
+                self.kicked_off = true;
+                // The kick-off is paid; each injected transaction is owed.
+                self.outstanding = self.cross.len();
+                for slot in 0..self.cross.len() {
+                    ctx.schedule(now, Event::TxInjected { tx: slot });
                 }
             }
-            Event::TxInjected { tx } => {
+            Event::TxInjected { tx: slot } => {
+                if slot >= self.cross.len() {
+                    return Err(unexpected(ev));
+                }
                 let d = self.round_delay();
-                ctx.schedule_in(d, Event::ValidationRound { tx, round: 1 });
+                ctx.schedule_in(d, Event::ValidationRound { tx: slot, round: 1 });
             }
-            Event::ValidationRound { tx, round } => {
+            Event::ValidationRound { tx: slot, round } => {
+                let last = u64::from(round) == CROSS_SHARD_ROUNDS_PER_TX;
+                if slot >= self.cross.len()
+                    || !(1..=CROSS_SHARD_ROUNDS_PER_TX).contains(&u64::from(round))
+                    || (last && self.outstanding == 0)
+                {
+                    return Err(unexpected(ev));
+                }
                 if self.settle.is_none() {
                     // One round of cross-shard leader communication,
                     // attributed to the home shard that drives the commit
@@ -316,26 +347,23 @@ impl ProtocolDriver for ChainspaceDriver {
                         .record_many(self.shard, CommKind::CrossShardValidation, 1);
                     self.rounds_recorded += 1;
                 }
-                if u64::from(round) < CROSS_SHARD_ROUNDS_PER_TX {
+                if last {
+                    self.outstanding -= 1;
+                    self.submit_transfers(now, slot, ctx);
+                } else {
                     let d = self.round_delay();
                     ctx.schedule_in(
                         d,
                         Event::ValidationRound {
-                            tx,
+                            tx: slot,
                             round: round + 1,
                         },
                     );
-                } else {
-                    self.outstanding -= 1;
-                    self.submit_transfers(now, tx, ctx);
                 }
             }
             Event::SettlementFlush { dest } => {
                 let Some(channel) = self.settle.as_mut() else {
-                    return Err(Error::UnexpectedEvent {
-                        driver: "ChainspaceDriver",
-                        event: format!("{ev:?}"),
-                    });
+                    return Err(unexpected(ev));
                 };
                 channel.on_flush(now, dest, ctx);
             }
@@ -343,10 +371,7 @@ impl ProtocolDriver for ChainspaceDriver {
                 self.mining.on_event(now, mining_ev, ctx)?;
             }
             other @ (Event::Fault { .. } | Event::Migration { .. }) => {
-                return Err(Error::UnexpectedEvent {
-                    driver: "ChainspaceDriver",
-                    event: format!("{other:?}"),
-                })
+                return Err(unexpected(other))
             }
         }
         Ok(())
@@ -540,6 +565,150 @@ mod tests {
             assert_eq!(d.completion, q.completion);
             assert_eq!(d.confirmed, q.confirmed);
         }
+    }
+
+    // ---- malformed event streams are typed errors, never panics ----
+
+    use cshard_runtime::Event;
+    use cshard_sim::EventQueue;
+
+    /// Shard 0's driver over a 9-shard placement, started on its own
+    /// queue, with the number of cross-shard transactions it homes.
+    fn started_driver() -> (ChainspaceDriver, EventQueue<Event>, CommStats, usize) {
+        let w = W::three_input(90, 3, FeeDistribution::Constant(5), 4);
+        let p = ChainspacePlacement::place(&w.transactions, 9, 4);
+        let cfg = RuntimeConfig {
+            seed: 4,
+            ..RuntimeConfig::default()
+        };
+        let mut driver = p
+            .drivers(&w.fees(), &cfg, LatencyModel::wide_area())
+            .swap_remove(0);
+        let cross = driver.cross.len();
+        assert!(cross > 0, "shard 0 homes no cross-shard transaction");
+        let (mut queue, comm) = (EventQueue::new(), CommStats::new());
+        driver.on_start(&mut Ctx::new(&mut queue, &comm));
+        (driver, queue, comm, cross)
+    }
+
+    /// Feeds the driver its own queue until it reports done.
+    fn run_to_done(driver: &mut ChainspaceDriver, queue: &mut EventQueue<Event>, comm: &CommStats) {
+        while !driver.done() {
+            let (now, ev) = queue.pop().expect("work left");
+            driver
+                .on_event(now, ev, &mut Ctx::new(queue, comm))
+                .expect("well-formed stream");
+        }
+    }
+
+    fn rejects(
+        driver: &mut ChainspaceDriver,
+        queue: &mut EventQueue<Event>,
+        comm: &CommStats,
+        ev: Event,
+    ) {
+        let now = queue.now();
+        let booked = comm.total();
+        let got = driver.on_event(now, ev, &mut Ctx::new(queue, comm));
+        assert!(
+            matches!(
+                got,
+                Err(Error::UnexpectedEvent {
+                    driver: "ChainspaceDriver",
+                    ..
+                })
+            ),
+            "{ev:?} was accepted: {got:?}"
+        );
+        assert_eq!(comm.total(), booked, "{ev:?} booked a round");
+    }
+
+    #[test]
+    fn a_repeated_final_round_is_an_error_not_an_underflow() {
+        let (mut driver, mut queue, comm, cross) = started_driver();
+        run_to_done(&mut driver, &mut queue, &comm);
+        assert_eq!(
+            driver.rounds_recorded(),
+            CROSS_SHARD_ROUNDS_PER_TX * cross as u64
+        );
+        let last = CROSS_SHARD_ROUNDS_PER_TX as u32;
+        rejects(
+            &mut driver,
+            &mut queue,
+            &comm,
+            Event::ValidationRound { tx: 0, round: last },
+        );
+        assert!(driver.done());
+    }
+
+    #[test]
+    fn a_second_kick_off_is_an_error() {
+        let (mut driver, mut queue, comm, _) = started_driver();
+        let (now, ev) = queue.pop().expect("kick-off");
+        assert!(matches!(ev, Event::EpochAdvance { .. }), "{ev:?}");
+        driver
+            .on_event(now, ev, &mut Ctx::new(&mut queue, &comm))
+            .expect("first kick-off");
+        let pending = queue.len();
+        rejects(
+            &mut driver,
+            &mut queue,
+            &comm,
+            Event::EpochAdvance { epoch: 0 },
+        );
+        assert_eq!(queue.len(), pending, "the second kick-off re-injected");
+        run_to_done(&mut driver, &mut queue, &comm);
+    }
+
+    #[test]
+    fn a_kick_off_with_nothing_to_inject_is_an_error() {
+        let w = W::three_input(30, 3, FeeDistribution::Constant(5), 4);
+        let p = ChainspacePlacement::place(&w.transactions, 1, 4);
+        let mut driver = p
+            .drivers(
+                &w.fees(),
+                &RuntimeConfig::default(),
+                LatencyModel::wide_area(),
+            )
+            .swap_remove(0);
+        let (mut queue, comm) = (EventQueue::new(), CommStats::new());
+        driver.on_start(&mut Ctx::new(&mut queue, &comm));
+        rejects(
+            &mut driver,
+            &mut queue,
+            &comm,
+            Event::EpochAdvance { epoch: 0 },
+        );
+    }
+
+    #[test]
+    fn out_of_range_slots_and_rounds_are_errors() {
+        let (mut driver, mut queue, comm, cross) = started_driver();
+        let (now, ev) = queue.pop().expect("kick-off");
+        driver
+            .on_event(now, ev, &mut Ctx::new(&mut queue, &comm))
+            .expect("kick-off");
+        let last = CROSS_SHARD_ROUNDS_PER_TX as u32;
+        for ev in [
+            Event::TxInjected { tx: cross },
+            Event::ValidationRound {
+                tx: cross,
+                round: 1,
+            },
+            Event::ValidationRound { tx: 0, round: 0 },
+            Event::ValidationRound {
+                tx: 0,
+                round: last + 1,
+            },
+        ] {
+            rejects(&mut driver, &mut queue, &comm, ev);
+        }
+        // The rejected events left the pipeline as it was.
+        run_to_done(&mut driver, &mut queue, &comm);
+        assert_eq!(
+            driver.rounds_recorded(),
+            CROSS_SHARD_ROUNDS_PER_TX * cross as u64
+        );
     }
 
     // ---- batched settlement (async crosslinks) over the same placement ----

@@ -23,10 +23,14 @@ pub enum CommKind {
     Other,
 }
 
+/// Number of [`CommKind`]s: per-kind counts are a fixed array indexed by
+/// `kind as usize`.
+const KINDS: usize = CommKind::Other as usize + 1;
+
 #[derive(Debug, Default)]
 struct Inner {
     per_shard: BTreeMap<ShardId, u64>,
-    per_kind: BTreeMap<CommKind, u64>,
+    per_kind: [u64; KINDS],
     total: u64,
 }
 
@@ -65,8 +69,13 @@ impl CommStats {
             return;
         }
         let mut inner = self.lock();
-        *inner.per_shard.entry(shard).or_insert(0) += count;
-        *inner.per_kind.entry(kind).or_insert(0) += count;
+        match inner.per_shard.get_mut(&shard) {
+            Some(rounds) => *rounds += count,
+            None => {
+                inner.per_shard.insert(shard, count);
+            }
+        }
+        inner.per_kind[kind as usize] += count;
         inner.total += count;
     }
 
@@ -82,7 +91,7 @@ impl CommStats {
 
     /// Rounds of a specific kind.
     pub fn for_kind(&self, kind: CommKind) -> u64 {
-        self.lock().per_kind.get(&kind).copied().unwrap_or(0)
+        self.lock().per_kind[kind as usize]
     }
 
     /// Average rounds per shard over `shard_count` shards — the y-axis of
@@ -100,9 +109,7 @@ impl CommStats {
     /// Resets every counter (reused between experiment repetitions).
     pub fn reset(&self) {
         let mut inner = self.lock();
-        inner.per_shard.clear();
-        inner.per_kind.clear();
-        inner.total = 0;
+        *inner = Inner::default();
     }
 
     /// A point-in-time copy of every counter. Experiments bracket a run
@@ -112,7 +119,7 @@ impl CommStats {
         let inner = self.lock();
         CommSnapshot {
             per_shard: inner.per_shard.clone(),
-            per_kind: inner.per_kind.clone(),
+            per_kind: inner.per_kind,
             total: inner.total,
         }
     }
@@ -132,7 +139,7 @@ impl CommStats {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CommSnapshot {
     per_shard: BTreeMap<ShardId, u64>,
-    per_kind: BTreeMap<CommKind, u64>,
+    per_kind: [u64; KINDS],
     total: u64,
 }
 
@@ -149,7 +156,7 @@ impl CommSnapshot {
 
     /// Rounds of a specific kind.
     pub fn for_kind(&self, kind: CommKind) -> u64 {
-        self.per_kind.get(&kind).copied().unwrap_or(0)
+        self.per_kind[kind as usize]
     }
 
     /// Average rounds per shard over `shard_count` shards (Fig. 4(b)'s
@@ -160,7 +167,7 @@ impl CommSnapshot {
     }
 
     /// The counter-wise difference `self - earlier`, dropping zero
-    /// entries (saturating: counters are monotone under one live
+    /// per-shard entries (saturating: counters are monotone under one live
     /// counter, so a negative difference only means mismatched sources).
     pub fn since(&self, earlier: &CommSnapshot) -> CommSnapshot {
         let diff_shard: BTreeMap<ShardId, u64> = self
@@ -169,12 +176,8 @@ impl CommSnapshot {
             .map(|(k, v)| (*k, v.saturating_sub(earlier.for_shard(*k))))
             .filter(|&(_, v)| v > 0)
             .collect();
-        let diff_kind: BTreeMap<CommKind, u64> = self
-            .per_kind
-            .iter()
-            .map(|(k, v)| (*k, v.saturating_sub(earlier.for_kind(*k))))
-            .filter(|&(_, v)| v > 0)
-            .collect();
+        let diff_kind =
+            std::array::from_fn(|k| self.per_kind[k].saturating_sub(earlier.per_kind[k]));
         CommSnapshot {
             per_shard: diff_shard,
             per_kind: diff_kind,

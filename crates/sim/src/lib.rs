@@ -12,6 +12,6 @@ pub mod engine;
 pub mod rng;
 pub mod scheduler;
 
-pub use engine::{EventQueue, ScheduledEvent};
+pub use engine::EventQueue;
 pub use rng::SimRng;
 pub use scheduler::{DrainStats, SchedulerConfig, Turn, WorkScheduler};
