@@ -2,8 +2,9 @@
 //!
 //! Exit codes: `0` clean, `1` findings or a baseline regression, `2`
 //! setup error (policy missing, unparseable, a workspace crate covered
-//! by neither `[audit] crates` nor `[audit] exempt`, or a call the
-//! resolver cannot settle without a `[callgraph] resolve` override).
+//! by neither `[audit] crates` nor `[audit] exempt`, a call the
+//! resolver cannot settle without a `[callgraph] resolve` override, or a
+//! `[callgraph] sinks` entry that roots nothing).
 //! Run from anywhere inside the workspace (`just audit`).
 //!
 //! `--json <path>` writes the stable `AUDIT_report.json`; `--baseline
@@ -91,6 +92,18 @@ fn main() -> ExitCode {
                 "cshard-audit:   settle it in policy.toml: [callgraph] resolve = \
                  [\"{}/{} -> <id-suffix>|*|external\"]",
                 amb.name, amb.arity
+            );
+        }
+        return ExitCode::from(2);
+    }
+    // A sink spec that roots nothing leaves the bodies it was written for
+    // unchecked while the audit still reads clean. Setup error.
+    if !report.dead_sinks.is_empty() {
+        for spec in &report.dead_sinks {
+            eprintln!(
+                "cshard-audit: [callgraph] sinks entry `{spec}` roots no bodied non-test \
+                 function (expected `Trait::method` or `calls:Owner::method` naming one that \
+                 exists) — fix or delete it in policy.toml"
             );
         }
         return ExitCode::from(2);

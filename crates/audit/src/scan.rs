@@ -30,6 +30,9 @@ pub struct ScanReport {
     /// Calls the resolver could not settle — a `[callgraph] resolve`
     /// override is required; the binary treats these as setup errors.
     pub ambiguous: Vec<AmbiguousCall>,
+    /// `[callgraph] sinks` entries that are malformed or root no bodied
+    /// non-test function — also setup errors for the binary.
+    pub dead_sinks: Vec<String>,
 }
 
 /// Scans every policy-listed crate under `root` and returns the findings.
@@ -61,6 +64,7 @@ pub fn scan_workspace(root: &Path, policy: &Policy) -> ScanReport {
     report.ambiguous = graph.ambiguous;
     report.sink_roots = taint.sink_roots.len();
     report.reachable = taint.reachable;
+    report.dead_sinks = taint.dead_sinks;
     report.findings.extend(taint.findings);
     report
         .findings

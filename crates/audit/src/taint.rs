@@ -12,12 +12,20 @@
 //! Sink specs come in two forms:
 //!
 //! * `"Trait::method"` — every bodied, non-test impl of that trait
-//!   method is a root (`ProtocolDriver::on_event`, `GameDynamics::step`);
+//!   method is a root (`ProtocolDriver::on_event`,
+//!   `ProtocolDriver::idle_turn`);
 //! * `"calls:Owner::method"` — every function with a resolved edge to
 //!   that method is a root. Closures inline into the enclosing
 //!   function's body span, so this captures task bodies handed to
 //!   `WorkScheduler::drain` via the function that passes them, and the
 //!   epoch's six stage calls via `EpochPipeline::run_epoch_observed`.
+//!
+//! Both game bodies are reached without a root of their own: the merge
+//! game's `run` below the epoch's merge stage, the selection game's
+//! below `ProtocolDriver::on_event`. A spec that is malformed or roots
+//! no bodied non-test function is reported back as dead, and the binary
+//! exits 2 naming it, so a spec left behind by a deleted item cannot
+//! shrink the checked cone silently.
 //!
 //! Reachability-scoped rules (the `1xx` ids mirror their file-scoped
 //! `0xx` cousins, which stay as the first line of defence in protocol
@@ -51,6 +59,8 @@ pub struct TaintReport {
     pub sink_roots: Vec<usize>,
     /// Functions reachable from any root (roots included).
     pub reachable: usize,
+    /// Sink specs that root nothing (see [`sink_roots`]).
+    pub dead_sinks: Vec<String>,
 }
 
 /// Runs taint propagation over the call graph.
@@ -60,11 +70,12 @@ pub fn analyze(
     graph: &CallGraph,
     policy: &Policy,
 ) -> TaintReport {
-    let roots = sink_roots(symbols, graph, &policy.callgraph.sinks);
+    let (roots, dead_sinks) = sink_roots(symbols, graph, &policy.callgraph.sinks);
     let (parent, order) = bfs(symbols, graph, &roots);
     let mut report = TaintReport {
         sink_roots: roots,
         reachable: order.len(),
+        dead_sinks,
         ..TaintReport::default()
     };
     let mut seen: BTreeSet<(&'static str, String, usize, String)> = BTreeSet::new();
@@ -105,36 +116,49 @@ pub fn analyze(
 
 /// Resolves the policy's sink specs to function indices, sorted by
 /// display id (so BFS tie-breaking — and with it chain selection — is
-/// deterministic across runs).
-pub fn sink_roots(symbols: &SymbolTable, graph: &CallGraph, sinks: &[String]) -> Vec<usize> {
+/// deterministic across runs), plus the specs that root nothing: a
+/// malformed spec, or one whose matches include no bodied non-test
+/// function. A dead spec is a hole in the reachability argument — the
+/// bodies it was written to cover go unchecked — so the binary treats
+/// it as a setup error (exit 2).
+pub fn sink_roots(
+    symbols: &SymbolTable,
+    graph: &CallGraph,
+    sinks: &[String],
+) -> (Vec<usize>, Vec<String>) {
     let mut roots: Vec<usize> = Vec::new();
+    let mut dead: Vec<String> = Vec::new();
     for spec in sinks {
         let hits = if let Some(target) = spec.strip_prefix("calls:") {
-            let Some((owner, method)) = target.split_once("::") else {
-                continue;
-            };
-            let targets: Vec<usize> = symbols
-                .fns
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| d.name == method && d.owner.as_deref() == Some(owner))
-                .map(|(i, _)| i)
-                .collect();
-            graph.callers_of(&targets)
+            target.split_once("::").map(|(owner, method)| {
+                let targets: Vec<usize> = symbols
+                    .fns
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, d)| d.name == method && d.owner.as_deref() == Some(owner))
+                    .map(|(i, _)| i)
+                    .collect();
+                graph.callers_of(&targets)
+            })
         } else {
-            let Some((trait_name, method)) = spec.split_once("::") else {
-                continue;
-            };
-            symbols.trait_impls(trait_name, method)
+            spec.split_once("::")
+                .map(|(trait_name, method)| symbols.trait_impls(trait_name, method))
         };
-        for i in hits {
-            if symbols.fns[i].body.is_some() && !symbols.fns[i].is_test && !roots.contains(&i) {
-                roots.push(i);
+        let mut rooted = false;
+        for i in hits.into_iter().flatten() {
+            if symbols.fns[i].body.is_some() && !symbols.fns[i].is_test {
+                rooted = true;
+                if !roots.contains(&i) {
+                    roots.push(i);
+                }
             }
+        }
+        if !rooted {
+            dead.push(spec.clone());
         }
     }
     roots.sort_by_key(|&i| symbols.fns[i].id());
-    roots
+    (roots, dead)
 }
 
 /// Breadth-first search from all roots at once: shortest chains, ties

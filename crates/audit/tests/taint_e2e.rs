@@ -1,6 +1,7 @@
 //! End-to-end coverage for the reachability-scoped rules (`ND101`,
-//! `PH101`, `CL001`, `DP001`) over miniature workspaces, plus the
-//! ambiguous-edge exit-2 contract of the `cshard-audit` binary.
+//! `PH101`, `CL001`, `DP001`) over miniature workspaces, plus the two
+//! exit-2 contracts of the `cshard-audit` binary: an ambiguous edge and
+//! a sink spec that roots nothing.
 //!
 //! Each reachability rule has a pass and a fail fixture under
 //! `tests/fixtures/`: the fail fixture plants a source N hops below a
@@ -236,6 +237,53 @@ fn ambiguous_call_exits_2_until_a_resolve_override_settles_it() {
         "[audit]\ncrates = [\"core\"]\n[callgraph]\nresolve = [\"poll/1 -> *\"]\n",
     )
     .expect("write policy");
+    let out = Command::new(env!("CARGO_BIN_EXE_cshard-audit"))
+        .args(["--root", root.to_str().expect("utf-8 tmp path")])
+        .output()
+        .expect("run cshard-audit");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+}
+
+/// A `[callgraph] sinks` entry that roots nothing — a trait method no
+/// impl defines (the spec a deleted trait leaves behind), a `calls:`
+/// target nobody calls, or a spec without `::` — is a setup error: the
+/// scan names each one, and the binary exits 2 quoting them. With only
+/// the live spec left, the same workspace scans clean.
+#[test]
+fn dead_sink_spec_exits_2_naming_the_spec() {
+    let root = mini_workspace("taint-dead-sink", &fixture("pass", "nd101.rs"));
+    let sinks = [
+        "ProtocolDriver::on_event",
+        "GameDynamics::step",
+        "calls:Nobody::home",
+        "on_event",
+    ];
+    let report = scan_workspace(&root, &reach_policy("ND101", &sinks.join("\", \"")));
+    assert_eq!(report.sink_roots, 1);
+    assert_eq!(report.dead_sinks, &sinks[1..]);
+
+    let policy = |sinks: &[&str]| {
+        format!(
+            "[audit]\ncrates = [\"core\"]\n[callgraph]\nsinks = [\"{}\"]\n",
+            sinks.join("\", \"")
+        )
+    };
+    fs::write(root.join("policy.toml"), policy(&sinks)).expect("write policy");
+    let out = Command::new(env!("CARGO_BIN_EXE_cshard-audit"))
+        .args(["--root", root.to_str().expect("utf-8 tmp path")])
+        .output()
+        .expect("run cshard-audit");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for dead in &sinks[1..] {
+        assert!(
+            stderr.contains(&format!("entry `{dead}` roots no")),
+            "{stderr}"
+        );
+    }
+    assert!(!stderr.contains("`ProtocolDriver::on_event`"), "{stderr}");
+
+    fs::write(root.join("policy.toml"), policy(&sinks[..1])).expect("write policy");
     let out = Command::new(env!("CARGO_BIN_EXE_cshard-audit"))
         .args(["--root", root.to_str().expect("utf-8 tmp path")])
         .output()

@@ -20,13 +20,13 @@ use crate::experiments::default_fees;
 use crate::report::{ExperimentResult, Series};
 use cshard_baselines::random_merge;
 use cshard_core::formation::ShardPlan;
-use cshard_core::pipeline::form;
+use cshard_core::pipeline::{form, fuse};
 use cshard_core::simulate_ethereum;
-use cshard_core::system::{SystemConfig, SystemReport};
+use cshard_core::system::SystemConfig;
 use cshard_core::{simulate, RuntimeConfig, ShardSpec, ShardingSystem};
 use cshard_core::{throughput_improvement, RunReport};
 use cshard_games::MergingConfig;
-use cshard_primitives::{ShardId, SimTime};
+use cshard_primitives::SimTime;
 use cshard_workload::Workload;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -78,26 +78,13 @@ fn run_randomized(w: &Workload, cfg: &RuntimeConfig, seed: u64) -> (RunReport, u
     let sizes: Vec<u64> = small.iter().map(|&i| groups[i].1.len() as u64).collect();
     let outcome = random_merge(&sizes, LOWER_BOUND, seed);
 
-    // Fuse merged groups (same rule as the system: keep the lowest id).
-    let mut consumed = Vec::new();
-    let mut fused: Vec<(ShardId, Vec<u64>)> = Vec::new();
-    for players in &outcome.new_shards {
-        let members: Vec<usize> = players.iter().map(|&p| small[p]).collect();
-        let id = members.iter().map(|&g| groups[g].0).min().expect("members");
-        let mut queue = Vec::new();
-        for &g in &members {
-            queue.extend_from_slice(&groups[g].1);
-        }
-        consumed.extend_from_slice(&members);
-        fused.push((id, queue));
-    }
-    consumed.sort_unstable();
-    consumed.dedup();
-    for &g in consumed.iter().rev() {
-        groups.remove(g);
-    }
-    groups.extend(fused);
-    groups.sort_by_key(|&(s, _)| s);
+    // Fuse merged groups by the system's rule: keep the lowest id.
+    let member_groups: Vec<Vec<usize>> = outcome
+        .new_shards
+        .iter()
+        .map(|players| players.iter().map(|&p| small[p]).collect())
+        .collect();
+    fuse(&mut groups, &member_groups);
 
     let specs: Vec<ShardSpec> = groups
         .into_iter()
@@ -138,10 +125,10 @@ fn measure(small_count: usize, repeats: u64) -> Avg {
         };
         let ethereum = simulate_ethereum(w.fees(), 1, &rt).expect("valid config");
 
-        let before: SystemReport = ShardingSystem::testbed(rt.clone())
+        let before = ShardingSystem::testbed(rt.clone())
             .run(&w)
             .expect("valid config");
-        let ours: SystemReport = ShardingSystem::new(SystemConfig {
+        let ours = ShardingSystem::new(SystemConfig {
             runtime: rt.clone(),
             merging: Some(MergingConfig {
                 lower_bound: LOWER_BOUND,

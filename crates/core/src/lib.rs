@@ -57,7 +57,7 @@ pub use pipeline::{
     EpochInput, EpochPipeline, EpochRun, MergeSummary, PipelineConfig, PlacementStage, StageKind,
     StageObserver, StageOutput,
 };
-pub use system::{MinerAllocation, ShardingSystem, SystemBuilder, SystemConfig, SystemReport};
+pub use system::{MinerAllocation, ShardingSystem, SystemBuilder, SystemConfig};
 
 /// The most commonly used items for driving the sharded system — import
 /// `cshard_core::prelude::*` instead of reaching into crate internals.
@@ -75,9 +75,8 @@ pub mod prelude {
         EpochInput, EpochPipeline, EpochRun, PipelineConfig, PlacementStage, StageKind,
         StageObserver, StageOutput,
     };
-    pub use crate::system::{MinerAllocation, ShardingSystem, SystemConfig, SystemReport};
+    pub use crate::system::{MinerAllocation, ShardingSystem, SystemConfig};
     pub use crate::{simulate, simulate_ethereum, throughput_improvement, MinerAssignment};
-    pub use cshard_games::dynamics::GameDynamics;
     pub use cshard_games::{MergingConfig, SelectionConfig, UnifiedParameters};
     pub use cshard_place::{Migration, PlacementConfig, PlacementEngine};
     pub use cshard_primitives::{Error, ShardId, SimTime};

@@ -104,6 +104,35 @@ impl Decision {
     }
 }
 
+/// Fuses merged groups in place. Each entry of `member_groups` lists
+/// indices into `groups`; those members become one shard that takes the
+/// id of its lowest-numbered member and their queues in member order.
+/// Consumed members are dropped and `groups` is re-sorted by shard id.
+pub fn fuse(groups: &mut Vec<(ShardId, Vec<u64>)>, member_groups: &[Vec<usize>]) {
+    let mut consumed: Vec<usize> = Vec::new();
+    let mut fused: Vec<(ShardId, Vec<u64>)> = Vec::new();
+    for members in member_groups {
+        // A merge game never emits an empty group, but a typed skip keeps
+        // this off the panic path (audit rule PH001).
+        let Some(id) = members.iter().map(|&g| groups[g].0).min() else {
+            continue;
+        };
+        let mut queue = Vec::new();
+        for &g in members {
+            queue.extend_from_slice(&groups[g].1);
+        }
+        consumed.extend_from_slice(members);
+        fused.push((id, queue));
+    }
+    consumed.sort_unstable();
+    consumed.dedup();
+    for &g in consumed.iter().rev() {
+        groups.remove(g);
+    }
+    groups.extend(fused);
+    groups.sort_by_key(|&(shard, _)| shard);
+}
+
 impl MergeStage {
     /// Merges the small shards of `groups` in place, booking the unified
     /// broadcast on `comm`. `None` when merging is disabled.
@@ -215,30 +244,7 @@ impl MergeStage {
             });
         }
 
-        // Fuse the merged groups. New shards take the id of their
-        // lowest-numbered member; consumed members are dropped.
-        let mut consumed: Vec<usize> = Vec::new();
-        let mut fused: Vec<(ShardId, Vec<u64>)> = Vec::new();
-        for members in &decision.member_groups {
-            // The merge game never emits an empty group, but a typed
-            // skip keeps this off the panic path (audit rule PH001).
-            let Some(id) = members.iter().map(|&g| groups[g].0).min() else {
-                continue;
-            };
-            let mut queue = Vec::new();
-            for &g in members {
-                queue.extend_from_slice(&groups[g].1);
-            }
-            consumed.extend_from_slice(members);
-            fused.push((id, queue));
-        }
-        consumed.sort_unstable();
-        consumed.dedup();
-        for &g in consumed.iter().rev() {
-            groups.remove(g);
-        }
-        groups.extend(fused);
-        groups.sort_by_key(|&(shard, _)| shard);
+        fuse(groups, &decision.member_groups);
 
         let summary = MergeSummary {
             small_shards: small.len(),

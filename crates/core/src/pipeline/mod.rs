@@ -47,7 +47,7 @@ pub mod select;
 pub mod unify;
 
 pub use classify::ClassifyStage;
-pub use merge::{MergeStage, MergeSummary};
+pub use merge::{fuse, MergeStage, MergeSummary};
 pub use place::PlacementStage;
 pub use select::SelectStage;
 pub use unify::unify;

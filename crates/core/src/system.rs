@@ -23,13 +23,12 @@
 //! the stages themselves live in [`crate::pipeline`], and the fluent
 //! builder in [`crate::builder`].
 
-use crate::pipeline::{EpochInput, EpochPipeline, PipelineConfig};
+use crate::pipeline::{EpochInput, EpochPipeline, EpochRun, PipelineConfig};
 use cshard_crypto::sha256;
 use cshard_games::MergingConfig;
-use cshard_network::CommStats;
 use cshard_place::PlacementConfig;
-use cshard_primitives::{Error, ShardId};
-use cshard_runtime::{RunReport, RuntimeConfig};
+use cshard_primitives::Error;
+use cshard_runtime::RuntimeConfig;
 use cshard_workload::Workload;
 
 pub use crate::builder::SystemBuilder;
@@ -88,20 +87,6 @@ impl Default for SystemConfig {
     }
 }
 
-/// The full result of a system run.
-#[derive(Clone, Debug)]
-pub struct SystemReport {
-    /// Block-production results.
-    pub run: RunReport,
-    /// Shards that actually ran (after any merging), with their sizes.
-    pub shard_sizes: Vec<(ShardId, u64)>,
-    /// Merge-stage summary, when merging was enabled.
-    pub merge: Option<MergeSummary>,
-    /// Cross-shard communication incurred (validation is always zero for
-    /// the contract-centric design; merging contributes 2 per small shard).
-    pub comm: CommStats,
-}
-
 /// The contract-centric sharding system.
 #[derive(Clone, Debug)]
 pub struct ShardingSystem {
@@ -158,26 +143,20 @@ impl ShardingSystem {
         }
     }
 
-    /// Runs the pipeline on a workload.
+    /// Runs the pipeline on a workload as one cold epoch and returns that
+    /// epoch's [`EpochRun`].
     ///
     /// Errors when the configuration cannot produce a valid run — a zero
     /// block capacity, a zero per-shard miner count, or a proportional
     /// miner pool smaller than the shard count. (Systems built through
     /// [`ShardingSystem::builder`] have already been validated.)
-    pub fn run(&self, workload: &Workload) -> Result<SystemReport, Error> {
-        let mut pipeline = EpochPipeline::new(self.pipeline_config());
+    pub fn run(&self, workload: &Workload) -> Result<EpochRun, Error> {
         let fees = workload.fees();
-        let out = pipeline.run_epoch(EpochInput {
+        EpochPipeline::new(self.pipeline_config()).run_epoch(EpochInput {
             transactions: &workload.transactions,
             fees: &fees,
             randomness: sha256(self.config.epoch.to_be_bytes()),
             runtime: self.config.runtime.clone(),
-        })?;
-        Ok(SystemReport {
-            run: out.run,
-            shard_sizes: out.shard_sizes,
-            merge: out.merge,
-            comm: out.comm,
         })
     }
 }

@@ -1,41 +1,41 @@
-//! A unified stepping interface over the paper's two game dynamics.
+//! The paper's two equilibrium searches, each run by one call.
 //!
-//! Both equilibrium searches — replicator dynamics for the merging game
-//! (Algorithm 3) and best-reply dynamics for the selection game
-//! (Algorithm 2) — share the same shape: seed state from leader-unified
-//! inputs, iterate a deterministic update until a fixed point, read the
-//! equilibrium off. [`GameDynamics`] names that shape so the epoch
-//! pipeline can drive either game through one interface and count
-//! iterations uniformly.
+//! Replicator dynamics for the merging game (Algorithm 3) and best-reply
+//! dynamics for the selection game (Algorithm 2) both take leader-unified
+//! inputs, iterate a deterministic update to a fixed point and read the
+//! equilibrium off. Each game is one type with one `run`: it loads the
+//! inputs, iterates, and leaves (or returns) the equilibrium.
 //!
-//! Design constraints, in force for every implementor:
+//! Design constraints, in force for both games:
 //!
-//! * **Determinism** — `init` with identical inputs followed by the same
-//!   call sequence produces bit-identical state. All randomness comes
-//!   from the seed carried in the input; nothing reads clocks or ambient
-//!   entropy (audit rules ND001/ND002).
-//! * **Allocation-free after `init`** — buffers are sized during `init`
-//!   (and reused across re-inits); `step` touches only pre-allocated
-//!   scratch, and a re-`init` with same-or-smaller inputs allocates
-//!   nothing either, so a whole selection epoch of the runtime
-//!   (`ShardState::start_epoch`) runs without touching the allocator.
-//!   This is what makes per-epoch replay cheap enough to run inside
-//!   every miner's verification path (Sec. IV-C).
+//! * **Determinism** — a `run` with identical inputs produces a
+//!   bit-identical outcome. All randomness comes from the seed carried in
+//!   the input; nothing reads clocks or ambient entropy (audit rules
+//!   ND001/ND002).
+//! * **Buffers reused across runs** — each dynamics owns the buffers its
+//!   game uses and grows them on a larger input only, so a run with
+//!   same-or-smaller inputs allocates nothing for its iteration and a
+//!   whole selection epoch of the runtime (`ShardState::start_epoch`)
+//!   runs without touching the allocator. This is what makes per-epoch
+//!   replay cheap enough to run inside every miner's verification path
+//!   (Sec. IV-C).
 //! * **One pass per slot** — a slot of Algorithm 3 is one bulk draw of
 //!   its `n · M` coin tosses and one branch-free integer pass over them;
 //!   Eqs. (12)–(13) are bit counts, exact by construction (see
-//!   [`ReplicatorMergeDynamics`]).
+//!   `ReplicatorMergeDynamics`).
 //! * **One pass per best reply** — a miner-sweep of Algorithm 2 is one
 //!   O(t) *certification* over integer-encoded marginal values (see
 //!   [`BestReplyDynamics`]); only a miner that actually moves pays for a
 //!   selection (`select_nth_unstable`, never a full sort), and the
-//!   Rosenthal potential is evaluated once, in `solution`.
-//! * **Wrapper equality** — [`one_shot_merge`] and
+//!   Rosenthal potential is evaluated once, in
+//!   [`outcome`](BestReplyDynamics::outcome).
+//! * **Wrapper equality** — [`one_shot_merge`], [`iterative_merge`] and
 //!   [`best_reply_equilibrium`] are thin wrappers over these dynamics
 //!   and are pinned draw-for-draw equal to the pre-refactor free
 //!   functions by the fuzz grid in `tests/dynamics_equivalence.rs`.
 //!
 //! [`one_shot_merge`]: crate::merging::one_shot_merge
+//! [`iterative_merge`]: crate::merging::iterative_merge
 //! [`best_reply_equilibrium`]: crate::selection::best_reply_equilibrium
 
 use rand::{Rng, RngCore, SeedableRng};
@@ -44,117 +44,9 @@ use rand_chacha::ChaCha8Rng;
 use crate::merging::{MergingConfig, OneShotOutcome, X_MAX, X_MIN};
 use crate::selection::{potential, SelectionConfig, SelectionOutcome};
 
-/// One deterministic equilibrium search, driven step by step.
-///
-/// The lifecycle is `init → step* → solution`: `init` seeds the state
-/// from unified inputs, each `step` applies one update round (a slot of
-/// replicator updates, or one best-reply sweep), `converged` reports
-/// whether another `step` could still change the state, and `solution`
-/// realizes the equilibrium. `step` on a converged game is a no-op, so
-/// driving loops need no special casing.
-pub trait GameDynamics {
-    /// Borrowed per-game inputs handed to [`init`](Self::init).
-    type Input<'a>;
-    /// The realized equilibrium outcome.
-    type Solution;
-
-    /// Resets the dynamics onto fresh inputs. May allocate (buffers are
-    /// grown here and reused on later inits); everything after must not.
-    fn init(&mut self, input: Self::Input<'_>);
-
-    /// Applies one update round. No-op once [`converged`](Self::converged).
-    fn step(&mut self);
-
-    /// Whether the dynamics have reached a fixed point (or the
-    /// configured iteration cap).
-    fn converged(&self) -> bool;
-
-    /// Update rounds applied since the last `init`.
-    fn iterations(&self) -> usize;
-
-    /// Realizes and returns the equilibrium outcome. Idempotent: the
-    /// first call may consume trailing randomness from the seeded
-    /// stream (the merge game's realization draws); repeats return the
-    /// memoized result.
-    fn solution(&mut self) -> Self::Solution;
-
-    /// Steps until convergence and returns the iteration count.
-    fn run_to_convergence(&mut self) -> usize {
-        while !self.converged() {
-            self.step();
-        }
-        self.iterations()
-    }
-}
-
-/// Reusable working buffers shared by the game dynamics.
-///
-/// Sized on `init`, reused across epochs: re-initializing a dynamics
-/// instance with same-or-smaller inputs allocates nothing.
-#[derive(Clone, Debug, Default)]
-pub struct GameScratch {
-    /// One chunk of a slot's coin tosses (merge game): the next
-    /// `n · chunk` `next_u64` draws of the game's stream, little-endian,
-    /// subslot-major, fetched by one `fill_bytes`. At most
-    /// [`SUBSLOT_CHUNK`] subslots, so `8 · n · 64` bytes however many
-    /// subslots a config names.
-    draws: Vec<u8>,
-    /// Player i merges on a toss `u` exactly when `u >> 11` is below
-    /// this ([`toss_threshold`] of its probability), fixed for the slot.
-    threshold: Vec<u64>,
-    /// Bit `s` set when player i merged in subslot `s` of the chunk.
-    merged_mask: Vec<u64>,
-    /// Subslots in which player i merged this slot.
-    merge_count: Vec<u64>,
-    /// Subslots in which player i merged *and* Eq. (1) held this slot.
-    both_count: Vec<u64>,
-    /// Per-transaction membership flags while `init` sanitizes one
-    /// miner's initial set (selection game) — a dense stand-in for a
-    /// hash-set, point-cleared after each miner so it never needs
-    /// re-zeroing wholesale.
-    member: Vec<bool>,
-    /// Marginal-value keys ([`value_key`]) of every transaction as seen
-    /// by the moving miner: a copy of the game's non-holder keys with
-    /// the miner's own entries patched, partitioned by
-    /// `select_nth_unstable`. Written only when a certification fails.
-    keys: Vec<u128>,
-}
-
-impl GameScratch {
-    /// A fresh, empty scratch. Buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sizes the merge-game buffers for `n` players and slots of
-    /// `subslots` subslots, so no `step` allocates.
-    fn reset_merge(&mut self, n: usize, subslots: usize) {
-        self.draws.clear();
-        self.draws.reserve(8 * n * subslots.min(SUBSLOT_CHUNK));
-        for counts in [
-            &mut self.threshold,
-            &mut self.merged_mask,
-            &mut self.merge_count,
-            &mut self.both_count,
-        ] {
-            counts.clear();
-            counts.resize(n, 0);
-        }
-    }
-
-    /// Grows the selection-game buffers to `t` transactions. `member`
-    /// is kept all-false between uses by point-clearing.
-    fn reset_select(&mut self, t: usize) {
-        self.member.clear();
-        self.member.resize(t, false);
-        self.keys.clear();
-        self.keys.reserve(t);
-    }
-}
-
-/// Subslots scored per pass of [`ReplicatorMergeDynamics::step`]: one
-/// bit each in a `u64` mask. A slot of more subslots runs in several
-/// passes over consecutive draws, so any `subslots` works.
+/// Subslots scored per pass of a slot: one bit each in a `u64` mask. A
+/// slot of more subslots runs in several passes over consecutive draws,
+/// so any `subslots` works.
 const SUBSLOT_CHUNK: usize = 64;
 
 /// The coin toss `gen::<f64>() < x` as an integer compare: a toss `u`
@@ -171,7 +63,7 @@ fn toss_threshold(x: f64) -> u64 {
 
 /// Inputs of one replicator-dynamics run (Algorithm 3).
 #[derive(Clone, Copy, Debug)]
-pub struct MergeInput<'a> {
+pub(crate) struct MergeInput<'a> {
     /// Transactions per small-shard player.
     pub sizes: &'a [u64],
     /// Leader-distributed initial merge probabilities, one per player.
@@ -182,15 +74,15 @@ pub struct MergeInput<'a> {
     pub seed: u64,
 }
 
-/// Replicator dynamics for the merging game, one slot per [`step`].
+/// Replicator dynamics for the merging game, one call per game.
 ///
-/// Each step runs `M` subslots of seeded coin tosses, scores Eq. (14)
-/// utilities, and applies the discretized replicator update of Eq. (11)
-/// to every player's merge probability. Convergence is the paper's
-/// fixed-point criterion: no probability moved by more than the
-/// tolerance. [`solution`] then plays the converged mixed strategies
-/// (bounded realization draws from the same seeded stream) to produce
-/// the stable shard.
+/// [`run`](Self::run) iterates slots: each runs `M` subslots of seeded
+/// coin tosses, scores Eq. (14) utilities, and applies the discretized
+/// replicator update of Eq. (11) to every player's merge probability.
+/// Convergence is the paper's fixed-point criterion: no probability moved
+/// by more than the tolerance. The run then plays the converged mixed
+/// strategies (bounded realization draws from the same seeded stream) to
+/// produce the stable shard.
 ///
 /// # Cost of one slot
 ///
@@ -222,20 +114,24 @@ pub struct MergeInput<'a> {
 /// toss-by-toss reference in `tests/dynamics_equivalence.rs` pins it.
 ///
 /// [`Amount::as_f64`]: cshard_primitives::Amount::as_f64
-/// [`step`]: GameDynamics::step
-/// [`solution`]: GameDynamics::solution
-#[derive(Clone, Debug)]
-pub struct ReplicatorMergeDynamics {
-    config: MergingConfig,
-    rng: ChaCha8Rng,
-    sizes: Vec<u64>,
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ReplicatorMergeDynamics {
+    /// Each player's mixed strategy (clamped to the exploration band).
     x: Vec<f64>,
-    scratch: GameScratch,
-    reward: f64,
-    cost: f64,
-    slots: usize,
-    converged: bool,
-    memoized: Option<OneShotOutcome>,
+    /// One chunk of a slot's coin tosses: the next `n · chunk` `next_u64`
+    /// draws of the game's stream, little-endian, subslot-major, fetched
+    /// by one `fill_bytes`. At most [`SUBSLOT_CHUNK`] subslots, so
+    /// `8 · n · 64` bytes however many subslots a config names.
+    draws: Vec<u8>,
+    /// Player i merges on a toss `u` exactly when `u >> 11` is below
+    /// this ([`toss_threshold`] of its probability), fixed for the slot.
+    threshold: Vec<u64>,
+    /// Bit `s` set when player i merged in subslot `s` of the chunk.
+    merged_mask: Vec<u64>,
+    /// Subslots in which player i merged this slot.
+    merge_count: Vec<u64>,
+    /// Subslots in which player i merged *and* Eq. (1) held this slot.
+    both_count: Vec<u64>,
 }
 
 impl ReplicatorMergeDynamics {
@@ -245,85 +141,101 @@ impl ReplicatorMergeDynamics {
     /// of draws finds a satisfying one with overwhelming probability.
     const REALIZATION_DRAWS: usize = 64;
 
-    /// An uninitialized dynamics; call [`GameDynamics::init`] before
-    /// stepping.
-    pub fn new() -> Self {
-        ReplicatorMergeDynamics {
-            config: MergingConfig::default(),
-            rng: ChaCha8Rng::seed_from_u64(0),
-            sizes: Vec::new(),
-            x: Vec::new(),
-            scratch: GameScratch::new(),
-            reward: 0.0,
-            cost: 0.0,
-            slots: 0,
-            converged: true,
-            memoized: None,
-        }
-    }
-
-    /// The current mixed strategies (clamped to the exploration band).
-    pub fn probabilities(&self) -> &[f64] {
-        &self.x
-    }
-}
-
-impl Default for ReplicatorMergeDynamics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl GameDynamics for ReplicatorMergeDynamics {
-    type Input<'a> = MergeInput<'a>;
-    type Solution = OneShotOutcome;
-
-    fn init(&mut self, input: MergeInput<'_>) {
-        debug_assert_eq!(input.config.validate(), Ok(()));
+    /// Runs Algorithm 3 on `input`: slots until the tolerance or
+    /// `max_slots`, then one realization of the stable shard.
+    pub(crate) fn run(&mut self, input: MergeInput<'_>) -> OneShotOutcome {
+        let MergeInput {
+            sizes,
+            initial_probs,
+            config,
+            seed,
+        } = input;
+        debug_assert_eq!(config.validate(), Ok(()));
         assert_eq!(
-            input.sizes.len(),
-            input.initial_probs.len(),
+            sizes.len(),
+            initial_probs.len(),
             "one initial probability per player"
         );
-        self.config = *input.config;
-        self.reward = input.config.reward.as_f64();
-        self.cost = input.config.cost.as_f64();
-        self.rng = ChaCha8Rng::seed_from_u64(input.seed);
-        self.sizes.clear();
-        self.sizes.extend_from_slice(input.sizes);
-        self.x.clear();
-        self.x
-            .extend(input.initial_probs.iter().map(|&p| p.clamp(X_MIN, X_MAX)));
-        self.scratch
-            .reset_merge(input.sizes.len(), input.config.subslots);
-        self.slots = 0;
-        self.memoized = None;
         // An empty game is trivially converged: no players, no draws.
-        self.converged = input.sizes.is_empty();
-        if self.converged {
-            self.memoized = Some(OneShotOutcome {
+        if sizes.is_empty() {
+            return OneShotOutcome {
                 merged: vec![],
                 merged_size: 0,
                 satisfied: false,
                 slots: 0,
                 final_probs: vec![],
-            });
+            };
+        }
+        let n = sizes.len();
+        self.x.clear();
+        self.x
+            .extend(initial_probs.iter().map(|&p| p.clamp(X_MIN, X_MAX)));
+        for counts in [
+            &mut self.threshold,
+            &mut self.merged_mask,
+            &mut self.merge_count,
+            &mut self.both_count,
+        ] {
+            counts.clear();
+            counts.resize(n, 0);
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut slots = 1;
+        while self.slot(sizes, config, &mut rng) >= config.tolerance && slots < config.max_slots {
+            slots += 1;
+        }
+        self.realize(sizes, config, &mut rng, slots)
+    }
+
+    /// Plays the equilibrium: the stable shard is a realization of the
+    /// converged mixed strategies ("at some random point, all the miners
+    /// are at an equilibrium state … to form a stable shard", Sec.
+    /// VI-C2); every draw comes from the same seeded stream, keeping
+    /// replays identical.
+    fn realize(
+        &self,
+        sizes: &[u64],
+        config: &MergingConfig,
+        rng: &mut ChaCha8Rng,
+        slots: usize,
+    ) -> OneShotOutcome {
+        let mut merged: Vec<usize> = Vec::new();
+        let mut merged_size: u64 = 0;
+        let mut satisfied = false;
+        for _ in 0..Self::REALIZATION_DRAWS {
+            merged.clear();
+            merged_size = 0;
+            for (i, (&x, &size)) in self.x.iter().zip(sizes).enumerate() {
+                if rng.gen::<f64>() < x {
+                    merged.push(i);
+                    merged_size = merged_size.saturating_add(size);
+                }
+            }
+            if merged_size >= config.lower_bound {
+                satisfied = true;
+                break;
+            }
+        }
+        OneShotOutcome {
+            merged,
+            merged_size,
+            satisfied,
+            slots,
+            final_probs: self.x.clone(),
         }
     }
 
-    fn step(&mut self) {
-        if self.converged {
-            return;
-        }
-        self.slots += 1;
-        let n = self.sizes.len();
-        let m = self.config.subslots;
-        let scratch = &mut self.scratch;
-        for (threshold, &x) in scratch.threshold.iter_mut().zip(&self.x) {
+    /// One slot: `M` subslots of tosses, Eq. (14) scored by bit counts,
+    /// and the replicator update (11). Returns the largest probability
+    /// change.
+    fn slot(&mut self, sizes: &[u64], config: &MergingConfig, rng: &mut ChaCha8Rng) -> f64 {
+        let n = sizes.len();
+        let m = config.subslots;
+        for (threshold, &x) in self.threshold.iter_mut().zip(&self.x) {
             *threshold = toss_threshold(x);
         }
-        scratch.merge_count.fill(0);
-        scratch.both_count.fill(0);
+        self.merge_count.fill(0);
+        self.both_count.fill(0);
         let mut satisfied_count: u64 = 0;
 
         let mut scored = 0;
@@ -331,17 +243,17 @@ impl GameDynamics for ReplicatorMergeDynamics {
             let chunk = (m - scored).min(SUBSLOT_CHUNK);
             // Line 3: every player tosses its coin, `chunk` subslots'
             // worth in one draw.
-            scratch.draws.resize(8 * n * chunk, 0);
-            self.rng.fill_bytes(&mut scratch.draws);
-            scratch.merged_mask.fill(0);
+            self.draws.resize(8 * n * chunk, 0);
+            rng.fill_bytes(&mut self.draws);
+            self.merged_mask.fill(0);
             let mut satisfied_mask: u64 = 0;
-            for (subslot, tosses) in scratch.draws.chunks_exact(8 * n).enumerate() {
+            for (subslot, tosses) in self.draws.chunks_exact(8 * n).enumerate() {
                 let mut total: u128 = 0;
                 for (((toss, &threshold), &size), mask) in tosses
                     .chunks_exact(8)
-                    .zip(&scratch.threshold)
-                    .zip(&self.sizes)
-                    .zip(scratch.merged_mask.iter_mut())
+                    .zip(&self.threshold)
+                    .zip(sizes)
+                    .zip(self.merged_mask.iter_mut())
                 {
                     let mut word = [0u8; 8];
                     word.copy_from_slice(toss);
@@ -355,16 +267,16 @@ impl GameDynamics for ReplicatorMergeDynamics {
                     *mask |= (merges & 1) << subslot;
                     total += u128::from(size & merges);
                 }
-                let satisfied = total >= u128::from(self.config.lower_bound);
+                let satisfied = total >= u128::from(config.lower_bound);
                 satisfied_mask |= u64::from(satisfied) << subslot;
             }
             // Line 4: Eq. (14), summed over the chunk by counting bits.
             satisfied_count += u64::from(satisfied_mask.count_ones());
-            for ((&mask, merge_count), both_count) in scratch
+            for ((&mask, merge_count), both_count) in self
                 .merged_mask
                 .iter()
-                .zip(scratch.merge_count.iter_mut())
-                .zip(scratch.both_count.iter_mut())
+                .zip(self.merge_count.iter_mut())
+                .zip(self.both_count.iter_mut())
             {
                 *merge_count += u64::from(mask.count_ones());
                 *both_count += u64::from((mask & satisfied_mask).count_ones());
@@ -373,14 +285,14 @@ impl GameDynamics for ReplicatorMergeDynamics {
         }
 
         // Lines 5–7: averages (12), (13) and the replicator update (11).
-        let (g, c) = (self.reward, self.cost);
+        let (g, c) = (config.reward.as_f64(), config.cost.as_f64());
         let paid_all = g * satisfied_count as f64;
         let mut max_delta = 0.0f64;
         for ((x, &merge_count), &both_count) in self
             .x
             .iter_mut()
-            .zip(&scratch.merge_count)
-            .zip(&scratch.both_count)
+            .zip(&self.merge_count)
+            .zip(&self.both_count)
         {
             let cost_paid = c * merge_count as f64;
             let avg_all = (paid_all - cost_paid) / m as f64;
@@ -394,60 +306,12 @@ impl GameDynamics for ReplicatorMergeDynamics {
                 avg_all - c
             };
             // Normalise by g so eta is scale-free in the reward units.
-            let delta = self.config.eta * ((avg_merge - avg_all) / g) * *x;
+            let delta = config.eta * ((avg_merge - avg_all) / g) * *x;
             let next = (*x + delta).clamp(X_MIN, X_MAX);
             max_delta = max_delta.max((next - *x).abs());
             *x = next;
         }
-        if max_delta < self.config.tolerance || self.slots >= self.config.max_slots {
-            self.converged = true;
-        }
-    }
-
-    fn converged(&self) -> bool {
-        self.converged
-    }
-
-    fn iterations(&self) -> usize {
-        self.slots
-    }
-
-    fn solution(&mut self) -> OneShotOutcome {
-        if let Some(out) = &self.memoized {
-            return out.clone();
-        }
-        // Play the equilibrium: the stable shard is a realization of the
-        // converged mixed strategies ("at some random point, all the
-        // miners are at an equilibrium state … to form a stable shard",
-        // Sec. VI-C2); every draw comes from the same seeded stream,
-        // keeping replays identical.
-        let n = self.sizes.len();
-        let mut merged: Vec<usize> = Vec::new();
-        let mut merged_size: u64 = 0;
-        let mut satisfied = false;
-        for _ in 0..Self::REALIZATION_DRAWS {
-            merged.clear();
-            merged_size = 0;
-            for i in 0..n {
-                if self.rng.gen::<f64>() < self.x[i] {
-                    merged.push(i);
-                    merged_size = merged_size.saturating_add(self.sizes[i]);
-                }
-            }
-            if merged_size >= self.config.lower_bound {
-                satisfied = true;
-                break;
-            }
-        }
-        let out = OneShotOutcome {
-            merged,
-            merged_size,
-            satisfied,
-            slots: self.slots,
-            final_probs: self.x.clone(),
-        };
-        self.memoized = Some(out.clone());
-        out
+        max_delta
     }
 }
 
@@ -485,15 +349,18 @@ fn key_index(key: u128) -> usize {
     (key as u64) as usize
 }
 
-/// Best-reply dynamics for the selection game, one sweep per [`step`].
+/// Best-reply dynamics for the selection game, one call per game.
 ///
-/// Each step sweeps every miner once, moving it to its best reply under
-/// Eq. (2) whenever that strictly improves its expected profit; the
-/// Rosenthal potential's monotone increase (asserted per move in debug
-/// builds) guarantees termination at a pure strategy Nash equilibrium.
-/// The sweep that applies no move is the equilibrium certificate and
-/// counts toward [`iterations`] — exactly the `rounds` the wrapper
-/// reports.
+/// [`run`](Self::run) sweeps every miner once per round, moving it to its
+/// best reply under Eq. (2) whenever that strictly improves its expected
+/// profit; the Rosenthal potential's monotone increase (asserted per move
+/// in debug builds) guarantees termination at a pure strategy Nash
+/// equilibrium. The sweep that applies no move is the equilibrium
+/// certificate and counts toward the sweeps `run` returns — exactly the
+/// `rounds` the wrapper reports. The equilibrium stays in the instance
+/// until the next `run`: read it with [`assignments`](Self::assignments)
+/// and [`covered`](Self::covered), or whole with
+/// [`outcome`](Self::outcome).
 ///
 /// # Cost of one sweep
 ///
@@ -512,127 +379,79 @@ fn key_index(key: u128) -> usize {
 ///    copy of the keys with the miner's own entries patched to their
 ///    held values, then sorts the `capacity` winners by index — O(t),
 ///    never a full sort.
-///
-/// [`step`]: GameDynamics::step
-/// [`iterations`]: GameDynamics::iterations
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BestReplyDynamics {
-    config: SelectionConfig,
     fees: Vec<u64>,
-    capacity: usize,
     assignments: Vec<Vec<usize>>,
     load: Vec<u32>,
     /// `value_key(fees[j], load[j] + 1, j)` per transaction: what `j` is
     /// worth to a miner that does not hold it.
     free_keys: Vec<u128>,
-    /// Rosenthal potential after the last move. Maintained in debug
-    /// builds only, for the monotonicity assertion; release builds
-    /// evaluate the potential once, in `solution`.
-    phi: f64,
+    /// Per-transaction membership flags while `run` sanitizes one
+    /// miner's initial set — a dense stand-in for a hash-set,
+    /// point-cleared after each miner so it never needs re-zeroing
+    /// wholesale.
+    member: Vec<bool>,
+    /// Marginal-value keys ([`value_key`]) of every transaction as seen
+    /// by the moving miner: a copy of `free_keys` with the miner's own
+    /// entries patched, partitioned by `select_nth_unstable`. Written
+    /// only when a certification fails.
+    keys: Vec<u128>,
+    /// Sweeps of the last run.
     rounds: usize,
-    converged: bool,
-    scratch: GameScratch,
 }
 
 impl BestReplyDynamics {
-    /// An uninitialized dynamics; call [`GameDynamics::init`] before
-    /// stepping.
+    /// A dynamics holding no game; buffers grow on the first
+    /// [`run`](Self::run).
     pub fn new() -> Self {
-        BestReplyDynamics {
-            config: SelectionConfig::default(),
-            fees: Vec::new(),
-            capacity: 0,
-            assignments: Vec::new(),
-            load: Vec::new(),
-            free_keys: Vec::new(),
-            phi: 0.0,
-            rounds: 0,
-            converged: true,
-            scratch: GameScratch::new(),
-        }
+        Self::default()
     }
 
-    /// The current per-miner assignments (each sorted ascending).
-    pub fn assignments(&self) -> &[Vec<usize>] {
-        &self.assignments
-    }
-
-    /// Number of transactions held by at least one miner — the size of
-    /// the union of the current assignments.
-    pub fn covered(&self) -> usize {
-        self.load.iter().filter(|&&c| c > 0).count()
-    }
-
-    /// Whether miner `i`'s held set is its best reply: no transaction it
-    /// does not hold sorts before the worst one it does. The held
-    /// indices are ascending, so the unheld transactions are the gaps
-    /// between them and the scan needs no membership lookups.
-    fn holds_best_reply(&self, i: usize) -> bool {
-        let held = &self.assignments[i];
-        let Some(worst) = held
-            .iter()
-            .map(|&j| value_key(self.fees[j], self.load[j], j))
-            .max()
-        else {
-            return true; // an empty game: nothing to hold, nothing to gain
-        };
-        let mut from = 0;
-        for &j in held.iter().chain(std::iter::once(&self.free_keys.len())) {
-            if self.free_keys[from..j].iter().any(|&key| key < worst) {
-                return false;
-            }
-            from = j + 1;
-        }
-        true
-    }
-}
-
-impl Default for BestReplyDynamics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl GameDynamics for BestReplyDynamics {
-    type Input<'a> = SelectInput<'a>;
-    type Solution = SelectionOutcome;
-
-    fn init(&mut self, input: SelectInput<'_>) {
+    /// Runs Algorithm 2 on `input` to a pure strategy Nash equilibrium
+    /// (or `max_rounds` sweeps) and returns the number of sweeps.
+    ///
+    /// Initial sets are normalised first: in range, unique, sorted,
+    /// truncated or padded to `capacity` deterministically.
+    ///
+    /// # Panics
+    /// Panics when `config.capacity` is zero.
+    pub fn run(&mut self, input: SelectInput<'_>) -> usize {
         let t = input.fees.len();
         let u = input.initial.len();
         assert!(input.config.capacity > 0, "capacity must be positive");
-        self.config = *input.config;
-        self.capacity = input.config.capacity.min(t);
+        let capacity = input.config.capacity.min(t);
         self.fees.clear();
         self.fees.extend_from_slice(input.fees);
-        self.scratch.reset_select(t);
+        self.member.clear();
+        self.member.resize(t, false);
 
         // Normalise initial assignments: in-range, unique, sorted,
         // right-sized. The dense `member` flags replace a per-miner
         // hash-set; flags are point-cleared after each miner.
         self.assignments.truncate(u);
         while self.assignments.len() < u {
-            self.assignments.push(Vec::with_capacity(self.capacity));
+            self.assignments.push(Vec::with_capacity(capacity));
         }
         for (slot, set) in self.assignments.iter_mut().zip(input.initial) {
             slot.clear();
             slot.extend(set.iter().copied().filter(|&j| j < t));
             slot.sort_unstable();
             slot.dedup();
-            slot.truncate(self.capacity);
+            slot.truncate(capacity);
             for &j in slot.iter() {
-                self.scratch.member[j] = true;
+                self.member[j] = true;
             }
             let mut fill = 0usize;
-            while slot.len() < self.capacity {
-                if !self.scratch.member[fill] {
-                    self.scratch.member[fill] = true;
+            while slot.len() < capacity {
+                if !self.member[fill] {
+                    self.member[fill] = true;
                     slot.push(fill);
                 }
                 fill += 1;
             }
             for &j in slot.iter() {
-                self.scratch.member[j] = false;
+                self.member[j] = false;
             }
             slot.sort_unstable();
         }
@@ -652,21 +471,50 @@ impl GameDynamics for BestReplyDynamics {
                 .enumerate()
                 .map(|(j, (&fee, &load))| value_key(fee, load + 1, j)),
         );
-        if cfg!(debug_assertions) {
-            self.phi = potential(&self.fees, &self.load);
-        }
+        // Rosenthal potential after the last move. Maintained in debug
+        // builds only, for the monotonicity assertion; release builds
+        // evaluate the potential once, in `outcome`.
+        let mut phi = if cfg!(debug_assertions) {
+            potential(&self.fees, &self.load)
+        } else {
+            0.0
+        };
         self.rounds = 0;
-        self.converged = self.rounds >= self.config.max_rounds;
+        while self.rounds < input.config.max_rounds {
+            self.rounds += 1;
+            if !self.sweep(capacity, &mut phi) {
+                break;
+            }
+        }
+        self.rounds
     }
 
-    fn step(&mut self) {
-        if self.converged {
-            return;
+    /// The last run's per-miner assignments (each sorted ascending).
+    pub fn assignments(&self) -> &[Vec<usize>] {
+        &self.assignments
+    }
+
+    /// Number of transactions held by at least one miner — the size of
+    /// the union of the last run's assignments.
+    pub fn covered(&self) -> usize {
+        self.load.iter().filter(|&&c| c > 0).count()
+    }
+
+    /// The last run's equilibrium, with its Rosenthal potential.
+    pub fn outcome(&self) -> SelectionOutcome {
+        SelectionOutcome {
+            assignments: self.assignments.clone(),
+            load: self.load.clone(),
+            rounds: self.rounds,
+            potential: potential(&self.fees, &self.load),
         }
-        self.rounds += 1;
+    }
+
+    /// One best-reply sweep: "while some miner can get a higher expected
+    /// profit … pick a miner who can improve" (Algorithm 2). Returns
+    /// whether any miner moved.
+    fn sweep(&mut self, capacity: usize, phi: &mut f64) -> bool {
         let mut improved = false;
-        // One best-reply sweep: "while some miner can get a higher
-        // expected profit … pick a miner who can improve" (Algorithm 2).
         for i in 0..self.assignments.len() {
             if self.holds_best_reply(i) {
                 continue;
@@ -674,7 +522,7 @@ impl GameDynamics for BestReplyDynamics {
             // The miner's view of every marginal value: non-holder keys,
             // with its own transactions at `fee / load` (Eq. 2 with n_j
             // excluding the miner itself).
-            let keys = &mut self.scratch.keys;
+            let keys = &mut self.keys;
             keys.clear();
             keys.extend_from_slice(&self.free_keys);
             for &j in &self.assignments[i] {
@@ -685,8 +533,8 @@ impl GameDynamics for BestReplyDynamics {
             // distinct, so the `capacity` smallest are a unique set no
             // matter how the unstable partition orders them; sorting the
             // winners by index fixes the summation order.
-            keys.select_nth_unstable(self.capacity);
-            let best = &mut keys[..self.capacity];
+            keys.select_nth_unstable(capacity);
+            let best = &mut keys[..capacity];
             best.sort_unstable_by_key(|&key| key_index(key));
             // Profit strictly improves? (Avoid churn on exact ties.)
             let old_profit: f64 = self.assignments[i]
@@ -714,40 +562,42 @@ impl GameDynamics for BestReplyDynamics {
             if cfg!(debug_assertions) {
                 let new_phi = potential(&self.fees, &self.load);
                 assert!(
-                    new_phi > self.phi - 1e-9,
-                    "Rosenthal potential must not decrease: {} -> {new_phi}",
-                    self.phi
+                    new_phi > *phi - 1e-9,
+                    "Rosenthal potential must not decrease: {phi} -> {new_phi}"
                 );
-                self.phi = new_phi;
+                *phi = new_phi;
             }
         }
-        if !improved || self.rounds >= self.config.max_rounds {
-            self.converged = true;
+        improved
+    }
+
+    /// Whether miner `i`'s held set is its best reply: no transaction it
+    /// does not hold sorts before the worst one it does. The held
+    /// indices are ascending, so the unheld transactions are the gaps
+    /// between them and the scan needs no membership lookups.
+    fn holds_best_reply(&self, i: usize) -> bool {
+        let held = &self.assignments[i];
+        let Some(worst) = held
+            .iter()
+            .map(|&j| value_key(self.fees[j], self.load[j], j))
+            .max()
+        else {
+            return true; // an empty game: nothing to hold, nothing to gain
+        };
+        let mut from = 0;
+        for &j in held.iter().chain(std::iter::once(&self.free_keys.len())) {
+            if self.free_keys[from..j].iter().any(|&key| key < worst) {
+                return false;
+            }
+            from = j + 1;
         }
-    }
-
-    fn converged(&self) -> bool {
-        self.converged
-    }
-
-    fn iterations(&self) -> usize {
-        self.rounds
-    }
-
-    fn solution(&mut self) -> SelectionOutcome {
-        SelectionOutcome {
-            assignments: self.assignments.clone(),
-            load: self.load.clone(),
-            rounds: self.rounds,
-            potential: potential(&self.fees, &self.load),
-        }
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merging::one_shot_merge;
     use crate::selection::best_reply_equilibrium;
 
     fn seq_initial(miners: usize, capacity: usize, t: usize) -> Vec<Vec<usize>> {
@@ -760,93 +610,102 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn merge_dynamics_match_wrapper() {
-        let sizes = vec![5u64, 7, 3, 9, 4, 6];
-        let probs = vec![0.5; 6];
-        let cfg = MergingConfig {
-            lower_bound: 20,
-            ..MergingConfig::default()
-        };
-        let expected = one_shot_merge(&sizes, &probs, &cfg, 42);
-        let mut dynamics = ReplicatorMergeDynamics::new();
-        dynamics.init(MergeInput {
-            sizes: &sizes,
+    fn merge_game(
+        dynamics: &mut ReplicatorMergeDynamics,
+        sizes: &[u64],
+        config: &MergingConfig,
+        seed: u64,
+    ) -> OneShotOutcome {
+        let probs: Vec<f64> = (0..sizes.len()).map(|i| 0.2 + 0.05 * i as f64).collect();
+        dynamics.run(MergeInput {
+            sizes,
             initial_probs: &probs,
-            config: &cfg,
-            seed: 42,
-        });
-        let iters = dynamics.run_to_convergence();
-        let got = dynamics.solution();
-        assert_eq!(iters, expected.slots);
-        assert_eq!(got.merged, expected.merged);
-        assert_eq!(got.merged_size, expected.merged_size);
-        assert_eq!(got.satisfied, expected.satisfied);
-        assert_eq!(got.final_probs, expected.final_probs);
-        // Solution is memoized — a second call returns the same shard
-        // without consuming more of the stream.
-        assert_eq!(dynamics.solution().merged, expected.merged);
+            config,
+            seed,
+        })
     }
 
+    /// One instance run over growing, shrinking and regrowing games —
+    /// player counts and slot widths both (130 subslots is three draw
+    /// chunks) — leaves nothing behind: every run equals a fresh
+    /// instance's field for field.
     #[test]
-    fn merge_dynamics_reuse_buffers_across_inits() {
-        let cfg = MergingConfig::default();
-        let mut dynamics = ReplicatorMergeDynamics::new();
-        for seed in 0..4u64 {
-            let sizes = vec![6u64; 8];
-            let probs = vec![0.5; 8];
-            dynamics.init(MergeInput {
-                sizes: &sizes,
-                initial_probs: &probs,
-                config: &cfg,
+    fn merge_reused_instance_equals_a_fresh_one() {
+        let mut reused = ReplicatorMergeDynamics::default();
+        for (seed, (players, subslots)) in [(6, 24), (48, 130), (3, 5), (64, 70), (0, 24), (9, 24)]
+            .into_iter()
+            .enumerate()
+        {
+            let sizes: Vec<u64> = (0..players).map(|i| (i as u64 * 7) % 9 + 1).collect();
+            let config = MergingConfig {
+                lower_bound: 20,
+                subslots,
+                ..MergingConfig::default()
+            };
+            let seed = seed as u64;
+            let got = merge_game(&mut reused, &sizes, &config, seed);
+            let fresh = merge_game(
+                &mut ReplicatorMergeDynamics::default(),
+                &sizes,
+                &config,
                 seed,
-            });
-            dynamics.run_to_convergence();
-            let via_trait = dynamics.solution();
-            let via_wrapper = one_shot_merge(&sizes, &probs, &cfg, seed);
-            assert_eq!(via_trait.merged, via_wrapper.merged);
-            assert_eq!(via_trait.slots, via_wrapper.slots);
+            );
+            assert_eq!(got.merged, fresh.merged, "{players} players");
+            assert_eq!(got.merged_size, fresh.merged_size);
+            assert_eq!(got.satisfied, fresh.satisfied);
+            assert_eq!(got.slots, fresh.slots);
+            assert_eq!(got.final_probs, fresh.final_probs);
         }
     }
 
     #[test]
-    fn empty_merge_game_is_converged_at_init() {
-        let mut dynamics = ReplicatorMergeDynamics::new();
-        dynamics.init(MergeInput {
+    fn empty_merge_game_runs_no_slot() {
+        let out = ReplicatorMergeDynamics::default().run(MergeInput {
             sizes: &[],
             initial_probs: &[],
             config: &MergingConfig::default(),
             seed: 9,
         });
-        assert!(dynamics.converged());
-        assert_eq!(dynamics.run_to_convergence(), 0);
-        let out = dynamics.solution();
         assert!(out.merged.is_empty());
         assert!(!out.satisfied);
         assert_eq!(out.slots, 0);
     }
 
+    /// The selection game's reuse row: transactions, miners and capacity
+    /// grow, shrink and regrow across runs of one instance, and each run
+    /// equals a fresh instance's outcome field for field.
     #[test]
-    fn best_reply_dynamics_match_wrapper() {
-        let fees: Vec<u64> = (1..=50).map(|i| (i * 13) % 97 + 1).collect();
-        let initial = seq_initial(6, 4, fees.len());
-        let cfg = SelectionConfig {
-            capacity: 4,
-            max_rounds: 10_000,
-        };
-        let expected = best_reply_equilibrium(&fees, &initial, &cfg);
-        let mut dynamics = BestReplyDynamics::new();
-        dynamics.init(SelectInput {
-            fees: &fees,
-            initial: &initial,
-            config: &cfg,
-        });
-        let iters = dynamics.run_to_convergence();
-        let got = dynamics.solution();
-        assert_eq!(iters, expected.rounds);
-        assert_eq!(got.assignments, expected.assignments);
-        assert_eq!(got.load, expected.load);
-        assert_eq!(got.potential, expected.potential);
+    fn best_reply_reused_instance_equals_a_fresh_one() {
+        let mut reused = BestReplyDynamics::new();
+        for (t, miners, capacity) in [
+            (50, 6, 4),
+            (300, 20, 10),
+            (12, 2, 3),
+            (400, 30, 8),
+            (0, 0, 2),
+        ] {
+            let fees: Vec<u64> = (1..=t as u64).map(|i| (i * 13) % 97 + 1).collect();
+            let initial = seq_initial(miners, capacity, t);
+            let config = SelectionConfig {
+                capacity,
+                max_rounds: 10_000,
+            };
+            let input = SelectInput {
+                fees: &fees,
+                initial: &initial,
+                config: &config,
+            };
+            let rounds = reused.run(input);
+            let mut fresh = BestReplyDynamics::new();
+            assert_eq!(rounds, fresh.run(input), "{t} txs");
+            let (got, want) = (reused.outcome(), fresh.outcome());
+            assert_eq!(got.assignments, want.assignments);
+            assert_eq!(got.load, want.load);
+            assert_eq!(got.rounds, want.rounds);
+            assert_eq!(got.potential.to_bits(), want.potential.to_bits());
+            assert_eq!(reused.assignments(), &got.assignments[..]);
+            assert_eq!(reused.covered(), got.covered_tx_count());
+        }
     }
 
     #[test]
@@ -861,22 +720,20 @@ mod tests {
         // A Nash equilibrium passed back as the initial sets is already
         // every miner's best reply.
         let mut dynamics = BestReplyDynamics::new();
-        dynamics.init(SelectInput {
+        let rounds = dynamics.run(SelectInput {
             fees: &fees,
             initial: &cold.assignments,
             config: &cfg,
         });
-        let rounds = dynamics.run_to_convergence();
-        let out = dynamics.solution();
         // Identical equilibrium, one certification sweep.
-        assert_eq!(out.assignments, cold.assignments);
+        assert_eq!(dynamics.assignments(), &cold.assignments[..]);
         assert_eq!(rounds, 1);
     }
 
     #[test]
     fn empty_selection_runs_one_certification_sweep() {
         let mut dynamics = BestReplyDynamics::new();
-        dynamics.init(SelectInput {
+        let rounds = dynamics.run(SelectInput {
             fees: &[],
             initial: &[],
             config: &SelectionConfig {
@@ -884,7 +741,7 @@ mod tests {
                 max_rounds: 10_000,
             },
         });
-        assert_eq!(dynamics.run_to_convergence(), 1);
-        assert_eq!(dynamics.solution().assignments.len(), 0);
+        assert_eq!(rounds, 1);
+        assert_eq!(dynamics.outcome().assignments.len(), 0);
     }
 }

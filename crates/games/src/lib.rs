@@ -12,10 +12,11 @@
 //!   potential game (Rosenthal), so best reply terminates in a pure
 //!   strategy Nash equilibrium; the potential's monotone increase is
 //!   asserted in debug builds.
-//! * [`dynamics`] — the [`GameDynamics`] stepping interface both
-//!   equilibrium searches implement: deterministic `init / step /
-//!   converged / solution`, allocation-free after `init`. The classic
-//!   free functions above are thin wrappers over these instances.
+//! * [`dynamics`] — the two equilibrium searches, one `run` call per
+//!   game: replicator dynamics behind [`one_shot_merge`] and
+//!   [`iterative_merge`], and [`BestReplyDynamics`] behind
+//!   [`best_reply_equilibrium`], which the runtime also keeps one of per
+//!   shard. Each reuses its own buffers across runs.
 //! * [`unification`] — the parameter unification scheme (Sec. IV-C): a
 //!   VRF-elected leader broadcasts identical inputs (randomness, miner set,
 //!   shard sizes / fees, initial choices), every miner replays the
@@ -32,9 +33,7 @@ pub mod merging;
 pub mod selection;
 pub mod unification;
 
-pub use dynamics::{
-    BestReplyDynamics, GameDynamics, GameScratch, MergeInput, ReplicatorMergeDynamics, SelectInput,
-};
+pub use dynamics::{BestReplyDynamics, SelectInput};
 pub use merging::{
     iterative_merge, one_shot_merge, IterativeMergeOutcome, MergingConfig, OneShotOutcome,
 };

@@ -25,7 +25,7 @@ use cshard_primitives::{Amount, Error};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::dynamics::{GameDynamics, MergeInput, ReplicatorMergeDynamics};
+use crate::dynamics::{MergeInput, ReplicatorMergeDynamics};
 
 /// Tunables of the merging game.
 #[derive(Clone, Copy, Debug)]
@@ -72,7 +72,7 @@ impl MergingConfig {
     /// One of them is a precision bound: `reward × subslots ≤ 2⁵³` in
     /// raw units. A slot's utility sums are integers of at most that
     /// magnitude, so under the bound they are exact in `f64` and the
-    /// bit-counted closed forms of [`ReplicatorMergeDynamics`] equal the
+    /// bit-counted closed forms of the merge slot equal the
     /// toss-by-toss sums of Eq. (12)/(13) by construction rather than by
     /// luck. The default config sits four orders of magnitude below it.
     pub fn validate(&self) -> Result<(), Error> {
@@ -165,8 +165,8 @@ pub(crate) const X_MAX: f64 = 0.98;
 /// replays with identical inputs produce identical outcomes — the property
 /// parameter unification needs.
 ///
-/// This is a thin wrapper over [`ReplicatorMergeDynamics`]; the fuzz grid
-/// in `tests/dynamics_equivalence.rs` pins it draw-for-draw equal to the
+/// This is one run of the crate's replicator dynamics; the fuzz grid in
+/// `tests/dynamics_equivalence.rs` pins it draw-for-draw equal to the
 /// pre-refactor direct implementation.
 pub fn one_shot_merge(
     sizes: &[u64],
@@ -174,15 +174,12 @@ pub fn one_shot_merge(
     config: &MergingConfig,
     seed: u64,
 ) -> OneShotOutcome {
-    let mut dynamics = ReplicatorMergeDynamics::new();
-    dynamics.init(MergeInput {
+    ReplicatorMergeDynamics::default().run(MergeInput {
         sizes,
         initial_probs,
         config,
         seed,
-    });
-    dynamics.run_to_convergence();
-    dynamics.solution()
+    })
 }
 
 /// Runs Algorithm 1: iterative merging until the remaining small shards
@@ -203,10 +200,10 @@ pub fn iterative_merge(
     let mut retries = 0;
     const MAX_RETRIES: usize = 4;
     let mut subset_rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5EED_CAFE);
-    // One dynamics instance across all rounds: each `init` resets the
-    // state, so the scratch buffers are allocated once per size class
-    // rather than once per round.
-    let mut dynamics = ReplicatorMergeDynamics::new();
+    // One dynamics instance across all rounds: each `run` reuses its
+    // buffers, so they are allocated once per size class rather than
+    // once per round.
+    let mut dynamics = ReplicatorMergeDynamics::default();
     // Per-round buffers, and a dense "joined this round's shard" flag
     // per player, point-cleared after use.
     let mut round_players: Vec<usize> = Vec::new();
@@ -251,14 +248,12 @@ pub fn iterative_merge(
         let round_seed = seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(round.wrapping_mul(0x2545_F491_4F6C_DD1D));
-        dynamics.init(MergeInput {
+        let outcome = dynamics.run(MergeInput {
             sizes: &round_sizes,
             initial_probs: &round_probs,
             config,
             seed: round_seed,
         });
-        dynamics.run_to_convergence();
-        let outcome = dynamics.solution();
         total_slots += outcome.slots;
         round += 1;
         if outcome.satisfied {

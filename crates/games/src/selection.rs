@@ -14,7 +14,7 @@
 
 use std::collections::HashSet;
 
-use crate::dynamics::{BestReplyDynamics, GameDynamics, SelectInput};
+use crate::dynamics::{BestReplyDynamics, SelectInput};
 
 /// Tunables of the selection game.
 #[derive(Clone, Copy, Debug)]
@@ -112,7 +112,7 @@ pub fn greedy_assignment(fees: &[u64], miners: usize, capacity: usize) -> Select
 /// verifiable leader under parameter unification). Sets are deduplicated
 /// and truncated/padded to `capacity` deterministically.
 ///
-/// This is a thin wrapper over [`BestReplyDynamics`]; the fuzz grid in
+/// This is one run of [`BestReplyDynamics`]; the fuzz grid in
 /// `tests/dynamics_equivalence.rs` pins it move-for-move equal to the
 /// pre-refactor direct implementation.
 pub fn best_reply_equilibrium(
@@ -121,13 +121,12 @@ pub fn best_reply_equilibrium(
     config: &SelectionConfig,
 ) -> SelectionOutcome {
     let mut dynamics = BestReplyDynamics::new();
-    dynamics.init(SelectInput {
+    dynamics.run(SelectInput {
         fees,
         initial,
         config,
     });
-    dynamics.run_to_convergence();
-    dynamics.solution()
+    dynamics.outcome()
 }
 
 /// The optimal number of distinct sets (Sec. VI-E2): every miner validates

@@ -1,8 +1,8 @@
-//! Pins the `GameDynamics` reimplementations to the pre-refactor free
-//! functions, draw for draw.
+//! Pins the game dynamics to the pre-refactor free functions, draw for
+//! draw.
 //!
-//! `one_shot_merge` and `best_reply_equilibrium` are now thin wrappers
-//! over `ReplicatorMergeDynamics` / `BestReplyDynamics`. This test keeps
+//! `one_shot_merge` and `best_reply_equilibrium` are now one `run` each
+//! of the replicator and best-reply dynamics. This test keeps
 //! frozen copies of the original direct implementations (verbatim from
 //! the pre-refactor `merging.rs` / `selection.rs`) as references and
 //! fuzzes both games over seeded grids of ≥ 200 cases (the selection

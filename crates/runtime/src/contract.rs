@@ -45,7 +45,7 @@ use crate::harness::Runtime;
 use crate::propagation::PropagationModel;
 use crate::report::{RunReport, ShardReport};
 use cshard_crypto::Prf;
-use cshard_games::dynamics::{BestReplyDynamics, GameDynamics, SelectInput};
+use cshard_games::dynamics::{BestReplyDynamics, SelectInput};
 use cshard_games::selection::SelectionConfig;
 use cshard_primitives::{Error, ShardId, SimTime};
 use cshard_settle::SettleConfig;
@@ -225,8 +225,8 @@ struct ShardState {
     latest_visible: Option<SimTime>,
     /// Per-shard RNG stream for epoch initial choices.
     epoch_rng: SimRng,
-    /// The selection game's dynamics, re-initialized per epoch so its
-    /// scratch buffers persist across epochs.
+    /// The selection game's dynamics, run once per epoch so its buffers
+    /// persist across epochs.
     dynamics: BestReplyDynamics,
     /// Total best-reply sweeps across all epochs.
     game_rounds: u64,
@@ -318,15 +318,14 @@ impl ShardState {
             choice.clear();
             choice.extend((0..cap).map(|k| (offset + k * 7 + m) % t));
         }
-        self.dynamics.init(SelectInput {
+        self.game_rounds += self.dynamics.run(SelectInput {
             fees: &self.sub_fees,
             initial: &self.initial,
             config: &SelectionConfig {
                 capacity: cap,
                 max_rounds,
             },
-        });
-        self.game_rounds += self.dynamics.run_to_convergence() as u64;
+        }) as u64;
         // Map sub-indices back to local tx indices.
         for (epoch_set, set) in self
             .epoch_assignments

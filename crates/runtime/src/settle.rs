@@ -126,16 +126,15 @@ impl SettlingShardDriver {
     /// settle config degrades to one crosslink per transfer — the
     /// unbatched ledger the experiments use as baseline).
     ///
-    /// Errors (`field: "transfers"`) when a transfer references a
+    /// Errors with [`Error::NoMiners`] when the spec assigns no miners,
+    /// and (`field: "transfers"`) when a transfer references a
     /// transaction the shard does not have.
-    ///
-    /// # Panics
-    /// Panics when the spec assigns no miners.
     pub fn new(
         spec: &ShardSpec,
         config: &RuntimeConfig,
         transfers: Vec<(usize, ShardId)>,
     ) -> Result<SettlingShardDriver, Error> {
+        ShardSpec::validate_all(std::slice::from_ref(spec))?;
         if let Some(&(tx, _)) = transfers.iter().find(|&&(tx, _)| tx >= spec.fees.len()) {
             return Err(Error::Config {
                 field: "transfers",
@@ -604,6 +603,24 @@ mod tests {
         let s = d.migration_stats();
         assert_eq!((s.applied, s.deferred), (1, 1));
         assert_eq!(d.applied_at(), [Some(SimTime::from_secs(300))]);
+    }
+
+    #[test]
+    fn minerless_spec_is_a_typed_error_not_a_panic() {
+        let cfg = config(29, SettleConfig::batched(4));
+        let minerless = ShardSpec {
+            miners: 0,
+            ..spec(3, 4)
+        };
+        let err = SettlingShardDriver::new(&minerless, &cfg, fan(4, 1))
+            .err()
+            .expect("a shard without miners must be rejected");
+        assert_eq!(
+            err,
+            Error::NoMiners {
+                shard: ShardId::new(3)
+            }
+        );
     }
 
     #[test]

@@ -80,9 +80,9 @@ pub mod prelude {
     pub use cshard_baselines::{random_merge, ChainspaceDriver, ChainspacePlacement};
     pub use cshard_core::system::{MinerAllocation, SystemBuilder, SystemConfig};
     pub use cshard_core::{
-        simulate, simulate_ethereum, throughput_improvement, EpochInput, EpochPipeline,
+        simulate, simulate_ethereum, throughput_improvement, EpochInput, EpochPipeline, EpochRun,
         MinerAssignment, PipelineConfig, RunReport, RuntimeConfig, SelectionStrategy, ShardPlan,
-        ShardSpec, ShardingSystem, StageKind, StageObserver, SystemReport,
+        ShardSpec, ShardingSystem, StageKind, StageObserver,
     };
     pub use cshard_core::{EpochManager, EpochOutcome, LongRun, LongRunConfig};
     pub use cshard_crypto::{sha256, RandomnessBeacon, Vrf};

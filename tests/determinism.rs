@@ -10,7 +10,7 @@ use contractshard::prelude::*;
 
 const FEES: FeeDistribution = FeeDistribution::Uniform { lo: 1, hi: 100 };
 
-fn report_for(seed: u64, shards: usize, threads: usize) -> SystemReport {
+fn report_for(seed: u64, shards: usize, threads: usize) -> EpochRun {
     let contracts = shards - 1; // plus the MaxShard
     let w = Workload::uniform_contracts(4 * shards, contracts, FEES, seed);
     ShardingSystem::builder()
