@@ -52,7 +52,7 @@ pub fn run(quick: bool) -> ExperimentResult {
             for e in 0..plan.epochs {
                 plan.crashed_ranks.insert(e, k);
             }
-            let report = run_leader_faults(24, txs, &plan, 0xFA1_0FE)
+            let report = run_leader_faults(24, &plan)
                 .unwrap_or_else(|e| panic!("failover run at depth {k}: {e}"));
             (k as f64, report.max_recovery_latency().as_secs_f64())
         })

@@ -10,7 +10,7 @@
 //! as the fractions of transactions received from the verifiable leader".
 
 use cshard_crypto::{RandomnessBeacon, VrfPublicKey};
-use cshard_primitives::{Hash32, MinerId, ShardId};
+use cshard_primitives::{Error, Hash32, MinerId, ShardId};
 use std::collections::BTreeMap;
 
 /// The public assignment rule for one epoch.
@@ -28,17 +28,24 @@ impl MinerAssignment {
     /// (percent, summing to 100 — `ShardPlan::fractions_percent` output).
     ///
     /// Shards with a zero fraction receive no miners (an empty interval).
-    pub fn new(randomness: Hash32, fractions_percent: &[(ShardId, u32)]) -> Self {
-        let total: u32 = fractions_percent.iter().map(|&(_, p)| p).sum();
-        assert_eq!(total, 100, "fractions must sum to 100, got {total}");
+    /// A malformed broadcast — fractions that do not sum to 100 (an empty
+    /// list included) or that name a shard twice — is
+    /// `Error::Config { field: "fractions" }`.
+    pub fn new(randomness: Hash32, fractions_percent: &[(ShardId, u32)]) -> Result<Self, Error> {
+        let bad = |reason: String| Error::Config {
+            field: "fractions",
+            reason,
+        };
+        let total: u64 = fractions_percent.iter().map(|&(_, p)| u64::from(p)).sum();
+        if total != 100 {
+            return Err(bad(format!("fractions must sum to 100, got {total}")));
+        }
         // Canonical order: sort by shard id ("she first sorts all the
         // shards"), deterministic at every replica.
         let sorted: BTreeMap<ShardId, u32> = fractions_percent.iter().copied().collect();
-        assert_eq!(
-            sorted.len(),
-            fractions_percent.len(),
-            "duplicate shard in fractions"
-        );
+        if sorted.len() != fractions_percent.len() {
+            return Err(bad("duplicate shard in fractions".into()));
+        }
         let mut shards = Vec::with_capacity(sorted.len());
         let mut cumulative = Vec::with_capacity(sorted.len());
         let mut acc = 0;
@@ -47,11 +54,11 @@ impl MinerAssignment {
             shards.push(shard);
             cumulative.push(acc);
         }
-        MinerAssignment {
+        Ok(MinerAssignment {
             beacon: RandomnessBeacon::new(randomness),
             shards,
             cumulative,
-        }
+        })
     }
 
     /// The group number `r ∈ 1..=100` of a miner.
@@ -128,7 +135,7 @@ mod tests {
 
     #[test]
     fn assignment_is_deterministic_and_verifiable() {
-        let a = MinerAssignment::new(sha256(b"epoch"), &even_fractions(5));
+        let a = MinerAssignment::new(sha256(b"epoch"), &even_fractions(5)).unwrap();
         for (_, pk) in roster(50) {
             let s = a.shard_of(pk);
             assert!(a.verify_claim(pk, s));
@@ -145,7 +152,7 @@ mod tests {
     fn miners_distribute_proportionally_to_fractions() {
         // 80/20 split over two shards → miner counts near 80/20.
         let fr = vec![(ShardId::new(0), 80), (ShardId::new(1), 20)];
-        let a = MinerAssignment::new(sha256(b"r"), &fr);
+        let a = MinerAssignment::new(sha256(b"r"), &fr).unwrap();
         let counts = a.shard_miner_counts(&roster(2000));
         let big = counts[&ShardId::new(0)] as f64;
         let small = counts[&ShardId::new(1)] as f64;
@@ -156,7 +163,7 @@ mod tests {
     #[test]
     fn zero_fraction_shard_gets_no_miners() {
         let fr = vec![(ShardId::new(0), 0), (ShardId::new(1), 100)];
-        let a = MinerAssignment::new(sha256(b"r"), &fr);
+        let a = MinerAssignment::new(sha256(b"r"), &fr).unwrap();
         let counts = a.shard_miner_counts(&roster(500));
         assert_eq!(counts.get(&ShardId::new(0)), None);
         assert_eq!(counts[&ShardId::new(1)], 500);
@@ -165,7 +172,7 @@ mod tests {
     #[test]
     fn maxshard_participates_in_assignment() {
         let fr = vec![(ShardId::new(0), 40), (ShardId::MAX_SHARD, 60)];
-        let a = MinerAssignment::new(sha256(b"r"), &fr);
+        let a = MinerAssignment::new(sha256(b"r"), &fr).unwrap();
         let counts = a.shard_miner_counts(&roster(1000));
         assert!(counts[&ShardId::MAX_SHARD] > counts[&ShardId::new(0)]);
     }
@@ -173,8 +180,8 @@ mod tests {
     #[test]
     fn new_randomness_reshuffles() {
         let fr = even_fractions(4);
-        let a = MinerAssignment::new(sha256(b"epoch-1"), &fr);
-        let b = MinerAssignment::new(sha256(b"epoch-2"), &fr);
+        let a = MinerAssignment::new(sha256(b"epoch-1"), &fr).unwrap();
+        let b = MinerAssignment::new(sha256(b"epoch-2"), &fr).unwrap();
         let moved = roster(300)
             .into_iter()
             .filter(|&(_, pk)| a.shard_of(pk) != b.shard_of(pk))
@@ -191,7 +198,7 @@ mod tests {
             (ShardId::new(1), 33),
             (ShardId::new(2), 34),
         ];
-        let a = MinerAssignment::new(sha256(b"r"), &fr);
+        let a = MinerAssignment::new(sha256(b"r"), &fr).unwrap();
         let counts = a.shard_miner_counts(&roster(5000));
         let total: usize = counts.values().sum();
         assert_eq!(total, 5000);
@@ -199,17 +206,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must sum to 100")]
-    fn bad_fractions_rejected() {
-        MinerAssignment::new(sha256(b"r"), &[(ShardId::new(0), 50)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate shard")]
-    fn duplicate_shard_rejected() {
-        MinerAssignment::new(
-            sha256(b"r"),
-            &[(ShardId::new(0), 50), (ShardId::new(0), 50)],
-        );
+    fn malformed_fractions_are_typed_errors() {
+        let s = ShardId::new;
+        let rows: [(&str, Vec<(ShardId, u32)>); 5] = [
+            ("empty", vec![]),
+            ("short of 100", vec![(s(0), 50)]),
+            ("over 100", vec![(s(0), 60), (s(1), 60)]),
+            ("u32 wrap to 100", vec![(s(0), u32::MAX), (s(1), 101)]),
+            ("duplicate shard", vec![(s(0), 50), (s(0), 50)]),
+        ];
+        for (label, fractions) in rows {
+            let err = MinerAssignment::new(sha256(b"r"), &fractions).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    Error::Config {
+                        field: "fractions",
+                        ..
+                    }
+                ),
+                "{label}: {err:?}"
+            );
+        }
     }
 }

@@ -1,155 +1,105 @@
-//! Multi-epoch operation: periodic re-randomization of miner assignment.
+//! The leader schedule: who leads each epoch, and the assignment rule the
+//! leader's randomness fixes.
 //!
 //! Sharded systems must reconfigure shards and reshuffle validators
 //! periodically, or an adaptive adversary slowly concentrates on one shard
-//! (the Sybil-attack argument the paper cites in Sec. VII). This module
-//! runs the Sec. III-B assignment across epochs: each epoch elects a
-//! leader by VRF lottery, derives fresh randomness, recomputes transaction
-//! fractions from the epoch's workload, and reassigns every miner. The
-//! call graph persists across epochs — sender history accumulates, so a
-//! user who diversifies eventually migrates to the MaxShard.
+//! (the Sybil-attack argument the paper cites in Sec. VII). Each epoch a
+//! VRF lottery over the enrolment elects a leader (Sec. IV-C); if the top
+//! ranks are down, every miner walks the same public ranking to the first
+//! live one. The leader's VRF output on the epoch tag is the randomness
+//! that, with the epoch's transaction fractions (Sec. III-B), places every
+//! miner in a shard.
+//!
+//! [`EpochManager`] owns only that schedule. Classification is the
+//! pipeline's [`ClassifyStage`](crate::pipeline::ClassifyStage), whose
+//! call graph persists across epochs; [`EpochManager::assignment`] takes
+//! its plan.
 
 use crate::assignment::MinerAssignment;
 use crate::formation::ShardPlan;
-use cshard_crypto::{elect_leader, rank_leaders, Vrf, VrfPublicKey};
-use cshard_ledger::{CallGraph, Transaction};
-use cshard_primitives::{Error, MinerId, ShardId};
-use std::collections::{BTreeMap, BTreeSet};
+use cshard_crypto::{rank_leaders, Vrf};
+use cshard_primitives::{Error, MinerId};
+use std::collections::BTreeSet;
 
-/// A registered miner: id plus VRF key pair.
-#[derive(Clone, Debug)]
-pub struct EnrolledMiner {
-    /// The miner's id.
-    pub id: MinerId,
-    /// Its VRF key pair (the secret stays with the miner; the simulation
-    /// holds both, playing all roles).
-    pub vrf: Vrf,
-}
-
-/// The outcome of one epoch's reconfiguration.
-#[derive(Clone, Debug)]
-pub struct EpochOutcome {
-    /// Epoch number.
-    pub epoch: u64,
-    /// The VRF-elected leader (after any failover).
-    pub leader: MinerId,
-    /// How many ranked leaders were skipped before a live one took over:
-    /// `0` means the primary lottery winner led; `k > 0` means the first
-    /// `k` entries of the VRF failover ranking were down and rank `k`
-    /// produced the epoch's parameters instead.
-    pub failover_depth: usize,
-    /// The shard plan of the epoch's transaction batch.
-    pub plan: ShardPlan,
-    /// The public assignment rule (randomness + fractions).
-    pub assignment: MinerAssignment,
-    /// Every miner's shard this epoch.
-    pub shard_of: BTreeMap<MinerId, ShardId>,
-}
-
-/// Drives epochs over a fixed miner enrolment.
+/// The leader schedule over a fixed enrolment.
 #[derive(Debug)]
 pub struct EpochManager {
-    miners: Vec<EnrolledMiner>,
-    history: CallGraph,
+    /// The enrolled miners' VRF key pairs (the simulation holds both
+    /// halves, playing every role); a miner's id is its index here.
+    vrfs: Vec<Vrf>,
     epoch: u64,
 }
 
 impl EpochManager {
-    /// Creates a manager over an enrolment. Miner keys are derived
-    /// deterministically when built via [`EpochManager::with_miner_count`].
-    pub fn new(miners: Vec<EnrolledMiner>) -> Self {
-        assert!(!miners.is_empty(), "need at least one miner");
+    /// `n` miners with seed-derived keys.
+    ///
+    /// # Panics
+    ///
+    /// When `n` is zero: an empty enrolment can elect nobody.
+    pub fn with_miner_count(n: u32) -> Self {
+        assert!(n > 0, "need at least one miner");
         EpochManager {
-            miners,
-            history: CallGraph::new(),
+            vrfs: (0..n)
+                .map(|i| Vrf::from_seed(u64::from(i).to_be_bytes()))
+                .collect(),
             epoch: 0,
         }
     }
 
-    /// Convenience: `n` miners with seed-derived keys.
-    pub fn with_miner_count(n: u32) -> Self {
-        Self::new(
-            (0..n)
-                .map(|i| EnrolledMiner {
-                    id: MinerId::new(i),
-                    vrf: Vrf::from_seed((i as u64).to_be_bytes()),
-                })
-                .collect(),
-        )
-    }
-
-    /// Number of epochs run so far.
+    /// Number of epochs elected so far: the next epoch's number.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// The accumulated cross-epoch call graph.
-    pub fn history(&self) -> &CallGraph {
-        &self.history
+    /// The enrolled miners and their VRF keys, in enrolment order.
+    pub fn miners(&self) -> impl Iterator<Item = (MinerId, &Vrf)> {
+        (0..).map(MinerId::new).zip(&self.vrfs)
     }
 
-    /// Runs one epoch over a transaction batch: elect leader → derive
-    /// randomness → absorb the batch into the history → form shards
-    /// (using all accumulated history) → assign miners.
-    ///
-    /// Fails with `Error::Config { field: "batch" }` — without consuming
-    /// the epoch number — on an empty batch.
-    pub fn run_epoch(&mut self, batch: &[Transaction]) -> Result<EpochOutcome, Error> {
-        // Leader election: lowest VRF output on the epoch tag wins. The
-        // enrolment is never empty (the constructor asserts at least one
-        // miner), so `None` is unreachable and 0 a safe fallback (PH001).
-        let winner = elect_leader(&self.vrfs(), self.epoch).unwrap_or(0);
-        self.complete_epoch(winner, 0, batch)
-    }
-
-    /// Elects the next epoch's leader and consumes the epoch number,
-    /// without forming shards or absorbing a batch. This is the election
-    /// half of [`EpochManager::run_epoch`] — the long run uses it when the
-    /// classification half is handled by the pipeline's persistent
-    /// classify stage (which accumulates the same cross-epoch call graph).
-    /// The leader sequence is bit-identical to `run_epoch`'s.
+    /// Elects the next epoch's leader (the lottery winner, rank 0) and
+    /// uses up the epoch number: [`EpochManager::elect_skipping`] with
+    /// nobody down.
     pub fn elect(&mut self) -> (u64, MinerId) {
-        let epoch = self.epoch;
-        self.epoch += 1;
-        // Same unreachable-`None` reasoning as in `run_epoch` (PH001).
-        let winner = elect_leader(&self.vrfs(), epoch).unwrap_or(0);
-        (epoch, self.miners[winner].id)
+        // With nobody down the walk stops at rank 0, which exists because
+        // the enrolment is never empty; the fallback only keeps PH001.
+        let (epoch, leader, _) =
+            self.elect_skipping(&BTreeSet::new())
+                .unwrap_or((self.epoch, MinerId::new(0), 0));
+        (epoch, leader)
     }
 
-    /// Runs one epoch like [`EpochManager::run_epoch`], but with a set of
-    /// miners known to be down (crashed, or caught equivocating by the
-    /// fault detector). The VRF failover ranking is walked in order and
-    /// the first live entry leads; the skipped count is recorded as the
-    /// outcome's `failover_depth`. Every honest miner replays this same
-    /// walk locally, so the fallback is agreed without extra rounds.
+    /// Elects the next epoch's leader with a set of miners known to be
+    /// down (crashed, or caught equivocating): the failover ranking is
+    /// walked in order and the first live entry leads. Returns `(epoch,
+    /// leader, failover_depth)`, where the depth counts the ranks skipped.
+    /// Every honest miner replays this walk, so the fallback is agreed
+    /// without extra rounds.
     ///
-    /// Fails with [`Error::NoLiveLeader`] — without consuming the epoch
-    /// number or absorbing the batch — when every candidate is down, and
-    /// like [`EpochManager::run_epoch`] on an empty batch.
-    pub fn run_epoch_with_downs(
+    /// Fails with [`Error::NoLiveLeader`] — without using up the epoch
+    /// number — when every candidate is down.
+    pub fn elect_skipping(
         &mut self,
-        batch: &[Transaction],
         down: &BTreeSet<MinerId>,
-    ) -> Result<EpochOutcome, Error> {
+    ) -> Result<(u64, MinerId, usize), Error> {
         let epoch = self.epoch;
-        let ranking = rank_leaders(&self.vrfs(), epoch);
-        let live = ranking
-            .iter()
+        let (depth, leader) = self
+            .leader_ranking(epoch)
+            .into_iter()
             .enumerate()
-            .find(|(_, &i)| !down.contains(&self.miners[i].id));
-        let Some((depth, &winner)) = live else {
-            return Err(Error::NoLiveLeader { epoch });
-        };
-        self.complete_epoch(winner, depth, batch)
+            .find(|(_, id)| !down.contains(id))
+            .ok_or(Error::NoLiveLeader { epoch })?;
+        self.epoch += 1;
+        Ok((epoch, leader, depth))
     }
 
     /// The epoch's full VRF failover schedule: rank 0 is the lottery
-    /// winner ([`elect_leader`] over the same enrolment), rank 1 takes
-    /// over if rank 0 misses the broadcast timeout, and so on.
+    /// winner, rank 1 takes over if rank 0 misses the broadcast timeout,
+    /// and so on.
     pub fn leader_ranking(&self, epoch: u64) -> Vec<MinerId> {
-        rank_leaders(&self.vrfs(), epoch)
+        // Indices come from a `u32` enrolment count, so each converts.
+        rank_leaders(&self.vrfs, epoch)
             .into_iter()
-            .map(|i| self.miners[i].id)
+            .filter_map(|i| u32::try_from(i).ok().map(MinerId::new))
             .collect()
     }
 
@@ -164,66 +114,39 @@ impl EpochManager {
             == Some(claimed)
     }
 
-    /// The enrolled miners, in registration order (the fault subsystem
-    /// uses this to reconstruct leader broadcasts for equivocation
-    /// checks).
-    pub fn enrolled(&self) -> &[EnrolledMiner] {
-        &self.miners
-    }
-
-    /// The miners' VRF keys, in registration order.
-    fn vrfs(&self) -> Vec<Vrf> {
-        self.miners.iter().map(|m| m.vrf.clone()).collect()
-    }
-
-    /// Shared epoch body: the elected (or failed-over) `winner` derives
-    /// the randomness, the batch is absorbed into the history, shards are
-    /// formed against it, and every miner is reassigned. The epoch number
-    /// is consumed only on success (the one failure, an empty batch,
-    /// absorbs nothing).
-    fn complete_epoch(
-        &mut self,
-        winner: usize,
-        failover_depth: usize,
-        batch: &[Transaction],
-    ) -> Result<EpochOutcome, Error> {
-        let epoch = self.epoch;
-        let leader = self.miners[winner].id;
-        let (randomness, _proof) = self.miners[winner].vrf.evaluate(epoch.to_be_bytes());
-
-        self.history.observe_all(batch.iter());
-        let plan = ShardPlan::classify(batch, &self.history);
-        let assignment = MinerAssignment::new(randomness, &plan.fractions_percent()?);
-        let shard_of: BTreeMap<MinerId, ShardId> = self
-            .miners
-            .iter()
-            .map(|m| (m.id, assignment.shard_of(m.vrf.public_key())))
-            .collect();
-
-        self.epoch += 1;
-        Ok(EpochOutcome {
-            epoch,
-            leader,
-            failover_depth,
-            plan,
-            assignment,
-            shard_of,
-        })
-    }
-
-    /// Public key of a miner (for verification paths in tests/examples).
-    pub fn public_key(&self, id: MinerId) -> Option<VrfPublicKey> {
-        self.miners
-            .iter()
-            .find(|m| m.id == id)
-            .map(|m| m.vrf.public_key())
+    /// The epoch's public assignment rule: `leader`'s VRF output on the
+    /// epoch tag as randomness, over `plan`'s transaction fractions.
+    ///
+    /// Fails with `Error::Config { field: "leader" }` for a miner outside
+    /// the enrolment, and with `field: "batch"` for an empty plan.
+    pub fn assignment(
+        &self,
+        epoch: u64,
+        leader: MinerId,
+        plan: &ShardPlan,
+    ) -> Result<MinerAssignment, Error> {
+        let (_, vrf) = self
+            .miners()
+            .find(|&(id, _)| id == leader)
+            .ok_or(Error::Config {
+                field: "leader",
+                reason: format!("{leader} is not enrolled"),
+            })?;
+        let (randomness, _proof) = vrf.evaluate(epoch.to_be_bytes());
+        MinerAssignment::new(randomness, &plan.fractions_percent()?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::ClassifyStage;
+    use cshard_crypto::sha256;
+    use cshard_ledger::Transaction;
+    use cshard_primitives::ShardId;
     use cshard_workload::{FeeDistribution, Workload};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     const FEES: FeeDistribution = FeeDistribution::Uniform { lo: 1, hi: 50 };
 
@@ -231,14 +154,65 @@ mod tests {
         Workload::uniform_contracts(120, 5, FEES, seed).transactions
     }
 
+    /// Every miner's shard under the epoch's assignment.
+    fn shard_of(mgr: &EpochManager, assignment: &MinerAssignment) -> BTreeMap<MinerId, ShardId> {
+        mgr.miners()
+            .map(|(id, vrf)| (id, assignment.shard_of(vrf.public_key())))
+            .collect()
+    }
+
+    /// Output pin taken from the classify-and-assign epoch body this API
+    /// replaced: 40 miners, three epochs of `uniform_contracts(100, 3, …)`
+    /// with the top two ranks of epoch 1 down. Each row is `(epoch,
+    /// leader, failover_depth)` and a sha256 over every miner's
+    /// `(id, shard)` as big-endian `u32` pairs in id order.
     #[test]
-    fn epochs_advance_and_elect_leaders() {
+    fn schedule_classify_and_assign_reproduce_the_pinned_epochs() {
+        let pins: [((u64, u32, usize), &str); 3] = [
+            (
+                (0, 17, 0),
+                "0x9301da7f17aae2b3aacbd7ec475b24a353fff936fd09e2303e5def0862b671d9",
+            ),
+            (
+                (1, 21, 2),
+                "0xdf0a44152490836b684b7e648e623eca5c7c48c67f4c93147980082f5f9bc2ab",
+            ),
+            (
+                (2, 34, 0),
+                "0xc242f1adff40a77ddd63ffe465d664f83e011c42c9ca16ac626d56cecbf06b9f",
+            ),
+        ];
+        let mut mgr = EpochManager::with_miner_count(40);
+        let mut stage = ClassifyStage::new();
+        for (step, &(row, digest)) in pins.iter().enumerate() {
+            let seed = 0xE90C + step as u64;
+            let batch = Workload::uniform_contracts(100, 3, FEES, seed).transactions;
+            let (epoch, leader, depth) = if step == 1 {
+                let down = mgr.leader_ranking(1).into_iter().take(2).collect();
+                mgr.elect_skipping(&down).expect("a live rank remains")
+            } else {
+                let (epoch, leader) = mgr.elect();
+                (epoch, leader, 0)
+            };
+            assert_eq!((epoch, leader.0, depth), row, "epoch {step}");
+            let (plan, _) = stage.run(&batch);
+            let assignment = mgr.assignment(epoch, leader, &plan).expect("non-empty");
+            let bytes: Vec<u8> = shard_of(&mgr, &assignment)
+                .iter()
+                .flat_map(|(m, s)| m.0.to_be_bytes().into_iter().chain(s.0.to_be_bytes()))
+                .collect();
+            assert_eq!(sha256(&bytes).to_string(), digest, "epoch {step}");
+        }
+    }
+
+    #[test]
+    fn epochs_advance_and_rotate_leadership() {
         let mut mgr = EpochManager::with_miner_count(20);
         let mut leaders = std::collections::HashSet::new();
         for e in 0..10 {
-            let out = mgr.run_epoch(&batch(e)).unwrap();
-            assert_eq!(out.epoch, e);
-            leaders.insert(out.leader);
+            let (epoch, leader) = mgr.elect();
+            assert_eq!(epoch, e);
+            leaders.insert(leader);
         }
         assert_eq!(mgr.epoch(), 10);
         // VRF lottery rotates leadership.
@@ -248,84 +222,21 @@ mod tests {
     #[test]
     fn reassignment_shuffles_between_epochs() {
         let mut mgr = EpochManager::with_miner_count(200);
-        let a = mgr.run_epoch(&batch(1)).unwrap();
-        let b = mgr.run_epoch(&batch(2)).unwrap();
-        let moved = a
-            .shard_of
-            .iter()
-            .filter(|(id, shard)| b.shard_of[id] != **shard)
-            .count();
-        assert!(moved > 50, "only {moved}/200 miners moved");
-    }
-
-    #[test]
-    fn every_assignment_is_verifiable() {
-        let mut mgr = EpochManager::with_miner_count(30);
-        let out = mgr.run_epoch(&batch(3)).unwrap();
-        for (id, shard) in &out.shard_of {
-            let pk = mgr.public_key(*id).unwrap();
-            assert!(out.assignment.verify_claim(pk, *shard));
-        }
-    }
-
-    #[test]
-    fn history_accumulates_and_reclassifies_senders() {
-        use cshard_primitives::{Address, Amount, ContractId};
-        let mut mgr = EpochManager::with_miner_count(10);
-        // Epoch 0: user calls contract 0 — isolable.
-        let tx0 = Transaction::call(
-            Address::user(1),
-            0,
-            ContractId::new(0),
-            Amount(10),
-            Amount(1),
-        );
-        let out0 = mgr.run_epoch(std::slice::from_ref(&tx0)).unwrap();
-        assert_eq!(out0.plan.maxshard.len(), 0);
-        // Epoch 1: same user calls contract 1 — multi-contract now, so the
-        // new call goes to the MaxShard.
-        let tx1 = Transaction::call(
-            Address::user(1),
-            1,
-            ContractId::new(1),
-            Amount(10),
-            Amount(1),
-        );
-        let out1 = mgr.run_epoch(std::slice::from_ref(&tx1)).unwrap();
-        assert_eq!(out1.plan.maxshard.len(), 1, "history must persist");
-    }
-
-    #[test]
-    fn deterministic_across_replays() {
-        let run = || {
-            let mut mgr = EpochManager::with_miner_count(25);
-            let a = mgr.run_epoch(&batch(7)).unwrap();
-            let b = mgr.run_epoch(&batch(8)).unwrap();
-            (a.leader, a.shard_of, b.leader, b.shard_of)
+        let mut stage = ClassifyStage::new();
+        let mut epoch_shards = |seed| {
+            let (epoch, leader) = mgr.elect();
+            let (plan, _) = stage.run(&batch(seed));
+            shard_of(&mgr, &mgr.assignment(epoch, leader, &plan).unwrap())
         };
-        assert_eq!(run(), run());
+        let (a, b) = (epoch_shards(1), epoch_shards(2));
+        let moved = a.iter().filter(|(id, shard)| b[id] != **shard).count();
+        assert!(moved > 50, "only {moved}/200 miners moved");
     }
 
     #[test]
     #[should_panic(expected = "at least one miner")]
     fn empty_enrolment_rejected() {
-        EpochManager::new(vec![]);
-    }
-
-    #[test]
-    fn empty_down_set_matches_plain_run_epoch() {
-        let mut plain = EpochManager::with_miner_count(15);
-        let mut faulty = EpochManager::with_miner_count(15);
-        for e in 0..4 {
-            let a = plain.run_epoch(&batch(e)).unwrap();
-            let b = faulty
-                .run_epoch_with_downs(&batch(e), &BTreeSet::new())
-                .expect("a live leader always exists with no downs");
-            assert_eq!(a.leader, b.leader);
-            assert_eq!(a.failover_depth, 0);
-            assert_eq!(b.failover_depth, 0);
-            assert_eq!(a.shard_of, b.shard_of);
-        }
+        EpochManager::with_miner_count(0);
     }
 
     #[test]
@@ -334,82 +245,89 @@ mod tests {
         let ranking = mgr.leader_ranking(0);
         // Knock out the first two ranked leaders: rank 2 must take over.
         let down: BTreeSet<MinerId> = ranking.iter().take(2).copied().collect();
-        let out = mgr.run_epoch_with_downs(&batch(0), &down).unwrap();
-        assert_eq!(out.leader, ranking[2]);
-        assert_eq!(out.failover_depth, 2);
-        // The fallback changes the epoch randomness (different leader VRF),
-        // so assignments differ from the no-fault run.
-        let mut plain = EpochManager::with_miner_count(12);
-        let base = plain.run_epoch(&batch(0)).unwrap();
-        assert_ne!(base.leader, out.leader);
-    }
-
-    #[test]
-    fn verify_failover_replays_the_ranking() {
-        let mgr = EpochManager::with_miner_count(10);
-        let ranking = mgr.leader_ranking(5);
-        let down: BTreeSet<MinerId> = ranking.iter().take(1).copied().collect();
-        assert!(mgr.verify_failover(5, &down, ranking[1]));
-        assert!(!mgr.verify_failover(5, &down, ranking[0]), "down leader");
-        assert!(
-            !mgr.verify_failover(5, &down, ranking[2]),
-            "skipped a live rank"
-        );
+        let (epoch, leader, depth) = mgr.elect_skipping(&down).unwrap();
+        assert_eq!((epoch, leader, depth), (0, ranking[2], 2));
+        // The fallback changes the epoch randomness (different leader
+        // VRF), so assignments differ from the no-fault epoch.
+        let (plan, _) = ClassifyStage::new().run(&batch(0));
+        let base = mgr.assignment(0, ranking[0], &plan).unwrap();
+        let fallback = mgr.assignment(0, leader, &plan).unwrap();
+        assert_ne!(shard_of(&mgr, &base), shard_of(&mgr, &fallback));
     }
 
     #[test]
     fn all_down_is_a_typed_error_and_preserves_state() {
         let mut mgr = EpochManager::with_miner_count(3);
         let down: BTreeSet<MinerId> = (0..3).map(MinerId::new).collect();
-        let err = mgr.run_epoch_with_downs(&batch(0), &down).unwrap_err();
-        assert_eq!(err, cshard_primitives::Error::NoLiveLeader { epoch: 0 });
+        let err = mgr.elect_skipping(&down).unwrap_err();
+        assert_eq!(err, Error::NoLiveLeader { epoch: 0 });
         // The failed attempt consumed nothing: the next epoch is still 0.
         assert_eq!(mgr.epoch(), 0);
-        let out = mgr.run_epoch(&batch(0)).unwrap();
-        assert_eq!(out.epoch, 0);
+        assert_eq!(mgr.elect().0, 0);
     }
 
     #[test]
-    fn empty_batch_is_a_typed_error_and_preserves_state() {
-        type Entry = fn(&mut EpochManager, &[Transaction]) -> Result<EpochOutcome, Error>;
-        let entries: [(&str, Entry); 2] = [
-            ("run_epoch", |m, b| m.run_epoch(b)),
-            ("run_epoch_with_downs", |m, b| {
-                m.run_epoch_with_downs(b, &BTreeSet::new())
-            }),
-        ];
-        for (label, entry) in entries {
-            let mut mgr = EpochManager::with_miner_count(5);
-            let err = entry(&mut mgr, &[]).unwrap_err();
-            assert!(
-                matches!(err, Error::Config { field: "batch", .. }),
-                "{label}: {err:?}"
-            );
-            assert_eq!(mgr.epoch(), 0, "{label}: epoch consumed");
-            let out = entry(&mut mgr, &batch(0)).expect("non-empty batch");
-            assert_eq!(out.epoch, 0, "{label}");
-        }
+    fn bad_assignment_inputs_are_typed_errors() {
+        let mgr = EpochManager::with_miner_count(5);
+        let (plan, _) = ClassifyStage::new().run(&batch(0));
+        let err = mgr.assignment(0, MinerId::new(5), &plan).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Config {
+                    field: "leader",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        let (empty, _) = ClassifyStage::new().run(&[]);
+        let err = mgr.assignment(0, MinerId::new(0), &empty).unwrap_err();
+        assert!(
+            matches!(err, Error::Config { field: "batch", .. }),
+            "{err:?}"
+        );
     }
 
-    #[test]
-    fn elect_matches_run_epoch_leader_sequence() {
-        let mut electing = EpochManager::with_miner_count(20);
-        let mut running = EpochManager::with_miner_count(20);
-        for e in 0..8 {
-            let (epoch, leader) = electing.elect();
-            let out = running.run_epoch(&batch(e)).unwrap();
-            assert_eq!(epoch, out.epoch);
-            assert_eq!(leader, out.leader, "epoch {e}");
-        }
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
 
-    #[test]
-    fn ranking_head_is_the_lottery_winner() {
-        let mut mgr = EpochManager::with_miner_count(16);
-        for e in 0..6 {
-            let head = mgr.leader_ranking(mgr.epoch())[0];
-            let out = mgr.run_epoch(&batch(e)).unwrap();
-            assert_eq!(out.leader, head);
+        /// The walk stops at the first live rank, uses up the epoch
+        /// exactly when it succeeds, and `verify_failover` accepts
+        /// exactly its leader; with nobody down it is `elect()`.
+        #[test]
+        fn walk_takes_the_first_live_rank(
+            miners in 1u32..24,
+            epoch in 0u64..6,
+            down_ids in proptest::collection::vec(0u32..24, 0..24),
+        ) {
+            let down: BTreeSet<MinerId> = down_ids.into_iter().map(MinerId::new).collect();
+            let at = |epoch: u64| {
+                let mut mgr = EpochManager::with_miner_count(miners);
+                for _ in 0..epoch {
+                    mgr.elect();
+                }
+                mgr
+            };
+            let mut mgr = at(epoch);
+            let ranking = mgr.leader_ranking(epoch);
+            let first_live = ranking.iter().position(|id| !down.contains(id));
+            match (mgr.elect_skipping(&down), first_live) {
+                (Ok((e, leader, depth)), Some(rank)) => {
+                    prop_assert_eq!((e, leader, depth), (epoch, ranking[rank], rank));
+                    prop_assert_eq!(mgr.epoch(), epoch + 1);
+                    for id in &ranking {
+                        prop_assert_eq!(mgr.verify_failover(epoch, &down, *id), *id == leader);
+                    }
+                }
+                (Err(err), None) => {
+                    prop_assert_eq!(err, Error::NoLiveLeader { epoch });
+                    prop_assert_eq!(mgr.epoch(), epoch);
+                }
+                (got, want) => prop_assert!(false, "walk {:?} vs first live {:?}", got, want),
+            }
+            let (e, leader) = at(epoch).elect();
+            prop_assert_eq!(at(epoch).elect_skipping(&BTreeSet::new()), Ok((e, leader, 0)));
         }
     }
 }

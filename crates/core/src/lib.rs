@@ -11,8 +11,12 @@
 //!   Select → Unify → Place`, each one's product the next one's argument.
 //!   The stage structs hold the persistent cross-epoch state (call-graph
 //!   history, carried merge groups, placement traffic counters);
-//!   per-stage counters accumulate beside them. This is the *only* epoch implementation in the
-//!   workspace; everything below drives it.
+//!   per-stage counters accumulate beside them. This is the *only* epoch
+//!   implementation in the workspace; everything below drives it.
+//! * [`epoch`] — the leader schedule: VRF election per epoch, the ranked
+//!   failover walk past a down set, and the epoch's [`MinerAssignment`]
+//!   from the leader's randomness and a pipeline plan. It holds no call
+//!   graph and classifies nothing.
 //! * [`system`] — [`system::ShardingSystem`]: the workload-level facade
 //!   over one cold pipeline epoch, with every stage optional so
 //!   experiments can ablate each mechanism; [`builder`] holds its
@@ -50,7 +54,7 @@ pub use cshard_runtime::{
     RunPhase, RunSchedStats, Runtime, RuntimeConfig, SchedulerConfig, SelectionStrategy,
     SettleConfig, SettleStats, SettlingShardDriver, ShardSpec, StreamDriver,
 };
-pub use epoch::{EpochManager, EpochOutcome};
+pub use epoch::EpochManager;
 pub use formation::ShardPlan;
 pub use longrun::{LongRun, LongRunConfig};
 pub use pipeline::{
@@ -68,7 +72,7 @@ pub use system::{MinerAllocation, ShardingSystem, SystemBuilder, SystemConfig};
 /// rather than here.
 pub mod prelude {
     pub use crate::builder::SystemBuilder;
-    pub use crate::epoch::{EpochManager, EpochOutcome};
+    pub use crate::epoch::EpochManager;
     pub use crate::formation::ShardPlan;
     pub use crate::longrun::{LongRun, LongRunConfig};
     pub use crate::pipeline::{

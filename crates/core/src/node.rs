@@ -246,7 +246,8 @@ mod tests {
             .map(|i| (ShardId::new(i), base + u32::from(i < extra)))
             .collect();
         fractions.push((ShardId::MAX_SHARD, base + u32::from(shards < extra)));
-        let assignment = MinerAssignment::new(sha256(b"node-test-epoch"), &fractions);
+        let assignment =
+            MinerAssignment::new(sha256(b"node-test-epoch"), &fractions).expect("sums to 100");
 
         // Find, for every shard, a key the rule assigns there.
         let mut roster: BTreeMap<MinerId, VrfPublicKey> = BTreeMap::new();

@@ -23,4 +23,4 @@ pub mod vrf;
 pub use beacon::RandomnessBeacon;
 pub use prf::Prf;
 pub use sha256::{sha256, sha256_concat, Sha256};
-pub use vrf::{elect_leader, rank_leaders, Vrf, VrfProof, VrfPublicKey, VrfSecretKey};
+pub use vrf::{rank_leaders, Vrf, VrfProof, VrfPublicKey, VrfSecretKey};

@@ -114,24 +114,10 @@ impl Vrf {
     }
 }
 
-/// Selects a leader among `candidates` for a round: each candidate's VRF
-/// output on the round tag is compared and the smallest wins.
-///
-/// Returns the index of the winner. This is the standard lowest-output VRF
-/// lottery; with honest keys each candidate wins with equal probability.
-pub fn elect_leader(candidates: &[Vrf], round: u64) -> Option<usize> {
-    let tag = round.to_be_bytes();
-    candidates
-        .iter()
-        .enumerate()
-        .map(|(i, vrf)| (vrf.evaluate(tag).0, i))
-        .min()
-        .map(|(_, i)| i)
-}
-
-/// Ranks every candidate for a round by the same `(output, index)` order the
-/// lottery uses: `rank_leaders(c, r)[0]` is exactly `elect_leader(c, r)`, the
-/// next entry is the first fallback, and so on.
+/// Ranks every candidate for a round by its VRF output on the round tag,
+/// ties by index: rank 0 — the lowest output — is the lottery winner (the
+/// standard lowest-output VRF lottery; with honest keys each candidate wins
+/// with equal probability), the next entry is the first fallback, and so on.
 ///
 /// This is the failover schedule for leader crashes: when the rank-0 leader
 /// fails to broadcast the unified parameters within the timeout, every miner
@@ -243,29 +229,28 @@ mod tests {
     #[cfg_attr(miri, ignore = "64 election rounds are too slow under the interpreter")]
     fn leader_election_is_deterministic_and_covers_candidates() {
         let vrfs: Vec<Vrf> = (0..8u64).map(|i| Vrf::from_seed(i.to_be_bytes())).collect();
-        let w1 = elect_leader(&vrfs, 7).unwrap();
-        let w2 = elect_leader(&vrfs, 7).unwrap();
-        assert_eq!(w1, w2);
+        assert_eq!(rank_leaders(&vrfs, 7), rank_leaders(&vrfs, 7));
         // Over many rounds, several distinct leaders should win.
         let mut winners = std::collections::HashSet::new();
         for round in 0..64 {
-            winners.insert(elect_leader(&vrfs, round).unwrap());
+            winners.insert(rank_leaders(&vrfs, round)[0]);
         }
         assert!(winners.len() >= 4, "winners too concentrated: {winners:?}");
     }
 
     #[test]
     fn empty_candidate_set_has_no_leader() {
-        assert_eq!(elect_leader(&[], 0), None);
         assert!(rank_leaders(&[], 0).is_empty());
     }
 
     #[test]
-    fn ranking_head_matches_the_lottery_winner() {
+    fn ranking_is_the_output_order_headed_by_the_lowest_output() {
         let vrfs: Vec<Vrf> = (0..9u64).map(|i| Vrf::from_seed(i.to_be_bytes())).collect();
         for round in 0..16 {
             let ranking = rank_leaders(&vrfs, round);
-            assert_eq!(Some(ranking[0]), elect_leader(&vrfs, round));
+            let output = |i: usize| vrfs[i].evaluate(round.to_be_bytes()).0;
+            // Outputs ascend along the ranking, so rank 0 is the winner.
+            assert!(ranking.windows(2).all(|w| output(w[0]) < output(w[1])));
             // Every candidate appears exactly once.
             let mut sorted = ranking.clone();
             sorted.sort_unstable();

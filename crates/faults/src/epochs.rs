@@ -3,8 +3,10 @@
 //!
 //! The paper's unification scheme (Sec. IV-C) hangs one epoch's parameters
 //! off a single VRF-elected leader. This module exercises the two ways that
-//! leader can fail and the deterministic recovery path `cshard-core` now
-//! implements:
+//! leader can fail and the deterministic recovery path of `cshard-core`'s
+//! leader schedule, `EpochManager::elect_skipping`. Only the schedule
+//! runs: which leader takes over depends on no transaction, so no
+//! workload is generated or classified here.
 //!
 //! * **Crash** — the leader never broadcasts. After a timeout every miner
 //!   advances to the next entry of the epoch's VRF ranking
@@ -19,7 +21,6 @@
 use cshard_core::EpochManager;
 use cshard_games::{GameInputs, SelectionConfig, UnifiedParameters};
 use cshard_primitives::{Error, MinerId, ShardId, SimTime};
-use cshard_workload::{FeeDistribution, Workload};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Whether two same-epoch leader broadcasts are an equivocation proof:
@@ -141,11 +142,10 @@ impl EpochFaultReport {
     }
 }
 
-const FEES: FeeDistribution = FeeDistribution::Uniform { lo: 1, hi: 99 };
-
 /// Runs `plan.epochs` epochs over `miners` enrolled miners, injecting the
 /// planned leader faults and recovering via VRF-ranked failover. A pure
-/// function of `(miners, txs_per_epoch, plan, seed)`.
+/// function of `(miners, plan)`: the leader schedule depends on no
+/// transaction, so no workload is generated.
 ///
 /// Each epoch:
 /// 1. compute the public leader ranking;
@@ -153,17 +153,12 @@ const FEES: FeeDistribution = FeeDistribution::Uniform { lo: 1, hi: 99 };
 /// 3. if the epoch is in `equivocators`, let the acting primary (first
 ///    live rank) broadcast two conflicting parameter sets, detect the
 ///    digest mismatch, and mark it down too;
-/// 4. run the epoch with the down-set — every miner replays the same
-///    ranking, so the resulting leader is byte-agreed — and verify the
-///    failover claim against public data;
+/// 4. elect past the down-set (`EpochManager::elect_skipping`) — every
+///    miner replays the same ranking, so the resulting leader is
+///    byte-agreed — and verify the failover claim against public data;
 /// 5. if *no* ranked leader is live, count the epoch as stalled, heal the
 ///    faults (operators restart miners), and retry once.
-pub fn run_leader_faults(
-    miners: u32,
-    txs_per_epoch: usize,
-    plan: &LeaderFaultPlan,
-    seed: u64,
-) -> Result<EpochFaultReport, Error> {
+pub fn run_leader_faults(miners: u32, plan: &LeaderFaultPlan) -> Result<EpochFaultReport, Error> {
     plan.validate()?;
     if miners == 0 {
         return Err(Error::Config {
@@ -176,13 +171,6 @@ pub fn run_leader_faults(
     let mut stalled_epochs = 0;
     for step in 0..plan.epochs {
         let epoch = mgr.epoch();
-        let batch = Workload::uniform_contracts(
-            txs_per_epoch,
-            5,
-            FEES,
-            seed ^ step.wrapping_mul(0x9E37_79B9),
-        )
-        .transactions;
         let ranking = mgr.leader_ranking(epoch);
         let crash_depth = plan.crashed_ranks.get(&step).copied().unwrap_or(0);
         let mut down: BTreeSet<MinerId> = ranking.iter().take(crash_depth).copied().collect();
@@ -190,12 +178,12 @@ pub fn run_leader_faults(
         // Equivocation: the acting primary signs two conflicting inputs.
         let mut equivocation = false;
         if plan.equivocators.contains(&step) {
-            if let Some(primary) = ranking.iter().find(|id| !down.contains(id)) {
-                if let Some(enrolled) = mgr.enrolled().iter().find(|m| m.id == *primary) {
-                    let ids: Vec<MinerId> = mgr.enrolled().iter().map(|m| m.id).collect();
+            if let Some(&primary) = ranking.iter().find(|id| !down.contains(id)) {
+                if let Some((_, vrf)) = mgr.miners().find(|&(id, _)| id == primary) {
+                    let ids: Vec<MinerId> = mgr.miners().map(|(id, _)| id).collect();
                     let broadcast = |fees: Vec<u64>| {
                         UnifiedParameters::from_leader(
-                            &enrolled.vrf,
+                            vrf,
                             epoch,
                             ids.clone(),
                             GameInputs::Select {
@@ -209,46 +197,42 @@ pub fn run_leader_faults(
                     let forked = broadcast(vec![1, 2, 4]);
                     equivocation = equivocation_detected(&honest, &forked);
                     if equivocation {
-                        down.insert(*primary);
+                        down.insert(primary);
                     }
                 }
             }
         }
 
-        match mgr.run_epoch_with_downs(&batch, &down) {
-            Ok(out) => {
-                let failover_verified = mgr.verify_failover(out.epoch, &down, out.leader);
-                let recovery_latency = SimTime::from_millis(
+        let outcome = match mgr.elect_skipping(&down) {
+            Ok((epoch, leader, failover_depth)) => EpochFaultOutcome {
+                epoch,
+                leader,
+                failover_depth,
+                recovery_latency: SimTime::from_millis(
                     plan.timeout
                         .as_millis()
-                        .saturating_mul(out.failover_depth as u64),
-                );
-                outcomes.push(EpochFaultOutcome {
-                    epoch: out.epoch,
-                    leader: out.leader,
-                    failover_depth: out.failover_depth,
-                    recovery_latency,
-                    equivocation_detected: equivocation,
-                    failover_verified,
-                });
-            }
-            Err(Error::NoLiveLeader { .. }) => {
-                // Every candidate is down: the epoch stalls until
-                // operators restore miners; model one lost interval, then
-                // retry healthy.
+                        .saturating_mul(failover_depth as u64),
+                ),
+                equivocation_detected: equivocation,
+                failover_verified: mgr.verify_failover(epoch, &down, leader),
+            },
+            // Every candidate is down (the walk's only error): the epoch
+            // stalls until operators restore miners; model one lost
+            // interval, then elect healthy.
+            Err(_) => {
                 stalled_epochs += 1;
-                let out = mgr.run_epoch(&batch)?;
-                outcomes.push(EpochFaultOutcome {
-                    epoch: out.epoch,
-                    leader: out.leader,
-                    failover_depth: out.failover_depth,
+                let (epoch, leader) = mgr.elect();
+                EpochFaultOutcome {
+                    epoch,
+                    leader,
+                    failover_depth: 0,
                     recovery_latency: plan.epoch_interval,
                     equivocation_detected: equivocation,
                     failover_verified: true,
-                });
+                }
             }
-            Err(other) => return Err(other),
-        }
+        };
+        outcomes.push(outcome);
     }
     Ok(EpochFaultReport {
         outcomes,
@@ -266,7 +250,7 @@ mod tests {
 
     #[test]
     fn healthy_epochs_have_zero_depth_and_latency() {
-        let report = run_leader_faults(12, 60, &base_plan(5), 1).expect("valid");
+        let report = run_leader_faults(12, &base_plan(5)).expect("valid");
         assert_eq!(report.outcomes.len(), 5);
         assert_eq!(report.stalled_epochs, 0);
         assert_eq!(report.max_failover_depth(), 0);
@@ -279,7 +263,7 @@ mod tests {
         let mut plan = base_plan(6);
         plan.crashed_ranks.insert(1, 1);
         plan.crashed_ranks.insert(3, 2);
-        let report = run_leader_faults(12, 60, &plan, 2).expect("valid");
+        let report = run_leader_faults(12, &plan).expect("valid");
         assert_eq!(report.outcomes[1].failover_depth, 1);
         assert_eq!(report.outcomes[3].failover_depth, 2);
         assert_eq!(
@@ -297,13 +281,13 @@ mod tests {
     fn equivocating_primary_is_demoted() {
         let mut plan = base_plan(4);
         plan.equivocators.insert(2);
-        let report = run_leader_faults(10, 60, &plan, 3).expect("valid");
+        let report = run_leader_faults(10, &plan).expect("valid");
         let faulty = &report.outcomes[2];
         assert!(faulty.equivocation_detected);
         assert_eq!(faulty.failover_depth, 1, "primary demoted, rank 1 leads");
         assert!(faulty.failover_verified);
         // The healthy replay of the same epochs elects the equivocator.
-        let healthy = run_leader_faults(10, 60, &base_plan(4), 3).expect("valid");
+        let healthy = run_leader_faults(10, &base_plan(4)).expect("valid");
         assert_ne!(healthy.outcomes[2].leader, faulty.leader);
     }
 
@@ -311,7 +295,7 @@ mod tests {
     fn fully_dead_ranking_counts_a_stalled_epoch() {
         let mut plan = base_plan(3);
         plan.crashed_ranks.insert(1, 4); // every one of 4 miners down
-        let report = run_leader_faults(4, 40, &plan, 4).expect("valid");
+        let report = run_leader_faults(4, &plan).expect("valid");
         assert_eq!(report.stalled_epochs, 1);
         assert_eq!(
             report.outcomes.len(),
@@ -326,18 +310,18 @@ mod tests {
         let mut plan = base_plan(5);
         plan.crashed_ranks.insert(2, 1);
         plan.equivocators.insert(4);
-        let a = run_leader_faults(9, 50, &plan, 7).expect("valid");
-        let b = run_leader_faults(9, 50, &plan, 7).expect("valid");
+        let a = run_leader_faults(9, &plan).expect("valid");
+        let b = run_leader_faults(9, &plan).expect("valid");
         assert_eq!(a, b);
     }
 
     #[test]
     fn bad_plans_rejected() {
-        assert!(run_leader_faults(5, 10, &base_plan(0), 1).is_err());
+        assert!(run_leader_faults(5, &base_plan(0)).is_err());
         let mut zero_timeout = base_plan(2);
         zero_timeout.timeout = SimTime::ZERO;
-        assert!(run_leader_faults(5, 10, &zero_timeout, 1).is_err());
-        assert!(run_leader_faults(0, 10, &base_plan(2), 1).is_err());
+        assert!(run_leader_faults(5, &zero_timeout).is_err());
+        assert!(run_leader_faults(0, &base_plan(2)).is_err());
     }
 
     #[test]

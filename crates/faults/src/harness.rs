@@ -6,8 +6,9 @@
 //! cross-shard layer, [`SettlingShardDriver`]) — there is no second epoch
 //! implementation here. Classification, formation, merging and
 //! selection all happen upstream in `cshard_core::pipeline::EpochPipeline`
-//! (or its leader-fault sibling `EpochManager::run_epoch_with_downs` in
-//! [`crate::epochs`]); this module only faults the block-production run.
+//! (leader faults go through the leader schedule,
+//! `EpochManager::elect_skipping`, in [`crate::epochs`]); this module only
+//! faults the block-production run.
 
 use crate::driver::FaultyDriver;
 use crate::plan::FaultPlan;

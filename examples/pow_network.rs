@@ -33,7 +33,8 @@ fn main() {
         (ShardId::new(1), 33),
         (ShardId::MAX_SHARD, 34),
     ];
-    let assignment = MinerAssignment::new(sha256(b"epoch-randomness"), &fractions);
+    let assignment =
+        MinerAssignment::new(sha256(b"epoch-randomness"), &fractions).expect("sums to 100");
 
     // Enroll one miner per shard: draw keys until the public randomness
     // assigns one to each shard (exactly how a miner learns its shard).

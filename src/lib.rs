@@ -84,7 +84,7 @@ pub mod prelude {
         MinerAssignment, PipelineConfig, RunReport, RuntimeConfig, SelectionStrategy, ShardPlan,
         ShardSpec, ShardingSystem, StageKind, StageObserver,
     };
-    pub use cshard_core::{EpochManager, EpochOutcome, LongRun, LongRunConfig};
+    pub use cshard_core::{EpochManager, LongRun, LongRunConfig};
     pub use cshard_crypto::{sha256, RandomnessBeacon, Vrf};
     pub use cshard_faults::{
         measure_corruption, run_leader_faults, run_with_faults, FaultPlan, FaultyDriver,

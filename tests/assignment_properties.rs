@@ -34,7 +34,8 @@ proptest! {
         let assignment = MinerAssignment::new(
             sha256(randomness_seed.to_be_bytes()),
             &fractions,
-        );
+        )
+        .expect("arb_fractions sum to 100");
         for key in keys {
             let pk = Vrf::from_seed(key.to_be_bytes()).public_key();
             let shard = assignment.shard_of(pk);
@@ -61,7 +62,8 @@ proptest! {
         let assignment = MinerAssignment::new(
             sha256(randomness_seed.to_be_bytes()),
             &fractions,
-        );
+        )
+        .expect("arb_fractions sum to 100");
         let roster: Vec<(MinerId, _)> = (0..1500u64)
             .map(|i| {
                 (

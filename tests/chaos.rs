@@ -155,7 +155,7 @@ fn partitioned_runs_are_identical_across_scheduler_configs() {
 
 /// Leader crashes recover through the VRF ranking within one epoch: depth
 /// k costs k broadcast timeouts, every takeover verifies from public
-/// data, and the run is a pure function of its seed.
+/// data, and the run is a pure function of its enrolment and plan.
 #[test]
 fn leader_crash_recovers_via_vrf_failover_within_one_epoch() {
     let mut plan = LeaderFaultPlan::healthy(8, SimTime::from_secs(10), SimTime::from_secs(120));
@@ -163,7 +163,7 @@ fn leader_crash_recovers_via_vrf_failover_within_one_epoch() {
     plan.crashed_ranks.insert(3, 2);
     plan.crashed_ranks.insert(5, 3);
     plan.equivocators.insert(6);
-    let report = run_leader_faults(20, 80, &plan, 0xC0FFEE).expect("valid plan");
+    let report = run_leader_faults(20, &plan).expect("valid plan");
     assert_eq!(report.stalled_epochs, 0);
     assert!(
         report.recovered_within(SimTime::from_secs(120)),
@@ -177,7 +177,7 @@ fn leader_crash_recovers_via_vrf_failover_within_one_epoch() {
         report.outcomes[6].failover_depth >= 1,
         "equivocator demoted"
     );
-    let replay = run_leader_faults(20, 80, &plan, 0xC0FFEE).expect("valid plan");
+    let replay = run_leader_faults(20, &plan).expect("valid plan");
     assert_eq!(report, replay);
 }
 
@@ -270,6 +270,6 @@ fn equivocation_needs_conflicting_content() {
     // Digest sensitivity is pinned in cshard-games; here just check the
     // epoch path accepts a run where the "equivocator" never conflicts.
     let plan = LeaderFaultPlan::healthy(3, SimTime::from_secs(5), SimTime::from_secs(60));
-    let report = run_leader_faults(6, 40, &plan, 3).expect("valid");
+    let report = run_leader_faults(6, &plan).expect("valid");
     assert!(report.outcomes.iter().all(|o| !o.equivocation_detected));
 }

@@ -115,7 +115,7 @@ fn formation_plus_assignment_route_consistently() {
     let w = Workload::uniform_contracts(200, 8, FEES, 2);
     let plan = ShardPlan::build(&w.transactions);
     let fractions = plan.fractions_percent().expect("non-empty plan");
-    let assignment = MinerAssignment::new(sha256(b"itest"), &fractions);
+    let assignment = MinerAssignment::new(sha256(b"itest"), &fractions).expect("sums to 100");
     let roster: Vec<(MinerId, _)> = (0..3000u64)
         .map(|i| {
             (

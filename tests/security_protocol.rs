@@ -38,7 +38,7 @@ fn build(contracts: u32) -> TestNet {
         .map(|i| (ShardId::new(i), base + u32::from(i < extra)))
         .collect();
     fractions.push((ShardId::MAX_SHARD, base + u32::from(contracts < extra)));
-    let assignment = MinerAssignment::new(sha256(b"sec-epoch"), &fractions);
+    let assignment = MinerAssignment::new(sha256(b"sec-epoch"), &fractions).expect("sums to 100");
 
     let mut wanted: Vec<ShardId> = (0..contracts).map(ShardId::new).collect();
     wanted.push(ShardId::MAX_SHARD);

@@ -72,18 +72,24 @@ fn mainnet_shaped_workload_through_the_full_system() {
 #[test]
 fn epoch_manager_drives_node_verification() {
     use contractshard::core::epoch::EpochManager;
-    // The epoch outcome's assignment rule is exactly what nodes verify
-    // block shard-claims against.
+    use contractshard::core::pipeline::ClassifyStage;
+    // The epoch's assignment rule is exactly what nodes verify block
+    // shard-claims against.
     let mut mgr = EpochManager::with_miner_count(40);
     let w = Workload::uniform_contracts(100, 3, FEES, 6);
-    let out = mgr.run_epoch(&w.transactions).expect("non-empty batch");
-    for (id, shard) in out.shard_of.iter().take(10) {
-        let pk = mgr.public_key(*id).unwrap();
-        assert!(out.assignment.verify_claim(pk, *shard));
+    let (epoch, leader) = mgr.elect();
+    let (plan, _) = ClassifyStage::new().run(&w.transactions);
+    let assignment = mgr
+        .assignment(epoch, leader, &plan)
+        .expect("non-empty batch");
+    for (_, vrf) in mgr.miners().take(10) {
+        let pk = vrf.public_key();
+        let shard = assignment.shard_of(pk);
+        assert!(assignment.verify_claim(pk, shard));
         // A forged claim to any other shard fails.
-        for other in out.assignment.shards() {
+        for &other in assignment.shards() {
             if other != shard {
-                assert!(!out.assignment.verify_claim(pk, *other));
+                assert!(!assignment.verify_claim(pk, other));
             }
         }
     }
