@@ -19,7 +19,9 @@
 //!    `[callgraph] resolve` override in `policy.toml` (`"name/arity ->
 //!    <id-suffix>|*|external"`) — the audit exits 2 with a hint
 //!    otherwise, because an unresolved edge is a hole in the
-//!    reachability argument.
+//!    reachability argument. An override no call falls through to is
+//!    reported back as dead (the binary exits 2 on it too), so the
+//!    override list cannot outlive the calls it was written for.
 //!
 //! Calls that match no workspace symbol at all are *external*
 //! (`std`/vendored) and only counted; the resolution ratio
@@ -29,6 +31,7 @@
 use crate::lexer::TokenKind;
 use crate::policy::{CallGraphPolicy, ResolveTarget};
 use crate::symbols::{count_params, FileTokens, SymbolTable};
+use std::collections::BTreeSet;
 
 /// One resolved call edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,6 +95,9 @@ pub struct CallGraph {
     pub edges: Vec<Vec<Edge>>,
     /// Calls needing a `[callgraph] resolve` override.
     pub ambiguous: Vec<AmbiguousCall>,
+    /// `[callgraph] resolve` entries (`name/arity`) no call fell through
+    /// to, sorted.
+    pub dead_resolves: Vec<String>,
     /// Resolution statistics.
     pub stats: GraphStats,
 }
@@ -113,6 +119,7 @@ impl CallGraph {
             .iter()
             .filter(|d| d.body.is_some() && !d.is_test)
             .count();
+        let mut consulted = BTreeSet::new();
         for (caller_idx, def) in symbols.fns.iter().enumerate() {
             let Some((start, end)) = def.body else {
                 continue;
@@ -123,7 +130,7 @@ impl CallGraph {
             let ft = &files[def.file];
             for call in extract_calls(ft, start, end) {
                 graph.stats.calls_total += 1;
-                match resolve(&call, caller_idx, symbols, policy) {
+                match resolve(&call, caller_idx, symbols, policy, &mut consulted) {
                     Resolution::Edges(targets) => {
                         graph.stats.calls_resolved += 1;
                         for t in targets {
@@ -152,6 +159,12 @@ impl CallGraph {
             edges.dedup();
         }
         graph.stats.edges = graph.edges.iter().map(Vec::len).sum();
+        graph.dead_resolves = policy
+            .resolve
+            .keys()
+            .filter(|key| !consulted.contains(*key))
+            .map(|(name, arity)| format!("{name}/{arity}"))
+            .collect();
         graph
             .ambiguous
             .sort_by(|a, b| (&a.path, a.line, &a.name).cmp(&(&b.path, b.line, &b.name)));
@@ -273,6 +286,7 @@ fn resolve(
     caller_idx: usize,
     symbols: &SymbolTable,
     policy: &CallGraphPolicy,
+    consulted: &mut BTreeSet<(String, usize)>,
 ) -> Resolution {
     let Some(all) = symbols.by_name.get(&call.name) else {
         return Resolution::External;
@@ -378,7 +392,11 @@ fn resolve(
         }
     }
     // Policy override, or give up as ambiguous.
-    match policy.resolve_for(&call.name, call.arity) {
+    let target = policy.resolve_for(&call.name, call.arity);
+    if target.is_some() {
+        consulted.insert((call.name.clone(), call.arity));
+    }
+    match target {
         Some(ResolveTarget::External) => Resolution::External,
         Some(ResolveTarget::All) => {
             let b = bodied(&c);

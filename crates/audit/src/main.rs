@@ -3,7 +3,8 @@
 //! Exit codes: `0` clean, `1` findings or a baseline regression, `2`
 //! setup error (policy missing, unparseable, a workspace crate covered
 //! by neither `[audit] crates` nor `[audit] exempt`, a call the
-//! resolver cannot settle without a `[callgraph] resolve` override, or a
+//! resolver cannot settle without a `[callgraph] resolve` override, a
+//! `[callgraph] resolve` entry no call falls through to, or a
 //! `[callgraph] sinks` entry that roots nothing).
 //! Run from anywhere inside the workspace (`just audit`).
 //!
@@ -92,6 +93,17 @@ fn main() -> ExitCode {
                 "cshard-audit:   settle it in policy.toml: [callgraph] resolve = \
                  [\"{}/{} -> <id-suffix>|*|external\"]",
                 amb.name, amb.arity
+            );
+        }
+        return ExitCode::from(2);
+    }
+    // An override no call falls through to settles nothing; left in, it
+    // would silently settle a future call it was never written for.
+    if !report.dead_resolves.is_empty() {
+        for entry in &report.dead_resolves {
+            eprintln!(
+                "cshard-audit: [callgraph] resolve entry `{entry}` settles no call (every \
+                 call of that name and arity resolves without it) — delete it in policy.toml"
             );
         }
         return ExitCode::from(2);

@@ -33,6 +33,9 @@ pub struct ScanReport {
     /// `[callgraph] sinks` entries that are malformed or root no bodied
     /// non-test function — also setup errors for the binary.
     pub dead_sinks: Vec<String>,
+    /// `[callgraph] resolve` entries (`name/arity`) no call falls through
+    /// to — setup errors as well.
+    pub dead_resolves: Vec<String>,
 }
 
 /// Scans every policy-listed crate under `root` and returns the findings.
@@ -62,6 +65,7 @@ pub fn scan_workspace(root: &Path, policy: &Policy) -> ScanReport {
     let taint = taint::analyze(&file_tokens, &symbols, &graph, policy);
     report.stats = graph.stats;
     report.ambiguous = graph.ambiguous;
+    report.dead_resolves = graph.dead_resolves;
     report.sink_roots = taint.sink_roots.len();
     report.reachable = taint.reachable;
     report.dead_sinks = taint.dead_sinks;

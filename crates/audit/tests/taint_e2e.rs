@@ -1,7 +1,8 @@
 //! End-to-end coverage for the reachability-scoped rules (`ND101`,
-//! `PH101`, `CL001`, `DP001`) over miniature workspaces, plus the two
-//! exit-2 contracts of the `cshard-audit` binary: an ambiguous edge and
-//! a sink spec that roots nothing.
+//! `PH101`, `CL001`, `DP001`) over miniature workspaces, plus the three
+//! exit-2 contracts of the `cshard-audit` binary: an ambiguous edge, a
+//! resolve override no call falls through to, and a sink spec that roots
+//! nothing.
 //!
 //! Each reachability rule has a pass and a fail fixture under
 //! `tests/fixtures/`: the fail fixture plants a source N hops below a
@@ -205,17 +206,20 @@ fn two_hop_taint_propagates_across_files() {
     );
 }
 
+/// Two same-name same-arity methods behind an untyped receiver: the
+/// `a.poll()` call needs a `poll/1` resolve override.
+const TWO_POLLS: &str = "//! two same-name same-arity methods, untyped receiver\n\
+                         pub struct A;\npub struct B;\n\
+                         impl A {\n    pub fn poll(&self) -> u32 {\n        1\n    }\n}\n\
+                         impl B {\n    pub fn poll(&self) -> u32 {\n        2\n    }\n}\n\
+                         pub fn tick(a: &A) -> u32 {\n    a.poll()\n}\n";
+
 /// An unresolvable call is a setup error: the binary must exit 2 with a
 /// diagnostic naming the call site and the `[callgraph] resolve` override
 /// syntax — and the suggested override must actually clear it.
 #[test]
 fn ambiguous_call_exits_2_until_a_resolve_override_settles_it() {
-    let lib = "//! two same-name same-arity methods, untyped receiver\n\
-               pub struct A;\npub struct B;\n\
-               impl A {\n    pub fn poll(&self) -> u32 {\n        1\n    }\n}\n\
-               impl B {\n    pub fn poll(&self) -> u32 {\n        2\n    }\n}\n\
-               pub fn tick(a: &A) -> u32 {\n    a.poll()\n}\n";
-    let root = mini_workspace("taint-ambiguous", lib);
+    let root = mini_workspace("taint-ambiguous", TWO_POLLS);
     fs::write(root.join("policy.toml"), "[audit]\ncrates = [\"core\"]\n").expect("write policy");
 
     let out = Command::new(env!("CARGO_BIN_EXE_cshard-audit"))
@@ -284,6 +288,48 @@ fn dead_sink_spec_exits_2_naming_the_spec() {
     assert!(!stderr.contains("`ProtocolDriver::on_event`"), "{stderr}");
 
     fs::write(root.join("policy.toml"), policy(&sinks[..1])).expect("write policy");
+    let out = Command::new(env!("CARGO_BIN_EXE_cshard-audit"))
+        .args(["--root", root.to_str().expect("utf-8 tmp path")])
+        .output()
+        .expect("run cshard-audit");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+}
+
+/// A `[callgraph] resolve` entry no call falls through to — the override
+/// a deleted call or a now-unique name leaves behind — is a setup error:
+/// the scan names it, and the binary exits 2 quoting it. With only the
+/// consulted entry left, the same workspace scans clean.
+#[test]
+fn dead_resolve_entry_exits_2_naming_it() {
+    let root = mini_workspace("taint-dead-resolve", TWO_POLLS);
+    let policy = |entries: &[&str]| {
+        format!(
+            "[audit]\ncrates = [\"core\"]\n[callgraph]\nresolve = [\"{}\"]\n",
+            entries.join("\", \"")
+        )
+    };
+    let entries = ["poll/1 -> *", "len/1 -> *", "tick/1 -> external"];
+    let parsed = Policy::parse(&policy(&entries)).expect("policy parses");
+    let report = scan_workspace(&root, &parsed);
+    assert!(report.ambiguous.is_empty(), "{:?}", report.ambiguous);
+    assert_eq!(report.dead_resolves, ["len/1", "tick/1"]);
+
+    fs::write(root.join("policy.toml"), policy(&entries)).expect("write policy");
+    let out = Command::new(env!("CARGO_BIN_EXE_cshard-audit"))
+        .args(["--root", root.to_str().expect("utf-8 tmp path")])
+        .output()
+        .expect("run cshard-audit");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for dead in ["len/1", "tick/1"] {
+        assert!(
+            stderr.contains(&format!("resolve entry `{dead}` settles no call")),
+            "{stderr}"
+        );
+    }
+    assert!(!stderr.contains("`poll/1`"), "{stderr}");
+
+    fs::write(root.join("policy.toml"), policy(&entries[..1])).expect("write policy");
     let out = Command::new(env!("CARGO_BIN_EXE_cshard-audit"))
         .args(["--root", root.to_str().expect("utf-8 tmp path")])
         .output()

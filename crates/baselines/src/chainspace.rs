@@ -248,7 +248,7 @@ impl ChainspaceDriver {
             .enabled
             .then(|| CrosslinkChannel::new(shard, &config.settle));
         ChainspaceDriver {
-            mining: ContractShardDriver::new(&spec, config),
+            mining: ContractShardDriver::new(&spec, config).expect("a solo spec has one miner"),
             shard,
             cross,
             latency,

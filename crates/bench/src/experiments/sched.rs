@@ -47,10 +47,11 @@ fn measure(shards: usize) -> Point {
         scheduler: grid_config(),
         ..RuntimeConfig::default()
     };
-    let drivers: Vec<ContractShardDriver> = sparse_specs(shards)
+    let drivers = sparse_specs(shards)
         .iter()
         .map(|s| ContractShardDriver::new(s, &cfg))
-        .collect();
+        .collect::<Result<Vec<_>, _>>()
+        .expect("one miner per sparse shard");
     let outcome = Runtime::builder()
         .scheduler(cfg.scheduler)
         .run(drivers)
@@ -133,10 +134,11 @@ mod tests {
                 scheduler: cshard_core::SchedulerConfig::new(threads),
                 ..RuntimeConfig::default()
             };
-            let drivers: Vec<ContractShardDriver> = specs
+            let drivers = specs
                 .iter()
                 .map(|s| ContractShardDriver::new(s, &cfg))
-                .collect();
+                .collect::<Result<Vec<_>, _>>()
+                .expect("one miner per sparse shard");
             let outcome = Runtime::builder()
                 .scheduler(cfg.scheduler)
                 .run(drivers)

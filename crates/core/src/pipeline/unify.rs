@@ -17,13 +17,10 @@ pub fn unify(
     specs: &[ShardSpec],
     runtime: &RuntimeConfig,
 ) -> Result<(RunReport, StageOutput), Error> {
-    // The same validation `cshard_runtime::simulate` performs, ahead of
-    // driver construction (whose constructor asserts).
-    ShardSpec::validate_all(specs)?;
-    let drivers: Vec<ContractShardDriver> = specs
+    let drivers = specs
         .iter()
         .map(|spec| ContractShardDriver::new(spec, runtime))
-        .collect();
+        .collect::<Result<Vec<_>, _>>()?;
     let outcome = Runtime::builder()
         .scheduler(runtime.scheduler)
         .run(drivers)?;

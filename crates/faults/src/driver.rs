@@ -287,7 +287,7 @@ mod tests {
             .iter()
             .map(|s| {
                 FaultyDriver::new(
-                    ContractShardDriver::new(s, &cfg),
+                    ContractShardDriver::new(s, &cfg).expect("valid test spec"),
                     s.shard,
                     &FaultPlan::none(99),
                 )
@@ -311,7 +311,7 @@ mod tests {
         );
         plan.validate().expect("valid plan");
         let wrapped = vec![FaultyDriver::new(
-            ContractShardDriver::new(&specs[0], &cfg),
+            ContractShardDriver::new(&specs[0], &cfg).expect("valid test spec"),
             specs[0].shard,
             &plan,
         )];
@@ -334,7 +334,7 @@ mod tests {
         let plan = FaultPlan::none(0).with_crash(ShardId::new(0), 0, crash_at, Some(recover_at));
         plan.validate().expect("valid plan");
         let wrapped = vec![FaultyDriver::new(
-            ContractShardDriver::new(&specs[0], &cfg),
+            ContractShardDriver::new(&specs[0], &cfg).expect("valid test spec"),
             specs[0].shard,
             &plan,
         )];
@@ -363,7 +363,7 @@ mod tests {
                 ..config(7)
             };
             let wrapped = vec![FaultyDriver::new(
-                ContractShardDriver::new(&s, &cfg),
+                ContractShardDriver::new(&s, &cfg).expect("valid test spec"),
                 s.shard,
                 plan,
             )];
@@ -406,7 +406,7 @@ mod tests {
         let s = spec(0, 10, 1);
         let cfg = config(1);
         let mut wrapped = FaultyDriver::new(
-            ContractShardDriver::new(&s, &cfg),
+            ContractShardDriver::new(&s, &cfg).expect("valid test spec"),
             s.shard,
             &FaultPlan::none(0),
         );

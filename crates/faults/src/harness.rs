@@ -133,10 +133,11 @@ fn per_shard<'a, T>(
 /// once there, which [`FaultRun::batches`] and [`FaultRun::applied`] let
 /// callers assert transfer-for-transfer and ticket-for-ticket.
 ///
-/// Errors on an invalid plan or config, on a traffic list that is neither
-/// empty nor one-per-shard, and on a transfer or ticket pointing outside
-/// its shard's tables (`Error::Config` naming `"transfers"` /
-/// `"schedules"`).
+/// Errors on an invalid plan or config, on a minerless spec
+/// (`Error::NoMiners`), on a traffic list that is neither empty nor
+/// one-per-shard, and on a transfer or ticket pointing outside its
+/// shard's tables or transfers on an equilibrium shard (`Error::Config`
+/// naming `"transfers"` / `"schedules"`).
 ///
 /// Determinism: the result is a pure function of `(shards, traffic,
 /// config, plan)` — bit-identical at any `config.scheduler`, with runtime
@@ -151,7 +152,6 @@ pub fn run_with_faults(
 ) -> Result<FaultRun, Error> {
     plan.validate()?;
     config.validate()?;
-    ShardSpec::validate_all(shards)?;
     let transfers = per_shard("transfers", &traffic.transfers, shards.len())?;
     let schedules = per_shard("schedules", &traffic.schedules, shards.len())?;
     let mut drivers = Vec::with_capacity(shards.len());

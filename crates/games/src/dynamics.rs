@@ -15,7 +15,7 @@
 //! * **Buffers reused across runs** — each dynamics owns the buffers its
 //!   game uses and grows them on a larger input only, so a run with
 //!   same-or-smaller inputs allocates nothing for its iteration and a
-//!   whole selection epoch of the runtime (`ShardState::start_epoch`)
+//!   whole selection epoch of the runtime (`EquilibriumState::start_epoch`)
 //!   runs without touching the allocator. This is what makes per-epoch
 //!   replay cheap enough to run inside every miner's verification path
 //!   (Sec. IV-C).

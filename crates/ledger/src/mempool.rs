@@ -126,7 +126,7 @@ mod tests {
     }
 
     #[test]
-    fn greedy_order_is_deterministic_across_clones() {
+    fn greedy_selection_is_deterministic_across_clones() {
         // Two miners with the same pool must compute the same order — the
         // serialization premise of Sec. II-B.
         let mut m = Mempool::new();

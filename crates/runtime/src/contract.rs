@@ -11,7 +11,12 @@
 //!   top-fee transactions (Sec. II-B). Progress serializes: a block found
 //!   within the propagation/template window of an accepted block confirms
 //!   the *same* set and is wasted ("stale"). This reproduces Table I's
-//!   plateau and is the Ethereum baseline of every comparison.
+//!   plateau and is the Ethereum baseline of every comparison. The driver
+//!   counts it: the confirmed set is always a prefix of the (fee desc,
+//!   index asc) order, so a useful block confirms `min(block_capacity,
+//!   unconfirmed)` and no per-transaction state is kept. Settlement, the
+//!   one reader of *which* transactions confirmed, ranks its transfers by
+//!   that order itself ([`crate::SettlingShardDriver`]).
 //! * [`SelectionStrategy::Equilibrium`] — miners play Algorithm 2 per
 //!   epoch: the leader's unified parameters assign each miner a distinct
 //!   (at equilibrium) transaction set; disjoint blocks commute, so miners
@@ -70,7 +75,8 @@ pub enum SelectionStrategy {
 pub struct ShardSpec {
     /// The shard id (labels the report).
     pub shard: ShardId,
-    /// Fee of each transaction in the shard (local indices).
+    /// Fee of each transaction in the shard (local indices). A greedy
+    /// shard's driver reads only how many there are.
     pub fees: Vec<u64>,
     /// Miners assigned to this shard.
     pub miners: usize,
@@ -87,16 +93,6 @@ impl ShardSpec {
             fees,
             miners: 1,
             strategy: SelectionStrategy::IdenticalGreedy,
-        }
-    }
-
-    /// The one spec-slice check every run entry point performs ahead of
-    /// driver construction (whose constructor asserts): every shard needs
-    /// at least one miner.
-    pub fn validate_all(shards: &[ShardSpec]) -> Result<(), Error> {
-        match shards.iter().find(|s| s.miners == 0) {
-            Some(spec) => Err(Error::NoMiners { shard: spec.shard }),
-            None => Ok(()),
         }
     }
 }
@@ -190,8 +186,12 @@ pub struct SelectionDynamicsStats {
     pub rounds: u64,
 }
 
-struct ShardState {
-    spec: ShardSpec,
+/// An equilibrium shard's Algorithm 2 epochs, which read each
+/// transaction's fee and confirmation. A greedy shard has none of this.
+struct EquilibriumState {
+    max_rounds: usize,
+    /// Fee of each transaction (local indices).
+    fees: Vec<u64>,
     /// Confirmation time + author per local tx (None = unconfirmed).
     confirmed: Vec<Option<(SimTime, usize)>>,
     /// Delivery time per confirmed tx — when the confirming block has
@@ -200,93 +200,41 @@ struct ShardState {
     /// [`PropagationModel::Partition`]); the window model derives visibility
     /// from the confirmation time alone.
     visible_at: Vec<Option<SimTime>>,
-    unconfirmed: usize,
-    /// Greedy order (fee desc, index asc) with a monotone scan cursor.
-    /// Built for [`SelectionStrategy::IdenticalGreedy`] only — an
-    /// equilibrium shard never reads it.
-    greedy_order: Vec<usize>,
-    cursor: usize,
-    /// Equilibrium epoch state.
-    epoch_assignments: Vec<Vec<usize>>,
+    /// The current epoch's per-miner assignment.
+    assignments: Vec<Vec<usize>>,
     epoch_unconfirmed: usize,
-    epoch_counter: u64,
     /// Per-epoch selection-game inputs, kept so an epoch after the first
     /// allocates nothing: the unconfirmed local indices, their fees, and
     /// each miner's unified initial choice.
     remaining: Vec<usize>,
     sub_fees: Vec<u64>,
     initial: Vec<Vec<usize>>,
-    /// Report accumulators.
-    blocks: usize,
-    empty_blocks: usize,
-    stale_blocks: usize,
-    last_confirmation: Option<SimTime>,
-    /// Latest pending delivery horizon (latency propagation only).
-    latest_visible: Option<SimTime>,
+    /// The block a miner is packing.
+    candidate: Vec<usize>,
     /// Per-shard RNG stream for epoch initial choices.
-    epoch_rng: SimRng,
+    rng: SimRng,
     /// The selection game's dynamics, run once per epoch so its buffers
     /// persist across epochs.
     dynamics: BestReplyDynamics,
-    /// Total best-reply sweeps across all epochs.
-    game_rounds: u64,
+    stats: SelectionDynamicsStats,
 }
 
-impl ShardState {
-    fn new(spec: ShardSpec, epoch_rng: SimRng) -> Self {
-        let n = spec.fees.len();
-        let mut greedy_order = Vec::new();
-        if matches!(spec.strategy, SelectionStrategy::IdenticalGreedy) {
-            greedy_order.extend(0..n);
-            greedy_order.sort_by(|&a, &b| spec.fees[b].cmp(&spec.fees[a]).then(a.cmp(&b)));
-        }
-        ShardState {
-            confirmed: vec![None; n],
-            visible_at: vec![None; n],
-            unconfirmed: n,
-            greedy_order,
-            cursor: 0,
-            epoch_assignments: Vec::new(),
+impl EquilibriumState {
+    fn new(fees: Vec<u64>, miners: usize, max_rounds: usize, rng: SimRng) -> Self {
+        EquilibriumState {
+            max_rounds,
+            confirmed: vec![None; fees.len()],
+            visible_at: vec![None; fees.len()],
+            fees,
+            assignments: vec![Vec::new(); miners],
             epoch_unconfirmed: 0,
-            epoch_counter: 0,
             remaining: Vec::new(),
             sub_fees: Vec::new(),
-            initial: Vec::new(),
-            blocks: 0,
-            empty_blocks: 0,
-            stale_blocks: 0,
-            last_confirmation: None,
-            latest_visible: None,
-            epoch_rng,
+            initial: vec![Vec::new(); miners],
+            candidate: Vec::new(),
+            rng,
             dynamics: BestReplyDynamics::new(),
-            game_rounds: 0,
-            spec,
-        }
-    }
-
-    /// Is `tx` part of what a miner at time `now` would still try to pack?
-    /// Unconfirmed, or confirmed so recently (still propagating, by someone
-    /// else) that the miner has not seen it yet.
-    fn visible_unconfirmed(
-        &self,
-        tx: usize,
-        now: SimTime,
-        miner: usize,
-        propagation: &PropagationModel,
-    ) -> bool {
-        match self.confirmed[tx] {
-            None => true,
-            Some((at, author)) => {
-                if author == miner {
-                    return false;
-                }
-                match propagation {
-                    PropagationModel::Window(w) => now.saturating_since(at) < *w,
-                    PropagationModel::Latency(_) | PropagationModel::Partition(_) => {
-                        self.visible_at[tx].is_some_and(|v| now < v)
-                    }
-                }
-            }
+            stats: SelectionDynamicsStats::default(),
         }
     }
 
@@ -294,48 +242,87 @@ impl ShardState {
     /// transactions (Algorithm 2 under unified parameters). Every buffer
     /// it fills lives in `self`, so after a shard's first epoch this
     /// allocates nothing.
-    fn start_epoch(&mut self, capacity: usize, max_rounds: usize) {
-        let miners = self.spec.miners;
-        self.epoch_counter += 1;
-        self.epoch_assignments.resize_with(miners, Vec::new);
-        self.epoch_assignments.iter_mut().for_each(Vec::clear);
+    fn start_epoch(&mut self, capacity: usize) {
+        self.stats.epochs += 1;
+        self.assignments.iter_mut().for_each(Vec::clear);
         self.remaining.clear();
         self.remaining
-            .extend((0..self.spec.fees.len()).filter(|&i| self.confirmed[i].is_none()));
+            .extend((0..self.fees.len()).filter(|&i| self.confirmed[i].is_none()));
         if self.remaining.is_empty() {
             self.epoch_unconfirmed = 0;
             return;
         }
         self.sub_fees.clear();
         self.sub_fees
-            .extend(self.remaining.iter().map(|&i| self.spec.fees[i]));
+            .extend(self.remaining.iter().map(|&i| self.fees[i]));
         let t = self.sub_fees.len();
         let cap = capacity.min(t);
         // Unified initial choices: a seeded stride per miner.
-        self.initial.resize_with(miners, Vec::new);
         for (m, choice) in self.initial.iter_mut().enumerate() {
-            let offset = self.epoch_rng.below(t as u64) as usize;
+            let offset = self.rng.below(t as u64) as usize;
             choice.clear();
             choice.extend((0..cap).map(|k| (offset + k * 7 + m) % t));
         }
-        self.game_rounds += self.dynamics.run(SelectInput {
+        self.stats.rounds += self.dynamics.run(SelectInput {
             fees: &self.sub_fees,
             initial: &self.initial,
             config: &SelectionConfig {
                 capacity: cap,
-                max_rounds,
+                max_rounds: self.max_rounds,
             },
         }) as u64;
         // Map sub-indices back to local tx indices.
-        for (epoch_set, set) in self
-            .epoch_assignments
-            .iter_mut()
-            .zip(self.dynamics.assignments())
-        {
+        for (epoch_set, set) in self.assignments.iter_mut().zip(self.dynamics.assignments()) {
             epoch_set.extend(set.iter().map(|&j| self.remaining[j]));
         }
         // Union size = number of covered (distinct) remaining txs.
         self.epoch_unconfirmed = self.dynamics.covered();
+    }
+
+    /// Packs `miner`'s block at `now` from its epoch assignment (starting
+    /// an epoch first when the last one is done and the shard still has
+    /// `unconfirmed` work) and confirms it. Returns `(packed, newly
+    /// confirmed)`.
+    fn pack(
+        &mut self,
+        now: SimTime,
+        miner: usize,
+        unconfirmed: usize,
+        config: &RuntimeConfig,
+    ) -> (usize, usize) {
+        if self.epoch_unconfirmed == 0 && unconfirmed > 0 {
+            self.start_epoch(config.block_capacity);
+        }
+        self.candidate.clear();
+        for &tx in &self.assignments[miner] {
+            if self.candidate.len() >= config.block_capacity {
+                break;
+            }
+            // Unconfirmed, or confirmed so recently (still propagating, by
+            // someone else) that the miner has not seen it yet.
+            let visible = match self.confirmed[tx] {
+                None => true,
+                Some((_, author)) if author == miner => false,
+                Some((at, _)) => match &config.propagation {
+                    PropagationModel::Window(w) => now.saturating_since(at) < *w,
+                    PropagationModel::Latency(_) | PropagationModel::Partition(_) => {
+                        self.visible_at[tx].is_some_and(|v| now < v)
+                    }
+                },
+            };
+            if visible {
+                self.candidate.push(tx);
+            }
+        }
+        let mut newly = 0;
+        for &tx in &self.candidate {
+            if self.confirmed[tx].is_none() {
+                self.confirmed[tx] = Some((now, miner));
+                newly += 1;
+            }
+        }
+        self.epoch_unconfirmed = self.epoch_unconfirmed.saturating_sub(newly);
+        (self.candidate.len(), newly)
     }
 }
 
@@ -353,66 +340,87 @@ pub fn shard_stream(seed: u64, shard: ShardId) -> SimRng {
 /// chain state and its miners' private RNG streams, driven by
 /// [`Event::BlockFound`] ticks (plus [`Event::BlockDelivered`] under
 /// latency propagation). The driver never reads another shard's state,
-/// which is what makes the harness's executor safe.
+/// which is what makes the harness's executor safe. It keeps only what its
+/// strategy reads: a greedy shard is a count (see the module docs).
 pub struct ContractShardDriver {
-    st: ShardState,
+    shard: ShardId,
+    txs: usize,
+    unconfirmed: usize,
+    /// `None` for a fee-greedy shard.
+    equilibrium: Option<Box<EquilibriumState>>,
+    /// One stream per miner; its length is the shard's miner count.
     miner_rngs: Vec<SimRng>,
     /// Delivery-delay stream, used only under latency propagation. Forked
     /// *after* the epoch and miner streams, so window-model trajectories
     /// are unchanged from the pre-refactor simulator.
     prop_rng: SimRng,
     config: RuntimeConfig,
-    candidate: Vec<usize>,
+    /// Report accumulators.
+    blocks: usize,
+    empty_blocks: usize,
+    stale_blocks: usize,
+    last_confirmation: Option<SimTime>,
+    /// Latest pending delivery horizon (latency propagation only).
+    latest_visible: Option<SimTime>,
 }
 
 impl ContractShardDriver {
     /// Builds the driver for one shard spec under `config`.
     ///
-    /// # Panics
-    /// Panics when the spec assigns no miners.
-    pub fn new(spec: &ShardSpec, config: &RuntimeConfig) -> ContractShardDriver {
-        assert!(spec.miners > 0, "shard {} has no miners", spec.shard);
+    /// Errors with [`Error::NoMiners`] when the spec assigns no miners.
+    pub fn new(spec: &ShardSpec, config: &RuntimeConfig) -> Result<ContractShardDriver, Error> {
+        if spec.miners == 0 {
+            return Err(Error::NoMiners { shard: spec.shard });
+        }
         let mut root = shard_stream(config.seed, spec.shard);
         let epoch_rng = root.fork(0x4550_4F43); // "EPOC"
         let miner_rngs: Vec<SimRng> = (0..spec.miners as u64).map(|m| root.fork(m)).collect();
         let prop_rng = root.fork(0x5052_4F50); // "PROP"
-        ContractShardDriver {
-            st: ShardState::new(spec.clone(), epoch_rng),
+        let equilibrium =
+            match spec.strategy {
+                SelectionStrategy::IdenticalGreedy => None,
+                SelectionStrategy::Equilibrium { max_rounds } => Some(Box::new(
+                    EquilibriumState::new(spec.fees.clone(), spec.miners, max_rounds, epoch_rng),
+                )),
+            };
+        Ok(ContractShardDriver {
+            shard: spec.shard,
+            txs: spec.fees.len(),
+            unconfirmed: spec.fees.len(),
+            equilibrium,
             miner_rngs,
             prop_rng,
-            candidate: Vec::with_capacity(config.block_capacity),
             config: config.clone(),
-        }
+            blocks: 0,
+            empty_blocks: 0,
+            stale_blocks: 0,
+            last_confirmation: None,
+            latest_visible: None,
+        })
     }
 
-    /// Whether local transaction `tx` has been confirmed. Settlement
-    /// wrappers poll this after each event to decide when a cross-shard
-    /// transfer attached to `tx` becomes eligible for batching.
-    pub fn is_confirmed(&self, tx: usize) -> bool {
-        self.st.confirmed.get(tx).is_some_and(|c| c.is_some())
+    /// How many of the shard's transactions have confirmed. A greedy
+    /// shard's confirmations are the first this many of its fee order,
+    /// which is how settlement decides when a transfer becomes eligible.
+    pub fn confirmed_count(&self) -> usize {
+        self.txs - self.unconfirmed
     }
 
     /// Iteration accounting of this shard's selection dynamics.
     pub fn selection_stats(&self) -> SelectionDynamicsStats {
-        SelectionDynamicsStats {
-            epochs: self.st.epoch_counter,
-            rounds: self.st.game_rounds,
-        }
+        self.equilibrium
+            .as_ref()
+            .map_or_else(Default::default, |eq| eq.stats)
     }
 
-    /// Processes one block-found event: build the miner's candidate block,
-    /// classify it (useful / empty / stale) and apply confirmations. Under
+    /// Processes one block-found event: pack the miner's block, classify
+    /// it (useful / empty / stale) and apply confirmations. Under
     /// delivery-scheduling propagation a confirming block returns the time
     /// its [`Event::BlockDelivered`] is due; the caller schedules it.
     fn on_block_found(&mut self, now: SimTime, miner: usize) -> Option<SimTime> {
-        let st = &mut self.st;
-        st.blocks += 1;
-
-        // Build the miner's candidate block.
-        self.candidate.clear();
-        let mut contended_stale = false;
-        match st.spec.strategy {
-            SelectionStrategy::IdenticalGreedy => {
+        self.blocks += 1;
+        let (packed, newly, contended_stale) = match &mut self.equilibrium {
+            None => {
                 // Identical selection serializes the network: after any
                 // confirmation, every in-flight template of a *contended*
                 // chain (more than one miner) references the just-confirmed
@@ -422,74 +430,43 @@ impl ContractShardDriver {
                 // network moves on to the next set" (Sec. II-B). A solo
                 // miner refreshes its own template instantly and never
                 // self-conflicts.
-                contended_stale = st.spec.miners > 1
-                    && st.unconfirmed > 0
+                let stale = self.miner_rngs.len() > 1
+                    && self.unconfirmed > 0
                     && match &self.config.propagation {
-                        PropagationModel::Window(w) => st
+                        PropagationModel::Window(w) => self
                             .last_confirmation
                             .is_some_and(|t0| now.saturating_since(t0) < *w),
                         PropagationModel::Latency(_) | PropagationModel::Partition(_) => {
-                            st.latest_visible.is_some_and(|v| now < v)
+                            self.latest_visible.is_some_and(|v| now < v)
                         }
                     };
-                if !contended_stale {
-                    // Advance the cursor past confirmed txs — monotone scan.
-                    while st.cursor < st.greedy_order.len()
-                        && st.confirmed[st.greedy_order[st.cursor]].is_some()
-                    {
-                        st.cursor += 1;
-                    }
-                    let mut pos = st.cursor;
-                    while pos < st.greedy_order.len()
-                        && self.candidate.len() < self.config.block_capacity
-                    {
-                        let tx = st.greedy_order[pos];
-                        if st.confirmed[tx].is_none() {
-                            self.candidate.push(tx);
-                        }
-                        pos += 1;
-                    }
-                }
+                // Otherwise the block takes the top-fee unconfirmed txs.
+                let newly = if stale {
+                    0
+                } else {
+                    self.unconfirmed.min(self.config.block_capacity)
+                };
+                (newly, newly, stale)
             }
-            SelectionStrategy::Equilibrium { max_rounds } => {
-                if st.epoch_unconfirmed == 0 && st.unconfirmed > 0 {
-                    st.start_epoch(self.config.block_capacity, max_rounds);
-                }
-                if !st.epoch_assignments.is_empty() {
-                    for &tx in &st.epoch_assignments[miner] {
-                        if self.candidate.len() >= self.config.block_capacity {
-                            break;
-                        }
-                        if st.visible_unconfirmed(tx, now, miner, &self.config.propagation) {
-                            self.candidate.push(tx);
-                        }
-                    }
-                }
+            Some(eq) => {
+                let (packed, newly) = eq.pack(now, miner, self.unconfirmed, &self.config);
+                (packed, newly, false)
             }
-        }
+        };
 
-        // Classify the block and apply confirmations.
-        let mut newly = 0;
-        for &tx in self.candidate.iter() {
-            if st.confirmed[tx].is_none() {
-                st.confirmed[tx] = Some((now, miner));
-                st.unconfirmed -= 1;
-                st.last_confirmation = Some(now);
-                newly += 1;
-                if matches!(st.spec.strategy, SelectionStrategy::Equilibrium { .. }) {
-                    st.epoch_unconfirmed = st.epoch_unconfirmed.saturating_sub(1);
-                }
-            }
+        if newly > 0 {
+            self.unconfirmed -= newly;
+            self.last_confirmation = Some(now);
         }
         if contended_stale {
-            st.stale_blocks += 1;
-        } else if self.candidate.is_empty() {
+            self.stale_blocks += 1;
+        } else if packed == 0 {
             let within = self.config.empty_block_window.is_none_or(|cap| now <= cap);
             if within {
-                st.empty_blocks += 1;
+                self.empty_blocks += 1;
             }
         } else if newly == 0 {
-            st.stale_blocks += 1;
+            self.stale_blocks += 1;
         }
 
         // Under network-backed propagation (latency or partition), a
@@ -502,12 +479,14 @@ impl ContractShardDriver {
         }
         let u = self.prop_rng.unit();
         let delivered = self.config.propagation.delivery_time(now, u)?;
-        for &tx in self.candidate.iter() {
-            if st.confirmed[tx] == Some((now, miner)) {
-                st.visible_at[tx] = Some(delivered);
+        if let Some(eq) = &mut self.equilibrium {
+            for &tx in &eq.candidate {
+                if eq.confirmed[tx] == Some((now, miner)) {
+                    eq.visible_at[tx] = Some(delivered);
+                }
             }
         }
-        st.latest_visible = Some(st.latest_visible.map_or(delivered, |v| v.max(delivered)));
+        self.latest_visible = Some(self.latest_visible.map_or(delivered, |v| v.max(delivered)));
         Some(delivered)
     }
 
@@ -539,8 +518,8 @@ impl ProtocolDriver for ContractShardDriver {
             Event::BlockDelivered { .. } => {
                 // Visibility is time-keyed; once the latest delivery has
                 // fired, clear the horizon so the stale check short-circuits.
-                if self.st.latest_visible.is_some_and(|v| v <= now) {
-                    self.st.latest_visible = None;
+                if self.latest_visible.is_some_and(|v| v <= now) {
+                    self.latest_visible = None;
                 }
                 Ok(())
             }
@@ -552,11 +531,11 @@ impl ProtocolDriver for ContractShardDriver {
     }
 
     fn done(&self) -> bool {
-        self.st.unconfirmed == 0
+        self.unconfirmed == 0
     }
 
     fn completion(&self) -> Option<SimTime> {
-        self.st.last_confirmation
+        self.last_confirmation
     }
 
     /// Idle mining as one closed loop per miner (see the module docs).
@@ -573,7 +552,7 @@ impl ProtocolDriver for ContractShardDriver {
         while let Some((mut now, ev)) = ctx.pop_before(completion) {
             replayed += 1;
             match ev {
-                Event::BlockFound { miner } if self.st.unconfirmed == 0 => loop {
+                Event::BlockFound { miner } if self.unconfirmed == 0 => loop {
                     let delivered = self.on_block_found(now, miner);
                     debug_assert_eq!(delivered, None, "a finished shard confirms nothing");
                     let next = self.next_tick(now, miner);
@@ -592,13 +571,13 @@ impl ProtocolDriver for ContractShardDriver {
 
     fn report(&self, events: usize, wall: Duration) -> ShardReport {
         ShardReport {
-            shard: self.st.spec.shard,
-            txs: self.st.spec.fees.len(),
-            confirmed: self.st.spec.fees.len() - self.st.unconfirmed,
-            completion: self.st.last_confirmation,
-            blocks: self.st.blocks,
-            empty_blocks: self.st.empty_blocks,
-            stale_blocks: self.st.stale_blocks,
+            shard: self.shard,
+            txs: self.txs,
+            confirmed: self.confirmed_count(),
+            completion: self.last_confirmation,
+            blocks: self.blocks,
+            empty_blocks: self.empty_blocks,
+            stale_blocks: self.stale_blocks,
             events_processed: events,
             wall,
         }
@@ -619,11 +598,10 @@ impl ProtocolDriver for ContractShardDriver {
 /// a minerless spec) or a malformed event stream, instead of panicking.
 pub fn simulate(shards: &[ShardSpec], config: &RuntimeConfig) -> Result<RunReport, Error> {
     config.validate()?;
-    ShardSpec::validate_all(shards)?;
-    let drivers: Vec<ContractShardDriver> = shards
+    let drivers = shards
         .iter()
         .map(|spec| ContractShardDriver::new(spec, config))
-        .collect();
+        .collect::<Result<Vec<_>, _>>()?;
     Runtime::builder()
         .scheduler(config.scheduler)
         .run(drivers)
@@ -863,6 +841,25 @@ mod tests {
         );
     }
 
+    /// The driver's own constructor rejects a minerless spec with a typed
+    /// error, so no entry point needs a pre-check.
+    #[test]
+    fn minerless_driver_is_a_typed_error_not_a_panic() {
+        let spec = ShardSpec {
+            miners: 0,
+            ..ShardSpec::solo_greedy(ShardId::new(4), fees(5))
+        };
+        let err = ContractShardDriver::new(&spec, &cfg(0))
+            .err()
+            .expect("a shard without miners must be rejected");
+        assert_eq!(
+            err,
+            Error::NoMiners {
+                shard: ShardId::new(4)
+            }
+        );
+    }
+
     #[test]
     fn ethereum_without_miners_rejected() {
         let err = super::simulate_ethereum(fees(5), 0, &cfg(0)).unwrap_err();
@@ -990,8 +987,8 @@ mod tests {
             let outcome = Runtime::builder()
                 .scheduler(SchedulerConfig::new(threads))
                 .run(vec![
-                    ContractShardDriver::new(&specs[0], &config),
-                    ContractShardDriver::new(&specs[1], &config),
+                    ContractShardDriver::new(&specs[0], &config).expect("valid test spec"),
+                    ContractShardDriver::new(&specs[1], &config).expect("valid test spec"),
                 ])
                 .expect("valid test config");
             assert_eq!(outcome.report.fingerprint().to_string(), FINGERPRINT);

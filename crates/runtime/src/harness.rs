@@ -122,7 +122,8 @@ impl<D> std::fmt::Debug for RunOutcome<D> {
 /// let drivers = vec![ContractShardDriver::new(
 ///     &ShardSpec::solo_greedy(ShardId::new(0), vec![5, 3, 8]),
 ///     &config,
-/// )];
+/// )
+/// .expect("one miner")];
 /// let outcome = Runtime::builder()
 ///     .scheduler(SchedulerConfig::per_core())
 ///     .run(drivers)

@@ -15,9 +15,11 @@
 //! event settles a batch only when its timestamp matches the recorded
 //! deadline, so cap-flushes and blackout deferrals supersede older events
 //! rather than double-settling. The driver's own contribution is the
-//! eligibility scan: a transfer is submitted the first time its
-//! transaction is observed confirmed, and the `submitted` flags make the
-//! scan idempotent across events.
+//! eligibility scan, the one reader of Sec. II-B's fee order: a greedy
+//! shard's first `k` confirmations are the first `k` of the stable (fee
+//! desc, index asc) order, so a transfer is eligible once the confirmed
+//! count passes its transaction's rank in it. An equilibrium shard
+//! confirms no such prefix, so a transfer table over one is rejected.
 //!
 //! # Migration
 //!
@@ -42,7 +44,7 @@
 //! an apply landing inside a blackout of the pair toward the new home
 //! re-arms at the batcher's `heal_time`.
 
-use crate::contract::{ContractShardDriver, RuntimeConfig, ShardSpec};
+use crate::contract::{ContractShardDriver, RuntimeConfig, SelectionStrategy, ShardSpec};
 use crate::crosslink::CrosslinkChannel;
 use crate::driver::{Ctx, ProtocolDriver};
 use crate::event::Event;
@@ -50,6 +52,7 @@ use crate::report::ShardReport;
 use cshard_network::CommKind;
 use cshard_primitives::{Error, ShardId, SimTime};
 use cshard_settle::{Batch, SettleStats};
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use std::time::Duration;
 
@@ -107,8 +110,11 @@ pub struct SettlingShardDriver {
     /// Outbound transfers: `(local tx index, destination shard)`. The
     /// slot index is the transfer id the batcher carries in its batches.
     transfers: Vec<(usize, ShardId)>,
-    /// Idempotence flags for the eligibility scan.
-    submitted: Vec<bool>,
+    /// Each slot's transaction's place in the fee order.
+    ranks: Vec<usize>,
+    /// The confirmed count at the last scan; slots ranked below it are
+    /// submitted.
+    synced: usize,
     /// The migration schedule; `Event::Migration` slots index it.
     schedule: Vec<MigrationTicket>,
     /// The one live apply deadline per ticket (the ticket's own time until
@@ -128,27 +134,45 @@ impl SettlingShardDriver {
     ///
     /// Errors with [`Error::NoMiners`] when the spec assigns no miners,
     /// and (`field: "transfers"`) when a transfer references a
-    /// transaction the shard does not have.
+    /// transaction the shard does not have or the shard packs by
+    /// equilibrium (see the module docs).
     pub fn new(
         spec: &ShardSpec,
         config: &RuntimeConfig,
         transfers: Vec<(usize, ShardId)>,
     ) -> Result<SettlingShardDriver, Error> {
-        ShardSpec::validate_all(std::slice::from_ref(spec))?;
-        if let Some(&(tx, _)) = transfers.iter().find(|&&(tx, _)| tx >= spec.fees.len()) {
+        let inner = ContractShardDriver::new(spec, config)?;
+        let (shard, txs) = (spec.shard, spec.fees.len());
+        let bad = match (transfers.iter().find(|&&(tx, _)| tx >= txs), &spec.strategy) {
+            (Some((tx, _)), _) => Some(format!(
+                "transfer references tx {tx} outside shard {shard} ({txs} txs)"
+            )),
+            (None, SelectionStrategy::Equilibrium { .. }) if !transfers.is_empty() => Some(
+                format!("shard {shard} packs by equilibrium, which follows no fee order"),
+            ),
+            _ => None,
+        };
+        if let Some(reason) = bad {
             return Err(Error::Config {
                 field: "transfers",
-                reason: format!(
-                    "transfer references tx {tx} outside shard {} ({} txs)",
-                    spec.shard,
-                    spec.fees.len()
-                ),
+                reason,
             });
         }
+        let mut rank_of = Vec::new();
+        if !transfers.is_empty() {
+            // The stable sort breaks fee ties by index.
+            let mut order: Vec<usize> = (0..txs).collect();
+            order.sort_by_key(|&tx| Reverse(spec.fees[tx]));
+            rank_of = vec![0; txs];
+            for (rank, &tx) in order.iter().enumerate() {
+                rank_of[tx] = rank;
+            }
+        }
         Ok(SettlingShardDriver {
-            inner: ContractShardDriver::new(spec, config),
+            inner,
             channel: CrosslinkChannel::new(spec.shard, &config.settle),
-            submitted: vec![false; transfers.len()],
+            ranks: transfers.iter().map(|&(tx, _)| rank_of[tx]).collect(),
+            synced: 0,
             transfers,
             schedule: Vec::new(),
             deadlines: Vec::new(),
@@ -214,16 +238,13 @@ impl SettlingShardDriver {
     /// last scan. Slot order makes submission order — and therefore batch
     /// contents — a pure function of the confirmation trajectory.
     fn sync(&mut self, now: SimTime, ctx: &mut Ctx) {
-        for slot in 0..self.transfers.len() {
-            if self.submitted[slot] {
-                continue;
+        let newly = self.synced..self.inner.confirmed_count();
+        self.synced = newly.end;
+        for (slot, rank) in self.ranks.iter().enumerate() {
+            if newly.contains(rank) {
+                self.channel
+                    .submit(now, self.transfers[slot].1, slot as u64, ctx);
             }
-            let (tx, dest) = self.transfers[slot];
-            if !self.inner.is_confirmed(tx) {
-                continue;
-            }
-            self.submitted[slot] = true;
-            self.channel.submit(now, dest, slot as u64, ctx);
         }
     }
 
@@ -241,10 +262,11 @@ impl SettlingShardDriver {
         for dest in dests {
             self.migrations.drained_transfers += self.channel.drain(t, dest, ctx) as u64;
         }
-        // Submitted transfers are already in (or past) a batch and keep
-        // their key; the rest follow the account.
+        // Submitted transfers (ranked below the synced count) are already
+        // in (or past) a batch and keep their key; the rest follow the
+        // account.
         for &s in &ticket.transfers {
-            if !self.submitted[s] && self.transfers[s].1 != ticket.to {
+            if self.ranks[s] >= self.synced && self.transfers[s].1 != ticket.to {
                 self.transfers[s].1 = ticket.to;
                 self.migrations.rekeyed_transfers += 1;
             }
@@ -621,6 +643,58 @@ mod tests {
                 shard: ShardId::new(3)
             }
         );
+    }
+
+    /// Fee priority is read here and nowhere else: with one transaction
+    /// per block, the high-fee tx 1 confirms first, so its transfer
+    /// settles strictly before tx 0's.
+    #[test]
+    fn higher_fee_transfer_settles_first() {
+        let cfg = RuntimeConfig {
+            block_capacity: 1,
+            ..config(31, SettleConfig::batched(1))
+        };
+        let spec = ShardSpec::solo_greedy(ShardId::new(0), vec![1, 100]);
+        let driver = SettlingShardDriver::new(&spec, &cfg, fan(2, 1)).expect("valid");
+        let outcome = Runtime::builder().run(vec![driver]).expect("well-formed");
+        let settled_at = |slot: u64| {
+            outcome.drivers[0]
+                .settled_batches()
+                .iter()
+                .find(|b| b.transfers.contains(&slot))
+                .map(|b| b.at)
+                .expect("every transfer settles")
+        };
+        assert!(
+            settled_at(1) < settled_at(0),
+            "the fee-100 transfer must settle first"
+        );
+    }
+
+    #[test]
+    fn equilibrium_transfer_table_is_a_typed_error() {
+        let cfg = config(29, SettleConfig::batched(4));
+        let equilibrium = ShardSpec {
+            strategy: SelectionStrategy::Equilibrium { max_rounds: 10 },
+            ..spec(2, 4)
+        };
+        let err = SettlingShardDriver::new(&equilibrium, &cfg, fan(4, 1))
+            .err()
+            .expect("an equilibrium transfer table must be rejected");
+        assert!(
+            matches!(
+                err,
+                Error::Config {
+                    field: "transfers",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        // Without transfers the equilibrium shard still runs.
+        let plain = SettlingShardDriver::new(&equilibrium, &cfg, Vec::new()).expect("valid");
+        let outcome = Runtime::builder().run(vec![plain]).expect("well-formed");
+        assert_eq!(outcome.report.shards[0].confirmed, 4);
     }
 
     #[test]

@@ -99,7 +99,7 @@ fn run<D: ProtocolDriver + 'static>(
 ) -> RunOutcome<D> {
     let drivers = specs()
         .iter()
-        .map(|spec| wrap(ContractShardDriver::new(spec, config)))
+        .map(|spec| wrap(ContractShardDriver::new(spec, config).expect("valid test spec")))
         .collect();
     Runtime::builder()
         .scheduler(config.scheduler)
@@ -228,8 +228,9 @@ fn ticks_on_the_completion_time_stay_queued() {
         };
         for end in 0..40 {
             let completion = SimTime::from_millis(end);
-            let mut reference = EventByEvent(ContractShardDriver::new(&spec, &config));
-            let mut closed = ContractShardDriver::new(&spec, &config);
+            let driver = || ContractShardDriver::new(&spec, &config).expect("valid test spec");
+            let mut reference = EventByEvent(driver());
+            let mut closed = driver();
             let want = drain_by_hand(&mut reference, completion);
             let got = drain_by_hand(&mut closed, completion);
             assert_eq!(got.0, want.0, "events, end {end}");

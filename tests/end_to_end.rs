@@ -36,7 +36,7 @@ fn full_pipeline_is_deterministic_end_to_end() {
 }
 
 #[test]
-fn every_transaction_is_confirmed_exactly_once() {
+fn every_transaction_confirms_exactly_once() {
     let w = Workload::uniform_contracts(300, 5, FEES, 3);
     let report = ShardingSystem::testbed(RuntimeConfig {
         seed: 3,
