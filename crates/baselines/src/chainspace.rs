@@ -12,8 +12,9 @@
 //! * validating a k-input transaction needs the account state of up to `k`
 //!   shards; when more than one shard is involved, the S-BAC style
 //!   commit runs **two rounds** of cross-shard leader communication
-//!   (intra-shard consensus → cross-shard accept), each round carrying
-//!   O(N²) bits among the N participating nodes (Sec. VII).
+//!   (intra-shard consensus → cross-shard accept), each booked as one
+//!   message. Sec. VII also prices a round at O(N²) bits among the N
+//!   participating nodes; no figure reads bits, so the model counts rounds.
 
 use cshard_crypto::Prf;
 use cshard_ledger::Transaction;
@@ -38,11 +39,11 @@ pub const CROSS_SHARD_ROUNDS_PER_TX: u64 = 2;
 pub struct ChainspacePlacement {
     /// Number of shards.
     pub shards: usize,
-    /// Home (output) shard of each transaction, by transaction index.
-    pub home_shard: Vec<ShardId>,
-    /// Input shards touched by each transaction (deduplicated, includes the
-    /// home shard).
-    pub touched: Vec<Vec<ShardId>>,
+    /// Transaction `i`'s shards are `touched[ends[i - 1]..ends[i]]`: its
+    /// home (output) shard first, then its further input shards,
+    /// deduplicated — one flat table, not a list per transaction.
+    ends: Vec<usize>,
+    touched: Vec<ShardId>,
 }
 
 impl ChainspacePlacement {
@@ -52,36 +53,41 @@ impl ChainspacePlacement {
     pub fn place(txs: &[Transaction], shards: usize, seed: u64) -> Self {
         assert!(shards > 0, "need at least one shard");
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut home_shard = Vec::with_capacity(txs.len());
+        let mut ends = Vec::with_capacity(txs.len());
         let mut touched = Vec::with_capacity(txs.len());
         for tx in txs {
-            let home = ShardId::new(rng.gen_range(0..shards as u32));
-            let mut set = vec![home];
+            let start = touched.len();
+            touched.push(ShardId::new(rng.gen_range(0..shards as u32)));
             // Each further input lives in an independently random shard.
             for _ in 1..tx.kind.input_count() {
                 let s = ShardId::new(rng.gen_range(0..shards as u32));
-                if !set.contains(&s) {
-                    set.push(s);
+                if !touched[start..].contains(&s) {
+                    touched.push(s);
                 }
             }
-            home_shard.push(home);
-            touched.push(set);
+            ends.push(touched.len());
         }
         ChainspacePlacement {
             shards,
-            home_shard,
+            ends,
             touched,
         }
     }
 
+    /// The shards transaction `i` touches, its home shard first.
+    fn touched(&self, i: usize) -> &[ShardId] {
+        let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.touched[start..self.ends[i]]
+    }
+
     /// Whether transaction `i` is cross-shard (touches > 1 shard).
     pub fn is_cross_shard(&self, i: usize) -> bool {
-        self.touched[i].len() > 1
+        self.touched(i).len() > 1
     }
 
     /// Number of cross-shard transactions.
     pub fn cross_shard_count(&self) -> usize {
-        (0..self.touched.len())
+        (0..self.ends.len())
             .filter(|&i| self.is_cross_shard(i))
             .count()
     }
@@ -90,37 +96,21 @@ impl ChainspacePlacement {
     /// cross-shard transaction, attributed to its home shard (the shard
     /// that drives the commit). Single-shard transactions cost nothing.
     pub fn record_validation_communication(&self, stats: &CommStats) {
-        for i in 0..self.touched.len() {
-            if self.is_cross_shard(i) {
-                stats.record_many(
-                    self.home_shard[i],
-                    CommKind::CrossShardValidation,
-                    CROSS_SHARD_ROUNDS_PER_TX,
-                );
-            }
+        for i in (0..self.ends.len()).filter(|&i| self.is_cross_shard(i)) {
+            stats.record_many(
+                self.touched(i)[0],
+                CommKind::CrossShardValidation,
+                CROSS_SHARD_ROUNDS_PER_TX,
+            );
         }
-    }
-
-    /// Estimated message-bit volume of the validation traffic: per
-    /// cross-shard transaction, `rounds × N²` units where `N` is the number
-    /// of nodes involved (`nodes_per_shard × touched shards`) — the O(N²)
-    /// growth Sec. VII quotes.
-    pub fn message_volume(&self, nodes_per_shard: usize) -> u64 {
-        (0..self.touched.len())
-            .filter(|&i| self.is_cross_shard(i))
-            .map(|i| {
-                let n = (self.touched[i].len() * nodes_per_shard) as u64;
-                CROSS_SHARD_ROUNDS_PER_TX * n * n
-            })
-            .sum()
     }
 
     /// Transaction indices grouped by home shard — the per-shard queues a
     /// throughput run feeds into the runtime.
     pub fn shard_tx_indices(&self) -> Vec<Vec<usize>> {
         let mut groups = vec![Vec::new(); self.shards];
-        for (i, s) in self.home_shard.iter().enumerate() {
-            groups[s.0 as usize].push(i);
+        for i in 0..self.ends.len() {
+            groups[self.touched(i)[0].0 as usize].push(i);
         }
         groups
     }
@@ -152,7 +142,7 @@ impl ChainspacePlacement {
                 let mut cross = CrossTable::default();
                 for i in idxs {
                     if self.is_cross_shard(i) {
-                        cross.push(i, self.touched[i].iter().copied().filter(|&t| t != shard));
+                        cross.push(i, self.touched(i).iter().copied().filter(|&t| t != shard));
                     }
                 }
                 ChainspaceDriver::new(shard, local_fees, cross, config, latency)
@@ -410,8 +400,8 @@ mod tests {
         let txs = three_input_txs(50);
         let a = ChainspacePlacement::place(&txs, 9, 7);
         let b = ChainspacePlacement::place(&txs, 9, 7);
-        assert_eq!(a.home_shard, b.home_shard);
-        assert_eq!(a.home_shard.len(), 50);
+        assert_eq!((&a.ends, &a.touched), (&b.ends, &b.touched));
+        assert_eq!(a.ends.len(), 50);
         let groups = a.shard_tx_indices();
         assert_eq!(groups.iter().map(Vec::len).sum::<usize>(), 50);
     }
@@ -420,8 +410,8 @@ mod tests {
     fn three_input_txs_touch_up_to_three_shards() {
         let txs = three_input_txs(200);
         let p = ChainspacePlacement::place(&txs, 9, 3);
-        for t in &p.touched {
-            assert!((1..=3).contains(&t.len()));
+        for i in 0..200 {
+            assert!((1..=3).contains(&p.touched(i).len()));
         }
         // With 9 shards, the vast majority of 3-input txs are cross-shard.
         assert!(p.cross_shard_count() > 180, "{}", p.cross_shard_count());
@@ -435,7 +425,6 @@ mod tests {
         let stats = CommStats::new();
         p.record_validation_communication(&stats);
         assert_eq!(stats.total(), 0);
-        assert_eq!(p.message_volume(4), 0);
     }
 
     #[test]
@@ -453,16 +442,6 @@ mod tests {
         let per_shard = stats.per_shard_average(9);
         let expected = 2.0 * p.cross_shard_count() as f64 / 9.0;
         assert!((per_shard - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn message_volume_is_quadratic_in_participants() {
-        let txs = three_input_txs(10);
-        let p = ChainspacePlacement::place(&txs, 9, 2);
-        let v1 = p.message_volume(1);
-        let v4 = p.message_volume(4);
-        // 4× the nodes → 16× the volume.
-        assert_eq!(v4, v1 * 16);
     }
 
     #[test]
@@ -755,15 +734,10 @@ mod tests {
     fn batched_mode_settles_every_foreign_leg_exactly_once() {
         let (p, outcome) = settled_outcome(300, 9, 5, wide_batched(100), 1);
         // Expected multiset: one transfer per (home tx, foreign shard) leg.
-        let mut expected: Vec<(ShardId, ShardId, u64)> = (0..p.touched.len())
-            .filter(|&i| p.is_cross_shard(i))
+        let mut expected: Vec<(ShardId, ShardId, u64)> = (0..p.ends.len())
             .flat_map(|i| {
-                let home = p.home_shard[i];
-                p.touched[i]
-                    .iter()
-                    .copied()
-                    .filter(move |&s| s != home)
-                    .map(move |s| (home, s, i as u64))
+                let (&home, foreign) = p.touched(i).split_first().expect("one shard");
+                foreign.iter().map(move |&s| (home, s, i as u64))
             })
             .collect();
         expected.sort_unstable();

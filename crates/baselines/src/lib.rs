@@ -7,7 +7,7 @@
 //!   placement over a fixed shard count, run as a real
 //!   [`cshard_runtime::ProtocolDriver`] whose 2PC validation rounds are
 //!   scheduled events booking cross-shard communication (≥ 2 rounds per
-//!   cross-shard transaction, O(N²) bits per round) into
+//!   cross-shard transaction, one message each) into
 //!   [`cshard_network::CommStats`] as they fire. Fig. 4(a)/(b).
 //! * [`optimal`] — the oracles of Sec. VI-E: the optimal number of new
 //!   shards (every new shard exactly `L`) and the optimal number of

@@ -171,36 +171,19 @@ impl SystemBuilder {
                 reason: "miners_per_shard and total_miners are mutually exclusive".into(),
             });
         }
-        match self.config.allocation {
-            MinerAllocation::PerShard(0) => {
-                return Err(Error::Config {
-                    field: "allocation",
-                    reason: "shards need at least one miner".into(),
+        if let (MinerAllocation::Proportional { total }, Some(shards)) =
+            (self.config.allocation, self.shards)
+        {
+            if total < shards {
+                return Err(Error::InsufficientMiners {
+                    shards,
+                    miners: total,
                 });
             }
-            MinerAllocation::Proportional { total } => {
-                if let Some(shards) = self.shards {
-                    if total < shards {
-                        return Err(Error::InsufficientMiners {
-                            shards,
-                            miners: total,
-                        });
-                    }
-                }
-            }
-            _ => {}
         }
-        if self.config.selection == Some(0) {
-            return Err(Error::Config {
-                field: "selection",
-                reason: "needs at least one best-reply round".into(),
-            });
-        }
-        if let Some(m) = &self.config.merging {
-            m.validate()?;
-        }
-        self.config.placement.validate()?;
-        Ok(ShardingSystem::new(self.config))
+        let system = ShardingSystem::new(self.config);
+        system.pipeline_config().validate()?;
+        Ok(system)
     }
 }
 

@@ -181,6 +181,39 @@ pub struct PipelineConfig {
     pub placement: PlacementConfig,
 }
 
+impl PipelineConfig {
+    /// Checks every field before a run reads it: the merging and placement
+    /// settings, the retired `warm_start: true`, a selection cap of zero
+    /// best-reply rounds and a zero per-shard miner count. Only a
+    /// proportional miner pool depends on the epoch (its shard count), so
+    /// [`SelectStage::run`] checks that one.
+    pub fn validate(&self) -> Result<(), Error> {
+        if let Some(merging) = &self.merging {
+            merging.validate()?;
+        }
+        self.placement.validate()?;
+        if self.warm_start {
+            return Err(Error::Config {
+                field: "warm_start",
+                reason: "retired: every epoch runs cold".into(),
+            });
+        }
+        if self.selection == Some(0) {
+            return Err(Error::Config {
+                field: "selection",
+                reason: "needs at least one best-reply round".into(),
+            });
+        }
+        if let MinerAllocation::PerShard(0) = self.allocation {
+            return Err(Error::Config {
+                field: "allocation",
+                reason: "shards need at least one miner".into(),
+            });
+        }
+        Ok(())
+    }
+}
+
 impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
@@ -284,10 +317,10 @@ impl EpochPipeline {
     /// observer's hooks (how the bench harness times stages without this
     /// crate touching a clock).
     ///
-    /// Errors — before any stage runs — on a malformed runtime, merging or
-    /// placement configuration, or the retired `warm_start: true`; a
-    /// pipeline is constructible from raw config structs, so this is where
-    /// they are checked.
+    /// Errors — before any stage runs — on a malformed runtime or pipeline
+    /// configuration ([`PipelineConfig::validate`]); a pipeline is
+    /// constructible from raw config structs, so this is where they are
+    /// checked.
     pub fn run_epoch_observed(
         &mut self,
         input: EpochInput<'_>,
@@ -300,16 +333,7 @@ impl EpochPipeline {
             runtime,
         } = input;
         runtime.validate()?;
-        if let Some(merging) = &self.config.merging {
-            merging.validate()?;
-        }
-        self.config.placement.validate()?;
-        if self.config.warm_start {
-            return Err(Error::Config {
-                field: "warm_start",
-                reason: "retired: every epoch runs cold".into(),
-            });
-        }
+        self.config.validate()?;
 
         let comm = CommStats::new();
         let plan = observed(StageKind::Classify, observer, || {
@@ -477,25 +501,46 @@ mod tests {
         assert_eq!(sums.started, [0; 6], "no stage may start");
     }
 
-    #[test]
-    fn retired_warm_start_is_rejected_before_any_stage() {
+    /// Runs one epoch of `config`, which must fail before any stage starts,
+    /// and returns the config field it names.
+    fn rejected_field(config: PipelineConfig) -> &'static str {
         let w = Workload::uniform_contracts(30, 2, FEES, 4);
         let fees = w.fees();
-        let mut pipeline = EpochPipeline::new(PipelineConfig {
-            warm_start: true,
-            ..PipelineConfig::default()
-        });
         let mut sums = StageSums::default();
-        let err = pipeline
+        let err = EpochPipeline::new(config)
             .run_epoch_observed(input_for(&w, &fees, 4), &mut sums)
             .unwrap_err();
-        assert!(matches!(
-            err,
-            Error::Config {
-                field: "warm_start",
-                ..
-            }
-        ));
         assert_eq!(sums.started, [0; 6], "no stage may start");
+        match err {
+            Error::Config { field, .. } => field,
+            other => panic!("not a config error: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_miners_per_shard_is_rejected_before_any_stage() {
+        let config = PipelineConfig {
+            allocation: MinerAllocation::PerShard(0),
+            ..PipelineConfig::default()
+        };
+        assert_eq!(rejected_field(config), "allocation");
+    }
+
+    #[test]
+    fn zero_selection_rounds_are_rejected_before_any_stage() {
+        let config = PipelineConfig {
+            selection: Some(0),
+            ..PipelineConfig::default()
+        };
+        assert_eq!(rejected_field(config), "selection");
+    }
+
+    #[test]
+    fn retired_warm_start_is_rejected_before_any_stage() {
+        let config = PipelineConfig {
+            warm_start: true,
+            ..PipelineConfig::default()
+        };
+        assert_eq!(rejected_field(config), "warm_start");
     }
 }

@@ -52,18 +52,14 @@ impl SelectStage {
     }
 
     /// One runtime spec per shard; the fee queues move into the specs.
+    ///
+    /// Errors when a proportional pool cannot staff every shard. A zero
+    /// per-shard count never gets here: the pipeline rejects it in
+    /// [`crate::pipeline::PipelineConfig::validate`] before any stage runs.
     pub fn run(&self, groups: Vec<(ShardId, Vec<u64>)>) -> Result<Vec<ShardSpec>, Error> {
         let per_shard_miners: Vec<usize> = match self.allocation {
             MinerAllocation::OnePerShard => vec![1; groups.len()],
-            MinerAllocation::PerShard(n) => {
-                if n == 0 {
-                    return Err(Error::Config {
-                        field: "allocation",
-                        reason: "shards need at least one miner".into(),
-                    });
-                }
-                vec![n; groups.len()]
-            }
+            MinerAllocation::PerShard(n) => vec![n; groups.len()],
             MinerAllocation::Proportional { total } => {
                 if total < groups.len() {
                     return Err(Error::InsufficientMiners {

@@ -1,74 +1,27 @@
 //! The injection patterns of Sec. VI, as deterministic generators.
 
 use crate::fees::FeeDistribution;
-use cshard_ledger::{SmartContract, State, Transaction};
+use cshard_ledger::Transaction;
 use cshard_primitives::{Address, Amount, ContractId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Which experiment shape a workload was generated for (kept for
-/// reporting/labels).
+/// A generated workload: the injected transactions, in injection order.
 ///
-/// Not `Eq`: [`WorkloadKind::HeavyTail`] carries its Zipf exponent, and
-/// floats have no total equality.
-#[derive(Clone, Debug, PartialEq)]
-pub enum WorkloadKind {
-    /// Uniform spread over contracts + MaxShard (Sec. VI-B1).
-    UniformContracts {
-        /// Number of contract shards.
-        contracts: usize,
-    },
-    /// Small-shard mix (Sec. VI-C).
-    SmallShards {
-        /// Number of small shards.
-        small: usize,
-        /// Number of regular shards.
-        regular: usize,
-    },
-    /// k-input transfers (Sec. VI-B2).
-    MultiInput {
-        /// Inputs per transaction.
-        inputs: usize,
-    },
-    /// Zipf contract popularity.
-    HeavyTail {
-        /// Number of contract shards.
-        contracts: usize,
-        /// Zipf exponent: contract `k`'s share ∝ `k^-s`.
-        zipf_s: f64,
-    },
-    /// Collected view of a [`crate::stream::TxStream`] prefix.
-    Streamed {
-        /// Configured sender account space.
-        accounts: u64,
-        /// Number of registered contracts.
-        contracts: u32,
-    },
-}
-
-/// A generated workload: the genesis state, the registered contracts and
-/// the transaction injection.
+/// Every count the simulator reports derives from this list alone. The
+/// contracts the paper registers (Sec. VI-A) are the `ContractId`s the
+/// calls name; nothing here builds a genesis ledger for them.
 #[derive(Clone, Debug)]
 pub struct Workload {
-    /// Genesis world state (users funded, contracts registered).
-    pub genesis: State,
-    /// The registered contracts (also present in `genesis`).
-    pub contracts: Vec<SmartContract>,
     /// The injected transactions, in injection order.
     pub transactions: Vec<Transaction>,
-    /// The shape this workload reproduces.
-    pub kind: WorkloadKind,
 }
 
 /// Value carried by every generated transfer — small and constant; the
 /// evaluation's metrics never depend on transfer size.
 const TX_VALUE: Amount = Amount(1_000);
-/// Genesis balance per user: comfortably covers value + any sampled fee.
-const USER_FUNDS: Amount = Amount(2_000_000_000);
 
 struct Builder {
-    state: State,
-    contracts: Vec<SmartContract>,
     txs: Vec<Transaction>,
     next_user: u64,
     rng: ChaCha8Rng,
@@ -78,8 +31,6 @@ struct Builder {
 impl Builder {
     fn new(seed: u64, fees: FeeDistribution) -> Self {
         Builder {
-            state: State::new(),
-            contracts: Vec::new(),
             txs: Vec::new(),
             next_user: 0,
             rng: ChaCha8Rng::seed_from_u64(seed),
@@ -87,23 +38,9 @@ impl Builder {
         }
     }
 
-    fn add_contracts(&mut self, n: usize) {
-        for i in 0..n {
-            let id = ContractId::new(i as u32);
-            // Each contract unconditionally pays a dedicated sink user
-            // (Sec. VI-A: "transfers money to a specified destination").
-            let sink = Address::user(1_000_000 + i as u64);
-            self.state.fund_user(sink, Amount::ZERO);
-            let c = SmartContract::unconditional(id, sink);
-            self.contracts.push(c.clone());
-            self.state.register_contract(c);
-        }
-    }
-
     fn fresh_user(&mut self) -> Address {
         let addr = Address::user(self.next_user);
         self.next_user += 1;
-        self.state.fund_user(addr, USER_FUNDS);
         addr
     }
 
@@ -130,7 +67,7 @@ impl Builder {
             .push(Transaction::direct(sender, 0, recipient, TX_VALUE, fee));
     }
 
-    /// A k-input transfer (Sec. VI-B2): all inputs are fresh funded users.
+    /// A k-input transfer (Sec. VI-B2): all inputs are fresh users.
     fn multi_input(&mut self, k: usize) {
         assert!(k >= 1);
         let inputs: Vec<Address> = (0..k).map(|_| self.fresh_user()).collect();
@@ -142,12 +79,9 @@ impl Builder {
         ));
     }
 
-    fn finish(self, kind: WorkloadKind) -> Workload {
+    fn finish(self) -> Workload {
         Workload {
-            genesis: self.state,
-            contracts: self.contracts,
             transactions: self.txs,
-            kind,
         }
     }
 }
@@ -166,7 +100,6 @@ impl Workload {
         seed: u64,
     ) -> Workload {
         let mut b = Builder::new(seed, fees);
-        b.add_contracts(contracts);
         let groups = contracts + 1;
         let per_group = total / groups;
         for c in 0..contracts {
@@ -178,7 +111,7 @@ impl Workload {
         for _ in 0..maxshard {
             b.direct_transfer();
         }
-        b.finish(WorkloadKind::UniformContracts { contracts })
+        b.finish()
     }
 
     /// Sec. VI-C: nine shards of which `small` are small. Small shards get
@@ -202,7 +135,6 @@ impl Workload {
         );
         let regular = shards - small;
         let mut b = Builder::new(seed, fees);
-        b.add_contracts(shards);
         // Small shards first (contract ids 0..small).
         for (i, &size) in small_sizes.iter().enumerate() {
             for _ in 0..size {
@@ -226,7 +158,7 @@ impl Workload {
                 }
             }
         }
-        b.finish(WorkloadKind::SmallShards { small, regular })
+        b.finish()
     }
 
     /// Sec. VI-B2 / Fig. 4(b): `total` transactions with `inputs` funding
@@ -237,7 +169,7 @@ impl Workload {
         for _ in 0..total {
             b.multi_input(inputs);
         }
-        b.finish(WorkloadKind::MultiInput { inputs })
+        b.finish()
     }
 
     /// A Zipf contract-popularity mix: contract `k`'s share ∝ `k^-s`,
@@ -252,7 +184,6 @@ impl Workload {
     ) -> Workload {
         assert!(contracts >= 1);
         let mut b = Builder::new(seed, fees);
-        b.add_contracts(contracts);
         let norm: f64 = (1..=contracts).map(|k| (k as f64).powf(-zipf_s)).sum();
         let mut assigned = 0usize;
         for c in 0..contracts {
@@ -267,19 +198,7 @@ impl Workload {
         for _ in assigned..total {
             b.direct_transfer();
         }
-        b.finish(WorkloadKind::HeavyTail { contracts, zipf_s })
-    }
-
-    /// Transactions per contract, indexed by contract id (isolable calls
-    /// only — direct/multi-input transactions are not counted here).
-    pub fn tx_count_by_contract(&self) -> Vec<u64> {
-        let mut counts = vec![0u64; self.contracts.len()];
-        for tx in &self.transactions {
-            if let Some(c) = tx.kind.contract() {
-                counts[c.0 as usize] += 1;
-            }
-        }
-        counts
+        b.finish()
     }
 
     /// Number of transactions that are not single-contract calls.
@@ -303,14 +222,22 @@ mod tests {
 
     const FEES: FeeDistribution = FeeDistribution::Uniform { lo: 1, hi: 100 };
 
+    /// Contract calls per contract id, for ids below `contracts`.
+    fn calls_per_contract(w: &Workload, contracts: usize) -> Vec<u64> {
+        let mut counts = vec![0u64; contracts];
+        for c in w.transactions.iter().filter_map(|t| t.kind.contract()) {
+            counts[c.0 as usize] += 1;
+        }
+        counts
+    }
+
     #[test]
     fn uniform_contracts_splits_evenly() {
         // The paper's 9-shard setting: 200 txs over 8 contracts + MaxShard
         // = 22 per contract shard.
         let w = Workload::uniform_contracts(200, 8, FEES, 1);
         assert_eq!(w.transactions.len(), 200);
-        let counts = w.tx_count_by_contract();
-        assert_eq!(counts, vec![22; 8]);
+        assert_eq!(calls_per_contract(&w, 8), vec![22; 8]);
         assert_eq!(w.maxshard_tx_count(), 200 - 8 * 22);
     }
 
@@ -319,17 +246,17 @@ mod tests {
         let w = Workload::uniform_contracts(50, 0, FEES, 1);
         assert_eq!(w.transactions.len(), 50);
         assert_eq!(w.maxshard_tx_count(), 50);
-        assert!(w.contracts.is_empty());
     }
 
     #[test]
-    fn every_generated_tx_is_valid_against_genesis() {
-        let w = Workload::uniform_contracts(100, 4, FEES, 7);
-        let mut state = w.genesis.clone();
-        for tx in &w.transactions {
-            state
-                .apply_transaction(tx, Address::SYSTEM)
-                .expect("generated transactions must validate");
+    fn every_generator_validates_against_a_funded_genesis() {
+        for w in [
+            Workload::uniform_contracts(100, 4, FEES, 7),
+            Workload::with_small_shards(200, 9, 3, &[4, 5, 6], FEES, 8),
+            Workload::three_input(40, 3, FEES, 3),
+            Workload::heavy_tail(300, 9, 1.1, FEES, 5),
+        ] {
+            crate::assert_validates(&w.transactions);
         }
     }
 
@@ -347,7 +274,7 @@ mod tests {
         // 9 shards, 3 small with 4 txs each, total 200.
         let w = Workload::with_small_shards(200, 9, 3, &[4, 4, 4], FEES, 2);
         assert_eq!(w.transactions.len(), 200);
-        let counts = w.tx_count_by_contract();
+        let counts = calls_per_contract(&w, 9);
         assert_eq!(&counts[..3], &[4, 4, 4]);
         // Regular shards share 188 over 6: sizes 31/32.
         let regular: Vec<u64> = counts[3..].to_vec();
@@ -365,15 +292,11 @@ mod tests {
     }
 
     #[test]
-    fn three_input_transactions_have_k_inputs_and_validate() {
+    fn three_input_transactions_have_k_inputs() {
         let w = Workload::three_input(40, 3, FEES, 3);
         assert_eq!(w.transactions.len(), 40);
         assert!(w.transactions.iter().all(|t| t.kind.input_count() == 3));
         assert_eq!(w.maxshard_tx_count(), 40);
-        let mut state = w.genesis.clone();
-        for tx in &w.transactions {
-            state.apply_transaction(tx, Address::SYSTEM).unwrap();
-        }
     }
 
     #[test]
@@ -394,15 +317,7 @@ mod tests {
     fn heavy_tail_is_skewed_and_exact() {
         let w = Workload::heavy_tail(1000, 10, 1.1, FEES, 5);
         assert_eq!(w.transactions.len(), 1000);
-        assert_eq!(
-            w.kind,
-            WorkloadKind::HeavyTail {
-                contracts: 10,
-                zipf_s: 1.1
-            },
-            "the kind labels the grid precisely"
-        );
-        let counts = w.tx_count_by_contract();
+        let counts = calls_per_contract(&w, 10);
         assert!(counts[0] > counts[9] * 3, "counts {counts:?}");
     }
 

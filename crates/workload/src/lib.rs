@@ -23,9 +23,15 @@
 //! For million-user scale, [`stream::TxStream`] generates transactions
 //! *lazily* as a seeded `(SimTime, Transaction)` iterator — Poisson
 //! arrivals, Zipf-hot contract communities, burst episodes and an
-//! adversarial spam-flood mode — without materializing a genesis-sized
-//! vector. A bounded prefix collects into an ordinary [`Workload`] via
-//! [`stream::TxStream::take_workload`].
+//! adversarial spam-flood mode — without materializing the whole
+//! injection.
+//!
+//! A workload is its transactions and nothing else: no generator builds a
+//! genesis ledger. Every generated list is nevertheless valid — applied
+//! in order, each transaction passes the ledger's checks against a
+//! genesis that funds the addresses the list touches and registers the
+//! contracts it calls. The crate's tests pin that property for every
+//! generator.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,5 +41,43 @@ pub mod generator;
 pub mod stream;
 
 pub use fees::FeeDistribution;
-pub use generator::{Workload, WorkloadKind};
+pub use generator::Workload;
 pub use stream::{BurstEpisode, SpamFlood, StreamConfig, TxStream};
+
+/// Applies `txs` in order to a genesis that funds every sender,
+/// multi-input input and direct recipient once and registers every
+/// contract the list calls, panicking at the first transaction the ledger
+/// rejects.
+#[cfg(test)]
+pub(crate) fn assert_validates(txs: &[cshard_ledger::Transaction]) {
+    use cshard_ledger::{SmartContract, State, TxKind};
+    use cshard_primitives::{Address, Amount, ContractId};
+
+    let mut state = State::new();
+    let contracts = txs
+        .iter()
+        .filter_map(|t| t.kind.contract())
+        .map(|c| c.0 + 1);
+    for c in 0..contracts.max().unwrap_or(0) {
+        // Each contract unconditionally pays its own sink user (Sec. VI-A).
+        let sink = Address::user(u64::MAX - u64::from(c));
+        state.register_contract(SmartContract::unconditional(ContractId::new(c), sink));
+    }
+    for tx in txs {
+        let (inputs, recipient) = match &tx.kind {
+            TxKind::MultiInput { inputs, .. } => (inputs.as_slice(), None),
+            TxKind::DirectTransfer { to, .. } => (&[][..], Some(to)),
+            TxKind::ContractCall { .. } => (&[][..], None),
+        };
+        for &user in std::iter::once(&tx.sender).chain(inputs).chain(recipient) {
+            if state.account(user).is_none() {
+                state.fund_user(user, Amount::from_raw(2_000_000_000));
+            }
+        }
+    }
+    for (i, tx) in txs.iter().enumerate() {
+        if let Err(e) = state.apply_transaction(tx, Address::SYSTEM) {
+            panic!("transaction {i} does not validate: {e}");
+        }
+    }
+}

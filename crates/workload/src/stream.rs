@@ -2,8 +2,8 @@
 //! sim-time-stamped iterator.
 //!
 //! The eager [`crate::Workload`] constructors materialize every
-//! transaction (and a genesis funding every sender) up front — fine at the
-//! paper's 160-user scale, fatal at the ROADMAP's million-user north star.
+//! transaction up front — fine at the paper's 160-user scale, fatal at the
+//! ROADMAP's million-user north star.
 //! [`TxStream`] inverts that: it is an allocation-light iterator over
 //! `(SimTime, Transaction)` pairs whose memory footprint scales with the
 //! transactions *emitted* (a lazy per-sender nonce map), never with the
@@ -28,27 +28,19 @@
 //!   from fresh throwaway accounts that never repeat (the classifier sees
 //!   an unbounded stream of new MaxShard senders).
 //!
-//! A bounded prefix of a stream can be collected into an ordinary
-//! [`Workload`] ([`TxStream::take_workload`]) — a thin collected view
-//! funding exactly the addresses the prefix touched. The eager
-//! constructors are unchanged (their RNG draw order is pinned by the
-//! golden fingerprints); the stream is the scalable path beside them.
+//! The eager constructors are unchanged (their RNG draw order is pinned by
+//! the golden fingerprints); the stream is the scalable path beside them.
 
 use crate::fees::FeeDistribution;
-use crate::generator::{Workload, WorkloadKind};
-use cshard_ledger::{SmartContract, State, Transaction, TxKind};
-use cshard_primitives::{Address, AddressIndex, AddressSlots, Amount, ContractId, SimTime};
+use cshard_ledger::Transaction;
+use cshard_primitives::{Address, AddressSlots, Amount, ContractId, SimTime};
 use cshard_sim::SimRng;
 
 /// Value carried by every streamed transfer (mirrors the eager
 /// generators: metrics never depend on transfer size).
 const TX_VALUE: Amount = Amount(1_000);
-/// Genesis balance per collected user: covers value + any sampled fee.
-const USER_FUNDS: Amount = Amount(2_000_000_000);
-/// User-index base for contract sink accounts in collected views. Far
-/// above any configurable account space (`accounts` is capped below it).
-const SINK_BASE: u64 = 1 << 40;
-/// User-index base for adversarial throwaway accounts.
+/// User-index base for adversarial throwaway accounts. Far above any
+/// configurable account space (`accounts` is capped below it).
 const SPAM_BASE: u64 = 1 << 41;
 
 /// A window during which the arrival rate is multiplied (a traffic burst).
@@ -130,8 +122,8 @@ impl Default for StreamConfig {
 /// A deterministic, allocation-light stream of timestamped transactions.
 ///
 /// Implements `Iterator<Item = (SimTime, Transaction)>`; the stream is
-/// infinite — bound it with [`Iterator::take`], [`Iterator::take_while`]
-/// on the timestamp, or [`TxStream::take_workload`].
+/// infinite — bound it with [`Iterator::take`] or [`Iterator::take_while`]
+/// on the timestamp.
 #[derive(Debug)]
 pub struct TxStream {
     config: StreamConfig,
@@ -158,12 +150,12 @@ impl TxStream {
     /// # Panics
     /// Panics on a malformed configuration (zero accounts/contracts,
     /// non-positive Zipf exponent or mean gap, account space colliding
-    /// with the reserved sink/spam index ranges) — mirroring the eager
+    /// with the reserved spam index range) — mirroring the eager
     /// generators' input validation.
     pub fn new(config: StreamConfig) -> TxStream {
         assert!(config.accounts >= 1, "need at least one account");
         assert!(config.contracts >= 1, "need at least one contract");
-        assert!(config.accounts < SINK_BASE, "account space too large");
+        assert!(config.accounts < SPAM_BASE, "account space too large");
         assert!(
             config.zipf_s > 0.0 && config.zipf_s.is_finite(),
             "zipf exponent must be positive"
@@ -268,48 +260,6 @@ impl TxStream {
     fn fee(&mut self) -> Amount {
         Amount::from_raw(self.config.fees.sample(self.fee_rng.raw()))
     }
-
-    /// Collects the next `n` transactions into an ordinary [`Workload`]:
-    /// genesis funds exactly the addresses the prefix touched, the
-    /// configured contracts are registered, and transactions appear in
-    /// arrival order. The timestamps are dropped — use the iterator
-    /// directly to keep them.
-    pub fn take_workload(mut self, n: usize) -> Workload {
-        let mut state = State::new();
-        let mut contracts = Vec::with_capacity(self.config.contracts as usize);
-        for c in 0..self.config.contracts {
-            let sink = Address::user(SINK_BASE + c as u64);
-            state.fund_user(sink, Amount::ZERO);
-            let sc = SmartContract::unconditional(ContractId::new(c), sink);
-            contracts.push(sc.clone());
-            state.register_contract(sc);
-        }
-        let mut funded = AddressIndex::new();
-        // Funds `user` the first time the prefix touches it.
-        let mut fund = |user: Address| {
-            let seen = funded.len();
-            if funded.intern(user) == seen {
-                state.fund_user(user, USER_FUNDS);
-            }
-        };
-        let mut transactions = Vec::with_capacity(n);
-        for (_, tx) in self.by_ref().take(n) {
-            fund(tx.sender);
-            if let TxKind::DirectTransfer { to, .. } = &tx.kind {
-                fund(*to);
-            }
-            transactions.push(tx);
-        }
-        Workload {
-            genesis: state,
-            contracts,
-            transactions,
-            kind: WorkloadKind::Streamed {
-                accounts: self.config.accounts,
-                contracts: self.config.contracts,
-            },
-        }
-    }
 }
 
 impl Iterator for TxStream {
@@ -366,6 +316,7 @@ impl Iterator for TxStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cshard_ledger::TxKind;
     use std::collections::BTreeMap;
 
     fn collect_n(config: StreamConfig, n: usize) -> Vec<(SimTime, Transaction)> {
@@ -515,26 +466,12 @@ mod tests {
     }
 
     #[test]
-    fn collected_view_validates_against_its_genesis() {
-        let w = TxStream::new(StreamConfig::default()).take_workload(300);
-        assert_eq!(w.transactions.len(), 300);
-        assert!(matches!(
-            w.kind,
-            WorkloadKind::Streamed {
-                accounts: 1_000,
-                contracts: 8
-            }
-        ));
-        // Senders repeat, and each is funded exactly once.
-        for tx in &w.transactions {
-            assert_eq!(w.genesis.balance_of(tx.sender), USER_FUNDS);
-        }
-        let mut state = w.genesis.clone();
-        for tx in &w.transactions {
-            state
-                .apply_transaction(tx, Address::SYSTEM)
-                .expect("collected stream transactions must validate");
-        }
+    fn stream_prefix_validates_against_a_funded_genesis() {
+        let txs: Vec<Transaction> = TxStream::new(StreamConfig::default())
+            .take(300)
+            .map(|(_, tx)| tx)
+            .collect();
+        crate::assert_validates(&txs);
     }
 
     #[test]

@@ -57,7 +57,8 @@ bench workload:
 # What CI's "Benchmark surface" step runs: one second of every workload
 # (stream, merge-heavy, placement, selection, pooled scheduler, settlement),
 # output checks only (no timing): every result must be `correct` with no
-# failed operation, and `stream_steady` must peak under 32 MB RSS.
+# failed operation, `stream_steady` must peak under 32 MB RSS and
+# `xshard_settle` under 100 MB.
 bench-smoke:
     #!/usr/bin/env bash
     set -euo pipefail
@@ -69,6 +70,11 @@ bench-smoke:
         # One epoch in memory, not the whole stream (≈ 22 MB vs ≈ 44 MB).
         if [ "$workload" = stream_steady ]; then
             tail -n 1 /tmp/bench-smoke.txt | python3 -c 'import json, sys; rss = json.load(sys.stdin)["metrics"]["peak_rss_mb"]["value"]; print(f"stream_steady peak_rss_mb {rss:.1f} (limit 32)"); sys.exit(rss >= 32)'
+        fi
+        # The input is transactions and one flat placement table, not a
+        # funded genesis and a heap list per transaction (≈ 70 MB vs ≈ 146 MB).
+        if [ "$workload" = xshard_settle ]; then
+            tail -n 1 /tmp/bench-smoke.txt | python3 -c 'import json, sys; rss = json.load(sys.stdin)["metrics"]["peak_rss_mb"]["value"]; print(f"xshard_settle peak_rss_mb {rss:.1f} (limit 100)"); sys.exit(rss >= 100)'
         fi
     done
 

@@ -1,6 +1,8 @@
 //! Cross-crate integration: the full pipeline from workload generation
 //! through formation, merging, selection and simulation.
 
+mod common;
+
 use contractshard::core::system::{MinerAllocation, SystemConfig};
 use contractshard::prelude::*;
 
@@ -90,7 +92,7 @@ fn ledger_validates_a_simulated_workload_for_real() {
     // generated transaction applies cleanly in order on the real state
     // machine, and the resulting balances conserve value.
     let w = Workload::uniform_contracts(150, 4, FEES, 9);
-    let mut state = w.genesis.clone();
+    let mut state = common::funded_genesis(&w.transactions);
     let supply = state.total_balance();
     for tx in &w.transactions {
         state

@@ -1,6 +1,8 @@
 //! Integration across the newer substrates: snapshots, epochs and
 //! proportional allocation working together.
 
+mod common;
+
 use contractshard::core::system::{MinerAllocation, SystemConfig};
 use contractshard::ledger::StateSnapshot;
 use contractshard::prelude::*;
@@ -12,7 +14,7 @@ fn snapshot_sync_joins_a_running_shard() {
     // A shard runs for a while; a new miner syncs from a snapshot and can
     // validate the next block without replaying history.
     let w = Workload::uniform_contracts(40, 1, FEES, 1);
-    let mut state = w.genesis.clone();
+    let mut state = common::funded_genesis(&w.transactions);
     for tx in &w.transactions[..20] {
         state.apply_transaction(tx, Address::miner(0)).unwrap();
     }
