@@ -95,7 +95,7 @@ impl ChainspacePlacement {
     /// Books the validation communication into `stats`: two rounds per
     /// cross-shard transaction, attributed to its home shard (the shard
     /// that drives the commit). Single-shard transactions cost nothing.
-    pub fn record_validation_communication(&self, stats: &CommStats) {
+    pub fn record_validation_communication(&self, stats: &mut CommStats) {
         for i in (0..self.ends.len()).filter(|&i| self.is_cross_shard(i)) {
             stats.record_many(
                 self.touched(i)[0],
@@ -119,7 +119,7 @@ impl ChainspacePlacement {
     /// each shard mines its home queue (solo greedy, as Fig. 4(a) runs it)
     /// and drives the 2PC validation rounds of its cross-shard
     /// transactions as scheduled events, booking each round into the
-    /// run's `CommStats` as it fires. `fees` are the workload's fees by
+    /// driver's `CommStats` as it fires. `fees` are the workload's fees by
     /// global transaction index; `latency` spaces the validation rounds.
     ///
     /// When `config.settle` enables batching, the per-round booking is
@@ -192,7 +192,7 @@ impl CrossTable {
 /// [`Event::EpochAdvance`] kick-off injects the cross-shard transactions,
 /// each [`Event::TxInjected`] starts that transaction's first
 /// [`Event::ValidationRound`], and every round books one communication
-/// time into the run's `CommStats` *as it fires* — Fig. 4(b)'s accounting
+/// time into the driver's `CommStats` *as it fires* — Fig. 4(b)'s accounting
 /// is emitted from inside the loop, not reconstructed afterwards.
 pub struct ChainspaceDriver {
     mining: ContractShardDriver,
@@ -210,7 +210,6 @@ pub struct ChainspaceDriver {
     kicked_off: bool,
     /// Protocol events still owed before the shard's 2PC work is done.
     outstanding: usize,
-    rounds_recorded: u64,
     /// Batched settlement (`Some` iff the run's settle config enables
     /// it). `None` keeps the per-round booking path byte-identical to the
     /// pre-settlement driver.
@@ -245,16 +244,8 @@ impl ChainspaceDriver {
             vrng,
             kicked_off: false,
             outstanding: 0,
-            rounds_recorded: 0,
             settle,
         }
-    }
-
-    /// Communication rounds this driver has booked so far (2 per
-    /// cross-shard transaction once the run completes; always 0 in
-    /// batched mode, where crosslinks carry the messaging instead).
-    pub fn rounds_recorded(&self) -> u64 {
-        self.rounds_recorded
     }
 
     /// Crosslink batches this shard shipped (empty when settlement is
@@ -335,7 +326,6 @@ impl ProtocolDriver for ChainspaceDriver {
                     // time instead, never per round.
                     ctx.comm()
                         .record_many(self.shard, CommKind::CrossShardValidation, 1);
-                    self.rounds_recorded += 1;
                 }
                 if last {
                     self.outstanding -= 1;
@@ -422,8 +412,8 @@ mod tests {
         let txs = three_input_txs(40);
         let p = ChainspacePlacement::place(&txs, 1, 3);
         assert_eq!(p.cross_shard_count(), 0);
-        let stats = CommStats::new();
-        p.record_validation_communication(&stats);
+        let mut stats = CommStats::new();
+        p.record_validation_communication(&mut stats);
         assert_eq!(stats.total(), 0);
     }
 
@@ -431,10 +421,10 @@ mod tests {
     fn communication_grows_linearly_with_tx_count() {
         // The Fig. 4(b) shape: per-shard communication ≈ 2·X/9 for X
         // cross-shard transactions.
-        let stats = CommStats::new();
+        let mut stats = CommStats::new();
         let txs = three_input_txs(900);
         let p = ChainspacePlacement::place(&txs, 9, 5);
-        p.record_validation_communication(&stats);
+        p.record_validation_communication(&mut stats);
         assert_eq!(
             stats.total(),
             CROSS_SHARD_ROUNDS_PER_TX * p.cross_shard_count() as u64
@@ -472,7 +462,6 @@ mod tests {
         };
         let fees = w.fees();
         let outcome = Runtime::builder()
-            .comm_stats(CommStats::new())
             .run(p.drivers(&fees, &cfg, LatencyModel::wide_area()))
             .expect("well-formed");
         // Mining still confirms the whole workload under the driver.
@@ -499,8 +488,8 @@ mod tests {
         // The retained closed-form bookkeeping and the event-driven runs
         // must agree exactly, shard by shard.
         let (p, from_driver) = run_drivers(200, 9, 11);
-        let closed_form = CommStats::new();
-        p.record_validation_communication(&closed_form);
+        let mut closed_form = CommStats::new();
+        p.record_validation_communication(&mut closed_form);
         assert_eq!(from_driver.total(), closed_form.total());
         for s in 0..9 {
             assert_eq!(
@@ -565,13 +554,17 @@ mod tests {
             .swap_remove(0);
         let cross = driver.cross.len();
         assert!(cross > 0, "shard 0 homes no cross-shard transaction");
-        let (mut queue, comm) = (EventQueue::new(), CommStats::new());
-        driver.on_start(&mut Ctx::new(&mut queue, &comm));
+        let (mut queue, mut comm) = (EventQueue::new(), CommStats::new());
+        driver.on_start(&mut Ctx::new(&mut queue, &mut comm));
         (driver, queue, comm, cross)
     }
 
     /// Feeds the driver its own queue until it reports done.
-    fn run_to_done(driver: &mut ChainspaceDriver, queue: &mut EventQueue<Event>, comm: &CommStats) {
+    fn run_to_done(
+        driver: &mut ChainspaceDriver,
+        queue: &mut EventQueue<Event>,
+        comm: &mut CommStats,
+    ) {
         while !driver.done() {
             let (now, ev) = queue.pop().expect("work left");
             driver
@@ -583,7 +576,7 @@ mod tests {
     fn rejects(
         driver: &mut ChainspaceDriver,
         queue: &mut EventQueue<Event>,
-        comm: &CommStats,
+        comm: &mut CommStats,
         ev: Event,
     ) {
         let now = queue.now();
@@ -604,17 +597,17 @@ mod tests {
 
     #[test]
     fn a_repeated_final_round_is_an_error_not_an_underflow() {
-        let (mut driver, mut queue, comm, cross) = started_driver();
-        run_to_done(&mut driver, &mut queue, &comm);
+        let (mut driver, mut queue, mut comm, cross) = started_driver();
+        run_to_done(&mut driver, &mut queue, &mut comm);
         assert_eq!(
-            driver.rounds_recorded(),
+            comm.for_shard(ShardId::new(0)),
             CROSS_SHARD_ROUNDS_PER_TX * cross as u64
         );
         let last = CROSS_SHARD_ROUNDS_PER_TX as u32;
         rejects(
             &mut driver,
             &mut queue,
-            &comm,
+            &mut comm,
             Event::ValidationRound { tx: 0, round: last },
         );
         assert!(driver.done());
@@ -622,21 +615,21 @@ mod tests {
 
     #[test]
     fn a_second_kick_off_is_an_error() {
-        let (mut driver, mut queue, comm, _) = started_driver();
+        let (mut driver, mut queue, mut comm, _) = started_driver();
         let (now, ev) = queue.pop().expect("kick-off");
         assert!(matches!(ev, Event::EpochAdvance { .. }), "{ev:?}");
         driver
-            .on_event(now, ev, &mut Ctx::new(&mut queue, &comm))
+            .on_event(now, ev, &mut Ctx::new(&mut queue, &mut comm))
             .expect("first kick-off");
         let pending = queue.len();
         rejects(
             &mut driver,
             &mut queue,
-            &comm,
+            &mut comm,
             Event::EpochAdvance { epoch: 0 },
         );
         assert_eq!(queue.len(), pending, "the second kick-off re-injected");
-        run_to_done(&mut driver, &mut queue, &comm);
+        run_to_done(&mut driver, &mut queue, &mut comm);
     }
 
     #[test]
@@ -650,22 +643,22 @@ mod tests {
                 LatencyModel::wide_area(),
             )
             .swap_remove(0);
-        let (mut queue, comm) = (EventQueue::new(), CommStats::new());
-        driver.on_start(&mut Ctx::new(&mut queue, &comm));
+        let (mut queue, mut comm) = (EventQueue::new(), CommStats::new());
+        driver.on_start(&mut Ctx::new(&mut queue, &mut comm));
         rejects(
             &mut driver,
             &mut queue,
-            &comm,
+            &mut comm,
             Event::EpochAdvance { epoch: 0 },
         );
     }
 
     #[test]
     fn out_of_range_slots_and_rounds_are_errors() {
-        let (mut driver, mut queue, comm, cross) = started_driver();
+        let (mut driver, mut queue, mut comm, cross) = started_driver();
         let (now, ev) = queue.pop().expect("kick-off");
         driver
-            .on_event(now, ev, &mut Ctx::new(&mut queue, &comm))
+            .on_event(now, ev, &mut Ctx::new(&mut queue, &mut comm))
             .expect("kick-off");
         let last = CROSS_SHARD_ROUNDS_PER_TX as u32;
         for ev in [
@@ -680,14 +673,11 @@ mod tests {
                 round: last + 1,
             },
         ] {
-            rejects(&mut driver, &mut queue, &comm, ev);
+            rejects(&mut driver, &mut queue, &mut comm, ev);
         }
         // The rejected events left the pipeline as it was.
-        run_to_done(&mut driver, &mut queue, &comm);
-        assert_eq!(
-            driver.rounds_recorded(),
-            CROSS_SHARD_ROUNDS_PER_TX * cross as u64
-        );
+        run_to_done(&mut driver, &mut queue, &mut comm);
+        assert_eq!(comm.total(), CROSS_SHARD_ROUNDS_PER_TX * cross as u64);
     }
 
     // ---- batched settlement (async crosslinks) over the same placement ----
@@ -715,7 +705,6 @@ mod tests {
         let fees = w.fees();
         let outcome = Runtime::builder()
             .scheduler(cshard_runtime::SchedulerConfig::new(threads))
-            .comm_stats(CommStats::new())
             .run(p.drivers(&fees, &cfg, LatencyModel::wide_area()))
             .expect("well-formed drivers");
         (p, outcome)
@@ -782,7 +771,7 @@ mod tests {
             let other = settled_outcome(200, 9, 3, wide_batched(50), threads).1;
             assert_eq!(base.report.fingerprint(), other.report.fingerprint());
             assert_eq!(base.settle, other.settle);
-            assert_eq!(base.comm.snapshot(), other.comm.snapshot());
+            assert_eq!(base.comm, other.comm);
             for (a, b) in base.drivers.iter().zip(&other.drivers) {
                 assert_eq!(a.settled_batches(), b.settled_batches());
             }
@@ -818,11 +807,14 @@ mod tests {
             let fees = w.fees();
             let outcome = Runtime::builder()
                 .scheduler(cfg.scheduler)
-                .comm_stats(CommStats::new())
                 .run(p.drivers(&fees, &cfg, LatencyModel::wide_area()))
                 .expect("well-formed");
-            (outcome.report.fingerprint(), outcome.comm.total())
+            (outcome.report.fingerprint(), outcome.comm)
         };
-        assert_eq!(mk(1), mk(4));
+        let base = mk(1);
+        assert!(base.1.total() > 0);
+        for threads in [4, 0] {
+            assert_eq!(base, mk(threads));
+        }
     }
 }

@@ -19,7 +19,7 @@ use cshard_core::system::SystemConfig;
 use cshard_core::throughput_improvement;
 use cshard_core::{PropagationModel, Runtime, RuntimeConfig, ShardingSystem};
 use cshard_games::MergingConfig;
-use cshard_network::{CommKind, CommStats, LatencyModel};
+use cshard_network::{CommKind, LatencyModel};
 use cshard_primitives::SimTime;
 use cshard_workload::Workload;
 use rand::{Rng, SeedableRng};
@@ -117,19 +117,16 @@ pub fn run_b(quick: bool) -> ExperimentResult {
             let cfg = chainspace_runtime(seed, 10);
             let fees = w.fees();
             let outcome = Runtime::builder()
-                .comm_stats(CommStats::new())
                 .run(placement.drivers(&fees, &cfg, LatencyModel::wide_area()))
                 .expect("well-formed drivers");
-            // One snapshot per run instead of ad-hoc per-kind reads: the
-            // 2PC rounds are the only kind booked, and the snapshot is
-            // what the settle grid diffs against its crosslink runs.
-            let cs = outcome.comm.snapshot();
+            // The 2PC rounds are the only kind booked.
+            let cs = outcome.comm;
             assert_eq!(cs.total(), cs.for_kind(CommKind::CrossShardValidation));
 
             // Ours: every 3-input tx is MaxShard-internal → zero rounds.
             let sharded = ShardingSystem::testbed(chainspace_runtime(seed, 10));
             let report = sharded.run(&w).expect("valid config");
-            assert_eq!(report.comm.snapshot().total(), 0);
+            assert_eq!(report.comm.total(), 0);
             cs.per_shard_average(shards)
         });
         let cs_avg: f64 = per_seed.iter().sum();

@@ -15,7 +15,7 @@ use crate::experiments::{default_fees, grid_config, grid_scheduler};
 use crate::report::{ExperimentResult, Series};
 use cshard_baselines::ChainspacePlacement;
 use cshard_core::{Runtime, SettleConfig};
-use cshard_network::{CommStats, LatencyModel};
+use cshard_network::LatencyModel;
 use cshard_primitives::SimTime;
 use cshard_sim::SchedulerConfig;
 use cshard_workload::Workload;
@@ -50,11 +50,10 @@ fn messages_per_tx_on(count: usize, settle: Option<SettleConfig>, sched: Schedul
     let fees = w.fees();
     let outcome = Runtime::builder()
         .scheduler(sched)
-        .comm_stats(CommStats::new())
         .run(placement.drivers(&fees, &cfg, LatencyModel::wide_area()))
         .expect("well-formed drivers");
     let cross = placement.cross_shard_count().max(1) as f64;
-    outcome.comm.snapshot().total() as f64 / cross
+    outcome.comm.total() as f64 / cross
 }
 
 /// [`messages_per_tx_on`] under the driver's `--threads` setting.

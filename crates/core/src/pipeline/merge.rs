@@ -140,7 +140,7 @@ impl MergeStage {
         &mut self,
         groups: &mut Vec<(ShardId, Vec<u64>)>,
         randomness: Hash32,
-        comm: &CommStats,
+        comm: &mut CommStats,
     ) -> Result<(Option<MergeSummary>, StageOutput), Error> {
         let Some(mcfg) = self.config else {
             return Ok((None, StageOutput::default()));
@@ -266,7 +266,11 @@ mod tests {
     /// Runs the stage over `groups`; returns the fused groups and counters.
     fn run(stage: &mut MergeStage, mut groups: Groups) -> (Groups, StageOutput) {
         let (_, out) = stage
-            .run(&mut groups, sha256(9u64.to_be_bytes()), &CommStats::new())
+            .run(
+                &mut groups,
+                sha256(9u64.to_be_bytes()),
+                &mut CommStats::new(),
+            )
             .expect("valid merge config");
         (groups, out)
     }

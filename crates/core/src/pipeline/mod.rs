@@ -318,9 +318,9 @@ impl EpochPipeline {
     /// crate touching a clock).
     ///
     /// Errors — before any stage runs — on a malformed runtime or pipeline
-    /// configuration ([`PipelineConfig::validate`]); a pipeline is
-    /// constructible from raw config structs, so this is where they are
-    /// checked.
+    /// configuration ([`PipelineConfig::validate`]) and on `fees` not
+    /// matching `transactions` in length; a pipeline is constructible from
+    /// raw config structs, so this is where they are checked.
     pub fn run_epoch_observed(
         &mut self,
         input: EpochInput<'_>,
@@ -334,14 +334,24 @@ impl EpochPipeline {
         } = input;
         runtime.validate()?;
         self.config.validate()?;
+        if fees.len() != transactions.len() {
+            return Err(Error::Config {
+                field: "fees",
+                reason: format!(
+                    "{} fees for {} transactions",
+                    fees.len(),
+                    transactions.len()
+                ),
+            });
+        }
 
-        let comm = CommStats::new();
+        let mut comm = CommStats::new();
         let plan = observed(StageKind::Classify, observer, || {
             Ok(self.classify.run(transactions))
         })?;
         let mut groups = observed(StageKind::Form, observer, || Ok(counted(form(&plan, fees))))?;
         let merge = observed(StageKind::Merge, observer, || {
-            self.merge.run(&mut groups, randomness, &comm)
+            self.merge.run(&mut groups, randomness, &mut comm)
         })?;
         let shard_sizes = groups.iter().map(|(s, q)| (*s, q.len() as u64)).collect();
         let specs = observed(StageKind::Select, observer, || {
@@ -498,6 +508,22 @@ mod tests {
                 ..
             }
         ));
+        assert_eq!(sums.started, [0; 6], "no stage may start");
+    }
+
+    #[test]
+    fn short_fees_are_rejected_before_any_stage() {
+        let w = Workload::uniform_contracts(30, 2, FEES, 4);
+        let fees = w.fees();
+        let mut pipeline = EpochPipeline::new(PipelineConfig::default());
+        let mut sums = StageSums::default();
+        let err = pipeline
+            .run_epoch_observed(input_for(&w, &fees[..10], 4), &mut sums)
+            .unwrap_err();
+        assert!(
+            matches!(err, Error::Config { field: "fees", .. }),
+            "{err:?}"
+        );
         assert_eq!(sums.started, [0; 6], "no stage may start");
     }
 

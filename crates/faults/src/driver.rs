@@ -411,8 +411,8 @@ mod tests {
             &FaultPlan::none(0),
         );
         let mut queue = cshard_sim_queue();
-        let comm = cshard_network::CommStats::new();
-        let mut ctx = Ctx::new(&mut queue, &comm);
+        let mut comm = cshard_network::CommStats::new();
+        let mut ctx = Ctx::new(&mut queue, &mut comm);
         let err = wrapped
             .on_event(SimTime::ZERO, Event::Fault { action: 5 }, &mut ctx)
             .unwrap_err();

@@ -11,7 +11,7 @@
 //! faults the block-production run.
 
 use crate::driver::FaultyDriver;
-use crate::plan::FaultPlan;
+use crate::plan::{FaultAction, FaultPlan};
 use crate::report::FaultReport;
 use cshard_network::{LatencyModel, PartitionModel, PartitionWindow};
 use cshard_primitives::{Error, ShardId, SimTime};
@@ -133,11 +133,12 @@ fn per_shard<'a, T>(
 /// once there, which [`FaultRun::batches`] and [`FaultRun::applied`] let
 /// callers assert transfer-for-transfer and ticket-for-ticket.
 ///
-/// Errors on an invalid plan or config, on a minerless spec
-/// (`Error::NoMiners`), on a traffic list that is neither empty nor
-/// one-per-shard, and on a transfer or ticket pointing outside its
-/// shard's tables or transfers on an equilibrium shard (`Error::Config`
-/// naming `"transfers"` / `"schedules"`).
+/// Errors on an invalid plan or config, on a crash of a miner its
+/// shard's spec does not have (`Error::Config` naming `"plan"`), on a
+/// minerless spec (`Error::NoMiners`), on a traffic list that is neither
+/// empty nor one-per-shard, and on a transfer or ticket pointing outside
+/// its shard's tables or transfers on an equilibrium shard
+/// (`Error::Config` naming `"transfers"` / `"schedules"`).
 ///
 /// Determinism: the result is a pure function of `(shards, traffic,
 /// config, plan)` — bit-identical at any `config.scheduler`, with runtime
@@ -154,6 +155,23 @@ pub fn run_with_faults(
     config.validate()?;
     let transfers = per_shard("transfers", &traffic.transfers, shards.len())?;
     let schedules = per_shard("schedules", &traffic.schedules, shards.len())?;
+    for action in &plan.actions {
+        let FaultAction::CrashMiner { shard, miner, .. } = *action else {
+            continue;
+        };
+        if let Some(spec) = shards
+            .iter()
+            .find(|s| s.shard == shard && miner >= s.miners)
+        {
+            return Err(Error::Config {
+                field: "plan",
+                reason: format!(
+                    "crash of miner {miner} on {shard}, which has {} miners",
+                    spec.miners
+                ),
+            });
+        }
+    }
     let mut drivers = Vec::with_capacity(shards.len());
     for (i, spec) in shards.iter().enumerate() {
         let (outbound, schedule) = (transfers[i], schedules[i]);
@@ -354,6 +372,25 @@ mod tests {
             ..config(1)
         };
         assert!(run_with_faults(&specs(), &none, &zero_cap, &FaultPlan::none(0)).is_err());
+    }
+
+    /// A crash naming a miner its shard does not have is a plan error
+    /// before any driver runs (its recovery tick used to index past the
+    /// shard's miner streams).
+    #[test]
+    fn crash_of_a_ghost_miner_is_rejected() {
+        let plan = FaultPlan::none(0).with_crash(
+            ShardId::new(0),
+            5,
+            SimTime::from_secs(10),
+            Some(SimTime::from_secs(20)),
+        );
+        let err = run_with_faults(&specs(), &Traffic::default(), &config(1), &plan)
+            .expect_err("shard 0 has one miner");
+        assert!(
+            matches!(err, Error::Config { field: "plan", .. }),
+            "got {err:?}"
+        );
     }
 
     #[test]

@@ -378,7 +378,7 @@ impl UnifiedParameters {
     /// Books the scheme's communication into `stats`: one statistics
     /// submission per participating shard plus one broadcast reception —
     /// the constant 2 of Fig. 4(c).
-    pub fn record_communication(&self, stats: &CommStats) {
+    pub fn record_communication(&self, stats: &mut CommStats) {
         match &self.inputs {
             GameInputs::Merge { shard_sizes, .. } => {
                 for &(shard, _) in shard_sizes {
@@ -553,9 +553,9 @@ mod tests {
 
     #[test]
     fn communication_is_two_rounds_per_shard() {
-        let stats = CommStats::new();
+        let mut stats = CommStats::new();
         let p = merge_params();
-        p.record_communication(&stats);
+        p.record_communication(&mut stats);
         // 8 small shards × 2 rounds.
         assert_eq!(stats.total(), 16);
         for i in 0..8 {

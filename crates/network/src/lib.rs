@@ -5,8 +5,10 @@
 //! cross-shard communication each scheme performs. The contract-centric
 //! design needs zero during validation and exactly two per shard during a
 //! merge (submit sizes → receive broadcast); ChainSpace needs at least two
-//! rounds per cross-shard transaction. [`CommStats`] is the single ledger
-//! all schemes report into, so the comparison is apples-to-apples.
+//! rounds per cross-shard transaction. [`CommStats`] is the one counter
+//! type all schemes report into, so the comparison is apples-to-apples:
+//! a plain value that each recorder owns, summed with
+//! [`CommStats::merge`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -19,4 +21,4 @@ pub mod stats;
 pub use gossip::GossipNet;
 pub use latency::LatencyModel;
 pub use partition::{PartitionModel, PartitionWindow};
-pub use stats::{CommKind, CommSnapshot, CommStats};
+pub use stats::{CommKind, CommStats};

@@ -506,7 +506,8 @@ impl ProtocolDriver for ContractShardDriver {
 
     fn on_event(&mut self, now: SimTime, ev: Event, ctx: &mut Ctx) -> Result<(), Error> {
         match ev {
-            Event::BlockFound { miner } => {
+            // A miner the shard does not have is an event it never scheduled.
+            Event::BlockFound { miner } if miner < self.miner_rngs.len() => {
                 // The delivery goes in first: ties fire in insertion order.
                 if let Some(delivered) = self.on_block_found(now, miner) {
                     ctx.schedule(delivered, Event::BlockDelivered { origin: miner });
@@ -548,11 +549,12 @@ impl ProtocolDriver for ContractShardDriver {
     /// go through `on_event`, so the count matches the event-by-event
     /// default.
     fn idle_turn(&mut self, ctx: &mut Ctx, completion: SimTime) -> Result<usize, Error> {
-        let mut replayed = 0;
+        let (mut replayed, miners) = (0, self.miner_rngs.len());
         while let Some((mut now, ev)) = ctx.pop_before(completion) {
             replayed += 1;
             match ev {
-                Event::BlockFound { miner } if self.unconfirmed == 0 => loop {
+                // A tick of a miner the shard lacks falls to `on_event`'s error.
+                Event::BlockFound { miner } if self.unconfirmed == 0 && miner < miners => loop {
                     let delivered = self.on_block_found(now, miner);
                     debug_assert_eq!(delivered, None, "a finished shard confirms nothing");
                     let next = self.next_tick(now, miner);
@@ -634,7 +636,8 @@ pub fn simulate_ethereum(
 mod tests {
     use super::*;
     use crate::report::throughput_improvement;
-    use cshard_network::LatencyModel;
+    use cshard_network::{CommStats, LatencyModel};
+    use cshard_sim::EventQueue;
 
     // Shadow the fallible entry points: every config in this module is
     // well-formed, so the tests read as before the `Result` change.
@@ -858,6 +861,35 @@ mod tests {
                 shard: ShardId::new(4)
             }
         );
+    }
+
+    /// A tick for a miner the shard does not have is an event the driver
+    /// never schedules: a typed error in the event loop and in the idle
+    /// drain's fast path alike, not an out-of-bounds index.
+    #[test]
+    fn ghost_miner_tick_is_rejected_not_panicked() {
+        let ghost = Event::BlockFound { miner: 5 };
+        // No transactions: the shard is done, so the idle drain takes its
+        // per-miner loop.
+        let spec = ShardSpec::solo_greedy(ShardId::new(0), Vec::new());
+        let mut driver = ContractShardDriver::new(&spec, &cfg(0)).expect("one miner");
+        let (mut queue, mut comm) = (EventQueue::new(), CommStats::new());
+        let mut ctx = Ctx::new(&mut queue, &mut comm);
+        let rejected = |got: Result<usize, Error>| {
+            matches!(
+                got,
+                Err(Error::UnexpectedEvent {
+                    driver: "ContractShardDriver",
+                    ..
+                })
+            )
+        };
+        assert!(rejected(
+            driver.on_event(SimTime::ZERO, ghost, &mut ctx).map(|()| 0)
+        ));
+        ctx.schedule(SimTime::from_secs(1), ghost);
+        assert!(rejected(driver.idle_turn(&mut ctx, SimTime::from_secs(2))));
+        assert_eq!(driver.report(0, Duration::ZERO).blocks, 0);
     }
 
     #[test]

@@ -25,12 +25,12 @@ use std::time::Duration;
 /// driver per thread with bit-identical results at any thread count.
 pub struct Ctx<'a> {
     queue: &'a mut EventQueue<Event>,
-    comm: &'a CommStats,
+    comm: &'a mut CommStats,
 }
 
 impl<'a> Ctx<'a> {
-    /// Wraps a shard's queue and the run-wide communication counter.
-    pub fn new(queue: &'a mut EventQueue<Event>, comm: &'a CommStats) -> Self {
+    /// Wraps a shard's queue and the driver's own communication counter.
+    pub fn new(queue: &'a mut EventQueue<Event>, comm: &'a mut CommStats) -> Self {
         Ctx { queue, comm }
     }
 
@@ -53,11 +53,11 @@ impl<'a> Ctx<'a> {
         self.queue.schedule_in(delay, event);
     }
 
-    /// The run's cross-shard communication counter. Drivers record each
-    /// messaging round here *as it happens*, so Fig. 4's accounting is
-    /// emitted from inside the event loop rather than reconstructed
-    /// post-hoc.
-    pub fn comm(&self) -> &CommStats {
+    /// The driver's cross-shard communication counter. Drivers record
+    /// each messaging round here *as it happens*, so Fig. 4's accounting
+    /// is emitted from inside the event loop rather than reconstructed
+    /// post-hoc; the harness sums every driver's counter after the run.
+    pub fn comm(&mut self) -> &mut CommStats {
         self.comm
     }
 
@@ -145,29 +145,5 @@ pub trait ProtocolDriver: Send {
             self.on_event(now, ev, ctx)?;
         }
         Ok(replayed)
-    }
-}
-
-impl<D: ProtocolDriver + ?Sized> ProtocolDriver for Box<D> {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        (**self).on_start(ctx)
-    }
-    fn on_event(&mut self, t: SimTime, ev: Event, ctx: &mut Ctx) -> Result<(), Error> {
-        (**self).on_event(t, ev, ctx)
-    }
-    fn done(&self) -> bool {
-        (**self).done()
-    }
-    fn completion(&self) -> Option<SimTime> {
-        (**self).completion()
-    }
-    fn report(&self, events: usize, wall: Duration) -> ShardReport {
-        (**self).report(events, wall)
-    }
-    fn settle_stats(&self) -> Option<SettleStats> {
-        (**self).settle_stats()
-    }
-    fn idle_turn(&mut self, ctx: &mut Ctx, completion: SimTime) -> Result<usize, Error> {
-        (**self).idle_turn(ctx, completion)
     }
 }

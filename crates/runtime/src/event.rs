@@ -46,7 +46,7 @@ pub enum Event {
     /// One round of cross-shard 2PC validation for a cross-shard
     /// transaction (S-BAC style: intra-shard consensus, then cross-shard
     /// accept). Scheduled by the ChainSpace driver; each round books one
-    /// communication time into the run's `CommStats`.
+    /// communication time into the driver's `CommStats`.
     ValidationRound {
         /// Driver-scoped transaction index.
         tx: usize,

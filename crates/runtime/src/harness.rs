@@ -19,11 +19,13 @@ use cshard_sim::{DrainStats, EventQueue, SchedulerConfig, Turn, WorkScheduler};
 // fields of the report, never the simulation.
 use std::time::{Duration, Instant};
 
-/// One driver mid-run: its queue, its state, and the harness-side
-/// accounting the driver itself is not allowed to touch.
+/// One driver mid-run: its queue, its communication counter, its state,
+/// and the harness-side accounting the driver itself is not allowed to
+/// touch.
 struct DriverTask<D> {
     driver: D,
     queue: EventQueue<Event>,
+    comm: CommStats,
     events: usize,
     wall: Duration,
     last_event: Option<Event>,
@@ -79,8 +81,8 @@ impl RunSchedStats {
 }
 
 /// Everything a run produced: the fingerprinted [`RunReport`], the
-/// finished drivers (in input order), the communication counter the run
-/// recorded into, and the scheduler's statistics.
+/// finished drivers (in input order), the sum of the drivers'
+/// communication counters, and the scheduler's statistics.
 pub struct RunOutcome<D> {
     /// The standard run report (the fingerprinted surface).
     pub report: RunReport,
@@ -88,7 +90,8 @@ pub struct RunOutcome<D> {
     /// extra per-shard state during the run — the fault-injection layer's
     /// `FaultyDriver` is the canonical case — read it back out of these.
     pub drivers: Vec<D>,
-    /// The communication counter the drivers recorded into (Fig. 4(b)).
+    /// Every driver's communication counter, summed in driver order onto
+    /// the one given to [`RunBuilder::comm_stats`] (Fig. 4(b)).
     pub comm: CommStats,
     /// Per-phase scheduling statistics (admitted/skipped).
     pub sched: RunSchedStats,
@@ -144,9 +147,8 @@ impl<'obs> RunBuilder<'obs> {
         self
     }
 
-    /// Uses an existing communication counter, so callers can read the
-    /// messaging a run emitted (Fig. 4(b)) or pool several runs. A fresh
-    /// counter is created (and handed back in the outcome) otherwise.
+    /// The counter the run's communication is added to and handed back as
+    /// [`RunOutcome::comm`]. Defaults to a fresh one.
     pub fn comm_stats(mut self, comm: CommStats) -> Self {
         self.comm = comm;
         self
@@ -171,10 +173,10 @@ impl<'obs> RunBuilder<'obs> {
     pub fn run<D: ProtocolDriver + 'static>(self, drivers: Vec<D>) -> Result<RunOutcome<D>, Error> {
         let RunBuilder {
             config,
-            comm,
+            mut comm,
             observer,
         } = self;
-        let (report, drivers, sched) = execute(config, &comm, observer, drivers)?;
+        let (report, drivers, sched) = execute(config, &mut comm, observer, drivers)?;
         let mut settle = SettleStats::new();
         for stats in drivers.iter().filter_map(|d| d.settle_stats()) {
             settle.merge(&stats);
@@ -233,7 +235,7 @@ impl Runtime {
 /// The shared two-phase engine behind [`RunBuilder::run`].
 fn execute<D: ProtocolDriver + 'static>(
     config: SchedulerConfig,
-    comm: &CommStats,
+    comm: &mut CommStats,
     mut observer: Option<&mut dyn RunObserver>,
     drivers: Vec<D>,
 ) -> Result<(RunReport, Vec<D>, RunSchedStats), Error> {
@@ -248,11 +250,12 @@ fn execute<D: ProtocolDriver + 'static>(
     let mut tasks: Vec<DriverTask<D>> = Vec::with_capacity(drivers.len());
     for mut driver in drivers {
         let start = Instant::now();
-        let mut queue = EventQueue::new();
-        driver.on_start(&mut Ctx::new(&mut queue, comm));
+        let (mut queue, mut task_comm) = (EventQueue::new(), CommStats::new());
+        driver.on_start(&mut Ctx::new(&mut queue, &mut task_comm));
         tasks.push(DriverTask {
             driver,
             queue,
+            comm: task_comm,
             events: 0,
             wall: start.elapsed(),
             last_event: None,
@@ -264,14 +267,10 @@ fn execute<D: ProtocolDriver + 'static>(
     if let Some(obs) = observer.as_deref_mut() {
         obs.phase_started(RunPhase::Active);
     }
-    // The step closures outlive this frame on the pooled path (helper
-    // threads are process-wide), so each owns a handle on the counter.
-    let shared = comm.clone();
     let (tasks, active) = scheduler.drain(
         tasks,
         |t| !t.driver.done(),
         move |index, t| {
-            let comm = &shared;
             let start = Instant::now();
             let outcome = loop {
                 if t.driver.done() {
@@ -292,7 +291,7 @@ fn execute<D: ProtocolDriver + 'static>(
                 t.last_event = Some(ev);
                 if let Err(e) = t
                     .driver
-                    .on_event(now, ev, &mut Ctx::new(&mut t.queue, comm))
+                    .on_event(now, ev, &mut Ctx::new(&mut t.queue, &mut t.comm))
                 {
                     break Err(e);
                 }
@@ -319,12 +318,11 @@ fn execute<D: ProtocolDriver + 'static>(
         obs.phase_started(RunPhase::IdleDrain);
     }
     let pending = |t: &DriverTask<D>| t.queue.next_time().is_some_and(|at| at < completion);
-    let shared = comm.clone();
     let (tasks, idle_drain) = scheduler.drain(tasks, pending, move |_, t| {
         let start = Instant::now();
         let replayed = t
             .driver
-            .idle_turn(&mut Ctx::new(&mut t.queue, &shared), completion);
+            .idle_turn(&mut Ctx::new(&mut t.queue, &mut t.comm), completion);
         t.wall += start.elapsed();
         t.events += replayed?;
         Ok(Turn::Done)
@@ -336,6 +334,7 @@ fn execute<D: ProtocolDriver + 'static>(
     let mut drivers = Vec::with_capacity(tasks.len());
     let mut shards = Vec::with_capacity(tasks.len());
     for t in tasks {
+        comm.merge(&t.comm);
         shards.push(t.driver.report(t.events, t.wall));
         drivers.push(t.driver);
     }
@@ -482,14 +481,6 @@ mod tests {
         assert_eq!(r.completion, SimTime::ZERO);
         assert_eq!(r.shards[0].completion, None);
         assert_eq!(r.shards[0].events_processed, 0);
-    }
-
-    #[test]
-    fn boxed_drivers_run_on_the_same_loop() {
-        let drivers: Vec<Box<dyn ProtocolDriver>> =
-            vec![Box::new(ticker(0, 2)), Box::new(ticker(1, 4))];
-        let outcome = Runtime::builder().run(drivers).expect("well-formed");
-        assert_eq!(outcome.report.total_txs(), 6);
     }
 
     /// Regression: a malformed event stream (driver claims unfinished

@@ -15,8 +15,8 @@
 //!   that same event loop); it never touches the clock, another shard's state,
 //!   or host wall-time;
 //! * [`Ctx`] — what a driver may do in response: schedule further events
-//!   on its own queue and account cross-shard messaging through
-//!   [`cshard_network::CommStats`];
+//!   on its own queue and account cross-shard messaging in its own
+//!   [`cshard_network::CommStats`], which the harness sums after the run;
 //! * [`PropagationModel`] — how a found block becomes visible to the
 //!   shard's other miners: the legacy fixed conflict window
 //!   ([`PropagationModel::Window`], bit-identical to the pre-refactor
@@ -27,11 +27,11 @@
 //!   `threads > 1` its helpers are process-wide parked threads, so driver
 //!   types must be `'static`) and assembles the [`RunReport`]. Runs launch
 //!   through the fluent [`Runtime::builder`] ([`RunBuilder`]), which
-//!   threads a [`SchedulerConfig`] (worker count), an
-//!   optional shared [`cshard_network::CommStats`] and an optional
-//!   [`RunObserver`] through both phases. All host wall-clock reads live
-//!   here, behind the report layer — drivers are replayable pure functions
-//!   of their event streams.
+//!   threads a [`SchedulerConfig`] (worker count) and an optional
+//!   [`RunObserver`] through both phases and sums the drivers'
+//!   communication counters into [`RunOutcome::comm`]. All host wall-clock
+//!   reads live here, behind the report layer — drivers are replayable
+//!   pure functions of their event streams.
 //!
 //! The concrete driver for the paper's protocols lives here too:
 //! [`ContractShardDriver`] (one shard of the contract-centric scheme or,

@@ -701,9 +701,9 @@ mod tests {
     fn out_of_schedule_event_is_rejected_not_panicked() {
         let cfg = config(23, SettleConfig::batched(4));
         let mut driver = SettlingShardDriver::new(&spec(0, 4), &cfg, Vec::new()).expect("valid");
-        let comm = cshard_network::CommStats::new();
+        let mut comm = cshard_network::CommStats::new();
         let mut queue = cshard_sim::EventQueue::new();
-        let mut ctx = Ctx::new(&mut queue, &comm);
+        let mut ctx = Ctx::new(&mut queue, &mut comm);
         let err = driver
             .on_event(SimTime::ZERO, Event::Migration { slot: 3 }, &mut ctx)
             .expect_err("foreign slot must be rejected");

@@ -382,12 +382,12 @@ mod tests {
     fn foreign_event_is_rejected_not_panicked() {
         let mut driver = StreamDriver::new(arrivals(&[10]).into_iter(), SimTime::from_millis(100));
         let mut queue = EventQueue::new();
-        let comm = CommStats::new();
+        let mut comm = CommStats::new();
         let err = driver
             .on_event(
                 SimTime::ZERO,
                 Event::BlockFound { miner: 0 },
-                &mut Ctx::new(&mut queue, &comm),
+                &mut Ctx::new(&mut queue, &mut comm),
             )
             .unwrap_err();
         assert!(matches!(

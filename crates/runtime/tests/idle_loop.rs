@@ -191,10 +191,10 @@ type Drained = (usize, ShardReport, Vec<(SimTime, String)>);
 /// sorted, since insertion order — and with it the tie order — differs
 /// between the two loops.
 fn drain_by_hand(driver: &mut dyn ProtocolDriver, completion: SimTime) -> Drained {
-    let (mut queue, comm) = (EventQueue::new(), CommStats::new());
-    driver.on_start(&mut Ctx::new(&mut queue, &comm));
+    let (mut queue, mut comm) = (EventQueue::new(), CommStats::new());
+    driver.on_start(&mut Ctx::new(&mut queue, &mut comm));
     let events = driver
-        .idle_turn(&mut Ctx::new(&mut queue, &comm), completion)
+        .idle_turn(&mut Ctx::new(&mut queue, &mut comm), completion)
         .expect("well-formed stream");
     let mut left: Vec<(SimTime, String)> = std::iter::from_fn(|| queue.pop())
         .map(|(t, ev)| (t, format!("{ev:?}")))
