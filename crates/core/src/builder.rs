@@ -68,8 +68,9 @@ impl SystemBuilder {
     }
 
     /// The block-propagation model (default: the legacy fixed conflict
-    /// window of one block interval, [`PropagationModel::Window`]; or the
-    /// network-backed latency model).
+    /// window of one block interval, [`PropagationModel::Window`]; or
+    /// [`PropagationModel::Network`], whose delivery time each confirming
+    /// block draws from a latency model and its blackout windows).
     pub fn propagation(mut self, propagation: PropagationModel) -> Self {
         self.config.runtime.propagation = propagation;
         self

@@ -202,7 +202,6 @@ fn builder_sets_every_knob() {
         cfg.runtime.propagation,
         PropagationModel::Window(SimTime::from_secs(15))
     );
-    assert_eq!(cfg.runtime.conflict_window(), SimTime::from_secs(15));
     assert_eq!(
         cfg.runtime.empty_block_window,
         Some(SimTime::from_secs(212))

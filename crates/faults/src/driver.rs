@@ -9,18 +9,15 @@
 //!   the wrapper — the inner driver never sees them;
 //! * [`Event::BlockFound`] ticks of a crashed miner are suppressed, which
 //!   also kills the miner's self-rescheduling chain; on recovery the
-//!   wrapper re-injects the tick and the chain resumes;
-//! * [`Event::BlockDelivered`] events inside an active drop/delay window
-//!   flip a PRF-derived coin and are dropped or deferred.
+//!   wrapper re-injects the tick and the chain resumes.
 //!
 //! With an empty plan the wrapper schedules nothing, intercepts nothing,
-//! and forwards everything — a run under `FaultPlan::none(..)` is
+//! and forwards everything — a run under `FaultPlan::none()` is
 //! bit-identical to the unwrapped driver, which the chaos suite asserts
 //! against all twelve golden experiment JSONs.
 
 use crate::plan::{FaultAction, FaultPlan};
 use crate::report::ShardFaultStats;
-use cshard_crypto::Prf;
 use cshard_primitives::{Error, ShardId, SimTime};
 use cshard_runtime::{Ctx, Event, ProtocolDriver, SettleStats, ShardReport};
 use std::collections::BTreeMap;
@@ -34,80 +31,38 @@ enum Control {
     Deadline,
 }
 
-/// A delivery-interference rule active over a time window.
-#[derive(Clone, Copy, Debug)]
-struct DeliveryRule {
-    rate: f64,
-    /// `None` drops the delivery; `Some(by)` defers it by `by`.
-    delay_by: Option<SimTime>,
-    from: SimTime,
-    until: SimTime,
-}
-
 /// A [`ProtocolDriver`] executing a [`FaultPlan`] around an inner driver.
 pub struct FaultyDriver<D> {
     inner: D,
-    shard: ShardId,
     /// `(time, control)` pairs scheduled in `on_start`; the `Fault`
     /// event's `action` field indexes this list.
     controls: Vec<(SimTime, Control)>,
-    rules: Vec<DeliveryRule>,
     /// Crash state per miner index (sparse — only ever-crashed miners).
     crashed: BTreeMap<usize, SimTime>,
-    coin: Prf,
-    coin_seq: u64,
     stats: ShardFaultStats,
     timed_out: bool,
 }
 
 impl<D: ProtocolDriver> FaultyDriver<D> {
     /// Wraps `inner` (driving `shard`) under `plan`. Only the plan's
-    /// crash and delivery actions targeting `shard` apply; partitions are
-    /// the harness's job (they rewrite the propagation model before the
-    /// driver is even built). The plan deadline, when set, is scheduled
-    /// in every wrapper so a stall anywhere ends the run.
+    /// crashes of `shard`'s miners apply; partitions are the harness's job
+    /// (they rewrite the propagation model before the driver is even
+    /// built). The plan deadline, when set, is scheduled in every wrapper
+    /// so a stall anywhere ends the run.
     pub fn new(inner: D, shard: ShardId, plan: &FaultPlan) -> Self {
         let mut controls = Vec::new();
-        let mut rules = Vec::new();
         for action in &plan.actions {
-            match action {
+            match *action {
                 FaultAction::CrashMiner {
                     shard: s,
                     miner,
                     at,
                     recover_at,
-                } if *s == shard => {
-                    controls.push((*at, Control::Crash { miner: *miner }));
+                } if s == shard => {
+                    controls.push((at, Control::Crash { miner }));
                     if let Some(r) = recover_at {
-                        controls.push((*r, Control::Recover { miner: *miner }));
+                        controls.push((r, Control::Recover { miner }));
                     }
-                }
-                FaultAction::DropDeliveries {
-                    shard: s,
-                    rate,
-                    from,
-                    until,
-                } if *s == shard => {
-                    rules.push(DeliveryRule {
-                        rate: *rate,
-                        delay_by: None,
-                        from: *from,
-                        until: *until,
-                    });
-                }
-                FaultAction::DelayDeliveries {
-                    shard: s,
-                    rate,
-                    by,
-                    from,
-                    until,
-                } if *s == shard => {
-                    rules.push(DeliveryRule {
-                        rate: *rate,
-                        delay_by: Some(*by),
-                        from: *from,
-                        until: *until,
-                    });
                 }
                 _ => {}
             }
@@ -117,12 +72,8 @@ impl<D: ProtocolDriver> FaultyDriver<D> {
         }
         FaultyDriver {
             inner,
-            shard,
             controls,
-            rules,
             crashed: BTreeMap::new(),
-            coin: Prf::new(plan.seed.to_be_bytes()),
-            coin_seq: 0,
             stats: ShardFaultStats::new(shard),
             timed_out: false,
         }
@@ -136,17 +87,6 @@ impl<D: ProtocolDriver> FaultyDriver<D> {
     /// Consumes the wrapper, returning the stats and the inner driver.
     pub fn into_parts(self) -> (ShardFaultStats, D) {
         (self.stats, self.inner)
-    }
-
-    /// One PRF coin in `[0, 1)`: a pure function of `(plan seed, shard,
-    /// draw index)`, so fault randomness replays bit-identically at any
-    /// thread count and is independent of the runtime seed.
-    fn next_coin(&mut self) -> f64 {
-        let mut msg = [0u8; 12];
-        msg[..4].copy_from_slice(&self.shard.0.to_be_bytes());
-        msg[4..].copy_from_slice(&self.coin_seq.to_be_bytes());
-        self.coin_seq += 1;
-        self.coin.eval_unit("fault-coin-v1", msg)
     }
 
     fn apply_control(&mut self, now: SimTime, control: Control, ctx: &mut Ctx) {
@@ -173,15 +113,6 @@ impl<D: ProtocolDriver> FaultyDriver<D> {
                 }
             }
         }
-    }
-
-    /// The first rule whose window contains `now` (rules are checked in
-    /// plan order; overlapping windows resolve to the earliest-declared).
-    fn active_rule(&self, now: SimTime) -> Option<DeliveryRule> {
-        self.rules
-            .iter()
-            .copied()
-            .find(|r| now >= r.from && now < r.until)
     }
 }
 
@@ -212,24 +143,6 @@ impl<D: ProtocolDriver> ProtocolDriver for FaultyDriver<D> {
                 self.stats.suppressed_blocks += 1;
                 Ok(())
             }
-            Event::BlockDelivered { .. } => {
-                if let Some(rule) = self.active_rule(now) {
-                    if self.next_coin() < rule.rate {
-                        return match rule.delay_by {
-                            None => {
-                                self.stats.dropped_deliveries += 1;
-                                Ok(())
-                            }
-                            Some(by) => {
-                                self.stats.delayed_deliveries += 1;
-                                ctx.schedule_in(by, ev);
-                                Ok(())
-                            }
-                        };
-                    }
-                }
-                self.inner.on_event(now, ev, ctx)
-            }
             other => self.inner.on_event(now, other, ctx),
         }
     }
@@ -258,9 +171,7 @@ impl<D: ProtocolDriver> ProtocolDriver for FaultyDriver<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cshard_runtime::{
-        simulate, ContractShardDriver, PropagationModel, Runtime, RuntimeConfig, ShardSpec,
-    };
+    use cshard_runtime::{simulate, ContractShardDriver, Runtime, RuntimeConfig, ShardSpec};
 
     fn spec(shard: u32, txs: usize, miners: usize) -> ShardSpec {
         ShardSpec {
@@ -289,7 +200,7 @@ mod tests {
                 FaultyDriver::new(
                     ContractShardDriver::new(s, &cfg).expect("valid test spec"),
                     s.shard,
-                    &FaultPlan::none(99),
+                    &FaultPlan::none(),
                 )
             })
             .collect();
@@ -303,7 +214,7 @@ mod tests {
     fn permanent_crash_of_the_only_miner_times_out() {
         let specs = [spec(0, 500, 1)];
         let cfg = config(3);
-        let plan = FaultPlan::with_deadline(0, SimTime::from_secs(600)).with_crash(
+        let plan = FaultPlan::with_deadline(SimTime::from_secs(600)).with_crash(
             ShardId::new(0),
             0,
             SimTime::from_secs(120),
@@ -331,7 +242,7 @@ mod tests {
         let cfg = config(5);
         let crash_at = SimTime::from_secs(300);
         let recover_at = SimTime::from_secs(1500);
-        let plan = FaultPlan::none(0).with_crash(ShardId::new(0), 0, crash_at, Some(recover_at));
+        let plan = FaultPlan::none().with_crash(ShardId::new(0), 0, crash_at, Some(recover_at));
         plan.validate().expect("valid plan");
         let wrapped = vec![FaultyDriver::new(
             ContractShardDriver::new(&specs[0], &cfg).expect("valid test spec"),
@@ -355,60 +266,13 @@ mod tests {
     }
 
     #[test]
-    fn drop_and_delay_rules_flip_deterministic_coins() {
-        let mk = |plan: &FaultPlan| {
-            let s = spec(0, 120, 3);
-            let cfg = RuntimeConfig {
-                propagation: PropagationModel::Latency(cshard_network::LatencyModel::wide_area()),
-                ..config(7)
-            };
-            let wrapped = vec![FaultyDriver::new(
-                ContractShardDriver::new(&s, &cfg).expect("valid test spec"),
-                s.shard,
-                plan,
-            )];
-            let outcome = Runtime::builder().run(wrapped).expect("no stall");
-            (outcome.report, outcome.drivers)
-        };
-        let window = (SimTime::ZERO, SimTime::from_secs(100_000));
-        let drops = FaultPlan::none(21).with_drops(ShardId::new(0), 1.0, window.0, window.1);
-        let (_, d) = mk(&drops);
-        assert!(d[0].stats().dropped_deliveries > 0);
-        assert_eq!(d[0].stats().delayed_deliveries, 0);
-
-        let delays = FaultPlan::none(21).with_delays(
-            ShardId::new(0),
-            0.5,
-            SimTime::from_secs(30),
-            window.0,
-            window.1,
-        );
-        let (ra, da) = mk(&delays);
-        let (rb, db) = mk(&delays);
-        // Same plan, same seed: bit-identical behaviour and accounting.
-        assert_eq!(ra.fingerprint(), rb.fingerprint());
-        assert_eq!(da[0].stats(), db[0].stats());
-        assert!(da[0].stats().delayed_deliveries > 0);
-        // A different fault seed flips different coins.
-        let other = FaultPlan {
-            seed: 22,
-            ..delays.clone()
-        };
-        let (_, dc) = mk(&other);
-        assert_ne!(
-            da[0].stats().delayed_deliveries,
-            dc[0].stats().delayed_deliveries
-        );
-    }
-
-    #[test]
     fn foreign_fault_event_is_rejected() {
         let s = spec(0, 10, 1);
         let cfg = config(1);
         let mut wrapped = FaultyDriver::new(
             ContractShardDriver::new(&s, &cfg).expect("valid test spec"),
             s.shard,
-            &FaultPlan::none(0),
+            &FaultPlan::none(),
         );
         let mut queue = cshard_sim_queue();
         let mut comm = cshard_network::CommStats::new();

@@ -13,7 +13,7 @@
 use crate::driver::FaultyDriver;
 use crate::plan::{FaultAction, FaultPlan};
 use crate::report::FaultReport;
-use cshard_network::{LatencyModel, PartitionModel, PartitionWindow};
+use cshard_network::{Blackouts, LatencyModel};
 use cshard_primitives::{Error, ShardId, SimTime};
 use cshard_runtime::{
     Batch, MigrationStats, MigrationTicket, PropagationModel, RunReport, Runtime, RuntimeConfig,
@@ -71,29 +71,17 @@ impl FaultRun {
     }
 }
 
-/// Rewrites a shard's propagation model to impose the plan's partition
-/// windows. A latency model keeps its link behaviour as the partition
-/// base; the legacy window model (which schedules no delivery events)
-/// switches to delivery-based visibility over instantaneous links — the
-/// partition itself is then the only delay source. An existing partition
-/// model gains the plan's windows on top of its own.
-fn partitioned(
-    propagation: &PropagationModel,
-    windows: &[(SimTime, SimTime)],
-) -> Result<PropagationModel, Error> {
-    let mut all: Vec<PartitionWindow> = windows
-        .iter()
-        .map(|&(from, until)| PartitionWindow { from, until })
-        .collect();
-    let base = match propagation {
-        PropagationModel::Window(_) => LatencyModel::INSTANT,
-        PropagationModel::Latency(base) => *base,
-        PropagationModel::Partition(existing) => {
-            all.splice(0..0, existing.windows().iter().copied());
-            existing.base
-        }
+/// Rewrites a shard's propagation model to impose the plan's blackouts.
+/// The legacy window model (which schedules no delivery events) switches
+/// to delivery-based visibility over instantaneous links — the partition
+/// is then the only delay source; a network model keeps its latency and
+/// gains the plan's windows on top of its own.
+fn partitioned(propagation: &PropagationModel, plan: &Blackouts) -> PropagationModel {
+    let (latency, blackouts) = match propagation {
+        PropagationModel::Window(_) => (LatencyModel::INSTANT, plan.clone()),
+        PropagationModel::Network { latency, blackouts } => (*latency, blackouts.union(plan)),
     };
-    Ok(PropagationModel::Partition(PartitionModel::new(base, all)?))
+    PropagationModel::Network { latency, blackouts }
 }
 
 /// A per-shard traffic list as one slice per shard: an empty list means
@@ -128,23 +116,26 @@ fn per_shard<'a, T>(
 ///
 /// Partition windows from the plan black out a `(source, dest)` pair while
 /// *either* endpoint is partitioned — the source cannot send, the
-/// destination cannot receive. A settlement flush or a migration apply
-/// falling inside a blackout defers to the heal and completes exactly
-/// once there, which [`FaultRun::batches`] and [`FaultRun::applied`] let
-/// callers assert transfer-for-transfer and ticket-for-ticket.
+/// destination cannot receive. Overlapping partitions act as their union,
+/// in propagation and settlement alike. A settlement flush or a migration
+/// apply falling inside a blackout defers to the heal and completes
+/// exactly once there, which [`FaultRun::batches`] and
+/// [`FaultRun::applied`] let callers assert transfer-for-transfer and
+/// ticket-for-ticket.
 ///
-/// Errors on an invalid plan or config, on a crash of a miner its
-/// shard's spec does not have (`Error::Config` naming `"plan"`), on a
-/// minerless spec (`Error::NoMiners`), on a traffic list that is neither
-/// empty nor one-per-shard, and on a transfer or ticket pointing outside
-/// its shard's tables or transfers on an equilibrium shard
-/// (`Error::Config` naming `"transfers"` / `"schedules"`).
+/// Errors on an invalid plan or config, on a crash of a shard the run does
+/// not have or of a miner its shard's spec does not have (`Error::Config`
+/// naming `"plan"`), on a minerless spec (`Error::NoMiners`), on a
+/// traffic list that is neither empty nor one-per-shard, and on a
+/// transfer or ticket pointing outside its shard's tables or transfers on
+/// an equilibrium shard (`Error::Config` naming `"transfers"` /
+/// `"schedules"`).
 ///
 /// Determinism: the result is a pure function of `(shards, traffic,
-/// config, plan)` — bit-identical at any `config.scheduler`, with runtime
-/// randomness keyed by `config.seed` and fault randomness keyed by
-/// `plan.seed`. Under `FaultPlan::none(..)` and no traffic the report
-/// fingerprint equals the unwrapped `simulate`'s exactly.
+/// config, plan)` — bit-identical at any `config.scheduler`, with all
+/// randomness keyed by `config.seed` (a plan draws none). Under
+/// `FaultPlan::none()` and no traffic the report fingerprint equals the
+/// unwrapped `simulate`'s exactly.
 pub fn run_with_faults(
     shards: &[ShardSpec],
     traffic: &Traffic,
@@ -159,26 +150,26 @@ pub fn run_with_faults(
         let FaultAction::CrashMiner { shard, miner, .. } = *action else {
             continue;
         };
-        if let Some(spec) = shards
-            .iter()
-            .find(|s| s.shard == shard && miner >= s.miners)
-        {
-            return Err(Error::Config {
-                field: "plan",
-                reason: format!(
-                    "crash of miner {miner} on {shard}, which has {} miners",
-                    spec.miners
-                ),
-            });
-        }
+        let reason = match shards.iter().find(|s| s.shard == shard) {
+            None => format!("crash of miner {miner} on {shard}, which the run does not have"),
+            Some(spec) if miner >= spec.miners => format!(
+                "crash of miner {miner} on {shard}, which has {} miners",
+                spec.miners
+            ),
+            Some(_) => continue,
+        };
+        return Err(Error::Config {
+            field: "plan",
+            reason,
+        });
     }
     let mut drivers = Vec::with_capacity(shards.len());
     for (i, spec) in shards.iter().enumerate() {
         let (outbound, schedule) = (transfers[i], schedules[i]);
-        let windows = plan.partitions_for(spec.shard);
+        let own = plan.blackouts(spec.shard)?;
         let mut shard_config = config.clone();
-        if !windows.is_empty() {
-            shard_config.propagation = partitioned(&config.propagation, &windows)?;
+        if !own.is_empty() {
+            shard_config.propagation = partitioned(&config.propagation, &own);
         }
         let mut driver = SettlingShardDriver::new(spec, &shard_config, outbound.to_vec())?
             .with_migrations(schedule.to_vec())?;
@@ -188,9 +179,7 @@ pub fn run_with_faults(
             .chain(schedule.iter().map(|t| t.to))
             .collect();
         for dest in dests {
-            let mut pair = windows.clone();
-            pair.extend(plan.partitions_for(dest));
-            driver.set_blackouts(dest, pair);
+            driver.set_blackouts(dest, own.union(&plan.blackouts(dest)?));
         }
         drivers.push(FaultyDriver::new(driver, spec.shard, plan));
     }
@@ -281,8 +270,8 @@ mod tests {
 
     /// Partition shard 1 over `[30 s, 400 s)` and crash `shard`'s only
     /// miner over `[60 s, 120 s)`.
-    fn partition_and_crash(seed: u64, shard: u32) -> FaultPlan {
-        FaultPlan::none(seed)
+    fn partition_and_crash(shard: u32) -> FaultPlan {
+        FaultPlan::none()
             .with_partition(
                 ShardId::new(1),
                 SimTime::from_secs(30),
@@ -321,7 +310,7 @@ mod tests {
         // No traffic, no faults: the plain simulator.
         let cfg = config(42);
         let plain = simulate(&specs(), &cfg).expect("valid");
-        let faulted = run_with_faults(&specs(), &Traffic::default(), &cfg, &FaultPlan::none(0))
+        let faulted = run_with_faults(&specs(), &Traffic::default(), &cfg, &FaultPlan::none())
             .expect("valid");
         assert_eq!(faulted.run.fingerprint(), plain.fingerprint());
         assert!(faulted.faults.is_clean());
@@ -332,7 +321,7 @@ mod tests {
         // harness.
         let (shards, traffic) = settled_fixture();
         let cfg = settled_config(23, 10, 1);
-        let faulted = run_with_faults(&shards, &traffic, &cfg, &FaultPlan::none(0)).expect("valid");
+        let faulted = run_with_faults(&shards, &traffic, &cfg, &FaultPlan::none()).expect("valid");
         assert!(faulted.faults.is_clean());
         assert_eq!(faulted.settle.txs_settled, 50);
         let bare: Vec<SettlingShardDriver> = shards
@@ -346,7 +335,7 @@ mod tests {
 
         // Explicitly empty schedules, under a partition: the same run as
         // no schedules at all.
-        let plan = FaultPlan::none(0).with_partition(
+        let plan = FaultPlan::none().with_partition(
             ShardId::new(1),
             SimTime::from_secs(30),
             SimTime::from_secs(400),
@@ -364,33 +353,38 @@ mod tests {
     #[test]
     fn invalid_plans_and_configs_are_rejected() {
         let none = Traffic::default();
-        let bad_plan =
-            FaultPlan::none(0).with_drops(ShardId::new(0), 2.0, SimTime::ZERO, SimTime::MAX);
-        assert!(run_with_faults(&specs(), &none, &config(1), &bad_plan).is_err());
         let zero_cap = RuntimeConfig {
             block_capacity: 0,
             ..config(1)
         };
-        assert!(run_with_faults(&specs(), &none, &zero_cap, &FaultPlan::none(0)).is_err());
+        assert!(run_with_faults(&specs(), &none, &zero_cap, &FaultPlan::none()).is_err());
     }
 
     /// A crash naming a miner its shard does not have is a plan error
     /// before any driver runs (its recovery tick used to index past the
-    /// shard's miner streams).
+    /// shard's miner streams), and so is a crash of a shard the run does
+    /// not have (it used to be ignored, reporting no crash at all).
     #[test]
     fn crash_of_a_ghost_miner_is_rejected() {
-        let plan = FaultPlan::none(0).with_crash(
-            ShardId::new(0),
-            5,
-            SimTime::from_secs(10),
-            Some(SimTime::from_secs(20)),
-        );
-        let err = run_with_faults(&specs(), &Traffic::default(), &config(1), &plan)
-            .expect_err("shard 0 has one miner");
-        assert!(
-            matches!(err, Error::Config { field: "plan", .. }),
-            "got {err:?}"
-        );
+        let crash = |shard: u32, miner: usize| {
+            FaultPlan::with_deadline(SimTime::from_secs(100_000)).with_crash(
+                ShardId::new(shard),
+                miner,
+                SimTime::from_secs(10),
+                Some(SimTime::from_secs(20)),
+            )
+        };
+        for (label, plan) in [
+            ("shard 0 has one miner", crash(0, 5)),
+            ("the run has no shard 7", crash(7, 0)),
+        ] {
+            let err =
+                run_with_faults(&specs(), &Traffic::default(), &config(1), &plan).expect_err(label);
+            assert!(
+                matches!(err, Error::Config { field: "plan", .. }),
+                "{label}: got {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -441,7 +435,7 @@ mod tests {
                 &shards,
                 traffic,
                 &settled_config(1, 10, 1),
-                &FaultPlan::none(0),
+                &FaultPlan::none(),
             )
             .expect_err(label);
             assert!(
@@ -462,14 +456,15 @@ mod tests {
             strategy: SelectionStrategy::IdenticalGreedy,
         }];
         let cfg = RuntimeConfig {
-            propagation: cshard_runtime::PropagationModel::Latency(
-                cshard_network::LatencyModel::wide_area(),
-            ),
+            propagation: PropagationModel::Network {
+                latency: LatencyModel::wide_area(),
+                blackouts: Blackouts::default(),
+            },
             ..config(9)
         };
         let none = Traffic::default();
-        let healthy = run_with_faults(&spec, &none, &cfg, &FaultPlan::none(0)).expect("valid");
-        let plan = FaultPlan::none(0).with_partition(
+        let healthy = run_with_faults(&spec, &none, &cfg, &FaultPlan::none()).expect("valid");
+        let plan = FaultPlan::none().with_partition(
             ShardId::new(0),
             SimTime::from_secs(60),
             SimTime::from_secs(4000),
@@ -485,13 +480,38 @@ mod tests {
         assert_eq!(parted.unconfirmed_fraction(), 0.0);
     }
 
+    /// Overlapping partitions of one shard are one blackout, their union,
+    /// in propagation and settlement alike (propagation used to reject
+    /// them as overlapping windows).
+    #[test]
+    fn overlapping_partitions_run_as_their_union() {
+        let (shards, traffic) = settled_fixture();
+        let shards: Vec<ShardSpec> = shards
+            .into_iter()
+            .map(|s| ShardSpec { miners: 3, ..s })
+            .collect();
+        let cfg = settled_config(23, 10, 1);
+        let s = SimTime::from_secs;
+        let split = FaultPlan::none()
+            .with_partition(ShardId::new(0), s(10), s(60))
+            .with_partition(ShardId::new(0), s(30), s(90));
+        let union = FaultPlan::none().with_partition(ShardId::new(0), s(10), s(90));
+        let a = run_with_faults(&shards, &traffic, &cfg, &split).expect("overlaps are legal");
+        let b = run_with_faults(&shards, &traffic, &cfg, &union).expect("valid");
+        assert_eq!(a.run.fingerprint(), b.run.fingerprint());
+        assert_eq!(a.faults, b.faults);
+        assert_eq!(a.batches, b.batches);
+        // The blackout acted: a batch held through it ships at the heal.
+        assert!(a.batches[0].iter().any(|batch| batch.at == s(90)));
+    }
+
     #[test]
     fn mid_partition_work_defers_and_completes_exactly_once_on_heal() {
         // Black out the destination across the whole mining span: every
         // flush deadline and the migration apply fire inside the
         // partition and must defer to the heal.
         let heal = SimTime::from_secs(20_000);
-        let plan = FaultPlan::none(0).with_partition(ShardId::new(1), SimTime::ZERO, heal);
+        let plan = FaultPlan::none().with_partition(ShardId::new(1), SimTime::ZERO, heal);
         for (label, (shards, traffic)) in [
             ("settlement", settled_fixture()),
             ("settlement + migration", migrated_fixture()),
@@ -541,7 +561,7 @@ mod tests {
             ("settlement", settled_fixture(), 10),
             ("settlement + migration", migrated_fixture(), 10),
         ] {
-            let plan = partition_and_crash(9, 1);
+            let plan = partition_and_crash(1);
             let run_at = |threads| {
                 run_with_faults(&shards, &traffic, &settled_config(23, cap, threads), &plan)
                     .expect("valid")
@@ -559,7 +579,7 @@ mod tests {
         // recovers, the destination is partitioned across the ticket's
         // apply time, transfers batch at cap 10.
         let (shards, traffic) = migrated_fixture();
-        let plan = partition_and_crash(9, 0);
+        let plan = partition_and_crash(0);
         let run_at = |threads| {
             run_with_faults(&shards, &traffic, &settled_config(23, 10, threads), &plan)
                 .expect("valid")
@@ -583,7 +603,7 @@ mod tests {
     #[test]
     fn faulted_runs_are_reproducible_functions_of_plan_and_seed() {
         let cfg = config(17);
-        let plan = FaultPlan::with_deadline(5, SimTime::from_secs(100_000))
+        let plan = FaultPlan::with_deadline(SimTime::from_secs(100_000))
             .with_crash(
                 ShardId::new(1),
                 0,

@@ -7,8 +7,9 @@
 //! function of `(config, seed)`**.
 //!
 //! * [`FaultPlan`] — a declarative, validated schedule of faults: crash
-//!   and recover miners, drop or delay block deliveries with a PRF-derived
-//!   per-link rate, partition a shard for a span ([`plan`]).
+//!   and recover miners, partition a shard for a span, stop at a deadline
+//!   ([`plan`]). A partition becomes a `cshard_network::Blackouts` table,
+//!   the one blackout rule block propagation and settlement share.
 //! * [`FaultyDriver`] — wraps any [`cshard_runtime::ProtocolDriver`] and
 //!   executes the plan by intercepting the event stream; with an empty
 //!   plan it is bit-for-bit transparent ([`driver`]).

@@ -1,11 +1,11 @@
 //! Declarative fault schedules.
 //!
-//! A [`FaultPlan`] is data, not behaviour: a seed, an optional run
-//! deadline, and a list of [`FaultAction`]s pinned to simulated times.
-//! Two runs of the same `(plan, shard specs, runtime config)` triple are
-//! bit-identical — all fault randomness (the per-link drop/delay coins)
-//! is derived from `plan.seed` by a keyed PRF, never from host state.
+//! A [`FaultPlan`] is data, not behaviour: an optional run deadline and a
+//! list of [`FaultAction`]s pinned to simulated times — miner crashes and
+//! shard partitions. A plan draws no randomness, so two runs of the same
+//! `(plan, shard specs, runtime config)` triple are bit-identical.
 
+use cshard_network::Blackouts;
 use cshard_primitives::{Error, ShardId, SimTime};
 
 /// One scheduled fault.
@@ -26,41 +26,12 @@ pub enum FaultAction {
         /// Restart instant (`None` = permanent crash).
         recover_at: Option<SimTime>,
     },
-    /// Drop each block-delivery event in `[from, until)` independently
-    /// with probability `rate` (PRF coin per event). Dropping a delivery
-    /// models losing the "everyone has seen it" edge of a broadcast; for
-    /// drivers whose visibility is time-keyed (the contract-centric
-    /// driver) the observable effect is bounded — use
-    /// [`FaultAction::PartitionShard`] to actually move visibility.
-    DropDeliveries {
-        /// Shard whose deliveries are lossy.
-        shard: ShardId,
-        /// Per-event drop probability in `[0, 1]`.
-        rate: f64,
-        /// Window start (inclusive).
-        from: SimTime,
-        /// Window end (exclusive).
-        until: SimTime,
-    },
-    /// Defer each block-delivery event in `[from, until)` by `by` with
-    /// probability `rate` (PRF coin per event; a deferred event that
-    /// re-lands inside the window is re-drawn).
-    DelayDeliveries {
-        /// Shard whose deliveries lag.
-        shard: ShardId,
-        /// Per-event delay probability in `[0, 1]`.
-        rate: f64,
-        /// The deferral.
-        by: SimTime,
-        /// Window start (inclusive).
-        from: SimTime,
-        /// Window end (exclusive).
-        until: SimTime,
-    },
-    /// Partition a shard's broadcast network for `[from, until)`: block
-    /// deliveries cannot complete while the partition is up and land
-    /// after the heal instead (see `cshard_network::PartitionModel`).
-    /// Applied by rewriting the shard's propagation model before the run.
+    /// Partition a shard's network for `[from, until)`: block deliveries
+    /// cannot complete while the partition is up and land after the heal
+    /// instead, and crosslinks to or from the shard defer to the heal
+    /// (see `cshard_network::Blackouts`). Applied by rewriting the shard's
+    /// propagation model and its settlement pairs' blackout tables before
+    /// the run. Overlapping partitions of one shard act as their union.
     PartitionShard {
         /// The partitioned shard.
         shard: ShardId,
@@ -74,10 +45,6 @@ pub enum FaultAction {
 /// A full fault schedule for one run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
-    /// Seed for all fault randomness (drop/delay coins). Independent of
-    /// the runtime seed, so the same workload can be replayed under
-    /// different fault draws and vice versa.
-    pub seed: u64,
     /// Hard stop: a faulted run that cannot finish (e.g. its only miner
     /// crashed permanently) ends here instead of stalling, and the fault
     /// report marks it timed out. `None` is only valid for plans whose
@@ -92,9 +59,8 @@ impl FaultPlan {
     /// The empty plan: no faults, no deadline. A run under this plan is
     /// bit-identical to `cshard_runtime::simulate` — the wrapper
     /// schedules nothing and forwards everything.
-    pub fn none(seed: u64) -> Self {
+    pub fn none() -> Self {
         FaultPlan {
-            seed,
             deadline: None,
             actions: Vec::new(),
         }
@@ -102,9 +68,8 @@ impl FaultPlan {
 
     /// A plan with a deadline and no faults yet; chain the `with_*`
     /// builders to populate it.
-    pub fn with_deadline(seed: u64, deadline: SimTime) -> Self {
+    pub fn with_deadline(deadline: SimTime) -> Self {
         FaultPlan {
-            seed,
             deadline: Some(deadline),
             actions: Vec::new(),
         }
@@ -127,36 +92,6 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a delivery-drop window.
-    pub fn with_drops(mut self, shard: ShardId, rate: f64, from: SimTime, until: SimTime) -> Self {
-        self.actions.push(FaultAction::DropDeliveries {
-            shard,
-            rate,
-            from,
-            until,
-        });
-        self
-    }
-
-    /// Adds a delivery-delay window.
-    pub fn with_delays(
-        mut self,
-        shard: ShardId,
-        rate: f64,
-        by: SimTime,
-        from: SimTime,
-        until: SimTime,
-    ) -> Self {
-        self.actions.push(FaultAction::DelayDeliveries {
-            shard,
-            rate,
-            by,
-            from,
-            until,
-        });
-        self
-    }
-
     /// Adds a partition window.
     pub fn with_partition(mut self, shard: ShardId, from: SimTime, until: SimTime) -> Self {
         self.actions
@@ -164,9 +99,8 @@ impl FaultPlan {
         self
     }
 
-    /// Checks the plan is well-formed: rates in `[0, 1]`, windows
-    /// non-empty, recoveries after their crashes, everything inside the
-    /// deadline (when one is set), and a deadline present whenever a
+    /// Checks the plan is well-formed: recoveries after their crashes,
+    /// partition windows non-empty, and a deadline present whenever a
     /// permanent crash could stall the run forever.
     pub fn validate(&self) -> Result<(), Error> {
         let bad = |reason: String| Error::Config {
@@ -189,57 +123,24 @@ impl FaultPlan {
                         )));
                     }
                 }
-                FaultAction::DropDeliveries {
-                    rate, from, until, ..
-                }
-                | FaultAction::DelayDeliveries {
-                    rate, from, until, ..
-                } => {
-                    if !(0.0..=1.0).contains(rate) {
-                        return Err(bad(format!("action {i}: rate {rate} outside [0, 1]")));
-                    }
-                    if from >= until {
-                        return Err(bad(format!("action {i}: empty window [{from}, {until})")));
-                    }
-                }
                 FaultAction::PartitionShard { from, until, .. } => {
-                    if from >= until {
-                        return Err(bad(format!(
-                            "action {i}: empty partition [{from}, {until})"
-                        )));
-                    }
+                    Blackouts::new([(*from, *until)])?;
                 }
             }
         }
         Ok(())
     }
 
-    /// The partition windows this plan imposes on `shard`, for the
-    /// propagation-model rewrite.
-    pub fn partitions_for(&self, shard: ShardId) -> Vec<(SimTime, SimTime)> {
-        self.actions
-            .iter()
-            .filter_map(|a| match a {
-                FaultAction::PartitionShard {
-                    shard: s,
-                    from,
-                    until,
-                } if *s == shard => Some((*from, *until)),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Whether the plan does anything at all to `shard` at the event
-    /// level (crashes or delivery rules — partitions act through the
-    /// propagation model instead).
-    pub fn touches_events_of(&self, shard: ShardId) -> bool {
-        self.actions.iter().any(|a| match a {
-            FaultAction::CrashMiner { shard: s, .. }
-            | FaultAction::DropDeliveries { shard: s, .. }
-            | FaultAction::DelayDeliveries { shard: s, .. } => *s == shard,
-            FaultAction::PartitionShard { .. } => false,
-        })
+    /// The blackout table this plan's partitions impose on `shard`.
+    pub fn blackouts(&self, shard: ShardId) -> Result<Blackouts, Error> {
+        Blackouts::new(self.actions.iter().filter_map(|a| match *a {
+            FaultAction::PartitionShard {
+                shard: s,
+                from,
+                until,
+            } if s == shard => Some((from, until)),
+            _ => None,
+        }))
     }
 }
 
@@ -252,50 +153,40 @@ mod tests {
     }
 
     #[test]
-    fn empty_plan_validates_and_touches_nothing() {
-        let plan = FaultPlan::none(7);
+    fn empty_plan_validates_and_blacks_out_nothing() {
+        let plan = FaultPlan::none();
         assert_eq!(plan.validate(), Ok(()));
-        assert!(!plan.touches_events_of(ShardId::new(0)));
-        assert!(plan.partitions_for(ShardId::new(0)).is_empty());
+        assert!(plan.blackouts(ShardId::new(0)).expect("valid").is_empty());
     }
 
     #[test]
     fn builders_accumulate_and_validate() {
-        let plan = FaultPlan::with_deadline(1, ms(100_000))
+        let plan = FaultPlan::with_deadline(ms(100_000))
             .with_crash(ShardId::new(0), 0, ms(1000), Some(ms(5000)))
-            .with_drops(ShardId::new(1), 0.5, ms(0), ms(9000))
-            .with_delays(ShardId::new(1), 0.25, ms(300), ms(0), ms(9000))
             .with_partition(ShardId::new(2), ms(100), ms(200));
-        assert_eq!(plan.actions.len(), 4);
+        assert_eq!(plan.actions.len(), 2);
         assert_eq!(plan.validate(), Ok(()));
-        assert!(plan.touches_events_of(ShardId::new(0)));
-        assert!(plan.touches_events_of(ShardId::new(1)));
-        // Partitions act through propagation, not events.
-        assert!(!plan.touches_events_of(ShardId::new(2)));
+        assert!(plan.blackouts(ShardId::new(0)).expect("valid").is_empty());
         assert_eq!(
-            plan.partitions_for(ShardId::new(2)),
-            vec![(ms(100), ms(200))]
+            plan.blackouts(ShardId::new(2)),
+            Blackouts::new([(ms(100), ms(200))])
         );
     }
 
     #[test]
     fn permanent_crash_without_deadline_rejected() {
-        let plan = FaultPlan::none(0).with_crash(ShardId::new(0), 0, ms(10), None);
+        let plan = FaultPlan::none().with_crash(ShardId::new(0), 0, ms(10), None);
         assert!(plan.validate().is_err());
         // With a deadline the same crash is fine.
-        let ok = FaultPlan::with_deadline(0, ms(1000)).with_crash(ShardId::new(0), 0, ms(10), None);
+        let ok = FaultPlan::with_deadline(ms(1000)).with_crash(ShardId::new(0), 0, ms(10), None);
         assert_eq!(ok.validate(), Ok(()));
     }
 
     #[test]
-    fn bad_rates_windows_and_recoveries_rejected() {
-        let r = FaultPlan::none(0).with_drops(ShardId::new(0), 1.5, ms(0), ms(10));
-        assert!(r.validate().is_err());
-        let w = FaultPlan::none(0).with_delays(ShardId::new(0), 0.1, ms(5), ms(10), ms(10));
-        assert!(w.validate().is_err());
-        let c = FaultPlan::none(0).with_crash(ShardId::new(0), 0, ms(10), Some(ms(10)));
+    fn bad_windows_and_recoveries_rejected() {
+        let c = FaultPlan::none().with_crash(ShardId::new(0), 0, ms(10), Some(ms(10)));
         assert!(c.validate().is_err());
-        let p = FaultPlan::none(0).with_partition(ShardId::new(0), ms(7), ms(7));
+        let p = FaultPlan::none().with_partition(ShardId::new(0), ms(7), ms(7));
         assert!(p.validate().is_err());
     }
 }

@@ -14,10 +14,6 @@ pub struct ShardFaultStats {
     pub shard: ShardId,
     /// Block-found ticks suppressed because their miner was crashed.
     pub suppressed_blocks: usize,
-    /// Delivery events dropped by an active drop rule.
-    pub dropped_deliveries: usize,
-    /// Delivery events deferred by an active delay rule.
-    pub delayed_deliveries: usize,
     /// Crash controls that fired.
     pub crashes: usize,
     /// Recovery controls that fired.
@@ -36,8 +32,6 @@ impl ShardFaultStats {
         ShardFaultStats {
             shard,
             suppressed_blocks: 0,
-            dropped_deliveries: 0,
-            delayed_deliveries: 0,
             crashes: 0,
             recoveries: 0,
             recovery_latencies: Vec::new(),
@@ -47,12 +41,7 @@ impl ShardFaultStats {
 
     /// Whether any fault machinery actually fired on this shard.
     pub fn any_faults(&self) -> bool {
-        self.suppressed_blocks > 0
-            || self.dropped_deliveries > 0
-            || self.delayed_deliveries > 0
-            || self.crashes > 0
-            || self.recoveries > 0
-            || self.timed_out
+        self.suppressed_blocks > 0 || self.crashes > 0 || self.recoveries > 0 || self.timed_out
     }
 }
 
@@ -67,16 +56,6 @@ impl FaultReport {
     /// Total suppressed block ticks across shards.
     pub fn total_suppressed(&self) -> usize {
         self.shards.iter().map(|s| s.suppressed_blocks).sum()
-    }
-
-    /// Total dropped deliveries across shards.
-    pub fn total_dropped(&self) -> usize {
-        self.shards.iter().map(|s| s.dropped_deliveries).sum()
-    }
-
-    /// Total delayed deliveries across shards.
-    pub fn total_delayed(&self) -> usize {
-        self.shards.iter().map(|s| s.delayed_deliveries).sum()
     }
 
     /// Total crashes across shards.
@@ -122,14 +101,10 @@ mod tests {
         a.recoveries = 1;
         a.recovery_latencies = vec![SimTime::from_millis(500)];
         let mut b = ShardFaultStats::new(ShardId::new(1));
-        b.dropped_deliveries = 2;
-        b.delayed_deliveries = 4;
         b.timed_out = true;
         b.recovery_latencies = vec![SimTime::from_millis(900)];
         let report = FaultReport { shards: vec![a, b] };
         assert_eq!(report.total_suppressed(), 3);
-        assert_eq!(report.total_dropped(), 2);
-        assert_eq!(report.total_delayed(), 4);
         assert_eq!(report.total_crashes(), 1);
         assert_eq!(report.total_recoveries(), 1);
         assert_eq!(

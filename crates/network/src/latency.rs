@@ -52,13 +52,6 @@ impl LatencyModel {
             (self.jitter.as_millis() as f64 * u) as u64,
         ))
     }
-
-    /// The worst-case delivery delay — the conflict window used by the
-    /// stale-block rule. Saturates at [`SimTime::MAX`] like
-    /// [`LatencyModel::delay`].
-    pub fn max_delay(&self) -> SimTime {
-        self.base.saturating_add(self.jitter)
-    }
 }
 
 #[cfg(test)]
@@ -68,7 +61,6 @@ mod tests {
     #[test]
     fn instant_is_zero() {
         assert_eq!(LatencyModel::INSTANT.delay(0.5), SimTime::ZERO);
-        assert_eq!(LatencyModel::INSTANT.max_delay(), SimTime::ZERO);
     }
 
     #[test]
@@ -84,7 +76,7 @@ mod tests {
         assert_eq!(m.delay(0.0), SimTime::from_millis(2000));
         let top = m.delay(0.999_999);
         assert!(top >= SimTime::from_millis(2990));
-        assert!(top <= m.max_delay());
+        assert!(top <= SimTime::from_millis(3000));
     }
 
     #[test]
@@ -106,6 +98,5 @@ mod tests {
             jitter: SimTime::from_secs(1),
         };
         assert_eq!(m.delay(0.999), SimTime::MAX);
-        assert_eq!(m.max_delay(), SimTime::MAX);
     }
 }

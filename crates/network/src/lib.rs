@@ -1,5 +1,10 @@
-//! Simulated peer-to-peer network: latency modelling and — crucially for
-//! the paper's evaluation — **communication accounting**.
+//! Simulated peer-to-peer network: latency modelling, network faults and —
+//! crucially for the paper's evaluation — **communication accounting**.
+//!
+//! A network fault is one thing, a [`Blackouts`] table of half-open
+//! windows during which a link cannot deliver. The runtime's propagation
+//! model reads it as a delivery time and the settlement batcher as a heal
+//! time, so the rule lives here once.
 //!
 //! Fig. 4(b)/(c) measure "communication times per shard": how many rounds of
 //! cross-shard communication each scheme performs. The contract-centric
@@ -20,5 +25,5 @@ pub mod stats;
 
 pub use gossip::GossipNet;
 pub use latency::LatencyModel;
-pub use partition::{PartitionModel, PartitionWindow};
+pub use partition::Blackouts;
 pub use stats::{CommKind, CommStats};

@@ -1,113 +1,98 @@
-//! Network partitions: delivery blackout windows over a base latency.
+//! Blackout windows: spans during which a link cannot deliver.
 //!
 //! The paper's unification scheme assumes broadcasts eventually reach every
 //! miner (Sec. IV-C); the fault-injection subsystem needs the complement —
-//! spans during which a shard's broadcast traffic *cannot* complete. A
-//! [`PartitionModel`] is a base [`LatencyModel`] plus a set of half-open
-//! blackout windows `[from, until)`: a block broadcast while a window is
-//! active (or whose delivery would land inside one) only reaches the whole
-//! shard once the partition heals, plus the residual link delay. The model
-//! is a pure function of `(now, u)` — no state, no clocks — so partitioned
-//! runs replay bit-identically like everything else.
+//! spans during which a shard's traffic *cannot* complete. [`Blackouts`]
+//! is that rule written once, as a table of half-open windows
+//! `[from, until)`, and both consumers read it: block propagation
+//! ([`Blackouts::delivery`]: a broadcast that starts or lands inside a
+//! window reaches the shard only after the heal, plus the link delay) and
+//! crosslink settlement ([`Blackouts::heal`]: a flush or a migration apply
+//! inside a window defers to the heal). The table is a pure function of
+//! `t` — no state, no clocks — so partitioned runs replay bit-identically
+//! like everything else.
 
-use crate::latency::LatencyModel;
 use cshard_primitives::{Error, SimTime};
 
-/// One blackout span: deliveries cannot complete in `[from, until)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PartitionWindow {
-    /// When the partition starts (inclusive).
-    pub from: SimTime,
-    /// When it heals (exclusive — deliveries complete from here on).
-    pub until: SimTime,
+/// A table of blackout windows, sorted by start time.
+///
+/// Overlapping windows are merged into their union. Touching windows
+/// (`[a, b)` and `[b, c)`) stay separate on purpose: a delivery deferred to
+/// `b + hop` may jump the second window when `hop ≥ c − b`, where one
+/// merged window would hold it until `c + hop`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Blackouts {
+    windows: Vec<(SimTime, SimTime)>,
 }
 
-impl PartitionWindow {
-    /// Whether `t` falls inside the blackout.
-    pub fn contains(&self, t: SimTime) -> bool {
-        t >= self.from && t < self.until
+impl Blackouts {
+    /// Builds the table from `[from, until)` windows in any order,
+    /// rejecting an empty window (`from >= until`) with a typed error.
+    pub fn new(windows: impl IntoIterator<Item = (SimTime, SimTime)>) -> Result<Self, Error> {
+        let windows: Vec<(SimTime, SimTime)> = windows.into_iter().collect();
+        if let Some(&(from, until)) = windows.iter().find(|(from, until)| from >= until) {
+            return Err(Error::Config {
+                field: "partition_window",
+                reason: format!("empty window: from {from} to {until}"),
+            });
+        }
+        Ok(Blackouts::merged(windows))
     }
 
-    /// The window's span.
-    pub fn span(&self) -> SimTime {
-        self.until.saturating_since(self.from)
-    }
-}
-
-/// A base latency model overlaid with partition windows.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PartitionModel {
-    /// Link behaviour while the shard is connected.
-    pub base: LatencyModel,
-    /// Blackout windows, kept sorted by start time and non-overlapping
-    /// (validated by [`PartitionModel::new`]).
-    windows: Vec<PartitionWindow>,
-}
-
-impl PartitionModel {
-    /// Builds a partition model, sorting the windows and rejecting empty
-    /// (`from >= until`) or overlapping spans with a typed error.
-    pub fn new(base: LatencyModel, mut windows: Vec<PartitionWindow>) -> Result<Self, Error> {
-        windows.sort_by_key(|w| (w.from, w.until));
-        for w in &windows {
-            if w.from >= w.until {
-                return Err(Error::Config {
-                    field: "partition_window",
-                    reason: format!("empty window: from {} to {}", w.from, w.until),
-                });
+    /// Sorts non-empty windows and merges the overlapping ones.
+    fn merged(mut windows: Vec<(SimTime, SimTime)>) -> Self {
+        windows.sort_unstable();
+        let mut merged: Vec<(SimTime, SimTime)> = Vec::with_capacity(windows.len());
+        for (from, until) in windows {
+            match merged.last_mut() {
+                Some(last) if from < last.1 => last.1 = last.1.max(until),
+                _ => merged.push((from, until)),
             }
         }
-        for pair in windows.windows(2) {
-            if pair[1].from < pair[0].until {
-                return Err(Error::Config {
-                    field: "partition_window",
-                    reason: format!(
-                        "overlapping windows: [{}, {}) and [{}, {})",
-                        pair[0].from, pair[0].until, pair[1].from, pair[1].until
-                    ),
-                });
-            }
+        Blackouts { windows: merged }
+    }
+
+    /// Every instant blacked out in either table.
+    pub fn union(&self, other: &Blackouts) -> Blackouts {
+        Blackouts::merged(self.windows.iter().chain(&other.windows).copied().collect())
+    }
+
+    /// Whether the table blacks out nothing.
+    pub fn is_empty(&self) -> bool {
+        self.windows.is_empty()
+    }
+
+    /// The end of the window containing `t`, if one does.
+    fn end_of(&self, t: SimTime) -> Option<SimTime> {
+        let i = self.windows.partition_point(|&(from, _)| from <= t);
+        let (_, until) = *self.windows.get(i.checked_sub(1)?)?;
+        (t < until).then_some(until)
+    }
+
+    /// If `t` is blacked out, the instant the blackout heals, chained
+    /// through touching windows (the heal of one may open the next).
+    pub fn heal(&self, t: SimTime) -> Option<SimTime> {
+        let mut at = self.end_of(t)?;
+        while let Some(until) = self.end_of(at) {
+            at = until;
         }
-        Ok(PartitionModel { base, windows })
+        Some(at)
     }
 
-    /// The validated blackout windows, sorted by start time.
-    pub fn windows(&self) -> &[PartitionWindow] {
-        &self.windows
-    }
-
-    /// When a block broadcast at `now` reaches the whole shard, given a
-    /// uniform draw `u ∈ [0, 1)` for the base link delay.
+    /// When a broadcast started at `now` over a link of delay `hop`
+    /// completes.
     ///
-    /// Outside every window this is exactly the base model. A broadcast
-    /// started inside a window — or whose nominal delivery would land
-    /// inside one — completes only after the partition heals, plus the
-    /// residual link delay (the same sampled draw: the healed shard
-    /// re-floods over the same links). Windows are walked in order, so a
-    /// delivery pushed past one heal that lands in a later blackout keeps
-    /// getting deferred. Saturates at [`SimTime::MAX`].
-    pub fn delivery_at(&self, now: SimTime, u: f64) -> SimTime {
-        let hop = self.base.delay(u);
-        let mut at = now.saturating_add(hop);
-        for w in &self.windows {
-            if w.contains(at) || w.contains(now) {
-                at = at.max(w.until.saturating_add(hop));
-            }
+    /// Outside every window this is `now + hop`. A broadcast started
+    /// inside a window — or whose arrival would land inside one — completes
+    /// only after the heal, plus the same link delay (the healed shard
+    /// re-floods over the same links), and an arrival re-deferred into a
+    /// later window keeps getting deferred. Saturates at [`SimTime::MAX`].
+    pub fn delivery(&self, now: SimTime, hop: SimTime) -> SimTime {
+        let mut at = self.end_of(now).unwrap_or(now).saturating_add(hop);
+        while let Some(until) = self.end_of(at) {
+            at = until.saturating_add(hop);
         }
         at
-    }
-
-    /// The worst-case delivery delay: the base model's maximum plus the
-    /// longest blackout span (a block broadcast the instant a partition
-    /// starts waits the whole window out).
-    pub fn max_delay(&self) -> SimTime {
-        let longest = self
-            .windows
-            .iter()
-            .map(PartitionWindow::span)
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        self.base.max_delay().saturating_add(longest)
     }
 }
 
@@ -119,69 +104,90 @@ mod tests {
         SimTime::from_millis(v)
     }
 
-    fn window(from: u64, until: u64) -> PartitionWindow {
-        PartitionWindow {
-            from: ms(from),
-            until: ms(until),
-        }
+    fn table(windows: &[(u64, u64)]) -> Blackouts {
+        Blackouts::new(windows.iter().map(|&(from, until)| (ms(from), ms(until))))
+            .expect("valid windows")
     }
 
-    fn model(windows: Vec<PartitionWindow>) -> PartitionModel {
-        PartitionModel::new(LatencyModel::constant(ms(100)), windows).expect("valid windows")
-    }
+    const HOP: SimTime = SimTime::from_millis(100);
 
     #[test]
-    fn no_windows_is_the_base_model() {
-        let m = model(vec![]);
-        assert_eq!(m.delivery_at(ms(500), 0.0), ms(600));
-        assert_eq!(m.max_delay(), ms(100));
+    fn no_windows_is_the_bare_link() {
+        let b = table(&[]);
+        assert_eq!(b.delivery(ms(500), HOP), ms(600));
+        assert_eq!(b.heal(ms(500)), None);
     }
 
     #[test]
     fn broadcast_inside_a_window_waits_for_the_heal() {
-        let m = model(vec![window(1000, 5000)]);
+        let b = table(&[(1000, 5000)]);
         // Found at t=2s, mid-partition: delivers at heal + link delay.
-        assert_eq!(m.delivery_at(ms(2000), 0.0), ms(5100));
+        assert_eq!(b.delivery(ms(2000), HOP), ms(5100));
         // Found after the heal: base behaviour again.
-        assert_eq!(m.delivery_at(ms(5000), 0.0), ms(5100));
+        assert_eq!(b.delivery(ms(5000), HOP), ms(5100));
     }
 
     #[test]
     fn delivery_landing_inside_a_window_is_deferred() {
-        let m = model(vec![window(1000, 5000)]);
+        let b = table(&[(1000, 5000)]);
         // Found at t=950ms, nominal delivery 1050ms lands in the blackout.
-        assert_eq!(m.delivery_at(ms(950), 0.0), ms(5100));
+        assert_eq!(b.delivery(ms(950), HOP), ms(5100));
         // Found at t=890ms, nominal delivery 990ms beats the partition.
-        assert_eq!(m.delivery_at(ms(890), 0.0), ms(990));
+        assert_eq!(b.delivery(ms(890), HOP), ms(990));
     }
 
     #[test]
     fn chained_windows_defer_repeatedly() {
-        let m = model(vec![window(1000, 5000), window(5050, 6000)]);
+        let b = table(&[(1000, 5000), (5050, 6000)]);
         // Deferred past the first heal (5100) → lands in the second
         // window → deferred past its heal too.
-        assert_eq!(m.delivery_at(ms(2000), 0.0), ms(6100));
+        assert_eq!(b.delivery(ms(2000), HOP), ms(6100));
+        // A delivery broadcast at the first window's start waits both out.
+        assert_eq!(b.delivery(ms(1000), HOP), ms(6100));
     }
 
     #[test]
-    fn max_delay_adds_the_longest_span() {
-        let m = model(vec![window(0, 400), window(1000, 8000)]);
-        assert_eq!(m.max_delay(), ms(100 + 7000));
+    fn heal_chains_through_touching_windows_only() {
+        let b = table(&[(100, 600), (600, 800), (900, 950)]);
+        assert_eq!(b.heal(ms(500)), Some(ms(800)));
+        assert_eq!(b.heal(ms(800)), None);
+        assert_eq!(b.heal(ms(920)), Some(ms(950)));
     }
 
     #[test]
-    fn empty_and_overlapping_windows_rejected() {
-        let empty = PartitionModel::new(LatencyModel::INSTANT, vec![window(5, 5)]);
-        assert!(empty.is_err());
-        let overlap =
-            PartitionModel::new(LatencyModel::INSTANT, vec![window(0, 10), window(5, 20)]);
-        assert!(overlap.is_err());
+    fn touching_windows_stay_separate_and_a_long_hop_jumps_the_gap() {
+        let b = table(&[(1000, 5000), (5000, 5050)]);
+        assert_ne!(b, table(&[(1000, 5050)]));
+        // Deferred to 5100, past the short second window.
+        assert_eq!(b.delivery(ms(2000), HOP), ms(5100));
+    }
+
+    #[test]
+    fn overlapping_windows_merge_into_their_union() {
+        let b = table(&[(30, 90), (10, 60)]);
+        assert_eq!(b, table(&[(10, 90)]));
+        assert_eq!(b.heal(ms(20)), Some(ms(90)));
+        let u = table(&[(0, 10)]).union(&table(&[(5, 20), (30, 40)]));
+        assert_eq!(u, table(&[(0, 20), (30, 40)]));
+    }
+
+    #[test]
+    fn empty_windows_rejected() {
+        let err = Blackouts::new([(ms(5), ms(5))]).expect_err("empty window");
+        assert!(matches!(
+            err,
+            Error::Config {
+                field: "partition_window",
+                ..
+            }
+        ));
     }
 
     #[test]
     fn windows_are_sorted_on_construction() {
-        let m = model(vec![window(5000, 6000), window(1000, 2000)]);
-        assert_eq!(m.windows()[0].from, ms(1000));
-        assert_eq!(m.windows()[1].from, ms(5000));
+        let b = table(&[(5000, 6000), (1000, 2000)]);
+        assert_eq!(b, table(&[(1000, 2000), (5000, 6000)]));
+        assert_eq!(b.heal(ms(1500)), Some(ms(2000)));
+        assert_eq!(b.heal(ms(5500)), Some(ms(6000)));
     }
 }

@@ -4,7 +4,7 @@
 //! schedule-level invariants the fault subsystem leans on — a partition
 //! or delay rule composed over a latency model inherits them.
 
-use cshard_network::{GossipNet, LatencyModel, PartitionModel, PartitionWindow};
+use cshard_network::{Blackouts, GossipNet, LatencyModel};
 use cshard_primitives::SimTime;
 use proptest::prelude::*;
 
@@ -20,13 +20,13 @@ fn arb_latency() -> impl Strategy<Value = LatencyModel> {
 proptest! {
     /// `delay(u)` stays inside `[base, base + jitter]` for every valid
     /// draw — never negative (SimTime is unsigned by construction, so the
-    /// real hazard is wrap-around) and never past `max_delay`.
+    /// real hazard is wrap-around) and never past `base + jitter`.
     #[test]
     fn delay_is_bounded_by_base_and_max(model in arb_latency(), u_m in 0u64..1_000_000) {
         let u = u_m as f64 / 1_000_000.0;
         let d = model.delay(u);
         prop_assert!(d >= model.base);
-        prop_assert!(d <= model.max_delay());
+        prop_assert!(d <= model.base + model.jitter);
     }
 
     /// `delay` is monotone in the uniform draw: a larger draw never means
@@ -45,7 +45,6 @@ proptest! {
         let u = u_m as f64 / 1_000_000.0;
         let m = LatencyModel { base: SimTime::MAX, jitter: SimTime::from_millis(jitter) };
         prop_assert_eq!(m.delay(u), SimTime::MAX);
-        prop_assert_eq!(m.max_delay(), SimTime::MAX);
     }
 
     /// The same `(graph seed, message id)` pair produces an identical
@@ -99,18 +98,15 @@ proptest! {
         u_m in 0u64..1_000_000,
     ) {
         let u = u_m as f64 / 1_000_000.0;
-        let base = LatencyModel::constant(SimTime::from_millis(base_ms));
-        let window = PartitionWindow {
-            from: SimTime::from_secs(from_s),
-            until: SimTime::from_secs(from_s + span_s),
-        };
-        let model = PartitionModel::new(base, vec![window]).expect("one window is valid");
+        let hop = LatencyModel::constant(SimTime::from_millis(base_ms)).delay(u);
+        let (from, until) = (SimTime::from_secs(from_s), SimTime::from_secs(from_s + span_s));
+        let blackouts = Blackouts::new([(from, until)]).expect("one window is valid");
         let now = SimTime::from_secs(now_s);
-        let at = model.delivery_at(now, u);
-        prop_assert!(at >= base.delay(u) + now, "partition hastened a delivery");
+        let at = blackouts.delivery(now, hop);
+        prop_assert!(at >= hop + now, "partition hastened a delivery");
         prop_assert!(
-            !(window.from <= at && at < window.until),
-            "delivered at {} inside blackout [{}, {})", at, window.from, window.until
+            !(from <= at && at < until),
+            "delivered at {} inside blackout [{}, {})", at, from, until
         );
     }
 }

@@ -31,8 +31,8 @@
 //!
 //! Propagation is governed by the run's [`PropagationModel`]: the legacy
 //! fixed conflict window (bit-identical to the pre-refactor simulator) or
-//! explicit [`Event::BlockDelivered`] events drawn from the network's
-//! latency model.
+//! explicit [`Event::BlockDelivered`] events at the delivery time the
+//! network model draws when the block confirms.
 //!
 //! Once a shard has confirmed everything it keeps mining until the run's
 //! last shard finishes, and at stream scale those idle ticks are almost
@@ -108,8 +108,9 @@ pub struct RuntimeConfig {
     /// How found blocks propagate to the shard's other miners.
     /// [`PropagationModel::Window`] is the legacy fixed conflict window
     /// (drives Table I's plateau; irrelevant for one-miner shards);
-    /// [`PropagationModel::Latency`] materializes delivery as explicit
-    /// [`Event::BlockDelivered`] events.
+    /// [`PropagationModel::Network`] draws each confirming block's
+    /// delivery time and materializes it as an [`Event::BlockDelivered`]
+    /// event.
     pub propagation: PropagationModel,
     /// Count empty blocks only up to this time (Sec. VI-C1 counts over a
     /// fixed 212 s window). `None` counts until the run completes.
@@ -130,12 +131,6 @@ pub struct RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// The effective conflict window: the configured window, or the
-    /// latency model's worst-case delivery delay.
-    pub fn conflict_window(&self) -> SimTime {
-        self.propagation.conflict_window()
-    }
-
     /// The one runtime-config check every run entry point performs: a
     /// positive block capacity, a positive block interval (every miner
     /// draws its next tick from it) and a well-formed settle knob set.
@@ -195,9 +190,8 @@ struct EquilibriumState {
     /// Confirmation time + author per local tx (None = unconfirmed).
     confirmed: Vec<Option<(SimTime, usize)>>,
     /// Delivery time per confirmed tx — when the confirming block has
-    /// reached the whole shard. Only populated under delivery-scheduling
-    /// models ([`PropagationModel::Latency`] /
-    /// [`PropagationModel::Partition`]); the window model derives visibility
+    /// reached the whole shard. Only populated under
+    /// [`PropagationModel::Network`]; the window model derives visibility
     /// from the confirmation time alone.
     visible_at: Vec<Option<SimTime>>,
     /// The current epoch's per-miner assignment.
@@ -305,7 +299,7 @@ impl EquilibriumState {
                 Some((_, author)) if author == miner => false,
                 Some((at, _)) => match &config.propagation {
                     PropagationModel::Window(w) => now.saturating_since(at) < *w,
-                    PropagationModel::Latency(_) | PropagationModel::Partition(_) => {
+                    PropagationModel::Network { .. } => {
                         self.visible_at[tx].is_some_and(|v| now < v)
                     }
                 },
@@ -436,7 +430,7 @@ impl ContractShardDriver {
                         PropagationModel::Window(w) => self
                             .last_confirmation
                             .is_some_and(|t0| now.saturating_since(t0) < *w),
-                        PropagationModel::Latency(_) | PropagationModel::Partition(_) => {
+                        PropagationModel::Network { .. } => {
                             self.latest_visible.is_some_and(|v| now < v)
                         }
                     };
@@ -636,7 +630,7 @@ pub fn simulate_ethereum(
 mod tests {
     use super::*;
     use crate::report::throughput_improvement;
-    use cshard_network::{CommStats, LatencyModel};
+    use cshard_network::{Blackouts, CommStats, LatencyModel};
     use cshard_sim::EventQueue;
 
     // Shadow the fallible entry points: every config in this module is
@@ -935,7 +929,10 @@ mod tests {
 
     fn latency_cfg(seed: u64, model: LatencyModel) -> RuntimeConfig {
         RuntimeConfig {
-            propagation: PropagationModel::Latency(model),
+            propagation: PropagationModel::Network {
+                latency: model,
+                blackouts: Blackouts::default(),
+            },
             seed,
             ..RuntimeConfig::default()
         }

@@ -12,7 +12,7 @@
 
 use crate::driver::Ctx;
 use crate::event::Event;
-use cshard_network::CommKind;
+use cshard_network::{Blackouts, CommKind};
 use cshard_primitives::{ShardId, SimTime};
 use cshard_settle::{Batch, FlushOutcome, SettleConfig, SettlementBatcher, Submit};
 
@@ -35,12 +35,12 @@ impl CrosslinkChannel {
         }
     }
 
-    /// Installs partition blackout windows for the pair toward `dest`
-    /// (half-open `[from, until)`); anything bound for the pair that falls
-    /// inside one defers to the heal. The fault harness derives these from
-    /// its plan's partitions of either endpoint.
-    pub fn set_blackouts(&mut self, dest: ShardId, windows: Vec<(SimTime, SimTime)>) {
-        self.batcher.set_blackouts(dest, windows);
+    /// Installs the blackout table for the pair toward `dest`; anything
+    /// bound for the pair that falls inside a window defers to the heal.
+    /// The fault harness derives it from its plan's partitions of either
+    /// endpoint.
+    pub fn set_blackouts(&mut self, dest: ShardId, blackouts: Blackouts) {
+        self.batcher.set_blackouts(dest, blackouts);
     }
 
     /// Submits one transfer toward `dest`, arming the flush deadline or

@@ -27,7 +27,9 @@ pub enum Event {
     },
     /// A previously found block finished propagating: its confirmations
     /// are now visible to every miner of the shard. Only scheduled under
-    /// [`crate::PropagationModel::Latency`]; the legacy
+    /// [`crate::PropagationModel::Network`], at the delivery time drawn
+    /// when the block confirmed; visibility is read from that time, so the
+    /// handler only clears a cache. The legacy
     /// [`crate::PropagationModel::Window`] keeps visibility implicit in
     /// the conflict-window rule and schedules no delivery events (which
     /// is what keeps pre-refactor run fingerprints bit-identical).

@@ -20,8 +20,9 @@
 //! * [`PropagationModel`] — how a found block becomes visible to the
 //!   shard's other miners: the legacy fixed conflict window
 //!   ([`PropagationModel::Window`], bit-identical to the pre-refactor
-//!   simulator) or explicit [`Event::BlockDelivered`] events drawn from a
-//!   [`cshard_network::LatencyModel`];
+//!   simulator) or explicit [`Event::BlockDelivered`] events at delivery
+//!   times drawn from a [`cshard_network::LatencyModel`] and deferred past
+//!   [`cshard_network::Blackouts`] ([`PropagationModel::Network`]);
 //! * [`Runtime`] — the two-phase harness that runs one driver per shard
 //!   on the shard-lifecycle scheduler (`cshard_sim::WorkScheduler`; at
 //!   `threads > 1` its helpers are process-wide parked threads, so driver

@@ -1,6 +1,6 @@
 //! How found blocks become visible to a shard's other miners.
 
-use cshard_network::{LatencyModel, PartitionModel};
+use cshard_network::{Blackouts, LatencyModel};
 use cshard_primitives::SimTime;
 
 /// The block-propagation regime of a run.
@@ -17,31 +17,22 @@ pub enum PropagationModel {
     /// so runs under this model are bit-identical to the pre-refactor
     /// simulator (the golden fingerprints assert exactly that).
     Window(SimTime),
-    /// Explicit network-backed propagation: each confirming block's
-    /// delivery delay is drawn from the latency model and materialized
-    /// as an [`crate::Event::BlockDelivered`] event; until it fires, the
-    /// other miners keep mining against the pre-confirmation queue.
-    Latency(LatencyModel),
-    /// Latency-backed propagation overlaid with partition blackout
-    /// windows: deliveries that would complete while the shard is
-    /// partitioned are deferred past the heal time. Used by the
-    /// fault-injection subsystem; with no windows it is exactly
-    /// [`PropagationModel::Latency`] over the model's base.
-    Partition(PartitionModel),
+    /// Network-backed propagation: when a block confirms, its delivery
+    /// time is drawn once — the latency model's link delay, deferred past
+    /// any blackout window it starts or lands in — and materialized as an
+    /// [`crate::Event::BlockDelivered`] event. Until that time the other
+    /// miners keep mining against the pre-confirmation queue. A plain
+    /// latency network has no blackouts; the fault harness adds its
+    /// plan's partitions here.
+    Network {
+        /// Link delay while the shard is connected.
+        latency: LatencyModel,
+        /// Spans during which deliveries cannot complete.
+        blackouts: Blackouts,
+    },
 }
 
 impl PropagationModel {
-    /// The worst-case span during which a found block can conflict with
-    /// an earlier confirmation — the window itself, or the network
-    /// model's maximum delivery delay.
-    pub fn conflict_window(&self) -> SimTime {
-        match self {
-            PropagationModel::Window(w) => *w,
-            PropagationModel::Latency(m) => m.max_delay(),
-            PropagationModel::Partition(m) => m.max_delay(),
-        }
-    }
-
     /// When a block broadcast at `now` reaches the whole shard, given a
     /// uniform draw `u ∈ [0, 1)` — or `None` under the legacy window
     /// model, which schedules no delivery events at all. Callers must
@@ -50,8 +41,9 @@ impl PropagationModel {
     pub fn delivery_time(&self, now: SimTime, u: f64) -> Option<SimTime> {
         match self {
             PropagationModel::Window(_) => None,
-            PropagationModel::Latency(m) => Some(now.saturating_add(m.delay(u))),
-            PropagationModel::Partition(m) => Some(m.delivery_at(now, u)),
+            PropagationModel::Network { latency, blackouts } => {
+                Some(blackouts.delivery(now, latency.delay(u)))
+            }
         }
     }
 
@@ -65,18 +57,12 @@ impl PropagationModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cshard_network::PartitionWindow;
 
-    #[test]
-    fn window_reports_itself() {
-        let w = PropagationModel::Window(SimTime::from_secs(60));
-        assert_eq!(w.conflict_window(), SimTime::from_secs(60));
-    }
-
-    #[test]
-    fn latency_reports_max_delay() {
-        let m = PropagationModel::Latency(LatencyModel::wide_area());
-        assert_eq!(m.conflict_window(), LatencyModel::wide_area().max_delay());
+    fn network(latency: LatencyModel, windows: &[(SimTime, SimTime)]) -> PropagationModel {
+        PropagationModel::Network {
+            latency,
+            blackouts: Blackouts::new(windows.iter().copied()).expect("valid windows"),
+        }
     }
 
     #[test]
@@ -88,7 +74,7 @@ mod tests {
 
     #[test]
     fn latency_delivery_is_now_plus_delay() {
-        let m = PropagationModel::Latency(LatencyModel::constant(SimTime::from_millis(250)));
+        let m = network(LatencyModel::constant(SimTime::from_millis(250)), &[]);
         assert_eq!(
             m.delivery_time(SimTime::from_secs(1), 0.0),
             Some(SimTime::from_millis(1250))
@@ -98,19 +84,13 @@ mod tests {
 
     #[test]
     fn partition_defers_past_the_heal() {
-        let model = PartitionModel::new(
+        let p = network(
             LatencyModel::constant(SimTime::from_millis(100)),
-            vec![PartitionWindow {
-                from: SimTime::from_millis(1000),
-                until: SimTime::from_millis(5000),
-            }],
-        )
-        .expect("valid windows");
-        let p = PropagationModel::Partition(model);
+            &[(SimTime::from_millis(1000), SimTime::from_millis(5000))],
+        );
         assert_eq!(
             p.delivery_time(SimTime::from_millis(2000), 0.0),
             Some(SimTime::from_millis(5100))
         );
-        assert_eq!(p.conflict_window(), SimTime::from_millis(100 + 4000),);
     }
 }

@@ -49,7 +49,7 @@ use crate::crosslink::CrosslinkChannel;
 use crate::driver::{Ctx, ProtocolDriver};
 use crate::event::Event;
 use crate::report::ShardReport;
-use cshard_network::CommKind;
+use cshard_network::{Blackouts, CommKind};
 use cshard_primitives::{Error, ShardId, SimTime};
 use cshard_settle::{Batch, SettleStats};
 use std::cmp::Reverse;
@@ -207,11 +207,11 @@ impl SettlingShardDriver {
         Ok(self)
     }
 
-    /// Installs partition blackout windows for the pair toward `dest`
-    /// (half-open `[from, until)`); settlement flushes *and* migration
-    /// applies falling inside defer to the heal.
-    pub fn set_blackouts(&mut self, dest: ShardId, windows: Vec<(SimTime, SimTime)>) {
-        self.channel.set_blackouts(dest, windows);
+    /// Installs the blackout table for the pair toward `dest`; settlement
+    /// flushes *and* migration applies falling inside a window defer to
+    /// the heal.
+    pub fn set_blackouts(&mut self, dest: ShardId, blackouts: Blackouts) {
+        self.channel.set_blackouts(dest, blackouts);
     }
 
     /// Every batch settled so far, in flush order.
@@ -539,7 +539,7 @@ mod tests {
         // Black out the pair well past every timeout deadline.
         driver.set_blackouts(
             ShardId::new(1),
-            vec![(SimTime::ZERO, SimTime::from_secs(600))],
+            Blackouts::new([(SimTime::ZERO, SimTime::from_secs(600))]).expect("valid window"),
         );
         let outcome = Runtime::builder().run(vec![driver]).expect("well-formed");
         let driver = &outcome.drivers[0];
@@ -618,7 +618,7 @@ mod tests {
         // Black out the pair toward the *new* home across the apply time.
         driver.set_blackouts(
             ShardId::new(9),
-            vec![(SimTime::ZERO, SimTime::from_secs(300))],
+            Blackouts::new([(SimTime::ZERO, SimTime::from_secs(300))]).expect("valid window"),
         );
         let outcome = Runtime::builder().run(vec![driver]).expect("well-formed");
         let d = &outcome.drivers[0];

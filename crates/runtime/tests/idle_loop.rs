@@ -2,7 +2,7 @@
 //! the trait's event-by-event `idle_turn` default, reached through a
 //! wrapper that forwards every other method.
 
-use cshard_network::{CommStats, LatencyModel, PartitionModel, PartitionWindow};
+use cshard_network::{Blackouts, CommStats, LatencyModel};
 use cshard_primitives::{Error, ShardId, SimTime};
 use cshard_runtime::{
     ContractShardDriver, Ctx, Event, PropagationModel, ProtocolDriver, RunOutcome, Runtime,
@@ -77,19 +77,19 @@ fn propagations(interval: SimTime) -> Vec<PropagationModel> {
             jitter: SimTime::from_millis(iv),
         }
     };
-    let partition = PartitionModel::new(
-        LatencyModel::constant(interval),
-        vec![PartitionWindow {
-            from: SimTime::from_millis(2 * iv),
-            until: SimTime::from_millis(6 * iv),
-        }],
-    )
-    .expect("a well-formed blackout");
+    let blackout = Blackouts::new([(SimTime::from_millis(2 * iv), SimTime::from_millis(6 * iv))])
+        .expect("a well-formed blackout");
     vec![
         PropagationModel::Window(SimTime::ZERO),
         PropagationModel::Window(interval),
-        PropagationModel::Latency(latency),
-        PropagationModel::Partition(partition),
+        PropagationModel::Network {
+            latency,
+            blackouts: Blackouts::default(),
+        },
+        PropagationModel::Network {
+            latency: LatencyModel::constant(interval),
+            blackouts: blackout,
+        },
     ]
 }
 

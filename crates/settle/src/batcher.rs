@@ -12,6 +12,7 @@
 
 use crate::config::SettleConfig;
 use crate::stats::SettleStats;
+use cshard_network::Blackouts;
 use cshard_primitives::{ShardId, SimTime};
 use std::collections::BTreeMap;
 
@@ -79,9 +80,9 @@ pub struct SettlementBatcher {
     batch_cap: usize,
     timeout: SimTime,
     pairs: BTreeMap<ShardId, PairState>,
-    /// Blackout windows per destination (`[from, until)`), precomputed by
-    /// the harness from the fault plan's partitions of either endpoint.
-    blackouts: BTreeMap<ShardId, Vec<(SimTime, SimTime)>>,
+    /// Blackout table per destination, built by the harness from the
+    /// fault plan's partitions of either endpoint.
+    blackouts: BTreeMap<ShardId, Blackouts>,
     stats: SettleStats,
 }
 
@@ -105,15 +106,11 @@ impl SettlementBatcher {
         }
     }
 
-    /// Installs the blackout windows of the `(source, dest)` pair —
+    /// Installs the blackout table of the `(source, dest)` pair —
     /// typically the union of both endpoints' partition windows from a
-    /// fault plan. Windows are half-open `[from, until)`.
-    pub fn set_blackouts(&mut self, dest: ShardId, windows: Vec<(SimTime, SimTime)>) {
-        if windows.is_empty() {
-            self.blackouts.remove(&dest);
-        } else {
-            self.blackouts.insert(dest, windows);
-        }
+    /// fault plan.
+    pub fn set_blackouts(&mut self, dest: ShardId, blackouts: Blackouts) {
+        self.blackouts.insert(dest, blackouts);
     }
 
     /// The source shard this batcher settles for.
@@ -142,30 +139,12 @@ impl SettlementBatcher {
         self.pairs.get(&dest).map_or(0, |p| p.transfers.len())
     }
 
-    /// If the pair is blacked out at `t`, the instant it heals (chains
-    /// through overlapping windows: the heal of one window may land
-    /// inside another). The one defer-to-heal rule: flushes consult it
-    /// here, and a driver deferring other pair-bound work (a migration
+    /// If the pair is blacked out at `t`, the instant it heals
+    /// ([`Blackouts::heal`]). The one defer-to-heal rule: flushes consult
+    /// it here, and a driver deferring other pair-bound work (a migration
     /// apply) consults the same table through it.
     pub fn heal_time(&self, dest: ShardId, t: SimTime) -> Option<SimTime> {
-        let windows = self.blackouts.get(&dest)?;
-        let mut at = t;
-        let mut blacked = false;
-        loop {
-            let next = windows
-                .iter()
-                .filter(|&&(from, until)| from <= at && at < until)
-                .map(|&(_, until)| until)
-                .max();
-            match next {
-                Some(until) => {
-                    blacked = true;
-                    at = until;
-                }
-                None => break,
-            }
-        }
-        blacked.then_some(at)
+        self.blackouts.get(&dest)?.heal(t)
     }
 
     fn take_batch(&mut self, dest: ShardId, at: SimTime) -> Batch {
@@ -281,6 +260,11 @@ mod tests {
         SettlementBatcher::new(ShardId::new(0), &SettleConfig::batched(cap))
     }
 
+    fn blackouts(windows: &[(u64, u64)]) -> Blackouts {
+        Blackouts::new(windows.iter().map(|&(from, until)| (ms(from), ms(until))))
+            .expect("valid windows")
+    }
+
     #[test]
     fn first_transfer_arms_the_timeout() {
         let mut b = batched(3);
@@ -366,7 +350,7 @@ mod tests {
     #[test]
     fn blackout_defers_a_timeout_flush_to_the_heal() {
         let mut b = batched(100);
-        b.set_blackouts(dst(1), vec![(ms(400), ms(900))]);
+        b.set_blackouts(dst(1), blackouts(&[(400, 900)]));
         b.submit(ms(0), dst(1), 1); // arms ms(500), inside the blackout
         assert_eq!(b.on_flush(ms(500), dst(1)), FlushOutcome::Deferred(ms(900)));
         assert_eq!(b.stats().deferred_flushes, 1);
@@ -384,7 +368,7 @@ mod tests {
     #[test]
     fn blackout_holds_a_full_batch_until_the_heal() {
         let mut b = batched(2);
-        b.set_blackouts(dst(1), vec![(ms(0), ms(1000))]);
+        b.set_blackouts(dst(1), blackouts(&[(0, 1000)]));
         // The first transfer arms its ordinary timeout; deferral is
         // adjudicated when a flush would actually happen.
         assert_eq!(b.submit(ms(10), dst(1), 1), Submit::Arm(ms(510)));
@@ -406,7 +390,7 @@ mod tests {
     #[test]
     fn overlapping_blackouts_chain_to_the_final_heal() {
         let mut b = batched(100);
-        b.set_blackouts(dst(1), vec![(ms(100), ms(600)), (ms(550), ms(800))]);
+        b.set_blackouts(dst(1), blackouts(&[(100, 600), (550, 800)]));
         b.submit(ms(0), dst(1), 1); // arms ms(500)
                                     // ms(500) is inside the first window, whose heal ms(600) is inside
                                     // the second: the deferral chains straight to ms(800).
@@ -420,9 +404,9 @@ mod tests {
     #[test]
     fn clearing_blackouts_restores_immediate_flushing() {
         let mut b = batched(1);
-        b.set_blackouts(dst(1), vec![(ms(0), ms(100))]);
+        b.set_blackouts(dst(1), blackouts(&[(0, 100)]));
         assert_eq!(b.submit(ms(10), dst(1), 1), Submit::Arm(ms(100)));
-        b.set_blackouts(dst(1), Vec::new());
+        b.set_blackouts(dst(1), Blackouts::default());
         let FlushOutcome::Flushed(_) = b.on_flush(ms(100), dst(1)) else {
             panic!("cleared blackout must flush");
         };

@@ -23,7 +23,8 @@
 //!
 //! Fault integration: a partition that blacks out a shard pair mid-batch
 //! must not lose or duplicate transfers. The batcher takes the pair's
-//! blackout windows up front and **defers** any flush that would land
+//! blackout table (`cshard_network::Blackouts`, the same table block
+//! propagation reads) up front and **defers** any flush that would land
 //! inside one to the heal instant — never hastens it — re-arming through
 //! the caller's event queue. Exactly-once then follows from two local
 //! invariants: a transfer enters exactly one pair buffer exactly once, and

@@ -19,6 +19,7 @@
 //! * absent blackouts, no batch exceeds the cap, and no flush ever
 //!   lands inside a blackout window.
 
+use cshard_network::Blackouts;
 use cshard_primitives::{ShardId, SimTime};
 use cshard_settle::{Batch, FlushOutcome, SettleConfig, SettlementBatcher, Submit};
 use proptest::prelude::*;
@@ -37,7 +38,8 @@ fn drive(
 ) -> (Vec<Batch>, SettlementBatcher) {
     let mut b = SettlementBatcher::new(ShardId::new(0), config);
     for (dest, windows) in blackouts {
-        b.set_blackouts(*dest, windows.clone());
+        let table = Blackouts::new(windows.iter().copied()).expect("non-empty windows");
+        b.set_blackouts(*dest, table);
     }
     let mut flushes: BTreeSet<(SimTime, ShardId)> = BTreeSet::new();
     let mut out = Vec::new();

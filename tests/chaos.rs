@@ -38,7 +38,7 @@ fn zero_fault_plan_reproduces_the_golden_battery_fingerprints() {
             .map(|s| ShardSpec::solo_greedy(ShardId::new(s), fees(12, s as u64)))
             .collect();
         let faulted =
-            run_with_faults(&specs, &Traffic::default(), &cfg, &FaultPlan::none(0)).expect("valid");
+            run_with_faults(&specs, &Traffic::default(), &cfg, &FaultPlan::none()).expect("valid");
         assert_eq!(
             faulted.run.fingerprint().to_string(),
             "0x1411acaa59d31b418e6928c8b8aa5efb86c59ea1aa22a70f345d2ebbb5977272",
@@ -60,7 +60,7 @@ fn zero_fault_plan_reproduces_the_golden_battery_fingerprints() {
             })
             .collect();
         let faulted =
-            run_with_faults(&specs, &Traffic::default(), &cfg, &FaultPlan::none(0)).expect("valid");
+            run_with_faults(&specs, &Traffic::default(), &cfg, &FaultPlan::none()).expect("valid");
         assert_eq!(
             faulted.run.fingerprint().to_string(),
             "0x546f8363442551473becc93ae2f3bdaadcdd5d26694a51c9e4bfe7534dc6c257",
@@ -117,7 +117,7 @@ fn partitioned_runs_are_identical_across_scheduler_configs() {
             strategy: SelectionStrategy::IdenticalGreedy,
         })
         .collect();
-    let plan = FaultPlan::none(5)
+    let plan = FaultPlan::none()
         .with_partition(
             ShardId::new(2),
             SimTime::from_secs(90),
@@ -230,7 +230,7 @@ fn faulted_shards_heal_and_finish_their_workload() {
     };
     // Crash and recovery must land inside the shard's active lifetime: a
     // control scheduled past completion never fires (the run is over).
-    let plan = FaultPlan::none(9)
+    let plan = FaultPlan::none()
         .with_crash(
             ShardId::new(0),
             0,

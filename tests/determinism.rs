@@ -108,7 +108,7 @@ fn faulted_runs_are_bit_identical_across_thread_counts() {
             strategy: SelectionStrategy::IdenticalGreedy,
         })
         .collect();
-    let plan = FaultPlan::none(21)
+    let plan = FaultPlan::none()
         .with_crash(
             ShardId::new(0),
             1,
@@ -119,8 +119,7 @@ fn faulted_runs_are_bit_identical_across_thread_counts() {
             ShardId::new(3),
             SimTime::from_secs(40),
             SimTime::from_secs(250),
-        )
-        .with_drops(ShardId::new(4), 0.5, SimTime::ZERO, SimTime::MAX);
+        );
     let run_at = |threads: usize| {
         let cfg = RuntimeConfig {
             seed: 99,
