@@ -347,12 +347,10 @@ impl ProtocolDriver for ChainspaceDriver {
                 };
                 channel.on_flush(now, dest, ctx);
             }
-            mining_ev @ (Event::BlockFound { .. } | Event::BlockDelivered { .. }) => {
+            mining_ev @ Event::BlockFound { .. } => {
                 self.mining.on_event(now, mining_ev, ctx)?;
             }
-            other @ (Event::Fault { .. } | Event::Migration { .. }) => {
-                return Err(unexpected(other))
-            }
+            other @ Event::Migration { .. } => return Err(unexpected(other)),
         }
         Ok(())
     }

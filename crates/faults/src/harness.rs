@@ -1,7 +1,7 @@
 //! Running the contract-centric simulator under a fault plan.
 //!
 //! This harness sits *below* the epoch pipeline: it takes the same
-//! [`ShardSpec`]s the pipeline's select stage produces and wraps the same
+//! [`ShardSpec`]s the pipeline's select stage produces and runs the same
 //! `ContractShardDriver`s its unify stage builds (inside the one
 //! cross-shard layer, [`SettlingShardDriver`]) — there is no second epoch
 //! implementation here. Classification, formation, merging and
@@ -10,14 +10,13 @@
 //! `EpochManager::elect_skipping`, in [`crate::epochs`]); this module only
 //! faults the block-production run.
 
-use crate::driver::FaultyDriver;
 use crate::plan::{FaultAction, FaultPlan};
-use crate::report::FaultReport;
+use crate::report::{FaultReport, ShardFaultStats};
 use cshard_network::{Blackouts, LatencyModel};
 use cshard_primitives::{Error, ShardId, SimTime};
 use cshard_runtime::{
-    Batch, MigrationStats, MigrationTicket, PropagationModel, RunReport, Runtime, RuntimeConfig,
-    SettleStats, SettlingShardDriver, ShardSpec,
+    Batch, MigrationStats, MigrationTicket, PropagationModel, ProtocolDriver, RunReport, Runtime,
+    RuntimeConfig, SettleStats, SettlingShardDriver, ShardSpec,
 };
 use std::collections::BTreeSet;
 
@@ -110,9 +109,10 @@ fn per_shard<'a, T>(
 /// cross-shard transfers and migrations riding on it.
 ///
 /// Builds one [`SettlingShardDriver`] per spec (partitioned shards get
-/// their propagation model rewritten first), wraps each in a
-/// [`FaultyDriver`], runs the standard two-phase harness, and reads the
-/// fault, settlement and migration accounting back out of the drivers.
+/// their propagation model rewritten first, crashed miners their
+/// [`FaultPlan::downtime`]), runs the standard two-phase harness with the
+/// plan deadline as its horizon, and reads the fault, settlement and
+/// migration accounting back out of the drivers and the plan.
 ///
 /// Partition windows from the plan black out a `(source, dest)` pair while
 /// *either* endpoint is partitioned — the source cannot send, the
@@ -150,20 +150,15 @@ pub fn run_with_faults(
         let FaultAction::CrashMiner { shard, miner, .. } = *action else {
             continue;
         };
-        let reason = match shards.iter().find(|s| s.shard == shard) {
-            None => format!("crash of miner {miner} on {shard}, which the run does not have"),
-            Some(spec) if miner >= spec.miners => format!(
-                "crash of miner {miner} on {shard}, which has {} miners",
-                spec.miners
-            ),
-            Some(_) => continue,
-        };
-        return Err(Error::Config {
-            field: "plan",
-            reason,
-        });
+        if !shards.iter().any(|s| s.shard == shard && miner < s.miners) {
+            return Err(Error::Config {
+                field: "plan",
+                reason: format!("crash of miner {miner} on {shard}, which the run does not have"),
+            });
+        }
     }
     let mut drivers = Vec::with_capacity(shards.len());
+    let mut downtimes = Vec::with_capacity(shards.len());
     for (i, spec) in shards.iter().enumerate() {
         let (outbound, schedule) = (transfers[i], schedules[i]);
         let own = plan.blackouts(spec.shard)?;
@@ -181,11 +176,22 @@ pub fn run_with_faults(
         for dest in dests {
             driver.set_blackouts(dest, own.union(&plan.blackouts(dest)?));
         }
-        drivers.push(FaultyDriver::new(driver, spec.shard, plan));
+        let mut down = Vec::new();
+        for miner in 0..spec.miners {
+            let table = plan.downtime(spec.shard, miner)?;
+            if !table.is_empty() {
+                down.extend_from_slice(table.windows());
+                driver.set_downtime(miner, table)?;
+            }
+        }
+        drivers.push(driver);
+        downtimes.push(down);
     }
     let outcome = Runtime::builder()
         .scheduler(config.scheduler)
+        .horizon(plan.deadline)
         .run(drivers)?;
+    let completion = outcome.report.completion;
     let mut run = FaultRun {
         run: outcome.report,
         faults: FaultReport { shards: Vec::new() },
@@ -194,9 +200,28 @@ pub fn run_with_faults(
         migrations: MigrationStats::default(),
         applied: Vec::new(),
     };
-    for wrapper in outcome.drivers {
-        let (stats, driver) = wrapper.into_parts();
-        run.faults.shards.push(stats);
+    for ((driver, spec), mut down) in outcome.drivers.into_iter().zip(shards).zip(downtimes) {
+        // A shard's end: the run's completion, or the deadline that cut it
+        // short. Only the part of a crash window before it happened.
+        let timed_out = !driver.done();
+        let end = match plan.deadline {
+            Some(deadline) if timed_out => deadline,
+            _ => completion,
+        };
+        down.sort_by_key(|&(_, until)| until);
+        let healed: Vec<SimTime> = down
+            .iter()
+            .filter(|&&(_, until)| until < end)
+            .map(|&(from, until)| until.saturating_since(from))
+            .collect();
+        run.faults.shards.push(ShardFaultStats {
+            shard: spec.shard,
+            suppressed_blocks: driver.suppressed_ticks(),
+            crashes: down.iter().filter(|&&(from, _)| from < end).count(),
+            recoveries: healed.len(),
+            recovery_latencies: healed,
+            timed_out,
+        });
         run.batches.push(driver.settled_batches().to_vec());
         run.migrations = run.migrations.merge(&driver.migration_stats());
         run.applied.push(driver.applied_at().to_vec());
@@ -598,6 +623,125 @@ mod tests {
         for threads in [4, 0] {
             assert_same_run(&base, &run_at(threads), "composition");
         }
+    }
+
+    /// The migrated fixture with `miners` miners per shard under `plan`.
+    fn staffed_run(miners: usize, plan: &FaultPlan) -> FaultRun {
+        let (shards, traffic) = migrated_fixture();
+        let shards: Vec<ShardSpec> = shards
+            .into_iter()
+            .map(|s| ShardSpec { miners, ..s })
+            .collect();
+        run_with_faults(&shards, &traffic, &settled_config(23, 10, 1), plan).expect("valid")
+    }
+
+    /// One solo greedy shard under `plan`, beside its fault-free run.
+    fn solo_run(txs: u64, seed: u64, plan: &FaultPlan) -> (FaultRun, RunReport) {
+        plan.validate().expect("valid plan");
+        let specs = [ShardSpec::solo_greedy(ShardId::new(0), (1..=txs).collect())];
+        let cfg = config(seed);
+        let run = run_with_faults(&specs, &Traffic::default(), &cfg, plan).expect("no stall");
+        (run, simulate(&specs, &cfg).expect("valid"))
+    }
+
+    #[test]
+    fn permanent_crash_of_the_only_miner_times_out() {
+        let s = SimTime::from_secs;
+        let plan = FaultPlan::with_deadline(s(600)).with_crash(ShardId::new(0), 0, s(120), None);
+        let (out, _) = solo_run(500, 3, &plan);
+        let stats = &out.faults.shards[0];
+        assert_eq!(stats.crashes, 1);
+        assert!(stats.timed_out, "run must end at the deadline");
+        assert!(stats.suppressed_blocks >= 1, "the first dead tick");
+        // Not everything confirmed: the only miner died mid-run.
+        assert!(out.run.shards[0].confirmed < out.run.shards[0].txs);
+    }
+
+    #[test]
+    fn crash_and_recovery_resumes_and_finishes() {
+        let (crash_at, recover_at) = (SimTime::from_secs(300), SimTime::from_secs(1500));
+        let plan = FaultPlan::none().with_crash(ShardId::new(0), 0, crash_at, Some(recover_at));
+        let (out, plain) = solo_run(200, 5, &plan);
+        let stats = &out.faults.shards[0];
+        assert_eq!(stats.crashes, 1);
+        assert_eq!(stats.recoveries, 1);
+        assert_eq!(
+            stats.recovery_latencies,
+            vec![recover_at.saturating_since(crash_at)]
+        );
+        assert!(!stats.timed_out);
+        // The shard still finishes — later than the fault-free run.
+        assert_eq!(out.run.shards[0].confirmed, out.run.shards[0].txs);
+        assert!(out.run.completion > plain.completion);
+    }
+
+    /// A crash window that holds no tick of its miner changes nothing: the
+    /// miner's one Poisson process runs on. (The event-intercepting
+    /// wrapper re-injected a tick at every recovery, so the miner ran two
+    /// processes, at twice its rate.)
+    #[test]
+    fn a_crash_window_holding_no_tick_changes_nothing() {
+        let ms = SimTime::from_millis;
+        let plan = FaultPlan::none().with_crash(ShardId::new(0), 0, ms(1000), Some(ms(1001)));
+        let (clean, crashed) = (staffed_run(1, &FaultPlan::none()), staffed_run(1, &plan));
+        assert_eq!(crashed.faults.total_suppressed(), 0);
+        assert_eq!(crashed.run.fingerprint(), clean.run.fingerprint());
+        assert_eq!(crashed.batches, clean.batches);
+        assert_eq!(crashed.applied, clean.applied);
+        // The window still opened and healed inside the run.
+        assert_eq!(crashed.faults.total_crashes(), 1);
+        assert_eq!(crashed.faults.total_recoveries(), 1);
+    }
+
+    /// A crash window nested inside another is the outer window alone: a
+    /// miner's crashes act as their union. (The wrapper kept one crash per
+    /// miner, so the inner recovery brought the miner back early.)
+    #[test]
+    fn a_nested_crash_window_equals_the_outer_one() {
+        let s = SimTime::from_secs;
+        let outer = FaultPlan::none().with_crash(ShardId::new(0), 0, s(100), Some(s(5000)));
+        let nested = outer
+            .clone()
+            .with_crash(ShardId::new(0), 0, s(200), Some(s(300)));
+        let run = staffed_run(2, &outer);
+        assert_same_run(&staffed_run(2, &nested), &run, "nested crash");
+        assert!(run.faults.total_suppressed() > 0, "the outer window acted");
+    }
+
+    /// A crash and recovery placed after the run's completion never
+    /// happen: the run is the fault-free one and the report is clean.
+    #[test]
+    fn a_crash_after_completion_changes_nothing() {
+        let clean = staffed_run(2, &FaultPlan::none());
+        let end = clean.run.completion;
+        let after = |secs| end.saturating_add(SimTime::from_secs(secs));
+        let plan = FaultPlan::none().with_crash(ShardId::new(0), 1, after(1), Some(after(2)));
+        let late = staffed_run(2, &plan);
+        assert!(late.faults.is_clean());
+        assert_same_run(&late, &clean, "crash after completion");
+    }
+
+    /// A plan is a set: the order of its actions changes nothing, with
+    /// overlapping and touching crashes, partitions and a deadline present.
+    #[test]
+    fn permuting_a_plans_actions_changes_nothing() {
+        let s = SimTime::from_secs;
+        let (s0, s1) = (ShardId::new(0), ShardId::new(1));
+        let plan = FaultPlan::with_deadline(s(100_000))
+            .with_partition(s1, s(30), s(400))
+            .with_crash(s0, 0, s(60), Some(s(120)))
+            .with_crash(s0, 1, s(100), Some(s(200)))
+            .with_crash(s0, 1, s(150), Some(s(300)))
+            .with_crash(s1, 0, s(10), Some(s(50)))
+            .with_crash(s1, 0, s(50), Some(s(80)))
+            .with_partition(s0, s(20), s(40));
+        let base = staffed_run(2, &plan);
+        assert!(base.faults.total_suppressed() > 0, "the crashes acted");
+        let (mut reversed, mut rotated) = (plan.clone(), plan);
+        reversed.actions.reverse();
+        rotated.actions.rotate_left(3);
+        assert_same_run(&staffed_run(2, &reversed), &base, "reversed");
+        assert_same_run(&staffed_run(2, &rotated), &base, "rotated");
     }
 
     #[test]

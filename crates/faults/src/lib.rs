@@ -8,17 +8,16 @@
 //!
 //! * [`FaultPlan`] — a declarative, validated schedule of faults: crash
 //!   and recover miners, partition a shard for a span, stop at a deadline
-//!   ([`plan`]). A partition becomes a `cshard_network::Blackouts` table,
-//!   the one blackout rule block propagation and settlement share.
-//! * [`FaultyDriver`] — wraps any [`cshard_runtime::ProtocolDriver`] and
-//!   executes the plan by intercepting the event stream; with an empty
-//!   plan it is bit-for-bit transparent ([`driver`]).
+//!   ([`plan`]). Each fault becomes a `cshard_network::Blackouts` table,
+//!   the one blackout rule: a partition is read by block propagation and
+//!   settlement, a miner's crashes by that miner's tick path in
+//!   `cshard_runtime::ContractShardDriver`. No wrapper intercepts events.
 //! * [`run_with_faults`] — the one harness entry point: the
-//!   contract-centric `simulate` under a plan, optionally carrying
-//!   cross-shard [`Traffic`] (settlement transfers, migration tickets),
-//!   returning the ordinary [`cshard_runtime::RunReport`] *plus* what the
-//!   faults, the settlement layer and the migrations did ([`FaultRun`],
-//!   [`harness`]).
+//!   contract-centric `simulate` under a plan (its deadline is the run's
+//!   horizon), optionally carrying cross-shard [`Traffic`] (settlement
+//!   transfers, migration tickets), returning the ordinary
+//!   [`cshard_runtime::RunReport`] *plus* what the faults, the settlement
+//!   layer and the migrations did ([`FaultRun`], [`harness`]).
 //! * [`epochs`] — VRF-ranked leader failover: crash or equivocate the
 //!   unification leader and watch every miner deterministically agree on
 //!   the next-ranked fallback.
@@ -33,14 +32,12 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod corruption;
-pub mod driver;
 pub mod epochs;
 pub mod harness;
 pub mod plan;
 pub mod report;
 
 pub use corruption::{measure_corruption, CorruptionMeasurement};
-pub use driver::FaultyDriver;
 pub use epochs::{
     equivocation_detected, run_leader_faults, EpochFaultOutcome, EpochFaultReport, LeaderFaultPlan,
 };

@@ -2,8 +2,11 @@
 //!
 //! A [`FaultPlan`] is data, not behaviour: an optional run deadline and a
 //! list of [`FaultAction`]s pinned to simulated times — miner crashes and
-//! shard partitions. A plan draws no randomness, so two runs of the same
-//! `(plan, shard specs, runtime config)` triple are bit-identical.
+//! shard partitions. Both become `cshard_network::Blackouts` tables: a
+//! shard's partitions ([`FaultPlan::blackouts`]) and a miner's crashes
+//! ([`FaultPlan::downtime`]). A plan draws no randomness, so two runs of
+//! the same `(plan, shard specs, runtime config)` triple are
+//! bit-identical.
 
 use cshard_network::Blackouts;
 use cshard_primitives::{Error, ShardId, SimTime};
@@ -11,11 +14,12 @@ use cshard_primitives::{Error, ShardId, SimTime};
 /// One scheduled fault.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FaultAction {
-    /// Crash a miner at `at`: from then on its block-found ticks are
-    /// suppressed, which also stops its self-rescheduling chain — the
-    /// miner is simply gone. With `recover_at`, the wrapper restarts the
-    /// miner at that instant (its first post-recovery tick fires
-    /// immediately; subsequent ticks resume the driver's own process).
+    /// Crash a miner for `[at, recover_at)`: a block-found tick inside the
+    /// window is swallowed and the miner's next tick fires at the recovery
+    /// instant, after which its own Poisson process resumes. A window that
+    /// holds no tick changes nothing, and overlapping crashes of one miner
+    /// act as their union. Without `recover_at` the miner is down until
+    /// the plan deadline.
     CrashMiner {
         /// Shard whose miner crashes.
         shard: ShardId,
@@ -45,11 +49,12 @@ pub enum FaultAction {
 /// A full fault schedule for one run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
-    /// Hard stop: a faulted run that cannot finish (e.g. its only miner
-    /// crashed permanently) ends here instead of stalling, and the fault
-    /// report marks it timed out. `None` is only valid for plans whose
-    /// faults cannot prevent completion — [`FaultPlan::validate`] insists
-    /// on a deadline whenever a permanent crash is scheduled.
+    /// Hard stop, the run's horizon: a faulted run that cannot finish
+    /// (e.g. its only miner crashed permanently) ends here instead of
+    /// stalling, and the fault report marks it timed out. `None` is only
+    /// valid for plans whose faults cannot prevent completion —
+    /// [`FaultPlan::validate`] insists on a deadline whenever a permanent
+    /// crash is scheduled.
     pub deadline: Option<SimTime>,
     /// The scheduled faults.
     pub actions: Vec<FaultAction>,
@@ -57,8 +62,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// The empty plan: no faults, no deadline. A run under this plan is
-    /// bit-identical to `cshard_runtime::simulate` — the wrapper
-    /// schedules nothing and forwards everything.
+    /// bit-identical to `cshard_runtime::simulate`.
     pub fn none() -> Self {
         FaultPlan {
             deadline: None,
@@ -142,6 +146,23 @@ impl FaultPlan {
             _ => None,
         }))
     }
+
+    /// The downtime table this plan's crashes impose on `shard`'s `miner`:
+    /// one window per crash, overlaps merged. A permanent crash is down
+    /// until the deadline, and a crash at or after the deadline never
+    /// happens.
+    pub fn downtime(&self, shard: ShardId, miner: usize) -> Result<Blackouts, Error> {
+        let end = self.deadline.unwrap_or(SimTime::MAX);
+        Blackouts::new(self.actions.iter().filter_map(|a| match *a {
+            FaultAction::CrashMiner {
+                shard: s,
+                miner: m,
+                at,
+                recover_at,
+            } if s == shard && m == miner && at < end => Some((at, recover_at.unwrap_or(end))),
+            _ => None,
+        }))
+    }
 }
 
 #[cfg(test)]
@@ -157,6 +178,7 @@ mod tests {
         let plan = FaultPlan::none();
         assert_eq!(plan.validate(), Ok(()));
         assert!(plan.blackouts(ShardId::new(0)).expect("valid").is_empty());
+        assert!(plan.downtime(ShardId::new(0), 0).expect("valid").is_empty());
     }
 
     #[test]
@@ -171,6 +193,26 @@ mod tests {
             plan.blackouts(ShardId::new(2)),
             Blackouts::new([(ms(100), ms(200))])
         );
+    }
+
+    #[test]
+    fn downtime_merges_crashes_and_ends_permanent_ones_at_the_deadline() {
+        let s0 = ShardId::new(0);
+        let plan = FaultPlan::with_deadline(ms(10_000))
+            .with_crash(s0, 0, ms(100), Some(ms(5000)))
+            .with_crash(s0, 0, ms(200), Some(ms(300)))
+            .with_crash(s0, 1, ms(7000), None)
+            .with_crash(s0, 1, ms(10_000), Some(ms(12_000)));
+        assert_eq!(plan.validate(), Ok(()));
+        // A nested crash is the outer window alone.
+        assert_eq!(plan.downtime(s0, 0), Blackouts::new([(ms(100), ms(5000))]));
+        // Permanent: down until the deadline; at the deadline: never.
+        assert_eq!(
+            plan.downtime(s0, 1),
+            Blackouts::new([(ms(7000), ms(10_000))])
+        );
+        assert!(plan.downtime(s0, 2).expect("valid").is_empty());
+        assert!(plan.downtime(ShardId::new(1), 0).expect("valid").is_empty());
     }
 
     #[test]

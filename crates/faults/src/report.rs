@@ -2,25 +2,27 @@
 //!
 //! The ordinary [`cshard_runtime::RunReport`] stays exactly the
 //! fingerprinted surface it always was; everything fault-specific is
-//! accumulated inside the wrappers and read out here after the run.
+//! derived here after the run, from the drivers (swallowed ticks, whether
+//! the deadline cut them short) and from the plan (crash windows).
 
 use cshard_primitives::{ShardId, SimTime};
 
-/// Per-shard fault accounting, collected by one
-/// [`crate::FaultyDriver`].
+/// Per-shard fault accounting, derived by [`crate::run_with_faults`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardFaultStats {
     /// The shard these stats belong to.
     pub shard: ShardId,
     /// Block-found ticks suppressed because their miner was crashed.
     pub suppressed_blocks: usize,
-    /// Crash controls that fired.
+    /// Crash windows (a miner's overlapping crashes are one) that opened
+    /// before the shard's end: the run's completion, or the deadline for a
+    /// shard it cut short.
     pub crashes: usize,
-    /// Recovery controls that fired.
+    /// Crash windows that healed before the shard's end.
     pub recoveries: usize,
-    /// Per recovery, the miner's downtime: recovery instant minus crash
-    /// instant (the recovered miner's first tick fires at the recovery
-    /// instant, so this is also the gap in its block production).
+    /// Per recovery, in heal order, the miner's downtime: recovery instant
+    /// minus crash instant (a miner whose tick was swallowed ticks again at
+    /// the recovery instant, so this bounds the gap in its production).
     pub recovery_latencies: Vec<SimTime>,
     /// The plan deadline fired before the shard finished its workload.
     pub timed_out: bool,

@@ -2,15 +2,17 @@
 //!
 //! The paper's unification scheme assumes broadcasts eventually reach every
 //! miner (Sec. IV-C); the fault-injection subsystem needs the complement —
-//! spans during which a shard's traffic *cannot* complete. [`Blackouts`]
-//! is that rule written once, as a table of half-open windows
-//! `[from, until)`, and both consumers read it: block propagation
-//! ([`Blackouts::delivery`]: a broadcast that starts or lands inside a
-//! window reaches the shard only after the heal, plus the link delay) and
-//! crosslink settlement ([`Blackouts::heal`]: a flush or a migration apply
-//! inside a window defers to the heal). The table is a pure function of
-//! `t` — no state, no clocks — so partitioned runs replay bit-identically
-//! like everything else.
+//! spans during which a shard's traffic *cannot* complete, and during
+//! which a crashed miner cannot mine. [`Blackouts`] is that rule written
+//! once, as a table of half-open windows `[from, until)`, and three
+//! consumers read it: block propagation ([`Blackouts::delivery`]: a
+//! broadcast that starts or lands inside a window reaches the shard only
+//! after the heal, plus the link delay), crosslink settlement
+//! ([`Blackouts::heal`]: a flush or a migration apply inside a window
+//! defers to the heal) and a miner's downtime ([`Blackouts::heal`]: a
+//! block-found tick inside a window is swallowed and the next one fires at
+//! the heal). The table is a pure function of `t` — no state, no clocks —
+//! so faulted runs replay bit-identically like everything else.
 
 use cshard_primitives::{Error, SimTime};
 
@@ -60,6 +62,11 @@ impl Blackouts {
     /// Whether the table blacks out nothing.
     pub fn is_empty(&self) -> bool {
         self.windows.is_empty()
+    }
+
+    /// The windows, sorted by start time, overlaps merged.
+    pub fn windows(&self) -> &[(SimTime, SimTime)] {
+        &self.windows
     }
 
     /// The end of the window containing `t`, if one does.

@@ -31,8 +31,11 @@
 //!
 //! Propagation is governed by the run's [`PropagationModel`]: the legacy
 //! fixed conflict window (bit-identical to the pre-refactor simulator) or
-//! explicit [`Event::BlockDelivered`] events at the delivery time the
-//! network model draws when the block confirms.
+//! the delivery time the network model draws when the block confirms — a
+//! time, not an event: a contended block found before it is stale.
+//!
+//! A crashed miner is its Poisson process switched off for a span: a tick
+//! inside its downtime ([`ContractShardDriver::set_downtime`]) is swallowed.
 //!
 //! Once a shard has confirmed everything it keeps mining until the run's
 //! last shard finishes, and at stream scale those idle ticks are almost
@@ -52,6 +55,7 @@ use crate::report::{RunReport, ShardReport};
 use cshard_crypto::Prf;
 use cshard_games::dynamics::{BestReplyDynamics, SelectInput};
 use cshard_games::selection::SelectionConfig;
+use cshard_network::Blackouts;
 use cshard_primitives::{Error, ShardId, SimTime};
 use cshard_settle::SettleConfig;
 use cshard_sim::{SchedulerConfig, SimRng};
@@ -109,8 +113,8 @@ pub struct RuntimeConfig {
     /// [`PropagationModel::Window`] is the legacy fixed conflict window
     /// (drives Table I's plateau; irrelevant for one-miner shards);
     /// [`PropagationModel::Network`] draws each confirming block's
-    /// delivery time and materializes it as an [`Event::BlockDelivered`]
-    /// event.
+    /// delivery time, before which the shard's other miners mine stale
+    /// blocks.
     pub propagation: PropagationModel,
     /// Count empty blocks only up to this time (Sec. VI-C1 counts over a
     /// fixed 212 s window). `None` counts until the run completes.
@@ -332,8 +336,7 @@ pub fn shard_stream(seed: u64, shard: ShardId) -> SimRng {
 
 /// One shard of the contract-centric scheme as a [`ProtocolDriver`]: its
 /// chain state and its miners' private RNG streams, driven by
-/// [`Event::BlockFound`] ticks (plus [`Event::BlockDelivered`] under
-/// latency propagation). The driver never reads another shard's state,
+/// [`Event::BlockFound`] ticks. The driver never reads another shard's state,
 /// which is what makes the harness's executor safe. It keeps only what its
 /// strategy reads: a greedy shard is a count (see the module docs).
 pub struct ContractShardDriver {
@@ -354,8 +357,14 @@ pub struct ContractShardDriver {
     empty_blocks: usize,
     stale_blocks: usize,
     last_confirmation: Option<SimTime>,
-    /// Latest pending delivery horizon (latency propagation only).
+    /// The latest delivery time drawn so far (network propagation only):
+    /// a contended block found before it is stale.
     latest_visible: Option<SimTime>,
+    /// Per-miner downtime ([`ContractShardDriver::set_downtime`]); empty,
+    /// and unallocated, for a shard whose miners never crash.
+    downtime: Vec<Blackouts>,
+    /// Ticks swallowed because their miner was down.
+    suppressed: usize,
 }
 
 impl ContractShardDriver {
@@ -390,7 +399,36 @@ impl ContractShardDriver {
             stale_blocks: 0,
             last_confirmation: None,
             latest_visible: None,
+            downtime: Vec::new(),
+            suppressed: 0,
         })
+    }
+
+    /// Installs `miner`'s downtime, replacing any earlier table: a tick
+    /// inside one of its windows is swallowed and the miner's next tick
+    /// fires at the heal (chained through touching windows) with no RNG
+    /// draw, so a window that holds no tick changes nothing. Overlapping
+    /// windows act as their union, as in every [`Blackouts`].
+    ///
+    /// Errors (`field: "downtime"`) for a miner the shard does not have.
+    pub fn set_downtime(&mut self, miner: usize, downtime: Blackouts) -> Result<(), Error> {
+        let miners = self.miner_rngs.len();
+        if miner >= miners {
+            return Err(Error::Config {
+                field: "downtime",
+                reason: format!("miner {miner} on {}, which has {miners} miners", self.shard),
+            });
+        }
+        if self.downtime.is_empty() {
+            self.downtime = vec![Blackouts::default(); miners];
+        }
+        self.downtime[miner] = downtime;
+        Ok(())
+    }
+
+    /// Ticks swallowed so far because their miner was down.
+    pub fn suppressed_ticks(&self) -> usize {
+        self.suppressed
     }
 
     /// How many of the shard's transactions have confirmed. A greedy
@@ -408,10 +446,9 @@ impl ContractShardDriver {
     }
 
     /// Processes one block-found event: pack the miner's block, classify
-    /// it (useful / empty / stale) and apply confirmations. Under
-    /// delivery-scheduling propagation a confirming block returns the time
-    /// its [`Event::BlockDelivered`] is due; the caller schedules it.
-    fn on_block_found(&mut self, now: SimTime, miner: usize) -> Option<SimTime> {
+    /// it (useful / empty / stale) and apply confirmations. Under network
+    /// propagation a confirming block draws its delivery time.
+    fn on_block_found(&mut self, now: SimTime, miner: usize) {
         self.blocks += 1;
         let (packed, newly, contended_stale) = match &mut self.equilibrium {
             None => {
@@ -464,15 +501,16 @@ impl ContractShardDriver {
         }
 
         // Under network-backed propagation (latency or partition), a
-        // confirming block's visibility is an explicit delivery event. The
-        // RNG draw happens only when a delivery is materialized, so
-        // window-model trajectories stay bit-identical to the pre-refactor
-        // simulator.
-        if newly == 0 || !self.config.propagation.schedules_deliveries() {
-            return None;
+        // confirming block's visibility is its delivery time. The RNG draw
+        // happens only under that model, so window-model trajectories stay
+        // bit-identical to the pre-refactor simulator.
+        if newly == 0 {
+            return;
         }
-        let u = self.prop_rng.unit();
-        let delivered = self.config.propagation.delivery_time(now, u)?;
+        let (propagation, rng) = (&self.config.propagation, &mut self.prop_rng);
+        let Some(delivered) = propagation.delivery_time(now, rng) else {
+            return;
+        };
         if let Some(eq) = &mut self.equilibrium {
             for &tx in &eq.candidate {
                 if eq.confirmed[tx] == Some((now, miner)) {
@@ -481,12 +519,23 @@ impl ContractShardDriver {
             }
         }
         self.latest_visible = Some(self.latest_visible.map_or(delivered, |v| v.max(delivered)));
-        Some(delivered)
     }
 
     /// The miner's next tick after `now`.
     fn next_tick(&mut self, now: SimTime, miner: usize) -> SimTime {
         now.saturating_add(self.miner_rngs[miner].exp_delay(self.config.mean_block_interval))
+    }
+
+    /// Handles `miner`'s tick at `now` and returns when its next one fires:
+    /// a down miner's tick is swallowed and the next fires at the heal;
+    /// otherwise its block is mined and the next tick drawn.
+    fn tick(&mut self, now: SimTime, miner: usize) -> SimTime {
+        if let Some(heal) = self.downtime.get(miner).and_then(|down| down.heal(now)) {
+            self.suppressed += 1;
+            return heal;
+        }
+        self.on_block_found(now, miner);
+        self.next_tick(now, miner)
     }
 }
 
@@ -502,20 +551,8 @@ impl ProtocolDriver for ContractShardDriver {
         match ev {
             // A miner the shard does not have is an event it never scheduled.
             Event::BlockFound { miner } if miner < self.miner_rngs.len() => {
-                // The delivery goes in first: ties fire in insertion order.
-                if let Some(delivered) = self.on_block_found(now, miner) {
-                    ctx.schedule(delivered, Event::BlockDelivered { origin: miner });
-                }
-                let next = self.next_tick(now, miner);
+                let next = self.tick(now, miner);
                 ctx.schedule(next, Event::BlockFound { miner });
-                Ok(())
-            }
-            Event::BlockDelivered { .. } => {
-                // Visibility is time-keyed; once the latest delivery has
-                // fired, clear the horizon so the stale check short-circuits.
-                if self.latest_visible.is_some_and(|v| v <= now) {
-                    self.latest_visible = None;
-                }
                 Ok(())
             }
             other => Err(Error::UnexpectedEvent {
@@ -537,9 +574,9 @@ impl ProtocolDriver for ContractShardDriver {
     /// With nothing left unconfirmed a tick's classification depends only
     /// on `(now, miner)` and only bumps counters, so the miners' ticks may
     /// be replayed in any order: each popped `BlockFound` runs its miner's
-    /// ticks here — one [`SimRng::exp_delay`] draw and one
-    /// `on_block_found` each — and puts back only the first tick at or
-    /// after `completion`. Every tick counts as one event and other events
+    /// ticks here — each one swallowed inside the miner's downtime, or one
+    /// `on_block_found` and one [`SimRng::exp_delay`] draw — and puts back
+    /// only the first tick at or after `completion`. Every tick counts as one event and other events
     /// go through `on_event`, so the count matches the event-by-event
     /// default.
     fn idle_turn(&mut self, ctx: &mut Ctx, completion: SimTime) -> Result<usize, Error> {
@@ -549,9 +586,7 @@ impl ProtocolDriver for ContractShardDriver {
             match ev {
                 // A tick of a miner the shard lacks falls to `on_event`'s error.
                 Event::BlockFound { miner } if self.unconfirmed == 0 && miner < miners => loop {
-                    let delivered = self.on_block_found(now, miner);
-                    debug_assert_eq!(delivered, None, "a finished shard confirms nothing");
-                    let next = self.next_tick(now, miner);
+                    let next = self.tick(now, miner);
                     if next >= completion {
                         ctx.schedule(next, Event::BlockFound { miner });
                         break;
@@ -859,7 +894,8 @@ mod tests {
 
     /// A tick for a miner the shard does not have is an event the driver
     /// never schedules: a typed error in the event loop and in the idle
-    /// drain's fast path alike, not an out-of-bounds index.
+    /// drain's fast path alike, not an out-of-bounds index, and so is that
+    /// miner's downtime.
     #[test]
     fn ghost_miner_tick_is_rejected_not_panicked() {
         let ghost = Event::BlockFound { miner: 5 };
@@ -884,6 +920,15 @@ mod tests {
         ctx.schedule(SimTime::from_secs(1), ghost);
         assert!(rejected(driver.idle_turn(&mut ctx, SimTime::from_secs(2))));
         assert_eq!(driver.report(0, Duration::ZERO).blocks, 0);
+        // Nor can a ghost miner be taken down.
+        let down = driver.set_downtime(5, Blackouts::default());
+        assert!(matches!(
+            down,
+            Err(Error::Config {
+                field: "downtime",
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -941,7 +986,8 @@ mod tests {
     #[test]
     fn instant_latency_matches_zero_window_trajectory() {
         // With zero delivery delay nothing ever conflicts, exactly like a
-        // zero conflict window; only the explicit delivery events differ.
+        // zero conflict window, and a delivery is a time, not an event: the
+        // two runs are one trajectory.
         let zero_window = RuntimeConfig {
             propagation: PropagationModel::Window(SimTime::ZERO),
             ..cfg(5)
@@ -952,8 +998,7 @@ mod tests {
         assert_eq!(w.shards[0].confirmed, l.shards[0].confirmed);
         assert_eq!(w.shards[0].blocks, l.shards[0].blocks);
         assert_eq!(w.shards[0].stale_blocks, l.shards[0].stale_blocks);
-        // Latency mode materializes a delivery event per confirming block.
-        assert!(l.shards[0].events_processed > w.shards[0].events_processed);
+        assert_eq!(w.fingerprint(), l.fingerprint());
     }
 
     #[test]

@@ -20,22 +20,11 @@ pub enum Event {
         /// Driver-scoped transaction index.
         tx: usize,
     },
-    /// A miner of this shard solved a block (the Poisson process tick).
+    /// A miner of this shard solved a block (the Poisson process tick), or
+    /// was down ([`crate::ContractShardDriver::set_downtime`]).
     BlockFound {
         /// Local miner index within the shard.
         miner: usize,
-    },
-    /// A previously found block finished propagating: its confirmations
-    /// are now visible to every miner of the shard. Only scheduled under
-    /// [`crate::PropagationModel::Network`], at the delivery time drawn
-    /// when the block confirmed; visibility is read from that time, so the
-    /// handler only clears a cache. The legacy
-    /// [`crate::PropagationModel::Window`] keeps visibility implicit in
-    /// the conflict-window rule and schedules no delivery events (which
-    /// is what keeps pre-refactor run fingerprints bit-identical).
-    BlockDelivered {
-        /// Local index of the miner whose block was delivered.
-        origin: usize,
     },
     /// An epoch boundary (parameter unification broadcast, batch
     /// injection, …). The equilibrium selection game intentionally does
@@ -76,16 +65,6 @@ pub enum Event {
     Migration {
         /// Index into the driver's migration schedule.
         slot: usize,
-    },
-    /// A fault-plan control point (crash, recovery, partition heal,
-    /// deadline, …) fires. Scheduled and consumed exclusively by the
-    /// fault-injection wrapper (`cshard-faults`); protocol drivers never
-    /// see one — the wrapper intercepts its own control events before
-    /// forwarding, so a `Fault` reaching a plain driver is a malformed
-    /// stream and is rejected like any other foreign event.
-    Fault {
-        /// Index into the fault plan's action schedule (wrapper-scoped).
-        action: usize,
     },
 }
 

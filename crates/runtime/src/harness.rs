@@ -86,9 +86,9 @@ impl RunSchedStats {
 pub struct RunOutcome<D> {
     /// The standard run report (the fingerprinted surface).
     pub report: RunReport,
-    /// The finished drivers, in input order. Wrappers that accumulate
-    /// extra per-shard state during the run — the fault-injection layer's
-    /// `FaultyDriver` is the canonical case — read it back out of these.
+    /// The finished drivers, in input order. Callers read per-shard state
+    /// the report does not carry back out of these (settled batches,
+    /// swallowed ticks, whether a driver ended at the horizon not done).
     pub drivers: Vec<D>,
     /// Every driver's communication counter, summed in driver order onto
     /// the one given to [`RunBuilder::comm_stats`] (Fig. 4(b)).
@@ -101,8 +101,8 @@ pub struct RunOutcome<D> {
     pub settle: SettleStats,
 }
 
-// Manual impl: drivers are often not Debug (trait objects, fault
-// wrappers); summarize them by count instead of bounding `D`.
+// Manual impl: drivers are often not Debug (trait objects, boxed
+// stacks); summarize them by count instead of bounding `D`.
 impl<D> std::fmt::Debug for RunOutcome<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RunOutcome")
@@ -136,6 +136,7 @@ impl<D> std::fmt::Debug for RunOutcome<D> {
 pub struct RunBuilder<'obs> {
     config: SchedulerConfig,
     comm: CommStats,
+    horizon: Option<SimTime>,
     observer: Option<&'obs mut dyn RunObserver>,
 }
 
@@ -154,6 +155,15 @@ impl<'obs> RunBuilder<'obs> {
         self
     }
 
+    /// The run-level horizon: phase 1 pops no event at or after it, and a
+    /// driver with nothing queued before it ends its turn not
+    /// [`ProtocolDriver::done`] (timed out) instead of stalling. `None`,
+    /// the default, runs every driver to done.
+    pub fn horizon(mut self, horizon: Option<SimTime>) -> Self {
+        self.horizon = horizon;
+        self
+    }
+
     /// Installs per-phase hooks for the run (bench-side wall timing).
     pub fn observer(mut self, observer: &'obs mut dyn RunObserver) -> Self {
         self.observer = Some(observer);
@@ -165,7 +175,7 @@ impl<'obs> RunBuilder<'obs> {
     /// driver order given here.
     ///
     /// Errors when a driver's event stream is malformed: the driver
-    /// reports unfinished work with an empty queue
+    /// reports unfinished work with an empty queue and no horizon is set
     /// ([`Error::StalledDriver`], whose payload carries the stall's
     /// simulated time and the last event handled) or an `on_event` hook
     /// rejects an event ([`Error::UnexpectedEvent`]). The event loop
@@ -174,9 +184,10 @@ impl<'obs> RunBuilder<'obs> {
         let RunBuilder {
             config,
             mut comm,
+            horizon,
             observer,
         } = self;
-        let (report, drivers, sched) = execute(config, &mut comm, observer, drivers)?;
+        let (report, drivers, sched) = execute(config, &mut comm, horizon, observer, drivers)?;
         let mut settle = SettleStats::new();
         for stats in drivers.iter().filter_map(|d| d.settle_stats()) {
             settle.merge(&stats);
@@ -199,8 +210,9 @@ impl<'obs> RunBuilder<'obs> {
 /// bit-identical results. The run has two phases, exactly as the
 /// pre-refactor simulator had:
 ///
-/// 1. **Active** — each driver runs until [`ProtocolDriver::done`]; the
-///    driver finishing last sets the run's global completion time.
+/// 1. **Active** — each driver runs until [`ProtocolDriver::done`], or
+///    until the [`RunBuilder::horizon`] when one is set; the driver
+///    finishing last sets the run's global completion time.
 /// 2. **Idle drain** — drivers that finished early replay their pending
 ///    events strictly before the global completion time, so idle-mining
 ///    (empty/stale block) accounting matches a fully serialized run. A
@@ -222,11 +234,12 @@ pub struct Runtime;
 
 impl Runtime {
     /// The fluent launch surface: configure scheduler, communication
-    /// counter and observer, then [`RunBuilder::run`].
+    /// counter, horizon and observer, then [`RunBuilder::run`].
     pub fn builder<'obs>() -> RunBuilder<'obs> {
         RunBuilder {
             config: SchedulerConfig::default(),
             comm: CommStats::new(),
+            horizon: None,
             observer: None,
         }
     }
@@ -236,6 +249,7 @@ impl Runtime {
 fn execute<D: ProtocolDriver + 'static>(
     config: SchedulerConfig,
     comm: &mut CommStats,
+    horizon: Option<SimTime>,
     mut observer: Option<&mut dyn RunObserver>,
     drivers: Vec<D>,
 ) -> Result<(RunReport, Vec<D>, RunSchedStats), Error> {
@@ -262,8 +276,8 @@ fn execute<D: ProtocolDriver + 'static>(
         });
     }
 
-    // Phase 1: admit drivers with unfinished work; each runs to `done()`
-    // in one turn.
+    // Phase 1: admit drivers with unfinished work; each runs to `done()`,
+    // or to the horizon, in one turn.
     if let Some(obs) = observer.as_deref_mut() {
         obs.phase_started(RunPhase::Active);
     }
@@ -274,6 +288,10 @@ fn execute<D: ProtocolDriver + 'static>(
             let start = Instant::now();
             let outcome = loop {
                 if t.driver.done() {
+                    break Ok(Turn::Done);
+                }
+                if horizon.is_some_and(|h| t.queue.next_time().is_none_or(|at| at >= h)) {
+                    // Timed out: the turn ends with the driver not done.
                     break Ok(Turn::Done);
                 }
                 let Some((now, ev)) = t.queue.pop() else {
@@ -304,7 +322,8 @@ fn execute<D: ProtocolDriver + 'static>(
         obs.phase_finished(RunPhase::Active, &active);
     }
 
-    // Global completion = the last confirmation anywhere.
+    // Global completion = the last confirmation anywhere (before any
+    // horizon: phase 1 popped nothing at or after it).
     let completion = tasks
         .iter()
         .filter_map(|t| t.driver.completion())
@@ -514,6 +533,21 @@ mod tests {
         );
         assert!(err.to_string().contains("no further events"));
         assert!(err.to_string().contains("no event was ever handled"));
+    }
+
+    /// Under a horizon, phase 1 pops nothing at or after it, and a driver
+    /// with nothing queued before it ends its turn not done instead of
+    /// stalling.
+    #[test]
+    fn horizon_ends_unfinished_drivers_without_a_stall() {
+        let outcome = Runtime::builder()
+            .horizon(Some(SimTime::from_millis(20)))
+            .run(vec![ticker(0, 1), ticker(1, 7)])
+            .expect("a horizon is not a stall");
+        assert!(outcome.drivers[0].done() && !outcome.drivers[1].done());
+        // The tick at exactly 20 ms stays queued.
+        assert_eq!(outcome.report.shards[1].events_processed, 1);
+        assert_eq!(outcome.report.completion, SimTime::from_millis(10));
     }
 
     /// Regression: a stall after some progress reports the simulated time

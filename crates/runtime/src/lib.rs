@@ -6,8 +6,8 @@
 //! process. This crate is that process, factored once:
 //!
 //! * [`Event`] — the typed event vocabulary every protocol shares
-//!   (transaction injection, block discovery, block delivery, epoch
-//!   advancement, cross-shard validation rounds);
+//!   (transaction injection, block discovery, epoch advancement,
+//!   cross-shard validation rounds, settlement flushes, migrations);
 //! * [`ProtocolDriver`] — the per-shard protocol state machine. A driver
 //!   owns one shard's state and reacts to events through
 //!   [`ProtocolDriver::on_event`] (the harness's idle drain hands it one
@@ -20,19 +20,19 @@
 //! * [`PropagationModel`] — how a found block becomes visible to the
 //!   shard's other miners: the legacy fixed conflict window
 //!   ([`PropagationModel::Window`], bit-identical to the pre-refactor
-//!   simulator) or explicit [`Event::BlockDelivered`] events at delivery
-//!   times drawn from a [`cshard_network::LatencyModel`] and deferred past
+//!   simulator) or delivery times drawn from a
+//!   [`cshard_network::LatencyModel`] and deferred past
 //!   [`cshard_network::Blackouts`] ([`PropagationModel::Network`]);
 //! * [`Runtime`] — the two-phase harness that runs one driver per shard
 //!   on the shard-lifecycle scheduler (`cshard_sim::WorkScheduler`; at
 //!   `threads > 1` its helpers are process-wide parked threads, so driver
 //!   types must be `'static`) and assembles the [`RunReport`]. Runs launch
 //!   through the fluent [`Runtime::builder`] ([`RunBuilder`]), which
-//!   threads a [`SchedulerConfig`] (worker count) and an optional
-//!   [`RunObserver`] through both phases and sums the drivers'
-//!   communication counters into [`RunOutcome::comm`]. All host wall-clock
-//!   reads live here, behind the report layer — drivers are replayable
-//!   pure functions of their event streams.
+//!   threads a [`SchedulerConfig`] (worker count), an optional horizon
+//!   and an optional [`RunObserver`] through both phases and sums the
+//!   drivers' communication counters into [`RunOutcome::comm`]. All host
+//!   wall-clock reads live here, behind the report layer — drivers are
+//!   replayable pure functions of their event streams.
 //!
 //! The concrete driver for the paper's protocols lives here too:
 //! [`ContractShardDriver`] (one shard of the contract-centric scheme or,
@@ -44,9 +44,9 @@
 //! [`ContractShardDriver`] with batched crosslink settlement and a
 //! hot-account migration schedule, both riding on a [`CrosslinkChannel`]
 //! — the one place a `cshard_settle::SettlementBatcher` meets the event
-//! loop, shared with the ChainSpace driver's batched mode. Fault
-//! injection (`cshard-faults`' generic `FaultyDriver`) wraps whichever of
-//! these a run uses.
+//! loop, shared with the ChainSpace driver's batched mode. A crashed miner
+//! is a downtime table on its driver, not a layer
+//! ([`ContractShardDriver::set_downtime`]); `cshard-faults` sets it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -2,6 +2,7 @@
 
 use cshard_network::{Blackouts, LatencyModel};
 use cshard_primitives::SimTime;
+use cshard_sim::SimRng;
 
 /// The block-propagation regime of a run.
 ///
@@ -13,15 +14,14 @@ use cshard_primitives::SimTime;
 pub enum PropagationModel {
     /// The legacy fixed conflict window: a block found within this span
     /// of a competing confirmation sees the pre-confirmation queue. No
-    /// delivery events are scheduled — visibility is a pure time check —
-    /// so runs under this model are bit-identical to the pre-refactor
-    /// simulator (the golden fingerprints assert exactly that).
+    /// delivery time is drawn — visibility is a pure time check — so runs
+    /// under this model are bit-identical to the pre-refactor simulator
+    /// (the golden fingerprints assert exactly that).
     Window(SimTime),
     /// Network-backed propagation: when a block confirms, its delivery
     /// time is drawn once — the latency model's link delay, deferred past
-    /// any blackout window it starts or lands in — and materialized as an
-    /// [`crate::Event::BlockDelivered`] event. Until that time the other
-    /// miners keep mining against the pre-confirmation queue. A plain
+    /// any blackout window it starts or lands in. Until that time the
+    /// other miners keep mining against the pre-confirmation queue. A plain
     /// latency network has no blackouts; the fault harness adds its
     /// plan's partitions here.
     Network {
@@ -33,24 +33,17 @@ pub enum PropagationModel {
 }
 
 impl PropagationModel {
-    /// When a block broadcast at `now` reaches the whole shard, given a
-    /// uniform draw `u ∈ [0, 1)` — or `None` under the legacy window
-    /// model, which schedules no delivery events at all. Callers must
-    /// only burn an RNG draw when this can return `Some`, so window-model
-    /// trajectories stay bit-identical to the pre-refactor simulator.
-    pub fn delivery_time(&self, now: SimTime, u: f64) -> Option<SimTime> {
+    /// When a block broadcast at `now` reaches the whole shard, its link
+    /// delay drawn from `rng` — or `None` under the legacy window model,
+    /// which draws nothing, so window-model trajectories stay
+    /// bit-identical to the pre-refactor simulator.
+    pub fn delivery_time(&self, now: SimTime, rng: &mut SimRng) -> Option<SimTime> {
         match self {
             PropagationModel::Window(_) => None,
             PropagationModel::Network { latency, blackouts } => {
-                Some(blackouts.delivery(now, latency.delay(u)))
+                Some(blackouts.delivery(now, latency.delay(rng.unit())))
             }
         }
-    }
-
-    /// Whether this model materializes deliveries as events (everything
-    /// except the legacy window).
-    pub fn schedules_deliveries(&self) -> bool {
-        !matches!(self, PropagationModel::Window(_))
     }
 }
 
@@ -65,21 +58,25 @@ mod tests {
         }
     }
 
+    fn rng() -> SimRng {
+        SimRng::new(7)
+    }
+
     #[test]
     fn window_schedules_no_deliveries() {
         let w = PropagationModel::Window(SimTime::from_secs(60));
-        assert_eq!(w.delivery_time(SimTime::from_secs(5), 0.5), None);
-        assert!(!w.schedules_deliveries());
+        let mut drawn = rng();
+        assert_eq!(w.delivery_time(SimTime::from_secs(5), &mut drawn), None);
+        assert_eq!(drawn.below(u64::MAX), rng().below(u64::MAX));
     }
 
     #[test]
     fn latency_delivery_is_now_plus_delay() {
         let m = network(LatencyModel::constant(SimTime::from_millis(250)), &[]);
         assert_eq!(
-            m.delivery_time(SimTime::from_secs(1), 0.0),
+            m.delivery_time(SimTime::from_secs(1), &mut rng()),
             Some(SimTime::from_millis(1250))
         );
-        assert!(m.schedules_deliveries());
     }
 
     #[test]
@@ -89,7 +86,7 @@ mod tests {
             &[(SimTime::from_millis(1000), SimTime::from_millis(5000))],
         );
         assert_eq!(
-            p.delivery_time(SimTime::from_millis(2000), 0.0),
+            p.delivery_time(SimTime::from_millis(2000), &mut rng()),
             Some(SimTime::from_millis(5100))
         );
     }

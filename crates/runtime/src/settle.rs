@@ -214,6 +214,17 @@ impl SettlingShardDriver {
         self.channel.set_blackouts(dest, blackouts);
     }
 
+    /// Installs `miner`'s downtime (see
+    /// [`ContractShardDriver::set_downtime`]).
+    pub fn set_downtime(&mut self, miner: usize, downtime: Blackouts) -> Result<(), Error> {
+        self.inner.set_downtime(miner, downtime)
+    }
+
+    /// Ticks swallowed so far because their miner was down.
+    pub fn suppressed_ticks(&self) -> usize {
+        self.inner.suppressed_ticks()
+    }
+
     /// Every batch settled so far, in flush order.
     pub fn settled_batches(&self) -> &[Batch] {
         self.channel.settled_batches()

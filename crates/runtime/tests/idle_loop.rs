@@ -1,12 +1,12 @@
 //! `ContractShardDriver`'s closed-loop idle drain against the reference:
 //! the trait's event-by-event `idle_turn` default, reached through a
-//! wrapper that forwards every other method.
+//! wrapper that forwards every other method the driver implements.
 
 use cshard_network::{Blackouts, CommStats, LatencyModel};
 use cshard_primitives::{Error, ShardId, SimTime};
 use cshard_runtime::{
     ContractShardDriver, Ctx, Event, PropagationModel, ProtocolDriver, RunOutcome, Runtime,
-    RuntimeConfig, SchedulerConfig, SelectionStrategy, SettleStats, ShardReport, ShardSpec,
+    RuntimeConfig, SchedulerConfig, SelectionStrategy, ShardReport, ShardSpec,
 };
 use cshard_sim::EventQueue;
 use std::time::Duration;
@@ -30,9 +30,6 @@ impl ProtocolDriver for EventByEvent {
     }
     fn report(&self, events: usize, wall: Duration) -> ShardReport {
         self.0.report(events, wall)
-    }
-    fn settle_stats(&self) -> Option<SettleStats> {
-        self.0.settle_stats()
     }
 }
 
@@ -93,13 +90,38 @@ fn propagations(interval: SimTime) -> Vec<PropagationModel> {
     ]
 }
 
+/// No crashes, or downtime for every shard's first two miners: miner 0
+/// down before, across and after the busy shards' completions, miner 1
+/// over a touching pair. The zero-transaction shards idle from the first
+/// tick, so every tick they swallow is swallowed in phase 2.
+fn downtimes(interval: SimTime) -> Vec<Vec<Blackouts>> {
+    let half = |k: u64| SimTime::from_millis(k * interval.as_millis() / 2);
+    let table = |windows: &[(u64, u64)]| {
+        Blackouts::new(windows.iter().map(|&(a, b)| (half(a), half(b)))).expect("valid windows")
+    };
+    let down = vec![
+        table(&[(1, 4), (6, 16), (80, 100)]),
+        table(&[(2, 8), (8, 10)]),
+    ];
+    vec![Vec::new(), down]
+}
+
 fn run<D: ProtocolDriver + 'static>(
     config: &RuntimeConfig,
+    downtime: &[Blackouts],
     wrap: impl Fn(ContractShardDriver) -> D,
 ) -> RunOutcome<D> {
     let drivers = specs()
         .iter()
-        .map(|spec| wrap(ContractShardDriver::new(spec, config).expect("valid test spec")))
+        .map(|spec| {
+            let mut driver = ContractShardDriver::new(spec, config).expect("valid test spec");
+            for (miner, table) in downtime.iter().enumerate().take(spec.miners) {
+                driver
+                    .set_downtime(miner, table.clone())
+                    .expect("a miner the shard has");
+            }
+            wrap(driver)
+        })
         .collect();
     Runtime::builder()
         .scheduler(config.scheduler)
@@ -133,18 +155,22 @@ fn fields(
 }
 
 /// The closed loop replays the same ticks as the event path: identical
-/// fingerprints, shard reports and scheduler statistics across
-/// strategies, miner counts, propagation models, empty-block windows and
-/// thread counts — including 1–3 ms intervals, where millisecond rounding
-/// puts ticks exactly on the completion time.
+/// fingerprints, shard reports, swallowed-tick counts and scheduler
+/// statistics across strategies, miner counts, propagation models,
+/// empty-block windows, miner downtime and thread counts — including 1–3
+/// ms intervals, where millisecond rounding puts ticks exactly on the
+/// completion time.
 #[test]
 fn closed_loop_idle_drain_equals_the_event_path() {
-    let (mut runs, mut idle_empty, mut idle_stale) = (0, 0, 0);
+    let (mut runs, mut idle_empty, mut idle_stale, mut idle_swallowed) = (0, 0, 0, 0);
     for interval_ms in [1, 2, 3, 60_000] {
         let interval = SimTime::from_millis(interval_ms);
         for (p, propagation) in propagations(interval).into_iter().enumerate() {
             for empty_block_window in [None, Some(SimTime::from_millis(4 * interval_ms))] {
-                for threads in [1, 2, 4] {
+                for (threads, downtime) in [1, 2, 4]
+                    .into_iter()
+                    .flat_map(|threads| downtimes(interval).into_iter().map(move |d| (threads, d)))
+                {
                     let config = RuntimeConfig {
                         mean_block_interval: interval,
                         propagation: propagation.clone(),
@@ -153,9 +179,9 @@ fn closed_loop_idle_drain_equals_the_event_path() {
                         scheduler: SchedulerConfig::new(threads),
                         ..RuntimeConfig::default()
                     };
-                    let reference = run(&config, EventByEvent);
-                    let closed = run(&config, |d| d);
-                    let case = format!("{config:?}");
+                    let reference = run(&config, &downtime, EventByEvent);
+                    let closed = run(&config, &downtime, |d| d);
+                    let case = format!("{config:?} {downtime:?}");
                     assert_eq!(
                         closed.report.fingerprint(),
                         reference.report.fingerprint(),
@@ -165,8 +191,16 @@ fn closed_loop_idle_drain_equals_the_event_path() {
                     for (c, r) in closed.report.shards.iter().zip(&reference.report.shards) {
                         assert_eq!(fields(c), fields(r), "{case}");
                     }
+                    for (c, r) in closed.drivers.iter().zip(&reference.drivers) {
+                        assert_eq!(c.suppressed_ticks(), r.0.suppressed_ticks(), "{case}");
+                    }
                     assert_eq!(closed.sched, reference.sched, "{case}");
                     runs += 1;
+                    // The zero-transaction shards mine only in phase 2.
+                    idle_swallowed += closed.drivers[4..]
+                        .iter()
+                        .map(|d| d.suppressed_ticks())
+                        .sum::<usize>();
                     if closed.sched.idle_drain.scheduled > 0 {
                         idle_empty += closed.report.total_empty_blocks();
                         idle_stale += closed.report.total_stale_blocks();
@@ -175,11 +209,11 @@ fn closed_loop_idle_drain_equals_the_event_path() {
             }
         }
     }
-    assert_eq!(runs, 4 * 4 * 2 * 3);
-    // The grid reaches both idle classifications.
+    assert_eq!(runs, 4 * 4 * 2 * 3 * 2);
+    // The grid reaches both idle classifications, and swallows idle ticks.
     assert!(
-        idle_empty > 0 && idle_stale > 0,
-        "{idle_empty} / {idle_stale}"
+        idle_empty > 0 && idle_stale > 0 && idle_swallowed > 0,
+        "{idle_empty} / {idle_stale} / {idle_swallowed}"
     );
 }
 

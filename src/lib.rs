@@ -87,8 +87,7 @@ pub mod prelude {
     pub use cshard_core::{EpochManager, LongRun, LongRunConfig};
     pub use cshard_crypto::{sha256, RandomnessBeacon, Vrf};
     pub use cshard_faults::{
-        measure_corruption, run_leader_faults, run_with_faults, FaultPlan, FaultyDriver,
-        LeaderFaultPlan, Traffic,
+        measure_corruption, run_leader_faults, run_with_faults, FaultPlan, LeaderFaultPlan, Traffic,
     };
     pub use cshard_games::{
         best_reply_equilibrium, iterative_merge, GameInputs, MergingConfig, SelectionConfig,

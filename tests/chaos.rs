@@ -229,7 +229,7 @@ fn faulted_shards_heal_and_finish_their_workload() {
         ..RuntimeConfig::default()
     };
     // Crash and recovery must land inside the shard's active lifetime: a
-    // control scheduled past completion never fires (the run is over).
+    // crash window past completion never happens (the run is over).
     let plan = FaultPlan::none()
         .with_crash(
             ShardId::new(0),
