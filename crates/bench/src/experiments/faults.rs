@@ -11,7 +11,8 @@
 
 use crate::experiments::grid_scheduler;
 use crate::report::{ExperimentResult, Series};
-use cshard_faults::{measure_corruption, run_leader_faults, LeaderFaultPlan};
+use cshard_core::corruption::measure_corruption;
+use cshard_core::failover::{run_leader_faults, LeaderFaultPlan};
 use cshard_primitives::SimTime;
 
 /// Runs the faults grid. `quick` shrinks epoch counts for CI.

@@ -16,8 +16,11 @@
 //! analytic prediction — that is the chaos-suite assertion that ties the
 //! simulator back to the paper's Eq. (3)–(6) bounds.
 
-use cshard_core::pipeline::ClassifyStage;
-use cshard_core::EpochManager;
+// Fault machinery: typed errors, not panics (audit rule PH001).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use crate::epoch::EpochManager;
+use crate::pipeline::ClassifyStage;
 use cshard_crypto::{Prf, Vrf};
 use cshard_primitives::{Error, MinerId, ShardId};
 use cshard_security::{shard_safety, CorruptionThreshold};

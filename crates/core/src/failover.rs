@@ -3,14 +3,14 @@
 //!
 //! The paper's unification scheme (Sec. IV-C) hangs one epoch's parameters
 //! off a single VRF-elected leader. This module exercises the two ways that
-//! leader can fail and the deterministic recovery path of `cshard-core`'s
-//! leader schedule, `EpochManager::elect_skipping`. Only the schedule
+//! leader can fail and the deterministic recovery path of the leader
+//! schedule, [`EpochManager::elect_skipping`]. Only the schedule
 //! runs: which leader takes over depends on no transaction, so no
 //! workload is generated or classified here.
 //!
 //! * **Crash** — the leader never broadcasts. After a timeout every miner
 //!   advances to the next entry of the epoch's VRF ranking
-//!   (`EpochManager::leader_ranking`); all of them replay the same ranking,
+//!   ([`EpochManager::leader_ranking`]); all of them replay the same ranking,
 //!   so the fallback is agreed without a view-change protocol. Recovery
 //!   latency is `failover_depth × timeout`.
 //! * **Equivocation** — the leader broadcasts *two* conflicting parameter
@@ -18,7 +18,10 @@
 //!   mismatch for the same epoch is a transferable proof of misbehaviour,
 //!   the leader is treated as down, and the crash path takes over.
 
-use cshard_core::EpochManager;
+// Fault machinery: typed errors, not panics (audit rule PH001).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use crate::epoch::EpochManager;
 use cshard_games::{GameInputs, SelectionConfig, UnifiedParameters};
 use cshard_primitives::{Error, MinerId, ShardId, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
@@ -115,15 +118,6 @@ pub struct EpochFaultReport {
 }
 
 impl EpochFaultReport {
-    /// The deepest failover that occurred.
-    pub fn max_failover_depth(&self) -> usize {
-        self.outcomes
-            .iter()
-            .map(|o| o.failover_depth)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// The worst recovery latency that occurred.
     pub fn max_recovery_latency(&self) -> SimTime {
         self.outcomes
@@ -253,7 +247,7 @@ mod tests {
         let report = run_leader_faults(12, &base_plan(5)).expect("valid");
         assert_eq!(report.outcomes.len(), 5);
         assert_eq!(report.stalled_epochs, 0);
-        assert_eq!(report.max_failover_depth(), 0);
+        assert!(report.outcomes.iter().all(|o| o.failover_depth == 0));
         assert_eq!(report.max_recovery_latency(), SimTime::ZERO);
         assert!(report.outcomes.iter().all(|o| o.failover_verified));
     }

@@ -17,6 +17,10 @@
 //!   failover walk past a down set, and the epoch's [`MinerAssignment`]
 //!   from the leader's randomness and a pipeline plan. It holds no call
 //!   graph and classifies nothing.
+//! * [`failover`] — leader crashes and equivocation on that schedule,
+//!   recovered by VRF-ranked failover (Sec. IV-C).
+//! * [`corruption`] — Sec. IV-D measured: malicious majorities over real
+//!   assignment epochs against `cshard-security`'s Eq. (3)–(6).
 //! * [`system`] — [`system::ShardingSystem`]: the workload-level facade
 //!   over one cold pipeline epoch, with every stage optional so
 //!   experiments can ablate each mechanism; [`builder`] holds its
@@ -29,7 +33,8 @@
 //!   statistical model.
 //!
 //! The discrete-event simulator itself (typed events, the
-//! `ProtocolDriver` trait, the shared harness, run reports) lives in
+//! `ProtocolDriver` trait, the shared harness, run reports, and the
+//! block-production fault harness `cshard_runtime::faults`) lives in
 //! [`cshard_runtime`]; this crate re-exports the common pieces at its
 //! root.
 
@@ -38,7 +43,9 @@
 
 pub mod assignment;
 pub mod builder;
+pub mod corruption;
 pub mod epoch;
+pub mod failover;
 pub mod formation;
 pub mod longrun;
 pub mod node;
@@ -65,11 +72,8 @@ pub use system::{MinerAllocation, ShardingSystem, SystemBuilder, SystemConfig};
 
 /// The most commonly used items for driving the sharded system — import
 /// `cshard_core::prelude::*` instead of reaching into crate internals.
-///
-/// Fault-injection types (`FaultPlan`, `run_with_faults`, …) live one
-/// level *above* this crate (`cshard-faults` depends on `cshard-core`),
-/// so they are re-exported by the facade crate's `contractshard::prelude`
-/// rather than here.
+/// Fault injection (`cshard_runtime::faults`, [`failover`],
+/// [`corruption`]) is re-exported by the facade's `contractshard::prelude`.
 pub mod prelude {
     pub use crate::builder::SystemBuilder;
     pub use crate::epoch::EpochManager;

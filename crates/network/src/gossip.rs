@@ -172,6 +172,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least two nodes")]
     fn degenerate_network_rejected() {
-        GossipNet::random(1, 2, LatencyModel::INSTANT, 0);
+        GossipNet::random(1, 2, LatencyModel::constant(SimTime::ZERO), 0);
     }
 }

@@ -17,12 +17,6 @@ pub struct LatencyModel {
 }
 
 impl LatencyModel {
-    /// A zero-latency network (pure-algorithm experiments).
-    pub const INSTANT: LatencyModel = LatencyModel {
-        base: SimTime(0),
-        jitter: SimTime(0),
-    };
-
     /// A typical wide-area blockchain gossip delay: ~2 s base with up to
     /// 1 s jitter (block relay measurements for Ethereum-like networks).
     pub fn wide_area() -> Self {
@@ -57,11 +51,6 @@ impl LatencyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn instant_is_zero() {
-        assert_eq!(LatencyModel::INSTANT.delay(0.5), SimTime::ZERO);
-    }
 
     #[test]
     fn constant_has_no_jitter() {

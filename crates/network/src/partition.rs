@@ -28,6 +28,11 @@ pub struct Blackouts {
 }
 
 impl Blackouts {
+    /// The table that blacks out nothing.
+    pub const NONE: Blackouts = Blackouts {
+        windows: Vec::new(),
+    };
+
     /// Builds the table from `[from, until)` windows in any order,
     /// rejecting an empty window (`from >= until`) with a typed error.
     pub fn new(windows: impl IntoIterator<Item = (SimTime, SimTime)>) -> Result<Self, Error> {

@@ -29,10 +29,9 @@
 //! are counted within the configured measurement window (the paper counts
 //! over 212 s in Sec. VI-C1).
 //!
-//! Propagation is governed by the run's [`PropagationModel`]: the legacy
-//! fixed conflict window (bit-identical to the pre-refactor simulator) or
-//! the delivery time the network model draws when the block confirms — a
-//! time, not an event: a contended block found before it is stale.
+//! Propagation is governed by the run's [`PropagationModel`], read through
+//! one rule: the delivery time it draws when a block confirms — a time,
+//! not an event. A contended block found before it is stale.
 //!
 //! A crashed miner is its Poisson process switched off for a span: a tick
 //! inside its downtime ([`ContractShardDriver::set_downtime`]) is swallowed.
@@ -41,7 +40,7 @@
 //! last shard finishes, and at stream scale those idle ticks are almost
 //! every event of a run. They cannot confirm anything, so each one's
 //! classification (empty, or stale while a competitor's confirmation is
-//! still inside the window) is a pure function of its time and miner:
+//! still propagating) is a pure function of its time and miner:
 //! [`ContractShardDriver`]'s phase-2 [`ProtocolDriver::idle_turn`]
 //! replays each miner's chain of ticks in one loop — a draw and a
 //! classification per tick, no queue round trip — with counters and event
@@ -109,12 +108,11 @@ pub struct RuntimeConfig {
     /// Mean block interval per miner (Sec. VI-B1: 60 s; Sec. VI-B2 unifies
     /// confirmation at 76 tx/s instead).
     pub mean_block_interval: SimTime,
-    /// How found blocks propagate to the shard's other miners.
-    /// [`PropagationModel::Window`] is the legacy fixed conflict window
-    /// (drives Table I's plateau; irrelevant for one-miner shards);
-    /// [`PropagationModel::Network`] draws each confirming block's
-    /// delivery time, before which the shard's other miners mine stale
-    /// blocks.
+    /// How found blocks propagate to the shard's other miners: each
+    /// confirming block's delivery time, before which the shard's other
+    /// miners mine stale blocks. The default one-block-interval
+    /// [`PropagationModel::Window`] drives Table I's plateau (and is
+    /// irrelevant for one-miner shards).
     pub propagation: PropagationModel,
     /// Count empty blocks only up to this time (Sec. VI-C1 counts over a
     /// fixed 212 s window). `None` counts until the run completes.
@@ -191,13 +189,10 @@ struct EquilibriumState {
     max_rounds: usize,
     /// Fee of each transaction (local indices).
     fees: Vec<u64>,
-    /// Confirmation time + author per local tx (None = unconfirmed).
+    /// Per local tx (None = unconfirmed): when the confirming block
+    /// reaches the whole shard — its delivery time, once drawn — and its
+    /// author.
     confirmed: Vec<Option<(SimTime, usize)>>,
-    /// Delivery time per confirmed tx — when the confirming block has
-    /// reached the whole shard. Only populated under
-    /// [`PropagationModel::Network`]; the window model derives visibility
-    /// from the confirmation time alone.
-    visible_at: Vec<Option<SimTime>>,
     /// The current epoch's per-miner assignment.
     assignments: Vec<Vec<usize>>,
     epoch_unconfirmed: usize,
@@ -222,7 +217,6 @@ impl EquilibriumState {
         EquilibriumState {
             max_rounds,
             confirmed: vec![None; fees.len()],
-            visible_at: vec![None; fees.len()],
             fees,
             assignments: vec![Vec::new(); miners],
             epoch_unconfirmed: 0,
@@ -300,13 +294,7 @@ impl EquilibriumState {
             // someone else) that the miner has not seen it yet.
             let visible = match self.confirmed[tx] {
                 None => true,
-                Some((_, author)) if author == miner => false,
-                Some((at, _)) => match &config.propagation {
-                    PropagationModel::Window(w) => now.saturating_since(at) < *w,
-                    PropagationModel::Network { .. } => {
-                        self.visible_at[tx].is_some_and(|v| now < v)
-                    }
-                },
+                Some((delivered, author)) => author != miner && now < delivered,
             };
             if visible {
                 self.candidate.push(tx);
@@ -347,9 +335,9 @@ pub struct ContractShardDriver {
     equilibrium: Option<Box<EquilibriumState>>,
     /// One stream per miner; its length is the shard's miner count.
     miner_rngs: Vec<SimRng>,
-    /// Delivery-delay stream, used only under latency propagation. Forked
-    /// *after* the epoch and miner streams, so window-model trajectories
-    /// are unchanged from the pre-refactor simulator.
+    /// Delivery-delay stream. Forked *after* the epoch and miner streams
+    /// and read by nothing else, so a draw a constant delay ignores leaves
+    /// every trajectory as the pre-refactor simulator's.
     prop_rng: SimRng,
     config: RuntimeConfig,
     /// Report accumulators.
@@ -357,8 +345,8 @@ pub struct ContractShardDriver {
     empty_blocks: usize,
     stale_blocks: usize,
     last_confirmation: Option<SimTime>,
-    /// The latest delivery time drawn so far (network propagation only):
-    /// a contended block found before it is stale.
+    /// The latest delivery time drawn so far: a contended block found
+    /// before it is stale.
     latest_visible: Option<SimTime>,
     /// Per-miner downtime ([`ContractShardDriver::set_downtime`]); empty,
     /// and unallocated, for a shard whose miners never crash.
@@ -446,8 +434,8 @@ impl ContractShardDriver {
     }
 
     /// Processes one block-found event: pack the miner's block, classify
-    /// it (useful / empty / stale) and apply confirmations. Under network
-    /// propagation a confirming block draws its delivery time.
+    /// it (useful / empty / stale) and apply confirmations. A confirming
+    /// block draws its delivery time.
     fn on_block_found(&mut self, now: SimTime, miner: usize) {
         self.blocks += 1;
         let (packed, newly, contended_stale) = match &mut self.equilibrium {
@@ -463,14 +451,7 @@ impl ContractShardDriver {
                 // self-conflicts.
                 let stale = self.miner_rngs.len() > 1
                     && self.unconfirmed > 0
-                    && match &self.config.propagation {
-                        PropagationModel::Window(w) => self
-                            .last_confirmation
-                            .is_some_and(|t0| now.saturating_since(t0) < *w),
-                        PropagationModel::Network { .. } => {
-                            self.latest_visible.is_some_and(|v| now < v)
-                        }
-                    };
+                    && self.latest_visible.is_some_and(|v| now < v);
                 // Otherwise the block takes the top-fee unconfirmed txs.
                 let newly = if stale {
                     0
@@ -500,21 +481,18 @@ impl ContractShardDriver {
             self.stale_blocks += 1;
         }
 
-        // Under network-backed propagation (latency or partition), a
-        // confirming block's visibility is its delivery time. The RNG draw
-        // happens only under that model, so window-model trajectories stay
-        // bit-identical to the pre-refactor simulator.
+        // A confirming block's visibility is its delivery time.
         if newly == 0 {
             return;
         }
-        let (propagation, rng) = (&self.config.propagation, &mut self.prop_rng);
-        let Some(delivered) = propagation.delivery_time(now, rng) else {
-            return;
-        };
+        let delivered = self
+            .config
+            .propagation
+            .delivery_time(now, &mut self.prop_rng);
         if let Some(eq) = &mut self.equilibrium {
             for &tx in &eq.candidate {
                 if eq.confirmed[tx] == Some((now, miner)) {
-                    eq.visible_at[tx] = Some(delivered);
+                    eq.confirmed[tx] = Some((delivered, miner));
                 }
             }
         }
@@ -619,7 +597,7 @@ impl ProtocolDriver for ContractShardDriver {
 /// shard confirmed) and reports.
 ///
 /// Thin wrapper: builds one [`ContractShardDriver`] per spec and hands
-/// them to [`Runtime::run`]. Shards are independent drivers — each derives
+/// them to [`Runtime::builder`]. Shards are independent drivers — each derives
 /// its randomness from `(config.seed, shard)` via a PRF and owns its event
 /// queue, so the harness may run them on any number of threads
 /// ([`RuntimeConfig::scheduler`]) and the report is bit-for-bit identical
@@ -983,22 +961,32 @@ mod tests {
         }
     }
 
+    /// `Window(w)` is the constant link `w` with no blackouts: a delivery is
+    /// a time, not an event, and a constant delay ignores its draw, so the
+    /// two spellings run one trajectory on greedy and equilibrium shards.
     #[test]
     fn instant_latency_matches_zero_window_trajectory() {
-        // With zero delivery delay nothing ever conflicts, exactly like a
-        // zero conflict window, and a delivery is a time, not an event: the
-        // two runs are one trajectory.
-        let zero_window = RuntimeConfig {
-            propagation: PropagationModel::Window(SimTime::ZERO),
-            ..cfg(5)
-        };
-        let w = simulate_ethereum(fees(40), 4, &zero_window);
-        let l = simulate_ethereum(fees(40), 4, &latency_cfg(5, LatencyModel::INSTANT));
-        assert_eq!(w.completion, l.completion);
-        assert_eq!(w.shards[0].confirmed, l.shards[0].confirmed);
-        assert_eq!(w.shards[0].blocks, l.shards[0].blocks);
-        assert_eq!(w.shards[0].stale_blocks, l.shards[0].stale_blocks);
-        assert_eq!(w.fingerprint(), l.fingerprint());
+        let specs = [
+            ShardSpec {
+                miners: 4,
+                ..ShardSpec::solo_greedy(ShardId::new(0), fees(40))
+            },
+            ShardSpec {
+                shard: ShardId::new(1),
+                fees: fees(60),
+                miners: 5,
+                strategy: SelectionStrategy::Equilibrium { max_rounds: 200 },
+            },
+        ];
+        for w in [0, 1, 60].map(SimTime::from_secs) {
+            let window = RuntimeConfig {
+                propagation: PropagationModel::Window(w),
+                ..cfg(5)
+            };
+            let w_run = simulate(&specs, &window);
+            let l_run = simulate(&specs, &latency_cfg(5, LatencyModel::constant(w)));
+            assert_eq!(w_run.fingerprint(), l_run.fingerprint(), "w = {w}");
+        }
     }
 
     #[test]

@@ -7,17 +7,16 @@
 //! implementation here. Classification, formation, merging and
 //! selection all happen upstream in `cshard_core::pipeline::EpochPipeline`
 //! (leader faults go through the leader schedule,
-//! `EpochManager::elect_skipping`, in [`crate::epochs`]); this module only
-//! faults the block-production run.
+//! `EpochManager::elect_skipping`, in `cshard_core::failover`); this
+//! module only faults the block-production run.
 
-use crate::plan::{FaultAction, FaultPlan};
-use crate::report::{FaultReport, ShardFaultStats};
-use cshard_network::{Blackouts, LatencyModel};
-use cshard_primitives::{Error, ShardId, SimTime};
-use cshard_runtime::{
-    Batch, MigrationStats, MigrationTicket, PropagationModel, ProtocolDriver, RunReport, Runtime,
-    RuntimeConfig, SettleStats, SettlingShardDriver, ShardSpec,
+use super::plan::{FaultAction, FaultPlan};
+use super::report::{FaultReport, ShardFaultStats};
+use crate::{
+    Batch, MigrationStats, MigrationTicket, ProtocolDriver, RunReport, Runtime, RuntimeConfig,
+    SettleStats, SettlingShardDriver, ShardSpec,
 };
+use cshard_primitives::{Error, ShardId, SimTime};
 use std::collections::BTreeSet;
 
 /// The cross-shard traffic riding on a faulted run: per-shard outbound
@@ -42,7 +41,7 @@ pub struct Traffic {
 #[derive(Clone, Debug)]
 pub struct FaultRun {
     /// The standard run report — same fingerprinted surface as
-    /// `cshard_runtime::simulate`.
+    /// [`crate::simulate`].
     pub run: RunReport,
     /// What the injected faults did.
     pub faults: FaultReport,
@@ -70,19 +69,6 @@ impl FaultRun {
     }
 }
 
-/// Rewrites a shard's propagation model to impose the plan's blackouts.
-/// The legacy window model (which schedules no delivery events) switches
-/// to delivery-based visibility over instantaneous links — the partition
-/// is then the only delay source; a network model keeps its latency and
-/// gains the plan's windows on top of its own.
-fn partitioned(propagation: &PropagationModel, plan: &Blackouts) -> PropagationModel {
-    let (latency, blackouts) = match propagation {
-        PropagationModel::Window(_) => (LatencyModel::INSTANT, plan.clone()),
-        PropagationModel::Network { latency, blackouts } => (*latency, blackouts.union(plan)),
-    };
-    PropagationModel::Network { latency, blackouts }
-}
-
 /// A per-shard traffic list as one slice per shard: an empty list means
 /// no shard has any, anything else must hold exactly one entry per shard.
 fn per_shard<'a, T>(
@@ -105,11 +91,11 @@ fn per_shard<'a, T>(
     Ok(lists.iter().map(Vec::as_slice).collect())
 }
 
-/// `cshard_runtime::simulate` under a [`FaultPlan`], with `traffic`'s
+/// [`crate::simulate`] under a [`FaultPlan`], with `traffic`'s
 /// cross-shard transfers and migrations riding on it.
 ///
-/// Builds one [`SettlingShardDriver`] per spec (partitioned shards get
-/// their propagation model rewritten first, crashed miners their
+/// Builds one [`SettlingShardDriver`] per spec (a shard's partitions
+/// unioned onto its own propagation blackouts, crashed miners given their
 /// [`FaultPlan::downtime`]), runs the standard two-phase harness with the
 /// plan deadline as its horizon, and reads the fault, settlement and
 /// migration accounting back out of the drivers and the plan.
@@ -162,10 +148,10 @@ pub fn run_with_faults(
     for (i, spec) in shards.iter().enumerate() {
         let (outbound, schedule) = (transfers[i], schedules[i]);
         let own = plan.blackouts(spec.shard)?;
-        let mut shard_config = config.clone();
-        if !own.is_empty() {
-            shard_config.propagation = partitioned(&config.propagation, &own);
-        }
+        let shard_config = RuntimeConfig {
+            propagation: config.propagation.with_blackouts(&own),
+            ..config.clone()
+        };
         let mut driver = SettlingShardDriver::new(spec, &shard_config, outbound.to_vec())?
             .with_migrations(schedule.to_vec())?;
         let dests: BTreeSet<ShardId> = outbound
@@ -232,7 +218,8 @@ pub fn run_with_faults(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cshard_runtime::{simulate, SchedulerConfig, SelectionStrategy, SettleConfig};
+    use crate::{simulate, PropagationModel, SchedulerConfig, SelectionStrategy, SettleConfig};
+    use cshard_network::{Blackouts, LatencyModel};
 
     fn specs() -> Vec<ShardSpec> {
         (0..4u32)
@@ -294,7 +281,8 @@ mod tests {
     }
 
     /// Partition shard 1 over `[30 s, 400 s)` and crash `shard`'s only
-    /// miner over `[60 s, 120 s)`.
+    /// miner over `[60 s, 300 s)`, which holds a tick of shard 1's miner at
+    /// seed 23.
     fn partition_and_crash(shard: u32) -> FaultPlan {
         FaultPlan::none()
             .with_partition(
@@ -306,7 +294,7 @@ mod tests {
                 ShardId::new(shard),
                 0,
                 SimTime::from_secs(60),
-                Some(SimTime::from_secs(120)),
+                Some(SimTime::from_secs(300)),
             )
     }
 
@@ -518,16 +506,16 @@ mod tests {
         let cfg = settled_config(23, 10, 1);
         let s = SimTime::from_secs;
         let split = FaultPlan::none()
-            .with_partition(ShardId::new(0), s(10), s(60))
-            .with_partition(ShardId::new(0), s(30), s(90));
-        let union = FaultPlan::none().with_partition(ShardId::new(0), s(10), s(90));
+            .with_partition(ShardId::new(0), s(62), s(80))
+            .with_partition(ShardId::new(0), s(70), s(100));
+        let union = FaultPlan::none().with_partition(ShardId::new(0), s(62), s(100));
         let a = run_with_faults(&shards, &traffic, &cfg, &split).expect("overlaps are legal");
         let b = run_with_faults(&shards, &traffic, &cfg, &union).expect("valid");
         assert_eq!(a.run.fingerprint(), b.run.fingerprint());
         assert_eq!(a.faults, b.faults);
         assert_eq!(a.batches, b.batches);
         // The blackout acted: a batch held through it ships at the heal.
-        assert!(a.batches[0].iter().any(|batch| batch.at == s(90)));
+        assert!(a.batches[0].iter().any(|batch| batch.at == s(100)));
     }
 
     #[test]
@@ -592,6 +580,7 @@ mod tests {
                     .expect("valid")
             };
             let base = run_at(1);
+            assert!(base.faults.total_suppressed() > 0, "{label}");
             for threads in [4, 0] {
                 assert_same_run(&base, &run_at(threads), label);
             }
@@ -719,6 +708,30 @@ mod tests {
         let late = staffed_run(2, &plan);
         assert!(late.faults.is_clean());
         assert_same_run(&late, &clean, "crash after completion");
+    }
+
+    /// A partition placed after the run's completion never happens either:
+    /// each shard keeps its own conflict window. (The harness used to move
+    /// a partitioned `Window` shard onto instant links for the whole run.)
+    #[test]
+    fn a_partition_after_completion_changes_nothing() {
+        let (mut shards, traffic) = settled_fixture();
+        shards[0].miners = 3;
+        shards[1].miners = 4;
+        shards[1].strategy = SelectionStrategy::Equilibrium { max_rounds: 64 };
+        let run = |plan: &FaultPlan| {
+            run_with_faults(&shards, &traffic, &settled_config(23, 10, 1), plan).expect("valid")
+        };
+        let clean = run(&FaultPlan::none());
+        let end = clean.run.completion;
+        let after = |secs| end.saturating_add(SimTime::from_secs(secs));
+        let plan = FaultPlan::none()
+            .with_partition(ShardId::new(0), after(1), after(2))
+            .with_partition(ShardId::new(1), after(1), after(2));
+        let late = run(&plan);
+        assert_eq!(late.run.fingerprint(), clean.run.fingerprint());
+        assert_eq!(late.faults, clean.faults);
+        assert_eq!(late.batches, clean.batches);
     }
 
     /// A plan is a set: the order of its actions changes nothing, with

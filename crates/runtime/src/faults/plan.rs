@@ -33,9 +33,11 @@ pub enum FaultAction {
     /// Partition a shard's network for `[from, until)`: block deliveries
     /// cannot complete while the partition is up and land after the heal
     /// instead, and crosslinks to or from the shard defer to the heal
-    /// (see `cshard_network::Blackouts`). Applied by rewriting the shard's
-    /// propagation model and its settlement pairs' blackout tables before
-    /// the run. Overlapping partitions of one shard act as their union.
+    /// (see `cshard_network::Blackouts`). Applied by unioning the window
+    /// onto the blackouts of the shard's own propagation model, which keeps
+    /// its link delay (a `Window(w)` shard keeps its conflict window), and
+    /// of its settlement pairs before the run. Overlapping partitions of
+    /// one shard act as their union.
     PartitionShard {
         /// The partitioned shard.
         shard: ShardId,
@@ -62,7 +64,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// The empty plan: no faults, no deadline. A run under this plan is
-    /// bit-identical to `cshard_runtime::simulate`.
+    /// bit-identical to [`crate::simulate`].
     pub fn none() -> Self {
         FaultPlan {
             deadline: None,

@@ -1,13 +1,13 @@
 //! What the injected faults did to a run.
 //!
-//! The ordinary [`cshard_runtime::RunReport`] stays exactly the
+//! The ordinary [`crate::RunReport`] stays exactly the
 //! fingerprinted surface it always was; everything fault-specific is
 //! derived here after the run, from the drivers (swallowed ticks, whether
 //! the deadline cut them short) and from the plan (crash windows).
 
 use cshard_primitives::{ShardId, SimTime};
 
-/// Per-shard fault accounting, derived by [`crate::run_with_faults`].
+/// Per-shard fault accounting, derived by [`super::run_with_faults`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardFaultStats {
     /// The shard these stats belong to.
@@ -26,25 +26,6 @@ pub struct ShardFaultStats {
     pub recovery_latencies: Vec<SimTime>,
     /// The plan deadline fired before the shard finished its workload.
     pub timed_out: bool,
-}
-
-impl ShardFaultStats {
-    /// Fresh, all-zero stats for a shard.
-    pub fn new(shard: ShardId) -> Self {
-        ShardFaultStats {
-            shard,
-            suppressed_blocks: 0,
-            crashes: 0,
-            recoveries: 0,
-            recovery_latencies: Vec::new(),
-            timed_out: false,
-        }
-    }
-
-    /// Whether any fault machinery actually fired on this shard.
-    pub fn any_faults(&self) -> bool {
-        self.suppressed_blocks > 0 || self.crashes > 0 || self.recoveries > 0 || self.timed_out
-    }
 }
 
 /// The run-wide fault report: one entry per shard, in shard-driver order.
@@ -87,7 +68,9 @@ impl FaultReport {
     /// True when no fault machinery fired anywhere — the signature of a
     /// zero-fault (transparent) plan.
     pub fn is_clean(&self) -> bool {
-        !self.shards.iter().any(ShardFaultStats::any_faults)
+        self.shards.iter().all(|s| {
+            s.suppressed_blocks == 0 && s.crashes == 0 && s.recoveries == 0 && !s.timed_out
+        })
     }
 }
 
@@ -95,16 +78,32 @@ impl FaultReport {
 mod tests {
     use super::*;
 
+    /// All-zero stats for shard `i`.
+    fn clean(i: u32) -> ShardFaultStats {
+        ShardFaultStats {
+            shard: ShardId::new(i),
+            suppressed_blocks: 0,
+            crashes: 0,
+            recoveries: 0,
+            recovery_latencies: Vec::new(),
+            timed_out: false,
+        }
+    }
+
     #[test]
     fn aggregates_sum_over_shards() {
-        let mut a = ShardFaultStats::new(ShardId::new(0));
-        a.suppressed_blocks = 3;
-        a.crashes = 1;
-        a.recoveries = 1;
-        a.recovery_latencies = vec![SimTime::from_millis(500)];
-        let mut b = ShardFaultStats::new(ShardId::new(1));
-        b.timed_out = true;
-        b.recovery_latencies = vec![SimTime::from_millis(900)];
+        let a = ShardFaultStats {
+            suppressed_blocks: 3,
+            crashes: 1,
+            recoveries: 1,
+            recovery_latencies: vec![SimTime::from_millis(500)],
+            ..clean(0)
+        };
+        let b = ShardFaultStats {
+            timed_out: true,
+            recovery_latencies: vec![SimTime::from_millis(900)],
+            ..clean(1)
+        };
         let report = FaultReport { shards: vec![a, b] };
         assert_eq!(report.total_suppressed(), 3);
         assert_eq!(report.total_crashes(), 1);
@@ -120,10 +119,7 @@ mod tests {
     #[test]
     fn clean_report_detects_no_faults() {
         let report = FaultReport {
-            shards: vec![
-                ShardFaultStats::new(ShardId::new(0)),
-                ShardFaultStats::new(ShardId::new(1)),
-            ],
+            shards: vec![clean(0), clean(1)],
         };
         assert!(report.is_clean());
         assert_eq!(report.max_recovery_latency(), None);

@@ -18,11 +18,11 @@
 //!   on its own queue and account cross-shard messaging in its own
 //!   [`cshard_network::CommStats`], which the harness sums after the run;
 //! * [`PropagationModel`] — how a found block becomes visible to the
-//!   shard's other miners: the legacy fixed conflict window
-//!   ([`PropagationModel::Window`], bit-identical to the pre-refactor
-//!   simulator) or delivery times drawn from a
+//!   shard's other miners: one rule, a delivery time drawn from a
 //!   [`cshard_network::LatencyModel`] and deferred past
-//!   [`cshard_network::Blackouts`] ([`PropagationModel::Network`]);
+//!   [`cshard_network::Blackouts`]; the fixed conflict window
+//!   ([`PropagationModel::Window`], bit-identical to the pre-refactor
+//!   simulator) is its constant link;
 //! * [`Runtime`] — the two-phase harness that runs one driver per shard
 //!   on the shard-lifecycle scheduler (`cshard_sim::WorkScheduler`; at
 //!   `threads > 1` its helpers are process-wide parked threads, so driver
@@ -44,9 +44,11 @@
 //! [`ContractShardDriver`] with batched crosslink settlement and a
 //! hot-account migration schedule, both riding on a [`CrosslinkChannel`]
 //! — the one place a `cshard_settle::SettlementBatcher` meets the event
-//! loop, shared with the ChainSpace driver's batched mode. A crashed miner
-//! is a downtime table on its driver, not a layer
-//! ([`ContractShardDriver::set_downtime`]); `cshard-faults` sets it.
+//! loop, shared with the ChainSpace driver's batched mode.
+//!
+//! Faults are data those drivers read, not a layer ([`faults`]): a
+//! partition is a blackout table on propagation and settlement, a crashed
+//! miner a downtime table ([`ContractShardDriver::set_downtime`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -57,6 +59,7 @@ pub mod contract;
 pub mod crosslink;
 pub mod driver;
 pub mod event;
+pub mod faults;
 pub mod harness;
 pub mod propagation;
 pub mod report;

@@ -8,22 +8,17 @@ use cshard_sim::SimRng;
 ///
 /// Table I's plateau comes from propagation: a block found before a
 /// competing confirmation has reached the whole shard duplicates that
-/// confirmation's selection and is wasted. The variants model the
-/// "not yet everywhere" span differently:
+/// confirmation's selection and is wasted. Visibility has one rule: a
+/// confirming block's delivery time, drawn once — the link delay, deferred
+/// past any blackout window the broadcast starts or lands in.
 #[derive(Clone, Debug, PartialEq)]
 pub enum PropagationModel {
-    /// The legacy fixed conflict window: a block found within this span
-    /// of a competing confirmation sees the pre-confirmation queue. No
-    /// delivery time is drawn — visibility is a pure time check — so runs
-    /// under this model are bit-identical to the pre-refactor simulator
-    /// (the golden fingerprints assert exactly that).
+    /// A fixed conflict window `w`: exactly
+    /// `Network { latency: LatencyModel::constant(w), blackouts: Blackouts::NONE }`
+    /// (a constant delay ignores its draw, so both run one trajectory).
     Window(SimTime),
-    /// Network-backed propagation: when a block confirms, its delivery
-    /// time is drawn once — the latency model's link delay, deferred past
-    /// any blackout window it starts or lands in. Until that time the
-    /// other miners keep mining against the pre-confirmation queue. A plain
-    /// latency network has no blackouts; the fault harness adds its
-    /// plan's partitions here.
+    /// A link with blackouts; a fault plan's partitions are unioned onto
+    /// them ([`PropagationModel::with_blackouts`]).
     Network {
         /// Link delay while the shard is connected.
         latency: LatencyModel,
@@ -33,16 +28,27 @@ pub enum PropagationModel {
 }
 
 impl PropagationModel {
-    /// When a block broadcast at `now` reaches the whole shard, its link
-    /// delay drawn from `rng` — or `None` under the legacy window model,
-    /// which draws nothing, so window-model trajectories stay
-    /// bit-identical to the pre-refactor simulator.
-    pub fn delivery_time(&self, now: SimTime, rng: &mut SimRng) -> Option<SimTime> {
+    /// The model as a link: its delay and its blackouts.
+    fn link(&self) -> (LatencyModel, &Blackouts) {
+        static NONE: Blackouts = Blackouts::NONE;
         match self {
-            PropagationModel::Window(_) => None,
-            PropagationModel::Network { latency, blackouts } => {
-                Some(blackouts.delivery(now, latency.delay(rng.unit())))
-            }
+            PropagationModel::Window(w) => (LatencyModel::constant(*w), &NONE),
+            PropagationModel::Network { latency, blackouts } => (*latency, blackouts),
+        }
+    }
+
+    /// When a block broadcast at `now` reaches the whole shard.
+    pub fn delivery_time(&self, now: SimTime, rng: &mut SimRng) -> SimTime {
+        let (latency, blackouts) = self.link();
+        blackouts.delivery(now, latency.delay(rng.unit()))
+    }
+
+    /// This model's link with `extra` unioned onto its blackouts.
+    pub fn with_blackouts(&self, extra: &Blackouts) -> PropagationModel {
+        let (latency, blackouts) = self.link();
+        PropagationModel::Network {
+            latency,
+            blackouts: blackouts.union(extra),
         }
     }
 }
@@ -62,12 +68,19 @@ mod tests {
         SimRng::new(7)
     }
 
+    /// A window schedules no delivery event: its delivery is a time, the
+    /// constant link's — `w` after the block confirms, whatever its draw.
     #[test]
     fn window_schedules_no_deliveries() {
-        let w = PropagationModel::Window(SimTime::from_secs(60));
-        let mut drawn = rng();
-        assert_eq!(w.delivery_time(SimTime::from_secs(5), &mut drawn), None);
-        assert_eq!(drawn.below(u64::MAX), rng().below(u64::MAX));
+        let w = SimTime::from_secs(60);
+        let window = PropagationModel::Window(w);
+        let link = network(LatencyModel::constant(w), &[]);
+        let mut rng = rng();
+        for now in [0, 5, 1000].map(SimTime::from_secs) {
+            let at = window.delivery_time(now, &mut rng);
+            assert_eq!(at, now.saturating_add(w));
+            assert_eq!(at, link.delivery_time(now, &mut rng));
+        }
     }
 
     #[test]
@@ -75,7 +88,7 @@ mod tests {
         let m = network(LatencyModel::constant(SimTime::from_millis(250)), &[]);
         assert_eq!(
             m.delivery_time(SimTime::from_secs(1), &mut rng()),
-            Some(SimTime::from_millis(1250))
+            SimTime::from_millis(1250)
         );
     }
 
@@ -87,7 +100,17 @@ mod tests {
         );
         assert_eq!(
             p.delivery_time(SimTime::from_millis(2000), &mut rng()),
-            Some(SimTime::from_millis(5100))
+            SimTime::from_millis(5100)
         );
+    }
+
+    /// Added blackouts keep the model's own link and windows.
+    #[test]
+    fn added_blackouts_keep_the_own_link() {
+        let ms = SimTime::from_millis;
+        let own = network(LatencyModel::wide_area(), &[(ms(4000), ms(9000))]);
+        let extra = Blackouts::new([(ms(1000), ms(5000))]).expect("valid");
+        let both = network(LatencyModel::wide_area(), &[(ms(1000), ms(9000))]);
+        assert_eq!(own.with_blackouts(&extra), both);
     }
 }

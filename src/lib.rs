@@ -50,21 +50,19 @@
 //! | [`ledger`] | accounts, contracts, transactions, blocks and their real SHA-256 PoW, chains, mempool, call graph |
 //! | [`network`] | latency model + cross-shard communication accounting |
 //! | [`sim`] | deterministic discrete-event engine + the shard-lifecycle work scheduler |
-//! | [`runtime`] | typed events, the `ProtocolDriver` trait, propagation models, the `Runtime::builder()` run harness |
+//! | [`runtime`] | typed events, the `ProtocolDriver` trait, propagation models, the `Runtime::builder()` run harness, deterministic fault injection (`runtime::faults`) |
 //! | [`games`] | merging game (Alg. 1+3), selection game (Alg. 2), parameter unification |
 //! | [`security`] | Fig. 1(d) shard safety and the Eq. (3)–(6) corruption bounds |
 //! | [`workload`] | the Sec. VI injection generators |
 //! | [`baselines`] | randomized merging, ChainSpace model, optimal oracles |
 //! | [`place`] | cross-epoch placement engine: hot-account traffic tracking, migration proposals |
-//! | [`core`] | shard formation, miner assignment, the staged `EpochPipeline`, the end-to-end system |
-//! | [`faults`] | deterministic fault injection, VRF leader failover, empirical corruption checks |
+//! | [`core`] | shard formation, miner assignment, the staged `EpochPipeline`, the end-to-end system, VRF leader failover, empirical corruption checks |
 
 #![warn(missing_docs)]
 
 pub use cshard_baselines as baselines;
 pub use cshard_core as core;
 pub use cshard_crypto as crypto;
-pub use cshard_faults as faults;
 pub use cshard_games as games;
 pub use cshard_ledger as ledger;
 pub use cshard_network as network;
@@ -78,6 +76,8 @@ pub use cshard_workload as workload;
 /// The most commonly used items, importable in one line.
 pub mod prelude {
     pub use cshard_baselines::{random_merge, ChainspaceDriver, ChainspacePlacement};
+    pub use cshard_core::corruption::measure_corruption;
+    pub use cshard_core::failover::{run_leader_faults, LeaderFaultPlan};
     pub use cshard_core::system::{MinerAllocation, SystemBuilder, SystemConfig};
     pub use cshard_core::{
         simulate, simulate_ethereum, throughput_improvement, EpochInput, EpochPipeline, EpochRun,
@@ -86,9 +86,6 @@ pub mod prelude {
     };
     pub use cshard_core::{EpochManager, LongRun, LongRunConfig};
     pub use cshard_crypto::{sha256, RandomnessBeacon, Vrf};
-    pub use cshard_faults::{
-        measure_corruption, run_leader_faults, run_with_faults, FaultPlan, LeaderFaultPlan, Traffic,
-    };
     pub use cshard_games::{
         best_reply_equilibrium, iterative_merge, GameInputs, MergingConfig, SelectionConfig,
         UnifiedParameters,
@@ -99,6 +96,7 @@ pub mod prelude {
     pub use cshard_place::{Migration, PlacementConfig, PlacementEngine};
     pub use cshard_primitives::Error;
     pub use cshard_primitives::{Address, Amount, ContractId, Hash32, MinerId, ShardId, SimTime};
+    pub use cshard_runtime::faults::{run_with_faults, FaultPlan, Traffic};
     pub use cshard_runtime::{
         ContractShardDriver, Ctx, Event, MigrationStats, MigrationTicket, PropagationModel,
         ProtocolDriver, RunBuilder, RunObserver, RunOutcome, RunPhase, RunSchedStats, Runtime,
