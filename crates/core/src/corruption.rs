@@ -21,7 +21,7 @@
 
 use crate::epoch::EpochManager;
 use crate::pipeline::ClassifyStage;
-use cshard_crypto::{Prf, Vrf};
+use cshard_crypto::Prf;
 use cshard_primitives::{Error, MinerId, ShardId};
 use cshard_security::{shard_safety, CorruptionThreshold};
 use cshard_workload::{FeeDistribution, Workload};
@@ -162,9 +162,7 @@ pub fn measure_corruption(
         // Tally per-shard populations this epoch.
         let mut population: BTreeMap<ShardId, (u64, u64)> = BTreeMap::new();
         for (id, vrf) in mgr.miners() {
-            // Path form: a bare `.public_key()` is ambiguous to the audit's
-            // call resolver (`Node::public_key` shares the name).
-            let shard = assignment.shard_of(Vrf::public_key(vrf));
+            let shard = assignment.shard_of(vrf.public_key());
             let entry = population.entry(shard).or_insert((0, 0));
             entry.0 += 1;
             if malicious.contains(&id) {

@@ -27,10 +27,6 @@
 //!   validated fluent configuration.
 //! * [`longrun`] — epoch-driven evolution: leader election per epoch
 //!   ([`epoch`]) over one persistent pipeline.
-//! * [`node`] — a full miner node over the real substrates (ledger +
-//!   actual PoW + block verification), used by examples and integration
-//!   tests to demonstrate the protocol end-to-end rather than in the
-//!   statistical model.
 //!
 //! The discrete-event simulator itself (typed events, the
 //! `ProtocolDriver` trait, the shared harness, run reports, and the
@@ -48,7 +44,6 @@ pub mod epoch;
 pub mod failover;
 pub mod formation;
 pub mod longrun;
-pub mod node;
 pub mod pipeline;
 pub mod system;
 

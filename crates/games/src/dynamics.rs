@@ -368,7 +368,7 @@ fn key_index(key: u128) -> usize {
 /// (Eq. 2, `others` = holders besides the miner): `fee / (load + 1)` for
 /// a transaction it does not hold, `fee / load` for one it does. The
 /// non-holder values do not depend on the miner, so the game keeps them
-/// as one vector of [`value_key`]s (`free_keys`), re-keyed only for the
+/// as one vector of `value_key`s (`free_keys`), re-keyed only for the
 /// ≤ 2·capacity transactions a move touches. Per miner the sweep then
 ///
 /// 1. **certifies**: the held set is the best reply exactly when no

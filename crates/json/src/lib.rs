@@ -1,5 +1,5 @@
-//! A small, dependency-free JSON library for the workspace's snapshots,
-//! workload traces, and experiment reports.
+//! A small, dependency-free JSON library for the workspace's experiment
+//! and audit reports.
 //!
 //! Design points that matter to callers:
 //!

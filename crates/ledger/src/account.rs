@@ -57,14 +57,6 @@ impl Account {
     pub fn is_contract(&self) -> bool {
         matches!(self.kind, AccountKind::Contract(_))
     }
-
-    /// The contract id, if this is a contract account.
-    pub fn contract_id(&self) -> Option<ContractId> {
-        match self.kind {
-            AccountKind::Contract(id) => Some(id),
-            AccountKind::User => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -77,7 +69,7 @@ mod tests {
         assert!(a.is_user());
         assert!(!a.is_contract());
         assert_eq!(a.nonce, 0);
-        assert_eq!(a.contract_id(), None);
+        assert_eq!(a.kind, AccountKind::User);
     }
 
     #[test]
@@ -85,6 +77,6 @@ mod tests {
         let c = Account::contract(ContractId::new(4));
         assert!(c.is_contract());
         assert!(c.balance.is_zero());
-        assert_eq!(c.contract_id(), Some(ContractId::new(4)));
+        assert_eq!(c.kind, AccountKind::Contract(ContractId::new(4)));
     }
 }

@@ -1,9 +1,9 @@
 //! Ledger error types.
 
-use cshard_primitives::{Address, Amount, BlockHeight, ContractId, Hash32, Nonce, ShardId};
+use cshard_primitives::{Address, Amount, ContractId, Nonce};
 use std::fmt;
 
-/// Everything that can go wrong when validating transactions or blocks.
+/// Everything that can go wrong when validating a transaction.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LedgerError {
     /// The sending account does not exist.
@@ -39,43 +39,6 @@ pub enum LedgerError {
     /// The value would be transferred to a contract account directly, which
     /// this model does not allow (contracts hold no balance).
     TransferToContract(Address),
-    /// The block's header names another shard than the chain's own.
-    WrongShard {
-        /// Shard the header named.
-        got: ShardId,
-        /// The chain's shard.
-        expected: ShardId,
-    },
-    /// The header's difficulty claim differs from the chain's requirement
-    /// (a header may not under-claim the work it needs).
-    WrongDifficulty {
-        /// Leading zero bits the header claimed.
-        got: u32,
-        /// Leading zero bits the chain requires.
-        expected: u32,
-    },
-    /// The block's parent hash is not known to this chain.
-    UnknownParent(Hash32),
-    /// The block's height is not parent height + 1.
-    BadHeight {
-        /// Height the header claimed.
-        got: BlockHeight,
-        /// Height the chain expected.
-        expected: BlockHeight,
-    },
-    /// The header's Merkle root does not commit to the block's transactions.
-    BadTxRoot,
-    /// The block hash does not meet the required PoW difficulty.
-    InsufficientWork {
-        /// Difficulty the chain requires (leading zero bits).
-        required_bits: u32,
-        /// Bits of work the block hash actually shows.
-        got_bits: u32,
-    },
-    /// A transaction appears twice in the same block.
-    DuplicateTxInBlock(Hash32),
-    /// The block was already recorded.
-    DuplicateBlock(Hash32),
 }
 
 impl fmt::Display for LedgerError {
@@ -107,29 +70,6 @@ impl fmt::Display for LedgerError {
             LedgerError::TransferToContract(a) => {
                 write!(f, "direct value transfer to contract account {a:?}")
             }
-            LedgerError::WrongShard { got, expected } => {
-                write!(f, "block for {got} on {expected}'s chain")
-            }
-            LedgerError::WrongDifficulty { got, expected } => write!(
-                f,
-                "header claims {got} difficulty bits, chain requires {expected}"
-            ),
-            LedgerError::UnknownParent(h) => write!(f, "unknown parent block {h}"),
-            LedgerError::BadHeight { got, expected } => {
-                write!(f, "bad block height: got {got}, expected {expected}")
-            }
-            LedgerError::BadTxRoot => write!(f, "transaction merkle root mismatch"),
-            LedgerError::InsufficientWork {
-                required_bits,
-                got_bits,
-            } => write!(
-                f,
-                "insufficient proof of work: {got_bits} bits, need {required_bits}"
-            ),
-            LedgerError::DuplicateTxInBlock(h) => {
-                write!(f, "transaction {h} duplicated within block")
-            }
-            LedgerError::DuplicateBlock(h) => write!(f, "block {h} already recorded"),
         }
     }
 }
@@ -163,6 +103,9 @@ mod tests {
     #[test]
     fn errors_are_comparable() {
         assert_eq!(LedgerError::EmptyInputs, LedgerError::EmptyInputs);
-        assert_ne!(LedgerError::EmptyInputs, LedgerError::BadTxRoot);
+        assert_ne!(
+            LedgerError::EmptyInputs,
+            LedgerError::UnknownContract(ContractId::new(0))
+        );
     }
 }

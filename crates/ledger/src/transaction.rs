@@ -1,7 +1,6 @@
 //! Transactions: contract calls, direct transfers, multi-input transfers.
 
-use cshard_crypto::Sha256;
-use cshard_primitives::{Address, Amount, ContractId, Nonce, TxId};
+use cshard_primitives::{Address, Amount, ContractId, Nonce};
 
 /// What a transaction does.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -123,37 +122,6 @@ impl Transaction {
             kind: TxKind::MultiInput { inputs, to, value },
         }
     }
-
-    /// The transaction id: SHA-256 of the canonical binary encoding.
-    pub fn id(&self) -> TxId {
-        let mut h = Sha256::new();
-        h.update(b"cshard-tx-v1");
-        h.update(self.sender.as_bytes());
-        h.update(self.nonce.to_be_bytes());
-        h.update(self.fee.raw().to_be_bytes());
-        match &self.kind {
-            TxKind::ContractCall { contract, value } => {
-                h.update([0u8]);
-                h.update(contract.0.to_be_bytes());
-                h.update(value.raw().to_be_bytes());
-            }
-            TxKind::DirectTransfer { to, value } => {
-                h.update([1u8]);
-                h.update(to.as_bytes());
-                h.update(value.raw().to_be_bytes());
-            }
-            TxKind::MultiInput { inputs, to, value } => {
-                h.update([2u8]);
-                h.update((inputs.len() as u64).to_be_bytes());
-                for input in inputs {
-                    h.update(input.as_bytes());
-                }
-                h.update(to.as_bytes());
-                h.update(value.raw().to_be_bytes());
-            }
-        }
-        h.finalize()
-    }
 }
 
 #[cfg(test)]
@@ -168,56 +136,6 @@ mod tests {
             Amount::from_coins(1),
             Amount::from_raw(50),
         )
-    }
-
-    #[test]
-    fn id_is_deterministic() {
-        assert_eq!(sample_call().id(), sample_call().id());
-    }
-
-    #[test]
-    fn id_depends_on_every_field() {
-        let base = sample_call();
-        let mut other = base.clone();
-        other.nonce = 1;
-        assert_ne!(base.id(), other.id());
-
-        let mut other = base.clone();
-        other.fee = Amount::from_raw(51);
-        assert_ne!(base.id(), other.id());
-
-        let mut other = base.clone();
-        other.sender = Address::user(2);
-        assert_ne!(base.id(), other.id());
-
-        let mut other = base.clone();
-        other.kind = TxKind::ContractCall {
-            contract: ContractId::new(3),
-            value: Amount::from_coins(1),
-        };
-        assert_ne!(base.id(), other.id());
-    }
-
-    #[test]
-    fn id_separates_kinds_with_same_payload_bytes() {
-        // A direct transfer and a multi-input with one input move the same
-        // value to the same place; their ids must still differ.
-        let direct = Transaction::direct(
-            Address::user(1),
-            0,
-            Address::user(2),
-            Amount::from_coins(1),
-            Amount::from_raw(10),
-        );
-        let multi = Transaction::multi_input(
-            Address::user(1),
-            0,
-            vec![Address::user(1)],
-            Address::user(2),
-            Amount::from_coins(1),
-            Amount::from_raw(10),
-        );
-        assert_ne!(direct.id(), multi.id());
     }
 
     #[test]

@@ -11,14 +11,9 @@ use std::fmt;
 pub struct Address(pub [u8; 20]);
 
 impl Address {
-    /// The zero address, conventionally "the system" (mints block
-    /// rewards).
+    /// The zero address, conventionally "the system" (a fee collector
+    /// outside any miner's coinbase).
     pub const SYSTEM: Address = Address([0u8; 20]);
-
-    /// Builds an address from raw bytes.
-    pub const fn from_bytes(bytes: [u8; 20]) -> Self {
-        Address(bytes)
-    }
 
     /// Deterministically derives a user address from an index.
     ///

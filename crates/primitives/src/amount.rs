@@ -4,7 +4,7 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
-/// A coin amount (balance, fee, or reward) in the chain's smallest unit.
+/// A coin amount (balance, fee or transfer value) in the chain's smallest unit.
 ///
 /// Arithmetic via `+`/`-` panics on overflow/underflow in all build profiles
 /// — a ledger must never silently wrap. Use [`Amount::checked_sub`] where an

@@ -5,21 +5,13 @@ use std::fmt;
 
 /// A 256-bit hash digest.
 ///
-/// Used for block hashes, transaction ids and verifiable-randomness outputs.
+/// Used for PRF, VRF and randomness-beacon outputs and run fingerprints.
 /// The digest algorithm itself lives in `cshard-crypto`; this type is only
 /// the value.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Hash32(pub [u8; 32]);
 
 impl Hash32 {
-    /// The all-zero hash, used as the parent of genesis blocks.
-    pub const ZERO: Hash32 = Hash32([0u8; 32]);
-
-    /// Builds a hash from raw bytes.
-    pub const fn from_bytes(bytes: [u8; 32]) -> Self {
-        Hash32(bytes)
-    }
-
     /// Returns the raw bytes.
     pub const fn as_bytes(&self) -> &[u8; 32] {
         &self.0
@@ -27,8 +19,8 @@ impl Hash32 {
 
     /// Interprets the first 8 bytes as a big-endian integer.
     ///
-    /// Handy for mapping a hash to a number, e.g. PoW target comparison or
-    /// deriving a pseudo-random index.
+    /// Handy for mapping a hash to a number, e.g. deriving a pseudo-random
+    /// index or seed.
     pub fn leading_u64(&self) -> u64 {
         be_u64(&self.0, 0)
     }
@@ -43,33 +35,6 @@ impl Hash32 {
         let lo = be_u64(&self.0, 8) as u128;
         let wide = (hi << 64) | lo;
         (wide % n as u128) as u64
-    }
-
-    /// Counts leading zero bits — the classic PoW difficulty measure.
-    pub fn leading_zero_bits(&self) -> u32 {
-        let mut zeros = 0;
-        for &byte in &self.0 {
-            if byte == 0 {
-                zeros += 8;
-            } else {
-                zeros += byte.leading_zeros();
-                break;
-            }
-        }
-        zeros
-    }
-
-    /// Returns true when the hash, read as a 256-bit big-endian integer, is
-    /// strictly below a target expressed as `leading_zero_bits` difficulty.
-    pub fn meets_difficulty(&self, difficulty_bits: u32) -> bool {
-        self.leading_zero_bits() >= difficulty_bits
-    }
-
-    /// Parses a hex string (with or without `0x` prefix).
-    pub fn from_hex(s: &str) -> Option<Self> {
-        let bytes = hex::decode(s)?;
-        let arr: [u8; 32] = bytes.try_into().ok()?;
-        Some(Hash32(arr))
     }
 }
 
@@ -110,12 +75,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zero_hash_is_all_zero() {
-        assert_eq!(Hash32::ZERO.0, [0u8; 32]);
-        assert_eq!(Hash32::ZERO.leading_zero_bits(), 256);
-    }
-
-    #[test]
     fn leading_u64_is_big_endian() {
         let mut bytes = [0u8; 32];
         bytes[7] = 1;
@@ -138,49 +97,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "modulus must be positive")]
     fn mod_zero_panics() {
-        Hash32::ZERO.mod_u64(0);
-    }
-
-    #[test]
-    fn leading_zero_bits_counts_partial_bytes() {
-        let mut bytes = [0u8; 32];
-        bytes[2] = 0b0001_0000;
-        assert_eq!(Hash32(bytes).leading_zero_bits(), 16 + 3);
-    }
-
-    #[test]
-    fn difficulty_check() {
-        let mut bytes = [0xFFu8; 32];
-        bytes[0] = 0;
-        bytes[1] = 0x0F;
-        let h = Hash32(bytes);
-        assert!(h.meets_difficulty(12));
-        assert!(h.meets_difficulty(0));
-        assert!(!h.meets_difficulty(13));
-    }
-
-    #[test]
-    fn hex_round_trip() {
-        let mut bytes = [0u8; 32];
-        for (i, b) in bytes.iter_mut().enumerate() {
-            *b = i as u8;
-        }
-        let h = Hash32(bytes);
-        let s = h.to_string();
-        assert!(s.starts_with("0x"));
-        assert_eq!(Hash32::from_hex(&s), Some(h));
-        assert_eq!(Hash32::from_hex(s.trim_start_matches("0x")), Some(h));
-    }
-
-    #[test]
-    fn from_hex_rejects_bad_input() {
-        assert_eq!(Hash32::from_hex("0x1234"), None); // too short
-        assert_eq!(Hash32::from_hex("zz"), None);
+        Hash32([0u8; 32]).mod_u64(0);
     }
 
     #[test]
     fn display_and_debug_are_stable() {
-        let h = Hash32::ZERO;
+        let h = Hash32([0u8; 32]);
         assert_eq!(h.to_string(), format!("0x{}", "00".repeat(32)));
         assert_eq!(format!("{h:?}"), "Hash32(0x00000000..)");
     }

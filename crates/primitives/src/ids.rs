@@ -1,6 +1,5 @@
-//! Identifier newtypes: shards, contracts, miners, transactions, blocks.
+//! Identifier newtypes: shards, contracts, miners, and the nonce alias.
 
-use crate::hash::Hash32;
 use std::fmt;
 
 /// Identifier of a shard.
@@ -95,15 +94,9 @@ impl fmt::Debug for MinerId {
     }
 }
 
-/// A transaction id — the hash of the transaction's canonical encoding.
-pub type TxId = Hash32;
-
 /// A monotonically increasing per-account transaction counter, preventing
 /// replay (Ethereum-style).
 pub type Nonce = u64;
-
-/// Height of a block in its shard's chain (genesis = 0).
-pub type BlockHeight = u64;
 
 #[cfg(test)]
 mod tests {

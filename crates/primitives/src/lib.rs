@@ -24,6 +24,6 @@ pub use address::Address;
 pub use amount::Amount;
 pub use error::Error;
 pub use hash::Hash32;
-pub use ids::{BlockHeight, ContractId, MinerId, Nonce, ShardId, TxId};
+pub use ids::{ContractId, MinerId, Nonce, ShardId};
 pub use index::{AddressIndex, AddressSlots};
 pub use time::SimTime;

@@ -1,6 +1,6 @@
 # Development workflow for contractshard. `just verify` is the gate CI runs.
 
-# Build, test, format-check and lint the whole workspace.
+# Build, test, format-check, lint and doc-check the whole workspace.
 verify:
     cargo fmt --check
     cargo build --release --workspace
@@ -8,6 +8,8 @@ verify:
     cargo test --release -p cshard-sim
     cargo test --release -p rand_chacha -p cshard-games
     cargo clippy --workspace --all-targets -- -D warnings
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \
+        --exclude rand --exclude rand_chacha --exclude proptest
 
 # Determinism & safety lint over every workspace crate (policy.toml is the
 # policy table; exit 1 on findings, each printed as `file:line: RULE message`

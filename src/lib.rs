@@ -4,7 +4,7 @@
 //! with Smart Contracts"** (Tao et al., ICDE 2020): contract-centric
 //! sharding for account-based blockchains, with the paper's inter-shard
 //! merging game, intra-shard transaction-selection game, and parameter
-//! unification scheme — plus every substrate they need (ledger, PoW,
+//! unification scheme — plus every substrate they need (ledger state,
 //! simulated network, discrete-event runtime) and the full evaluation
 //! harness.
 //!
@@ -47,7 +47,7 @@
 //! |---|---|
 //! | [`primitives`] | hashes, addresses, amounts, ids, simulated time |
 //! | [`crypto`] | SHA-256, PRF, simulated VRF, randomness beacon |
-//! | [`ledger`] | accounts, contracts, transactions, blocks and their real SHA-256 PoW, chains, mempool, call graph |
+//! | [`ledger`] | the world state (accounts, contracts, transaction validation and application), the call graph |
 //! | [`network`] | latency model + cross-shard communication accounting |
 //! | [`sim`] | deterministic discrete-event engine + the shard-lifecycle work scheduler |
 //! | [`runtime`] | typed events, the `ProtocolDriver` trait, propagation models, the `Runtime::builder()` run harness, deterministic fault injection (`runtime::faults`) |
@@ -90,9 +90,7 @@ pub mod prelude {
         best_reply_equilibrium, iterative_merge, GameInputs, MergingConfig, SelectionConfig,
         UnifiedParameters,
     };
-    pub use cshard_ledger::{
-        Block, CallGraph, Chain, Condition, Mempool, SmartContract, State, Transaction,
-    };
+    pub use cshard_ledger::{CallGraph, Condition, SmartContract, State, Transaction};
     pub use cshard_place::{Migration, PlacementConfig, PlacementEngine};
     pub use cshard_primitives::Error;
     pub use cshard_primitives::{Address, Amount, ContractId, Hash32, MinerId, ShardId, SimTime};

@@ -1,45 +1,10 @@
-//! Integration across the newer substrates: snapshots, epochs and
-//! proportional allocation working together.
-
-mod common;
+//! Integration across the newer substrates: epochs and proportional
+//! allocation working together.
 
 use contractshard::core::system::{MinerAllocation, SystemConfig};
-use contractshard::ledger::StateSnapshot;
 use contractshard::prelude::*;
 
 const FEES: FeeDistribution = FeeDistribution::Uniform { lo: 1, hi: 100 };
-
-#[test]
-fn snapshot_sync_joins_a_running_shard() {
-    // A shard runs for a while; a new miner syncs from a snapshot and can
-    // validate the next block without replaying history.
-    let w = Workload::uniform_contracts(40, 1, FEES, 1);
-    let mut state = common::funded_genesis(&w.transactions);
-    for tx in &w.transactions[..20] {
-        state.apply_transaction(tx, Address::miner(0)).unwrap();
-    }
-
-    // Checkpoint: snapshot + digest travel to the newcomer.
-    let snap = StateSnapshot::capture(&state);
-    let digest = snap.digest();
-    let json = snap.to_json();
-
-    // Newcomer restores and verifies the commitment.
-    let received = StateSnapshot::from_json(&json).unwrap();
-    assert_eq!(received.digest(), digest, "commitment pins the snapshot");
-    let mut synced = received.restore();
-
-    // Both the original and the synced node apply the remaining txs and
-    // end in identical states.
-    for tx in &w.transactions[20..] {
-        state.apply_transaction(tx, Address::miner(0)).unwrap();
-        synced.apply_transaction(tx, Address::miner(0)).unwrap();
-    }
-    assert_eq!(
-        StateSnapshot::capture(&state).digest(),
-        StateSnapshot::capture(&synced).digest()
-    );
-}
 
 #[test]
 fn mainnet_shaped_workload_through_the_full_system() {
