@@ -5,8 +5,8 @@
 //! participate in more than one contract or have directly sent transactions
 //! to other users] form a unique shard, called the MaxShard."
 
-use cshard_ledger::{CallGraph, Transaction, TxKind};
-use cshard_primitives::{AddressSlots, ContractId, Error, ShardId};
+use cshard_ledger::{CallGraph, Transaction};
+use cshard_primitives::{ContractId, Error, ShardId};
 use std::collections::BTreeMap;
 
 /// The partition of a transaction batch into shards.
@@ -41,44 +41,38 @@ impl ShardPlan {
     /// MaxShard takes it. This is exactly the Fig. 1 classification
     /// ([`CallGraph::isolable_contract`]).
     pub fn classify(transactions: &[Transaction], graph: &CallGraph) -> ShardPlan {
-        Self::classify_placed(transactions, graph, &AddressSlots::new())
+        Self::partition(transactions, |_, tx| graph.isolable_contract(tx))
     }
 
-    /// [`ShardPlan::classify`] with placement pins on top.
+    /// The one formation loop: `isolable(i, tx)` names the contract whose
+    /// shard transaction `i` joins, `None` sending it to the MaxShard.
+    /// [`ShardPlan::classify`] finds each sender's record by address;
+    /// the classify stage finds it by the slot observation handed back.
     ///
-    /// A pinned sender was migrated off the MaxShard to a contract's home
-    /// shard: its calls *to that contract* route home regardless of its
-    /// class, while everything else (calls to other contracts, direct
-    /// transfers, multi-input) still follows the call graph — those touch
-    /// cross-contract state and belong on the MaxShard. `pins` maps each
-    /// migrated sender to the shard it moved to.
-    pub fn classify_placed(
+    /// The groups are built once from the finished `shard_of`: every index
+    /// is sorted *stably* by shard (the MaxShard's id sorts last) and each
+    /// run becomes one exactly sized `Vec`, so every group lists its
+    /// indices in ascending order — the order the Form stage builds fee
+    /// queues in.
+    pub(crate) fn partition(
         transactions: &[Transaction],
-        graph: &CallGraph,
-        pins: &AddressSlots<ShardId>,
+        mut isolable: impl FnMut(usize, &Transaction) -> Option<ContractId>,
     ) -> ShardPlan {
-        let mut contract_shards: BTreeMap<ShardId, Vec<usize>> = BTreeMap::new();
+        let shard_of: Vec<ShardId> = transactions
+            .iter()
+            .enumerate()
+            .map(|(i, tx)| isolable(i, tx).map_or(ShardId::MAX_SHARD, Self::shard_for_contract))
+            .collect();
+        let mut order: Vec<usize> = (0..shard_of.len()).collect();
+        order.sort_by_key(|&i| shard_of[i]);
+        let mut contract_shards = BTreeMap::new();
         let mut maxshard = Vec::new();
-        let mut shard_of = Vec::with_capacity(transactions.len());
-        for (i, tx) in transactions.iter().enumerate() {
-            let isolable = match &tx.kind {
-                TxKind::ContractCall { contract, .. }
-                    if pins.get(&tx.sender) == Some(&Self::shard_for_contract(*contract)) =>
-                {
-                    Some(*contract)
-                }
-                _ => graph.isolable_contract(tx),
-            };
-            match isolable {
-                Some(c) => {
-                    let shard = Self::shard_for_contract(c);
-                    contract_shards.entry(shard).or_default().push(i);
-                    shard_of.push(shard);
-                }
-                None => {
-                    maxshard.push(i);
-                    shard_of.push(ShardId::MAX_SHARD);
-                }
+        for group in order.chunk_by(|&a, &b| shard_of[a] == shard_of[b]) {
+            let shard = shard_of[group[0]];
+            if shard.is_max_shard() {
+                maxshard = group.to_vec();
+            } else {
+                contract_shards.insert(shard, group.to_vec());
             }
         }
         ShardPlan {
@@ -313,45 +307,5 @@ mod tests {
         assert_eq!(small.len(), 3);
         let sizes: Vec<u64> = small.iter().map(|&(_, s)| s).collect();
         assert_eq!(sizes, vec![4, 8, 9]);
-    }
-
-    #[test]
-    fn classify_placed_routes_only_pinned_home_calls() {
-        use cshard_ledger::Transaction;
-        use cshard_primitives::{Address, Amount};
-        // A multi-contract, direct-transacting sender, pinned to contract
-        // 0's home shard.
-        let txs = vec![
-            Transaction::call(
-                Address::user(1),
-                0,
-                ContractId::new(0),
-                Amount(10),
-                Amount(1),
-            ),
-            Transaction::call(
-                Address::user(1),
-                1,
-                ContractId::new(1),
-                Amount(10),
-                Amount(1),
-            ),
-            Transaction::direct(Address::user(1), 2, Address::user(9), Amount(5), Amount(1)),
-        ];
-        let mut graph = CallGraph::new();
-        graph.observe_all(txs.iter());
-        let mut pins = AddressSlots::new();
-        pins.entry(Address::user(1), || ShardId::new(0));
-        let placed = ShardPlan::classify_placed(&txs, &graph, &pins);
-        assert_eq!(placed.shard_of[0], ShardId::new(0), "home call routes home");
-        assert_eq!(placed.shard_of[1], ShardId::MAX_SHARD, "foreign call stays");
-        assert_eq!(
-            placed.shard_of[2],
-            ShardId::MAX_SHARD,
-            "direct transfer stays"
-        );
-        // Without the pin the whole batch is MaxShard.
-        let unpinned = ShardPlan::classify(&txs, &graph);
-        assert_eq!(unpinned.maxshard, vec![0, 1, 2]);
     }
 }

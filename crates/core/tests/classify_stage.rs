@@ -3,17 +3,18 @@
 //! stage that accumulates history across epochs must plan — and count its
 //! churn — **bit-identically** to the ordered-map reference model of the
 //! call graph (`crates/ledger/tests/reference`) fed the same batches, and
-//! placement pins must override exactly the pinned senders' home-contract
-//! calls and nothing else.
+//! field for field like the by-address `ShardPlan::classify`; placement
+//! pins must override exactly the pinned senders' home-contract calls and
+//! nothing else.
 
 #[path = "../../ledger/tests/reference/mod.rs"]
 mod reference;
 
 use cshard_core::pipeline::ClassifyStage;
 use cshard_core::ShardPlan;
-use cshard_ledger::{Transaction, TxKind};
+use cshard_ledger::{CallGraph, Transaction, TxKind};
 use cshard_place::Migration;
-use cshard_primitives::{Address, ShardId, SimTime};
+use cshard_primitives::{Address, Amount, ContractId, ShardId, SimTime};
 use cshard_sim::SimRng;
 use cshard_workload::{SpamFlood, StreamConfig, TxStream};
 use reference::ReferenceGraph;
@@ -73,6 +74,7 @@ fn accumulating_stage_matches_the_reference_model_over_200_seeds() {
         let txs: Vec<Transaction> = TxStream::new(config).take(180).map(|(_, tx)| tx).collect();
         let mut stage = ClassifyStage::new();
         let mut reference = ReferenceGraph::default();
+        let mut graph = CallGraph::new();
         for (e, batch) in txs.chunks(60).enumerate() {
             let label = format!("seed {seed} epoch {e}");
             let (staged, reclassified, carried) = run_stage(&mut stage, batch);
@@ -83,6 +85,15 @@ fn accumulating_stage_matches_the_reference_model_over_200_seeds() {
                 "{label}: shard_of diverged"
             );
             assert_plan_consistent(&staged, batch.len(), &label);
+            // The slot path and the by-address path agree field for field.
+            graph.observe_all(batch);
+            let by_address = ShardPlan::classify(batch, &graph);
+            assert_eq!(
+                staged.contract_shards, by_address.contract_shards,
+                "{label}: contract_shards"
+            );
+            assert_eq!(staged.maxshard, by_address.maxshard, "{label}: maxshard");
+            assert_eq!(staged.shard_of, by_address.shard_of, "{label}: shard_of");
             let senders: BTreeSet<Address> = batch.iter().map(|tx| tx.sender).collect();
             assert_eq!(reclassified, dirty.len() as u64, "{label}: reclassified");
             assert_eq!(
@@ -94,7 +105,9 @@ fn accumulating_stage_matches_the_reference_model_over_200_seeds() {
     }
 }
 
-/// Every index in exactly one group, and `shard_of` naming that group.
+/// Every index in exactly one group, `shard_of` naming that group, and
+/// every group's indices ascending: the Form stage builds each shard's fee
+/// queue in that order.
 fn assert_plan_consistent(plan: &ShardPlan, len: usize, label: &str) {
     assert_eq!(plan.shard_of.len(), len, "{label}: shard_of length");
     let mut seen = vec![false; len];
@@ -104,6 +117,10 @@ fn assert_plan_consistent(plan: &ShardPlan, len: usize, label: &str) {
         .map(|(&shard, idxs)| (shard, idxs))
         .chain([(ShardId::MAX_SHARD, &plan.maxshard)]);
     for (shard, idxs) in groups {
+        assert!(
+            idxs.windows(2).all(|w| w[0] < w[1]),
+            "{label}: {shard}'s indices are not ascending"
+        );
         for &i in idxs {
             assert_eq!(plan.shard_of[i], shard, "{label}: tx {i} group vs shard_of");
             assert!(
@@ -169,6 +186,44 @@ fn pins_override_exactly_the_home_contract_calls() {
         }
     }
     assert!(rerouted > 100, "the grid barely exercises pins: {rerouted}");
+}
+
+#[test]
+fn a_pin_on_a_never_observed_account_routes_its_later_home_calls() {
+    let call = |user: u64, contract: u32, nonce: u64| {
+        Transaction::call(
+            Address::user(user),
+            nonce,
+            ContractId::new(contract),
+            Amount(10),
+            Amount(1),
+        )
+    };
+    let mut stage = ClassifyStage::new();
+    run_stage(&mut stage, &[call(1, 0, 0), call(2, 1, 0)]);
+    // Account 9 has never sent or been observed when it is pinned to
+    // contract 1's shard.
+    stage.apply_migrations(&[Migration {
+        account: Address::user(9),
+        from: ShardId::MAX_SHARD,
+        to: ShardId::new(1),
+        txs: 1,
+    }]);
+    // Its first batch makes it multi-contract: unpinned, both calls would
+    // go to the MaxShard. The home call follows the pin; the other call
+    // stays. First sight still counts as a reclassification.
+    let batch = [call(9, 0, 0), call(1, 0, 1), call(9, 1, 1)];
+    let (plan, reclassified, carried) = run_stage(&mut stage, &batch);
+    assert_eq!((reclassified, carried), (1, 1));
+    assert_eq!(
+        plan.shard_of,
+        [ShardId::MAX_SHARD, ShardId::new(0), ShardId::new(1)]
+    );
+    assert_eq!(plan.maxshard, [0]);
+    assert_plan_consistent(&plan, batch.len(), "never-observed pin");
+    // And it keeps routing there in later epochs.
+    let (plan, _, _) = run_stage(&mut stage, &[call(9, 1, 2)]);
+    assert_eq!(plan.shard_of, [ShardId::new(1)]);
 }
 
 #[test]

@@ -84,11 +84,18 @@ impl<V> AddressSlots<V> {
 
     /// The value of `address`, created by `default` on first sight.
     pub fn entry(&mut self, address: Address, default: impl FnOnce() -> V) -> &mut V {
+        self.slot_entry(address, default).1
+    }
+
+    /// [`AddressSlots::entry`] together with the address's slot: the index
+    /// of its value in [`AddressSlots::values`], so a later read of the
+    /// same value costs no hash probe.
+    pub fn slot_entry(&mut self, address: Address, default: impl FnOnce() -> V) -> (usize, &mut V) {
         let slot = self.index.intern(address);
         if slot == self.values.len() {
             self.values.push(default());
         }
-        &mut self.values[slot]
+        (slot, &mut self.values[slot])
     }
 
     /// The value of `address`, if it was ever entered.
@@ -202,6 +209,11 @@ mod tests {
         *counts.entry(Address::user(3), || 100) += 1;
         assert_eq!(counts.len(), 3);
         assert_eq!(counts.values(), [3, 2, 1]);
+        // The slot handed back indexes `values`.
+        let (slot, count) = counts.slot_entry(Address::user(9), || 100);
+        assert_eq!((slot, *count), (2, 1));
+        assert_eq!(counts.slot_entry(Address::user(4), || 5).0, 3);
+        assert_eq!(counts.values()[3], 5);
         assert_eq!(counts.get(&Address::user(9)), Some(&1));
         assert_eq!(counts.get(&Address::user(8)), None);
         counts.values_mut()[2] = 0;

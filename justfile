@@ -7,6 +7,8 @@ verify:
     cargo test --workspace --no-fail-fast
     cargo test --release -p cshard-sim
     cargo test --release -p rand_chacha -p cshard-games
+    cargo test --release -p cshard-runtime --test alloc
+    cargo test --release -p cshard-core --test alloc
     cargo clippy --workspace --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \
         --exclude rand --exclude rand_chacha --exclude proptest
