@@ -1,44 +1,14 @@
 //! Heap accounting of a fee-greedy run: a greedy shard is a count, so
 //! what `simulate` allocates does not grow with the shard's transactions.
 //!
-//! A counting global allocator (std only) tallies the bytes each thread
-//! asks for. The count is per thread because the test harness runs tests
-//! concurrently; the runs here use `threads: 1`, so every allocation of a
-//! run lands on the calling thread.
+//! The counting allocator (`counting/mod.rs`) tallies the bytes each
+//! thread asks for; the runs here use `threads: 1`, so every allocation of
+//! a run lands on the calling thread.
+
+mod counting;
 
 use cshard_primitives::ShardId;
 use cshard_runtime::{simulate, RuntimeConfig, SchedulerConfig, ShardSpec};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    static BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count(bytes: usize) {
-    // `try_with`: an allocation during thread teardown goes uncounted
-    // instead of panicking.
-    let _ = BYTES.try_with(|b| b.set(b.get() + bytes as u64));
-}
-
-struct Counting;
-
-// SAFETY: both calls forward to `System` unchanged; the counter only
-// reads the requested size. The trait's default `alloc_zeroed` and
-// `realloc` go through `alloc`, so they are counted too.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 /// Bytes allocated on this thread by one `simulate` of a solo greedy
 /// shard holding `txs` transactions (the fees are built beforehand).
@@ -49,9 +19,8 @@ fn bytes_for(txs: usize) -> u64 {
         scheduler: SchedulerConfig::new(1),
         ..RuntimeConfig::default()
     };
-    let before = BYTES.with(Cell::get);
-    let report = simulate(&specs, &config).expect("valid config");
-    let bytes = BYTES.with(Cell::get) - before;
+    let (report, _, bytes) = counting::counted(|| simulate(&specs, &config));
+    let report = report.expect("valid config");
     assert_eq!(report.shards[0].confirmed, txs);
     bytes
 }
