@@ -217,14 +217,6 @@ impl LongRun {
         }
         Ok(reports)
     }
-
-    /// Mean throughput improvement over all completed epochs.
-    pub fn mean_improvement(&self) -> f64 {
-        if self.reports.is_empty() {
-            return 0.0;
-        }
-        self.reports.iter().map(|r| r.improvement).sum::<f64>() / self.reports.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -248,7 +240,8 @@ mod tests {
             assert!(report.shards >= 2);
         }
         assert_eq!(lr.reports().len(), 4);
-        assert!(lr.mean_improvement() > 1.5);
+        let mean = lr.reports().iter().map(|r| r.improvement).sum::<f64>() / 4.0;
+        assert!(mean > 1.5, "mean improvement {mean}");
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub enum FaultAction {
 pub struct FaultPlan {
     /// Hard stop, the run's horizon: a faulted run that cannot finish
     /// (e.g. its only miner crashed permanently) ends here instead of
-    /// stalling, and the fault report marks it timed out. `None` is only
+    /// stalling, with its driver not `done()`. `None` is only
     /// valid for plans whose faults cannot prevent completion —
     /// [`FaultPlan::validate`] insists on a deadline whenever a permanent
     /// crash is scheduled.

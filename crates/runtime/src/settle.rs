@@ -88,19 +88,6 @@ pub struct MigrationStats {
     pub rekeyed_transfers: u64,
 }
 
-impl MigrationStats {
-    /// Field-wise sum, for aggregating per-shard stats into a run total.
-    pub fn merge(&self, other: &MigrationStats) -> MigrationStats {
-        MigrationStats {
-            scheduled: self.scheduled + other.scheduled,
-            applied: self.applied + other.applied,
-            deferred: self.deferred + other.deferred,
-            drained_transfers: self.drained_transfers + other.drained_transfers,
-            rekeyed_transfers: self.rekeyed_transfers + other.rekeyed_transfers,
-        }
-    }
-}
-
 /// One shard of the contract-centric scheme with batched cross-shard
 /// settlement and scheduled hot-account migration. See the module docs
 /// for the lifecycle.
@@ -725,34 +712,5 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn stats_merge_is_fieldwise() {
-        let a = MigrationStats {
-            scheduled: 1,
-            applied: 1,
-            deferred: 0,
-            drained_transfers: 3,
-            rekeyed_transfers: 2,
-        };
-        let b = MigrationStats {
-            scheduled: 2,
-            applied: 1,
-            deferred: 1,
-            drained_transfers: 0,
-            rekeyed_transfers: 5,
-        };
-        let m = a.merge(&b);
-        assert_eq!(
-            (
-                m.scheduled,
-                m.applied,
-                m.deferred,
-                m.drained_transfers,
-                m.rekeyed_transfers
-            ),
-            (3, 2, 1, 3, 7)
-        );
     }
 }

@@ -12,13 +12,18 @@
 //!   and Eq. (6) (intra-shard selection corruption), including the two
 //!   headline numbers of Sec. IV-D (≈8·10⁻⁶ and ≈7·10⁻⁷ for a 25 %
 //!   adversary).
+//!
+//! The unit tests cross-check every closed form against a seeded Monte
+//! Carlo simulation of the process it models (the test-only `montecarlo`
+//! module).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod corruption;
 pub mod math;
-pub mod montecarlo;
+#[cfg(test)]
+mod montecarlo;
 pub mod shard_safety;
 
 pub use corruption::{

@@ -1,4 +1,4 @@
-//! Monte Carlo validation of the analytic security bounds.
+//! Monte Carlo validation of the analytic security bounds (test-only).
 //!
 //! The closed forms in [`crate::shard_safety`](mod@crate::shard_safety) and [`crate::corruption`]
 //! rest on modelling assumptions (binomial malicious counts, independent

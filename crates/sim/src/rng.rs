@@ -86,14 +86,6 @@ impl SimRng {
         SimTime::from_secs_f64(self.exponential(1.0 / mean_s))
     }
 
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
-
     /// Picks one element uniformly; `None` for an empty slice.
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
         if items.is_empty() {
@@ -190,21 +182,6 @@ mod tests {
     #[should_panic(expected = "below(0)")]
     fn below_zero_panics() {
         SimRng::new(0).below(0);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = SimRng::new(8);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<u32>>());
-        assert_ne!(
-            v,
-            (0..50).collect::<Vec<u32>>(),
-            "shuffle left input unchanged"
-        );
     }
 
     #[test]

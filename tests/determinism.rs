@@ -132,21 +132,27 @@ fn faulted_runs_are_bit_identical_across_thread_counts() {
     let pooled = run_at(4);
     let auto = run_at(0);
     assert_eq!(
-        sequential.run.fingerprint(),
-        pooled.run.fingerprint(),
+        sequential.report.fingerprint(),
+        pooled.report.fingerprint(),
         "faulted run: 1 thread vs 4 threads"
     );
     assert_eq!(
-        sequential.run.fingerprint(),
-        auto.run.fingerprint(),
+        sequential.report.fingerprint(),
+        auto.report.fingerprint(),
         "faulted run: 1 thread vs all cores"
     );
-    assert_eq!(sequential.faults, pooled.faults);
-    assert_eq!(sequential.faults, auto.faults);
+    let faults = |run: &RunOutcome<SettlingShardDriver>| -> Vec<(usize, bool)> {
+        run.drivers
+            .iter()
+            .map(|d| (d.suppressed_ticks(), d.done()))
+            .collect()
+    };
+    assert_eq!(faults(&sequential), faults(&pooled));
+    assert_eq!(faults(&sequential), faults(&auto));
     // Replaying the identical `(config, plan)` reproduces everything.
     let replay = run_at(1);
-    assert_eq!(sequential.run.fingerprint(), replay.run.fingerprint());
-    assert_eq!(sequential.faults, replay.faults);
+    assert_eq!(sequential.report.fingerprint(), replay.report.fingerprint());
+    assert_eq!(faults(&sequential), faults(&replay));
 }
 
 #[test]
