@@ -3,21 +3,27 @@
 //! For every function body in the symbol table, call sites are extracted
 //! from the token stream (`helper(...)`, `recv.method(...)`,
 //! `Type::assoc(...)`, turbofish variants) and resolved against the
-//! table by **name + arity**, refined by the receiver/qualifier, the
-//! caller's module and crate, and trait membership:
+//! table by **name + arity**, refined by the receiver's type or the
+//! qualifier, the caller's module and crate, and trait membership:
 //!
 //! 1. candidates = same name, same arity (receiver counted), non-test;
-//! 2. `self.m(...)` keeps candidates owned by the caller's `impl` type;
+//! 2. a receiver whose type the token stream states keeps the candidates
+//!    owned by that type (or, for a trait object, by its trait): `self`
+//!    and `Self::` are the caller's `impl` type, `self.a.b` folds through
+//!    the struct declarations' field types, and a local takes its latest
+//!    binding before the call — a parameter `x: T` / `&T` / `&mut T`,
+//!    `let x: T`, `let x = T::ctor(..)` or `let x = T { .. }`;
 //! 3. `Q::m(...)` keeps candidates whose owner, module tail or crate
 //!    matches `Q`;
-//! 4. a unique survivor resolves the edge; otherwise prefer the unique
-//!    same-module, then same-crate candidate;
+//! 4. a unique survivor resolves the edge; where the type is unknown or
+//!    owns no candidate (a std container, a type parameter, a call's
+//!    result), prefer the unique same-module, then same-crate candidate;
 //! 5. candidates that are all impls of one trait method resolve as a
 //!    fan-out edge to *every* impl (class-hierarchy style — sound
 //!    over-approximation for taint reachability);
 //! 6. what remains is **ambiguous** and must be settled by a
 //!    `[callgraph] resolve` override in `policy.toml` (`"name/arity ->
-//!    <id-suffix>|*|external"`) — the audit exits 2 with a hint
+//!    *"`, a fan-out to every candidate) — the audit exits 2 with a hint
 //!    otherwise, because an unresolved edge is a hole in the
 //!    reachability argument. An override no call falls through to is
 //!    reported back as dead (the binary exits 2 on it too), so the
@@ -28,9 +34,11 @@
 //! (`resolved / (resolved + ambiguous)`, reported per-mille) is part of
 //! the JSON report so coverage regressions fail the baseline gate.
 
-use crate::lexer::TokenKind;
-use crate::policy::{CallGraphPolicy, ResolveTarget};
-use crate::symbols::{count_params, FileTokens, SymbolTable};
+use crate::lexer::{Token, TokenKind};
+use crate::policy::CallGraphPolicy;
+use crate::symbols::{
+    ascriptions, closure_opens, count_params, named_type, type_name, FileTokens, FnDef, SymbolTable,
+};
 use std::collections::BTreeSet;
 
 /// One resolved call edge.
@@ -121,16 +129,12 @@ impl CallGraph {
             .count();
         let mut consulted = BTreeSet::new();
         for (caller_idx, def) in symbols.fns.iter().enumerate() {
-            let Some((start, end)) = def.body else {
-                continue;
-            };
             if def.is_test {
                 continue;
             }
-            let ft = &files[def.file];
-            for call in extract_calls(ft, start, end) {
+            for (call, resolution) in resolve_body(files, def, symbols, policy, &mut consulted) {
                 graph.stats.calls_total += 1;
-                match resolve(&call, caller_idx, symbols, policy, &mut consulted) {
+                match resolution {
                     Resolution::Edges(targets) => {
                         graph.stats.calls_resolved += 1;
                         for t in targets {
@@ -161,8 +165,7 @@ impl CallGraph {
         graph.stats.edges = graph.edges.iter().map(Vec::len).sum();
         graph.dead_resolves = policy
             .resolve
-            .keys()
-            .filter(|key| !consulted.contains(*key))
+            .difference(&consulted)
             .map(|(name, arity)| format!("{name}/{arity}"))
             .collect();
         graph
@@ -182,14 +185,61 @@ impl CallGraph {
     }
 }
 
+/// Every workspace fn a call in `def`'s body may reach: each resolved
+/// edge, and every candidate of a call that stays ambiguous. DC001's
+/// caller census reads test bodies and caller-only files this way; their
+/// calls settle no `[callgraph] resolve` entry.
+pub fn callees(
+    files: &[FileTokens],
+    def: &FnDef,
+    symbols: &SymbolTable,
+    policy: &CallGraphPolicy,
+) -> Vec<usize> {
+    resolve_body(files, def, symbols, policy, &mut BTreeSet::new())
+        .into_iter()
+        .flat_map(|(_, resolution)| match resolution {
+            Resolution::Edges(t) | Resolution::Ambiguous(t) => t,
+            Resolution::External => Vec::new(),
+        })
+        .collect()
+}
+
+/// Every call site in `def`'s body, with its resolution.
+fn resolve_body(
+    files: &[FileTokens],
+    def: &FnDef,
+    symbols: &SymbolTable,
+    policy: &CallGraphPolicy,
+    consulted: &mut BTreeSet<(String, usize)>,
+) -> Vec<(CallSite, Resolution)> {
+    let Some((start, end)) = def.body else {
+        return Vec::new();
+    };
+    let ft = &files[def.file];
+    let locals = local_types(&ft.tokens, def);
+    extract_calls(ft, start, end)
+        .into_iter()
+        .map(|call| {
+            let recv = receiver_type(&call, def, &locals, symbols);
+            let resolution = resolve(&call, def, recv.as_deref(), symbols, policy, consulted);
+            (call, resolution)
+        })
+        .collect()
+}
+
 /// One extracted call site, before resolution.
 #[derive(Clone, Debug)]
 struct CallSite {
     name: String,
-    /// `Some("self")` for `self.m()`, `Some("Q")` for `Q::m()`.
-    qualifier: Option<String>,
+    /// `Some("Q")` for `Q::m(...)`.
+    path: Option<String>,
+    /// The receiver of `a.b.m(...)` when it is a chain of names, root
+    /// first (`["self"]` for `self.m(...)`); empty otherwise.
+    recv: Vec<String>,
     /// Receiver counted: `x.m(a)` has arity 2.
     arity: usize,
+    /// Token index of the called name.
+    index: usize,
     line: usize,
 }
 
@@ -237,24 +287,153 @@ fn extract_calls(ft: &FileTokens, start: usize, end: usize) -> Vec<CallSite> {
             continue;
         };
         let is_method = i > 0 && tokens[i - 1].is_punct(".");
-        let qualifier = if is_method {
-            // `self.m(...)` — but not `x.self...`; `self` is a keyword.
-            (i >= 2 && tokens[i - 2].is_ident("self") && !(i >= 3 && tokens[i - 3].is_punct(".")))
-                .then(|| "self".to_string())
-        } else if i >= 2 && tokens[i - 1].is_punct("::") && tokens[i - 2].kind == TokenKind::Ident {
-            Some(tokens[i - 2].text.clone())
-        } else {
-            None
-        };
+        // `self::`, `super::` and `crate::` name the caller's own crate.
+        let path = (!is_method
+            && i >= 2
+            && tokens[i - 1].is_punct("::")
+            && tokens[i - 2].kind == TokenKind::Ident
+            && !["self", "super", "crate"]
+                .iter()
+                .any(|k| tokens[i - 2].is_ident(k)))
+        .then(|| tokens[i - 2].text.clone());
         calls.push(CallSite {
             name: t.text.clone(),
-            qualifier,
+            path,
+            recv: if is_method {
+                receiver_chain(tokens, i - 1)
+            } else {
+                Vec::new()
+            },
             arity: args + usize::from(is_method),
+            index: i,
             line: t.line,
         });
         i += 1;
     }
     calls
+}
+
+/// The names of the receiver `a.b` ending before the `.` at `dot`, root
+/// first; empty when the receiver is anything else (a call, an index, a
+/// path, a tuple field).
+fn receiver_chain(tokens: &[Token], mut dot: usize) -> Vec<String> {
+    let mut chain = Vec::new();
+    while dot >= 1 && tokens[dot - 1].kind == TokenKind::Ident {
+        chain.push(tokens[dot - 1].text.clone());
+        if dot < 2 || !tokens[dot - 2].is_punct(".") {
+            if dot >= 2 && tokens[dot - 2].is_punct("::") {
+                break;
+            }
+            chain.reverse();
+            return chain;
+        }
+        dot -= 2;
+    }
+    Vec::new()
+}
+
+/// One local name's stated type, `(from, name, type)`: in effect after
+/// token index `from`, `None` where the binding states no type (so an
+/// untyped binding shadows a typed one).
+type Binding = (usize, String, Option<String>);
+
+/// The bindings `def` states, in token order: parameters `x: T` / `&T` /
+/// `&mut T`, `let x: T`, `let x = T::ctor(..)` and `let x = T { .. }`
+/// carry their type ([`type_name`]); every other `let`, `for` and closure
+/// binding shadows without one.
+fn local_types(tokens: &[Token], def: &FnDef) -> Vec<Binding> {
+    let owner = def.owner.as_deref();
+    let (start, end) = def.params;
+    let mut out: Vec<Binding> = ascriptions(tokens, start, end)
+        .into_iter()
+        .map(|k| {
+            (
+                start,
+                tokens[k].text.clone(),
+                type_name(tokens, k + 2, owner),
+            )
+        })
+        .collect();
+    let Some((start, end)) = def.body else {
+        return out;
+    };
+    // A binding needs a name and what follows it inside the body.
+    for k in start..end.min(tokens.len()).saturating_sub(3) {
+        let t = &tokens[k];
+        let stops: &[&str] = if t.is_ident("let") {
+            &["=", ";"]
+        } else if t.is_ident("for") {
+            &["in"]
+        } else if t.is_punct("|") && closure_opens(tokens, k) {
+            &["|"]
+        } else {
+            continue;
+        };
+        let j = k + 1 + usize::from(tokens[k + 1].is_ident("mut"));
+        let (colon, eq) = (tokens[j + 1].is_punct(":"), tokens[j + 1].is_punct("="));
+        if t.is_ident("let") && tokens[j].kind == TokenKind::Ident && (colon || eq) {
+            let ty = if colon {
+                type_name(tokens, j + 2, owner)
+            } else {
+                init_type(tokens, j + 2, owner)
+            };
+            out.push((k, tokens[j].text.clone(), ty));
+            continue;
+        }
+        let pattern = tokens[k + 1..end]
+            .iter()
+            .take_while(|n| !stops.contains(&n.text.as_str()));
+        for name in pattern.filter(|n| n.text.starts_with(|c: char| c.is_ascii_lowercase())) {
+            out.push((k, name.text.clone(), None));
+        }
+    }
+    out
+}
+
+/// The type the initialiser at `j` states: `T { .. }`, or
+/// `[path::]T::ctor(..)` ending the statement (`?` aside).
+fn init_type(tokens: &[Token], mut j: usize, owner: Option<&str>) -> Option<String> {
+    while tokens.get(j + 2)?.kind == TokenKind::Ident && tokens[j + 1].is_punct("::") {
+        j += 2;
+    }
+    let next = tokens.get(j + 1)?;
+    let ty = if next.is_punct("{") {
+        j
+    } else if next.is_punct("(") && tokens[j - 1].is_punct("::") {
+        let close = count_params(tokens, j + 1)?.1;
+        let close = close + usize::from(tokens.get(close)?.is_punct("?"));
+        tokens.get(close)?.is_punct(";").then(|| j - 2)?
+    } else {
+        return None;
+    };
+    named_type(&tokens[ty].text, owner)
+}
+
+/// The type of `call`'s receiver, folded through the struct fields its
+/// chain names: `self` and `Self::` are the caller's `impl` type, a local
+/// its latest binding before the call.
+fn receiver_type(
+    call: &CallSite,
+    caller: &FnDef,
+    locals: &[Binding],
+    symbols: &SymbolTable,
+) -> Option<String> {
+    if call.path.as_deref() == Some("Self") {
+        return caller.owner.clone();
+    }
+    let (root, fields) = call.recv.split_first()?;
+    let root_type = if root == "self" {
+        caller.owner.clone()
+    } else {
+        let binding = locals
+            .iter()
+            .rev()
+            .find(|(from, name, _)| *from < call.index && name == root);
+        binding?.2.clone()
+    };
+    fields.iter().try_fold(root_type?, |ty, field| {
+        symbols.field_type(&ty, field).map(str::to_string)
+    })
 }
 
 fn skip_angles_fwd(tokens: &[crate::lexer::Token], mut j: usize) -> Option<usize> {
@@ -283,7 +462,8 @@ enum Resolution {
 
 fn resolve(
     call: &CallSite,
-    caller_idx: usize,
+    caller: &FnDef,
+    recv_type: Option<&str>,
     symbols: &SymbolTable,
     policy: &CallGraphPolicy,
     consulted: &mut BTreeSet<(String, usize)>,
@@ -291,7 +471,6 @@ fn resolve(
     let Some(all) = symbols.by_name.get(&call.name) else {
         return Resolution::External;
     };
-    let caller = &symbols.fns[caller_idx];
     let mut c: Vec<usize> = all
         .iter()
         .copied()
@@ -300,44 +479,43 @@ fn resolve(
     if c.is_empty() {
         return Resolution::External;
     }
-    // Receiver/qualifier refinement. `Self::m(...)` is the caller's own
-    // impl type, same as a `self.m(...)` receiver.
-    match call.qualifier.as_deref() {
-        Some("self") | Some("Self") => {
-            if let Some(owner) = &caller.owner {
-                let owned: Vec<usize> = c
-                    .iter()
-                    .copied()
-                    .filter(|&i| symbols.fns[i].owner.as_ref() == Some(owner))
-                    .collect();
-                if !owned.is_empty() {
-                    c = owned;
-                }
-            }
+    // A known receiver type keeps its own methods, or its trait's
+    // declaration and impls when it is a trait object; a type that owns
+    // none of the candidates (a type parameter, a std type) selects
+    // nothing, and the steps below decide. Else a qualifier filters.
+    if let Some(ty) = recv_type {
+        let owned: Vec<usize> = c
+            .iter()
+            .copied()
+            .filter(|&i| {
+                let d = &symbols.fns[i];
+                d.owner.as_deref() == Some(ty) || d.trait_name.as_deref() == Some(ty)
+            })
+            .collect();
+        if !owned.is_empty() {
+            c = owned;
         }
-        Some(q) => {
-            let crate_of = q.strip_prefix("cshard_").unwrap_or(q);
-            let qualified: Vec<usize> = c
-                .iter()
-                .copied()
-                .filter(|&i| {
-                    let d = &symbols.fns[i];
-                    d.owner.as_deref() == Some(q)
-                        || d.module == q
-                        || d.module.ends_with(&format!("::{q}"))
-                        || d.krate == crate_of
-                })
-                .collect();
-            if qualified.is_empty() {
-                // An explicit qualifier naming no workspace owner, module
-                // or crate is a std/vendored path (`Vec::new`,
-                // `BTreeMap::new`) that happens to share a method name
-                // with workspace types.
-                return Resolution::External;
-            }
-            c = qualified;
+    } else if let Some(q) = call.path.as_deref() {
+        let crate_of = q.strip_prefix("cshard_").unwrap_or(q);
+        let qualified: Vec<usize> = c
+            .iter()
+            .copied()
+            .filter(|&i| {
+                let d = &symbols.fns[i];
+                d.owner.as_deref() == Some(q)
+                    || d.module == q
+                    || d.module.ends_with(&format!("::{q}"))
+                    || d.krate == crate_of
+            })
+            .collect();
+        if qualified.is_empty() {
+            // An explicit qualifier naming no workspace owner, module
+            // or crate is a std/vendored path (`Vec::new`,
+            // `BTreeMap::new`) that happens to share a method name
+            // with workspace types.
+            return Resolution::External;
         }
-        None => {}
+        c = qualified;
     }
     let bodied = |v: &[usize]| -> Vec<usize> {
         v.iter()
@@ -391,35 +569,18 @@ fn resolve(
             return Resolution::External;
         }
     }
-    // Policy override, or give up as ambiguous.
-    let target = policy.resolve_for(&call.name, call.arity);
-    if target.is_some() {
-        consulted.insert((call.name.clone(), call.arity));
+    // A policy override fans out to every bodied candidate; without one
+    // the call stays ambiguous.
+    let key = (call.name.clone(), call.arity);
+    if !policy.resolve.contains(&key) {
+        return Resolution::Ambiguous(c);
     }
-    match target {
-        Some(ResolveTarget::External) => Resolution::External,
-        Some(ResolveTarget::All) => {
-            let b = bodied(&c);
-            if b.is_empty() {
-                Resolution::External
-            } else {
-                Resolution::Edges(b)
-            }
-        }
-        Some(ResolveTarget::To(suffix)) => {
-            let picked: Vec<usize> = c
-                .iter()
-                .copied()
-                .filter(|&i| symbols.fns[i].id().ends_with(suffix.as_str()))
-                .filter(|&i| symbols.fns[i].body.is_some())
-                .collect();
-            if picked.is_empty() {
-                Resolution::Ambiguous(c)
-            } else {
-                Resolution::Edges(picked)
-            }
-        }
-        None => Resolution::Ambiguous(c),
+    consulted.insert(key);
+    let b = bodied(&c);
+    if b.is_empty() {
+        Resolution::External
+    } else {
+        Resolution::Edges(b)
     }
 }
 
@@ -516,17 +677,13 @@ mod tests {
         let files = vec![FileTokens::new("core", "crates/core/src/a.rs", src)];
         let symbols = SymbolTable::build(&files);
         let mut policy = CallGraphPolicy::default();
-        policy
-            .resolve
-            .insert(("go".into(), 1), ResolveTarget::To("x::go".into()));
+        policy.resolve.insert(("go".into(), 1));
         let g = CallGraph::build(&files, &symbols, &policy);
         assert_eq!(g.stats.calls_ambiguous, 0);
         assert_eq!(g.stats.calls_resolved, 1);
+        // The override fans out to both candidates.
         let entry = symbols.fns.iter().position(|d| d.name == "entry").unwrap();
-        assert_eq!(g.edges[entry].len(), 1);
-        assert!(symbols.fns[g.edges[entry][0].callee]
-            .id()
-            .ends_with("x::go"));
+        assert_eq!(g.edges[entry].len(), 2);
     }
 
     #[test]
@@ -559,6 +716,46 @@ mod tests {
         ";
         let (_, s, g) = build(&[("core", "crates/core/src/a.rs", src)]);
         assert!(edge_between(&s, &g, "entry", "helper"));
+    }
+
+    /// Location-picked false edges: `settle.merge(..)` on a constructor-bound
+    /// local and `comm.merge(..)` on a parameter, whose types live in another
+    /// crate beside a same-crate `merge`, and a forwarding `self.inner.m()`.
+    #[test]
+    fn typed_receivers_resolve_by_type_not_location() {
+        let stats = "pub struct SettleStats; pub struct CommStats;
+            impl SettleStats { pub fn new() -> SettleStats { SettleStats }
+                               pub fn merge(&mut self, o: &SettleStats) {} }
+            impl CommStats { pub fn merge(&mut self, o: &CommStats) {} }";
+        let runtime = "pub struct MigrationStats;
+            impl MigrationStats { pub fn merge(&mut self, o: &MigrationStats) {} }
+            pub fn run(stats: &SettleStats, comm: &mut CommStats, other: &CommStats) {
+                let mut settle = SettleStats::new();
+                settle.merge(stats);
+                comm.merge(other);
+            }
+            pub struct Settling { inner: contract::Driver }
+            impl Settling { pub fn ticks(&self) -> usize { self.inner.ticks() } }
+            mod contract { pub struct Driver; impl Driver { pub fn ticks(&self) -> usize { 0 } } }";
+        let (_, s, g) = build(&[
+            ("settle", "crates/settle/src/lib.rs", stats),
+            ("runtime", "crates/runtime/src/lib.rs", runtime),
+        ]);
+        assert_eq!(g.stats.calls_ambiguous, 0, "{:?}", g.ambiguous);
+        let callees = |caller: &str| -> Vec<String> {
+            let f = s.fns.iter().position(|d| d.id() == caller).unwrap();
+            g.edges[f].iter().map(|e| s.fns[e.callee].id()).collect()
+        };
+        let merges = [
+            "settle::SettleStats::new",
+            "settle::SettleStats::merge",
+            "settle::CommStats::merge",
+        ];
+        assert_eq!(callees("runtime::run"), merges);
+        assert_eq!(
+            callees("runtime::Settling::ticks"),
+            ["runtime::contract::Driver::ticks"]
+        );
     }
 
     #[test]

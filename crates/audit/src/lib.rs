@@ -43,8 +43,10 @@
 //! | PH101 | panic-class exits below a sink (class list in the policy)   |
 //! | CL001 | lossy `as` narrowing casts below a sink                     |
 //! | DP001 | calls to `#[deprecated]` workspace items (reachability-free)|
+//! | DC001 | a `pub fn` nothing calls but its own file's unit tests      |
 //!
-//! `#[cfg(test)] mod` bodies are exempt everywhere; residual exceptions
+//! `#[cfg(test)] mod` bodies (inline, or the file behind an out-of-line
+//! `#[cfg(test)] mod name;`) are exempt everywhere; residual exceptions
 //! live in the policy's `allow` lists, each with a comment saying why.
 
 #![warn(missing_docs)]

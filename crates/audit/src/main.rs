@@ -91,7 +91,7 @@ fn main() -> ExitCode {
             );
             eprintln!(
                 "cshard-audit:   settle it in policy.toml: [callgraph] resolve = \
-                 [\"{}/{} -> <id-suffix>|*|external\"]",
+                 [\"{}/{} -> *\"]",
                 amb.name, amb.arity
             );
         }

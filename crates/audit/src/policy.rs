@@ -12,7 +12,7 @@
 //! line — never a panic — so a typo in the policy fails the audit run
 //! with a diagnostic instead of taking the gate down with a backtrace.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A policy file failed to parse or validate.
@@ -85,17 +85,6 @@ impl RulePolicy {
     }
 }
 
-/// Where an ambiguous call should resolve, per `[callgraph] resolve`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ResolveTarget {
-    /// The call is out of workspace scope (`-> external`).
-    External,
-    /// Fan out to every candidate (`-> *`).
-    All,
-    /// The unique candidate whose display id ends with this suffix.
-    To(String),
-}
-
 /// The `[callgraph]` table: sink roots and ambiguity overrides for the
 /// interprocedural passes.
 #[derive(Clone, Debug, Default)]
@@ -105,26 +94,17 @@ pub struct CallGraphPolicy {
     /// to `Owner::method` — e.g. the closures handed to
     /// `WorkScheduler::drain` live in their enclosing fn's body).
     pub sinks: Vec<String>,
-    /// `(name, arity)` → target for calls the resolver cannot settle.
-    pub resolve: BTreeMap<(String, usize), ResolveTarget>,
+    /// `(name, arity)` of the calls the resolver cannot settle, each
+    /// fanned out to every candidate.
+    pub resolve: BTreeSet<(String, usize)>,
 }
 
-impl CallGraphPolicy {
-    /// The override for an ambiguous `(name, arity)` call, if any.
-    pub fn resolve_for(&self, name: &str, arity: usize) -> Option<&ResolveTarget> {
-        self.resolve.get(&(name.to_string(), arity))
-    }
-}
-
-/// Parses one `[callgraph] resolve` entry: `"name/arity -> target"`.
-fn parse_resolve_entry(
-    entry: &str,
-    lineno: usize,
-) -> Result<((String, usize), ResolveTarget), PolicyError> {
+/// Parses one `[callgraph] resolve` entry: `"name/arity -> *"`.
+fn parse_resolve_entry(entry: &str, lineno: usize) -> Result<(String, usize), PolicyError> {
     let (lhs, rhs) = entry.split_once("->").ok_or_else(|| {
         err(
             lineno,
-            format!("resolve entry `{entry}` must be `name/arity -> target`"),
+            format!("resolve entry `{entry}` must be `name/arity -> *`"),
         )
     })?;
     let lhs = lhs.trim();
@@ -140,18 +120,13 @@ fn parse_resolve_entry(
             format!("resolve entry `{entry}`: arity `{arity}` is not a number"),
         )
     })?;
-    let target = match rhs.trim() {
-        "" => {
-            return Err(err(
-                lineno,
-                format!("resolve entry `{entry}` is missing a target after `->`"),
-            ))
-        }
-        "external" => ResolveTarget::External,
-        "*" => ResolveTarget::All,
-        suffix => ResolveTarget::To(suffix.to_string()),
-    };
-    Ok(((name.trim().to_string(), arity), target))
+    if rhs.trim() != "*" {
+        return Err(err(
+            lineno,
+            format!("resolve entry `{entry}`: the target must be `*` (every candidate)"),
+        ));
+    }
+    Ok((name.trim().to_string(), arity))
 }
 
 /// The whole audit policy.
@@ -247,8 +222,8 @@ impl Policy {
                 ("sinks", _) => Err(err(lineno, "`sinks` must be an array of strings")),
                 ("resolve", Value::Array(v)) => {
                     for entry in &v {
-                        let (key, target) = parse_resolve_entry(entry, lineno)?;
-                        self.callgraph.resolve.insert(key, target);
+                        let key = parse_resolve_entry(entry, lineno)?;
+                        self.callgraph.resolve.insert(key);
                     }
                     Ok(())
                 }
@@ -481,23 +456,15 @@ required = ["#![warn(missing_docs)]"]
         let p = Policy::parse(
             "[audit]\ncrates = [\"a\"]\n[callgraph]\n\
              sinks = [\"ProtocolDriver::on_event\", \"calls:WorkScheduler::drain\"]\n\
-             resolve = [\n  \"go/1 -> x::go\",  # comment\n  \"step/2 -> *\",\n  \"len/1 -> external\",\n]\n",
+             resolve = [\n  \"go/1 -> *\",  # comment\n  \"step/2 -> *\",\n]\n",
         )
         .unwrap();
         assert_eq!(p.callgraph.sinks.len(), 2);
-        assert_eq!(
-            p.callgraph.resolve_for("go", 1),
-            Some(&ResolveTarget::To("x::go".into()))
-        );
-        assert_eq!(
-            p.callgraph.resolve_for("step", 2),
-            Some(&ResolveTarget::All)
-        );
-        assert_eq!(
-            p.callgraph.resolve_for("len", 1),
-            Some(&ResolveTarget::External)
-        );
-        assert_eq!(p.callgraph.resolve_for("go", 2), None);
+        let keys: Vec<_> = p.callgraph.resolve.iter().cloned().collect();
+        assert_eq!(keys, [("go".to_string(), 1), ("step".to_string(), 2)]);
+        // `*` is the one target: an override fans out, never drops an edge.
+        let e = Policy::parse("[callgraph]\nresolve = [\"len/1 -> external\"]\n").unwrap_err();
+        assert!(e.message.contains("must be `*`"), "{e}");
     }
 
     #[test]
@@ -505,7 +472,7 @@ required = ["#![warn(missing_docs)]"]
         let e = Policy::parse("[audit]\ncrates = [\"a\"]\n[callgraph]\nresolve = [\"nope\"]\n")
             .unwrap_err();
         assert_eq!(e.line, 4);
-        assert!(e.message.contains("name/arity -> target"), "{e}");
+        assert!(e.message.contains("name/arity -> *"), "{e}");
     }
 
     #[test]

@@ -67,23 +67,14 @@ pub const TOKEN_RULES: [&str; 6] = ["ND001", "ND002", "ND003", "PH001", "FD001",
 ///
 /// Rules skip these: tests may use wall clocks, `unwrap` and unordered
 /// iteration freely — the determinism contract binds protocol code only.
+/// The file behind an out-of-line `#[cfg(test)] mod name;` is test code
+/// as a whole ([`test_mod_decls`] names it; the scanner marks it).
 pub fn test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        if is_cfg_test_attr(tokens, i) {
-            // Skip past this attribute and any further `#[...]` attributes,
-            // then expect `mod <name> {` and span to the matching brace.
-            let mut j = skip_attr(tokens, i);
-            while j < tokens.len() && tokens[j].is_punct("#") {
-                j = skip_attr(tokens, j);
-            }
-            if j + 2 < tokens.len()
-                && tokens[j].is_ident("mod")
-                && tokens[j + 1].kind == TokenKind::Ident
-                && tokens[j + 2].is_punct("{")
-            {
-                let open = j + 2;
+        if let Some(open) = cfg_test_mod_at(tokens, i).map(|m| m + 2) {
+            if tokens[open].is_punct("{") {
                 let mut depth = 0usize;
                 let mut k = open;
                 while k < tokens.len() {
@@ -105,6 +96,33 @@ pub fn test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
         i += 1;
     }
     spans
+}
+
+/// Names of the out-of-line `#[cfg(test)] mod name;` declarations.
+pub fn test_mod_decls(tokens: &[Token]) -> Vec<String> {
+    (0..tokens.len())
+        .filter_map(|i| cfg_test_mod_at(tokens, i))
+        .filter(|&m| tokens[m + 2].is_punct(";"))
+        .map(|m| tokens[m + 1].text.clone())
+        .collect()
+}
+
+/// When a `#[cfg(test)]` attribute starts at `i` and heads (past any
+/// further `#[...]` attributes) `mod <name>` followed by `{` or `;`: the
+/// index of `mod`.
+fn cfg_test_mod_at(tokens: &[Token], i: usize) -> Option<usize> {
+    if !is_cfg_test_attr(tokens, i) {
+        return None;
+    }
+    let mut j = skip_attr(tokens, i);
+    while j < tokens.len() && tokens[j].is_punct("#") {
+        j = skip_attr(tokens, j);
+    }
+    (j + 2 < tokens.len()
+        && tokens[j].is_ident("mod")
+        && tokens[j + 1].kind == TokenKind::Ident
+        && (tokens[j + 2].is_punct("{") || tokens[j + 2].is_punct(";")))
+    .then_some(j)
 }
 
 fn is_cfg_test_attr(tokens: &[Token], i: usize) -> bool {
@@ -679,5 +697,13 @@ mod tests {
         assert_eq!(spans.len(), 1);
         let tail_idx = toks.iter().position(|t| t.is_ident("tail")).unwrap();
         assert!(!in_spans(&spans, tail_idx));
+    }
+
+    #[test]
+    fn out_of_line_test_mods_are_named_not_spanned() {
+        let toks =
+            lex("#[cfg(test)]\n#[allow(dead_code)]\nmod mc;\nmod real;\n#[cfg(test)] mod t {}");
+        assert_eq!(test_mod_decls(&toks), ["mc"]);
+        assert_eq!(test_spans(&toks).len(), 1);
     }
 }

@@ -51,11 +51,25 @@ pub fn scan_workspace(root: &Path, policy: &Policy) -> ScanReport {
         let mut files = Vec::new();
         collect_rs_files(&src_dir, &mut files, &mut report.findings);
         files.sort();
-        for file in files {
-            if let Some(ft) = scan_file(root, krate, &file, policy, &mut report) {
-                file_tokens.push(ft);
+        let mut crate_files: Vec<FileTokens> = files
+            .iter()
+            .filter_map(|file| lex_file(root, krate, file, &mut report.findings))
+            .collect();
+        report.files_scanned += crate_files.len();
+        // The file behind an out-of-line `#[cfg(test)] mod name;` is test
+        // code as a whole, like an inline test module's body.
+        let test_files: Vec<String> = crate_files
+            .iter()
+            .flat_map(FileTokens::test_mod_files)
+            .collect();
+        for ft in &mut crate_files {
+            if test_files.contains(&ft.rel) {
+                ft.mark_test_only();
+            } else {
+                apply_token_rules(ft, policy, &mut report.findings);
             }
         }
+        file_tokens.extend(crate_files);
         check_crate_headers(root, krate, policy, &mut report.findings);
     }
     // Interprocedural passes over every scanned file at once — symbols
@@ -63,6 +77,14 @@ pub fn scan_workspace(root: &Path, policy: &Policy) -> ScanReport {
     let symbols = SymbolTable::build(&file_tokens);
     let graph = CallGraph::build(&file_tokens, &symbols, &policy.callgraph);
     let taint = taint::analyze(&file_tokens, &symbols, &graph, policy);
+    let callers = caller_files(root, policy, &mut report.findings);
+    report.findings.extend(taint::test_only_fns(
+        &file_tokens,
+        &symbols,
+        &graph,
+        &callers,
+        policy,
+    ));
     report.stats = graph.stats;
     report.ambiguous = graph.ambiguous;
     report.dead_resolves = graph.dead_resolves;
@@ -74,6 +96,46 @@ pub fn scan_workspace(root: &Path, policy: &Policy) -> ScanReport {
         .findings
         .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     report
+}
+
+/// The caller-only files DC001 reads: every `.rs` file under the
+/// directories its `callers` list names (a `*` segment matches every
+/// directory at that level; a directory that does not exist holds no
+/// caller). Their calls keep a function alive; no rule checks them.
+fn caller_files(root: &Path, policy: &Policy, findings: &mut Vec<Finding>) -> Vec<FileTokens> {
+    let Some(dirs) = policy
+        .rules
+        .get("DC001")
+        .and_then(|rp| rp.lists.get("callers"))
+    else {
+        return Vec::new();
+    };
+    let mut files = Vec::new();
+    for dir in dirs {
+        let expanded: Vec<PathBuf> = match dir.split_once("/*/") {
+            None => vec![root.join(dir)],
+            Some((parent, tail)) => fs::read_dir(root.join(parent))
+                .into_iter()
+                .flatten()
+                .flatten()
+                .map(|entry| entry.path().join(tail))
+                .collect(),
+        };
+        for dir in expanded.iter().filter(|d| d.is_dir()) {
+            collect_rs_files(dir, &mut files, findings);
+        }
+    }
+    files.sort();
+    files
+        .iter()
+        .filter_map(|file| {
+            // `crates/bench/src/..` is `bench`; `tests/..` is `tests`.
+            let rel = workspace_relative(root, file);
+            let tail = rel.strip_prefix("crates/").unwrap_or(&rel);
+            let krate = tail.split('/').next().unwrap_or_default();
+            lex_file(root, krate, file, findings)
+        })
+        .collect()
 }
 
 /// Workspace crates the policy covers in neither `[audit] crates` nor
@@ -101,37 +163,34 @@ pub fn uncovered_crates(root: &Path, policy: &Policy) -> Vec<String> {
     uncovered
 }
 
-/// Reads, lexes and token-rule-checks one file; returns its tokens for
-/// the interprocedural passes (or `None` when unreadable).
-fn scan_file(
+/// Reads and lexes one file (or `None` when unreadable).
+fn lex_file(
     root: &Path,
     krate: &str,
     file: &Path,
-    policy: &Policy,
-    report: &mut ScanReport,
+    findings: &mut Vec<Finding>,
 ) -> Option<FileTokens> {
     let rel = workspace_relative(root, file);
-    let source = match fs::read_to_string(file) {
-        Ok(s) => s,
+    match fs::read_to_string(file) {
+        Ok(source) => Some(FileTokens::new(krate, &rel, &source)),
         Err(e) => {
-            report.findings.push(io_finding(&rel, e));
-            return None;
+            findings.push(io_finding(&rel, e));
+            None
         }
-    };
-    report.files_scanned += 1;
-    let ft = FileTokens::new(krate, &rel, &source);
+    }
+}
+
+/// Runs the file-scoped token rules the policy enables over one file.
+fn apply_token_rules(ft: &FileTokens, policy: &Policy, findings: &mut Vec<Finding>) {
     for rule in TOKEN_RULES {
         let Some(rp) = policy.rules.get(rule) else {
             continue; // a rule absent from the policy is switched off
         };
-        if !rp.applies_to(krate, &policy.crates) || rp.is_allowed(&rel) {
+        if !rp.applies_to(&ft.krate, &policy.crates) || rp.is_allowed(&ft.rel) {
             continue;
         }
-        report
-            .findings
-            .extend(apply_token_rule(rule, rp, &rel, &ft.tokens));
+        findings.extend(apply_token_rule(rule, rp, &ft.rel, &ft.tokens));
     }
-    Some(ft)
 }
 
 /// AH001: every protocol crate's `src/lib.rs` must carry the lint headers

@@ -4,14 +4,15 @@
 //! definition with enough context for call-graph construction: crate and
 //! module path (file layout plus inline `mod` blocks), the owning
 //! `impl` block's type and trait (when any), the parameter arity
-//! (receiver included), the body's token span, and whether the item is
-//! `#[deprecated]` or test-only. No type checking happens here — the
+//! (receiver included), the parameter and body token spans, whether the
+//! item is plain `pub`, `#[deprecated]` or test-only — plus every named
+//! struct field's declared type. No type checking happens here — the
 //! table is a name/arity index that pass 2 ([`crate::callgraph`])
-//! resolves against, with `policy.toml` overrides for the genuinely
-//! ambiguous residue.
+//! resolves against, binding receiver types only where the source states
+//! them, with `policy.toml` overrides for the genuinely ambiguous residue.
 
 use crate::lexer::{Token, TokenKind};
-use crate::rules::test_spans;
+use crate::rules::{test_mod_decls, test_spans};
 use std::collections::BTreeMap;
 
 /// One file's lexed token stream plus derived spans, shared by every pass.
@@ -23,7 +24,8 @@ pub struct FileTokens {
     pub rel: String,
     /// The token stream.
     pub tokens: Vec<Token>,
-    /// `#[cfg(test)] mod` spans (token index ranges, half-open).
+    /// `#[cfg(test)] mod` spans (token index ranges, half-open); the
+    /// whole stream when the file is an out-of-line test module.
     pub test_spans: Vec<(usize, usize)>,
 }
 
@@ -43,6 +45,30 @@ impl FileTokens {
     /// Whether token index `i` lies inside a `#[cfg(test)] mod` span.
     pub fn in_test_span(&self, i: usize) -> bool {
         self.test_spans.iter().any(|&(a, b)| i >= a && i < b)
+    }
+
+    /// Marks the whole file as test code: it is the body of an
+    /// out-of-line `#[cfg(test)] mod` (see [`FileTokens::test_mod_files`]).
+    pub fn mark_test_only(&mut self) {
+        self.test_spans = vec![(0, self.tokens.len())];
+    }
+
+    /// The workspace-relative paths that may hold the body of each
+    /// out-of-line `#[cfg(test)] mod name;` declared here: `name.rs` and
+    /// `name/mod.rs`, beside a `lib.rs`/`main.rs`/`mod.rs` and under the
+    /// file's stem otherwise.
+    pub fn test_mod_files(&self) -> Vec<String> {
+        let (dir, file) = self.rel.rsplit_once('/').unwrap_or(("", &self.rel));
+        let stem = file.strip_suffix(".rs").unwrap_or(file);
+        let base = if matches!(stem, "lib" | "main" | "mod") {
+            dir.to_string()
+        } else {
+            format!("{dir}/{stem}")
+        };
+        test_mod_decls(&self.tokens)
+            .iter()
+            .flat_map(|name| [format!("{base}/{name}.rs"), format!("{base}/{name}/mod.rs")])
+            .collect()
     }
 }
 
@@ -66,6 +92,9 @@ pub struct FnDef {
     pub name: String,
     /// Parameter count, receiver included (`fn f(&self, x: u32)` → 2).
     pub arity: usize,
+    /// Token index span of the parameter list, half-open, excluding the
+    /// parentheses.
+    pub params: (usize, usize),
     /// 1-based line of the `fn` keyword.
     pub line: usize,
     /// Token index span of the body, half-open, excluding the braces.
@@ -75,6 +104,8 @@ pub struct FnDef {
     pub deprecated: bool,
     /// Whether the item is test-only (`#[cfg(test)]` span, `#[test]`).
     pub is_test: bool,
+    /// Whether the item is declared plain `pub` (not `pub(crate)`).
+    pub is_pub: bool,
 }
 
 impl FnDef {
@@ -103,6 +134,10 @@ pub struct SymbolTable {
     pub fns: Vec<FnDef>,
     /// Name → indices into `fns`.
     pub by_name: BTreeMap<String, Vec<usize>>,
+    /// `(struct, field)` → the base name of the field's declared type, from
+    /// the named-field struct declarations (capitalised names only); `None`
+    /// where two structs of one name disagree.
+    pub fields: BTreeMap<(String, String), Option<String>>,
 }
 
 impl SymbolTable {
@@ -110,12 +145,20 @@ impl SymbolTable {
     pub fn build(files: &[FileTokens]) -> SymbolTable {
         let mut table = SymbolTable::default();
         for (file_idx, ft) in files.iter().enumerate() {
-            scan_file(file_idx, ft, &mut table.fns);
+            scan_file(file_idx, ft, &mut table);
         }
         for (i, def) in table.fns.iter().enumerate() {
             table.by_name.entry(def.name.clone()).or_default().push(i);
         }
         table
+    }
+
+    /// The type name of `owner`'s field `field`, when its declaration
+    /// states one.
+    pub fn field_type(&self, owner: &str, field: &str) -> Option<&str> {
+        self.fields
+            .get(&(owner.to_string(), field.to_string()))?
+            .as_deref()
     }
 
     /// Definitions implementing `Trait::method` (impl blocks only, not
@@ -184,7 +227,7 @@ struct Scope {
     close: usize,
 }
 
-fn scan_file(file_idx: usize, ft: &FileTokens, out: &mut Vec<FnDef>) {
+fn scan_file(file_idx: usize, ft: &FileTokens, table: &mut SymbolTable) {
     let tokens = &ft.tokens;
     let braces = brace_pairs(tokens);
     let base_module = file_module(&ft.rel, &ft.krate);
@@ -247,8 +290,11 @@ fn scan_file(file_idx: usize, ft: &FileTokens, out: &mut Vec<FnDef>) {
                 .is_some_and(|n| n.kind == TokenKind::Ident)
         {
             if let Some(def) = parse_fn(file_idx, ft, &braces, &scopes, &base_module, i) {
-                out.push(def);
+                table.fns.push(def);
             }
+        }
+        if t.is_ident("struct") {
+            struct_fields(tokens, &braces, i, &mut table.fields);
         }
         i += 1;
     }
@@ -284,7 +330,7 @@ fn parse_impl_header(tokens: &[Token], i: usize) -> Option<(String, Option<Strin
 /// Parses a type path (`cshard_runtime::driver::ProtocolDriver`,
 /// `Box<D>`, `&mut T`), returning its final base identifier and the index
 /// just past the path.
-fn parse_type_path(tokens: &[Token], mut j: usize) -> Option<(String, usize)> {
+pub(crate) fn parse_type_path(tokens: &[Token], mut j: usize) -> Option<(String, usize)> {
     while tokens
         .get(j)
         .is_some_and(|t| t.is_punct("&") || t.is_ident("mut") || t.is_ident("dyn"))
@@ -310,6 +356,71 @@ fn parse_type_path(tokens: &[Token], mut j: usize) -> Option<(String, usize)> {
         break;
     }
     last.map(|l| (l, j))
+}
+
+/// The type a binding's declared type `tokens[j..]` names, when it is a
+/// type name (capitalised; `Self` is `owner`): the base of its path, so
+/// `&mut Stats`, `cshard_settle::SettleStats` and `Vec<u8>` name `Stats`,
+/// `SettleStats` and `Vec`. Type parameters name themselves, and select
+/// no candidate.
+pub(crate) fn type_name(tokens: &[Token], j: usize, owner: Option<&str>) -> Option<String> {
+    named_type(&parse_type_path(tokens, j)?.0, owner)
+}
+
+/// `name` when it names a type (capitalised; `Self` is `owner`).
+pub(crate) fn named_type(name: &str, owner: Option<&str>) -> Option<String> {
+    if name == "Self" {
+        return owner.map(str::to_string);
+    }
+    name.starts_with(|c: char| c.is_ascii_uppercase())
+        .then(|| name.to_string())
+}
+
+/// Records the field types of the named-field `struct` whose keyword sits
+/// at `i` (tuple and unit structs have none to name).
+fn struct_fields(
+    tokens: &[Token],
+    braces: &BTreeMap<usize, usize>,
+    i: usize,
+    fields: &mut BTreeMap<(String, String), Option<String>>,
+) {
+    let Some(name) = tokens.get(i + 1).map(|t| &t.text) else {
+        return;
+    };
+    let body =
+        (i + 2..tokens.len()).find(|&k| ["{", "(", ";"].iter().any(|p| tokens[k].is_punct(p)));
+    let Some(&close) = body.and_then(|open| braces.get(&open)) else {
+        return;
+    };
+    for k in ascriptions(tokens, body.unwrap_or(close) + 1, close) {
+        let ty = type_name(tokens, k + 2, Some(name));
+        fields
+            .entry((name.clone(), tokens[k].text.clone()))
+            .and_modify(|known| {
+                if *known != ty {
+                    *known = None;
+                }
+            })
+            .or_insert(ty);
+    }
+}
+
+/// The name of each top-level `name: Type` in `tokens[start..end]` (a
+/// parameter list or a struct body), as token indices.
+pub(crate) fn ascriptions(tokens: &[Token], start: usize, end: usize) -> Vec<usize> {
+    let mut depth = 0i32;
+    let mut out = Vec::new();
+    for k in start..end {
+        let t = &tokens[k];
+        if ["(", "[", "{", "<"].iter().any(|p| t.is_punct(p)) {
+            depth += 1;
+        } else if [")", "]", "}", ">"].iter().any(|p| t.is_punct(p)) {
+            depth -= 1;
+        } else if depth == 0 && t.kind == TokenKind::Ident && tokens[k + 1].is_punct(":") {
+            out.push(k);
+        }
+    }
+    out
 }
 
 /// Skips a balanced `<...>` group starting at `j` (which points at `<`).
@@ -349,6 +460,7 @@ fn parse_fn(
         return None;
     }
     let (arity, after_params) = count_params(tokens, j)?;
+    let params = (j + 1, after_params - 1);
     // Signature tail: the body `{` or a declaration-ending `;`, at zero
     // bracket depth (return types like `-> [u8; 32]` contain `;`).
     let mut k = after_params;
@@ -401,7 +513,7 @@ fn parse_fn(
             }
         }
     }
-    let attrs = item_attr_idents(tokens, i);
+    let (attrs, is_pub) = item_attrs(tokens, i);
     // `#[test]`, `#[cfg(test)]`, `#[tokio::test]` — but not `#[cfg(not(test))]`.
     let is_test = ft.in_test_span(i)
         || (attrs.iter().any(|a| a == "test") && !attrs.iter().any(|a| a == "not"));
@@ -415,10 +527,12 @@ fn parse_fn(
         trait_name,
         name,
         arity,
+        params,
         line: tokens[i].line,
         body,
         deprecated,
         is_test,
+        is_pub,
     })
 }
 
@@ -466,7 +580,7 @@ pub(crate) fn count_params(tokens: &[Token], open: usize) -> Option<(usize, usiz
 
 /// Whether the `|` at `j` opens closure parameters (it directly follows a
 /// `(`/`,`/`=`/`move`, i.e. expression-start position, not a binary or).
-fn closure_opens(tokens: &[Token], j: usize) -> bool {
+pub(crate) fn closure_opens(tokens: &[Token], j: usize) -> bool {
     j > 0
         && (tokens[j - 1].is_punct("(")
             || tokens[j - 1].is_punct(",")
@@ -492,9 +606,11 @@ fn skip_closure_params(tokens: &[Token], open: usize) -> usize {
 
 /// Identifiers appearing inside the attributes (`#[...]`) directly above
 /// the item whose `fn` keyword sits at `i` — visibility qualifiers are
-/// walked through.
-fn item_attr_idents(tokens: &[Token], i: usize) -> Vec<String> {
+/// walked through — and whether the item is plain `pub` (not
+/// `pub(crate)`).
+fn item_attrs(tokens: &[Token], i: usize) -> (Vec<String>, bool) {
     let mut idents = Vec::new();
+    let mut is_pub = false;
     let mut j = i;
     // Walk left over `pub(crate) const async unsafe extern "C" default`.
     while j > 0 {
@@ -511,6 +627,7 @@ fn item_attr_idents(tokens: &[Token], i: usize) -> Vec<String> {
         if !qualifier {
             break;
         }
+        is_pub |= p.is_ident("pub") && !tokens[j].is_punct("(");
         j -= 1;
     }
     // Then over any number of `#[...]` groups.
@@ -528,7 +645,7 @@ fn item_attr_idents(tokens: &[Token], i: usize) -> Vec<String> {
                 }
             }
             if open == 0 {
-                return idents;
+                return (idents, is_pub);
             }
             open -= 1;
         }
@@ -542,7 +659,7 @@ fn item_attr_idents(tokens: &[Token], i: usize) -> Vec<String> {
         }
         j = open - 1;
     }
-    idents
+    (idents, is_pub)
 }
 
 #[cfg(test)]

@@ -44,7 +44,8 @@
 //! it needs the resolved edges, not reachability: a deprecated call is
 //! wrong wherever it sits.
 
-use crate::callgraph::CallGraph;
+use crate::callgraph::{callees, CallGraph};
+use crate::lexer::{Token, TokenKind};
 use crate::policy::{Policy, RulePolicy};
 use crate::rules::{hash_iteration_sites, Finding, Site};
 use crate::symbols::{FileTokens, FnDef, SymbolTable};
@@ -331,7 +332,7 @@ fn panic_sites(rp: &RulePolicy, ft: &FileTokens, start: usize, end: usize) -> Ve
         if on("index")
             && t.is_punct("[")
             && i > start
-            && tokens[i - 1].kind == crate::lexer::TokenKind::Ident
+            && tokens[i - 1].kind == TokenKind::Ident
             && !tokens[i - 1].is_ident("in")
         {
             sites.push(Site {
@@ -403,6 +404,103 @@ fn deprecated_calls(symbols: &SymbolTable, graph: &CallGraph, policy: &Policy) -
         }
     }
     findings
+}
+
+/// DC001: every non-test `pub fn` outside a trait impl that nothing
+/// calls but the unit tests of its own file. Callers are the graph's
+/// edges, the policy crates' test bodies and every fn of the caller-only
+/// `callers` files (binaries, integration tests, examples, the
+/// benchmark), so a function only they call stays alive. A caller the
+/// resolver leaves ambiguous keeps every candidate alive.
+pub fn test_only_fns(
+    files: &[FileTokens],
+    symbols: &SymbolTable,
+    graph: &CallGraph,
+    callers: &[FileTokens],
+    policy: &Policy,
+) -> Vec<Finding> {
+    let Some(rp) = policy.rules.get("DC001") else {
+        return Vec::new();
+    };
+    // Per fn: whether anything but its own file's tests calls it.
+    let mut alive = vec![false; symbols.fns.len()];
+    for (caller, edges) in graph.edges.iter().enumerate() {
+        for e in edges.iter().filter(|e| e.callee != caller) {
+            alive[e.callee] = true;
+        }
+    }
+    let caller_table = SymbolTable::build(callers);
+    for def in symbols.fns.iter().filter(|d| d.is_test) {
+        for callee in callees(files, def, symbols, &policy.callgraph) {
+            alive[callee] |= symbols.fns[callee].file != def.file;
+        }
+    }
+    for def in &caller_table.fns {
+        for callee in callees(callers, def, symbols, &policy.callgraph) {
+            alive[callee] = true;
+        }
+    }
+    // A fn passed by path (`.and_then(Value::as_bool)`) is used, not
+    // called: every fn of that name outside the referring file's tests
+    // stays alive.
+    for (f, ft) in files.iter().chain(callers).enumerate() {
+        for (k, name) in path_refs(&ft.tokens) {
+            for &i in symbols.by_name.get(name).into_iter().flatten() {
+                let own_test = f < files.len() && symbols.fns[i].file == f && ft.in_test_span(k);
+                alive[i] |= !own_test;
+            }
+        }
+    }
+    symbols
+        .fns
+        .iter()
+        .enumerate()
+        .filter(|&(i, d)| {
+            !alive[i]
+                && d.is_pub
+                && !d.is_test
+                && d.trait_name.is_none()
+                && rp.applies_to(&d.krate, &policy.crates)
+                && !rp.is_allowed(&d.id())
+        })
+        .map(|(_, d)| {
+            Finding::new(
+                "DC001",
+                &d.path,
+                d.line,
+                format!(
+                    "`{}` has no caller but its own file's unit tests — {}",
+                    d.id(),
+                    rp.description
+                ),
+            )
+        })
+        .collect()
+}
+
+/// `(index, name)` of every `Q::name` path that is not called, outside
+/// `use` declarations.
+fn path_refs(tokens: &[Token]) -> Vec<(usize, &str)> {
+    let mut refs = Vec::new();
+    let mut in_use = false;
+    for (k, t) in tokens.iter().enumerate() {
+        if t.is_ident("use") {
+            in_use = true;
+        } else if t.is_punct(";") {
+            in_use = false;
+        } else if !in_use
+            && k >= 2
+            && t.kind == TokenKind::Ident
+            && tokens[k - 1].is_punct("::")
+            && tokens[k - 2].kind == TokenKind::Ident
+            && !tokens
+                .get(k + 1)
+                .is_some_and(|n| ["(", "::", "!", "{"].iter().any(|p| n.is_punct(p)))
+        {
+            refs.push((k, t.text.as_str()));
+        }
+    }
+    refs
 }
 
 #[cfg(test)]

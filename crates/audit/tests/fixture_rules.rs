@@ -206,3 +206,60 @@ fn workspace_policy_parses_and_names_existing_crates() {
     let gaps = uncovered_crates(ws_root, &policy);
     assert!(gaps.is_empty(), "uncovered workspace crates: {gaps:?}");
 }
+
+/// The body of an out-of-line `#[cfg(test)] mod` (`name.rs` or
+/// `name/mod.rs`) is test code: its `unwrap` raises no PH001, while the
+/// same body behind a plain `mod` does.
+#[test]
+fn out_of_line_test_module_files_are_test_code() {
+    // The tmp workspace persists across runs; start it clean.
+    let _ = fs::remove_dir_all(Path::new(env!("CARGO_TARGET_TMPDIR")).join("audit-test-mod"));
+    let root = mini_workspace(
+        "audit-test-mod",
+        "//! doc\n#[cfg(test)]\nmod mc;\n#[cfg(test)]\nmod deep;\nmod real;\n",
+    );
+    let src = root.join("crates/core/src");
+    fs::create_dir_all(src.join("deep")).expect("mkdir deep/");
+    let body = "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
+    for file in ["mc.rs", "deep/mod.rs", "real.rs"] {
+        fs::write(src.join(file), body).expect("write module");
+    }
+    let report = scan_workspace(&root, &policy_for("PH001"));
+    let paths: Vec<&str> = report.findings.iter().map(|f| f.path.as_str()).collect();
+    assert_eq!(paths, ["crates/core/src/real.rs"], "{:?}", report.findings);
+}
+
+/// A DC001 policy whose caller-only files live under `tests/`.
+fn dc001_policy(allow: &str) -> Policy {
+    Policy::parse(&format!(
+        "[audit]\ncrates = [\"core\"]\n[rules.DC001]\ndescription = \"fixture policy\"\n\
+         callers = [\"tests\"]\nallow = [{allow}]\n"
+    ))
+    .expect("fixture policy parses")
+}
+
+#[test]
+fn dc001_flags_a_pub_fn_only_its_own_tests_call() {
+    let root = mini_workspace("audit-dc001-fail", &fixture("fail", "dc001.rs"));
+    let report = scan_workspace(&root, &dc001_policy(""));
+    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+    let f = &report.findings[0];
+    assert_eq!((f.rule, f.line), ("DC001", 3));
+    assert!(f.message.contains("`core::only_tested`"), "{f}");
+    // An allow entry names the function by its id.
+    let report = scan_workspace(&root, &dc001_policy("\"core::only_tested\""));
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
+}
+
+#[test]
+fn dc001_passes_fns_with_another_caller_or_outside_the_rule() {
+    let root = mini_workspace("audit-dc001-pass", &fixture("pass", "dc001.rs"));
+    fs::create_dir_all(root.join("tests")).expect("mkdir tests/");
+    fs::write(
+        root.join("tests/it.rs"),
+        "#[test]\nfn integration() {\n    assert_eq!(core::entry(&core::Meter), [2]);\n}\n",
+    )
+    .expect("write tests/it.rs");
+    let report = scan_workspace(&root, &dc001_policy(""));
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
+}

@@ -11,6 +11,8 @@
 //! while leaving the same source in a fn no sink can reach — proving
 //! the rules are reachability-scoped, not whole-file lints.
 
+use cshard_audit::callgraph::CallGraph;
+use cshard_audit::symbols::{FileTokens, SymbolTable};
 use cshard_audit::{scan_workspace, Policy, ScanReport};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -206,13 +208,60 @@ fn two_hop_taint_propagates_across_files() {
     );
 }
 
-/// Two same-name same-arity methods behind an untyped receiver: the
-/// `a.poll()` call needs a `poll/1` resolve override.
+/// A receiver typed by its constructor (`let mut s = Stats::new();
+/// s.merge(..)`) reaches `Stats::merge` and the wall clock behind it, not
+/// the clock-free `Other::merge` that sits in the caller's own module.
+#[test]
+fn typed_receiver_reaches_its_type_not_a_same_module_decoy() {
+    let lib = "//! sink side\nmod stats;\npub use stats::Stats;\n\n\
+               pub struct Other;\n\n\
+               impl Other {\n    pub fn merge(&mut self, ev: u64) -> u64 {\n        ev\n    }\n}\n\n\
+               pub struct Driver;\n\n\
+               impl ProtocolDriver for Driver {\n    fn on_event(&mut self, ev: u64) -> u64 {\n        \
+               let mut s = Stats::new();\n        s.merge(ev)\n    }\n}\n";
+    let stats = "//! the typed callee\npub struct Stats;\n\n\
+                 impl Stats {\n    pub fn new() -> Stats {\n        Stats\n    }\n\n    \
+                 pub fn merge(&mut self, ev: u64) -> u64 {\n        \
+                 ev.wrapping_add(std::time::Instant::now().elapsed().as_secs())\n    }\n}\n";
+    let root = mini_workspace("taint-typed-receiver", lib);
+    fs::write(root.join("crates/core/src/stats.rs"), stats).expect("write stats.rs");
+    let policy = reach_policy("ND101", "ProtocolDriver::on_event");
+    let report = scan_workspace(&root, &policy);
+    assert!(report.ambiguous.is_empty(), "{:?}", report.ambiguous);
+    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+    let f = &report.findings[0];
+    assert_eq!(
+        (f.rule, f.path.as_str()),
+        ("ND101", "crates/core/src/stats.rs")
+    );
+    assert!(
+        f.chain[1].contains("core::stats::Stats::merge"),
+        "{:?}",
+        f.chain
+    );
+    // No edge reaches the decoy.
+    let files = [
+        FileTokens::new("core", "crates/core/src/lib.rs", lib),
+        FileTokens::new("core", "crates/core/src/stats.rs", stats),
+    ];
+    let symbols = SymbolTable::build(&files);
+    let graph = CallGraph::build(&files, &symbols, &policy.callgraph);
+    let decoy = symbols
+        .fns
+        .iter()
+        .position(|d| d.id() == "core::Other::merge")
+        .expect("the decoy is in the table");
+    assert!(graph.callers_of(&[decoy]).is_empty());
+}
+
+/// Two same-name same-arity methods behind an untyped receiver (a
+/// closure parameter states no type): the `a.poll()` call needs a
+/// `poll/1` resolve override.
 const TWO_POLLS: &str = "//! two same-name same-arity methods, untyped receiver\n\
                          pub struct A;\npub struct B;\n\
                          impl A {\n    pub fn poll(&self) -> u32 {\n        1\n    }\n}\n\
                          impl B {\n    pub fn poll(&self) -> u32 {\n        2\n    }\n}\n\
-                         pub fn tick(a: &A) -> u32 {\n    a.poll()\n}\n";
+                         pub fn tick(all: &[A]) -> u32 {\n    all.iter().map(|a| a.poll()).sum()\n}\n";
 
 /// An unresolvable call is a setup error: the binary must exit 2 with a
 /// diagnostic naming the call site and the `[callgraph] resolve` override
@@ -231,7 +280,7 @@ fn ambiguous_call_exits_2_until_a_resolve_override_settles_it() {
     assert!(stderr.contains("ambiguous call `poll`"), "{stderr}");
     assert!(stderr.contains("crates/core/src/lib.rs:"), "{stderr}");
     assert!(
-        stderr.contains("resolve = [\"poll/1 -> <id-suffix>|*|external\"]"),
+        stderr.contains("resolve = [\"poll/1 -> *\"]"),
         "hint must quote the override syntax: {stderr}"
     );
 
@@ -308,7 +357,7 @@ fn dead_resolve_entry_exits_2_naming_it() {
             entries.join("\", \"")
         )
     };
-    let entries = ["poll/1 -> *", "len/1 -> *", "tick/1 -> external"];
+    let entries = ["poll/1 -> *", "len/1 -> *", "tick/1 -> *"];
     let parsed = Policy::parse(&policy(&entries)).expect("policy parses");
     let report = scan_workspace(&root, &parsed);
     assert!(report.ambiguous.is_empty(), "{:?}", report.ambiguous);

@@ -18,7 +18,7 @@
 
 use cshard_crypto::Prf;
 use cshard_ledger::Transaction;
-use cshard_network::{CommKind, CommStats, LatencyModel};
+use cshard_network::{CommKind, LatencyModel};
 use cshard_primitives::{Error, ShardId, SimTime};
 use cshard_runtime::{
     Batch, ContractShardDriver, CrosslinkChannel, Ctx, Event, ProtocolDriver, RuntimeConfig,
@@ -81,7 +81,7 @@ impl ChainspacePlacement {
     }
 
     /// Whether transaction `i` is cross-shard (touches > 1 shard).
-    pub fn is_cross_shard(&self, i: usize) -> bool {
+    fn is_cross_shard(&self, i: usize) -> bool {
         self.touched(i).len() > 1
     }
 
@@ -90,19 +90,6 @@ impl ChainspacePlacement {
         (0..self.ends.len())
             .filter(|&i| self.is_cross_shard(i))
             .count()
-    }
-
-    /// Books the validation communication into `stats`: two rounds per
-    /// cross-shard transaction, attributed to its home shard (the shard
-    /// that drives the commit). Single-shard transactions cost nothing.
-    pub fn record_validation_communication(&self, stats: &mut CommStats) {
-        for i in (0..self.ends.len()).filter(|&i| self.is_cross_shard(i)) {
-            stats.record_many(
-                self.touched(i)[0],
-                CommKind::CrossShardValidation,
-                CROSS_SHARD_ROUNDS_PER_TX,
-            );
-        }
     }
 
     /// Transaction indices grouped by home shard — the per-shard queues a
@@ -377,6 +364,7 @@ impl ProtocolDriver for ChainspaceDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cshard_network::CommStats;
     use cshard_workload::{FeeDistribution, Workload};
 
     fn three_input_txs(n: usize) -> Vec<Transaction> {
@@ -410,26 +398,6 @@ mod tests {
         let txs = three_input_txs(40);
         let p = ChainspacePlacement::place(&txs, 1, 3);
         assert_eq!(p.cross_shard_count(), 0);
-        let mut stats = CommStats::new();
-        p.record_validation_communication(&mut stats);
-        assert_eq!(stats.total(), 0);
-    }
-
-    #[test]
-    fn communication_grows_linearly_with_tx_count() {
-        // The Fig. 4(b) shape: per-shard communication ≈ 2·X/9 for X
-        // cross-shard transactions.
-        let mut stats = CommStats::new();
-        let txs = three_input_txs(900);
-        let p = ChainspacePlacement::place(&txs, 9, 5);
-        p.record_validation_communication(&mut stats);
-        assert_eq!(
-            stats.total(),
-            CROSS_SHARD_ROUNDS_PER_TX * p.cross_shard_count() as u64
-        );
-        let per_shard = stats.per_shard_average(9);
-        let expected = 2.0 * p.cross_shard_count() as f64 / 9.0;
-        assert!((per_shard - expected).abs() < 1e-9);
     }
 
     #[test]
@@ -483,16 +451,18 @@ mod tests {
 
     #[test]
     fn driver_accounting_matches_the_closed_form() {
-        // The retained closed-form bookkeeping and the event-driven runs
-        // must agree exactly, shard by shard.
+        // The event-driven runs book two rounds per cross-shard
+        // transaction on its home shard (the one that drives the commit),
+        // shard by shard.
         let (p, from_driver) = run_drivers(200, 9, 11);
-        let mut closed_form = CommStats::new();
-        p.record_validation_communication(&mut closed_form);
-        assert_eq!(from_driver.total(), closed_form.total());
-        for s in 0..9 {
+        let mut closed_form = [0u64; 9];
+        for i in (0..p.ends.len()).filter(|&i| p.is_cross_shard(i)) {
+            closed_form[p.touched(i)[0].0 as usize] += CROSS_SHARD_ROUNDS_PER_TX;
+        }
+        for (s, &rounds) in closed_form.iter().enumerate() {
             assert_eq!(
-                from_driver.for_shard(ShardId::new(s)),
-                closed_form.for_shard(ShardId::new(s)),
+                from_driver.for_shard(ShardId::new(s as u32)),
+                rounds,
                 "shard {s} diverged"
             );
         }

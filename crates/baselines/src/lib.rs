@@ -27,5 +27,5 @@ pub mod optimal;
 pub mod random_merge;
 
 pub use chainspace::{ChainspaceDriver, ChainspacePlacement, CROSS_SHARD_ROUNDS_PER_TX};
-pub use optimal::{first_fit_partition, optimal_distinct_sets, optimal_new_shards};
+pub use optimal::{optimal_distinct_sets, optimal_new_shards};
 pub use random_merge::{random_merge, RandomMergeOutcome};

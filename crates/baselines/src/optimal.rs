@@ -3,41 +3,6 @@
 pub use cshard_games::merging::optimal_new_shard_count as optimal_new_shards;
 pub use cshard_games::selection::optimal_distinct_sets;
 
-/// A constructive near-optimal merge partition: first-fit-decreasing bin
-/// "filling" — sort sizes descending, open a new shard, fill it past the
-/// lower bound, repeat. Every formed shard satisfies the bound and the
-/// count is within one of the `⌊Σ/L⌋` oracle for unit-bounded sizes.
-///
-/// Used by ablations to show where the game's 20 % gap (Fig. 5(a)) comes
-/// from: the game overshoots `L` stochastically; first-fit overshoots by at
-/// most one player.
-pub fn first_fit_partition(sizes: &[u64], lower_bound: u64) -> Vec<Vec<usize>> {
-    assert!(lower_bound > 0);
-    let mut order: Vec<usize> = (0..sizes.len()).collect();
-    order.sort_by(|&a, &b| sizes[b].cmp(&sizes[a]).then(a.cmp(&b)));
-
-    let mut shards: Vec<Vec<usize>> = Vec::new();
-    let mut current: Vec<usize> = Vec::new();
-    let mut current_size = 0u64;
-    for i in order {
-        current.push(i);
-        current_size += sizes[i];
-        if current_size >= lower_bound {
-            shards.push(std::mem::take(&mut current));
-            current_size = 0;
-        }
-    }
-    // The tail that never reached the bound is absorbed into the last
-    // formed shard (merging it costs nothing and avoids a dangling small
-    // shard), or dropped if nothing formed.
-    if !current.is_empty() {
-        if let Some(last) = shards.last_mut() {
-            last.append(&mut current);
-        }
-    }
-    shards
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -46,35 +11,5 @@ mod tests {
     fn oracle_counts() {
         assert_eq!(optimal_new_shards(&[6; 12], 22), 3);
         assert_eq!(optimal_distinct_sets(200, 9, 10), 9);
-    }
-
-    #[test]
-    fn first_fit_every_shard_satisfies_bound() {
-        let sizes: Vec<u64> = (1..=20).collect();
-        let shards = first_fit_partition(&sizes, 22);
-        for s in &shards {
-            let size: u64 = s.iter().map(|&i| sizes[i]).sum();
-            assert!(size >= 22);
-        }
-        // Partition: every index exactly once (tail absorbed).
-        let mut all: Vec<usize> = shards.iter().flatten().copied().collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), 20);
-    }
-
-    #[test]
-    fn first_fit_is_within_one_of_oracle() {
-        let sizes: Vec<u64> = (0..50).map(|i| 1 + (i * 13) % 9).collect();
-        let oracle = optimal_new_shards(&sizes, 22) as usize;
-        let got = first_fit_partition(&sizes, 22).len();
-        assert!(got <= oracle);
-        assert!(got + 1 >= oracle, "first-fit {got} vs oracle {oracle}");
-    }
-
-    #[test]
-    fn first_fit_unreachable_bound_returns_nothing() {
-        assert!(first_fit_partition(&[1, 2, 3], 100).is_empty());
-        assert!(first_fit_partition(&[], 10).is_empty());
     }
 }

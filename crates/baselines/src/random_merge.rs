@@ -29,14 +29,6 @@ impl RandomMergeOutcome {
     pub fn new_shard_count(&self) -> usize {
         self.new_shards.len()
     }
-
-    /// Sizes of the formed shards.
-    pub fn shard_sizes(&self, sizes: &[u64]) -> Vec<u64> {
-        self.new_shards
-            .iter()
-            .map(|players| players.iter().map(|&i| sizes[i]).sum())
-            .collect()
-    }
 }
 
 /// Bounded retries per formed shard, mirroring the merging game's bounded
@@ -96,7 +88,8 @@ mod tests {
         let sizes = vec![6u64; 12];
         let out = random_merge(&sizes, 22, 3);
         assert!(out.new_shard_count() <= 1);
-        for s in out.shard_sizes(&sizes) {
+        for players in &out.new_shards {
+            let s: u64 = players.iter().map(|&i| sizes[i]).sum();
             assert!(s >= 22, "undersized shard {s}");
         }
         // Partition property.

@@ -179,7 +179,7 @@ fn run_arm(placed: bool, epochs: usize, per_epoch: usize, sched: SchedulerConfig
                 .run(vec![driver])
                 .expect("valid MaxShard run");
             crosslinks += outcome.comm.for_kind(CommKind::Crosslink);
-            applied += outcome.drivers[0].migration_stats().applied;
+            applied += outcome.drivers[0].applied_at().iter().flatten().count() as u64;
         }
         pending.extend(run.migrations);
         points.push((epoch as f64 + 1.0, crosslinks as f64 / txs.max(1) as f64));

@@ -19,7 +19,7 @@ use crate::system::{MinerAllocation, ShardingSystem, SystemConfig};
 use cshard_games::MergingConfig;
 use cshard_place::PlacementConfig;
 use cshard_primitives::{Error, SimTime};
-use cshard_runtime::{PropagationModel, SettleConfig};
+use cshard_runtime::PropagationModel;
 
 /// Builds a validated [`ShardingSystem`].
 #[derive(Clone, Debug)]
@@ -122,12 +122,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Enables inter-shard merging with a fully specified game config.
-    pub fn merging_config(mut self, config: MergingConfig) -> Self {
-        self.config.merging = Some(config);
-        self
-    }
-
     /// Enables equilibrium transaction selection in multi-miner shards
     /// (best-reply round cap, Algorithm 2).
     pub fn selection(mut self, max_rounds: usize) -> Self {
@@ -138,14 +132,6 @@ impl SystemBuilder {
     /// The epoch label seeding leader randomness (default 0).
     pub fn epoch(mut self, epoch: u64) -> Self {
         self.config.epoch = epoch;
-        self
-    }
-
-    /// Cross-shard settlement batching (default disabled). Only
-    /// settlement-aware drivers (the settling wrapper, ChainSpace's
-    /// batched mode) read this; the plain sharded runs ignore it.
-    pub fn settlement(mut self, settle: SettleConfig) -> Self {
-        self.config.runtime.settle = settle;
         self
     }
 
@@ -198,6 +184,7 @@ impl From<SystemBuilder> for SystemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cshard_runtime::SettleConfig;
 
     /// What a table row expects `build` to return.
     enum Want {
@@ -216,7 +203,14 @@ mod tests {
         let bad_merge = |patch: fn(&mut MergingConfig)| {
             let mut m = MergingConfig::default();
             patch(&mut m);
-            SystemBuilder::new().merging_config(m)
+            let mut builder = SystemBuilder::new();
+            builder.config.merging = Some(m);
+            builder
+        };
+        let bad_settle = |settle: SettleConfig| {
+            let mut builder = SystemBuilder::new();
+            builder.config.runtime.settle = settle;
+            builder
         };
         let cases: Vec<(&str, SystemBuilder, Want)> = vec![
             (
@@ -306,7 +300,7 @@ mod tests {
             ),
             (
                 "zero settlement batch cap",
-                SystemBuilder::new().settlement(SettleConfig {
+                bad_settle(SettleConfig {
                     batch_cap: 0,
                     ..SettleConfig::batched(1)
                 }),
@@ -314,7 +308,7 @@ mod tests {
             ),
             (
                 "zero settlement timeout",
-                SystemBuilder::new().settlement(SettleConfig {
+                bad_settle(SettleConfig {
                     timeout: SimTime::ZERO,
                     ..SettleConfig::batched(100)
                 }),

@@ -88,18 +88,6 @@ impl StageKind {
         StageKind::Unify,
         StageKind::Place,
     ];
-
-    /// The stage's display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            StageKind::Classify => "classify",
-            StageKind::Form => "form",
-            StageKind::Merge => "merge",
-            StageKind::Select => "select",
-            StageKind::Unify => "unify",
-            StageKind::Place => "place",
-        }
-    }
 }
 
 /// What one stage reports for one epoch: counts only, no clocks.

@@ -30,11 +30,6 @@ impl PlacementStage {
         }
     }
 
-    /// The persistent placement engine (traffic counters, moved set).
-    pub fn engine(&self) -> &PlacementEngine {
-        &self.engine
-    }
-
     /// Feeds `batch`'s MaxShard-routed contract calls to the engine and
     /// returns the migrations it proposes for the next epoch.
     pub fn run(
@@ -113,7 +108,7 @@ mod tests {
         let (migrations, out) = run_stage(&mut stage, &txs, vec![0, 1, 2, 3, 4, 5]);
         assert!(migrations.is_empty());
         assert_eq!(out, StageOutput::default());
-        assert_eq!(stage.engine().tracked_senders(), 0);
+        assert_eq!(stage.engine.tracked_senders(), 0);
     }
 
     #[test]
@@ -135,7 +130,7 @@ mod tests {
             }]
         );
         assert_eq!(
-            stage.engine().tracked_senders(),
+            stage.engine.tracked_senders(),
             1,
             "contract-shard traffic untracked"
         );

@@ -26,7 +26,6 @@ pub const GROUPS: u64 = 100;
 #[derive(Clone, Debug)]
 pub struct RandomnessBeacon {
     prf: Prf,
-    randomness: Hash32,
 }
 
 impl RandomnessBeacon {
@@ -34,13 +33,7 @@ impl RandomnessBeacon {
     pub fn new(randomness: Hash32) -> Self {
         RandomnessBeacon {
             prf: Prf::new(randomness.as_bytes()),
-            randomness,
         }
-    }
-
-    /// The randomness this beacon is derived from.
-    pub fn randomness(&self) -> Hash32 {
-        self.randomness
     }
 
     /// The group number `r ∈ 1..=100` assigned to a miner's public key.
@@ -48,13 +41,6 @@ impl RandomnessBeacon {
         self.prf
             .eval_mod("randhound-group", pk.0.as_bytes(), GROUPS)
             + 1
-    }
-
-    /// Verifies a claimed group assignment (Sec. III-B: "users can verify
-    /// whether a miner is in shard s with this algorithm given that miner's
-    /// public key \[and\] the randomness").
-    pub fn verify_group(&self, pk: VrfPublicKey, claimed: u64) -> bool {
-        self.group_of(pk) == claimed
     }
 
     /// Derives a general-purpose sub-randomness for a named protocol stage
@@ -121,16 +107,6 @@ mod tests {
                 expected
             );
         }
-    }
-
-    #[test]
-    fn verification_accepts_honest_and_rejects_cheaters() {
-        let b = beacon();
-        let pk = Vrf::from_seed(b"m").public_key();
-        let honest = b.group_of(pk);
-        assert!(b.verify_group(pk, honest));
-        let lie = if honest == 1 { 2 } else { honest - 1 };
-        assert!(!b.verify_group(pk, lie));
     }
 
     #[test]

@@ -107,11 +107,6 @@ impl Vrf {
         ]);
         proof.binding == expected_binding
     }
-
-    /// Exposes the secret key for registry construction in simulations.
-    pub fn secret_key(&self) -> VrfSecretKey {
-        self.sk
-    }
 }
 
 /// Ranks every candidate for a round by its VRF output on the round tag,
@@ -140,9 +135,7 @@ mod tests {
     use std::collections::HashMap;
 
     fn registry(vrfs: &[Vrf]) -> HashMap<VrfPublicKey, VrfSecretKey> {
-        vrfs.iter()
-            .map(|v| (v.public_key(), v.secret_key()))
-            .collect()
+        vrfs.iter().map(|v| (v.public_key(), v.sk)).collect()
     }
 
     #[test]

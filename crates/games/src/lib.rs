@@ -37,7 +37,5 @@ pub use dynamics::{BestReplyDynamics, SelectInput};
 pub use merging::{
     iterative_merge, one_shot_merge, IterativeMergeOutcome, MergingConfig, OneShotOutcome,
 };
-pub use selection::{
-    best_reply_equilibrium, greedy_assignment, potential, SelectionConfig, SelectionOutcome,
-};
+pub use selection::{best_reply_equilibrium, potential, SelectionConfig, SelectionOutcome};
 pub use unification::{GameInputs, UnifiedParameters, VerificationError};

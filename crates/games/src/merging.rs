@@ -141,14 +141,6 @@ impl IterativeMergeOutcome {
     pub fn new_shard_count(&self) -> usize {
         self.new_shards.len()
     }
-
-    /// Sizes of the new shards, given the original per-player sizes.
-    pub fn shard_sizes(&self, sizes: &[u64]) -> Vec<u64> {
-        self.new_shards
-            .iter()
-            .map(|players| players.iter().map(|&i| sizes[i]).sum())
-            .collect()
-    }
 }
 
 /// Probability bounds during iteration. The replicator has absorbing states
@@ -387,7 +379,8 @@ mod tests {
             out.new_shard_count()
         );
         // Every formed shard satisfies (1).
-        for size in out.shard_sizes(&sizes) {
+        for players in &out.new_shards {
+            let size: u64 = players.iter().map(|&i| sizes[i]).sum();
             assert!(size >= 22, "undersized shard {size}");
         }
         // No player appears twice.

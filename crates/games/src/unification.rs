@@ -200,7 +200,7 @@ impl UnifiedParameters {
     }
 
     /// The deterministic game seed every replica derives.
-    pub fn game_seed(&self) -> u64 {
+    fn game_seed(&self) -> u64 {
         self.beacon().derive("game-seed").leading_u64()
     }
 
@@ -224,7 +224,7 @@ impl UnifiedParameters {
     /// probability per small shard.
     ///
     /// Errors when the broadcast carries selection inputs.
-    pub fn initial_merge_probs(&self) -> Result<Vec<f64>, Error> {
+    fn initial_merge_probs(&self) -> Result<Vec<f64>, Error> {
         let GameInputs::Merge { shard_sizes, .. } = &self.inputs else {
             return Err(self.wrong_inputs("initial_merge_probs", "merge"));
         };
@@ -241,7 +241,7 @@ impl UnifiedParameters {
     /// transaction set per miner.
     ///
     /// Errors when the broadcast carries merge inputs.
-    pub fn initial_selections(&self) -> Result<Vec<Vec<usize>>, Error> {
+    fn initial_selections(&self) -> Result<Vec<Vec<usize>>, Error> {
         let GameInputs::Select { fees, config, .. } = &self.inputs else {
             return Err(self.wrong_inputs("initial_selections", "selection"));
         };

@@ -40,18 +40,6 @@ impl Number {
         }
     }
 
-    /// The value as `i64`, when exactly representable.
-    pub fn as_i64(&self) -> Option<i64> {
-        match *self {
-            Number::U64(v) => i64::try_from(v).ok(),
-            Number::I64(v) => Some(v),
-            Number::F64(v) if v.fract() == 0.0 && v >= i64::MIN as f64 && v <= i64::MAX as f64 => {
-                Some(v as i64)
-            }
-            Number::F64(_) => None,
-        }
-    }
-
     /// The value as `f64` (always possible, possibly lossy).
     pub fn as_f64(&self) -> f64 {
         match *self {
@@ -100,14 +88,6 @@ impl Value {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Value::Number(n) => n.as_u64(),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload as `i64`, if exactly representable.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Number(n) => n.as_i64(),
             _ => None,
         }
     }
@@ -621,7 +601,7 @@ mod tests {
     fn negative_and_float_numbers() {
         let v = parse(r#"[-5, -5.5, 1e3, 18446744073709551615]"#).unwrap();
         let items = v.as_array().unwrap();
-        assert_eq!(items[0].as_i64(), Some(-5));
+        assert_eq!(items[0], Value::Number(Number::I64(-5)));
         assert_eq!(items[1].as_f64(), Some(-5.5));
         assert_eq!(items[2].as_f64(), Some(1000.0));
         assert_eq!(items[3].as_u64(), Some(u64::MAX));

@@ -76,11 +76,6 @@ impl State {
             .unwrap_or(Amount::ZERO)
     }
 
-    /// The next expected nonce of an address.
-    pub fn nonce_of(&self, addr: Address) -> u64 {
-        self.accounts.get(&addr).map(|a| a.nonce).unwrap_or(0)
-    }
-
     /// Sum of all account balances (for conservation checks).
     pub fn total_balance(&self) -> Amount {
         self.accounts.values().map(|a| a.balance).sum()
@@ -266,6 +261,11 @@ mod tests {
     use crate::contract::Condition;
     use proptest::prelude::*;
 
+    /// The next expected nonce of an address.
+    fn nonce(s: &State, addr: Address) -> u64 {
+        s.accounts.get(&addr).map_or(0, |a| a.nonce)
+    }
+
     fn setup() -> State {
         let mut s = State::new();
         s.fund_user(Address::user(1), Amount::from_coins(10));
@@ -294,7 +294,7 @@ mod tests {
         assert_eq!(s.balance_of(Address::user(1)), Amount::from_coins(8) - FEE);
         assert_eq!(s.balance_of(Address::user(3)), Amount::from_coins(2));
         assert_eq!(s.balance_of(COLLECTOR), FEE);
-        assert_eq!(s.nonce_of(Address::user(1)), 1);
+        assert_eq!(nonce(&s, Address::user(1)), 1);
         assert_eq!(s.contract(ContractId::new(0)).unwrap().invocations, 1);
     }
 
@@ -337,7 +337,7 @@ mod tests {
             s.balance_of(Address::user(1)),
             before.balance_of(Address::user(1))
         );
-        assert_eq!(s.nonce_of(Address::user(1)), 0);
+        assert_eq!(nonce(&s, Address::user(1)), 0);
     }
 
     #[test]
@@ -523,7 +523,7 @@ mod tests {
                 let tx = if value % 2 == 0 {
                     Transaction::call(
                         sender,
-                        s.nonce_of(sender),
+                        nonce(&s, sender),
                         ContractId::new(0),
                         Amount::from_raw(value),
                         Amount::from_raw(fee),
@@ -531,7 +531,7 @@ mod tests {
                 } else {
                     Transaction::direct(
                         sender,
-                        s.nonce_of(sender),
+                        nonce(&s, sender),
                         Address::user(to),
                         Amount::from_raw(value),
                         Amount::from_raw(fee),

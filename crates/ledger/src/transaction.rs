@@ -51,15 +51,6 @@ impl TxKind {
             _ => None,
         }
     }
-
-    /// Total value moved by the transaction.
-    pub fn value(&self) -> Amount {
-        match self {
-            TxKind::ContractCall { value, .. }
-            | TxKind::DirectTransfer { value, .. }
-            | TxKind::MultiInput { value, .. } => *value,
-        }
-    }
 }
 
 /// A signed transaction.

@@ -69,11 +69,6 @@ impl Blackouts {
         self.windows.is_empty()
     }
 
-    /// The windows, sorted by start time, overlaps merged.
-    pub fn windows(&self) -> &[(SimTime, SimTime)] {
-        &self.windows
-    }
-
     /// The end of the window containing `t`, if one does.
     fn end_of(&self, t: SimTime) -> Option<SimTime> {
         let i = self.windows.partition_point(|&(from, _)| from <= t);

@@ -75,11 +75,6 @@ impl MinerId {
     pub const fn new(id: u32) -> Self {
         MinerId(id)
     }
-
-    /// Index for dense per-miner arrays.
-    pub const fn index(&self) -> usize {
-        self.0 as usize
-    }
 }
 
 impl fmt::Display for MinerId {
@@ -122,10 +117,5 @@ mod tests {
         assert!(ShardId::new(1) < ShardId::new(2));
         assert!(ShardId::new(12345) < ShardId::MAX_SHARD);
         assert!(MinerId::new(0) < MinerId::new(1));
-    }
-
-    #[test]
-    fn miner_index() {
-        assert_eq!(MinerId::new(7).index(), 7);
     }
 }

@@ -61,11 +61,6 @@ impl SimTime {
         self.0 as f64 / 1000.0
     }
 
-    /// Saturating difference `self - earlier`.
-    pub fn saturating_since(&self, earlier: SimTime) -> SimTime {
-        SimTime(self.0.saturating_sub(earlier.0))
-    }
-
     /// Saturating sum: clamps at [`SimTime::MAX`] instead of overflowing.
     pub fn saturating_add(&self, delay: SimTime) -> SimTime {
         SimTime(self.0.saturating_add(delay.0))
@@ -190,8 +185,6 @@ mod tests {
         let b = SimTime::from_millis(40);
         assert_eq!(a + b, SimTime::from_millis(140));
         assert_eq!(a - b, SimTime::from_millis(60));
-        assert_eq!(b.saturating_since(a), SimTime::ZERO);
-        assert_eq!(a.saturating_since(b), SimTime::from_millis(60));
         assert_eq!(SimTime::MAX.saturating_add(a), SimTime::MAX);
         assert_eq!(a.saturating_add(b), a + b);
     }

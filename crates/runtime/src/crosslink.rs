@@ -63,18 +63,13 @@ impl CrosslinkChannel {
         }
     }
 
-    /// Force-flushes the open batch toward `dest` right now and ships it,
-    /// returning how many transfers it carried (0 when nothing pends).
-    /// The batcher clears the pair's deadline, so any armed flush event
-    /// goes stale rather than double-settling.
-    pub fn drain(&mut self, now: SimTime, dest: ShardId, ctx: &mut Ctx) -> usize {
-        match self.batcher.drain(now, dest) {
-            Some(batch) => {
-                let n = batch.transfers.len();
-                self.ship(batch, ctx);
-                n
-            }
-            None => 0,
+    /// Force-flushes the open batch toward `dest` right now and ships it
+    /// (nothing when no transfer pends). The batcher clears the pair's
+    /// deadline, so any armed flush event goes stale rather than
+    /// double-settling.
+    pub fn drain(&mut self, now: SimTime, dest: ShardId, ctx: &mut Ctx) {
+        if let Some(batch) = self.batcher.drain(now, dest) {
+            self.ship(batch, ctx);
         }
     }
 

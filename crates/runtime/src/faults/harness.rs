@@ -146,8 +146,8 @@ pub fn run_with_faults(
 mod tests {
     use super::*;
     use crate::{
-        simulate, MigrationStats, PropagationModel, ProtocolDriver, RunReport, SchedulerConfig,
-        SelectionStrategy, SettleConfig,
+        simulate, PropagationModel, ProtocolDriver, RunReport, SchedulerConfig, SelectionStrategy,
+        SettleConfig,
     };
     use cshard_network::{Blackouts, CommKind, LatencyModel};
     use cshard_primitives::SimTime;
@@ -244,7 +244,7 @@ mod tests {
             assert_eq!(x.done(), y.done(), "{label}");
             assert_eq!(x.settled_batches(), y.settled_batches(), "{label}");
             assert_eq!(x.applied_at(), y.applied_at(), "{label}");
-            assert_eq!(x.migration_stats(), y.migration_stats(), "{label}");
+            assert_eq!(x.transfers(), y.transfers(), "{label}");
         }
     }
 
@@ -330,7 +330,7 @@ mod tests {
         let migrated = run_with_faults(&shards, &unscheduled, &cfg, &plan).expect("valid");
         assert_same_run(&migrated, &settled, "empty schedules");
         for d in &migrated.drivers {
-            assert_eq!(d.migration_stats(), MigrationStats::default());
+            assert!(d.applied_at().is_empty());
         }
     }
 
@@ -526,18 +526,18 @@ mod tests {
             assert_eq!(out.settle.txs_settled, 50, "{label}");
             // Every ticket applies exactly once, at the heal.
             let tickets = traffic.schedules.first().map_or(0, Vec::len);
-            let migrations = out.drivers[0].migration_stats();
-            assert_eq!(migrations.scheduled, tickets as u64, "{label}");
-            assert_eq!(migrations.applied, tickets as u64, "{label}: exactly once");
-            assert!(
-                migrations.deferred >= tickets as u64,
-                "{label}: {migrations:?}"
-            );
+            // Scheduled, applied exactly once, and deferred past its time.
+            let applied = out.drivers[0].applied_at();
+            assert_eq!(applied.len(), tickets, "{label}");
             assert_eq!(
-                out.drivers[1].migration_stats(),
-                MigrationStats::default(),
-                "{label}"
+                applied.iter().flatten().count(),
+                tickets,
+                "{label}: exactly once"
             );
+            for (at, ticket) in applied.iter().zip(traffic.schedules.iter().flatten()) {
+                assert!(*at > Some(ticket.at), "{label}: {applied:?}");
+            }
+            assert!(out.drivers[1].applied_at().is_empty(), "{label}");
             assert_eq!(
                 out.drivers[0].applied_at(),
                 vec![Some(heal); tickets],
@@ -581,7 +581,11 @@ mod tests {
         assert!(SimTime::from_secs(300) < base.report.completion);
         assert_all_confirmed(&base.report, "composition");
         assert_eq!(settled_slots(&base), (0..50).collect::<Vec<u64>>());
-        assert_eq!(base.drivers[0].migration_stats().applied, 1, "exactly once");
+        assert_eq!(
+            base.drivers[0].applied_at().iter().flatten().count(),
+            1,
+            "exactly once"
+        );
         assert_eq!(
             applied(&base),
             vec![vec![Some(SimTime::from_secs(400))], Vec::new()],

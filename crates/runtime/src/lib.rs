@@ -80,5 +80,5 @@ pub use event::Event;
 pub use harness::{RunBuilder, RunObserver, RunOutcome, RunPhase, RunSchedStats, Runtime};
 pub use propagation::PropagationModel;
 pub use report::{throughput_improvement, RunReport, ShardReport};
-pub use settle::{MigrationStats, MigrationTicket, SettlingShardDriver};
+pub use settle::{MigrationTicket, SettlingShardDriver};
 pub use stream::{ArrivalSource, EpochBatches, StreamDriver};

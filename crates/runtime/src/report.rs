@@ -83,15 +83,6 @@ impl RunReport {
         self.shards.iter().map(|s| s.blocks).sum()
     }
 
-    /// Confirmed transactions per second over the whole run.
-    pub fn throughput_tps(&self) -> f64 {
-        let secs = self.completion.as_secs_f64();
-        if secs == 0.0 {
-            return 0.0;
-        }
-        self.total_txs() as f64 / secs
-    }
-
     /// Total simulation events processed across shard drivers.
     pub fn total_events_processed(&self) -> usize {
         self.shards.iter().map(|s| s.events_processed).sum()
@@ -172,7 +163,6 @@ mod tests {
         assert_eq!(r.total_txs(), 50);
         assert_eq!(r.total_empty_blocks(), 5);
         assert!((r.empty_blocks_per_shard() - 2.5).abs() < 1e-12);
-        assert!((r.throughput_tps() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -194,6 +184,5 @@ mod tests {
     fn empty_report_edge_cases() {
         let r = report(0, vec![]);
         assert_eq!(r.empty_blocks_per_shard(), 0.0);
-        assert_eq!(r.throughput_tps(), 0.0);
     }
 }

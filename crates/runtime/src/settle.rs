@@ -73,21 +73,6 @@ pub struct MigrationTicket {
     pub transfers: Vec<usize>,
 }
 
-/// Migration accounting for one shard's run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MigrationStats {
-    /// Tickets scheduled at start.
-    pub scheduled: u64,
-    /// Tickets applied (each exactly once).
-    pub applied: u64,
-    /// Apply attempts deferred past a partition blackout.
-    pub deferred: u64,
-    /// Transfers force-flushed out of open pairs by applies.
-    pub drained_transfers: u64,
-    /// Unsubmitted transfers re-keyed to new home shards by applies.
-    pub rekeyed_transfers: u64,
-}
-
 /// One shard of the contract-centric scheme with batched cross-shard
 /// settlement and scheduled hot-account migration. See the module docs
 /// for the lifecycle.
@@ -110,7 +95,6 @@ pub struct SettlingShardDriver {
     deadlines: Vec<Option<SimTime>>,
     /// When each ticket applied (the fault tests read this).
     applied_at: Vec<Option<SimTime>>,
-    migrations: MigrationStats,
 }
 
 impl SettlingShardDriver {
@@ -164,7 +148,6 @@ impl SettlingShardDriver {
             schedule: Vec::new(),
             deadlines: Vec::new(),
             applied_at: Vec::new(),
-            migrations: MigrationStats::default(),
         })
     }
 
@@ -222,12 +205,8 @@ impl SettlingShardDriver {
         &self.transfers
     }
 
-    /// The migration accounting so far.
-    pub fn migration_stats(&self) -> MigrationStats {
-        self.migrations
-    }
-
-    /// When each ticket applied (schedule order; `None` while pending).
+    /// When each ticket applied (schedule order; `None` while pending). A
+    /// ticket applied later than its `at` was deferred past a blackout.
     pub fn applied_at(&self) -> &[Option<SimTime>] {
         &self.applied_at
     }
@@ -258,7 +237,7 @@ impl SettlingShardDriver {
             .map(|&s| self.transfers[s].1)
             .collect();
         for dest in dests {
-            self.migrations.drained_transfers += self.channel.drain(t, dest, ctx) as u64;
+            self.channel.drain(t, dest, ctx);
         }
         // Submitted transfers (ranked below the synced count) are already
         // in (or past) a batch and keep their key; the rest follow the
@@ -266,14 +245,12 @@ impl SettlingShardDriver {
         for &s in &ticket.transfers {
             if self.ranks[s] >= self.synced && self.transfers[s].1 != ticket.to {
                 self.transfers[s].1 = ticket.to;
-                self.migrations.rekeyed_transfers += 1;
             }
         }
         // The move itself: one cross-shard state handoff.
         ctx.comm().record(ticket.from, CommKind::Crosslink);
         self.applied_at[slot] = Some(t);
         self.deadlines[slot] = None;
-        self.migrations.applied += 1;
     }
 }
 
@@ -282,7 +259,6 @@ impl ProtocolDriver for SettlingShardDriver {
         self.inner.on_start(ctx);
         for (slot, ticket) in self.schedule.iter().enumerate() {
             ctx.schedule(ticket.at, Event::Migration { slot });
-            self.migrations.scheduled += 1;
         }
     }
 
@@ -304,7 +280,6 @@ impl ProtocolDriver for SettlingShardDriver {
                     // exactly like a settlement flush.
                     self.deadlines[slot] = Some(heal);
                     ctx.schedule(heal, Event::Migration { slot });
-                    self.migrations.deferred += 1;
                 } else {
                     self.apply(slot, t, ctx);
                 }
@@ -489,8 +464,13 @@ mod tests {
                 );
                 assert_eq!(base.settle, other.settle, "{label}");
                 assert_eq!(
-                    base.drivers[0].migration_stats(),
-                    other.drivers[0].migration_stats(),
+                    base.drivers[0].applied_at(),
+                    other.drivers[0].applied_at(),
+                    "{label}"
+                );
+                assert_eq!(
+                    base.drivers[0].transfers(),
+                    other.drivers[0].transfers(),
                     "{label}"
                 );
                 assert_eq!(
@@ -576,10 +556,7 @@ mod tests {
             plain.drivers[0].settled_batches(),
             scheduled.drivers[0].settled_batches()
         );
-        assert_eq!(
-            scheduled.drivers[0].migration_stats(),
-            MigrationStats::default()
-        );
+        assert!(scheduled.drivers[0].applied_at().is_empty());
     }
 
     #[test]
@@ -589,18 +566,23 @@ mod tests {
         let schedule = vec![ticket(SimTime::from_secs(1), (0..10).collect())];
         let outcome = run_migrating(schedule, 1);
         let driver = &outcome.drivers[0];
-        let s = driver.migration_stats();
-        assert_eq!((s.scheduled, s.applied, s.deferred), (1, 1, 0));
+        // One ticket, applied once, at its own time: not deferred.
         assert_eq!(driver.applied_at(), [Some(SimTime::from_secs(1))]);
-        // Unsubmitted owned slots were re-keyed to the new home.
-        let rekeyed = driver
-            .transfers()
+        // The apply force-flushed the open pair: the batch settled at its
+        // instant.
+        let drained: Vec<u64> = driver
+            .settled_batches()
             .iter()
-            .take(10)
-            .filter(|&&(_, d)| d == ShardId::new(9))
-            .count();
-        assert_eq!(rekeyed, s.rekeyed_transfers as usize);
-        assert!(s.drained_transfers as usize + rekeyed == 10);
+            .filter(|b| b.at == SimTime::from_secs(1))
+            .flat_map(|b| b.transfers.iter().copied())
+            .collect();
+        // Unsubmitted owned slots were re-keyed to the new home; with the
+        // drained batch they account for the ten owned transfers.
+        let rekeyed: Vec<u64> = (0..10)
+            .filter(|&s| driver.transfers()[s as usize].1 == ShardId::new(9))
+            .collect();
+        assert!(drained.iter().all(|s| !rekeyed.contains(s)));
+        assert_eq!(drained.len() + rekeyed.len(), 10);
         // Every transfer still settles exactly once, across both keys.
         assert_eq!(settled_slots(driver), (0..30).collect::<Vec<u64>>());
     }
@@ -620,8 +602,7 @@ mod tests {
         );
         let outcome = Runtime::builder().run(vec![driver]).expect("well-formed");
         let d = &outcome.drivers[0];
-        let s = d.migration_stats();
-        assert_eq!((s.applied, s.deferred), (1, 1));
+        // Applied once, at the heal: deferred past its ticket's 1 s.
         assert_eq!(d.applied_at(), [Some(SimTime::from_secs(300))]);
     }
 

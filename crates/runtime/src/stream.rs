@@ -171,18 +171,9 @@ impl<T: Send> StreamDriver<T> {
         }
     }
 
-    /// Transactions injected so far.
-    pub fn injected(&self) -> usize {
-        self.injected
-    }
-
-    /// The sealed `(epoch index, batch)` pairs, in epoch order. Empty
-    /// epochs (no arrivals in the interval) produce no entry.
-    pub fn batches(&self) -> &[(u64, Vec<T>)] {
-        &self.batches
-    }
-
-    /// Consumes the finished driver, handing the sealed batches out.
+    /// Consumes the finished driver, handing the sealed `(epoch index,
+    /// batch)` pairs out, in epoch order. Empty epochs (no arrivals in the
+    /// interval) produce no entry.
     pub fn into_batches(self) -> Vec<(u64, Vec<T>)> {
         self.batches
     }
@@ -292,7 +283,7 @@ mod tests {
         let outcome = Runtime::builder().run(vec![driver]).expect("well-formed");
         let driver = outcome.drivers.into_iter().next().expect("one driver");
         let lazy: Result<Vec<_>, _> = EpochBatches::new(arrivals(ms), interval).collect();
-        assert_eq!(lazy.expect("well-formed"), driver.batches());
+        assert_eq!(lazy.expect("well-formed"), driver.batches);
         driver
     }
 
@@ -307,9 +298,9 @@ mod tests {
     fn batches_partition_by_epoch_interval() {
         // Epochs of 100 ms: [0,100) [100,200) [200,300) …
         let d = run(&[10, 20, 150, 260, 270, 280], 100);
-        assert_eq!(d.injected(), 6);
+        assert_eq!(d.injected, 6);
         assert_eq!(
-            d.batches(),
+            d.batches,
             &[(0, vec![0, 1]), (1, vec![2]), (2, vec![3, 4, 5]),]
         );
     }
@@ -317,21 +308,21 @@ mod tests {
     #[test]
     fn boundary_arrival_belongs_to_the_new_epoch() {
         let d = run(&[99, 100], 100);
-        assert_eq!(d.batches(), &[(0, vec![0]), (1, vec![1])]);
+        assert_eq!(d.batches, &[(0, vec![0]), (1, vec![1])]);
     }
 
     #[test]
     fn empty_epochs_produce_no_batch() {
         // Nothing arrives in epochs 1..=8.
         let d = run(&[50, 950], 100);
-        assert_eq!(d.batches(), &[(0, vec![0]), (9, vec![1])]);
+        assert_eq!(d.batches, &[(0, vec![0]), (9, vec![1])]);
     }
 
     #[test]
     fn empty_source_is_born_done() {
         let d = run(&[], 100);
-        assert_eq!(d.injected(), 0);
-        assert!(d.batches().is_empty());
+        assert_eq!(d.injected, 0);
+        assert!(d.batches.is_empty());
         assert_eq!(d.completion(), None);
     }
 
@@ -411,7 +402,7 @@ mod tests {
     #[test]
     fn empty_source_with_zero_interval_is_not_an_error() {
         let d = run(&[], 0);
-        assert!(d.batches().is_empty());
+        assert!(d.batches.is_empty());
         assert!(EpochBatches::new(arrivals(&[]), SimTime::ZERO)
             .next()
             .is_none());

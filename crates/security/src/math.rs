@@ -20,7 +20,7 @@ const LANCZOS_COEF: [f64; 9] = [
 ];
 
 /// Natural log of the gamma function for `x > 0`.
-pub fn ln_gamma(x: f64) -> f64 {
+fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma requires positive argument, got {x}");
     if x < 0.5 {
         // Reflection formula keeps precision for small x.
@@ -37,12 +37,12 @@ pub fn ln_gamma(x: f64) -> f64 {
 }
 
 /// `ln n!`.
-pub fn ln_factorial(n: u64) -> f64 {
+fn ln_factorial(n: u64) -> f64 {
     ln_gamma(n as f64 + 1.0)
 }
 
 /// `ln C(n, k)`; negative infinity when `k > n`.
-pub fn ln_binomial_coeff(n: u64, k: u64) -> f64 {
+fn ln_binomial_coeff(n: u64, k: u64) -> f64 {
     if k > n {
         return f64::NEG_INFINITY;
     }

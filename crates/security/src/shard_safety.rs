@@ -50,18 +50,6 @@ pub fn shard_safety_curve(
         .collect()
 }
 
-/// Smallest shard size whose safety is at least `target` — the inverse
-/// question operators actually ask ("how many miners do I need?").
-pub fn min_shard_size_for_safety(
-    f: f64,
-    threshold: CorruptionThreshold,
-    target: f64,
-    max_n: u64,
-) -> Option<u64> {
-    // Safety is not strictly monotone in n (parity effects), so scan.
-    (1..=max_n).find(|&n| shard_safety(n, f, threshold) >= target)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,18 +124,5 @@ mod tests {
         assert_eq!(curve.len(), 5);
         assert_eq!(curve[0].0, 20);
         assert!(curve.iter().all(|&(_, s)| (0.0..=1.0).contains(&s)));
-    }
-
-    #[test]
-    fn min_size_for_safety() {
-        let n = min_shard_size_for_safety(0.25, CorruptionThreshold::Majority, 0.999, 500)
-            .expect("reachable");
-        assert!(n > 1);
-        assert!(shard_safety(n, 0.25, CorruptionThreshold::Majority) >= 0.999);
-        // Unreachable target returns None.
-        assert_eq!(
-            min_shard_size_for_safety(0.6, CorruptionThreshold::Majority, 0.999, 200),
-            None
-        );
     }
 }

@@ -118,11 +118,6 @@ impl SettlementBatcher {
         self.source
     }
 
-    /// The effective flush cap (1 when constructed disabled).
-    pub fn batch_cap(&self) -> usize {
-        self.batch_cap
-    }
-
     /// The flush accounting so far.
     pub fn stats(&self) -> SettleStats {
         self.stats
@@ -334,7 +329,7 @@ mod tests {
         // submission immediately: one message per transfer, tx-for-tx.
         for config in [SettleConfig::disabled(), SettleConfig::batched(1)] {
             let mut b = SettlementBatcher::new(ShardId::new(3), &config);
-            assert_eq!(b.batch_cap(), 1);
+            assert_eq!(b.batch_cap, 1);
             for (i, t) in [ms(3), ms(8), ms(9)].iter().enumerate() {
                 let Submit::Flushed(batch) = b.submit(*t, dst(1), i as u64) else {
                     panic!("cap 1 must flush per submission");

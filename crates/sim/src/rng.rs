@@ -60,12 +60,6 @@ impl SimRng {
         self.inner.gen_range(0..n)
     }
 
-    /// Uniform integer in `[lo, hi]` inclusive.
-    pub fn between(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi);
-        self.inner.gen_range(lo..=hi)
-    }
-
     /// A sample from Exp(rate) — mean `1/rate` — via inverse CDF.
     ///
     /// Used for PoW inter-block times: a miner with hash rate `rate`
@@ -84,15 +78,6 @@ impl SimRng {
         let mean_s = mean.as_secs_f64();
         assert!(mean_s > 0.0, "mean delay must be positive");
         SimTime::from_secs_f64(self.exponential(1.0 / mean_s))
-    }
-
-    /// Picks one element uniformly; `None` for an empty slice.
-    pub fn pick<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.below(items.len() as u64) as usize])
-        }
     }
 
     /// Raw access for `rand` distribution adapters.
@@ -168,27 +153,16 @@ mod tests {
     }
 
     #[test]
-    fn below_and_between_bounds() {
+    fn below_bounds() {
         let mut rng = SimRng::new(6);
         for _ in 0..1000 {
             assert!(rng.below(7) < 7);
-            let v = rng.between(3, 5);
-            assert!((3..=5).contains(&v));
         }
-        assert_eq!(rng.between(4, 4), 4);
     }
 
     #[test]
     #[should_panic(expected = "below(0)")]
     fn below_zero_panics() {
         SimRng::new(0).below(0);
-    }
-
-    #[test]
-    fn pick_handles_empty_and_singleton() {
-        let mut rng = SimRng::new(9);
-        let empty: [u32; 0] = [];
-        assert_eq!(rng.pick(&empty), None);
-        assert_eq!(rng.pick(&[42]), Some(&42));
     }
 }

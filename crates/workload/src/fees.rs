@@ -69,11 +69,6 @@ impl FeeDistribution {
             }
         }
     }
-
-    /// Draws `count` fees.
-    pub fn sample_many<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> Vec<u64> {
-        (0..count).map(|_| self.sample(rng)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -86,17 +81,22 @@ mod tests {
         ChaCha8Rng::seed_from_u64(11)
     }
 
+    /// Draws `count` fees.
+    fn draw(d: FeeDistribution, rng: &mut ChaCha8Rng, count: usize) -> Vec<u64> {
+        (0..count).map(|_| d.sample(rng)).collect()
+    }
+
     #[test]
     fn constant_is_constant() {
         let mut r = rng();
-        let fees = FeeDistribution::Constant(7).sample_many(&mut r, 50);
+        let fees = draw(FeeDistribution::Constant(7), &mut r, 50);
         assert!(fees.iter().all(|&f| f == 7));
     }
 
     #[test]
     fn uniform_stays_in_bounds_and_covers() {
         let mut r = rng();
-        let fees = FeeDistribution::Uniform { lo: 3, hi: 6 }.sample_many(&mut r, 400);
+        let fees = draw(FeeDistribution::Uniform { lo: 3, hi: 6 }, &mut r, 400);
         assert!(fees.iter().all(|&f| (3..=6).contains(&f)));
         for v in 3..=6 {
             assert!(fees.contains(&v), "value {v} never drawn");
@@ -107,7 +107,7 @@ mod tests {
     fn binomial_mean_is_half_n() {
         let mut r = rng();
         let n = 200;
-        let fees = FeeDistribution::Binomial { n }.sample_many(&mut r, 3000);
+        let fees = draw(FeeDistribution::Binomial { n }, &mut r, 3000);
         let mean = fees.iter().sum::<u64>() as f64 / fees.len() as f64;
         assert!((mean - 100.0).abs() < 2.0, "mean {mean}");
         assert!(fees.iter().all(|&f| f <= n));
@@ -116,7 +116,7 @@ mod tests {
     #[test]
     fn exponential_is_positive_with_roughly_right_mean() {
         let mut r = rng();
-        let fees = FeeDistribution::Exponential { mean: 50.0 }.sample_many(&mut r, 5000);
+        let fees = draw(FeeDistribution::Exponential { mean: 50.0 }, &mut r, 5000);
         assert!(fees.iter().all(|&f| f >= 1));
         let mean = fees.iter().sum::<u64>() as f64 / fees.len() as f64;
         assert!((mean - 50.0).abs() < 5.0, "mean {mean}");
@@ -125,7 +125,7 @@ mod tests {
     #[test]
     fn zipf_concentrates_on_small_values() {
         let mut r = rng();
-        let fees = FeeDistribution::Zipf { max: 100, s: 1.2 }.sample_many(&mut r, 4000);
+        let fees = draw(FeeDistribution::Zipf { max: 100, s: 1.2 }, &mut r, 4000);
         assert!(fees.iter().all(|&f| (1..=100).contains(&f)));
         let ones = fees.iter().filter(|&&f| f == 1).count();
         let hundreds = fees.iter().filter(|&&f| f == 100).count();
@@ -138,8 +138,8 @@ mod tests {
     #[test]
     fn sampling_is_deterministic_per_seed() {
         let d = FeeDistribution::Uniform { lo: 1, hi: 100 };
-        let a = d.sample_many(&mut ChaCha8Rng::seed_from_u64(5), 20);
-        let b = d.sample_many(&mut ChaCha8Rng::seed_from_u64(5), 20);
+        let a = draw(d, &mut ChaCha8Rng::seed_from_u64(5), 20);
+        let b = draw(d, &mut ChaCha8Rng::seed_from_u64(5), 20);
         assert_eq!(a, b);
     }
 }

@@ -141,7 +141,6 @@ pub struct TxStream {
     nonces: AddressSlots<u64>,
     /// Next throwaway spam account index.
     spam_next: u64,
-    emitted: u64,
 }
 
 impl TxStream {
@@ -199,18 +198,12 @@ impl TxStream {
             contract_cdf,
             nonces: AddressSlots::new(),
             spam_next: 0,
-            emitted: 0,
         }
     }
 
     /// The stream's configuration.
     pub fn config(&self) -> &StreamConfig {
         &self.config
-    }
-
-    /// Transactions emitted so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
     }
 
     /// The arrival-rate multiplier in effect at `at` (product of all
@@ -281,7 +274,6 @@ impl Iterator for TxStream {
                 let sender = Address::user(SPAM_BASE + 2 * self.spam_next);
                 let sink = Address::user(SPAM_BASE + 2 * self.spam_next + 1);
                 self.spam_next += 1;
-                self.emitted += 1;
                 return Some((
                     now,
                     Transaction::direct(sender, 0, sink, TX_VALUE, Amount::from_raw(1)),
@@ -308,7 +300,6 @@ impl Iterator for TxStream {
             let (nonce, fee) = (self.next_nonce(sender), self.fee());
             Transaction::call(sender, nonce, called, TX_VALUE, fee)
         };
-        self.emitted += 1;
         Some((now, tx))
     }
 }
@@ -398,7 +389,6 @@ mod tests {
         assert_eq!(txs.len(), 1_000);
         // Memory scales with emitted senders, not the account space.
         assert!(s.nonces.len() <= 1_000);
-        assert_eq!(s.emitted(), 1_000);
     }
 
     #[test]

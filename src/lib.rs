@@ -96,9 +96,8 @@ pub mod prelude {
     pub use cshard_primitives::{Address, Amount, ContractId, Hash32, MinerId, ShardId, SimTime};
     pub use cshard_runtime::faults::{run_with_faults, FaultPlan, Traffic};
     pub use cshard_runtime::{
-        ContractShardDriver, Ctx, Event, MigrationStats, MigrationTicket, PropagationModel,
-        ProtocolDriver, RunBuilder, RunObserver, RunOutcome, RunPhase, RunSchedStats, Runtime,
-        SettlingShardDriver,
+        ContractShardDriver, Ctx, Event, MigrationTicket, PropagationModel, ProtocolDriver,
+        RunBuilder, RunObserver, RunOutcome, RunPhase, RunSchedStats, Runtime, SettlingShardDriver,
     };
     pub use cshard_security::{shard_safety, CorruptionThreshold};
     pub use cshard_sim::{DrainStats, SchedulerConfig, WorkScheduler};
