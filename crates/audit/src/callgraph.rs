@@ -626,6 +626,29 @@ mod tests {
     }
 
     #[test]
+    fn a_sole_group_argument_counts_toward_arity() {
+        // `[x]`, `(x, x)` and `{ x }` are one argument each, first or last.
+        let src = "
+            struct G;
+            impl G {
+                fn one(&mut self, x: u32) {
+                    self.all([x]);
+                    self.pair((x, x));
+                    self.block({ x });
+                    self.tail(x, [x]);
+                }
+                fn all(&mut self, xs: [u32; 1]) {}
+                fn pair(&mut self, p: (u32, u32)) {}
+                fn block(&mut self, x: u32) {}
+                fn tail(&mut self, x: u32, xs: [u32; 1]) {}
+            }
+        ";
+        let (_, s, g) = build(&[("core", "crates/core/src/a.rs", src)]);
+        let one = s.fns.iter().position(|d| d.name == "one").unwrap();
+        assert_eq!(g.edges[one].len(), 4, "{:?}", g.edges[one]);
+    }
+
+    #[test]
     fn self_method_prefers_own_impl() {
         let src = "
             struct A; struct B;

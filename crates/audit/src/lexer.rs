@@ -5,7 +5,7 @@
 //! stream. The lexer's job is to make that stream trustworthy: comments
 //! (line, block, nested block, doc), string literals (plain, raw, byte),
 //! char literals vs. lifetimes, and numeric literals are all classified,
-//! so a rule matching `Instant` never fires on a doc example or a string.
+//! so a rule matching `unwrap` never fires on a doc example or a string.
 
 /// What a token is, at the granularity the rules need.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -1,56 +1,41 @@
-//! `cshard-audit` — workspace determinism & safety lints.
+//! `cshard-audit` — the workspace checks no compiler lint can make.
 //!
 //! The paper's parameter-unification scheme (Sec. IV-C) requires every
 //! miner to replay Algorithms 1–3 and obtain byte-identical results, so
 //! any nondeterministic API reaching protocol code is a correctness bug.
-//! PR 1 and PR 2 made that contract real (PRF-seeded per-shard RNG
-//! streams, golden fingerprints, wall-clock reads confined to the
-//! `Runtime` harness); this crate enforces it at the source level, as a
+//! The compiler enforces most of that contract from resolved types (see
+//! DESIGN.md "Determinism invariants"): `clippy.toml` bans wall clocks,
+//! ambient hash seeds and hash containers by path (ND001–ND003), the
+//! event-loop crates deny panic-class exits at their roots (PH001), the
+//! workspace lint table denies `unsafe` and warns on missing docs, and
+//! `SimTime` has no panicking operators. This crate keeps the checks that
+//! need the whole workspace's call graph or a test-code exemption, as a
 //! CI gate that fails with `file:line` diagnostics.
 //!
 //! The analysis is token-level and multi-pass: a hand-rolled lexer
 //! ([`lexer`]) feeds a workspace symbol table ([`symbols`]), a name+arity
 //! call graph ([`callgraph`]), and a source→sink reachability pass
-//! ([`taint`]) on top of the per-line matchers ([`rules`]), all
-//! configured by the `policy.toml` at the workspace root ([`policy`]);
-//! [`scan`] walks the crates the policy lists and [`report`] renders the
-//! stable `AUDIT_report.json` plus the baseline gate. There is no `syn`
-//! here on purpose — the workspace builds fully offline from an in-tree
+//! ([`taint`]) beside the per-line matcher ([`rules`]), all configured by
+//! the `policy.toml` at the workspace root ([`policy`]); [`scan`] walks
+//! the crates the policy lists and [`report`] renders the stable
+//! `AUDIT_report.json` plus the baseline gate. There is no `syn` here on
+//! purpose — the workspace builds fully offline from an in-tree
 //! dependency set, and the rules only need token structure, not a full
 //! AST.
 //!
-//! Line-scoped rules (`0xx` — see DESIGN.md "Determinism invariants"):
+//! | id    | what it forbids                                              |
+//! |-------|--------------------------------------------------------------|
+//! | FD001 | `==`/`!=` against float literals outside tests (clippy's `float_cmp` cannot exempt test code) |
+//! | PH101 | panic-class exits below a sink, in any crate (class list in the policy) |
+//! | CL001 | lossy `as` narrowing casts below a sink                      |
+//! | DC001 | a `pub fn` nothing calls but test code                       |
 //!
-//! | id    | what it forbids                                             |
-//! |-------|-------------------------------------------------------------|
-//! | ND001 | wall-clock APIs (`Instant`, `SystemTime`) in protocol code  |
-//! | ND002 | ambient randomness (`thread_rng`, `from_entropy`, `OsRng`)  |
-//! | ND003 | iteration over `HashMap`/`HashSet` (unordered => replay-unsafe) |
-//! | PH001 | `unwrap`/`expect`/`panic!`-class exits in driver/event code |
-//! | FD001 | `==`/`!=` against float literals (tolerance helpers instead) |
-//! | AR001 | bare `+`/`-`/`*` on `SimTime`/epoch counters (overflow)     |
-//! | AH001 | missing required lint headers in protocol crate roots       |
-//!
-//! Reachability-scoped rules (`1xx` — a source counts only when a
-//! `[callgraph] sinks` root reaches it; findings carry the full
-//! source→…→sink call chain with `file:line` per hop):
-//!
-//! | id    | what it forbids on sink-reachable paths                     |
-//! |-------|-------------------------------------------------------------|
-//! | ND101 | wall-clock reads any number of helper calls below a sink    |
-//! | ND102 | ambient entropy below a sink                                |
-//! | ND103 | hash-order iteration below a sink                           |
-//! | PH101 | panic-class exits below a sink (class list in the policy)   |
-//! | CL001 | lossy `as` narrowing casts below a sink                     |
-//! | DP001 | calls to `#[deprecated]` workspace items (reachability-free)|
-//! | DC001 | a `pub fn` nothing calls but its own file's unit tests      |
-//!
-//! `#[cfg(test)] mod` bodies (inline, or the file behind an out-of-line
-//! `#[cfg(test)] mod name;`) are exempt everywhere; residual exceptions
-//! live in the policy's `allow` lists, each with a comment saying why.
-
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
+//! PH101 and CL001 are reachability-scoped: a source counts only when a
+//! `[callgraph] sinks` root reaches it, and the finding carries the full
+//! source→…→sink call chain with `file:line` per hop. `#[cfg(test)] mod`
+//! bodies (inline, or the file behind an out-of-line `#[cfg(test)] mod
+//! name;`) are exempt everywhere; residual exceptions live in the
+//! policy's `allow` lists, each with a comment saying why.
 
 pub mod callgraph;
 pub mod lexer;

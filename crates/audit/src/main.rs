@@ -12,9 +12,6 @@
 //! <path>` additionally diffs it against the committed baseline and
 //! fails on any new finding or resolution-coverage drop.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 use cshard_audit::report::{baseline_regressions, render, report_json};
 use cshard_audit::{scan_workspace, uncovered_crates, Policy};
 use std::path::PathBuf;

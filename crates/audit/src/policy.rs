@@ -63,8 +63,8 @@ pub struct RulePolicy {
     /// Workspace-relative file paths exempt from the rule. Each entry in
     /// `policy.toml` carries a `#` comment stating *why* it is exempt.
     pub allow: Vec<String>,
-    /// Extra rule-specific string lists (e.g. `required` headers for
-    /// AH001), keyed by the TOML key.
+    /// Extra rule-specific string lists (e.g. the `sources` classes of
+    /// PH101, the `callers` directories of DC001), keyed by the TOML key.
     pub lists: BTreeMap<String, Vec<String>>,
 }
 
@@ -139,7 +139,7 @@ pub struct Policy {
     /// exactly one of `crates` or `exempt`; a crate in neither is a
     /// coverage gap and the audit binary refuses to run.
     pub exempt: Vec<String>,
-    /// Per-rule entries, keyed by rule id (`ND001`, ...).
+    /// Per-rule entries, keyed by rule id (`FD001`, ...).
     pub rules: BTreeMap<String, RulePolicy>,
     /// Call-graph configuration (sinks, ambiguity overrides).
     pub callgraph: CallGraphPolicy,
@@ -378,38 +378,38 @@ mod tests {
 [audit]
 crates = ["core", "games"]
 
-[rules.ND001]
-description = "no wall clock"
+[rules.FD001]
+description = "no float =="
 crates = ["core"]
 allow = [
-    "crates/core/src/a.rs",  # why: harness
+    "crates/core/src/a.rs",  # why: exact endpoints
     "crates/core/src/b.rs",
 ]
 
-[rules.AH001]
-description = "headers"
-required = ["#![warn(missing_docs)]"]
+[rules.PH101]
+description = "typed errors"
+sources = ["unwrap"]
 "##;
 
     #[test]
     fn parses_the_dialect() {
         let p = Policy::parse(GOOD).unwrap();
         assert_eq!(p.crates, vec!["core", "games"]);
-        let nd = &p.rules["ND001"];
-        assert_eq!(nd.description, "no wall clock");
-        assert_eq!(nd.crates, vec!["core"]);
-        assert_eq!(nd.allow.len(), 2);
-        assert!(nd.is_allowed("crates/core/src/a.rs"));
-        assert!(!nd.is_allowed("crates/core/src/c.rs"));
-        let ah = &p.rules["AH001"];
-        assert_eq!(ah.lists["required"], vec!["#![warn(missing_docs)]"]);
+        let fd = &p.rules["FD001"];
+        assert_eq!(fd.description, "no float ==");
+        assert_eq!(fd.crates, vec!["core"]);
+        assert_eq!(fd.allow.len(), 2);
+        assert!(fd.is_allowed("crates/core/src/a.rs"));
+        assert!(!fd.is_allowed("crates/core/src/c.rs"));
+        let ph = &p.rules["PH101"];
+        assert_eq!(ph.lists["sources"], vec!["unwrap"]);
     }
 
     #[test]
     fn applies_to_defaults_to_audit_crates() {
         let p = Policy::parse(GOOD).unwrap();
-        assert!(p.rules["AH001"].applies_to("games", &p.crates));
-        assert!(!p.rules["ND001"].applies_to("games", &p.crates));
+        assert!(p.rules["PH101"].applies_to("games", &p.crates));
+        assert!(!p.rules["FD001"].applies_to("games", &p.crates));
     }
 
     #[test]

@@ -120,7 +120,7 @@ mod tests {
     use super::*;
 
     fn sample_report() -> ScanReport {
-        let mut f = Finding::new("ND101", "crates/x/src/a.rs", 7, "wall clock".to_string());
+        let mut f = Finding::new("PH101", "crates/x/src/a.rs", 7, "unwrap".to_string());
         f.chain = vec!["root (crates/x/src/a.rs:3)".to_string()];
         ScanReport {
             findings: vec![f],
@@ -157,7 +157,7 @@ mod tests {
         // Baseline empty, report has a finding: regression.
         let r = baseline_regressions(&with, &render(&without)).unwrap();
         assert_eq!(r.len(), 1, "{r:?}");
-        assert!(r[0].contains("ND101"), "{r:?}");
+        assert!(r[0].contains("PH101"), "{r:?}");
         // Baseline has it, report clean: ratchet tightens silently.
         let r = baseline_regressions(&without, &render(&with)).unwrap();
         assert!(r.is_empty(), "{r:?}");

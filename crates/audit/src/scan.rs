@@ -70,7 +70,6 @@ pub fn scan_workspace(root: &Path, policy: &Policy) -> ScanReport {
             }
         }
         file_tokens.extend(crate_files);
-        check_crate_headers(root, krate, policy, &mut report.findings);
     }
     // Interprocedural passes over every scanned file at once — symbols
     // and edges cross crate boundaries, so they cannot run per-crate.
@@ -99,9 +98,9 @@ pub fn scan_workspace(root: &Path, policy: &Policy) -> ScanReport {
 }
 
 /// The caller-only files DC001 reads: every `.rs` file under the
-/// directories its `callers` list names (a `*` segment matches every
-/// directory at that level; a directory that does not exist holds no
-/// caller). Their calls keep a function alive; no rule checks them.
+/// directories its `callers` list names (a directory that does not exist
+/// holds no caller). Their calls keep a function alive; no rule checks
+/// them.
 fn caller_files(root: &Path, policy: &Policy, findings: &mut Vec<Finding>) -> Vec<FileTokens> {
     let Some(dirs) = policy
         .rules
@@ -111,19 +110,8 @@ fn caller_files(root: &Path, policy: &Policy, findings: &mut Vec<Finding>) -> Ve
         return Vec::new();
     };
     let mut files = Vec::new();
-    for dir in dirs {
-        let expanded: Vec<PathBuf> = match dir.split_once("/*/") {
-            None => vec![root.join(dir)],
-            Some((parent, tail)) => fs::read_dir(root.join(parent))
-                .into_iter()
-                .flatten()
-                .flatten()
-                .map(|entry| entry.path().join(tail))
-                .collect(),
-        };
-        for dir in expanded.iter().filter(|d| d.is_dir()) {
-            collect_rs_files(dir, &mut files, findings);
-        }
+    for dir in dirs.iter().map(|d| root.join(d)).filter(|d| d.is_dir()) {
+        collect_rs_files(&dir, &mut files, findings);
     }
     files.sort();
     files
@@ -190,50 +178,6 @@ fn apply_token_rules(ft: &FileTokens, policy: &Policy, findings: &mut Vec<Findin
             continue;
         }
         findings.extend(apply_token_rule(rule, rp, &ft.rel, &ft.tokens));
-    }
-}
-
-/// AH001: every protocol crate's `src/lib.rs` must carry the lint headers
-/// the policy requires (`required`, plus `required_<crate>` extras), so
-/// attribute hygiene cannot silently drift.
-fn check_crate_headers(root: &Path, krate: &str, policy: &Policy, findings: &mut Vec<Finding>) {
-    let Some(rp) = policy.rules.get("AH001") else {
-        return;
-    };
-    if !rp.applies_to(krate, &policy.crates) {
-        return;
-    }
-    let lib = root.join("crates").join(krate).join("src").join("lib.rs");
-    let rel = workspace_relative(root, &lib);
-    if rp.is_allowed(&rel) {
-        return;
-    }
-    let source = match fs::read_to_string(&lib) {
-        Ok(s) => s,
-        Err(e) => {
-            findings.push(io_finding(&rel, e));
-            return;
-        }
-    };
-    let mut required: Vec<&String> = rp.lists.get("required").into_iter().flatten().collect();
-    if let Some(extra) = rp
-        .lists
-        .get(&format!("required_{}", krate.replace('-', "_")))
-    {
-        required.extend(extra);
-    }
-    for header in required {
-        if !source.contains(header.as_str()) {
-            findings.push(Finding::new(
-                "AH001",
-                &rel,
-                1,
-                format!(
-                    "missing required crate header `{header}` — {}",
-                    rp.description
-                ),
-            ));
-        }
     }
 }
 

@@ -1,13 +1,14 @@
-//! Pass 3 of the interprocedural analysis: nondeterminism/panic taint.
+//! Pass 3 of the interprocedural analysis: panic and narrowing taint.
 //!
-//! Determinism is a property of the *replay path*, not of individual
-//! files: a wall-clock read inside a helper three calls below
-//! `ProtocolDriver::on_event` breaks byte-identical replay exactly as
-//! much as one inside the driver itself. This pass therefore walks the
-//! call graph ([`crate::callgraph`]) backwards from the protocol **sink
-//! roots** the policy names (`[callgraph] sinks`) and flags every
-//! nondeterminism or panic **source** inside a reachable function body,
-//! printing the full sink→source call chain with `file:line` per hop.
+//! Typed-error hygiene is a property of the *replay path*, not of
+//! individual files: an `unwrap` inside a helper three calls below
+//! `ProtocolDriver::on_event` aborts a replay exactly as much as one
+//! inside the driver itself, whichever crate the helper lives in. This
+//! pass therefore walks the call graph ([`crate::callgraph`]) from the
+//! protocol **sink roots** the policy names (`[callgraph] sinks`) and
+//! flags every panic or lossy-cast **source** inside a reachable function
+//! body, printing the full sink→source call chain with `file:line` per
+//! hop.
 //!
 //! Sink specs come in two forms:
 //!
@@ -27,27 +28,22 @@
 //! exits 2 naming it, so a spec left behind by a deleted item cannot
 //! shrink the checked cone silently.
 //!
-//! Reachability-scoped rules (the `1xx` ids mirror their file-scoped
-//! `0xx` cousins, which stay as the first line of defence in protocol
-//! crates; the `1xx` rules extend the net to *any* workspace crate a
-//! sink can reach):
+//! Reachability-scoped rules (the compile-time PH001 lints cover the four
+//! crates that host the event loop; PH101 extends the net to *any*
+//! workspace crate a sink can reach):
 //!
 //! | id    | source                                                    |
 //! |-------|-----------------------------------------------------------|
-//! | ND101 | wall-clock APIs (`Instant`, `SystemTime`)                 |
-//! | ND102 | ambient entropy (`thread_rng`, `from_entropy`, `OsRng`)   |
-//! | ND103 | iteration over `HashMap`/`HashSet`                        |
 //! | PH101 | `unwrap`/`expect`/`panic!`-class exits (opt-in: indexing) |
 //! | CL001 | lossy `as` narrowing casts                                |
 //!
-//! `DP001` (calls to `#[deprecated]` workspace items) also lives here —
-//! it needs the resolved edges, not reachability: a deprecated call is
-//! wrong wherever it sits.
+//! `DC001` (a `pub fn` only test code calls) also lives here — it needs
+//! the resolved edges, not reachability.
 
 use crate::callgraph::{callees, CallGraph};
 use crate::lexer::{Token, TokenKind};
 use crate::policy::{Policy, RulePolicy};
-use crate::rules::{hash_iteration_sites, Finding, Site};
+use crate::rules::Finding;
 use crate::symbols::{FileTokens, FnDef, SymbolTable};
 use std::collections::{BTreeSet, VecDeque};
 
@@ -109,9 +105,6 @@ pub fn analyze(
             }
         }
     }
-    report
-        .findings
-        .extend(deprecated_calls(symbols, graph, policy));
     report
 }
 
@@ -232,9 +225,17 @@ fn chain_to(
 }
 
 /// The reachability-scoped rule ids, in reporting order.
-pub const REACH_RULES: [&str; 5] = ["ND101", "ND102", "ND103", "PH101", "CL001"];
+pub const REACH_RULES: [&str; 2] = ["PH101", "CL001"];
 
-/// Nondeterminism/panic sources of `rule` within `[start, end)` of `ft`.
+/// One source matched inside a reachable body.
+struct Site {
+    /// 1-based line.
+    line: usize,
+    /// What matched, message-ready (`"panic source `.unwrap()`"`).
+    what: String,
+}
+
+/// Panic or narrowing sources of `rule` within `[start, end)` of `ft`.
 fn source_sites(
     rule: &str,
     rp: &RulePolicy,
@@ -242,46 +243,12 @@ fn source_sites(
     start: usize,
     end: usize,
 ) -> Vec<Site> {
-    let tokens = &ft.tokens;
-    let end = end.min(tokens.len());
+    let end = end.min(ft.tokens.len());
     match rule {
-        "ND101" => ident_sites(ft, start, end, &["Instant", "SystemTime"], "wall-clock API"),
-        "ND102" => ident_sites(
-            ft,
-            start,
-            end,
-            &["thread_rng", "from_entropy", "OsRng", "getrandom"],
-            "ambient randomness",
-        ),
-        "ND103" => hash_iteration_sites(tokens)
-            .into_iter()
-            .filter(|s| s.index >= start && s.index < end)
-            .collect(),
         "PH101" => panic_sites(rp, ft, start, end),
         "CL001" => narrowing_cast_sites(rp, ft, start, end),
         _ => Vec::new(),
     }
-}
-
-fn ident_sites(
-    ft: &FileTokens,
-    start: usize,
-    end: usize,
-    names: &[&str],
-    label: &str,
-) -> Vec<Site> {
-    let mut sites = Vec::new();
-    for i in start..end {
-        let t = &ft.tokens[i];
-        if names.iter().any(|n| t.is_ident(n)) {
-            sites.push(Site {
-                index: i,
-                line: t.line,
-                what: format!("{label} `{}`", t.text),
-            });
-        }
-    }
-    sites
 }
 
 /// PH101 sources. The `sources` policy list selects which classes fire;
@@ -311,7 +278,6 @@ fn panic_sites(rp: &RulePolicy, ft: &FileTokens, start: usize, end: usize) -> Ve
         let banged = tokens.get(i + 1).is_some_and(|n| n.is_punct("!"));
         if dotted && called && (t.is_ident("unwrap") || t.is_ident("expect")) && on(&t.text) {
             sites.push(Site {
-                index: i,
                 line: t.line,
                 what: format!("panic source `.{}()`", t.text),
             });
@@ -323,7 +289,6 @@ fn panic_sites(rp: &RulePolicy, ft: &FileTokens, start: usize, end: usize) -> Ve
             && on(&t.text)
         {
             sites.push(Site {
-                index: i,
                 line: t.line,
                 what: format!("panic source `{}!`", t.text),
             });
@@ -336,7 +301,6 @@ fn panic_sites(rp: &RulePolicy, ft: &FileTokens, start: usize, end: usize) -> Ve
             && !tokens[i - 1].is_ident("in")
         {
             sites.push(Site {
-                index: i,
                 line: t.line,
                 what: format!("panic source: indexing `{}[..]`", tokens[i - 1].text),
             });
@@ -365,7 +329,6 @@ fn narrowing_cast_sites(rp: &RulePolicy, ft: &FileTokens, start: usize, end: usi
         };
         if narrow.iter().any(|n| ty.is_ident(n)) {
             sites.push(Site {
-                index: i,
                 line: tokens[i].line,
                 what: format!("lossy `as {}` narrowing cast", ty.text),
             });
@@ -374,44 +337,13 @@ fn narrowing_cast_sites(rp: &RulePolicy, ft: &FileTokens, start: usize, end: usi
     sites
 }
 
-/// DP001: every resolved call edge whose callee is `#[deprecated]`,
-/// flagged at the call site (any non-test function, reachable or not).
-fn deprecated_calls(symbols: &SymbolTable, graph: &CallGraph, policy: &Policy) -> Vec<Finding> {
-    let Some(rp) = policy.rules.get("DP001") else {
-        return Vec::new();
-    };
-    let mut findings = Vec::new();
-    let mut seen: BTreeSet<(String, usize, String)> = BTreeSet::new();
-    for (caller_idx, edges) in graph.edges.iter().enumerate() {
-        let caller: &FnDef = &symbols.fns[caller_idx];
-        if !rp.applies_to(&caller.krate, &policy.crates) || rp.is_allowed(&caller.path) {
-            continue;
-        }
-        for e in edges {
-            let callee = &symbols.fns[e.callee];
-            if !callee.deprecated {
-                continue;
-            }
-            if !seen.insert((caller.path.clone(), e.line, callee.id())) {
-                continue;
-            }
-            findings.push(Finding::new(
-                "DP001",
-                &caller.path,
-                e.line,
-                format!("call to deprecated `{}` — {}", callee.id(), rp.description),
-            ));
-        }
-    }
-    findings
-}
-
 /// DC001: every non-test `pub fn` outside a trait impl that nothing
-/// calls but the unit tests of its own file. Callers are the graph's
-/// edges, the policy crates' test bodies and every fn of the caller-only
-/// `callers` files (binaries, integration tests, examples, the
-/// benchmark), so a function only they call stays alive. A caller the
-/// resolver leaves ambiguous keeps every candidate alive.
+/// calls but test code. Callers are the graph's edges (non-test bodies)
+/// and every fn of the caller-only `callers` files (binaries, the
+/// facade's integration tests, examples, the benchmark) outside a
+/// `#[cfg(test)] mod`, so a function only they call stays alive. A
+/// unit test, in any file, keeps nothing alive. A caller the resolver
+/// leaves ambiguous keeps every candidate alive.
 pub fn test_only_fns(
     files: &[FileTokens],
     symbols: &SymbolTable,
@@ -422,7 +354,7 @@ pub fn test_only_fns(
     let Some(rp) = policy.rules.get("DC001") else {
         return Vec::new();
     };
-    // Per fn: whether anything but its own file's tests calls it.
+    // Per fn: whether anything but test code calls it.
     let mut alive = vec![false; symbols.fns.len()];
     for (caller, edges) in graph.edges.iter().enumerate() {
         for e in edges.iter().filter(|e| e.callee != caller) {
@@ -430,24 +362,21 @@ pub fn test_only_fns(
         }
     }
     let caller_table = SymbolTable::build(callers);
-    for def in symbols.fns.iter().filter(|d| d.is_test) {
-        for callee in callees(files, def, symbols, &policy.callgraph) {
-            alive[callee] |= symbols.fns[callee].file != def.file;
-        }
-    }
-    for def in &caller_table.fns {
+    let in_unit_test = |d: &FnDef| d.body.is_some_and(|(a, _)| callers[d.file].in_test_span(a));
+    for def in caller_table.fns.iter().filter(|d| !in_unit_test(d)) {
         for callee in callees(callers, def, symbols, &policy.callgraph) {
             alive[callee] = true;
         }
     }
     // A fn passed by path (`.and_then(Value::as_bool)`) is used, not
-    // called: every fn of that name outside the referring file's tests
-    // stays alive.
-    for (f, ft) in files.iter().chain(callers).enumerate() {
+    // called: every fn of that name stays alive unless the path sits in
+    // a unit test.
+    for ft in files.iter().chain(callers) {
         for (k, name) in path_refs(&ft.tokens) {
-            for &i in symbols.by_name.get(name).into_iter().flatten() {
-                let own_test = f < files.len() && symbols.fns[i].file == f && ft.in_test_span(k);
-                alive[i] |= !own_test;
+            if !ft.in_test_span(k) {
+                for &i in symbols.by_name.get(name).into_iter().flatten() {
+                    alive[i] = true;
+                }
             }
         }
     }
@@ -469,7 +398,7 @@ pub fn test_only_fns(
                 &d.path,
                 d.line,
                 format!(
-                    "`{}` has no caller but its own file's unit tests — {}",
+                    "`{}` has no caller outside test code — {}",
                     d.id(),
                     rp.description
                 ),
@@ -509,7 +438,7 @@ mod tests {
     use crate::policy::Policy;
 
     /// A two-file mini-workspace: a driver impl whose helper (in another
-    /// file) reads the wall clock two hops down.
+    /// file) unwraps two hops down.
     fn two_hop_fixture() -> (Vec<FileTokens>, SymbolTable, CallGraph, Policy) {
         let driver = "
             struct MyDriver;
@@ -521,11 +450,10 @@ mod tests {
         ";
         let helper = "
             pub fn stamp(ev: u32) -> u64 {
-                now_nanos() + ev as u64
+                decode(ev) + 1
             }
-            fn now_nanos() -> u64 {
-                let t = Instant::now();
-                0
+            fn decode(ev: u32) -> u64 {
+                u64::try_from(ev).ok().unwrap()
             }
         ";
         let files = vec![
@@ -539,8 +467,8 @@ mod tests {
             crates = [\"proto\", \"util\"]
             [callgraph]
             sinks = [\"ProtocolDriver::on_event\"]
-            [rules.ND101]
-            description = \"wall clocks break replay\"
+            [rules.PH101]
+            description = \"typed errors only\"
             ",
         )
         .unwrap();
@@ -555,9 +483,9 @@ mod tests {
         assert_eq!(report.sink_roots.len(), 1);
         assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
         let f = &report.findings[0];
-        assert_eq!(f.rule, "ND101");
+        assert_eq!(f.rule, "PH101");
         assert_eq!(f.path, "crates/util/src/clock.rs");
-        assert!(f.message.contains("Instant"), "{f:?}");
+        assert!(f.message.contains("unwrap"), "{f:?}");
         assert_eq!(f.chain.len(), 3, "{:?}", f.chain);
         assert!(
             f.chain[0].contains("MyDriver::on_event (crates/proto/src/driver.rs:"),
@@ -570,7 +498,7 @@ mod tests {
             f.chain
         );
         assert!(
-            f.chain[2].contains("now_nanos (called at crates/util/src/clock.rs:"),
+            f.chain[2].contains("decode (called at crates/util/src/clock.rs:"),
             "{:?}",
             f.chain
         );
@@ -688,33 +616,6 @@ mod tests {
     }
 
     #[test]
-    fn dp001_flags_calls_to_deprecated_items() {
-        let src = "
-            #[deprecated]
-            pub fn old_api(x: u32) -> u32 { x }
-            pub fn caller() -> u32 { old_api(1) }
-        ";
-        let files = vec![FileTokens::new("core", "crates/core/src/d.rs", src)];
-        let symbols = SymbolTable::build(&files);
-        let policy = Policy::parse(
-            "
-            [audit]
-            crates = [\"core\"]
-            [rules.DP001]
-            description = \"migrate off deprecated APIs\"
-            ",
-        )
-        .unwrap();
-        let graph = CallGraph::build(&files, &symbols, &policy.callgraph);
-        let report = analyze(&files, &symbols, &graph, &policy);
-        assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
-        let f = &report.findings[0];
-        assert_eq!(f.rule, "DP001");
-        assert!(f.message.contains("old_api"), "{f:?}");
-        assert_eq!(f.line, 4);
-    }
-
-    #[test]
     fn rule_allow_list_silences_the_source_file() {
         let (files, symbols, graph, _) = two_hop_fixture();
         let policy = Policy::parse(
@@ -723,7 +624,7 @@ mod tests {
             crates = [\"proto\", \"util\"]
             [callgraph]
             sinks = [\"ProtocolDriver::on_event\"]
-            [rules.ND101]
+            [rules.PH101]
             description = \"d\"
             allow = [\"crates/util/src/clock.rs\"]
             ",

@@ -1,16 +1,16 @@
-// PH101 fail fixture: an `unwrap` one hop below a pipeline-stage sink.
-pub struct Stage;
+// PH101 fail fixture: an `unwrap` two hops below a protocol sink.
+pub struct Driver;
 
-impl PipelineStage for Stage {
-    fn run(&mut self, ctx: u32) -> u32 {
-        decode(ctx)
+impl ProtocolDriver for Driver {
+    fn on_event(&mut self, ev: u64) -> u64 {
+        helper(ev)
     }
 }
 
-fn decode(v: u32) -> u32 {
-    checked(v).unwrap()
+fn helper(ev: u64) -> u64 {
+    decode(ev).wrapping_add(ev)
 }
 
-fn checked(v: u32) -> Option<u32> {
-    v.checked_add(1)
+fn decode(ev: u64) -> u64 {
+    ev.checked_add(1).unwrap()
 }

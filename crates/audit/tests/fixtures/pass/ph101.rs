@@ -1,21 +1,17 @@
 // PH101 pass fixture: the sink path degrades gracefully; an `unwrap` in
 // a fn no sink can reach stays legal (the rule is reachability-scoped).
-pub struct Stage;
+pub struct Driver;
 
-impl PipelineStage for Stage {
-    fn run(&mut self, ctx: u32) -> u32 {
-        decode(ctx)
+impl ProtocolDriver for Driver {
+    fn on_event(&mut self, ev: u64) -> u64 {
+        helper(ev)
     }
 }
 
-fn decode(v: u32) -> u32 {
-    checked(v).unwrap_or(0)
+fn helper(ev: u64) -> u64 {
+    ev.checked_add(1).unwrap_or(0)
 }
 
-fn checked(v: u32) -> Option<u32> {
-    v.checked_add(1)
-}
-
-pub fn offline_tool(v: u32) -> u32 {
-    checked(v).unwrap()
+pub fn offline_tool(ev: u64) -> u64 {
+    ev.checked_add(1).unwrap()
 }

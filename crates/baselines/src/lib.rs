@@ -19,9 +19,6 @@
 //! is not a separate algorithm — it is the `IdenticalGreedy` strategy of
 //! the core runtime, run on a single shard.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod chainspace;
 pub mod optimal;
 pub mod random_merge;

@@ -54,7 +54,7 @@ pub fn random_merge(sizes: &[u64], lower_bound: u64, seed: u64) -> RandomMergeOu
                 .collect();
             let size: u64 = coalition.iter().map(|&i| sizes[i]).sum();
             if size >= lower_bound {
-                let set: std::collections::HashSet<usize> = coalition.iter().copied().collect();
+                let set: std::collections::BTreeSet<usize> = coalition.iter().copied().collect();
                 remaining.retain(|i| !set.contains(i));
                 new_shards.push(coalition);
                 break; // "the algorithm also stops here"

@@ -193,7 +193,7 @@ pub fn run_pool(quick: bool) -> ExperimentResult {
             round += 1;
             if out.satisfied {
                 let members: Vec<usize> = out.merged.iter().map(|&j| remaining[j]).collect();
-                let set: std::collections::HashSet<usize> = members.into_iter().collect();
+                let set: std::collections::BTreeSet<usize> = members.into_iter().collect();
                 remaining.retain(|i| !set.contains(i));
                 shards += 1;
                 dry = 0;

@@ -8,8 +8,6 @@
 //! block rates, shard counts, repeat counts); every deviation and
 //! calibration is listed in the experiment's `notes` and in EXPERIMENTS.md.
 
-#![warn(missing_docs)]
-
 pub mod experiments;
 pub mod plot;
 pub mod report;

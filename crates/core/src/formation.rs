@@ -247,13 +247,13 @@ mod tests {
         use cshard_primitives::{Address, Amount};
         // User 1 transacted directly in the past.
         let mut history = CallGraph::new();
-        history.observe(&Transaction::direct(
+        history.observe_all([&Transaction::direct(
             Address::user(1),
             0,
             Address::user(9),
             Amount(5),
             Amount(1),
-        ));
+        )]);
         let txs = vec![Transaction::call(
             Address::user(1),
             1,

@@ -34,8 +34,19 @@
 //! [`cshard_runtime`]; this crate re-exports the common pieces at its
 //! root.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// The epoch pipeline, the system facade and the fault machinery must use
+// typed errors, not panics (PH001).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod assignment;
 pub mod builder;

@@ -88,7 +88,6 @@ pub struct LongRun {
     /// `None` for an empty enrolment, which every epoch rejects.
     epochs: Option<EpochManager>,
     pipeline: EpochPipeline,
-    reports: Vec<EpochReport>,
 }
 
 impl LongRun {
@@ -106,17 +105,11 @@ impl LongRun {
             config,
             epochs,
             pipeline,
-            reports: Vec::new(),
         }
     }
 
-    /// Completed epoch reports.
-    pub fn reports(&self) -> &[EpochReport] {
-        &self.reports
-    }
-
     /// Drives one epoch over `batch` (the epoch's injected transactions
-    /// with their fees) and records its report.
+    /// with their fees) and returns its report.
     ///
     /// Errors on an empty enrolment (`Error::Config { field: "miners" }`),
     /// an empty batch, a malformed configuration (including the retired
@@ -164,7 +157,7 @@ impl LongRun {
         )?;
         let ethereum = simulate_ethereum(fees, 1, &runtime)?;
 
-        let report = EpochReport {
+        Ok(EpochReport {
             epoch,
             leader,
             shards: out.shard_sizes.len(),
@@ -172,9 +165,7 @@ impl LongRun {
             improvement: throughput_improvement(&ethereum, &out.run),
             empty_blocks: out.run.total_empty_blocks(),
             comm_rounds: out.comm.total(),
-        };
-        self.reports.push(report.clone());
-        Ok(report)
+        })
     }
 
     /// Drives epochs from a lazy arrival stream instead of pre-cut
@@ -187,12 +178,11 @@ impl LongRun {
     /// with no arrivals produce no epoch — a long-lived deployment idles
     /// through quiet periods instead of erroring on empty batches.
     ///
-    /// Returns the reports of the epochs this call ran, in order (they
-    /// are also appended to [`LongRun::reports`]). On an error — a
-    /// rewinding timestamp (`Error::Config { field: "stream" }`), a zero
-    /// interval with a non-empty stream (`field: "epoch_interval"`) or a
-    /// rejected epoch — the epochs sealed before it have already run and
-    /// stay in [`LongRun::reports`].
+    /// Returns the reports of the epochs this call ran, in order. On an
+    /// error — a rewinding timestamp (`Error::Config { field: "stream" }`),
+    /// a zero interval with a non-empty stream (`field: "epoch_interval"`)
+    /// or a rejected epoch — the epochs sealed before it have already run:
+    /// the next epoch is numbered after them.
     pub fn run_stream(
         &mut self,
         stream: impl Iterator<Item = (SimTime, Transaction)>,
@@ -233,14 +223,15 @@ mod tests {
     #[test]
     fn epochs_accumulate_reports() {
         let mut lr = LongRun::new(LongRunConfig::default());
+        let mut total = 0.0;
         for e in 0..4 {
             let report = lr.run_epoch(&batch(e, 5)).expect("valid batch");
             assert_eq!(report.epoch, e);
             assert!(report.improvement > 1.0, "epoch {e}: {report:?}");
             assert!(report.shards >= 2);
+            total += report.improvement;
         }
-        assert_eq!(lr.reports().len(), 4);
-        let mean = lr.reports().iter().map(|r| r.improvement).sum::<f64>() / 4.0;
+        let mean = total / 4.0;
         assert!(mean > 1.5, "mean improvement {mean}");
     }
 
@@ -297,9 +288,9 @@ mod tests {
     fn deterministic_across_replays() {
         let run = || {
             let mut lr = LongRun::new(LongRunConfig::default());
-            lr.run_epoch(&batch(0, 5)).expect("valid batch");
-            lr.run_epoch(&batch(1, 6)).expect("valid batch");
-            (lr.reports()[0].improvement, lr.reports()[1].improvement)
+            let first = lr.run_epoch(&batch(0, 5)).expect("valid batch");
+            let second = lr.run_epoch(&batch(1, 6)).expect("valid batch");
+            (first.improvement, second.improvement)
         };
         assert_eq!(run(), run());
     }
@@ -320,11 +311,11 @@ mod tests {
             .expect("valid stream");
         assert_eq!(reports.len(), 3);
         let mut batched = LongRun::new(LongRunConfig::default());
-        for chunk in txs.chunks(40) {
-            batched.run_epoch(chunk).expect("valid batch");
-        }
+        let b: Vec<f64> = txs
+            .chunks(40)
+            .map(|chunk| batched.run_epoch(chunk).expect("valid batch").improvement)
+            .collect();
         let a: Vec<f64> = reports.iter().map(|r| r.improvement).collect();
-        let b: Vec<f64> = batched.reports().iter().map(|r| r.improvement).collect();
         assert_eq!(a, b, "stream-fed epochs must replay batch-fed exactly");
     }
 
@@ -333,7 +324,7 @@ mod tests {
         // 40 txs per 1 600 ms epoch; arrival 100 rewinds, after arrivals
         // 40 and 80 sealed epochs 0 and 1.
         let txs = Workload::uniform_contracts(120, 4, FEES, 9).transactions;
-        let stream = txs.into_iter().enumerate().map(|(i, tx)| {
+        let stream = txs.clone().into_iter().enumerate().map(|(i, tx)| {
             let ms = if i == 100 { 0 } else { i as u64 * 40 };
             (SimTime::from_millis(ms), tx)
         });
@@ -349,8 +340,9 @@ mod tests {
             ),
             "{err:?}"
         );
-        let epochs: Vec<u64> = lr.reports().iter().map(|r| r.epoch).collect();
-        assert_eq!(epochs, [0, 1]);
+        // Epochs 0 and 1 ran: the next one is epoch 2.
+        let next = lr.run_epoch(&txs[..40]).expect("valid batch");
+        assert_eq!(next.epoch, 2);
     }
 
     #[test]
@@ -370,7 +362,6 @@ mod tests {
             .run_stream(stream, SimTime::from_millis(1_000))
             .expect("valid stream");
         assert_eq!(reports.len(), 2, "silent intervals are skipped, not run");
-        assert_eq!(lr.reports().len(), 2);
     }
 
     #[test]

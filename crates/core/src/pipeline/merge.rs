@@ -108,7 +108,7 @@ pub fn fuse(groups: &mut Vec<(ShardId, Vec<u64>)>, member_groups: &[Vec<usize>])
     let mut fused: Vec<(ShardId, Vec<u64>)> = Vec::new();
     for members in member_groups {
         // A merge game never emits an empty group, but a typed skip keeps
-        // this off the panic path (audit rule PH001).
+        // this off the panic path (PH001).
         let Some(id) = members.iter().map(|&g| groups[g].0).min() else {
             continue;
         };

@@ -9,6 +9,11 @@
 //! (`crates/runtime/tests/counting`) tallies the allocations each thread
 //! makes; the stage runs on the calling thread.
 
+#![allow(
+    unsafe_code,
+    reason = "the counting global allocator implements `GlobalAlloc`, an unsafe trait"
+)]
+
 #[path = "../../runtime/tests/counting/mod.rs"]
 mod counting;
 

@@ -35,7 +35,7 @@ fn grid_config(seed: u64) -> StreamConfig {
     let contracts = [2, 5, 9][(seed % 3) as usize];
     let diversify = [0.0, 0.1, 0.5][((seed / 4) % 3) as usize];
     let direct_fraction = [0.0, 0.2][((seed / 12) % 2) as usize];
-    let spam = if seed.is_multiple_of(5) {
+    let spam = if seed % 5 == 0 {
         Some(SpamFlood {
             start: SimTime::ZERO,
             end: SimTime::MAX,

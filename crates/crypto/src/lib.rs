@@ -12,9 +12,6 @@
 //!   public key plus the leader's randomness into one of 100 groups, exactly
 //!   the interface Sec. III-B consumes.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod beacon;
 pub mod prf;
 pub mod sha256;

@@ -132,9 +132,9 @@ pub fn rank_leaders(candidates: &[Vrf], round: u64) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
-    fn registry(vrfs: &[Vrf]) -> HashMap<VrfPublicKey, VrfSecretKey> {
+    fn registry(vrfs: &[Vrf]) -> BTreeMap<VrfPublicKey, VrfSecretKey> {
         vrfs.iter().map(|v| (v.public_key(), v.sk)).collect()
     }
 
@@ -224,7 +224,7 @@ mod tests {
         let vrfs: Vec<Vrf> = (0..8u64).map(|i| Vrf::from_seed(i.to_be_bytes())).collect();
         assert_eq!(rank_leaders(&vrfs, 7), rank_leaders(&vrfs, 7));
         // Over many rounds, several distinct leaders should win.
-        let mut winners = std::collections::HashSet::new();
+        let mut winners = std::collections::BTreeSet::new();
         for round in 0..64 {
             winners.insert(rank_leaders(&vrfs, round)[0]);
         }

@@ -10,8 +10,7 @@
 //!
 //! * **Determinism** — a `run` with identical inputs produces a
 //!   bit-identical outcome. All randomness comes from the seed carried in
-//!   the input; nothing reads clocks or ambient entropy (audit rules
-//!   ND001/ND002).
+//!   the input; nothing reads clocks or ambient entropy (ND001/ND002).
 //! * **Buffers reused across runs** — each dynamics owns the buffers its
 //!   game uses and grows them on a larger input only, so a run with
 //!   same-or-smaller inputs allocates nothing for its iteration and a

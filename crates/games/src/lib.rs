@@ -25,9 +25,6 @@
 //!   eliminates the per-iteration gossip — the O(1) communication of
 //!   Fig. 4(c).
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod dynamics;
 pub mod merging;
 pub mod selection;

@@ -12,7 +12,7 @@
 //! the convergence argument the paper cites from Milchtaich/Heikkinen. The
 //! monotone increase of `Φ` is `debug_assert`ed on every improving move.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use crate::dynamics::{BestReplyDynamics, SelectInput};
 
@@ -54,10 +54,7 @@ impl SelectionOutcome {
     /// for Fig. 3(h)/5(b) ("the number of transaction sets can represent
     /// the throughput improvement of the system").
     pub fn distinct_set_count(&self) -> usize {
-        let mut seen: HashSet<&[usize]> = HashSet::with_capacity(self.assignments.len());
-        for a in &self.assignments {
-            seen.insert(a.as_slice());
-        }
+        let seen: BTreeSet<&[usize]> = self.assignments.iter().map(Vec::as_slice).collect();
         seen.len()
     }
 

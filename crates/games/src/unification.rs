@@ -362,7 +362,7 @@ impl UnifiedParameters {
             return Err(VerificationError::UnknownMiner(miner_index));
         }
         let outcome = self.selection_outcome()?;
-        let allowed: std::collections::HashSet<usize> =
+        let allowed: std::collections::BTreeSet<usize> =
             outcome.assignments[miner_index].iter().copied().collect();
         for &j in packed_tx_indices {
             if !allowed.contains(&j) {
@@ -511,7 +511,7 @@ mod tests {
         let p = select_params();
         let outcome = p.selection_outcome().expect("selection inputs");
         // Find a tx not in miner 0's set.
-        let allowed: std::collections::HashSet<usize> =
+        let allowed: std::collections::BTreeSet<usize> =
             outcome.assignments[0].iter().copied().collect();
         let foreign = (0..40).find(|j| !allowed.contains(j)).expect("exists");
         assert_eq!(
@@ -574,7 +574,7 @@ mod tests {
             assert_eq!(set.len(), 4);
             assert!(set.iter().all(|&j| j < 40));
         }
-        let distinct: std::collections::HashSet<Vec<usize>> = sets
+        let distinct: std::collections::BTreeSet<Vec<usize>> = sets
             .iter()
             .cloned()
             .map(|mut s| {

@@ -21,7 +21,7 @@
 //! bound — and `iterative_merge` is pinned against a frozen Algorithm 1
 //! over the reference on stream-shaped inputs.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use cshard_games::merging::{
     iterative_merge, one_shot_merge, IterativeMergeOutcome, MergingConfig, OneShotOutcome,
@@ -164,7 +164,7 @@ fn reference_best_reply(
             s.sort_unstable();
             s.dedup();
             s.truncate(capacity);
-            let mut have: HashSet<usize> = s.iter().copied().collect();
+            let mut have: BTreeSet<usize> = s.iter().copied().collect();
             let mut fill = 0usize;
             while s.len() < capacity {
                 if have.insert(fill) {
@@ -191,7 +191,7 @@ fn reference_best_reply(
         let mut improved = false;
         #[allow(clippy::needless_range_loop)]
         for i in 0..u {
-            let current: HashSet<usize> = assignments[i].iter().copied().collect();
+            let current: BTreeSet<usize> = assignments[i].iter().copied().collect();
             let mut scored: Vec<(f64, usize)> = (0..t)
                 .map(|j| {
                     let others = load[j] - u32::from(current.contains(&j));
@@ -291,7 +291,7 @@ fn reference_iterative_merge(
         round += 1;
         if outcome.satisfied {
             let shard: Vec<usize> = outcome.merged.iter().map(|&j| round_players[j]).collect();
-            let shard_set: HashSet<usize> = shard.iter().copied().collect();
+            let shard_set: BTreeSet<usize> = shard.iter().copied().collect();
             remaining.retain(|i| !shard_set.contains(i));
             new_shards.push(shard);
             retries = 0;

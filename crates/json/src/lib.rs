@@ -11,9 +11,6 @@
 //! * The parser is a strict recursive-descent over the RFC 8259 grammar;
 //!   errors carry a byte offset.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 use std::fmt;
 
 /// A JSON number, keeping integers exact.

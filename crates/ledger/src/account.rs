@@ -76,7 +76,7 @@ mod tests {
     fn contract_account_basics() {
         let c = Account::contract(ContractId::new(4));
         assert!(c.is_contract());
-        assert!(c.balance.is_zero());
+        assert_eq!(c.balance, Amount::ZERO);
         assert_eq!(c.kind, AccountKind::Contract(ContractId::new(4)));
     }
 }

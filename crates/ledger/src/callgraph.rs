@@ -142,11 +142,6 @@ impl CallGraph {
         CallGraph::default()
     }
 
-    /// Records one observed transaction.
-    pub fn observe(&mut self, tx: &Transaction) {
-        self.observe_all([tx]);
-    }
-
     /// Records a whole batch (e.g. an injected workload) and returns what
     /// it changed. A first-ever observation always reclassifies its
     /// sender; repeat observations that add no new participation (the same
@@ -305,7 +300,7 @@ mod tests {
         // User A only sends through contract 1.
         let mut g = CallGraph::new();
         let t = call(1, 1);
-        g.observe(&t);
+        g.observe_all([&t]);
         assert_eq!(
             g.classify(Address::user(1)),
             SenderClass::SingleContract(ContractId::new(1))
@@ -319,8 +314,8 @@ mod tests {
         let mut g = CallGraph::new();
         let t2 = call(3, 2);
         let t3 = call(3, 3);
-        g.observe(&t2);
-        g.observe(&t3);
+        g.observe_all([&t2]);
+        g.observe_all([&t3]);
         assert_eq!(g.classify(Address::user(3)), SenderClass::MultiContract);
         assert_eq!(g.isolable_contract(&t2), None);
         assert_eq!(g.isolable_contract(&t3), None);
@@ -332,8 +327,8 @@ mod tests {
         let mut g = CallGraph::new();
         let t4 = call(6, 1);
         let t5 = direct(6, 8);
-        g.observe(&t4);
-        g.observe(&t5);
+        g.observe_all([&t4]);
+        g.observe_all([&t5]);
         assert_eq!(g.classify(Address::user(6)), SenderClass::Direct);
         assert_eq!(g.isolable_contract(&t4), None);
     }
@@ -350,7 +345,7 @@ mod tests {
     fn direct_transfer_is_never_isolable() {
         let mut g = CallGraph::new();
         let t = direct(1, 2);
-        g.observe(&t);
+        g.observe_all([&t]);
         assert_eq!(g.isolable_contract(&t), None);
     }
 
@@ -365,7 +360,7 @@ mod tests {
             Amount::from_coins(3),
             Amount::ZERO,
         );
-        g.observe(&t);
+        g.observe_all([&t]);
         for u in 1..=3 {
             assert_eq!(
                 g.classify(Address::user(u)),
@@ -381,7 +376,7 @@ mod tests {
     fn repeated_same_contract_calls_stay_single() {
         let mut g = CallGraph::new();
         for _ in 0..5 {
-            g.observe(&call(1, 2));
+            g.observe_all([&call(1, 2)]);
         }
         assert_eq!(
             g.classify(Address::user(1)),
@@ -392,9 +387,9 @@ mod tests {
     #[test]
     fn contract_call_after_direct_is_not_isolable() {
         let mut g = CallGraph::new();
-        g.observe(&direct(1, 2));
+        g.observe_all([&direct(1, 2)]);
         let t = call(1, 1);
-        g.observe(&t);
+        g.observe_all([&t]);
         assert_eq!(g.isolable_contract(&t), None);
     }
 
@@ -434,7 +429,7 @@ mod tests {
     fn multi_input_dirties_every_newly_direct_input() {
         let mut g = CallGraph::new();
         // User 2 is already direct; users 1 and 3 are not.
-        g.observe(&direct(2, 9));
+        g.observe_all([&direct(2, 9)]);
         let t = Transaction::multi_input(
             Address::user(1),
             0,
@@ -543,9 +538,9 @@ mod tests {
     #[test]
     fn sender_count_tracks_distinct_senders() {
         let mut g = CallGraph::new();
-        g.observe(&call(1, 0));
-        g.observe(&call(1, 0));
-        g.observe(&call(2, 0));
+        g.observe_all([&call(1, 0)]);
+        g.observe_all([&call(1, 0)]);
+        g.observe_all([&call(2, 0)]);
         assert_eq!(g.sender_count(), 2);
     }
 

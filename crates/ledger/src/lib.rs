@@ -19,9 +19,6 @@
 //! * [`callgraph`] — the user↔contract call graph miners maintain locally to
 //!   classify senders (Sec. III-C's "more elegant way").
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod account;
 pub mod callgraph;
 pub mod contract;

@@ -81,7 +81,7 @@ impl GossipNet {
             for &peer in &self.peers[node] {
                 if delivered[peer].is_none() {
                     let hop = self.latency.delay(rng.gen::<f64>() * 0.999_999);
-                    heap.push(std::cmp::Reverse((t + hop, peer)));
+                    heap.push(std::cmp::Reverse((t.saturating_add(hop), peer)));
                 }
             }
         }
@@ -139,7 +139,10 @@ mod tests {
         // doubling nodes four times should much-less-than-double it.
         let small = net(32).full_coverage_time(0, 1);
         let large = net(512).full_coverage_time(0, 1);
-        assert!(large < small + small, "32: {small}, 512: {large}");
+        assert!(
+            large < small.saturating_add(small),
+            "32: {small}, 512: {large}"
+        );
         // And both are a small number of hops.
         assert!(large <= SimTime::from_millis(100 * 12), "{large}");
     }
@@ -160,6 +163,16 @@ mod tests {
             let t = g.full_coverage_time(origin, 3);
             assert!(t > SimTime::ZERO);
         }
+    }
+
+    #[test]
+    fn hop_sums_saturate_at_the_end_of_time() {
+        // `LatencyModel::delay` saturates at `SimTime::MAX`; a second hop
+        // on top of a saturated one stays there instead of overflowing.
+        let g = GossipNet::random(4, 0, LatencyModel::constant(SimTime::MAX), 1);
+        let times = g.broadcast(0, 1);
+        assert_eq!(times[0], SimTime::ZERO);
+        assert!(times[1..].iter().all(|&t| t == SimTime::MAX), "{times:?}");
     }
 
     #[test]

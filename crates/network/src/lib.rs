@@ -15,9 +15,6 @@
 //! a plain value that each recorder owns, summed with
 //! [`CommStats::merge`].
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod gossip;
 pub mod latency;
 pub mod partition;

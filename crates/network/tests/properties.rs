@@ -26,7 +26,7 @@ proptest! {
         let u = u_m as f64 / 1_000_000.0;
         let d = model.delay(u);
         prop_assert!(d >= model.base);
-        prop_assert!(d <= model.base + model.jitter);
+        prop_assert!(d <= model.base.saturating_add(model.jitter));
     }
 
     /// `delay` is monotone in the uniform draw: a larger draw never means
@@ -103,7 +103,7 @@ proptest! {
         let blackouts = Blackouts::new([(from, until)]).expect("one window is valid");
         let now = SimTime::from_secs(now_s);
         let at = blackouts.delivery(now, hop);
-        prop_assert!(at >= hop + now, "partition hastened a delivery");
+        prop_assert!(at >= now.saturating_add(hop), "partition hastened a delivery");
         prop_assert!(
             !(from <= at && at < until),
             "delivered at {} inside blackout [{}, {})", at, from, until

@@ -22,11 +22,19 @@
 //! Everything here is deterministic: traffic counters sit in first-seen
 //! slot order and proposals sort by (descending traffic, address).
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
 // Placement decisions feed the runtime's event loop; policy code must
 // surface typed errors, not panics (PH001).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod config;
 pub mod engine;

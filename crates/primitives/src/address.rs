@@ -79,11 +79,11 @@ impl AsRef<[u8]> for Address {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn derived_addresses_are_distinct() {
-        let mut set = HashSet::new();
+        let mut set = BTreeSet::new();
         for i in 0..100 {
             assert!(set.insert(Address::user(i)));
             assert!(set.insert(Address::contract(i)));

@@ -54,11 +54,6 @@ impl Amount {
         Amount(self.0.saturating_add(rhs.0))
     }
 
-    /// True when the amount is zero.
-    pub const fn is_zero(&self) -> bool {
-        self.0 == 0
-    }
-
     /// The amount as an `f64` — for expected-utility computations in the
     /// game layer, which work with fractional expected fees.
     pub fn as_f64(&self) -> f64 {

@@ -8,9 +8,6 @@
 //! is [`AddressSlots`] over [`AddressIndex`], which interns addresses to
 //! dense slots so per-address state lives in a `Vec`.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod address;
 pub mod amount;
 pub mod error;

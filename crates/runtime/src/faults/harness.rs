@@ -351,7 +351,11 @@ mod tests {
     #[test]
     fn crash_of_a_ghost_miner_is_rejected() {
         let crash = |shard: u32, miner: usize| {
-            FaultPlan::with_deadline(SimTime::from_secs(100_000)).with_crash(
+            FaultPlan {
+                deadline: Some(SimTime::from_secs(100_000)),
+                ..FaultPlan::none()
+            }
+            .with_crash(
                 ShardId::new(shard),
                 miner,
                 SimTime::from_secs(10),
@@ -628,7 +632,11 @@ mod tests {
     #[test]
     fn permanent_crash_of_the_only_miner_times_out() {
         let s = SimTime::from_secs;
-        let plan = FaultPlan::with_deadline(s(600)).with_crash(ShardId::new(0), 0, s(120), None);
+        let plan = FaultPlan {
+            deadline: Some(s(600)),
+            ..FaultPlan::none()
+        }
+        .with_crash(ShardId::new(0), 0, s(120), None);
         let (out, _) = solo_run(500, 3, &plan);
         let driver = &out.drivers[0];
         assert!(!driver.done(), "run must end at the deadline");
@@ -725,14 +733,17 @@ mod tests {
     fn permuting_a_plans_actions_changes_nothing() {
         let s = SimTime::from_secs;
         let (s0, s1) = (ShardId::new(0), ShardId::new(1));
-        let plan = FaultPlan::with_deadline(s(100_000))
-            .with_partition(s1, s(30), s(400))
-            .with_crash(s0, 0, s(60), Some(s(120)))
-            .with_crash(s0, 1, s(100), Some(s(200)))
-            .with_crash(s0, 1, s(150), Some(s(300)))
-            .with_crash(s1, 0, s(10), Some(s(50)))
-            .with_crash(s1, 0, s(50), Some(s(80)))
-            .with_partition(s0, s(20), s(40));
+        let plan = FaultPlan {
+            deadline: Some(s(100_000)),
+            ..FaultPlan::none()
+        }
+        .with_partition(s1, s(30), s(400))
+        .with_crash(s0, 0, s(60), Some(s(120)))
+        .with_crash(s0, 1, s(100), Some(s(200)))
+        .with_crash(s0, 1, s(150), Some(s(300)))
+        .with_crash(s1, 0, s(10), Some(s(50)))
+        .with_crash(s1, 0, s(50), Some(s(80)))
+        .with_partition(s0, s(20), s(40));
         let base = staffed_run(2, &plan);
         assert!(suppressed(&base) > 0, "the crashes acted");
         let (mut reversed, mut rotated) = (plan.clone(), plan);
@@ -745,18 +756,21 @@ mod tests {
     #[test]
     fn faulted_runs_are_reproducible_functions_of_plan_and_seed() {
         let cfg = config(17);
-        let plan = FaultPlan::with_deadline(SimTime::from_secs(100_000))
-            .with_crash(
-                ShardId::new(1),
-                0,
-                SimTime::from_secs(120),
-                Some(SimTime::from_secs(600)),
-            )
-            .with_partition(
-                ShardId::new(2),
-                SimTime::from_secs(60),
-                SimTime::from_secs(300),
-            );
+        let plan = FaultPlan {
+            deadline: Some(SimTime::from_secs(100_000)),
+            ..FaultPlan::none()
+        }
+        .with_crash(
+            ShardId::new(1),
+            0,
+            SimTime::from_secs(120),
+            Some(SimTime::from_secs(600)),
+        )
+        .with_partition(
+            ShardId::new(2),
+            SimTime::from_secs(60),
+            SimTime::from_secs(300),
+        );
         let none = Traffic::default();
         let a = run_with_faults(&specs(), &none, &cfg, &plan).expect("valid");
         let b = run_with_faults(&specs(), &none, &cfg, &plan).expect("valid");

@@ -72,15 +72,6 @@ impl FaultPlan {
         }
     }
 
-    /// A plan with a deadline and no faults yet; chain the `with_*`
-    /// builders to populate it.
-    pub fn with_deadline(deadline: SimTime) -> Self {
-        FaultPlan {
-            deadline: Some(deadline),
-            actions: Vec::new(),
-        }
-    }
-
     /// Adds a crash (optionally with recovery).
     pub fn with_crash(
         mut self,
@@ -185,9 +176,12 @@ mod tests {
 
     #[test]
     fn builders_accumulate_and_validate() {
-        let plan = FaultPlan::with_deadline(ms(100_000))
-            .with_crash(ShardId::new(0), 0, ms(1000), Some(ms(5000)))
-            .with_partition(ShardId::new(2), ms(100), ms(200));
+        let plan = FaultPlan {
+            deadline: Some(ms(100_000)),
+            ..FaultPlan::none()
+        }
+        .with_crash(ShardId::new(0), 0, ms(1000), Some(ms(5000)))
+        .with_partition(ShardId::new(2), ms(100), ms(200));
         assert_eq!(plan.actions.len(), 2);
         assert_eq!(plan.validate(), Ok(()));
         assert!(plan.blackouts(ShardId::new(0)).expect("valid").is_empty());
@@ -200,11 +194,14 @@ mod tests {
     #[test]
     fn downtime_merges_crashes_and_ends_permanent_ones_at_the_deadline() {
         let s0 = ShardId::new(0);
-        let plan = FaultPlan::with_deadline(ms(10_000))
-            .with_crash(s0, 0, ms(100), Some(ms(5000)))
-            .with_crash(s0, 0, ms(200), Some(ms(300)))
-            .with_crash(s0, 1, ms(7000), None)
-            .with_crash(s0, 1, ms(10_000), Some(ms(12_000)));
+        let plan = FaultPlan {
+            deadline: Some(ms(10_000)),
+            ..FaultPlan::none()
+        }
+        .with_crash(s0, 0, ms(100), Some(ms(5000)))
+        .with_crash(s0, 0, ms(200), Some(ms(300)))
+        .with_crash(s0, 1, ms(7000), None)
+        .with_crash(s0, 1, ms(10_000), Some(ms(12_000)));
         assert_eq!(plan.validate(), Ok(()));
         // A nested crash is the outer window alone.
         assert_eq!(plan.downtime(s0, 0), Blackouts::new([(ms(100), ms(5000))]));
@@ -222,7 +219,11 @@ mod tests {
         let plan = FaultPlan::none().with_crash(ShardId::new(0), 0, ms(10), None);
         assert!(plan.validate().is_err());
         // With a deadline the same crash is fine.
-        let ok = FaultPlan::with_deadline(ms(1000)).with_crash(ShardId::new(0), 0, ms(10), None);
+        let ok = FaultPlan {
+            deadline: Some(ms(1000)),
+            ..FaultPlan::none()
+        }
+        .with_crash(ShardId::new(0), 0, ms(10), None);
         assert_eq!(ok.validate(), Ok(()));
     }
 

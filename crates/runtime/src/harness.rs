@@ -7,6 +7,15 @@
 //! as that method's default, and a driver may replay its idle events
 //! faster (the harness only counts what it reports and times the call).
 
+// The single sanctioned wall-clock site in the workspace (ND001 in
+// `clippy.toml`): `wall` feeds only the diagnostic fields of the report,
+// never the simulation.
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "ND001: the harness times driver hooks for the report's diagnostic fields; drivers never read it"
+)]
+
 use crate::driver::{Ctx, ProtocolDriver};
 use crate::event::Event;
 use crate::report::RunReport;
@@ -14,9 +23,6 @@ use cshard_network::CommStats;
 use cshard_primitives::{Error, SimTime};
 use cshard_settle::SettleStats;
 use cshard_sim::{DrainStats, EventQueue, SchedulerConfig, Turn, WorkScheduler};
-// Wall-clock reads are confined to this harness by design (audit rule
-// ND001 allowlists exactly this file): `wall` feeds only the diagnostic
-// fields of the report, never the simulation.
 use std::time::{Duration, Instant};
 
 /// One driver mid-run: its queue, its communication counter, its state,

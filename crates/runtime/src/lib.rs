@@ -50,10 +50,18 @@
 //! partition is a blackout table on propagation and settlement, a crashed
 //! miner a downtime table ([`ContractShardDriver::set_downtime`]).
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
 // Event-loop/driver code must use typed errors, not panics (PH001).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod contract;
 pub mod crosslink;

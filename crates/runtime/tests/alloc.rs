@@ -5,6 +5,11 @@
 //! thread asks for; the runs here use `threads: 1`, so every allocation of
 //! a run lands on the calling thread.
 
+#![allow(
+    unsafe_code,
+    reason = "the counting global allocator implements `GlobalAlloc`, an unsafe trait"
+)]
+
 mod counting;
 
 use cshard_primitives::ShardId;

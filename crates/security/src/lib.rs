@@ -17,9 +17,6 @@
 //! Carlo simulation of the process it models (the test-only `montecarlo`
 //! module).
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod corruption;
 pub mod math;
 #[cfg(test)]

@@ -32,10 +32,18 @@
 //! matches the recorded deadline (every superseded event is recognized as
 //! stale and ignored).
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
 // Settlement runs inside driver event paths: typed flow, no panics (PH001).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod batcher;
 pub mod config;

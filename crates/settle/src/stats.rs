@@ -24,16 +24,6 @@ impl SettleStats {
         SettleStats::default()
     }
 
-    /// Average transfers per flushed batch (`0.0` before the first flush)
-    /// — the fill factor the settle grid reports.
-    pub fn avg_fill(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.txs_settled as f64 / self.batches as f64
-        }
-    }
-
     /// Folds another shard's accounting into this one (the run outcome
     /// aggregates every driver's stats this way).
     pub fn merge(&mut self, other: &SettleStats) {
@@ -53,17 +43,6 @@ impl SettleStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn avg_fill_handles_zero_batches() {
-        assert_eq!(SettleStats::new().avg_fill(), 0.0);
-        let s = SettleStats {
-            batches: 4,
-            txs_settled: 10,
-            ..SettleStats::default()
-        };
-        assert!((s.avg_fill() - 2.5).abs() < 1e-12);
-    }
 
     #[test]
     fn merge_adds_fieldwise() {

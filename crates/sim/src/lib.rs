@@ -5,9 +5,6 @@
 //! seeded, so a run is a pure function of its configuration — the property
 //! the parameter-unification scheme (Sec. IV-C) also relies on.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod engine;
 pub mod rng;
 pub mod scheduler;

@@ -51,7 +51,7 @@
 //! drain, so a helper waiting for a ticket and a caller waiting for the
 //! last running slot spin for a *counted* number of iterations before
 //! they park on a plain `Condvar` wait — a count, never a duration: the
-//! scheduler reads no clock (audit rule ND001).
+//! scheduler reads no clock (ND001).
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -117,7 +117,7 @@ pub enum Turn {
 }
 
 /// What one [`WorkScheduler::drain`] measured. Deliberately sim-clock-free
-/// and wall-clock-free (audit rule ND001): pure scheduling arithmetic,
+/// and wall-clock-free (ND001): pure scheduling arithmetic,
 /// identical at any thread count.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DrainStats {

@@ -19,7 +19,6 @@
 
 use cshard_sim::{DrainStats, SchedulerConfig, Turn, WorkScheduler};
 use proptest::prelude::*;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::ThreadId;
@@ -237,17 +236,24 @@ fn rendezvous(inside: &AtomicUsize, parties: usize) {
 }
 
 /// A two-slot drain at `threads: 2` that provably runs on two threads,
-/// each recording its id.
-fn two_party_drain(ids: &Arc<Mutex<HashSet<ThreadId>>>) {
+/// each recording its id once (`ThreadId` has no order, so the distinct
+/// ids are a `Vec`).
+fn two_party_drain(ids: &Arc<Mutex<Vec<ThreadId>>>) {
     let (ids, inside) = (Arc::clone(ids), AtomicUsize::new(0));
     WorkScheduler::new(SchedulerConfig::new(2))
         .drain(
             vec![(); 2],
             |_| true,
             move |_, _| {
-                ids.lock()
-                    .expect("id lock")
-                    .insert(std::thread::current().id());
+                // The guard drops before the rendezvous, or the other
+                // step would wait on the lock while this one waits on it.
+                {
+                    let id = std::thread::current().id();
+                    let mut ids = ids.lock().expect("id lock");
+                    if !ids.contains(&id) {
+                        ids.push(id);
+                    }
+                }
                 rendezvous(&inside, 2);
                 Ok::<_, std::convert::Infallible>(Turn::Done)
             },
@@ -269,7 +275,7 @@ fn widest_pool() -> usize {
 #[test]
 fn pooled_drains_reuse_their_threads() {
     let seen = within_30s("1000 pooled drains", || {
-        let ids = Arc::new(Mutex::new(HashSet::new()));
+        let ids = Arc::new(Mutex::new(Vec::new()));
         for _ in 0..1000 {
             two_party_drain(&ids);
         }
@@ -308,7 +314,7 @@ fn a_helpers_panic_propagates_to_the_caller() {
     });
     assert!(panicked, "the helper's panic was swallowed");
     within_30s("drain after a helper panicked", || {
-        two_party_drain(&Arc::new(Mutex::new(HashSet::new())));
+        two_party_drain(&Arc::new(Mutex::new(Vec::new())));
     });
 }
 

@@ -33,9 +33,6 @@
 //! contracts it calls. The crate's tests pin that property for every
 //! generator.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod fees;
 pub mod generator;
 pub mod stream;

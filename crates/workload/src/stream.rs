@@ -10,7 +10,7 @@
 //! configured account space. A `10⁶`-account stream costs the same to
 //! construct as a 10-account one.
 //!
-//! The arrival process is fully seeded (audit rule ND002: no ambient
+//! The arrival process is fully seeded (ND002: no ambient
 //! entropy) and clock-free (ND001: sim time is *generated*, never read):
 //!
 //! * **Poisson arrivals** — inter-arrival gaps are exponential with a

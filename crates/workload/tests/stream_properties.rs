@@ -3,7 +3,7 @@
 //!
 //! * **Seeded determinism** — a stream is a pure function of its
 //!   configuration: the same seed replays the identical `(time, tx)`
-//!   sequence (audit rule ND002: no ambient entropy).
+//!   sequence (ND002: no ambient entropy).
 //! * **Zipf rank-frequency monotonicity** — hotter contract ranks draw at
 //!   least as much traffic as colder ones (within sampling noise), for any
 //!   positive exponent.

@@ -13,9 +13,10 @@ verify:
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \
         --exclude rand --exclude rand_chacha --exclude proptest
 
-# Determinism & safety lint over every workspace crate (policy.toml is the
-# policy table; exit 1 on findings, each printed as `file:line: RULE message`
-# followed by the source→…→sink call chain for the reachability rules).
+# The checks no compiler lint can make (policy.toml is the policy table; the
+# lint-expressible invariants are in clippy.toml and run under `verify`'s
+# clippy step). Exit 1 on findings, each printed as `file:line: RULE message`
+# followed by the source→…→sink call chain for the reachability rules.
 audit:
     cargo run --release -p cshard-audit
 

@@ -58,8 +58,6 @@
 //! | [`place`] | cross-epoch placement engine: hot-account traffic tracking, migration proposals |
 //! | [`core`] | shard formation, miner assignment, the staged `EpochPipeline`, the end-to-end system, VRF leader failover, empirical corruption checks |
 
-#![warn(missing_docs)]
-
 pub use cshard_baselines as baselines;
 pub use cshard_core as core;
 pub use cshard_crypto as crypto;
