@@ -1,4 +1,5 @@
-//! Pass 2 of the interprocedural analysis: the workspace call graph.
+//! Pass 2 of the interprocedural analysis: the workspace call graph,
+//! which DC001 reads to tell a function's callers.
 //!
 //! For every function body in the symbol table, call sites are extracted
 //! from the token stream (`helper(...)`, `recv.method(...)`,
@@ -18,28 +19,26 @@
 //! 4. a unique survivor resolves the edge; where the type is unknown or
 //!    owns no candidate (a std container, a type parameter, a call's
 //!    result), prefer the unique same-module, then same-crate candidate;
-//! 5. candidates that are all impls of one trait method resolve as a
-//!    fan-out edge to *every* impl (class-hierarchy style — sound
-//!    over-approximation for taint reachability);
-//! 6. what remains is **ambiguous** and must be settled by a
-//!    `[callgraph] resolve` override in `policy.toml` (`"name/arity ->
-//!    *"`, a fan-out to every candidate) — the audit exits 2 with a hint
-//!    otherwise, because an unresolved edge is a hole in the
-//!    reachability argument. An override no call falls through to is
-//!    reported back as dead (the binary exits 2 on it too), so the
-//!    override list cannot outlive the calls it was written for.
+//! 5. candidates that are all impls of one trait method become a
+//!    fan-out edge to *every* impl (class-hierarchy style);
+//! 6. what remains is **ambiguous**: a fan-out edge to every bodied
+//!    candidate. A spurious edge can only keep a function alive, so
+//!    DC001 stays sound; it loses precision, which the counts measure.
 //!
 //! Calls that match no workspace symbol at all are *external*
-//! (`std`/vendored) and only counted; the resolution ratio
-//! (`resolved / (resolved + ambiguous)`, reported per-mille) is part of
-//! the JSON report so coverage regressions fail the baseline gate.
+//! (`std`/vendored); calls to a workspace name at no arity it is
+//! defined with are *arity misses* (mostly std methods sharing a
+//! workspace name, but a miss can also be a dropped edge that hides a
+//! DC001 caller). Both are only counted. The resolution ratio
+//! (`resolved / (resolved + ambiguous)`, reported per-mille) and the
+//! arity misses are part of the JSON report, so a precision drop fails
+//! the baseline gate.
 
 use crate::lexer::{Token, TokenKind};
-use crate::policy::CallGraphPolicy;
+use crate::rules::skip_attr;
 use crate::symbols::{
     ascriptions, closure_opens, count_params, named_type, type_name, FileTokens, FnDef, SymbolTable,
 };
-use std::collections::BTreeSet;
 
 /// One resolved call edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,22 +47,6 @@ pub struct Edge {
     pub callee: usize,
     /// 1-based line of the call site.
     pub line: usize,
-}
-
-/// A call the resolver could not settle: multiple unrelated workspace
-/// candidates share the name and arity. Reported as a setup error.
-#[derive(Clone, Debug)]
-pub struct AmbiguousCall {
-    /// Workspace-relative path of the call site.
-    pub path: String,
-    /// 1-based line of the call site.
-    pub line: usize,
-    /// The called name.
-    pub name: String,
-    /// The call's arity (receiver counted for method calls).
-    pub arity: usize,
-    /// Display ids of the competing candidates.
-    pub candidates: Vec<String>,
 }
 
 /// Aggregate resolution statistics, reported in `AUDIT_report.json`.
@@ -75,11 +58,13 @@ pub struct GraphStats {
     pub edges: usize,
     /// Call sites examined.
     pub calls_total: usize,
-    /// Call sites resolved to at least one workspace definition.
+    /// Call sites resolved to their workspace definitions.
     pub calls_resolved: usize,
     /// Call sites matching no workspace symbol (std/vendored).
     pub calls_external: usize,
-    /// Call sites needing a policy override that have none.
+    /// Call sites naming a workspace fn at no arity it is defined with.
+    pub calls_arity_miss: usize,
+    /// Call sites fanned out to every candidate, unresolved.
     pub calls_ambiguous: usize,
 }
 
@@ -101,11 +86,6 @@ impl GraphStats {
 pub struct CallGraph {
     /// Outgoing edges per function index, sorted by (callee, line).
     pub edges: Vec<Vec<Edge>>,
-    /// Calls needing a `[callgraph] resolve` override.
-    pub ambiguous: Vec<AmbiguousCall>,
-    /// `[callgraph] resolve` entries (`name/arity`) no call fell through
-    /// to, sorted.
-    pub dead_resolves: Vec<String>,
     /// Resolution statistics.
     pub stats: GraphStats,
 }
@@ -113,11 +93,7 @@ pub struct CallGraph {
 impl CallGraph {
     /// Builds the graph: extracts and resolves every call site in every
     /// non-test function body.
-    pub fn build(
-        files: &[FileTokens],
-        symbols: &SymbolTable,
-        policy: &CallGraphPolicy,
-    ) -> CallGraph {
+    pub fn build(files: &[FileTokens], symbols: &SymbolTable) -> CallGraph {
         let mut graph = CallGraph {
             edges: vec![Vec::new(); symbols.fns.len()],
             ..CallGraph::default()
@@ -127,35 +103,33 @@ impl CallGraph {
             .iter()
             .filter(|d| d.body.is_some() && !d.is_test)
             .count();
-        let mut consulted = BTreeSet::new();
         for (caller_idx, def) in symbols.fns.iter().enumerate() {
             if def.is_test {
                 continue;
             }
-            for (call, resolution) in resolve_body(files, def, symbols, policy, &mut consulted) {
+            for (call, resolution) in resolve_body(files, def, symbols) {
                 graph.stats.calls_total += 1;
-                match resolution {
+                let targets = match resolution {
                     Resolution::Edges(targets) => {
                         graph.stats.calls_resolved += 1;
-                        for t in targets {
-                            graph.edges[caller_idx].push(Edge {
-                                callee: t,
-                                line: call.line,
-                            });
-                        }
+                        targets
                     }
-                    Resolution::External => graph.stats.calls_external += 1,
-                    Resolution::Ambiguous(candidates) => {
+                    Resolution::Ambiguous(targets) => {
                         graph.stats.calls_ambiguous += 1;
-                        graph.ambiguous.push(AmbiguousCall {
-                            path: def.path.clone(),
-                            line: call.line,
-                            name: call.name.clone(),
-                            arity: call.arity,
-                            candidates: candidates.iter().map(|&c| symbols.fns[c].id()).collect(),
-                        });
+                        targets
                     }
-                }
+                    Resolution::External => {
+                        graph.stats.calls_external += 1;
+                        continue;
+                    }
+                    Resolution::ArityMiss => {
+                        graph.stats.calls_arity_miss += 1;
+                        continue;
+                    }
+                };
+                let line = call.line;
+                graph.edges[caller_idx]
+                    .extend(targets.into_iter().map(|callee| Edge { callee, line }));
             }
         }
         for edges in &mut graph.edges {
@@ -163,43 +137,19 @@ impl CallGraph {
             edges.dedup();
         }
         graph.stats.edges = graph.edges.iter().map(Vec::len).sum();
-        graph.dead_resolves = policy
-            .resolve
-            .difference(&consulted)
-            .map(|(name, arity)| format!("{name}/{arity}"))
-            .collect();
         graph
-            .ambiguous
-            .sort_by(|a, b| (&a.path, a.line, &a.name).cmp(&(&b.path, b.line, &b.name)));
-        graph
-    }
-
-    /// Function indices with a resolved edge to any of `targets`.
-    pub fn callers_of(&self, targets: &[usize]) -> Vec<usize> {
-        self.edges
-            .iter()
-            .enumerate()
-            .filter(|(_, es)| es.iter().any(|e| targets.contains(&e.callee)))
-            .map(|(i, _)| i)
-            .collect()
     }
 }
 
 /// Every workspace fn a call in `def`'s body may reach: each resolved
-/// edge, and every candidate of a call that stays ambiguous. DC001's
-/// caller census reads test bodies and caller-only files this way; their
-/// calls settle no `[callgraph] resolve` entry.
-pub fn callees(
-    files: &[FileTokens],
-    def: &FnDef,
-    symbols: &SymbolTable,
-    policy: &CallGraphPolicy,
-) -> Vec<usize> {
-    resolve_body(files, def, symbols, policy, &mut BTreeSet::new())
+/// edge and each fan-out. DC001's caller census reads test bodies and
+/// caller-only files this way.
+pub fn callees(files: &[FileTokens], def: &FnDef, symbols: &SymbolTable) -> Vec<usize> {
+    resolve_body(files, def, symbols)
         .into_iter()
         .flat_map(|(_, resolution)| match resolution {
             Resolution::Edges(t) | Resolution::Ambiguous(t) => t,
-            Resolution::External => Vec::new(),
+            Resolution::External | Resolution::ArityMiss => Vec::new(),
         })
         .collect()
 }
@@ -209,8 +159,6 @@ fn resolve_body(
     files: &[FileTokens],
     def: &FnDef,
     symbols: &SymbolTable,
-    policy: &CallGraphPolicy,
-    consulted: &mut BTreeSet<(String, usize)>,
 ) -> Vec<(CallSite, Resolution)> {
     let Some((start, end)) = def.body else {
         return Vec::new();
@@ -221,7 +169,7 @@ fn resolve_body(
         .into_iter()
         .map(|call| {
             let recv = receiver_type(&call, def, &locals, symbols);
-            let resolution = resolve(&call, def, recv.as_deref(), symbols, policy, consulted);
+            let resolution = resolve_call(&call, def, recv.as_deref(), symbols);
             (call, resolution)
         })
         .collect()
@@ -255,6 +203,14 @@ fn extract_calls(ft: &FileTokens, start: usize, end: usize) -> Vec<CallSite> {
     let mut i = start;
     while i < end.min(tokens.len()) {
         let t = &tokens[i];
+        // An attribute (`#[expect(..)]`, `#![allow(..)]`) is not a call.
+        if t.is_punct("#") {
+            let bang = usize::from(tokens.get(i + 1).is_some_and(|n| n.is_punct("!")));
+            if tokens.get(i + 1 + bang).is_some_and(|n| n.is_punct("[")) {
+                i = skip_attr(tokens, i + bang);
+                continue;
+            }
+        }
         if t.kind != TokenKind::Ident || CALLISH_KEYWORDS.iter().any(|k| t.is_ident(k)) {
             i += 1;
             continue;
@@ -455,29 +411,39 @@ fn skip_angles_fwd(tokens: &[crate::lexer::Token], mut j: usize) -> Option<usize
 }
 
 enum Resolution {
+    /// Resolved to these definitions.
     Edges(Vec<usize>),
+    /// No workspace fn of this name.
     External,
+    /// Workspace fns of this name, none at this arity.
+    ArityMiss,
+    /// Unresolved: fanned out to every bodied candidate.
     Ambiguous(Vec<usize>),
 }
 
-fn resolve(
+fn resolve_call(
     call: &CallSite,
     caller: &FnDef,
     recv_type: Option<&str>,
     symbols: &SymbolTable,
-    policy: &CallGraphPolicy,
-    consulted: &mut BTreeSet<(String, usize)>,
 ) -> Resolution {
     let Some(all) = symbols.by_name.get(&call.name) else {
         return Resolution::External;
     };
-    let mut c: Vec<usize> = all
+    let all: Vec<usize> = all
         .iter()
         .copied()
-        .filter(|&i| !symbols.fns[i].is_test && symbols.fns[i].arity == call.arity)
+        .filter(|&i| !symbols.fns[i].is_test)
+        .collect();
+    if all.is_empty() {
+        return Resolution::External;
+    }
+    let mut c: Vec<usize> = all
+        .into_iter()
+        .filter(|&i| symbols.fns[i].arity == call.arity)
         .collect();
     if c.is_empty() {
-        return Resolution::External;
+        return Resolution::ArityMiss;
     }
     // A known receiver type keeps its own methods, or its trait's
     // declaration and impls when it is a trait object; a type that owns
@@ -569,25 +535,18 @@ fn resolve(
             return Resolution::External;
         }
     }
-    // A policy override fans out to every bodied candidate; without one
-    // the call stays ambiguous.
-    let key = (call.name.clone(), call.arity);
-    if !policy.resolve.contains(&key) {
-        return Resolution::Ambiguous(c);
-    }
-    consulted.insert(key);
+    // What remains fans out to every bodied candidate.
     let b = bodied(&c);
     if b.is_empty() {
         Resolution::External
     } else {
-        Resolution::Edges(b)
+        Resolution::Ambiguous(b)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::CallGraphPolicy;
 
     fn build(srcs: &[(&str, &str, &str)]) -> (Vec<FileTokens>, SymbolTable, CallGraph) {
         let files: Vec<FileTokens> = srcs
@@ -595,7 +554,7 @@ mod tests {
             .map(|(k, rel, src)| FileTokens::new(k, rel, src))
             .collect();
         let symbols = SymbolTable::build(&files);
-        let graph = CallGraph::build(&files, &symbols, &CallGraphPolicy::default());
+        let graph = CallGraph::build(&files, &symbols);
         (files, symbols, graph)
     }
 
@@ -678,42 +637,29 @@ mod tests {
     }
 
     #[test]
-    fn unrelated_same_name_same_arity_is_ambiguous() {
+    fn unrelated_same_name_same_arity_fans_out_as_ambiguous() {
         let src = "
             mod x { pub fn go(a: u32) {} }
             mod y { pub fn go(a: u32) {} }
             fn entry() { go(1); }
         ";
-        let (_, _, g) = build(&[("core", "crates/core/src/a.rs", src)]);
-        assert_eq!(g.stats.calls_ambiguous, 1, "{:?}", g.ambiguous);
-        assert_eq!(g.ambiguous[0].name, "go");
-        assert_eq!(g.ambiguous[0].candidates.len(), 2);
+        let (_, s, g) = build(&[("core", "crates/core/src/a.rs", src)]);
+        assert_eq!(g.stats.calls_ambiguous, 1);
+        assert_eq!(g.stats.calls_resolved, 0);
+        let entry = s.fns.iter().position(|d| d.name == "entry").unwrap();
+        assert_eq!(g.edges[entry].len(), 2, "an edge to each candidate");
     }
 
     #[test]
-    fn policy_override_settles_ambiguity() {
+    fn std_calls_are_external_and_arity_misses_counted_apart() {
         let src = "
-            mod x { pub fn go(a: u32) {} }
-            mod y { pub fn go(a: u32) {} }
-            fn entry() { go(1); }
+            pub fn len(a: u32, b: u32) -> usize { 0 }
+            fn entry(v: Vec<u32>) -> usize { v.len() + v.first().map_or(0, |_| 1) }
         ";
-        let files = vec![FileTokens::new("core", "crates/core/src/a.rs", src)];
-        let symbols = SymbolTable::build(&files);
-        let mut policy = CallGraphPolicy::default();
-        policy.resolve.insert(("go".into(), 1));
-        let g = CallGraph::build(&files, &symbols, &policy);
-        assert_eq!(g.stats.calls_ambiguous, 0);
-        assert_eq!(g.stats.calls_resolved, 1);
-        // The override fans out to both candidates.
-        let entry = symbols.fns.iter().position(|d| d.name == "entry").unwrap();
-        assert_eq!(g.edges[entry].len(), 2);
-    }
-
-    #[test]
-    fn std_calls_are_external_not_ambiguous() {
-        let src = "fn entry(v: Vec<u32>) -> usize { v.len() }";
         let (_, _, g) = build(&[("core", "crates/core/src/a.rs", src)]);
-        assert_eq!(g.stats.calls_external, 1);
+        // `v.len()` names the workspace's `len` at arity 1, not 2.
+        assert_eq!(g.stats.calls_arity_miss, 1);
+        assert_eq!(g.stats.calls_external, 2);
         assert_eq!(g.stats.calls_ambiguous, 0);
     }
 
@@ -729,6 +675,21 @@ mod tests {
         let entry = s.fns.iter().position(|d| d.name == "entry").unwrap();
         assert_eq!(g.edges[entry].len(), 1);
         assert_eq!(s.fns[g.edges[entry][0].callee].owner.as_deref(), Some("A"));
+    }
+
+    #[test]
+    fn attributes_are_not_calls() {
+        let src = "
+            fn expect(a: u32, b: u32) {}
+            fn entry(x: u64) -> u32 {
+                #[expect(clippy::cast_possible_truncation, reason = \"fits\")]
+                let y = x as u32;
+                y
+            }
+        ";
+        let (_, s, g) = build(&[("core", "crates/core/src/a.rs", src)]);
+        assert!(!edge_between(&s, &g, "entry", "expect"));
+        assert_eq!(g.stats.calls_total, 0);
     }
 
     #[test]
@@ -764,7 +725,7 @@ mod tests {
             ("settle", "crates/settle/src/lib.rs", stats),
             ("runtime", "crates/runtime/src/lib.rs", runtime),
         ]);
-        assert_eq!(g.stats.calls_ambiguous, 0, "{:?}", g.ambiguous);
+        assert_eq!(g.stats.calls_ambiguous, 0);
         let callees = |caller: &str| -> Vec<String> {
             let f = s.fns.iter().position(|d| d.id() == caller).unwrap();
             g.edges[f].iter().map(|e| s.fns[e.callee].id()).collect()

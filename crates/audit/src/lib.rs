@@ -5,19 +5,19 @@
 //! any nondeterministic API reaching protocol code is a correctness bug.
 //! The compiler enforces most of that contract from resolved types (see
 //! DESIGN.md "Determinism invariants"): `clippy.toml` bans wall clocks,
-//! ambient hash seeds and hash containers by path (ND001–ND003), the
-//! event-loop crates deny panic-class exits at their roots (PH001), the
-//! workspace lint table denies `unsafe` and warns on missing docs, and
-//! `SimTime` has no panicking operators. This crate keeps the checks that
-//! need the whole workspace's call graph or a test-code exemption, as a
-//! CI gate that fails with `file:line` diagnostics.
+//! ambient hash seeds and hash containers (ND001–ND003), every protocol
+//! crate's root denies panic-class exits and lossy integer casts (PH001),
+//! the workspace lint table denies `unsafe` and warns on missing docs,
+//! and `SimTime` and `Amount` have no panicking operators. This crate
+//! keeps the checks no lint can make, as a CI gate that fails with
+//! `file:line` diagnostics.
 //!
 //! The analysis is token-level and multi-pass: a hand-rolled lexer
-//! ([`lexer`]) feeds a workspace symbol table ([`symbols`]), a name+arity
-//! call graph ([`callgraph`]), and a source→sink reachability pass
-//! ([`taint`]) beside the per-line matcher ([`rules`]), all configured by
-//! the `policy.toml` at the workspace root ([`policy`]); [`scan`] walks
-//! the crates the policy lists and [`report`] renders the stable
+//! ([`lexer`]) feeds a workspace symbol table ([`symbols`]) and a
+//! name+arity call graph ([`callgraph`]) that DC001 ([`dead`]) reads,
+//! beside the per-line matcher ([`rules`]), all configured by the
+//! `policy.toml` at the workspace root ([`policy`]); [`scan`] walks the
+//! crates the policy lists and [`report`] renders the stable
 //! `AUDIT_report.json` plus the baseline gate. There is no `syn` here on
 //! purpose — the workspace builds fully offline from an in-tree
 //! dependency set, and the rules only need token structure, not a full
@@ -25,26 +25,21 @@
 //!
 //! | id    | what it forbids                                              |
 //! |-------|--------------------------------------------------------------|
-//! | FD001 | `==`/`!=` against float literals outside tests (clippy's `float_cmp` cannot exempt test code) |
-//! | PH101 | panic-class exits below a sink, in any crate (class list in the policy) |
-//! | CL001 | lossy `as` narrowing casts below a sink                      |
+//! | FD001 | `==`/`!=` against float literals outside tests (clippy's `float_cmp` exempts comparisons with zero) |
 //! | DC001 | a `pub fn` nothing calls but test code                       |
 //!
-//! PH101 and CL001 are reachability-scoped: a source counts only when a
-//! `[callgraph] sinks` root reaches it, and the finding carries the full
-//! source→…→sink call chain with `file:line` per hop. `#[cfg(test)] mod`
-//! bodies (inline, or the file behind an out-of-line `#[cfg(test)] mod
-//! name;`) are exempt everywhere; residual exceptions live in the
-//! policy's `allow` lists, each with a comment saying why.
+//! `#[cfg(test)] mod` bodies (inline, or the file behind an out-of-line
+//! `#[cfg(test)] mod name;`) are exempt everywhere; residual exceptions
+//! live in the policy's `allow` lists, each with a comment saying why.
 
 pub mod callgraph;
+pub mod dead;
 pub mod lexer;
 pub mod policy;
 pub mod report;
 pub mod rules;
 pub mod scan;
 pub mod symbols;
-pub mod taint;
 
 pub use policy::{Policy, PolicyError};
 pub use rules::Finding;

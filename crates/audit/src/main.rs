@@ -1,16 +1,14 @@
 //! The `cshard-audit` binary: load `policy.toml`, scan, report, gate.
 //!
 //! Exit codes: `0` clean, `1` findings or a baseline regression, `2`
-//! setup error (policy missing, unparseable, a workspace crate covered
-//! by neither `[audit] crates` nor `[audit] exempt`, a call the
-//! resolver cannot settle without a `[callgraph] resolve` override, a
-//! `[callgraph] resolve` entry no call falls through to, or a
-//! `[callgraph] sinks` entry that roots nothing).
+//! setup error (policy missing, unparseable, or a workspace crate
+//! covered by neither `[audit] crates` nor `[audit] exempt`).
 //! Run from anywhere inside the workspace (`just audit`).
 //!
 //! `--json <path>` writes the stable `AUDIT_report.json`; `--baseline
 //! <path>` additionally diffs it against the committed baseline and
-//! fails on any new finding or resolution-coverage drop.
+//! fails on any new finding, resolution-coverage drop or arity-miss
+//! rise.
 
 use cshard_audit::report::{baseline_regressions, render, report_json};
 use cshard_audit::{scan_workspace, uncovered_crates, Policy};
@@ -74,49 +72,6 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     let report = scan_workspace(&root, &policy);
-    // An unresolved call is a hole in the reachability argument: taint
-    // cannot flow through an edge the resolver never drew. Setup error.
-    if !report.ambiguous.is_empty() {
-        for amb in &report.ambiguous {
-            eprintln!(
-                "cshard-audit: ambiguous call `{}` ({} args) at {}:{} — candidates: {}",
-                amb.name,
-                amb.arity,
-                amb.path,
-                amb.line,
-                amb.candidates.join(", ")
-            );
-            eprintln!(
-                "cshard-audit:   settle it in policy.toml: [callgraph] resolve = \
-                 [\"{}/{} -> *\"]",
-                amb.name, amb.arity
-            );
-        }
-        return ExitCode::from(2);
-    }
-    // An override no call falls through to settles nothing; left in, it
-    // would silently settle a future call it was never written for.
-    if !report.dead_resolves.is_empty() {
-        for entry in &report.dead_resolves {
-            eprintln!(
-                "cshard-audit: [callgraph] resolve entry `{entry}` settles no call (every \
-                 call of that name and arity resolves without it) — delete it in policy.toml"
-            );
-        }
-        return ExitCode::from(2);
-    }
-    // A sink spec that roots nothing leaves the bodies it was written for
-    // unchecked while the audit still reads clean. Setup error.
-    if !report.dead_sinks.is_empty() {
-        for spec in &report.dead_sinks {
-            eprintln!(
-                "cshard-audit: [callgraph] sinks entry `{spec}` roots no bodied non-test \
-                 function (expected `Trait::method` or `calls:Owner::method` naming one that \
-                 exists) — fix or delete it in policy.toml"
-            );
-        }
-        return ExitCode::from(2);
-    }
     for finding in &report.findings {
         println!("{finding}");
     }
@@ -154,14 +109,13 @@ fn main() -> ExitCode {
     if report.findings.is_empty() && regressions.is_empty() {
         println!(
             "cshard-audit: clean — {} files across {} crates; call graph: {} fns, {} edges, \
-             {}\u{2030} resolved, {} sink roots reach {} fns",
+             {}\u{2030} resolved, {} arity misses",
             report.files_scanned,
             policy.crates.len(),
             report.stats.functions,
             report.stats.edges,
             report.stats.resolution_permille(),
-            report.sink_roots,
-            report.reachable
+            report.stats.calls_arity_miss
         );
         ExitCode::SUCCESS
     } else {

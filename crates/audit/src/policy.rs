@@ -12,7 +12,7 @@
 //! line — never a panic — so a typo in the policy fails the audit run
 //! with a diagnostic instead of taking the gate down with a backtrace.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A policy file failed to parse or validate.
@@ -63,8 +63,8 @@ pub struct RulePolicy {
     /// Workspace-relative file paths exempt from the rule. Each entry in
     /// `policy.toml` carries a `#` comment stating *why* it is exempt.
     pub allow: Vec<String>,
-    /// Extra rule-specific string lists (e.g. the `sources` classes of
-    /// PH101, the `callers` directories of DC001), keyed by the TOML key.
+    /// Extra rule-specific string lists (the `callers` directories of
+    /// DC001), keyed by the TOML key.
     pub lists: BTreeMap<String, Vec<String>>,
 }
 
@@ -85,50 +85,6 @@ impl RulePolicy {
     }
 }
 
-/// The `[callgraph]` table: sink roots and ambiguity overrides for the
-/// interprocedural passes.
-#[derive(Clone, Debug, Default)]
-pub struct CallGraphPolicy {
-    /// Sink-root specs: `"Trait::method"` (every impl of that trait
-    /// method) or `"calls:Owner::method"` (every fn with a resolved edge
-    /// to `Owner::method` — e.g. the closures handed to
-    /// `WorkScheduler::drain` live in their enclosing fn's body).
-    pub sinks: Vec<String>,
-    /// `(name, arity)` of the calls the resolver cannot settle, each
-    /// fanned out to every candidate.
-    pub resolve: BTreeSet<(String, usize)>,
-}
-
-/// Parses one `[callgraph] resolve` entry: `"name/arity -> *"`.
-fn parse_resolve_entry(entry: &str, lineno: usize) -> Result<(String, usize), PolicyError> {
-    let (lhs, rhs) = entry.split_once("->").ok_or_else(|| {
-        err(
-            lineno,
-            format!("resolve entry `{entry}` must be `name/arity -> *`"),
-        )
-    })?;
-    let lhs = lhs.trim();
-    let (name, arity) = lhs.split_once('/').ok_or_else(|| {
-        err(
-            lineno,
-            format!("resolve entry `{entry}`: left side must be `name/arity`"),
-        )
-    })?;
-    let arity: usize = arity.trim().parse().map_err(|_| {
-        err(
-            lineno,
-            format!("resolve entry `{entry}`: arity `{arity}` is not a number"),
-        )
-    })?;
-    if rhs.trim() != "*" {
-        return Err(err(
-            lineno,
-            format!("resolve entry `{entry}`: the target must be `*` (every candidate)"),
-        ));
-    }
-    Ok((name.trim().to_string(), arity))
-}
-
 /// The whole audit policy.
 #[derive(Clone, Debug, Default)]
 pub struct Policy {
@@ -141,8 +97,6 @@ pub struct Policy {
     pub exempt: Vec<String>,
     /// Per-rule entries, keyed by rule id (`FD001`, ...).
     pub rules: BTreeMap<String, RulePolicy>,
-    /// Call-graph configuration (sinks, ambiguity overrides).
-    pub callgraph: CallGraphPolicy,
 }
 
 impl Policy {
@@ -213,22 +167,6 @@ impl Policy {
                 }
                 ("exempt", _) => Err(err(lineno, "`exempt` must be an array of strings")),
                 (other, _) => Err(err(lineno, format!("unknown key `{other}` in [audit]"))),
-            },
-            Some("callgraph") => match (key, value) {
-                ("sinks", Value::Array(v)) => {
-                    self.callgraph.sinks = v;
-                    Ok(())
-                }
-                ("sinks", _) => Err(err(lineno, "`sinks` must be an array of strings")),
-                ("resolve", Value::Array(v)) => {
-                    for entry in &v {
-                        let key = parse_resolve_entry(entry, lineno)?;
-                        self.callgraph.resolve.insert(key);
-                    }
-                    Ok(())
-                }
-                ("resolve", _) => Err(err(lineno, "`resolve` must be an array of strings")),
-                (other, _) => Err(err(lineno, format!("unknown key `{other}` in [callgraph]"))),
             },
             Some(t) if t.starts_with("rules.") => {
                 let id = &t["rules.".len()..];
@@ -386,9 +324,9 @@ allow = [
     "crates/core/src/b.rs",
 ]
 
-[rules.PH101]
-description = "typed errors"
-sources = ["unwrap"]
+[rules.DC001]
+description = "dead code"
+callers = ["tests"]
 "##;
 
     #[test]
@@ -401,14 +339,14 @@ sources = ["unwrap"]
         assert_eq!(fd.allow.len(), 2);
         assert!(fd.is_allowed("crates/core/src/a.rs"));
         assert!(!fd.is_allowed("crates/core/src/c.rs"));
-        let ph = &p.rules["PH101"];
-        assert_eq!(ph.lists["sources"], vec!["unwrap"]);
+        let dc = &p.rules["DC001"];
+        assert_eq!(dc.lists["callers"], vec!["tests"]);
     }
 
     #[test]
     fn applies_to_defaults_to_audit_crates() {
         let p = Policy::parse(GOOD).unwrap();
-        assert!(p.rules["PH101"].applies_to("games", &p.crates));
+        assert!(p.rules["DC001"].applies_to("games", &p.crates));
         assert!(!p.rules["FD001"].applies_to("games", &p.crates));
     }
 
@@ -449,30 +387,6 @@ sources = ["unwrap"]
     fn crate_cannot_be_both_scanned_and_exempt() {
         let e = Policy::parse("[audit]\ncrates = [\"a\", \"b\"]\nexempt = [\"b\"]\n").unwrap_err();
         assert!(e.message.contains("both scanned"), "{e}");
-    }
-
-    #[test]
-    fn callgraph_table_parses_sinks_and_resolve() {
-        let p = Policy::parse(
-            "[audit]\ncrates = [\"a\"]\n[callgraph]\n\
-             sinks = [\"ProtocolDriver::on_event\", \"calls:WorkScheduler::drain\"]\n\
-             resolve = [\n  \"go/1 -> *\",  # comment\n  \"step/2 -> *\",\n]\n",
-        )
-        .unwrap();
-        assert_eq!(p.callgraph.sinks.len(), 2);
-        let keys: Vec<_> = p.callgraph.resolve.iter().cloned().collect();
-        assert_eq!(keys, [("go".to_string(), 1), ("step".to_string(), 2)]);
-        // `*` is the one target: an override fans out, never drops an edge.
-        let e = Policy::parse("[callgraph]\nresolve = [\"len/1 -> external\"]\n").unwrap_err();
-        assert!(e.message.contains("must be `*`"), "{e}");
-    }
-
-    #[test]
-    fn malformed_resolve_entry_is_a_line_diagnostic() {
-        let e = Policy::parse("[audit]\ncrates = [\"a\"]\n[callgraph]\nresolve = [\"nope\"]\n")
-            .unwrap_err();
-        assert_eq!(e.line, 4);
-        assert!(e.message.contains("name/arity -> *"), "{e}");
     }
 
     #[test]

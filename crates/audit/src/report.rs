@@ -9,10 +9,11 @@
 //!
 //! `--baseline <path>` then diffs the fresh report against the committed
 //! one (`results/audit/AUDIT_baseline.json`): any finding not in the
-//! baseline, or a resolution-coverage drop of more than
-//! [`PERMILLE_TOLERANCE`]‰, fails loudly. Findings that *disappear* are
-//! fine — the gate ratchets one way; regenerate with `just
-//! audit-baseline` after intentional changes.
+//! baseline, a resolution-coverage drop of more than
+//! [`PERMILLE_TOLERANCE`]‰, or more than [`ARITY_MISS_TOLERANCE`] new
+//! arity misses fails loudly. Findings that *disappear* are fine — the
+//! gate ratchets one way; regenerate with `just audit-baseline` after
+//! intentional changes.
 
 use crate::rules::Finding;
 use crate::scan::ScanReport;
@@ -22,6 +23,11 @@ use cshard_json::{parse, ObjectBuilder, Value};
 /// refactors shift a call or two between resolved and external without
 /// meaning coverage rot.
 pub const PERMILLE_TOLERANCE: u64 = 20;
+
+/// Allowed rise in `calls_arity_miss` before the gate fails: new code
+/// calls std methods that share a workspace name, but a jump means edges
+/// are being dropped.
+pub const ARITY_MISS_TOLERANCE: u64 = 20;
 
 /// Builds the stable JSON document for a scan.
 pub fn report_json(report: &ScanReport) -> Value {
@@ -33,26 +39,23 @@ pub fn report_json(report: &ScanReport) -> Value {
         .field("calls_total", report.stats.calls_total)
         .field("calls_resolved", report.stats.calls_resolved)
         .field("calls_external", report.stats.calls_external)
+        .field("calls_arity_miss", report.stats.calls_arity_miss)
         .field("calls_ambiguous", report.stats.calls_ambiguous)
         .field("resolution_permille", report.stats.resolution_permille())
-        .field("sink_roots", report.sink_roots)
-        .field("reachable", report.reachable)
         .build();
     ObjectBuilder::new()
-        .field("schema", 1u64)
+        .field("schema", 2u64)
         .field("findings", Value::Array(findings))
         .field("stats", stats)
         .build()
 }
 
 fn finding_json(f: &Finding) -> Value {
-    let chain: Vec<Value> = f.chain.iter().map(|h| Value::from(h.as_str())).collect();
     ObjectBuilder::new()
         .field("rule", f.rule)
         .field("path", f.path.as_str())
         .field("line", f.line)
         .field("message", f.message.as_str())
-        .field("chain", Value::Array(chain))
         .build()
 }
 
@@ -79,12 +82,20 @@ pub fn baseline_regressions(current: &Value, baseline_text: &str) -> Result<Vec<
             ));
         }
     }
-    let now = permille(current);
-    let then = permille(&baseline);
+    let now = stat(current, "resolution_permille").unwrap_or(1000);
+    let then = stat(&baseline, "resolution_permille").unwrap_or(1000);
     if now + PERMILLE_TOLERANCE < then {
         regressions.push(format!(
             "call resolution coverage dropped: {now}\u{2030} now vs {then}\u{2030} in baseline \
              (tolerance {PERMILLE_TOLERANCE}\u{2030})"
+        ));
+    }
+    let now = stat(current, "calls_arity_miss").unwrap_or(0);
+    let then = stat(&baseline, "calls_arity_miss").unwrap_or(0);
+    if now > then + ARITY_MISS_TOLERANCE {
+        regressions.push(format!(
+            "arity misses rose: {now} now vs {then} in baseline \
+             (tolerance {ARITY_MISS_TOLERANCE})"
         ));
     }
     Ok(regressions)
@@ -108,11 +119,8 @@ fn finding_keys(doc: &Value) -> Vec<(String, u64, String)> {
         .collect()
 }
 
-fn permille(doc: &Value) -> u64 {
-    doc.get("stats")
-        .and_then(|s| s.get("resolution_permille"))
-        .and_then(Value::as_u64)
-        .unwrap_or(1000)
+fn stat(doc: &Value, key: &str) -> Option<u64> {
+    doc.get("stats")?.get(key)?.as_u64()
 }
 
 #[cfg(test)]
@@ -120,8 +128,7 @@ mod tests {
     use super::*;
 
     fn sample_report() -> ScanReport {
-        let mut f = Finding::new("PH101", "crates/x/src/a.rs", 7, "unwrap".to_string());
-        f.chain = vec!["root (crates/x/src/a.rs:3)".to_string()];
+        let f = Finding::new("DC001", "crates/x/src/a.rs", 7, "dead".to_string());
         ScanReport {
             findings: vec![f],
             files_scanned: 4,
@@ -137,7 +144,7 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.ends_with('\n'));
         assert!(a.contains("\"resolution_permille\": 1000"), "{a}");
-        assert!(a.contains("\"chain\""), "{a}");
+        assert!(a.contains("\"calls_arity_miss\": 0"), "{a}");
     }
 
     #[test]
@@ -157,7 +164,7 @@ mod tests {
         // Baseline empty, report has a finding: regression.
         let r = baseline_regressions(&with, &render(&without)).unwrap();
         assert_eq!(r.len(), 1, "{r:?}");
-        assert!(r[0].contains("PH101"), "{r:?}");
+        assert!(r[0].contains("DC001"), "{r:?}");
         // Baseline has it, report clean: ratchet tightens silently.
         let r = baseline_regressions(&without, &render(&with)).unwrap();
         assert!(r.is_empty(), "{r:?}");
@@ -178,6 +185,22 @@ mod tests {
             baseline_regressions(&report_json(&current), &render(&report_json(&baseline))).unwrap();
         assert_eq!(r.len(), 1, "{r:?}");
         assert!(r[0].contains("coverage dropped"), "{r:?}");
+    }
+
+    #[test]
+    fn arity_miss_rise_beyond_tolerance_fails_the_gate() {
+        let baseline = ScanReport::default();
+        let mut current = ScanReport::default();
+        let tolerance = usize::try_from(ARITY_MISS_TOLERANCE).unwrap();
+        current.stats.calls_arity_miss = tolerance;
+        let gate = |current: &ScanReport| {
+            baseline_regressions(&report_json(current), &render(&report_json(&baseline))).unwrap()
+        };
+        assert!(gate(&current).is_empty());
+        current.stats.calls_arity_miss = tolerance + 1;
+        let r = gate(&current);
+        assert_eq!(r.len(), 1, "{r:?}");
+        assert!(r[0].contains("arity misses rose"), "{r:?}");
     }
 
     #[test]

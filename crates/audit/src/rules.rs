@@ -14,7 +14,7 @@ use std::fmt;
 /// One rule violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id (`FD001`, `PH101`, ...).
+    /// Rule id (`FD001`, `DC001`, or `AUDIT` for an IO error).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,
@@ -22,51 +22,39 @@ pub struct Finding {
     pub line: usize,
     /// Human explanation.
     pub message: String,
-    /// For reachability-scoped rules (`PH101`, `CL001`): the sink→source
-    /// call chain, one `id (file:line)` hop per element, sink root
-    /// first. Empty for file-scoped rules.
-    pub chain: Vec<String>,
 }
 
 impl Finding {
-    /// A chainless (file-scoped) finding.
+    /// A finding of `rule` at `path:line`.
     pub fn new(rule: &'static str, path: &str, line: usize, message: String) -> Finding {
         Finding {
             rule,
             path: path.to_string(),
             line,
             message,
-            chain: Vec::new(),
         }
     }
 }
 
 impl fmt::Display for Finding {
-    /// `file:line: RULE msg` head line, then one indented line per
-    /// call-chain hop (sink root first, `->`-prefixed below it).
+    /// `file:line: RULE msg`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "{}:{}: {} {}",
             self.path, self.line, self.rule, self.message
-        )?;
-        for (i, hop) in self.chain.iter().enumerate() {
-            let arrow = if i == 0 { "" } else { "-> " };
-            write!(f, "\n    {arrow}{hop}")?;
-        }
-        Ok(())
+        )
     }
 }
 
-/// Ids of every token-level rule, in reporting order. The
-/// reachability-scoped rules (`PH101`, `CL001`) and `DC001` live in
-/// [`crate::taint`].
+/// Ids of every token-level rule, in reporting order. `DC001` lives in
+/// [`crate::dead`].
 pub const TOKEN_RULES: [&str; 1] = ["FD001"];
 
 /// Token index spans (half-open) covered by `#[cfg(test)] mod ... { }`.
 ///
-/// Rules skip these: tests may compare floats exactly and `unwrap` freely —
-/// the audit's contract binds protocol code only.
+/// Rules skip these: tests may compare floats exactly, and a unit test
+/// keeps no function alive.
 /// The file behind an out-of-line `#[cfg(test)] mod name;` is test code
 /// as a whole ([`test_mod_decls`] names it; the scanner marks it).
 pub fn test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
@@ -138,8 +126,8 @@ fn is_cfg_test_attr(tokens: &[Token], i: usize) -> bool {
 }
 
 /// Returns the token index just past the attribute starting at `i` (which
-/// must point at `#`).
-fn skip_attr(tokens: &[Token], i: usize) -> usize {
+/// must point at its `#`, or at the `!` of `#!`).
+pub(crate) fn skip_attr(tokens: &[Token], i: usize) -> usize {
     let mut j = i + 1; // at `[`
     let mut depth = 0usize;
     while j < tokens.len() {
@@ -242,19 +230,6 @@ mod tests {
         "#;
         let h = run("FD001", src);
         assert!(h.is_empty(), "{h:?}");
-    }
-
-    #[test]
-    fn finding_display_renders_call_chain_hops() {
-        let mut f = Finding::new("PH101", "crates/x/src/a.rs", 7, "unwrap".to_string());
-        f.chain = vec![
-            "cshard_x::a::Driver::on_event (crates/x/src/a.rs:3)".to_string(),
-            "cshard_x::a::helper (called at crates/x/src/a.rs:5)".to_string(),
-        ];
-        let s = f.to_string();
-        assert!(s.starts_with("crates/x/src/a.rs:7: PH101 unwrap\n"), "{s}");
-        assert!(s.contains("\n    cshard_x::a::Driver::on_event"), "{s}");
-        assert!(s.contains("\n    -> cshard_x::a::helper"), "{s}");
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! into [`FileTokens`]; the file-scoped token rules run over each
 //! stream, then the three interprocedural passes run over all of them
 //! together: symbol table ([`crate::symbols`]), call graph
-//! ([`crate::callgraph`]) and taint propagation ([`crate::taint`]).
+//! ([`crate::callgraph`]) and DC001 ([`crate::dead`]).
 
-use crate::callgraph::{AmbiguousCall, CallGraph, GraphStats};
+use crate::callgraph::{CallGraph, GraphStats};
+use crate::dead;
 use crate::policy::Policy;
 use crate::rules::{apply_token_rule, Finding, TOKEN_RULES};
 use crate::symbols::{FileTokens, SymbolTable};
-use crate::taint;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -23,19 +23,6 @@ pub struct ScanReport {
     pub files_scanned: usize,
     /// Call-graph resolution statistics.
     pub stats: GraphStats,
-    /// Protocol sink roots the taint pass started from.
-    pub sink_roots: usize,
-    /// Functions reachable from any sink root (roots included).
-    pub reachable: usize,
-    /// Calls the resolver could not settle — a `[callgraph] resolve`
-    /// override is required; the binary treats these as setup errors.
-    pub ambiguous: Vec<AmbiguousCall>,
-    /// `[callgraph] sinks` entries that are malformed or root no bodied
-    /// non-test function — also setup errors for the binary.
-    pub dead_sinks: Vec<String>,
-    /// `[callgraph] resolve` entries (`name/arity`) no call falls through
-    /// to — setup errors as well.
-    pub dead_resolves: Vec<String>,
 }
 
 /// Scans every policy-listed crate under `root` and returns the findings.
@@ -74,10 +61,9 @@ pub fn scan_workspace(root: &Path, policy: &Policy) -> ScanReport {
     // Interprocedural passes over every scanned file at once — symbols
     // and edges cross crate boundaries, so they cannot run per-crate.
     let symbols = SymbolTable::build(&file_tokens);
-    let graph = CallGraph::build(&file_tokens, &symbols, &policy.callgraph);
-    let taint = taint::analyze(&file_tokens, &symbols, &graph, policy);
+    let graph = CallGraph::build(&file_tokens, &symbols);
     let callers = caller_files(root, policy, &mut report.findings);
-    report.findings.extend(taint::test_only_fns(
+    report.findings.extend(dead::test_only_fns(
         &file_tokens,
         &symbols,
         &graph,
@@ -85,12 +71,6 @@ pub fn scan_workspace(root: &Path, policy: &Policy) -> ScanReport {
         policy,
     ));
     report.stats = graph.stats;
-    report.ambiguous = graph.ambiguous;
-    report.dead_resolves = graph.dead_resolves;
-    report.sink_roots = taint.sink_roots.len();
-    report.reachable = taint.reachable;
-    report.dead_sinks = taint.dead_sinks;
-    report.findings.extend(taint.findings);
     report
         .findings
         .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));

@@ -267,7 +267,7 @@ fn scan_file(file_idx: usize, ft: &FileTokens, table: &mut SymbolTable) {
                 .is_some_and(|n| n.kind == TokenKind::Ident)
         {
             // `trait Name [<...>] [: bounds] {` — method declarations inside
-            // resolve trait calls even without a default body.
+            // settle trait calls even without a default body.
             if let Some(open) = (i + 2..tokens.len().min(i + 40))
                 .find(|&j| tokens[j].is_punct("{"))
                 .filter(|&j| !(i + 2..j).any(|k| tokens[k].is_punct(";")))

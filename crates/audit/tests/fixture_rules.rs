@@ -223,3 +223,53 @@ fn dc001_passes_fns_with_another_caller_or_outside_the_rule() {
     let report = scan_workspace(&root, &dc001_policy(""));
     assert!(report.findings.is_empty(), "{:?}", report.findings);
 }
+
+/// A receiver typed by its constructor (`let mut s = Stats::new();
+/// s.merge(..)`) keeps `Stats::merge` alive, not the `Other::merge` that
+/// sits in the caller's own module: DC001 names the decoy. Resolved by
+/// location instead, the call would keep the decoy alive and DC001 would
+/// name `Stats::merge`.
+#[test]
+fn dc001_follows_a_typed_receiver_not_a_same_module_decoy() {
+    let lib = "//! the caller and the decoy\nmod stats;\npub use stats::Stats;\n\n\
+               pub struct Other;\n\n\
+               impl Other {\n    pub fn merge(&mut self, ev: u64) -> u64 {\n        ev\n    }\n}\n\n\
+               pub struct Driver;\n\n\
+               impl ProtocolDriver for Driver {\n    fn on_event(&mut self, ev: u64) -> u64 {\n        \
+               let mut s = Stats::new();\n        s.merge(ev)\n    }\n}\n";
+    let stats = "//! the typed callee\npub struct Stats;\n\n\
+                 impl Stats {\n    pub fn new() -> Stats {\n        Stats\n    }\n\n    \
+                 pub fn merge(&mut self, ev: u64) -> u64 {\n        ev + 1\n    }\n}\n";
+    let root = mini_workspace("audit-dc001-typed-receiver", lib);
+    fs::write(root.join("crates/core/src/stats.rs"), stats).expect("write stats.rs");
+    let report = scan_workspace(&root, &dc001_policy(""));
+    let named: Vec<(&str, usize, &str)> = report
+        .findings
+        .iter()
+        .map(|f| (f.path.as_str(), f.line, f.message.as_str()))
+        .collect();
+    assert_eq!(named.len(), 1, "{:?}", report.findings);
+    assert_eq!((named[0].0, named[0].1), ("crates/core/src/lib.rs", 8));
+    assert!(named[0].2.contains("`core::Other::merge`"), "{named:?}");
+}
+
+/// A call no rule settles (a closure parameter states no type, and two
+/// types define `poll`) fans out: both candidates stay alive, and only
+/// the uncalled `tick` is dead.
+#[test]
+fn dc001_keeps_every_candidate_of_an_ambiguous_call_alive() {
+    let lib = "//! two same-name same-arity methods, untyped receiver\n\
+               pub struct A;\npub struct B;\n\
+               impl A {\n    pub fn poll(&self) -> u32 {\n        1\n    }\n}\n\
+               impl B {\n    pub fn poll(&self) -> u32 {\n        2\n    }\n}\n\
+               pub fn tick(all: &[A]) -> u32 {\n    all.iter().map(|a| a.poll()).sum()\n}\n";
+    let root = mini_workspace("audit-dc001-ambiguous", lib);
+    let report = scan_workspace(&root, &dc001_policy(""));
+    assert_eq!(report.stats.calls_ambiguous, 1);
+    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+    assert!(
+        report.findings[0].message.contains("`core::tick`"),
+        "{}",
+        report.findings[0]
+    );
+}

@@ -50,6 +50,10 @@ impl ChainspacePlacement {
     /// Places `txs` uniformly at random over `shards` shards. Each input
     /// account of a k-input transaction is (as in ChainSpace's random state
     /// partition) independently located in a random shard.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a shard count counts `u32` `ShardId`s"
+    )]
     pub fn place(txs: &[Transaction], shards: usize, seed: u64) -> Self {
         assert!(shards > 0, "need at least one shard");
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -124,6 +128,10 @@ impl ChainspacePlacement {
             .into_iter()
             .enumerate()
             .map(|(s, idxs)| {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "`s` is below `shards`, whose ids `place` drew as `u32`"
+                )]
                 let shard = ShardId::new(s as u32);
                 let local_fees: Vec<u64> = idxs.iter().map(|&i| fees[i]).collect();
                 let mut cross = CrossTable::default();
@@ -223,8 +231,13 @@ impl ChainspaceDriver {
             .settle
             .enabled
             .then(|| CrosslinkChannel::new(shard, &config.settle));
+        #[expect(
+            clippy::expect_used,
+            reason = "a solo spec has one miner, and `NoMiners` is the constructor's only error"
+        )]
+        let mining = ContractShardDriver::new(&spec, config).expect("a solo spec has one miner");
         ChainspaceDriver {
-            mining: ContractShardDriver::new(&spec, config).expect("a solo spec has one miner"),
+            mining,
             shard,
             cross,
             latency,

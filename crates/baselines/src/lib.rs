@@ -19,6 +19,23 @@
 //! is not a separate algorithm — it is the `IdenticalGreedy` strategy of
 //! the core runtime, run on a single shard.
 
+// Replay code surfaces typed errors, never panics, and converts integers
+// without dropping bits (PH001).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss
+    )
+)]
+
 pub mod chainspace;
 pub mod optimal;
 pub mod random_merge;

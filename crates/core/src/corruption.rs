@@ -85,6 +85,11 @@ const FEES: FeeDistribution = FeeDistribution::Uniform { lo: 1, hi: 99 };
 /// paper's model requires (the adversary corrupts miners *before* the
 /// epoch randomness is drawn).
 fn malicious_set(miners: u32, fraction: f64, seed: u64) -> BTreeSet<MinerId> {
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the caller checks `fraction` lies in [0, 1], so the floor counts 0..=miners"
+    )]
     let count = (fraction * f64::from(miners)).floor() as usize;
     let prf = Prf::new(seed.to_be_bytes());
     let mut ranked: Vec<(u64, u32)> = (0..miners)

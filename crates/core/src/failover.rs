@@ -158,7 +158,7 @@ pub fn run_leader_faults(miners: u32, plan: &LeaderFaultPlan) -> Result<EpochFau
         });
     }
     let mut mgr = EpochManager::with_miner_count(miners);
-    let mut outcomes = Vec::with_capacity(plan.epochs as usize);
+    let mut outcomes = Vec::new();
     let mut stalled_epochs = 0;
     for step in 0..plan.epochs {
         let epoch = mgr.epoch();

@@ -16,6 +16,11 @@ pub(crate) fn proportional_split(sizes: &[u64], total: usize) -> Vec<usize> {
         .iter()
         .map(|&s| s as f64 * spare as f64 / total_size as f64)
         .collect();
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "each share is a non-negative fraction of `spare`, a `usize`"
+    )]
     let mut counts: Vec<usize> = exact.iter().map(|e| 1 + e.floor() as usize).collect();
     let assigned: usize = counts.iter().sum();
     // Largest remainders get the leftovers; ties by index (deterministic).

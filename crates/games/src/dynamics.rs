@@ -56,6 +56,11 @@ const SUBSLOT_CHUNK: usize = 64;
 /// a double in the exploration band), so `k / 2⁵³ < x` ⇔ `k < x · 2⁵³` ⇔
 /// `k < ⌈x · 2⁵³⌉`. A NaN probability casts to 0 — never merges, just
 /// as `u < NaN` is never true.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "`x` is a probability, so `x · 2⁵³` lies in [0, 2⁵³]; a NaN casts to 0 on purpose"
+)]
 fn toss_threshold(x: f64) -> u64 {
     (x * (1u64 << 53) as f64).ceil() as u64
 }
@@ -262,6 +267,11 @@ impl ReplicatorMergeDynamics {
                     // is its borrow. Spelled as a compare (`size *
                     // u64::from(toss >> 11 < threshold)`) this compiles
                     // to a branch on a coin flip.
+                    #[expect(
+                        clippy::cast_possible_wrap,
+                        clippy::cast_sign_loss,
+                        reason = "the reinterpretation is the point: the borrow's sign bit spreads to a mask"
+                    )]
                     let merges = ((toss >> 11).wrapping_sub(threshold) as i64 >> 63) as u64;
                     *mask |= (merges & 1) << subslot;
                     total += u128::from(size & merges);
@@ -344,6 +354,10 @@ fn key_value(key: u128) -> f64 {
 }
 
 /// The transaction index a [`value_key`] encodes.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the low half of a key holds a `usize` index; dropping the value half is the point"
+)]
 fn key_index(key: u128) -> usize {
     (key as u64) as usize
 }

@@ -221,6 +221,11 @@ pub fn iterative_merge(
         // Candidates are drawn from the (leader-seeded) randomness, so
         // replays remain deterministic.
         let mean_size = (remaining_size as f64 / remaining.len() as f64).max(1.0);
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "a non-negative ratio, clamped to `remaining.len()` below"
+        )]
         let cap = ((2.5 * config.lower_bound as f64 / mean_size).ceil() as usize)
             .clamp(2.min(remaining.len()), remaining.len());
         round_players.clear();
@@ -228,6 +233,10 @@ pub fn iterative_merge(
         if cap < remaining.len() {
             // Seeded partial Fisher–Yates: first `cap` entries.
             for k in 0..cap {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "a uniform draw; on a 32-bit target its low half is uniform too"
+                )]
                 let j = k + (subset_rng.gen::<u64>() as usize) % (round_players.len() - k);
                 round_players.swap(k, j);
             }

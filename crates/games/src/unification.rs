@@ -258,6 +258,11 @@ impl UnifiedParameters {
                 }
                 // A deterministic stride sample: distinct per miner,
                 // uniform-ish over transactions.
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    clippy::cast_sign_loss,
+                    reason = "the unit draw lies in [0, 1), so the offset lies in 0..t"
+                )]
                 let offset = beacon
                     .derive_unit("select-init", m as u64)
                     .mul_add(t as f64, 0.0) as usize;

@@ -11,6 +11,23 @@
 //! * The parser is a strict recursive-descent over the RFC 8259 grammar;
 //!   errors carry a byte offset.
 
+// Replay code surfaces typed errors, never panics, and converts integers
+// without dropping bits (PH001).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss
+    )
+)]
+
 use std::fmt;
 
 /// A JSON number, keeping integers exact.
@@ -30,6 +47,11 @@ impl Number {
         match *self {
             Number::U64(v) => Some(v),
             Number::I64(v) => u64::try_from(v).ok(),
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "the guard admits only whole values in [0, u64::MAX]"
+            )]
             Number::F64(v) if v >= 0.0 && v.fract() == 0.0 && v <= u64::MAX as f64 => {
                 Some(v as u64)
             }
@@ -163,10 +185,9 @@ impl From<usize> for Value {
 }
 impl From<i64> for Value {
     fn from(v: i64) -> Self {
-        if v >= 0 {
-            Value::Number(Number::U64(v as u64))
-        } else {
-            Value::Number(Number::I64(v))
+        match u64::try_from(v) {
+            Ok(u) => Value::Number(Number::U64(u)),
+            Err(_) => Value::Number(Number::I64(v)),
         }
     }
 }
@@ -495,7 +516,9 @@ impl Parser<'_> {
                     while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
                         end += 1;
                     }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..end]).unwrap());
+                    let scalar = std::str::from_utf8(&self.bytes[start..end])
+                        .map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(scalar);
                     self.pos = end;
                 }
             }
@@ -540,7 +563,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| self.err("bad number"))?;
         if text.is_empty() || text == "-" {
             return Err(self.err("bad number"));
         }

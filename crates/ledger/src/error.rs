@@ -39,6 +39,9 @@ pub enum LedgerError {
     /// The value would be transferred to a contract account directly, which
     /// this model does not allow (contracts hold no balance).
     TransferToContract(Address),
+    /// A sum of amounts overflows `u64`: the value plus fee this sender
+    /// pays, or a credit to this account's balance.
+    Overflow(Address),
 }
 
 impl fmt::Display for LedgerError {
@@ -70,6 +73,7 @@ impl fmt::Display for LedgerError {
             LedgerError::TransferToContract(a) => {
                 write!(f, "direct value transfer to contract account {a:?}")
             }
+            LedgerError::Overflow(a) => write!(f, "amount overflow at {a:?}"),
         }
     }
 }

@@ -19,6 +19,23 @@
 //! * [`callgraph`] — the user↔contract call graph miners maintain locally to
 //!   classify senders (Sec. III-C's "more elegant way").
 
+// Replay code surfaces typed errors, never panics, and converts integers
+// without dropping bits (PH001).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss
+    )
+)]
+
 pub mod account;
 pub mod callgraph;
 pub mod contract;

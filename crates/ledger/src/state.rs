@@ -5,7 +5,7 @@
 //! transaction is only valid against the sender's current balance and
 //! nonce, so two conflicting spends can never both apply.
 
-use crate::account::{Account, AccountKind};
+use crate::account::Account;
 use crate::contract::SmartContract;
 use crate::error::LedgerError;
 use crate::transaction::{Transaction, TxKind};
@@ -26,6 +26,9 @@ impl State {
     }
 
     /// Creates (or tops up) a user account at genesis.
+    ///
+    /// The balance saturates at [`u64::MAX`] base units: genesis
+    /// configuration never gets near it.
     pub fn fund_user(&mut self, addr: Address, balance: Amount) {
         let entry = self
             .accounts
@@ -35,7 +38,7 @@ impl State {
             entry.is_user(),
             "cannot fund contract account {addr:?} as a user"
         );
-        entry.balance += balance;
+        entry.balance = entry.balance.saturating_add(balance);
     }
 
     /// Registers a smart contract, creating its account. Returns its id.
@@ -76,22 +79,61 @@ impl State {
             .unwrap_or(Amount::ZERO)
     }
 
-    /// Sum of all account balances (for conservation checks).
-    pub fn total_balance(&self) -> Amount {
-        self.accounts.values().map(|a| a.balance).sum()
+    /// Sum of all account balances (for conservation checks), or `None`
+    /// when it overflows `u64`.
+    pub fn total_balance(&self) -> Option<Amount> {
+        self.accounts
+            .values()
+            .try_fold(Amount::ZERO, |sum, a| sum.checked_add(a.balance))
     }
 
     /// Validates a transaction against the current state without applying
-    /// it. Exactly the checks `apply_transaction` performs.
+    /// it: every check `apply_transaction` makes but the fee credit, whose
+    /// recipient only the block knows.
     pub fn validate_transaction(&self, tx: &Transaction) -> Result<(), LedgerError> {
+        self.balances_after(tx, None).map(drop)
+    }
+
+    /// Applies a transaction, paying its fee to `fee_recipient`.
+    ///
+    /// On error the state is unchanged: every new balance is computed
+    /// before any is written.
+    pub fn apply_transaction(
+        &mut self,
+        tx: &Transaction,
+        fee_recipient: Address,
+    ) -> Result<(), LedgerError> {
+        for (addr, balance) in self.balances_after(tx, Some(fee_recipient))? {
+            self.accounts
+                .entry(addr)
+                .or_insert_with(|| Account::user(Amount::ZERO))
+                .balance = balance;
+        }
+        if let TxKind::ContractCall { contract, .. } = &tx.kind {
+            if let Some(c) = self.contracts.get_mut(contract.0 as usize) {
+                c.invocations += 1;
+            }
+        }
+        if let Some(sender) = self.accounts.get_mut(&tx.sender) {
+            sender.nonce += 1;
+        }
+        Ok(())
+    }
+
+    /// The balance each account `tx` touches ends with, debits first, the
+    /// fee credited to `fee_recipient` when one is given; or the first
+    /// check `tx` fails.
+    fn balances_after(
+        &self,
+        tx: &Transaction,
+        fee_recipient: Option<Address>,
+    ) -> Result<Vec<(Address, Amount)>, LedgerError> {
         let sender = self
             .accounts
             .get(&tx.sender)
-            .ok_or(LedgerError::UnknownSender(tx.sender))?;
-        if !sender.is_user() {
             // Contract accounts never originate transactions in this model.
-            return Err(LedgerError::UnknownSender(tx.sender));
-        }
+            .filter(|a| a.is_user())
+            .ok_or(LedgerError::UnknownSender(tx.sender))?;
         if sender.nonce != tx.nonce {
             return Err(LedgerError::BadNonce {
                 sender: tx.sender,
@@ -99,7 +141,14 @@ impl State {
                 expected: sender.nonce,
             });
         }
-        match &tx.kind {
+        let with_fee = |value: Amount| {
+            value
+                .checked_add(tx.fee)
+                .ok_or(LedgerError::Overflow(tx.sender))
+        };
+        // Each debit is `(input index, account, amount)`: the index names
+        // the failing input of a multi-input transaction.
+        let (debits, to, value) = match &tx.kind {
             TxKind::ContractCall { contract, value } => {
                 let c = self
                     .contract(*contract)
@@ -107,134 +156,83 @@ impl State {
                 if !c.condition_holds(|a| self.balance_of(a)) {
                     return Err(LedgerError::ConditionNotMet(*contract));
                 }
-                let needed = *value + tx.fee;
-                if sender.balance < needed {
-                    return Err(LedgerError::InsufficientBalance {
-                        sender: tx.sender,
-                        needed,
-                        available: sender.balance,
-                    });
-                }
-                // Destination must not be a contract account.
-                if self
-                    .accounts
-                    .get(&c.destination)
-                    .is_some_and(|a| a.is_contract())
-                {
-                    return Err(LedgerError::TransferToContract(c.destination));
-                }
-                Ok(())
+                (
+                    vec![(None, tx.sender, with_fee(*value)?)],
+                    c.destination,
+                    *value,
+                )
             }
             TxKind::DirectTransfer { to, value } => {
-                if self.accounts.get(to).is_some_and(|a| a.is_contract()) {
-                    return Err(LedgerError::TransferToContract(*to));
-                }
-                let needed = *value + tx.fee;
-                if sender.balance < needed {
-                    return Err(LedgerError::InsufficientBalance {
-                        sender: tx.sender,
-                        needed,
-                        available: sender.balance,
-                    });
-                }
-                Ok(())
+                (vec![(None, tx.sender, with_fee(*value)?)], *to, *value)
             }
             TxKind::MultiInput { inputs, to, value } => {
                 if inputs.is_empty() {
                     return Err(LedgerError::EmptyInputs);
                 }
-                if self.accounts.get(to).is_some_and(|a| a.is_contract()) {
-                    return Err(LedgerError::TransferToContract(*to));
-                }
-                let shares = split_shares(*value, inputs.len());
-                for (i, (input, share)) in inputs.iter().zip(shares.iter()).enumerate() {
-                    let acct = self.accounts.get(input).ok_or_else(|| {
-                        LedgerError::InputFailed(i, Box::new(LedgerError::UnknownSender(*input)))
-                    })?;
-                    if !acct.is_user() {
-                        return Err(LedgerError::InputFailed(
-                            i,
-                            Box::new(LedgerError::UnknownSender(*input)),
-                        ));
+                let mut debits = Vec::with_capacity(inputs.len() + 1);
+                let mut fee_paid = false;
+                for (i, (&input, share)) in inputs
+                    .iter()
+                    .zip(split_shares(*value, inputs.len()))
+                    .enumerate()
+                {
+                    if !self.accounts.get(&input).is_some_and(Account::is_user) {
+                        let unknown = LedgerError::UnknownSender(input);
+                        return Err(LedgerError::InputFailed(i, Box::new(unknown)));
                     }
-                    // The sender additionally covers the fee.
-                    let needed = if *input == tx.sender {
-                        *share + tx.fee
-                    } else {
-                        *share
-                    };
-                    if acct.balance < needed {
-                        return Err(LedgerError::InputFailed(
-                            i,
-                            Box::new(LedgerError::InsufficientBalance {
-                                sender: *input,
-                                needed,
-                                available: acct.balance,
-                            }),
-                        ));
-                    }
+                    // The sender covers the fee with its first share.
+                    let pays_fee = input == tx.sender && !fee_paid;
+                    fee_paid |= pays_fee;
+                    let amount = if pays_fee { with_fee(share)? } else { share };
+                    debits.push((Some(i), input, amount));
                 }
-                Ok(())
-            }
-        }
-    }
-
-    /// Applies a transaction, paying its fee to `fee_recipient`.
-    ///
-    /// On error the state is unchanged (validation runs first).
-    pub fn apply_transaction(
-        &mut self,
-        tx: &Transaction,
-        fee_recipient: Address,
-    ) -> Result<(), LedgerError> {
-        self.validate_transaction(tx)?;
-        match tx.kind.clone() {
-            TxKind::ContractCall { contract, value } => {
-                let destination = self.contracts[contract.0 as usize].destination;
-                self.debit(tx.sender, value + tx.fee);
-                self.credit(destination, value);
-                self.contracts[contract.0 as usize].invocations += 1;
-            }
-            TxKind::DirectTransfer { to, value } => {
-                self.debit(tx.sender, value + tx.fee);
-                self.credit(to, value);
-            }
-            TxKind::MultiInput { inputs, to, value } => {
-                let shares = split_shares(value, inputs.len());
-                for (input, share) in inputs.iter().zip(shares) {
-                    self.debit(*input, share);
+                if !fee_paid {
+                    debits.push((None, tx.sender, tx.fee));
                 }
-                self.debit(tx.sender, tx.fee);
-                self.credit(to, value);
+                (debits, *to, *value)
             }
+        };
+        // Destination must not be a contract account.
+        if self.accounts.get(&to).is_some_and(|a| a.is_contract()) {
+            return Err(LedgerError::TransferToContract(to));
         }
-        self.credit(fee_recipient, tx.fee);
-        let sender = self.accounts.get_mut(&tx.sender).expect("validated");
-        sender.nonce += 1;
-        Ok(())
+        let mut balances: Vec<(Address, Amount)> = Vec::with_capacity(debits.len() + 2);
+        for (input, addr, needed) in debits {
+            let k = self.touch(&mut balances, addr);
+            let available = balances[k].1;
+            balances[k].1 = available.checked_sub(needed).ok_or_else(|| {
+                let short = LedgerError::InsufficientBalance {
+                    sender: addr,
+                    needed,
+                    available,
+                };
+                match input {
+                    Some(i) => LedgerError::InputFailed(i, Box::new(short)),
+                    None => short,
+                }
+            })?;
+        }
+        for (addr, amount) in std::iter::once((to, value)).chain(fee_recipient.map(|r| (r, tx.fee)))
+        {
+            let k = self.touch(&mut balances, addr);
+            balances[k].1 = balances[k]
+                .1
+                .checked_add(amount)
+                .ok_or(LedgerError::Overflow(addr))?;
+        }
+        Ok(balances)
     }
 
-    fn credit(&mut self, addr: Address, amount: Amount) {
-        let entry = self
-            .accounts
-            .entry(addr)
-            .or_insert_with(|| Account::user(Amount::ZERO));
-        debug_assert!(
-            !matches!(entry.kind, AccountKind::Contract(_)),
-            "credits to contract accounts are rejected during validation"
-        );
-        entry.balance += amount;
-    }
-
-    fn debit(&mut self, addr: Address, amount: Amount) {
-        let entry = self
-            .accounts
-            .get_mut(&addr)
-            .expect("debit of validated account");
-        entry.balance = entry
-            .balance
-            .checked_sub(amount)
-            .expect("debit exceeds validated balance");
+    /// The index of `addr` in `balances`, entered at its current balance
+    /// on first touch.
+    fn touch(&self, balances: &mut Vec<(Address, Amount)>, addr: Address) -> usize {
+        balances
+            .iter()
+            .position(|&(a, _)| a == addr)
+            .unwrap_or_else(|| {
+                balances.push((addr, self.balance_of(addr)));
+                balances.len() - 1
+            })
     }
 }
 
@@ -291,7 +289,10 @@ mod tests {
             FEE,
         );
         s.apply_transaction(&tx, COLLECTOR).unwrap();
-        assert_eq!(s.balance_of(Address::user(1)), Amount::from_coins(8) - FEE);
+        assert_eq!(
+            s.balance_of(Address::user(1)),
+            Amount::from_raw(8_000_000_000 - 50)
+        );
         assert_eq!(s.balance_of(Address::user(3)), Amount::from_coins(2));
         assert_eq!(s.balance_of(COLLECTOR), FEE);
         assert_eq!(nonce(&s, Address::user(1)), 1);
@@ -445,11 +446,11 @@ mod tests {
         assert_eq!(s.balance_of(Address::user(5)), Amount::from_raw(9));
         assert_eq!(
             s.balance_of(Address::user(1)),
-            Amount::from_coins(10) - Amount::from_raw(3) - FEE
+            Amount::from_raw(10_000_000_000 - 3 - 50)
         );
         assert_eq!(
             s.balance_of(Address::user(2)),
-            Amount::from_coins(10) - Amount::from_raw(3)
+            Amount::from_raw(10_000_000_000 - 3)
         );
     }
 
@@ -495,8 +496,8 @@ mod tests {
             for n in 1..=7usize {
                 let shares = split_shares(Amount::from_raw(value), n);
                 assert_eq!(shares.len(), n);
-                let total: Amount = shares.into_iter().sum();
-                assert_eq!(total, Amount::from_raw(value));
+                let total: u64 = shares.iter().map(Amount::raw).sum();
+                assert_eq!(total, value);
             }
         }
     }

@@ -40,6 +40,11 @@ impl LatencyModel {
     /// pure and lets callers use their own seeded streams. Extreme models
     /// saturate at [`SimTime::MAX`] instead of overflowing — a delay can
     /// push an event past the end of representable time, never wrap it.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "`u` lies in [0, 1), so the product lies in [0, jitter)"
+    )]
     pub fn delay(&self, u: f64) -> SimTime {
         assert!((0.0..1.0).contains(&u), "u must be in [0,1)");
         self.base.saturating_add(SimTime::from_millis(

@@ -66,7 +66,8 @@ impl fmt::Debug for Address {
 
 impl Address {
     fn index(&self) -> u64 {
-        u64::from_be_bytes(self.0[12..20].try_into().expect("8 bytes"))
+        let [_, _, _, _, _, _, _, _, _, _, _, _, index @ ..] = self.0;
+        u64::from_be_bytes(index)
     }
 }
 

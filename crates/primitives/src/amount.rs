@@ -1,14 +1,13 @@
 //! Coin amounts with checked arithmetic.
 
 use std::fmt;
-use std::iter::Sum;
-use std::ops::{Add, AddAssign, Sub, SubAssign};
 
 /// A coin amount (balance, fee or transfer value) in the chain's smallest unit.
 ///
-/// Arithmetic via `+`/`-` panics on overflow/underflow in all build profiles
-/// — a ledger must never silently wrap. Use [`Amount::checked_sub`] where an
-/// insufficient balance is an expected, recoverable condition.
+/// There are no `+`/`-` operators: a ledger must never wrap, and an
+/// operator could only panic on overflow. Arithmetic is
+/// [`Amount::checked_add`] and [`Amount::checked_sub`], whose `None` the
+/// caller turns into a typed error.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Amount(pub u64);
 
@@ -61,42 +60,6 @@ impl Amount {
     }
 }
 
-impl Add for Amount {
-    type Output = Amount;
-    fn add(self, rhs: Amount) -> Amount {
-        Amount(self.0.checked_add(rhs.0).expect("Amount addition overflow"))
-    }
-}
-
-impl AddAssign for Amount {
-    fn add_assign(&mut self, rhs: Amount) {
-        *self = *self + rhs;
-    }
-}
-
-impl Sub for Amount {
-    type Output = Amount;
-    fn sub(self, rhs: Amount) -> Amount {
-        Amount(
-            self.0
-                .checked_sub(rhs.0)
-                .expect("Amount subtraction underflow"),
-        )
-    }
-}
-
-impl SubAssign for Amount {
-    fn sub_assign(&mut self, rhs: Amount) {
-        *self = *self - rhs;
-    }
-}
-
-impl Sum for Amount {
-    fn sum<I: Iterator<Item = Amount>>(iter: I) -> Amount {
-        iter.fold(Amount::ZERO, |acc, x| acc + x)
-    }
-}
-
 impl fmt::Display for Amount {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let whole = self.0 / Self::COIN.0;
@@ -126,30 +89,6 @@ mod tests {
     }
 
     #[test]
-    fn arithmetic_works() {
-        let a = Amount::from_raw(5);
-        let b = Amount::from_raw(3);
-        assert_eq!(a + b, Amount::from_raw(8));
-        assert_eq!(a - b, Amount::from_raw(2));
-        let mut c = a;
-        c += b;
-        c -= Amount::from_raw(1);
-        assert_eq!(c, Amount::from_raw(7));
-    }
-
-    #[test]
-    #[should_panic(expected = "underflow")]
-    fn subtraction_underflow_panics() {
-        let _ = Amount::from_raw(1) - Amount::from_raw(2);
-    }
-
-    #[test]
-    #[should_panic(expected = "overflow")]
-    fn addition_overflow_panics() {
-        let _ = Amount::from_raw(u64::MAX) + Amount::from_raw(1);
-    }
-
-    #[test]
     fn checked_ops() {
         assert_eq!(Amount::from_raw(1).checked_sub(Amount::from_raw(2)), None);
         assert_eq!(
@@ -164,12 +103,6 @@ mod tests {
             Amount::from_raw(u64::MAX).saturating_add(Amount::from_raw(1)),
             Amount::from_raw(u64::MAX)
         );
-    }
-
-    #[test]
-    fn sum_of_amounts() {
-        let total: Amount = (1..=4u64).map(Amount::from_raw).sum();
-        assert_eq!(total, Amount::from_raw(10));
     }
 
     #[test]

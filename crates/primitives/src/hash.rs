@@ -29,6 +29,10 @@ impl Hash32 {
     ///
     /// Uses the leading 16 bytes to keep bias negligible for any practical
     /// `n` (bias < 2^-64 for n < 2^64).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the remainder is below `n`, a `u64`"
+    )]
     pub fn mod_u64(&self, n: u64) -> u64 {
         assert!(n > 0, "modulus must be positive");
         let hi = be_u64(&self.0, 0) as u128;

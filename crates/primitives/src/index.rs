@@ -132,6 +132,10 @@ impl<V> AddressSlots<V> {
 
 /// Folded 64×64→128 multiply: both halves of the product reach the
 /// result, so input entropy moves down as well as up.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the fold keeps the product's low half on purpose"
+)]
 fn folded_mul(a: u64, b: u64) -> u64 {
     let product = u128::from(a) * u128::from(b);
     (product as u64) ^ ((product >> 64) as u64)

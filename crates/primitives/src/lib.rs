@@ -8,6 +8,23 @@
 //! is [`AddressSlots`] over [`AddressIndex`], which interns addresses to
 //! dense slots so per-address state lives in a `Vec`.
 
+// Replay code surfaces typed errors, never panics, and converts integers
+// without dropping bits (PH001).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss
+    )
+)]
+
 pub mod address;
 pub mod amount;
 pub mod error;

@@ -35,6 +35,11 @@ impl SimTime {
     /// Panics on negative or non-finite input — simulated time never runs
     /// backwards.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the assert keeps `secs` finite and non-negative; past `u64` the cast saturates, as wanted"
+    )]
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(
             secs.is_finite() && secs >= 0.0,

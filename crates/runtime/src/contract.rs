@@ -251,6 +251,10 @@ impl EquilibriumState {
         let cap = capacity.min(t);
         // Unified initial choices: a seeded stride per miner.
         for (m, choice) in self.initial.iter_mut().enumerate() {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the draw is below `t`, a `usize`"
+            )]
             let offset = self.rng.below(t as u64) as usize;
             choice.clear();
             choice.extend((0..cap).map(|k| (offset + k * 7 + m) % t));

@@ -59,7 +59,10 @@
         clippy::panic,
         clippy::unreachable,
         clippy::todo,
-        clippy::unimplemented
+        clippy::unimplemented,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss
     )
 )]
 

@@ -17,6 +17,23 @@
 //! Carlo simulation of the process it models (the test-only `montecarlo`
 //! module).
 
+// Replay code surfaces typed errors, never panics, and converts integers
+// without dropping bits (PH001).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss
+    )
+)]
+
 pub mod corruption;
 pub mod math;
 #[cfg(test)]

@@ -99,7 +99,11 @@ pub fn geometric_sum(f: f64, l: Option<u64>) -> f64 {
             if (f - 1.0).abs() < 1e-15 {
                 (l + 1) as f64
             } else {
-                (1.0 - f.powi(l as i32 + 1)) / (1.0 - f)
+                let power = i32::try_from(l)
+                    .ok()
+                    .and_then(|l| l.checked_add(1))
+                    .map_or_else(|| f.powf(l as f64 + 1.0), |e| f.powi(e));
+                (1.0 - power) / (1.0 - f)
             }
         }
         None => {

@@ -53,6 +53,15 @@
 //! they park on a plain `Condvar` wait — a count, never a duration: the
 //! scheduler reads no clock (ND001).
 
+// Lock poisoning only follows a panic already caught on another worker
+// (propagated, not originated, here), and the two `unreachable!`s assert
+// the map slots' state machine.
+#![expect(
+    clippy::expect_used,
+    clippy::unreachable,
+    reason = "the lock expects propagate a caught panic; the unreachables assert the slot state machine"
+)]
+
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

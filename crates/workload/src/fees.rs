@@ -51,7 +51,13 @@ impl FeeDistribution {
             FeeDistribution::Exponential { mean } => {
                 assert!(mean > 0.0);
                 let u: f64 = rng.gen();
-                ((-(1.0 - u).ln() * mean).ceil() as u64).max(1)
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    clippy::cast_sign_loss,
+                    reason = "`u` lies in [0, 1), so the draw is non-negative; past `u64::MAX` it saturates"
+                )]
+                let fee = (-(1.0 - u).ln() * mean).ceil() as u64;
+                fee.max(1)
             }
             FeeDistribution::Zipf { max, s } => {
                 assert!(max >= 1 && s > 0.0);

@@ -93,6 +93,10 @@ impl Workload {
     ///
     /// With `contracts == 0` every transaction is a direct transfer — the
     /// non-sharded degenerate case.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "contract ids are `u32`: a contract count counts `ContractId`s"
+    )]
     pub fn uniform_contracts(
         total: usize,
         contracts: usize,
@@ -118,6 +122,10 @@ impl Workload {
     /// `small_sizes` transactions each (the paper injects 1–9); regular
     /// shards split the remainder of `total` evenly (the paper keeps the
     /// total at 200, giving regular shards "more than 22").
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "contract ids are `u32`: a contract count counts `ContractId`s"
+    )]
     pub fn with_small_shards(
         total: usize,
         shards: usize,
@@ -128,11 +136,8 @@ impl Workload {
     ) -> Workload {
         assert!(small <= shards, "more small shards than shards");
         assert_eq!(small_sizes.len(), small, "one size per small shard");
-        let small_total: u64 = small_sizes.iter().sum();
-        assert!(
-            (small_total as usize) <= total,
-            "small shards exceed the total"
-        );
+        let small_total = usize::try_from(small_sizes.iter().sum::<u64>()).unwrap_or(usize::MAX);
+        assert!(small_total <= total, "small shards exceed the total");
         let regular = shards - small;
         let mut b = Builder::new(seed, fees);
         // Small shards first (contract ids 0..small).
@@ -142,7 +147,7 @@ impl Workload {
             }
         }
         // Regular shards split the remainder.
-        let remainder = total - small_total as usize;
+        let remainder = total - small_total;
         #[allow(clippy::manual_checked_ops)] // the guard also skips the loop body
         if regular > 0 {
             let per_regular = remainder / regular;
@@ -175,6 +180,11 @@ impl Workload {
     /// A Zipf contract-popularity mix: contract `k`'s share ∝ `k^-s`,
     /// echoing the paper's mainnet statistics (Sec. II-A: the most popular
     /// contract holds 10.35 M transactions while the top-10 average 3 M).
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "contract ids are `u32`, and a share is a rounded non-negative fraction of `total`"
+    )]
     pub fn heavy_tail(
         total: usize,
         contracts: usize,

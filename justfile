@@ -15,13 +15,13 @@ verify:
 
 # The checks no compiler lint can make (policy.toml is the policy table; the
 # lint-expressible invariants are in clippy.toml and run under `verify`'s
-# clippy step). Exit 1 on findings, each printed as `file:line: RULE message`
-# followed by the source→…→sink call chain for the reachability rules.
+# clippy step). Exit 1 on findings, each printed as `file:line: RULE message`.
 audit:
     cargo run --release -p cshard-audit
 
 # Audit plus the stable JSON report, gated against the committed baseline
-# (any new finding or a >2% call-resolution drop fails). This is what CI runs.
+# (any new finding, a >2% call-resolution drop or >20 new arity misses
+# fails). This is what CI runs.
 audit-json:
     cargo run --release -p cshard-audit -- \
         --json /tmp/AUDIT_report.json \

@@ -116,7 +116,7 @@ fn condition_violating_contract_call_never_confirms() {
         Address::user(9),
         0,
         Address::user(10),
-        Amount::from_coins(50) - Amount::from_raw(10),
+        Amount::from_raw(50_000_000_000 - 10),
         Amount::from_raw(10),
     );
     s.apply_transaction(&drain, Address::SYSTEM).unwrap();
