@@ -9,11 +9,11 @@
 //!   scheduled events booking cross-shard communication (≥ 2 rounds per
 //!   cross-shard transaction, one message each) into
 //!   [`cshard_network::CommStats`] as they fire. Fig. 4(a)/(b).
-//! * [`optimal`] — the oracles of Sec. VI-E: the optimal number of new
-//!   shards (every new shard exactly `L`) and the optimal number of
-//!   distinct transaction sets (every miner distinct), plus a first-fit
-//!   packing that *constructs* a near-optimal merge partition for ablation
-//!   comparisons.
+//!
+//! The oracles of Sec. VI-E (the optimal number of new shards and of
+//! distinct transaction sets) sit beside the games they bound:
+//! `cshard_games::merging::optimal_new_shard_count` and
+//! `cshard_games::selection::optimal_distinct_sets`.
 //!
 //! The Ethereum baseline (all miners greedily pick the same transactions)
 //! is not a separate algorithm — it is the `IdenticalGreedy` strategy of
@@ -37,9 +37,7 @@
 )]
 
 pub mod chainspace;
-pub mod optimal;
 pub mod random_merge;
 
 pub use chainspace::{ChainspaceDriver, ChainspacePlacement, CROSS_SHARD_ROUNDS_PER_TX};
-pub use optimal::{optimal_distinct_sets, optimal_new_shards};
 pub use random_merge::{random_merge, RandomMergeOutcome};

@@ -4,8 +4,8 @@
 use crate::experiments::default_fees;
 use crate::report::{ExperimentResult, Series};
 use cshard_core::simulate_ethereum;
-use cshard_core::system::{MinerAllocation, SystemConfig};
 use cshard_core::throughput_improvement;
+use cshard_core::{MinerAllocation, PipelineConfig, SystemConfig};
 use cshard_core::{PropagationModel, RuntimeConfig, ShardingSystem};
 use cshard_games::merging::optimal_new_shard_count;
 use cshard_games::selection::{best_reply_equilibrium, SelectionConfig};
@@ -252,17 +252,23 @@ pub fn run_alloc(quick: bool) -> ExperimentResult {
             };
             let flat_run = ShardingSystem::new(SystemConfig {
                 runtime: rt.clone(),
-                selection: Some(1000),
-                allocation: MinerAllocation::PerShard((total_miners / shard_count).max(1)),
+                pipeline: PipelineConfig {
+                    selection: Some(1000),
+                    allocation: MinerAllocation::PerShard((total_miners / shard_count).max(1)),
+                    ..PipelineConfig::default()
+                },
                 ..SystemConfig::default()
             })
             .run(&wl)
             .expect("valid config");
             let prop_run = ShardingSystem::new(SystemConfig {
                 runtime: rt.clone(),
-                selection: Some(1000),
-                allocation: MinerAllocation::Proportional {
-                    total: total_miners.max(shard_count),
+                pipeline: PipelineConfig {
+                    selection: Some(1000),
+                    allocation: MinerAllocation::Proportional {
+                        total: total_miners.max(shard_count),
+                    },
+                    ..PipelineConfig::default()
                 },
                 ..SystemConfig::default()
             })

@@ -22,9 +22,9 @@ use cshard_baselines::random_merge;
 use cshard_core::formation::ShardPlan;
 use cshard_core::pipeline::{form, fuse};
 use cshard_core::simulate_ethereum;
-use cshard_core::system::SystemConfig;
 use cshard_core::{simulate, RuntimeConfig, ShardSpec, ShardingSystem};
 use cshard_core::{throughput_improvement, RunReport};
+use cshard_core::{PipelineConfig, SystemConfig};
 use cshard_games::MergingConfig;
 use cshard_primitives::SimTime;
 use cshard_workload::Workload;
@@ -130,12 +130,14 @@ fn measure(small_count: usize, repeats: u64) -> Avg {
             .expect("valid config");
         let ours = ShardingSystem::new(SystemConfig {
             runtime: rt.clone(),
-            merging: Some(MergingConfig {
-                lower_bound: LOWER_BOUND,
-                ..MergingConfig::default()
-            }),
+            pipeline: PipelineConfig {
+                merging: Some(MergingConfig {
+                    lower_bound: LOWER_BOUND,
+                    ..MergingConfig::default()
+                }),
+                ..PipelineConfig::default()
+            },
             epoch: seed,
-            ..SystemConfig::default()
         })
         .run(&w)
         .expect("valid config");

@@ -15,8 +15,8 @@ use crate::experiments::{default_fees, grid_config, grid_scheduler};
 use crate::report::{ExperimentResult, Series};
 use cshard_baselines::ChainspacePlacement;
 use cshard_core::simulate_ethereum;
-use cshard_core::system::SystemConfig;
 use cshard_core::throughput_improvement;
+use cshard_core::{PipelineConfig, SystemConfig};
 use cshard_core::{PropagationModel, Runtime, RuntimeConfig, ShardingSystem};
 use cshard_games::MergingConfig;
 use cshard_network::{CommKind, LatencyModel};
@@ -168,13 +168,16 @@ pub fn run_c(quick: bool) -> ExperimentResult {
         let w = Workload::with_small_shards(total, shards, small, &sizes, default_fees(), 1);
         let report = ShardingSystem::new(SystemConfig {
             runtime: chainspace_runtime(1, 10),
-            merging: Some(MergingConfig {
-                // Small = under ~1/12 of the load: the injected small
-                // shards (total/24 txs, mirroring the paper's 1000 of
-                // 24000) qualify; the regular shards (>= total/7) do not.
-                lower_bound: total as u64 / 12,
-                ..MergingConfig::default()
-            }),
+            pipeline: PipelineConfig {
+                merging: Some(MergingConfig {
+                    // Small = under ~1/12 of the load: the injected small
+                    // shards (total/24 txs, mirroring the paper's 1000 of
+                    // 24000) qualify; the regular shards (>= total/7) do not.
+                    lower_bound: total as u64 / 12,
+                    ..MergingConfig::default()
+                }),
+                ..PipelineConfig::default()
+            },
             ..SystemConfig::default()
         })
         .run(&w)

@@ -7,8 +7,8 @@
 
 use crate::experiments::grid_scheduler;
 use crate::report::{ExperimentResult, Series};
-use cshard_baselines::{optimal_distinct_sets, optimal_new_shards};
-use cshard_games::selection::{best_reply_equilibrium, SelectionConfig};
+use cshard_games::merging::optimal_new_shard_count;
+use cshard_games::selection::{best_reply_equilibrium, optimal_distinct_sets, SelectionConfig};
 use cshard_games::{iterative_merge, MergingConfig};
 use cshard_workload::FeeDistribution;
 use rand::{Rng, SeedableRng};
@@ -36,7 +36,10 @@ pub fn run_a(quick: bool) -> ExperimentResult {
         let out = iterative_merge(&sizes, &probs, &config, n as u64);
         (
             (n as f64, out.new_shard_count() as f64),
-            (n as f64, optimal_new_shards(&sizes, lower_bound) as f64),
+            (
+                n as f64,
+                optimal_new_shard_count(&sizes, lower_bound) as f64,
+            ),
         )
     });
     type Points = Vec<(f64, f64)>;

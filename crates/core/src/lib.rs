@@ -23,8 +23,8 @@
 //!   assignment epochs against `cshard-security`'s Eq. (3)–(6).
 //! * [`system`] — [`system::ShardingSystem`]: the workload-level facade
 //!   over one cold pipeline epoch, with every stage optional so
-//!   experiments can ablate each mechanism; [`builder`] holds its
-//!   validated fluent configuration.
+//!   experiments can ablate each mechanism, and
+//!   [`system::SystemBuilder`], its validated fluent configuration.
 //! * [`longrun`] — epoch-driven evolution: leader election per epoch
 //!   ([`epoch`]) over one persistent pipeline.
 //!
@@ -52,7 +52,6 @@
 )]
 
 pub mod assignment;
-pub mod builder;
 pub mod corruption;
 pub mod epoch;
 pub mod failover;
@@ -78,30 +77,3 @@ pub use pipeline::{
     StageObserver, StageOutput,
 };
 pub use system::{MinerAllocation, ShardingSystem, SystemBuilder, SystemConfig};
-
-/// The most commonly used items for driving the sharded system — import
-/// `cshard_core::prelude::*` instead of reaching into crate internals.
-/// Fault injection (`cshard_runtime::faults`, [`failover`],
-/// [`corruption`]) is re-exported by the facade's `contractshard::prelude`.
-pub mod prelude {
-    pub use crate::builder::SystemBuilder;
-    pub use crate::epoch::EpochManager;
-    pub use crate::formation::ShardPlan;
-    pub use crate::longrun::{LongRun, LongRunConfig};
-    pub use crate::pipeline::{
-        EpochInput, EpochPipeline, EpochRun, PipelineConfig, PlacementStage, StageKind,
-        StageObserver, StageOutput,
-    };
-    pub use crate::system::{MinerAllocation, ShardingSystem, SystemConfig};
-    pub use crate::{simulate, simulate_ethereum, throughput_improvement, MinerAssignment};
-    pub use cshard_games::{MergingConfig, SelectionConfig, UnifiedParameters};
-    pub use cshard_place::{Migration, PlacementConfig, PlacementEngine};
-    pub use cshard_primitives::{Error, ShardId, SimTime};
-    pub use cshard_runtime::{
-        ContractShardDriver, Ctx, EpochBatches, Event, MigrationTicket, PropagationModel,
-        ProtocolDriver, RunBuilder, RunObserver, RunOutcome, RunPhase, RunReport, RunSchedStats,
-        Runtime, RuntimeConfig, SchedulerConfig, SelectionStrategy, SettleConfig, SettleStats,
-        SettlingShardDriver, ShardSpec, StreamDriver,
-    };
-    pub use cshard_workload::{StreamConfig, TxStream};
-}

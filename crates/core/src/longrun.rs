@@ -13,7 +13,6 @@
 
 use crate::epoch::EpochManager;
 use crate::pipeline::{EpochInput, EpochPipeline, PipelineConfig, SilentObserver, StageObserver};
-use crate::system::MinerAllocation;
 use cshard_games::MergingConfig;
 use cshard_ledger::Transaction;
 use cshard_place::PlacementConfig;
@@ -96,10 +95,9 @@ impl LongRun {
         let epochs = (config.miners > 0).then(|| EpochManager::with_miner_count(config.miners));
         let pipeline = EpochPipeline::new(PipelineConfig {
             merging: config.merging,
-            selection: None,
-            allocation: MinerAllocation::OnePerShard,
             warm_start: config.warm_start,
             placement: config.placement,
+            ..PipelineConfig::default()
         });
         LongRun {
             config,

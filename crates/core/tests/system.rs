@@ -2,11 +2,16 @@
 //! through the public API (relocated from `system.rs` when the epoch was
 //! carved into pipeline stages).
 
-use cshard_core::prelude::*;
+use cshard_core::{
+    simulate_ethereum, throughput_improvement, EpochBatches, EpochInput, EpochPipeline, LongRun,
+    LongRunConfig, MinerAllocation, PipelineConfig, PlacementConfig, PropagationModel, Runtime,
+    RuntimeConfig, SchedulerConfig, ShardingSystem, StageKind, StageObserver, StageOutput,
+    StreamDriver, SystemConfig,
+};
 use cshard_crypto::sha256;
 use cshard_games::MergingConfig;
-use cshard_primitives::SimTime;
-use cshard_workload::{FeeDistribution, Workload};
+use cshard_primitives::{Error, SimTime};
+use cshard_workload::{FeeDistribution, StreamConfig, TxStream, Workload};
 
 const FEES: FeeDistribution = FeeDistribution::Uniform { lo: 1, hi: 99 };
 
@@ -83,10 +88,13 @@ fn merging_reduces_empty_blocks() {
         .run(&w)
         .expect("valid config");
     let merged = ShardingSystem::new(SystemConfig {
-        merging: Some(MergingConfig {
-            lower_bound: 16,
-            ..MergingConfig::default()
-        }),
+        pipeline: PipelineConfig {
+            merging: Some(MergingConfig {
+                lower_bound: 16,
+                ..MergingConfig::default()
+            }),
+            ..PipelineConfig::default()
+        },
         ..base
     })
     .run(&w)
@@ -111,10 +119,13 @@ fn merged_runs_are_deterministic() {
     let w = Workload::with_small_shards(200, 9, 3, &[4, 5, 6], FEES, 4);
     let cfg = SystemConfig {
         runtime: runtime(9),
-        merging: Some(MergingConfig {
-            lower_bound: 18,
-            ..MergingConfig::default()
-        }),
+        pipeline: PipelineConfig {
+            merging: Some(MergingConfig {
+                lower_bound: 18,
+                ..MergingConfig::default()
+            }),
+            ..PipelineConfig::default()
+        },
         ..SystemConfig::default()
     };
     let a = ShardingSystem::new(cfg.clone())
@@ -130,17 +141,24 @@ fn selection_strategy_applies_to_multi_miner_shards() {
     let w = Workload::uniform_contracts(200, 0, FEES, 5); // single MaxShard
     let mut imp_sum = 0.0;
     for seed in 0..6u64 {
-        let cfg = SystemConfig {
-            runtime: runtime(seed),
+        let pipeline = PipelineConfig {
             selection: Some(500),
             allocation: MinerAllocation::PerShard(9),
+            ..PipelineConfig::default()
+        };
+        let cfg = SystemConfig {
+            runtime: runtime(seed),
+            pipeline,
             ..SystemConfig::default()
         };
         let with_game = ShardingSystem::new(cfg.clone())
             .run(&w)
             .expect("valid config");
         let without = ShardingSystem::new(SystemConfig {
-            selection: None,
+            pipeline: PipelineConfig {
+                selection: None,
+                ..pipeline
+            },
             ..cfg
         })
         .run(&w)
@@ -158,7 +176,10 @@ fn proportional_allocation_tracks_shard_sizes() {
     let w = Workload::with_small_shards(200, 3, 1, &[8], FEES, 8);
     let report = ShardingSystem::new(SystemConfig {
         runtime: runtime(8),
-        allocation: MinerAllocation::Proportional { total: 20 },
+        pipeline: PipelineConfig {
+            allocation: MinerAllocation::Proportional { total: 20 },
+            ..PipelineConfig::default()
+        },
         ..SystemConfig::default()
     })
     .run(&w)
@@ -181,46 +202,24 @@ fn builder_defaults_match_struct_defaults() {
 #[test]
 fn builder_sets_every_knob() {
     let system = ShardingSystem::builder()
-        .shards(9)
-        .block_capacity(12)
-        .mean_block_interval(SimTime::from_secs(30))
-        .propagation(PropagationModel::Window(SimTime::from_secs(15)))
-        .empty_block_window(SimTime::from_secs(212))
         .seed(42)
         .threads(4)
-        .total_miners(20)
+        .miners_per_shard(3)
         .merging(16)
         .selection(500)
-        .placement(PlacementConfig::engaged())
-        .epoch(3)
         .build()
         .expect("valid configuration");
     let cfg = system.config();
-    assert_eq!(cfg.runtime.block_capacity, 12);
-    assert_eq!(cfg.runtime.mean_block_interval, SimTime::from_secs(30));
-    assert_eq!(
-        cfg.runtime.propagation,
-        PropagationModel::Window(SimTime::from_secs(15))
-    );
-    assert_eq!(
-        cfg.runtime.empty_block_window,
-        Some(SimTime::from_secs(212))
-    );
     assert_eq!(cfg.runtime.seed, 42);
     assert_eq!(cfg.runtime.scheduler, SchedulerConfig::new(4));
-    assert!(matches!(
-        cfg.allocation,
-        MinerAllocation::Proportional { total: 20 }
-    ));
-    assert_eq!(cfg.merging.as_ref().map(|m| m.lower_bound), Some(16));
-    assert_eq!(cfg.selection, Some(500));
-    assert_eq!(cfg.placement, PlacementConfig::engaged());
-    assert_eq!(cfg.epoch, 3);
+    let pipeline = system.pipeline_config();
+    assert!(matches!(pipeline.allocation, MinerAllocation::PerShard(3)));
+    assert_eq!(pipeline.merging.as_ref().map(|m| m.lower_bound), Some(16));
+    assert_eq!(pipeline.selection, Some(500));
 }
 
 #[test]
 fn run_rejects_invalid_direct_configs() {
-    use cshard_primitives::Error;
     let w = Workload::uniform_contracts(50, 2, FEES, 12);
     let zero_cap = ShardingSystem::new(SystemConfig {
         runtime: RuntimeConfig {
@@ -238,7 +237,10 @@ fn run_rejects_invalid_direct_configs() {
     ));
     let starved = ShardingSystem::new(SystemConfig {
         runtime: runtime(1),
-        allocation: MinerAllocation::Proportional { total: 1 },
+        pipeline: PipelineConfig {
+            allocation: MinerAllocation::Proportional { total: 1 },
+            ..PipelineConfig::default()
+        },
         ..SystemConfig::default()
     });
     assert!(matches!(
@@ -247,21 +249,53 @@ fn run_rejects_invalid_direct_configs() {
     ));
 }
 
+/// The builder is a pure setter: on the three shapes of the benchmark's
+/// paper rotation, a built system and `ShardingSystem::new` with the
+/// equivalent `SystemConfig` give the same run at every thread count.
 #[test]
-fn from_impls_wire_the_old_call_sites() {
-    let w = Workload::uniform_contracts(80, 3, FEES, 13);
-    let via_runtime: ShardingSystem = runtime(2).into();
-    let via_config: ShardingSystem = SystemConfig {
-        runtime: runtime(2),
-        ..SystemConfig::default()
+fn builder_equals_the_equivalent_config_literal() {
+    let shapes = [
+        Workload::uniform_contracts(200, 3, FEES, 31),
+        Workload::with_small_shards(400, 8, 3, &[4, 5, 6], FEES, 32),
+        Workload::uniform_contracts(800, 8, FEES, 33),
+    ];
+    for (seed, w) in (40u64..).zip(&shapes) {
+        for threads in [1, 2] {
+            let built = ShardingSystem::builder()
+                .miners_per_shard(3)
+                .selection(500)
+                .merging(24)
+                .seed(seed)
+                .threads(threads)
+                .build()
+                .expect("valid configuration")
+                .run(w)
+                .expect("valid config");
+            let direct = ShardingSystem::new(SystemConfig {
+                runtime: RuntimeConfig {
+                    seed,
+                    scheduler: SchedulerConfig::new(threads),
+                    ..RuntimeConfig::default()
+                },
+                pipeline: PipelineConfig {
+                    merging: Some(MergingConfig {
+                        lower_bound: 24,
+                        ..MergingConfig::default()
+                    }),
+                    selection: Some(500),
+                    allocation: MinerAllocation::PerShard(3),
+                    ..PipelineConfig::default()
+                },
+                ..SystemConfig::default()
+            })
+            .run(w)
+            .expect("valid config");
+            let label = format!("seed {seed}, threads {threads}");
+            assert_eq!(built.run.fingerprint(), direct.run.fingerprint(), "{label}");
+            assert_eq!(built.shard_sizes, direct.shard_sizes, "{label}");
+            assert_eq!(built.comm.total(), direct.comm.total(), "{label}");
+        }
     }
-    .into();
-    let a = via_runtime.run(&w).expect("valid config");
-    let b = via_config.run(&w).expect("valid config");
-    assert_eq!(a.run.completion, b.run.completion);
-    // SystemBuilder -> SystemConfig is the unvalidated escape hatch.
-    let cfg: SystemConfig = ShardingSystem::builder().seed(9).into();
-    assert_eq!(cfg.runtime.seed, 9);
 }
 
 #[test]
@@ -269,10 +303,13 @@ fn total_txs_preserved_through_merging() {
     let w = Workload::with_small_shards(200, 9, 5, &[2, 3, 4, 5, 6], FEES, 6);
     let report = ShardingSystem::new(SystemConfig {
         runtime: runtime(7),
-        merging: Some(MergingConfig {
-            lower_bound: 15,
-            ..MergingConfig::default()
-        }),
+        pipeline: PipelineConfig {
+            merging: Some(MergingConfig {
+                lower_bound: 15,
+                ..MergingConfig::default()
+            }),
+            ..PipelineConfig::default()
+        },
         ..SystemConfig::default()
     })
     .run(&w)

@@ -3,7 +3,8 @@
 use cshard_primitives::{Address, Amount, ContractId, Nonce};
 use std::fmt;
 
-/// Everything that can go wrong when validating a transaction.
+/// Everything that can go wrong when building a genesis state or
+/// validating a transaction.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LedgerError {
     /// The sending account does not exist.
@@ -42,6 +43,15 @@ pub enum LedgerError {
     /// A sum of amounts overflows `u64`: the value plus fee this sender
     /// pays, or a credit to this account's balance.
     Overflow(Address),
+    /// Genesis funds a contract account as if it were a user.
+    FundContractAccount(Address),
+    /// Genesis registers a contract out of dense id order.
+    ContractOutOfOrder {
+        /// Id the contract carried.
+        got: ContractId,
+        /// The next dense id, the number of contracts registered so far.
+        expected: usize,
+    },
 }
 
 impl fmt::Display for LedgerError {
@@ -74,6 +84,13 @@ impl fmt::Display for LedgerError {
                 write!(f, "direct value transfer to contract account {a:?}")
             }
             LedgerError::Overflow(a) => write!(f, "amount overflow at {a:?}"),
+            LedgerError::FundContractAccount(a) => {
+                write!(f, "cannot fund contract account {a:?} as a user")
+            }
+            LedgerError::ContractOutOfOrder { got, expected } => write!(
+                f,
+                "contract {got} registered out of order: expected id {expected}"
+            ),
         }
     }
 }

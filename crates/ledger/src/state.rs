@@ -28,31 +28,40 @@ impl State {
     /// Creates (or tops up) a user account at genesis.
     ///
     /// The balance saturates at [`u64::MAX`] base units: genesis
-    /// configuration never gets near it.
-    pub fn fund_user(&mut self, addr: Address, balance: Amount) {
+    /// configuration never gets near it. Errors, leaving the state as it
+    /// was, when `addr` is a contract account.
+    pub fn fund_user(&mut self, addr: Address, balance: Amount) -> Result<(), LedgerError> {
         let entry = self
             .accounts
             .entry(addr)
             .or_insert_with(|| Account::user(Amount::ZERO));
-        assert!(
-            entry.is_user(),
-            "cannot fund contract account {addr:?} as a user"
-        );
+        if !entry.is_user() {
+            return Err(LedgerError::FundContractAccount(addr));
+        }
         entry.balance = entry.balance.saturating_add(balance);
+        Ok(())
     }
 
     /// Registers a smart contract, creating its account. Returns its id.
-    pub fn register_contract(&mut self, contract: SmartContract) -> ContractId {
-        assert_eq!(
-            contract.id.0 as usize,
-            self.contracts.len(),
-            "contracts must be registered densely in id order"
-        );
+    ///
+    /// Contracts register densely in id order; any other id errors and
+    /// leaves the state as it was.
+    pub fn register_contract(
+        &mut self,
+        contract: SmartContract,
+    ) -> Result<ContractId, LedgerError> {
+        let expected = self.contracts.len();
+        if contract.id.0 as usize != expected {
+            return Err(LedgerError::ContractOutOfOrder {
+                got: contract.id,
+                expected,
+            });
+        }
         let id = contract.id;
         self.accounts
             .insert(contract.address, Account::contract(id));
         self.contracts.push(contract);
-        id
+        Ok(id)
     }
 
     /// Looks up a contract.
@@ -266,12 +275,15 @@ mod tests {
 
     fn setup() -> State {
         let mut s = State::new();
-        s.fund_user(Address::user(1), Amount::from_coins(10));
-        s.fund_user(Address::user(2), Amount::from_coins(10));
+        s.fund_user(Address::user(1), Amount::from_coins(10))
+            .expect("a user account");
+        s.fund_user(Address::user(2), Amount::from_coins(10))
+            .expect("a user account");
         s.register_contract(SmartContract::unconditional(
             ContractId::new(0),
             Address::user(3),
-        ));
+        ))
+        .expect("the next dense contract id");
         s
     }
 
@@ -367,14 +379,17 @@ mod tests {
     #[test]
     fn condition_gates_contract_calls() {
         let mut s = State::new();
-        s.fund_user(Address::user(1), Amount::from_coins(10));
-        s.fund_user(Address::user(2), Amount::from_coins(5)); // B: 5 coins
-                                                              // "Transfer to B only if B's balance is below 1 coin."
+        s.fund_user(Address::user(1), Amount::from_coins(10))
+            .expect("a user account");
+        s.fund_user(Address::user(2), Amount::from_coins(5))
+            .expect("a user account"); // B: 5 coins
+                                       // "Transfer to B only if B's balance is below 1 coin."
         s.register_contract(SmartContract::conditional(
             ContractId::new(0),
             Address::user(2),
             Condition::BalanceBelow(Address::user(2), Amount::from_coins(1)),
-        ));
+        ))
+        .expect("the next dense contract id");
         let tx = Transaction::call(
             Address::user(1),
             0,
@@ -433,7 +448,8 @@ mod tests {
     #[test]
     fn multi_input_draws_from_every_input() {
         let mut s = setup();
-        s.fund_user(Address::user(4), Amount::from_coins(10));
+        s.fund_user(Address::user(4), Amount::from_coins(10))
+            .expect("a user account");
         let tx = Transaction::multi_input(
             Address::user(1),
             0,
@@ -510,12 +526,12 @@ mod tests {
         fn prop_conservation(ops in proptest::collection::vec((0u64..4, 0u64..4, 1u64..1000, 0u64..50), 0..40)) {
             let mut s = State::new();
             for u in 0..4 {
-                s.fund_user(Address::user(u), Amount::from_coins(100));
+                s.fund_user(Address::user(u), Amount::from_coins(100)).expect("a user account");
             }
             s.register_contract(SmartContract::unconditional(
                 ContractId::new(0),
                 Address::user(2),
-            ));
+            )).expect("the next dense contract id");
             let genesis = s.total_balance();
             let ops_len = ops.len();
             let mut applied = 0usize;

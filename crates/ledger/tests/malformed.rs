@@ -1,18 +1,53 @@
-//! Malformed transactions are typed errors, never panics: a value plus
-//! fee past `u64::MAX`, a credit past the recipient's `u64::MAX`, a fee
-//! payer that is not an input and cannot pay, and an input listed twice
-//! that cannot cover both shares are rejected, and the state stays as it
-//! was.
+//! Malformed genesis and malformed transactions are typed errors, never
+//! panics: funding a contract account as a user, a contract registered out
+//! of id order, a value plus fee past `u64::MAX`, a credit past the
+//! recipient's `u64::MAX`, a fee payer that is not an input and cannot
+//! pay, and an input listed twice that cannot cover both shares are
+//! rejected, and the state stays as it was.
 
-use cshard_ledger::{LedgerError, State, Transaction};
-use cshard_primitives::{Address, Amount};
+use cshard_ledger::{LedgerError, SmartContract, State, Transaction};
+use cshard_primitives::{Address, Amount, ContractId};
 
 fn funded(users: &[(u64, u64)]) -> State {
     let mut state = State::new();
     for &(user, balance) in users {
-        state.fund_user(Address::user(user), Amount::from_raw(balance));
+        state
+            .fund_user(Address::user(user), Amount::from_raw(balance))
+            .expect("a user account");
     }
     state
+}
+
+#[test]
+fn funding_a_contract_account_fails_without_mutation() {
+    let mut state = State::new();
+    let contract = SmartContract::unconditional(ContractId::new(0), Address::user(1));
+    let addr = contract.address;
+    state
+        .register_contract(contract)
+        .expect("the next dense contract id");
+    let before = state.account(addr).cloned();
+    assert_eq!(
+        state.fund_user(addr, Amount::from_raw(5)),
+        Err(LedgerError::FundContractAccount(addr))
+    );
+    assert_eq!(state.account(addr).cloned(), before);
+}
+
+#[test]
+fn a_contract_out_of_id_order_is_not_registered() {
+    let mut state = State::new();
+    let skipped = SmartContract::unconditional(ContractId::new(1), Address::user(1));
+    let addr = skipped.address;
+    assert_eq!(
+        state.register_contract(skipped),
+        Err(LedgerError::ContractOutOfOrder {
+            got: ContractId::new(1),
+            expected: 0,
+        })
+    );
+    assert_eq!(state.contract_count(), 0);
+    assert!(state.account(addr).is_none());
 }
 
 #[test]

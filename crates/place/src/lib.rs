@@ -9,7 +9,7 @@
 //! in-flight drains, the `Event::Migration` apply path):
 //!
 //! * [`PlacementConfig`] — the off-by-default knob block threaded through
-//!   `SystemBuilder::placement()`. Disabled, the engine is bit-invisible;
+//!   `PipelineConfig::placement`. Disabled, the engine is bit-invisible;
 //! * [`PlacementEngine`] — observes MaxShard-routed contract calls across
 //!   epochs and proposes dominance-based hot-account moves
 //!   ([`PlacementEngine::propose`]);

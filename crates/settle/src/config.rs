@@ -1,5 +1,5 @@
-//! The settlement knob set, threaded through `RuntimeConfig` and
-//! `SystemBuilder`: off by default, bit-invisible until a run opts in.
+//! The settlement knob set, threaded through `RuntimeConfig::settle`: off
+//! by default, bit-invisible until a run opts in.
 
 use cshard_primitives::{Error, SimTime};
 

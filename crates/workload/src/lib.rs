@@ -75,7 +75,9 @@ pub(crate) fn assert_validates(txs: &[cshard_ledger::Transaction]) {
     for c in 0..contracts.max().unwrap_or(0) {
         // Each contract unconditionally pays its own sink user (Sec. VI-A).
         let sink = Address::user(u64::MAX - u64::from(c));
-        state.register_contract(SmartContract::unconditional(ContractId::new(c), sink));
+        state
+            .register_contract(SmartContract::unconditional(ContractId::new(c), sink))
+            .expect("the next dense contract id");
     }
     for tx in txs {
         let (inputs, recipient) = match &tx.kind {
@@ -85,7 +87,9 @@ pub(crate) fn assert_validates(txs: &[cshard_ledger::Transaction]) {
         };
         for &user in std::iter::once(&tx.sender).chain(inputs).chain(recipient) {
             if state.account(user).is_none() {
-                state.fund_user(user, Amount::from_raw(2_000_000_000));
+                state
+                    .fund_user(user, Amount::from_raw(2_000_000_000))
+                    .expect("a user account");
             }
         }
     }

@@ -18,13 +18,12 @@ fn main() {
         println!("  {shard}: {size} transactions");
     }
 
-    // Run the sharded system: one miner per shard, one block per minute,
-    // 10 transactions per block — the paper's testbed calibration. The
-    // builder validates the combination; threads(0) simulates shards on
-    // one worker per core with bit-identical results to a sequential run.
+    // Run the sharded system on the builder's defaults: one miner per
+    // shard, one block per minute, 10 transactions per block — the paper's
+    // testbed calibration. The builder validates the combination;
+    // threads(0) simulates shards on one worker per core with bit-identical
+    // results to a sequential run.
     let system = ShardingSystem::builder()
-        .shards(9)
-        .block_capacity(10)
         .threads(0)
         .build()
         .expect("valid configuration");

@@ -27,31 +27,33 @@ fn main() {
     sorted.sort_unstable_by(|a, b| b.cmp(a));
     println!("  shard sizes (desc): {sorted:?}");
 
-    // Without merging: the tail shards idle and pack empty blocks.
-    let before = ShardingSystem::builder()
-        .seed(7)
-        .empty_block_window(SimTime::from_secs(600))
-        .build()
-        .expect("valid configuration")
-        .run(&workload)
-        .expect("valid config");
-
-    // With the merging game (Algorithm 1 + 3) under unified parameters.
-    let after = ShardingSystem::builder()
-        .seed(7)
-        .empty_block_window(SimTime::from_secs(600))
-        .merging(10)
-        .epoch(1)
-        .build()
-        .expect("valid configuration")
-        .run(&workload)
-        .expect("valid config");
-
+    // Empty blocks count over the first ten minutes.
     let runtime = RuntimeConfig {
         seed: 7,
         empty_block_window: Some(SimTime::from_secs(600)),
         ..RuntimeConfig::default()
     };
+
+    // Without merging: the tail shards idle and pack empty blocks.
+    let before = ShardingSystem::testbed(runtime.clone())
+        .run(&workload)
+        .expect("valid config");
+
+    // With the merging game (Algorithm 1 + 3) under unified parameters.
+    let after = ShardingSystem::new(SystemConfig {
+        runtime: runtime.clone(),
+        pipeline: PipelineConfig {
+            merging: Some(MergingConfig {
+                lower_bound: 10,
+                ..MergingConfig::default()
+            }),
+            ..PipelineConfig::default()
+        },
+        epoch: 1,
+    })
+    .run(&workload)
+    .expect("valid config");
+
     let ethereum =
         simulate_ethereum(workload.fees(), 1, &runtime).expect("valid runtime configuration");
     let merge = after.merge.as_ref().expect("merging ran");

@@ -22,12 +22,11 @@
 //!     200, 8, FeeDistribution::Uniform { lo: 1, hi: 100 }, 42,
 //! );
 //!
-//! // Configure the contract-centric sharding system with the builder.
+//! // Configure the contract-centric sharding system with the builder
+//! // (one miner per shard, 10 transactions per block by default).
 //! // `threads(0)` simulates the shards on one worker per core; results
 //! // are bit-identical to a sequential run (per-shard PRF seeding).
 //! let system = ShardingSystem::builder()
-//!     .shards(9)
-//!     .block_capacity(10)
 //!     .seed(42)
 //!     .threads(0)
 //!     .build()
@@ -54,7 +53,7 @@
 //! | [`games`] | merging game (Alg. 1+3), selection game (Alg. 2), parameter unification |
 //! | [`security`] | Fig. 1(d) shard safety and the Eq. (3)–(6) corruption bounds |
 //! | [`workload`] | the Sec. VI injection generators |
-//! | [`baselines`] | randomized merging, ChainSpace model, optimal oracles |
+//! | [`baselines`] | randomized merging, ChainSpace model |
 //! | [`place`] | cross-epoch placement engine: hot-account traffic tracking, migration proposals |
 //! | [`core`] | shard formation, miner assignment, the staged `EpochPipeline`, the end-to-end system, VRF leader failover, empirical corruption checks |
 
@@ -76,11 +75,11 @@ pub mod prelude {
     pub use cshard_baselines::{random_merge, ChainspaceDriver, ChainspacePlacement};
     pub use cshard_core::corruption::measure_corruption;
     pub use cshard_core::failover::{run_leader_faults, LeaderFaultPlan};
-    pub use cshard_core::system::{MinerAllocation, SystemBuilder, SystemConfig};
     pub use cshard_core::{
         simulate, simulate_ethereum, throughput_improvement, EpochInput, EpochPipeline, EpochRun,
-        MinerAssignment, PipelineConfig, RunReport, RuntimeConfig, SelectionStrategy, ShardPlan,
-        ShardSpec, ShardingSystem, StageKind, StageObserver,
+        MinerAllocation, MinerAssignment, PipelineConfig, RunReport, RuntimeConfig,
+        SelectionStrategy, ShardPlan, ShardSpec, ShardingSystem, StageKind, StageObserver,
+        SystemBuilder, SystemConfig,
     };
     pub use cshard_core::{EpochManager, LongRun, LongRunConfig};
     pub use cshard_crypto::{sha256, RandomnessBeacon, Vrf};

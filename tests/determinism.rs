@@ -14,7 +14,6 @@ fn report_for(seed: u64, shards: usize, threads: usize) -> EpochRun {
     let contracts = shards - 1; // plus the MaxShard
     let w = Workload::uniform_contracts(4 * shards, contracts, FEES, seed);
     ShardingSystem::builder()
-        .shards(shards)
         .seed(seed)
         .threads(threads)
         .build()

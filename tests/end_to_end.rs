@@ -3,7 +3,6 @@
 
 mod common;
 
-use contractshard::core::system::{MinerAllocation, SystemConfig};
 use contractshard::prelude::*;
 
 const FEES: FeeDistribution = FeeDistribution::Uniform { lo: 1, hi: 100 };
@@ -17,13 +16,15 @@ fn full_pipeline_is_deterministic_end_to_end() {
                 seed: 11,
                 ..RuntimeConfig::default()
             },
-            merging: Some(MergingConfig {
-                lower_bound: 12,
-                ..MergingConfig::default()
-            }),
-            selection: Some(500),
-            allocation: MinerAllocation::PerShard(3),
-            placement: PlacementConfig::disabled(),
+            pipeline: PipelineConfig {
+                merging: Some(MergingConfig {
+                    lower_bound: 12,
+                    ..MergingConfig::default()
+                }),
+                selection: Some(500),
+                allocation: MinerAllocation::PerShard(3),
+                ..PipelineConfig::default()
+            },
             epoch: 11,
         };
         let report = ShardingSystem::new(cfg).run(&w).expect("valid config");
@@ -66,13 +67,15 @@ fn merging_and_selection_compose() {
     };
     let report = ShardingSystem::new(SystemConfig {
         runtime: runtime.clone(),
-        merging: Some(MergingConfig {
-            lower_bound: 15,
-            ..MergingConfig::default()
-        }),
-        selection: Some(500),
-        allocation: MinerAllocation::PerShard(4),
-        placement: PlacementConfig::disabled(),
+        pipeline: PipelineConfig {
+            merging: Some(MergingConfig {
+                lower_bound: 15,
+                ..MergingConfig::default()
+            }),
+            selection: Some(500),
+            allocation: MinerAllocation::PerShard(4),
+            ..PipelineConfig::default()
+        },
         epoch: 5,
     })
     .run(&w)
@@ -152,13 +155,13 @@ fn unified_parameters_run_the_system_games_identically_across_replicas() {
                 seed: 13,
                 ..RuntimeConfig::default()
             },
-            merging: Some(MergingConfig {
-                lower_bound: 14,
-                ..MergingConfig::default()
-            }),
-            selection: None,
-            allocation: MinerAllocation::OnePerShard,
-            placement: PlacementConfig::disabled(),
+            pipeline: PipelineConfig {
+                merging: Some(MergingConfig {
+                    lower_bound: 14,
+                    ..MergingConfig::default()
+                }),
+                ..PipelineConfig::default()
+            },
             epoch: 99,
         })
         .run(&w)

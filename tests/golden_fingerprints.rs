@@ -95,7 +95,6 @@ fn battery(threads: usize) -> Vec<(&'static str, String)> {
 
     // The end-to-end system: formation + allocation + runtime.
     let report = ShardingSystem::builder()
-        .shards(9)
         .seed(15)
         .threads(threads)
         .build()
@@ -105,18 +104,26 @@ fn battery(threads: usize) -> Vec<(&'static str, String)> {
     out.push(("system_default", report.run.fingerprint().to_string()));
 
     // Merging + proportional miners + capped idle drain in one run.
-    let report = ShardingSystem::builder()
-        .shards(12)
-        .seed(16)
-        .threads(threads)
-        .merging(40)
-        .total_miners(24)
-        .empty_block_window(SimTime::from_secs(212))
-        .propagation(PropagationModel::Window(SimTime::from_secs(30)))
-        .build()
-        .expect("valid config")
-        .run(&workload(150, 11, 16))
-        .expect("run completes");
+    let report = ShardingSystem::new(SystemConfig {
+        runtime: RuntimeConfig {
+            seed: 16,
+            scheduler: SchedulerConfig::new(threads),
+            empty_block_window: Some(SimTime::from_secs(212)),
+            propagation: PropagationModel::Window(SimTime::from_secs(30)),
+            ..RuntimeConfig::default()
+        },
+        pipeline: PipelineConfig {
+            merging: Some(MergingConfig {
+                lower_bound: 40,
+                ..MergingConfig::default()
+            }),
+            allocation: MinerAllocation::Proportional { total: 24 },
+            ..PipelineConfig::default()
+        },
+        ..SystemConfig::default()
+    })
+    .run(&workload(150, 11, 16))
+    .expect("run completes");
     out.push(("system_merged", report.run.fingerprint().to_string()));
 
     out

@@ -9,14 +9,17 @@ use contractshard::prelude::*;
 fn genesis(contracts: u32) -> State {
     let mut s = State::new();
     for u in 0..32 {
-        s.fund_user(Address::user(u), Amount::from_coins(50));
+        s.fund_user(Address::user(u), Amount::from_coins(50))
+            .expect("a user account");
     }
     for c in 0..contracts {
         s.register_contract(SmartContract::unconditional(
             ContractId::new(c),
             Address::user(500 + c as u64),
-        ));
-        s.fund_user(Address::user(500 + c as u64), Amount::ZERO);
+        ))
+        .expect("the next dense contract id");
+        s.fund_user(Address::user(500 + c as u64), Amount::ZERO)
+            .expect("a user account");
     }
     s
 }
@@ -98,7 +101,8 @@ fn condition_violating_contract_call_never_confirms() {
         ContractId::new(0),
         Address::user(9),
         Condition::BalanceBelow(Address::user(9), Amount::from_coins(1)),
-    ));
+    ))
+    .expect("the next dense contract id");
     let tx_ok = Transaction::call(
         Address::user(1),
         0,

@@ -1,7 +1,6 @@
 //! Integration across the newer substrates: epochs and proportional
 //! allocation working together.
 
-use contractshard::core::system::{MinerAllocation, SystemConfig};
 use contractshard::prelude::*;
 
 const FEES: FeeDistribution = FeeDistribution::Uniform { lo: 1, hi: 100 };
@@ -18,13 +17,15 @@ fn mainnet_shaped_workload_through_the_full_system() {
             propagation: PropagationModel::Window(SimTime::from_millis(500)),
             ..RuntimeConfig::default()
         },
-        merging: Some(MergingConfig {
-            lower_bound: 10,
-            ..MergingConfig::default()
-        }),
-        selection: Some(500),
-        allocation: MinerAllocation::Proportional { total: 40 },
-        placement: PlacementConfig::disabled(),
+        pipeline: PipelineConfig {
+            merging: Some(MergingConfig {
+                lower_bound: 10,
+                ..MergingConfig::default()
+            }),
+            selection: Some(500),
+            allocation: MinerAllocation::Proportional { total: 40 },
+            ..PipelineConfig::default()
+        },
         epoch: 4,
     })
     .run(&w)
