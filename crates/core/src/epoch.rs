@@ -35,7 +35,11 @@ impl EpochManager {
     ///
     /// # Panics
     ///
-    /// When `n` is zero: an empty enrolment can elect nobody.
+    /// When `n` is zero: an empty enrolment can elect nobody. Both library
+    /// callers check first: [`LongRun::new`](crate::LongRun::new) keeps
+    /// no schedule for an empty enrolment, and
+    /// [`measure_corruption`](crate::corruption::measure_corruption)
+    /// rejects zero miners with a typed error.
     pub fn with_miner_count(n: u32) -> Self {
         assert!(n > 0, "need at least one miner");
         EpochManager {
@@ -101,17 +105,6 @@ impl EpochManager {
             .into_iter()
             .filter_map(|i| u32::try_from(i).ok().map(MinerId::new))
             .collect()
-    }
-
-    /// Verifies a failover claim: given the miners known to be down this
-    /// epoch, is `claimed` exactly the first live entry of the ranking?
-    /// Any miner can replay this check from public data, which is what
-    /// makes the takeover deterministic rather than negotiated.
-    pub fn verify_failover(&self, epoch: u64, down: &BTreeSet<MinerId>, claimed: MinerId) -> bool {
-        self.leader_ranking(epoch)
-            .into_iter()
-            .find(|id| !down.contains(id))
-            == Some(claimed)
     }
 
     /// The epoch's public assignment rule: `leader`'s VRF output on the
@@ -292,9 +285,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The walk stops at the first live rank, uses up the epoch
-        /// exactly when it succeeds, and `verify_failover` accepts
-        /// exactly its leader; with nobody down it is `elect()`.
+        /// The walk stops at the first live rank and uses up the epoch
+        /// exactly when it succeeds; with nobody down it is `elect()`.
         #[test]
         fn walk_takes_the_first_live_rank(
             miners in 1u32..24,
@@ -316,9 +308,6 @@ mod tests {
                 (Ok((e, leader, depth)), Some(rank)) => {
                     prop_assert_eq!((e, leader, depth), (epoch, ranking[rank], rank));
                     prop_assert_eq!(mgr.epoch(), epoch + 1);
-                    for id in &ranking {
-                        prop_assert_eq!(mgr.verify_failover(epoch, &down, *id), *id == leader);
-                    }
                 }
                 (Err(err), None) => {
                     prop_assert_eq!(err, Error::NoLiveLeader { epoch });

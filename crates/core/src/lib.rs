@@ -17,8 +17,6 @@
 //!   failover walk past a down set, and the epoch's [`MinerAssignment`]
 //!   from the leader's randomness and a pipeline plan. It holds no call
 //!   graph and classifies nothing.
-//! * [`failover`] — leader crashes and equivocation on that schedule,
-//!   recovered by VRF-ranked failover (Sec. IV-C).
 //! * [`corruption`] — Sec. IV-D measured: malicious majorities over real
 //!   assignment epochs against `cshard-security`'s Eq. (3)–(6).
 //! * [`system`] — [`system::ShardingSystem`]: the workload-level facade
@@ -54,7 +52,6 @@
 pub mod assignment;
 pub mod corruption;
 pub mod epoch;
-pub mod failover;
 pub mod formation;
 pub mod longrun;
 pub mod pipeline;

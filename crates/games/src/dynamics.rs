@@ -425,14 +425,11 @@ impl BestReplyDynamics {
     /// (or `max_rounds` sweeps) and returns the number of sweeps.
     ///
     /// Initial sets are normalised first: in range, unique, sorted,
-    /// truncated or padded to `capacity` deterministically.
-    ///
-    /// # Panics
-    /// Panics when `config.capacity` is zero.
+    /// truncated or padded to `capacity` deterministically. A zero
+    /// `capacity` leaves every set empty and runs no sweep.
     pub fn run(&mut self, input: SelectInput<'_>) -> usize {
         let t = input.fees.len();
         let u = input.initial.len();
-        assert!(input.config.capacity > 0, "capacity must be positive");
         let capacity = input.config.capacity.min(t);
         self.fees.clear();
         self.fees.extend_from_slice(input.fees);
@@ -493,7 +490,7 @@ impl BestReplyDynamics {
             0.0
         };
         self.rounds = 0;
-        while self.rounds < input.config.max_rounds {
+        while input.config.capacity > 0 && self.rounds < input.config.max_rounds {
             self.rounds += 1;
             if !self.sweep(capacity, &mut phi) {
                 break;

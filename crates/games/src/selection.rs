@@ -179,6 +179,10 @@ mod tests {
         assert_eq!(out.distinct_set_count(), 0);
         let out = best_reply_equilibrium(&[1, 2], &[], &cfg(1));
         assert_eq!(out.assignments.len(), 0);
+        // Zero capacity: every miner's set is empty and no sweep runs.
+        let out = best_reply_equilibrium(&[5, 9], &[vec![0, 1], vec![1]], &cfg(0));
+        assert_eq!(out.assignments, vec![Vec::<usize>::new(); 2]);
+        assert_eq!((out.rounds, out.covered_tx_count()), (0, 0));
     }
 
     #[test]

@@ -52,6 +52,9 @@ pub enum LedgerError {
         /// The next dense id, the number of contracts registered so far.
         expected: usize,
     },
+    /// Genesis registers a contract at an address that already holds an
+    /// account.
+    ContractAddressTaken(Address),
 }
 
 impl fmt::Display for LedgerError {
@@ -91,6 +94,9 @@ impl fmt::Display for LedgerError {
                 f,
                 "contract {got} registered out of order: expected id {expected}"
             ),
+            LedgerError::ContractAddressTaken(a) => {
+                write!(f, "cannot register a contract at {a:?}: the account exists")
+            }
         }
     }
 }

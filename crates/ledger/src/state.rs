@@ -44,8 +44,9 @@ impl State {
 
     /// Registers a smart contract, creating its account. Returns its id.
     ///
-    /// Contracts register densely in id order; any other id errors and
-    /// leaves the state as it was.
+    /// Contracts register densely in id order, each at an address that
+    /// holds no account yet; anything else errors and leaves the state as
+    /// it was.
     pub fn register_contract(
         &mut self,
         contract: SmartContract,
@@ -56,6 +57,9 @@ impl State {
                 got: contract.id,
                 expected,
             });
+        }
+        if self.accounts.contains_key(&contract.address) {
+            return Err(LedgerError::ContractAddressTaken(contract.address));
         }
         let id = contract.id;
         self.accounts

@@ -1,9 +1,9 @@
 //! Malformed genesis and malformed transactions are typed errors, never
 //! panics: funding a contract account as a user, a contract registered out
-//! of id order, a value plus fee past `u64::MAX`, a credit past the
-//! recipient's `u64::MAX`, a fee payer that is not an input and cannot
-//! pay, and an input listed twice that cannot cover both shares are
-//! rejected, and the state stays as it was.
+//! of id order or over a funded account, a value plus fee past
+//! `u64::MAX`, a credit past the recipient's `u64::MAX`, a fee payer that
+//! is not an input and cannot pay, and an input listed twice that cannot
+//! cover both shares are rejected, and the state stays as it was.
 
 use cshard_ledger::{LedgerError, SmartContract, State, Transaction};
 use cshard_primitives::{Address, Amount, ContractId};
@@ -48,6 +48,25 @@ fn a_contract_out_of_id_order_is_not_registered() {
     );
     assert_eq!(state.contract_count(), 0);
     assert!(state.account(addr).is_none());
+}
+
+#[test]
+fn a_contract_over_a_funded_account_is_not_registered() {
+    let addr = Address::contract(0);
+    let mut state = State::new();
+    state
+        .fund_user(addr, Amount::from_raw(7))
+        .expect("no contract there yet");
+    let before = state.clone();
+    assert_eq!(
+        state.register_contract(SmartContract::unconditional(
+            ContractId::new(0),
+            Address::user(1)
+        )),
+        Err(LedgerError::ContractAddressTaken(addr))
+    );
+    assert_eq!(state.contract_count(), 0);
+    assert_eq!(state.account(addr), before.account(addr));
 }
 
 #[test]

@@ -6,8 +6,8 @@
 //! cross-shard layer, [`SettlingShardDriver`]) — there is no second epoch
 //! implementation here. Classification, formation, merging and
 //! selection all happen upstream in `cshard_core::pipeline::EpochPipeline`
-//! (leader faults go through the leader schedule,
-//! `EpochManager::elect_skipping`, in `cshard_core::failover`); this
+//! (a down leader is skipped by the leader schedule's ranked walk,
+//! `cshard_core::EpochManager::elect_skipping`); this
 //! module only faults the block-production run, and hands back that
 //! run's ordinary [`RunOutcome`].
 

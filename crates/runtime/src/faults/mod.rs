@@ -2,8 +2,8 @@
 //! partitions and crashes become `cshard_network::Blackouts` tables the
 //! ordinary drivers read, and its deadline the run's horizon
 //! ([`run_with_faults`], which returns the run's ordinary
-//! [`crate::RunOutcome`]). Leader failover and the corruption check run
-//! the epoch layer, so they live in `cshard-core`.
+//! [`crate::RunOutcome`]). The leader schedule and the corruption check
+//! run the epoch layer, so they live in `cshard-core`.
 
 pub mod harness;
 pub mod plan;

@@ -46,8 +46,8 @@ golden:
         golden --quick --json /tmp/golden-smoke
     diff -r results/golden /tmp/golden-smoke
 
-# Fault-injection gate: the chaos suite (zero-fault transparency, VRF
-# failover, corruption bounds; its golden loop regenerates the faults grid).
+# Fault-injection gate: the chaos suite (zero-fault transparency and
+# corruption bounds; its golden loop regenerates the faults grid).
 chaos:
     cargo test -q --test chaos
 

@@ -55,7 +55,7 @@
 //! | [`workload`] | the Sec. VI injection generators |
 //! | [`baselines`] | randomized merging, ChainSpace model |
 //! | [`place`] | cross-epoch placement engine: hot-account traffic tracking, migration proposals |
-//! | [`core`] | shard formation, miner assignment, the staged `EpochPipeline`, the end-to-end system, VRF leader failover, empirical corruption checks |
+//! | [`core`] | shard formation, miner assignment, the staged `EpochPipeline`, the end-to-end system, the VRF leader schedule, empirical corruption checks |
 
 pub use cshard_baselines as baselines;
 pub use cshard_core as core;
@@ -74,7 +74,6 @@ pub use cshard_workload as workload;
 pub mod prelude {
     pub use cshard_baselines::{random_merge, ChainspaceDriver, ChainspacePlacement};
     pub use cshard_core::corruption::measure_corruption;
-    pub use cshard_core::failover::{run_leader_faults, LeaderFaultPlan};
     pub use cshard_core::{
         simulate, simulate_ethereum, throughput_improvement, EpochInput, EpochPipeline, EpochRun,
         MinerAllocation, MinerAssignment, PipelineConfig, RunReport, RuntimeConfig,
