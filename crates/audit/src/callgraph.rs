@@ -31,8 +31,8 @@
 //! workspace name, but a miss can also be a dropped edge that hides a
 //! DC001 caller). Both are only counted. The resolution ratio
 //! (`resolved / (resolved + ambiguous)`, reported per-mille) and the
-//! arity misses are part of the JSON report, so a precision drop fails
-//! the baseline gate.
+//! arity misses each have a gate in [`crate::policy`], so a precision
+//! drop fails the audit.
 
 use crate::lexer::{Token, TokenKind};
 use crate::rules::skip_attr;
@@ -49,7 +49,8 @@ pub struct Edge {
     pub line: usize,
 }
 
-/// Aggregate resolution statistics, reported in `AUDIT_report.json`.
+/// Aggregate resolution statistics, printed by the clean run and gated by
+/// [`crate::policy::gate_failures`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GraphStats {
     /// Function definitions in the symbol table (non-test, with a body).

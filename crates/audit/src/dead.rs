@@ -15,8 +15,8 @@ use crate::symbols::{FileTokens, FnDef, SymbolTable};
 
 /// DC001: every non-test `pub fn` outside a trait impl that nothing
 /// calls but test code. Callers are the graph's edges (non-test bodies)
-/// and every fn of the caller-only `callers` files (binaries, the
-/// facade's integration tests, examples, the benchmark) outside a
+/// and every fn of the caller-only files (binaries, the facade's
+/// integration tests, examples, the benchmark) outside a
 /// `#[cfg(test)] mod`, so a function only they call stays alive. A
 /// unit test, in any file, keeps nothing alive. A caller the resolver
 /// leaves ambiguous keeps every candidate alive.
@@ -27,9 +27,6 @@ pub fn test_only_fns(
     callers: &[FileTokens],
     policy: &Policy,
 ) -> Vec<Finding> {
-    let Some(rp) = policy.rules.get("DC001") else {
-        return Vec::new();
-    };
     // Per fn: whether anything but test code calls it.
     let mut alive = vec![false; symbols.fns.len()];
     for (caller, edges) in graph.edges.iter().enumerate() {
@@ -65,8 +62,7 @@ pub fn test_only_fns(
                 && d.is_pub
                 && !d.is_test
                 && d.trait_name.is_none()
-                && rp.applies_to(&d.krate, &policy.crates)
-                && !rp.is_allowed(&d.id())
+                && !policy.dc001_allow.contains(&d.id().as_str())
         })
         .map(|(_, d)| {
             Finding::new(
@@ -74,9 +70,9 @@ pub fn test_only_fns(
                 &d.path,
                 d.line,
                 format!(
-                    "`{}` has no caller outside test code — {}",
-                    d.id(),
-                    rp.description
+                    "`{}` has no caller outside test code — a pub fn only test code \
+                     calls is dead code; wire it in or delete it",
+                    d.id()
                 ),
             )
         })

@@ -16,12 +16,11 @@
 //! ([`lexer`]) feeds a workspace symbol table ([`symbols`]) and a
 //! name+arity call graph ([`callgraph`]) that DC001 ([`dead`]) reads,
 //! beside the per-line matcher ([`rules`]), all configured by the
-//! `policy.toml` at the workspace root ([`policy`]); [`scan`] walks the
-//! crates the policy lists and [`report`] renders the stable
-//! `AUDIT_report.json` plus the baseline gate. There is no `syn` here on
-//! purpose — the workspace builds fully offline from an in-tree
-//! dependency set, and the rules only need token structure, not a full
-//! AST.
+//! [`policy`] module, which also holds the resolver gates; [`scan`] walks
+//! every crate under `crates/` the policy does not exempt. There is no
+//! `syn` here on purpose — the workspace builds fully offline from an
+//! in-tree dependency set, and the rules only need token structure, not a
+//! full AST.
 //!
 //! | id    | what it forbids                                              |
 //! |-------|--------------------------------------------------------------|
@@ -30,17 +29,16 @@
 //!
 //! `#[cfg(test)] mod` bodies (inline, or the file behind an out-of-line
 //! `#[cfg(test)] mod name;`) are exempt everywhere; residual exceptions
-//! live in the policy's `allow` lists, each with a comment saying why.
+//! live in the policy's allow lists, each with a comment saying why.
 
 pub mod callgraph;
 pub mod dead;
 pub mod lexer;
 pub mod policy;
-pub mod report;
 pub mod rules;
 pub mod scan;
 pub mod symbols;
 
-pub use policy::{Policy, PolicyError};
+pub use policy::Policy;
 pub use rules::Finding;
-pub use scan::{scan_workspace, uncovered_crates, ScanReport};
+pub use scan::{scan_workspace, ScanReport};

@@ -1,14 +1,13 @@
 //! The audit rules, applied to a lexed token stream.
 //!
-//! Every rule is identified by a stable id (`FD001`, ...), is configured
-//! by an entry in `policy.toml`, and reports findings as `file:line`
-//! diagnostics. The rules are token-level heuristics — deliberately
-//! conservative, so a finding is near-certainly real; the `allow` lists in
-//! the policy handle the residue, each entry with a comment saying why.
+//! Every rule is identified by a stable id (`FD001`, ...) and reports
+//! findings as `file:line` diagnostics. The rules are token-level
+//! heuristics — deliberately conservative, so a finding is near-certainly
+//! real; the allow lists in [`crate::policy`] handle the residue, each
+//! entry with a comment saying why.
 //! See DESIGN.md "Determinism invariants" for the rationale per rule.
 
 use crate::lexer::{Token, TokenKind};
-use crate::policy::RulePolicy;
 use std::fmt;
 
 /// One rule violation.
@@ -46,10 +45,6 @@ impl fmt::Display for Finding {
         )
     }
 }
-
-/// Ids of every token-level rule, in reporting order. `DC001` lives in
-/// [`crate::dead`].
-pub const TOKEN_RULES: [&str; 1] = ["FD001"];
 
 /// Token index spans (half-open) covered by `#[cfg(test)] mod ... { }`.
 ///
@@ -148,26 +143,10 @@ fn in_spans(spans: &[(usize, usize)], i: usize) -> bool {
     spans.iter().any(|&(a, b)| i >= a && i < b)
 }
 
-/// Applies one token rule to a file. `path` is workspace-relative; the
-/// caller has already checked the rule applies to this crate and that the
-/// path is not allowlisted.
-pub fn apply_token_rule(
-    rule: &'static str,
-    policy: &RulePolicy,
-    path: &str,
-    tokens: &[Token],
-) -> Vec<Finding> {
-    if rule != "FD001" {
-        // A rule id outside TOKEN_RULES is a programming error in the
-        // scanner, not a data error — but the audit must never panic, so
-        // surface it as text.
-        return vec![Finding::new(
-            "AUDIT",
-            "",
-            0,
-            format!("internal error: unknown token rule id `{rule}`"),
-        )];
-    }
+/// FD001: `==`/`!=` against a float literal outside test code. `path` is
+/// workspace-relative; the caller has already checked that the policy
+/// does not allow the file.
+pub fn float_compares(path: &str, tokens: &[Token]) -> Vec<Finding> {
     let spans = test_spans(tokens);
     let mut findings = Vec::new();
     for (i, t) in tokens.iter().enumerate() {
@@ -183,10 +162,14 @@ pub fn apply_token_rule(
         };
         if prev_float || next.is_some_and(is_float_token) {
             findings.push(Finding::new(
-                rule,
+                "FD001",
                 path,
                 t.line,
-                format!("float compared with `{}` — {}", t.text, policy.description),
+                format!(
+                    "float compared with `{}` — float == is representation-dependent; \
+                     compare integers or use explicit tolerances",
+                    t.text
+                ),
             ));
         }
     }
@@ -201,24 +184,16 @@ fn is_float_token(t: &Token) -> bool {
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::policy::RulePolicy;
 
-    fn rule(desc: &str) -> RulePolicy {
-        RulePolicy {
-            description: desc.to_string(),
-            ..RulePolicy::default()
-        }
-    }
-
-    fn run(id: &'static str, src: &str) -> Vec<Finding> {
-        apply_token_rule(id, &rule("policy says no"), "x.rs", &lex(src))
+    fn run(src: &str) -> Vec<Finding> {
+        float_compares("x.rs", &lex(src))
     }
 
     #[test]
     fn fd001_flags_float_literal_comparison() {
-        let f = run("FD001", "fn f(x: f64) -> bool { x == 0.5 || x != -1.5 }");
+        let f = run("fn f(x: f64) -> bool { x == 0.5 || x != -1.5 }");
         assert_eq!(f.len(), 2, "{f:?}");
-        let g = run("FD001", "fn f(x: u64) -> bool { x == 5 }");
+        let g = run("fn f(x: u64) -> bool { x == 5 }");
         assert!(g.is_empty(), "{g:?}");
         // Neither a string nor a test module is protocol code.
         let src = r#"
@@ -228,7 +203,7 @@ mod tests {
                 fn g(x: f64) -> bool { x == 0.5 }
             }
         "#;
-        let h = run("FD001", src);
+        let h = run(src);
         assert!(h.is_empty(), "{h:?}");
     }
 

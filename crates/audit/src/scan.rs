@@ -1,15 +1,15 @@
 //! Walking the workspace and applying the policy.
 //!
-//! Each policy-listed crate's `.rs` files are read and lexed **once**
-//! into [`FileTokens`]; the file-scoped token rules run over each
-//! stream, then the three interprocedural passes run over all of them
-//! together: symbol table ([`crate::symbols`]), call graph
-//! ([`crate::callgraph`]) and DC001 ([`crate::dead`]).
+//! Each scanned crate's `.rs` files are read and lexed **once** into
+//! [`FileTokens`]; FD001 runs over each stream, then the three
+//! interprocedural passes run over all of them together: symbol table
+//! ([`crate::symbols`]), call graph ([`crate::callgraph`]) and DC001
+//! ([`crate::dead`]).
 
 use crate::callgraph::{CallGraph, GraphStats};
 use crate::dead;
 use crate::policy::Policy;
-use crate::rules::{apply_token_rule, Finding, TOKEN_RULES};
+use crate::rules::{float_compares, Finding};
 use crate::symbols::{FileTokens, SymbolTable};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -21,28 +21,32 @@ pub struct ScanReport {
     pub findings: Vec<Finding>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
+    /// Number of crates scanned.
+    pub crates_scanned: usize,
     /// Call-graph resolution statistics.
     pub stats: GraphStats,
 }
 
-/// Scans every policy-listed crate under `root` and returns the findings.
+/// Scans every crate under `root/crates` the policy does not exempt and
+/// returns the findings.
 ///
-/// IO errors (an unreadable file, a crate directory missing) are reported
+/// IO errors (an unreadable file, a crate without `src/`) are reported
 /// as findings under the synthetic `AUDIT` rule rather than aborting: the
 /// gate's job is to fail loudly with diagnostics, not to crash.
 pub fn scan_workspace(root: &Path, policy: &Policy) -> ScanReport {
     let mut report = ScanReport::default();
     let mut file_tokens: Vec<FileTokens> = Vec::new();
-    for krate in &policy.crates {
-        let src_dir = root.join("crates").join(krate).join("src");
+    for krate in scanned_crates(root, policy, &mut report.findings) {
+        let src_dir = root.join("crates").join(&krate).join("src");
         let mut files = Vec::new();
         collect_rs_files(&src_dir, &mut files, &mut report.findings);
         files.sort();
         let mut crate_files: Vec<FileTokens> = files
             .iter()
-            .filter_map(|file| lex_file(root, krate, file, &mut report.findings))
+            .filter_map(|file| lex_file(root, &krate, file, &mut report.findings))
             .collect();
         report.files_scanned += crate_files.len();
+        report.crates_scanned += 1;
         // The file behind an out-of-line `#[cfg(test)] mod name;` is test
         // code as a whole, like an inline test module's body.
         let test_files: Vec<String> = crate_files
@@ -52,8 +56,8 @@ pub fn scan_workspace(root: &Path, policy: &Policy) -> ScanReport {
         for ft in &mut crate_files {
             if test_files.contains(&ft.rel) {
                 ft.mark_test_only();
-            } else {
-                apply_token_rules(ft, policy, &mut report.findings);
+            } else if !policy.fd001_allow.contains(&ft.rel.as_str()) {
+                report.findings.extend(float_compares(&ft.rel, &ft.tokens));
             }
         }
         file_tokens.extend(crate_files);
@@ -77,20 +81,38 @@ pub fn scan_workspace(root: &Path, policy: &Policy) -> ScanReport {
     report
 }
 
-/// The caller-only files DC001 reads: every `.rs` file under the
-/// directories its `callers` list names (a directory that does not exist
-/// holds no caller). Their calls keep a function alive; no rule checks
-/// them.
-fn caller_files(root: &Path, policy: &Policy, findings: &mut Vec<Finding>) -> Vec<FileTokens> {
-    let Some(dirs) = policy
-        .rules
-        .get("DC001")
-        .and_then(|rp| rp.lists.get("callers"))
-    else {
-        return Vec::new();
+/// Every directory under `root/crates` the policy does not exempt,
+/// sorted: a new crate is scanned unless an exemption names it.
+fn scanned_crates(root: &Path, policy: &Policy, findings: &mut Vec<Finding>) -> Vec<String> {
+    let dir = root.join("crates");
+    let entries = match fs::read_dir(&dir) {
+        Ok(e) => e,
+        Err(e) => {
+            findings.push(io_finding(&dir.display().to_string(), e));
+            return Vec::new();
+        }
     };
+    let mut crates: Vec<String> = entries
+        .flatten()
+        .filter(|entry| entry.path().is_dir())
+        .map(|entry| entry.file_name().to_string_lossy().into_owned())
+        .filter(|name| !policy.exempt.contains(&name.as_str()))
+        .collect();
+    crates.sort();
+    crates
+}
+
+/// The caller-only files DC001 reads: every `.rs` file under the
+/// policy's caller directories (a directory that does not exist holds
+/// no caller). Their calls keep a function alive; no rule checks them.
+fn caller_files(root: &Path, policy: &Policy, findings: &mut Vec<Finding>) -> Vec<FileTokens> {
     let mut files = Vec::new();
-    for dir in dirs.iter().map(|d| root.join(d)).filter(|d| d.is_dir()) {
+    for dir in policy
+        .dc001_callers
+        .iter()
+        .map(|d| root.join(d))
+        .filter(|d| d.is_dir())
+    {
         collect_rs_files(&dir, &mut files, findings);
     }
     files.sort();
@@ -104,31 +126,6 @@ fn caller_files(root: &Path, policy: &Policy, findings: &mut Vec<Finding>) -> Ve
             lex_file(root, krate, file, findings)
         })
         .collect()
-}
-
-/// Workspace crates the policy covers in neither `[audit] crates` nor
-/// `[audit] exempt`: directories under `crates/` that contain a
-/// `Cargo.toml`. A non-empty result is a coverage gap — a new crate was
-/// added without deciding whether the determinism contract binds it — and
-/// the audit binary treats it as a setup error (exit 2).
-pub fn uncovered_crates(root: &Path, policy: &Policy) -> Vec<String> {
-    let Ok(entries) = fs::read_dir(root.join("crates")) else {
-        return Vec::new();
-    };
-    let mut uncovered: Vec<String> = entries
-        .flatten()
-        .filter_map(|entry| {
-            let path = entry.path();
-            if !path.is_dir() || !path.join("Cargo.toml").is_file() {
-                return None;
-            }
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let covered = policy.crates.contains(&name) || policy.exempt.contains(&name);
-            (!covered).then_some(name)
-        })
-        .collect();
-    uncovered.sort();
-    uncovered
 }
 
 /// Reads and lexes one file (or `None` when unreadable).
@@ -145,19 +142,6 @@ fn lex_file(
             findings.push(io_finding(&rel, e));
             None
         }
-    }
-}
-
-/// Runs the file-scoped token rules the policy enables over one file.
-fn apply_token_rules(ft: &FileTokens, policy: &Policy, findings: &mut Vec<Finding>) {
-    for rule in TOKEN_RULES {
-        let Some(rp) = policy.rules.get(rule) else {
-            continue; // a rule absent from the policy is switched off
-        };
-        if !rp.applies_to(&ft.krate, &policy.crates) || rp.is_allowed(&ft.rel) {
-            continue;
-        }
-        findings.extend(apply_token_rule(rule, rp, &ft.rel, &ft.tokens));
     }
 }
 
@@ -196,8 +180,7 @@ mod tests {
 
     #[test]
     fn missing_crate_directory_is_a_finding_not_a_crash() {
-        let policy = Policy::parse("[audit]\ncrates = [\"no-such-crate\"]\n").unwrap();
-        let report = scan_workspace(Path::new("/nonexistent-root"), &policy);
+        let report = scan_workspace(Path::new("/nonexistent-root"), &Policy::workspace());
         assert_eq!(report.files_scanned, 0);
         assert!(report.findings.iter().any(|f| f.rule == "AUDIT"));
     }

@@ -9,7 +9,7 @@
 //! declared type. No type checking happens here — the
 //! table is a name/arity index that pass 2 ([`crate::callgraph`])
 //! resolves against, binding receiver types only where the source states
-//! them, with `policy.toml` overrides for the genuinely ambiguous residue.
+//! them.
 
 use crate::lexer::{Token, TokenKind};
 use crate::rules::{test_mod_decls, test_spans};

@@ -5,11 +5,12 @@
 //! end-to-end tests build miniature workspaces in the cargo temp dir: a
 //! float comparison seeded into a protocol crate fails the scan with a
 //! `file:line` diagnostic naming the rule, unless the policy allowlists
-//! the file.
+//! the file. The last one scans the workspace itself.
 
 use cshard_audit::lexer::lex;
-use cshard_audit::rules::{apply_token_rule, TOKEN_RULES};
-use cshard_audit::{scan_workspace, uncovered_crates, Policy};
+use cshard_audit::policy::{gate_failures, MAX_ARITY_MISSES, MIN_RESOLUTION_PERMILLE};
+use cshard_audit::rules::float_compares;
+use cshard_audit::{scan_workspace, Policy};
 use std::fs;
 use std::path::Path;
 
@@ -21,38 +22,27 @@ fn fixture(kind: &str, name: &str) -> String {
     fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-fn policy_for(rule: &str) -> Policy {
-    let text =
-        format!("[audit]\ncrates = [\"core\"]\n[rules.{rule}]\ndescription = \"fixture policy\"\n");
-    Policy::parse(&text).expect("fixture policy parses")
-}
-
 #[test]
-fn every_token_rule_has_a_failing_and_passing_fixture() {
-    for rule in TOKEN_RULES {
-        let file = format!("{}.rs", rule.to_lowercase());
-        let policy = policy_for(rule);
-        let rp = &policy.rules[rule];
-
-        let fail = apply_token_rule(rule, rp, &file, &lex(&fixture("fail", &file)));
+fn fd001_has_a_failing_and_passing_fixture() {
+    let (rule, file) = ("FD001", "fd001.rs");
+    let fail = float_compares(file, &lex(&fixture("fail", file)));
+    assert!(
+        !fail.is_empty(),
+        "{rule}: fail fixture produced no findings"
+    );
+    for f in &fail {
+        assert_eq!(f.rule, rule);
+        assert!(f.line > 0, "{rule}: finding without a line: {f}");
+        // The diagnostic format is `file:line: RULE message`.
+        let rendered = f.to_string();
         assert!(
-            !fail.is_empty(),
-            "{rule}: fail fixture produced no findings"
+            rendered.starts_with(&format!("{}:{}: {}", file, f.line, rule)),
+            "{rule}: unexpected diagnostic format: {rendered}"
         );
-        for f in &fail {
-            assert_eq!(f.rule, rule);
-            assert!(f.line > 0, "{rule}: finding without a line: {f}");
-            // The diagnostic format is `file:line: RULE message`.
-            let rendered = f.to_string();
-            assert!(
-                rendered.starts_with(&format!("{}:{}: {}", file, f.line, rule)),
-                "{rule}: unexpected diagnostic format: {rendered}"
-            );
-        }
-
-        let pass = apply_token_rule(rule, rp, &file, &lex(&fixture("pass", &file)));
-        assert!(pass.is_empty(), "{rule}: pass fixture flagged: {pass:?}");
     }
+
+    let pass = float_compares(file, &lex(&fixture("pass", file)));
+    assert!(pass.is_empty(), "{rule}: pass fixture flagged: {pass:?}");
 }
 
 /// Builds `<tmp>/<name>/crates/core/src/lib.rs` with the given source and
@@ -69,13 +59,9 @@ fn mini_workspace(name: &str, lib_rs: &str) -> std::path::PathBuf {
 fn allowlisted_file_is_exempt() {
     let root = mini_workspace(
         "audit-allow",
-        "//! doc\npub fn is_unit(p: f64) -> bool {\n    p == 1.0\n}\n",
+        "//! doc\nfn is_unit(p: f64) -> bool {\n    p == 1.0\n}\n",
     );
-    let strict = Policy::parse(
-        "[audit]\ncrates = [\"core\"]\n[rules.FD001]\ndescription = \"no float ==\"\n",
-    )
-    .expect("parses");
-    let report = scan_workspace(&root, &strict);
+    let report = scan_workspace(&root, &Policy::default());
     assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
     assert!(
         report.findings[0]
@@ -85,79 +71,66 @@ fn allowlisted_file_is_exempt() {
         report.findings[0]
     );
 
-    let lenient = Policy::parse(
-        "[audit]\ncrates = [\"core\"]\n[rules.FD001]\ndescription = \"no float ==\"\n\
-         allow = [\"crates/core/src/lib.rs\"]  # fixture: sanctioned exact comparison\n",
-    )
-    .expect("parses");
+    let lenient = Policy {
+        fd001_allow: &["crates/core/src/lib.rs"], // fixture: sanctioned exact comparison
+        ..Policy::default()
+    };
     assert!(scan_workspace(&root, &lenient).findings.is_empty());
 }
 
+/// A crate no list names is scanned: a float comparison in a new
+/// `crates/newcrate` is an FD001 finding, and exempting the crate clears
+/// it.
 #[test]
-fn policy_parse_error_is_a_diagnostic_not_a_panic() {
-    let err = Policy::parse("[audit]\ncrates = [\"core\"]\n[rules.X]\nnot a toml line\n")
-        .expect_err("malformed policy must be rejected");
-    assert_eq!(err.line, 4);
-    let rendered = err.to_string();
-    assert!(rendered.starts_with("policy.toml:4:"), "{rendered}");
-}
-
-/// A workspace crate (a `crates/<name>/Cargo.toml`) named by neither
-/// `[audit] crates` nor `[audit] exempt` is a coverage gap: the scan must
-/// report it so the binary can refuse to run (exit 2).
-#[test]
-fn uncovered_crate_with_manifest_is_detected_and_exempt_clears_it() {
-    // The tmp workspace persists across runs; drop the manifest this test
-    // writes below so the no-manifest assertion holds on reruns.
-    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("audit-coverage");
-    let _ = fs::remove_dir_all(&root);
-    let root = mini_workspace("audit-coverage", "//! covered crate\n");
-    // `core` has a src/ but no manifest yet — not a crate, not a gap.
-    let policy = Policy::parse("[audit]\ncrates = [\"other\"]\n").expect("parses");
-    assert!(uncovered_crates(&root, &policy).is_empty());
-    // Give it a manifest: now it is an uncovered workspace crate.
+fn a_crate_no_list_names_is_scanned() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("audit-new-crate");
+    let src = root.join("crates/newcrate/src");
+    fs::create_dir_all(&src).expect("mkdir fixture workspace");
     fs::write(
-        root.join("crates/core/Cargo.toml"),
-        "[package]\nname = \"core\"\n",
+        src.join("lib.rs"),
+        "//! doc\nfn half(x: f64) -> bool {\n    x == 0.5\n}\n",
     )
-    .expect("write manifest");
-    assert_eq!(uncovered_crates(&root, &policy), vec!["core".to_string()]);
-    // Listing it as scanned or exempt both clear the gap.
-    let scanned = Policy::parse("[audit]\ncrates = [\"core\"]\n").expect("parses");
-    assert!(uncovered_crates(&root, &scanned).is_empty());
-    let exempt = Policy::parse("[audit]\ncrates = [\"other\"]\nexempt = [\"core\"] # fixture\n")
-        .expect("parses");
-    assert!(uncovered_crates(&root, &exempt).is_empty());
+    .expect("write fixture lib.rs");
+    let report = scan_workspace(&root, &Policy::default());
+    assert_eq!(report.crates_scanned, 1);
+    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+    assert!(
+        report.findings[0]
+            .to_string()
+            .starts_with("crates/newcrate/src/lib.rs:3: FD001"),
+        "{}",
+        report.findings[0]
+    );
+    let exempt = Policy {
+        exempt: &["newcrate"], // fixture
+        ..Policy::default()
+    };
+    let report = scan_workspace(&root, &exempt);
+    assert_eq!(report.crates_scanned, 0);
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
 }
 
-/// The real workspace policy must parse and keep covering the real crates —
-/// a drifted `policy.toml` fails here before it fails in CI.
+/// The workspace meets its own policy: no finding, and both resolver
+/// gates hold.
 #[test]
-fn workspace_policy_parses_and_names_existing_crates() {
+fn the_workspace_passes_its_own_audit() {
     let ws_root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)
         .expect("workspace root");
-    let text = fs::read_to_string(ws_root.join("policy.toml")).expect("policy.toml exists");
-    let policy = Policy::parse(&text).expect("workspace policy parses");
-    for krate in &policy.crates {
-        assert!(
-            ws_root
-                .join("crates")
-                .join(krate)
-                .join("src/lib.rs")
-                .is_file(),
-            "policy names missing crate `{krate}`"
-        );
-    }
-    // Every token rule is configured.
-    for rule in TOKEN_RULES {
-        assert!(policy.rules.contains_key(rule), "missing [rules.{rule}]");
-    }
-    // The real workspace has no coverage gap: every crate is scanned or
-    // exempt (with a reason) — the audit binary exits 2 otherwise.
-    let gaps = uncovered_crates(ws_root, &policy);
-    assert!(gaps.is_empty(), "uncovered workspace crates: {gaps:?}");
+    let report = scan_workspace(ws_root, &Policy::workspace());
+    assert!(report.findings.is_empty(), "{:#?}", report.findings);
+    assert!(
+        report.stats.resolution_permille() >= MIN_RESOLUTION_PERMILLE,
+        "{:?}",
+        report.stats
+    );
+    assert!(
+        report.stats.calls_arity_miss <= MAX_ARITY_MISSES,
+        "{:?}",
+        report.stats
+    );
+    assert!(gate_failures(&report.stats).is_empty());
 }
 
 /// The body of an out-of-line `#[cfg(test)] mod` (`name.rs` or
@@ -173,22 +146,22 @@ fn out_of_line_test_module_files_are_test_code() {
     );
     let src = root.join("crates/core/src");
     fs::create_dir_all(src.join("deep")).expect("mkdir deep/");
-    let body = "pub fn f(x: f64) -> bool {\n    x == 0.5\n}\n";
+    let body = "fn f(x: f64) -> bool {\n    x == 0.5\n}\n";
     for file in ["mc.rs", "deep/mod.rs", "real.rs"] {
         fs::write(src.join(file), body).expect("write module");
     }
-    let report = scan_workspace(&root, &policy_for("FD001"));
+    let report = scan_workspace(&root, &Policy::default());
     let paths: Vec<&str> = report.findings.iter().map(|f| f.path.as_str()).collect();
     assert_eq!(paths, ["crates/core/src/real.rs"], "{:?}", report.findings);
 }
 
 /// A DC001 policy whose caller-only files live under `tests/`.
-fn dc001_policy(allow: &str) -> Policy {
-    Policy::parse(&format!(
-        "[audit]\ncrates = [\"core\"]\n[rules.DC001]\ndescription = \"fixture policy\"\n\
-         callers = [\"tests\"]\nallow = [{allow}]\n"
-    ))
-    .expect("fixture policy parses")
+fn dc001_policy(allow: &'static [&'static str]) -> Policy {
+    Policy {
+        dc001_callers: &["tests"],
+        dc001_allow: allow,
+        ..Policy::default()
+    }
 }
 
 #[test]
@@ -201,13 +174,13 @@ fn dc001_flags_a_pub_fn_only_test_code_calls() {
     fs::write(root.join("crates/core/src/other.rs"), unit_test).expect("write other.rs");
     fs::create_dir_all(root.join("tests")).expect("mkdir tests/");
     fs::write(root.join("tests/it.rs"), unit_test).expect("write tests/it.rs");
-    let report = scan_workspace(&root, &dc001_policy(""));
+    let report = scan_workspace(&root, &dc001_policy(&[]));
     assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
     let f = &report.findings[0];
     assert_eq!((f.rule, f.line), ("DC001", 3));
     assert!(f.message.contains("`core::only_tested`"), "{f}");
     // An allow entry names the function by its id.
-    let report = scan_workspace(&root, &dc001_policy("\"core::only_tested\""));
+    let report = scan_workspace(&root, &dc001_policy(&["core::only_tested"]));
     assert!(report.findings.is_empty(), "{:?}", report.findings);
 }
 
@@ -220,7 +193,7 @@ fn dc001_passes_fns_with_another_caller_or_outside_the_rule() {
         "#[test]\nfn integration() {\n    assert_eq!(core::entry(&core::Meter), [2]);\n}\n",
     )
     .expect("write tests/it.rs");
-    let report = scan_workspace(&root, &dc001_policy(""));
+    let report = scan_workspace(&root, &dc001_policy(&[]));
     assert!(report.findings.is_empty(), "{:?}", report.findings);
 }
 
@@ -242,7 +215,7 @@ fn dc001_follows_a_typed_receiver_not_a_same_module_decoy() {
                  pub fn merge(&mut self, ev: u64) -> u64 {\n        ev + 1\n    }\n}\n";
     let root = mini_workspace("audit-dc001-typed-receiver", lib);
     fs::write(root.join("crates/core/src/stats.rs"), stats).expect("write stats.rs");
-    let report = scan_workspace(&root, &dc001_policy(""));
+    let report = scan_workspace(&root, &dc001_policy(&[]));
     let named: Vec<(&str, usize, &str)> = report
         .findings
         .iter()
@@ -264,7 +237,7 @@ fn dc001_keeps_every_candidate_of_an_ambiguous_call_alive() {
                impl B {\n    pub fn poll(&self) -> u32 {\n        2\n    }\n}\n\
                pub fn tick(all: &[A]) -> u32 {\n    all.iter().map(|a| a.poll()).sum()\n}\n";
     let root = mini_workspace("audit-dc001-ambiguous", lib);
-    let report = scan_workspace(&root, &dc001_policy(""));
+    let report = scan_workspace(&root, &dc001_policy(&[]));
     assert_eq!(report.stats.calls_ambiguous, 1);
     assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
     assert!(

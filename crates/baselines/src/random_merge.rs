@@ -9,6 +9,7 @@
 //! keeps iterating over the remainder, form ~59% more new shards in the
 //! paper's Fig. 3(g).)
 
+use cshard_primitives::Error;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -37,8 +38,20 @@ const MAX_ROUNDS_PER_SHARD: usize = 64;
 
 /// Runs the p = 0.5 randomized merging baseline over small-shard sizes:
 /// coin-flip coalitions until the first one satisfies the bound, then stop.
-pub fn random_merge(sizes: &[u64], lower_bound: u64, seed: u64) -> RandomMergeOutcome {
-    assert!(lower_bound > 0);
+///
+/// A zero `lower_bound` is an [`Error::Config`]: every coalition, the
+/// empty one included, would satisfy it.
+pub fn random_merge(
+    sizes: &[u64],
+    lower_bound: u64,
+    seed: u64,
+) -> Result<RandomMergeOutcome, Error> {
+    if lower_bound == 0 {
+        return Err(Error::Config {
+            field: "lower_bound",
+            reason: "the merged-shard size bound must be positive".into(),
+        });
+    }
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut remaining: Vec<usize> = (0..sizes.len()).collect();
     let mut new_shards = Vec::new();
@@ -62,11 +75,11 @@ pub fn random_merge(sizes: &[u64], lower_bound: u64, seed: u64) -> RandomMergeOu
         }
     }
 
-    RandomMergeOutcome {
+    Ok(RandomMergeOutcome {
         new_shards,
         leftover: remaining,
         rounds,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -77,8 +90,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let sizes = vec![3, 5, 7, 2, 8, 4, 6];
-        let a = random_merge(&sizes, 15, 7);
-        let b = random_merge(&sizes, 15, 7);
+        let a = random_merge(&sizes, 15, 7).unwrap();
+        let b = random_merge(&sizes, 15, 7).unwrap();
         assert_eq!(a.new_shards, b.new_shards);
         assert_eq!(a.rounds, b.rounds);
     }
@@ -86,7 +99,7 @@ mod tests {
     #[test]
     fn forms_at_most_one_stable_shard() {
         let sizes = vec![6u64; 12];
-        let out = random_merge(&sizes, 22, 3);
+        let out = random_merge(&sizes, 22, 3).unwrap();
         assert!(out.new_shard_count() <= 1);
         for players in &out.new_shards {
             let s: u64 = players.iter().map(|&i| sizes[i]).sum();
@@ -102,15 +115,26 @@ mod tests {
 
     #[test]
     fn cannot_merge_below_bound() {
-        let out = random_merge(&[2, 3], 100, 1);
+        let out = random_merge(&[2, 3], 100, 1).unwrap();
         assert_eq!(out.new_shard_count(), 0);
         assert_eq!(out.leftover, vec![0, 1]);
         assert_eq!(out.rounds, 0, "no rounds when the bound is unreachable");
     }
 
     #[test]
+    fn zero_bound_is_a_config_error() {
+        assert!(matches!(
+            random_merge(&[2, 3], 0, 1),
+            Err(Error::Config {
+                field: "lower_bound",
+                ..
+            })
+        ));
+    }
+
+    #[test]
     fn empty_input() {
-        let out = random_merge(&[], 10, 1);
+        let out = random_merge(&[], 10, 1).unwrap();
         assert_eq!(out.new_shard_count(), 0);
         assert!(out.leftover.is_empty());
     }
@@ -130,7 +154,7 @@ mod tests {
             let sizes: Vec<u64> = (0..20).map(|i| 2 + (i * 7 + seed) % 8).collect();
             let probs = vec![0.5; sizes.len()];
             ours_total += iterative_merge(&sizes, &probs, &cfg, seed).new_shard_count();
-            random_total += random_merge(&sizes, 22, seed).new_shard_count();
+            random_total += random_merge(&sizes, 22, seed).unwrap().new_shard_count();
         }
         assert!(
             ours_total >= random_total,

@@ -76,7 +76,7 @@ fn run_randomized(w: &Workload, cfg: &RuntimeConfig, seed: u64) -> (RunReport, u
         .filter(|&i| !groups[i].0.is_max_shard() && (groups[i].1.len() as u64) < LOWER_BOUND)
         .collect();
     let sizes: Vec<u64> = small.iter().map(|&i| groups[i].1.len() as u64).collect();
-    let outcome = random_merge(&sizes, LOWER_BOUND, seed);
+    let outcome = random_merge(&sizes, LOWER_BOUND, seed).expect("positive lower bound");
 
     // Fuse merged groups by the system's rule: keep the lowest id.
     let member_groups: Vec<Vec<usize>> = outcome

@@ -13,27 +13,13 @@ verify:
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \
         --exclude rand --exclude rand_chacha --exclude proptest
 
-# The checks no compiler lint can make (policy.toml is the policy table; the
-# lint-expressible invariants are in clippy.toml and run under `verify`'s
-# clippy step). Exit 1 on findings, each printed as `file:line: RULE message`.
+# The checks no compiler lint can make (the policy and the resolver gates
+# are `crates/audit/src/policy.rs`; the lint-expressible invariants are in
+# clippy.toml and run under `verify`'s clippy step). Exit 1 on findings,
+# each printed as `file:line: RULE message`, or on a failed gate. This is
+# what CI runs.
 audit:
     cargo run --release -p cshard-audit
-
-# Audit plus the stable JSON report, gated against the committed baseline
-# (any new finding, a >2% call-resolution drop or >20 new arity misses
-# fails). This is what CI runs.
-audit-json:
-    cargo run --release -p cshard-audit -- \
-        --json /tmp/AUDIT_report.json \
-        --baseline results/audit/AUDIT_baseline.json
-    @echo "wrote /tmp/AUDIT_report.json"
-
-# Regenerate the committed audit baseline after deliberately accepting a new
-# finding or call-graph shape. Review the diff before committing.
-audit-baseline:
-    -cargo run --release -p cshard-audit -- \
-        --json results/audit/AUDIT_baseline.json
-    git diff --stat results/audit/AUDIT_baseline.json
 
 # Quick-mode run of every golden experiment (`experiments::GOLDEN`: twelve
 # paper artefacts plus the faults, sched, settle and migrate grids), diffed
