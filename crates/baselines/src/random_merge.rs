@@ -153,7 +153,9 @@ mod tests {
         for seed in 0..12u64 {
             let sizes: Vec<u64> = (0..20).map(|i| 2 + (i * 7 + seed) % 8).collect();
             let probs = vec![0.5; sizes.len()];
-            ours_total += iterative_merge(&sizes, &probs, &cfg, seed).new_shard_count();
+            ours_total += iterative_merge(&sizes, &probs, &cfg, seed)
+                .unwrap()
+                .new_shard_count();
             random_total += random_merge(&sizes, 22, seed).unwrap().new_shard_count();
         }
         assert!(

@@ -36,7 +36,7 @@ pub fn run_eta(quick: bool) -> ExperimentResult {
                 lower_bound: 12,
                 ..MergingConfig::default()
             };
-            let out = one_shot_merge(&sizes, &[0.5; 8], &cfg, seed);
+            let out = one_shot_merge(&sizes, &[0.5; 8], &cfg, seed).expect("valid input");
             slots += out.slots;
             satisfied += usize::from(out.satisfied);
         }
@@ -174,7 +174,7 @@ pub fn run_pool(quick: bool) -> ExperimentResult {
     let lower_bound = 22u64;
     let mut rng = ChaCha8Rng::seed_from_u64(77);
     let sizes: Vec<u64> = (0..n).map(|_| rng.gen_range(1..=9)).collect();
-    let optimal = optimal_new_shard_count(&sizes, lower_bound) as f64;
+    let optimal = optimal_new_shard_count(&sizes, lower_bound).expect("valid input") as f64;
     let cfg = MergingConfig {
         lower_bound,
         ..MergingConfig::default()
@@ -189,7 +189,8 @@ pub fn run_pool(quick: bool) -> ExperimentResult {
         let mut dry = 0;
         while remaining.iter().map(|&i| sizes[i]).sum::<u64>() >= lower_bound && dry < 5 {
             let round_sizes: Vec<u64> = remaining.iter().map(|&i| sizes[i]).collect();
-            let out = one_shot_merge(&round_sizes, &vec![0.5; round_sizes.len()], &cfg, round);
+            let out = one_shot_merge(&round_sizes, &vec![0.5; round_sizes.len()], &cfg, round)
+                .expect("valid input");
             round += 1;
             if out.satisfied {
                 let members: Vec<usize> = out.merged.iter().map(|&j| remaining[j]).collect();
@@ -203,7 +204,9 @@ pub fn run_pool(quick: bool) -> ExperimentResult {
         }
         shards as f64
     };
-    let bounded = iterative_merge(&sizes, &vec![0.5; n], &cfg, 77).new_shard_count() as f64;
+    let bounded = iterative_merge(&sizes, &vec![0.5; n], &cfg, 77)
+        .expect("valid input")
+        .new_shard_count() as f64;
 
     ExperimentResult {
         id: "abl-pool".into(),

@@ -33,12 +33,12 @@ pub fn run_a(quick: bool) -> ExperimentResult {
         // multiple small shards" — 1..=9 like the testbed runs.
         let sizes: Vec<u64> = (0..n).map(|_| rng.gen_range(1..=9u64)).collect();
         let probs = vec![0.5; n];
-        let out = iterative_merge(&sizes, &probs, &config, n as u64);
+        let out = iterative_merge(&sizes, &probs, &config, n as u64).expect("valid input");
         (
             (n as f64, out.new_shard_count() as f64),
             (
                 n as f64,
-                optimal_new_shard_count(&sizes, lower_bound) as f64,
+                optimal_new_shard_count(&sizes, lower_bound).expect("valid input") as f64,
             ),
         )
     });

@@ -47,7 +47,7 @@ pub mod merging;
 pub mod selection;
 pub mod unification;
 
-pub use dynamics::{BestReplyDynamics, SelectInput};
+pub use dynamics::BestReplyDynamics;
 pub use merging::{
     iterative_merge, one_shot_merge, IterativeMergeOutcome, MergingConfig, OneShotOutcome,
 };

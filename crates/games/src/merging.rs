@@ -25,7 +25,7 @@ use cshard_primitives::{Amount, Error};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::dynamics::{MergeInput, ReplicatorMergeDynamics};
+use crate::dynamics::ReplicatorMergeDynamics;
 
 /// Tunables of the merging game.
 #[derive(Clone, Copy, Debug)]
@@ -159,30 +159,28 @@ pub(crate) const X_MAX: f64 = 0.98;
 ///
 /// This is one run of the crate's replicator dynamics; the fuzz grid in
 /// `tests/dynamics_equivalence.rs` pins it draw-for-draw equal to the
-/// pre-refactor direct implementation.
+/// pre-refactor direct implementation. Errors (`field: "initial_probs"`)
+/// unless there is one probability per player.
 pub fn one_shot_merge(
     sizes: &[u64],
     initial_probs: &[f64],
     config: &MergingConfig,
     seed: u64,
-) -> OneShotOutcome {
-    ReplicatorMergeDynamics::default().run(MergeInput {
-        sizes,
-        initial_probs,
-        config,
-        seed,
-    })
+) -> Result<OneShotOutcome, Error> {
+    one_probability_per_player(sizes, initial_probs)?;
+    Ok(ReplicatorMergeDynamics::default().run(sizes, initial_probs, config, seed))
 }
 
 /// Runs Algorithm 1: iterative merging until the remaining small shards
-/// cannot form a shard satisfying Eq. (1).
+/// cannot form a shard satisfying Eq. (1). Errors like
+/// [`one_shot_merge`].
 pub fn iterative_merge(
     sizes: &[u64],
     initial_probs: &[f64],
     config: &MergingConfig,
     seed: u64,
-) -> IterativeMergeOutcome {
-    assert_eq!(sizes.len(), initial_probs.len());
+) -> Result<IterativeMergeOutcome, Error> {
+    one_probability_per_player(sizes, initial_probs)?;
     let mut remaining: Vec<usize> = (0..sizes.len()).collect();
     let mut new_shards = Vec::new();
     let mut total_slots = 0;
@@ -249,12 +247,7 @@ pub fn iterative_merge(
         let round_seed = seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(round.wrapping_mul(0x2545_F491_4F6C_DD1D));
-        let outcome = dynamics.run(MergeInput {
-            sizes: &round_sizes,
-            initial_probs: &round_probs,
-            config,
-            seed: round_seed,
-        });
+        let outcome = dynamics.run(&round_sizes, &round_probs, config, round_seed);
         total_slots += outcome.slots;
         round += 1;
         if outcome.satisfied {
@@ -276,18 +269,35 @@ pub fn iterative_merge(
         }
     }
 
-    IterativeMergeOutcome {
+    Ok(IterativeMergeOutcome {
         new_shards,
         leftover: remaining,
         total_slots,
-    }
+    })
+}
+
+fn one_probability_per_player(sizes: &[u64], initial_probs: &[f64]) -> Result<(), Error> {
+    let (players, probs) = (sizes.len(), initial_probs.len());
+    (players == probs)
+        .then_some(())
+        .ok_or_else(|| Error::Config {
+            field: "initial_probs",
+            reason: format!("{probs} initial probabilities for {players} players"),
+        })
 }
 
 /// The optimal number of new shards (Sec. VI-E1): throughput is maximised
-/// when every new shard has exactly size `L`, i.e. `⌊Σ sizes / L⌋`.
-pub fn optimal_new_shard_count(sizes: &[u64], lower_bound: u64) -> u64 {
-    assert!(lower_bound > 0);
-    sizes.iter().sum::<u64>() / lower_bound
+/// when every new shard has exactly size `L`, i.e. `⌊Σ sizes / L⌋`, summed
+/// in `u128` so no input overflows. A zero `lower_bound` is an
+/// [`Error::Config`], as in `random_merge`.
+pub fn optimal_new_shard_count(sizes: &[u64], lower_bound: u64) -> Result<u128, Error> {
+    if lower_bound == 0 {
+        return Err(Error::Config {
+            field: "lower_bound",
+            reason: "the merged-shard size bound must be positive".into(),
+        });
+    }
+    Ok(sizes.iter().map(|&s| u128::from(s)).sum::<u128>() / u128::from(lower_bound))
 }
 
 #[cfg(test)]
@@ -303,6 +313,26 @@ mod tests {
             lower_bound: l,
             ..MergingConfig::default()
         }
+    }
+
+    // Shadow the fallible entry points: every row below but the last
+    // gives one probability per player.
+    fn one_shot_merge(
+        sizes: &[u64],
+        probs: &[f64],
+        c: &MergingConfig,
+        seed: u64,
+    ) -> OneShotOutcome {
+        super::one_shot_merge(sizes, probs, c, seed).expect("one probability per player")
+    }
+
+    fn iterative_merge(
+        sizes: &[u64],
+        probs: &[f64],
+        c: &MergingConfig,
+        seed: u64,
+    ) -> IterativeMergeOutcome {
+        super::iterative_merge(sizes, probs, c, seed).expect("one probability per player")
     }
 
     #[test]
@@ -433,9 +463,35 @@ mod tests {
 
     #[test]
     fn optimal_count_formula() {
-        assert_eq!(optimal_new_shard_count(&[6; 12], 22), 3);
-        assert_eq!(optimal_new_shard_count(&[5, 5], 22), 0);
-        assert_eq!(optimal_new_shard_count(&[22], 22), 1);
+        assert_eq!(optimal_new_shard_count(&[6; 12], 22), Ok(3));
+        assert_eq!(optimal_new_shard_count(&[5, 5], 22), Ok(0));
+        assert_eq!(optimal_new_shard_count(&[22], 22), Ok(1));
+        // Sizes whose sum overflows u64 are counted exactly.
+        let huge = optimal_new_shard_count(&[u64::MAX, u64::MAX, 2], 2);
+        assert_eq!(huge, Ok(1 << 64));
+    }
+
+    /// Malformed inputs are typed errors, not panics: a zero size bound,
+    /// and player and probability counts that disagree.
+    #[test]
+    fn malformed_merge_inputs_are_typed_errors() {
+        let rejects = |got: Result<(), Error>, want: &str| {
+            assert!(
+                matches!(&got, Err(Error::Config { field, .. }) if *field == want),
+                "expected a config error on `{want}`, got {got:?}"
+            );
+        };
+        rejects(optimal_new_shard_count(&[5, 9], 0).map(drop), "lower_bound");
+        for probs in [&[0.5][..], &[0.5; 3]] {
+            rejects(
+                super::one_shot_merge(&[5, 9], probs, &cfg(10), 1).map(drop),
+                "initial_probs",
+            );
+            rejects(
+                super::iterative_merge(&[5, 9], probs, &cfg(10), 1).map(drop),
+                "initial_probs",
+            );
+        }
     }
 
     #[test]
@@ -443,13 +499,13 @@ mod tests {
         // The Fig. 5(a) claim at small scale: ≥ 40 % of optimal new shards
         // on average (the paper reports ≈ 80 % at large scale).
         let mut total_ours = 0u64;
-        let mut total_opt = 0u64;
+        let mut total_opt = 0u128;
         for seed in 0..10u64 {
             let mut r = ChaCha8Rng::seed_from_u64(seed);
             let sizes: Vec<u64> = (0..30).map(|_| 1 + r.gen_range(0..10u64)).collect();
             let out = iterative_merge(&sizes, &probs(30), &cfg(22), seed);
             total_ours += out.new_shard_count() as u64;
-            total_opt += optimal_new_shard_count(&sizes, 22);
+            total_opt += optimal_new_shard_count(&sizes, 22).expect("positive bound");
         }
         assert!(total_opt > 0);
         let ratio = total_ours as f64 / total_opt as f64;

@@ -14,7 +14,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::dynamics::{BestReplyDynamics, SelectInput};
+use crate::dynamics::BestReplyDynamics;
 
 /// Tunables of the selection game.
 #[derive(Clone, Copy, Debug)]
@@ -88,13 +88,9 @@ pub fn best_reply_equilibrium(
     initial: &[Vec<usize>],
     config: &SelectionConfig,
 ) -> SelectionOutcome {
-    let mut dynamics = BestReplyDynamics::new();
-    dynamics.run(SelectInput {
-        fees,
-        initial,
-        config,
-    });
-    dynamics.outcome()
+    let mut dynamics = BestReplyDynamics::default();
+    dynamics.run(fees, initial, config);
+    dynamics.outcome(fees)
 }
 
 /// The optimal number of distinct sets (Sec. VI-E2): every miner validates

@@ -303,12 +303,12 @@ impl UnifiedParameters {
             .iter()
             .try_fold(0u64, |sum, &s| sum.checked_add(s))
             .ok_or_else(|| reject("shard sizes must sum within u64"))?;
-        Ok(iterative_merge(
+        iterative_merge(
             &sizes,
             &self.initial_merge_probs()?,
             config,
             self.game_seed(),
-        ))
+        )
     }
 
     /// Replays Algorithm 2 locally: the selection equilibrium.

@@ -342,7 +342,8 @@ fn merge_wrapper_matches_reference_over_200_seeded_cases() {
         };
         let seed = gen.gen::<u64>();
         let want = reference_one_shot_merge(&sizes, &probs, &config, seed);
-        let got = one_shot_merge(&sizes, &probs, &config, seed);
+        let got =
+            one_shot_merge(&sizes, &probs, &config, seed).expect("one probability per player");
         assert_merge_equal(case, &got, &want);
     }
 }
@@ -406,7 +407,8 @@ fn merge_wrapper_matches_reference_at_stream_scale_and_at_the_precision_bound() 
         assert_eq!(config.validate(), Ok(()), "case {case}");
         let seed = below(u64::MAX);
         let want = reference_one_shot_merge(&sizes, &probs, &config, seed);
-        let got = one_shot_merge(&sizes, &probs, &config, seed);
+        let got =
+            one_shot_merge(&sizes, &probs, &config, seed).expect("one probability per player");
         assert_merge_equal(case, &got, &want);
         multi_slot += u64::from(want.slots > 1);
         batched += u64::from(n * subslots.min(64) >= 128 + 8);
@@ -441,7 +443,8 @@ fn iterative_merge_matches_reference_on_stream_shaped_inputs() {
         let probs: Vec<f64> = (0..n).map(|_| 0.25 + 0.5 * gen.gen::<f64>()).collect();
         let seed = gen.gen::<u64>();
         let want = reference_iterative_merge(&sizes, &probs, &config, seed);
-        let got = iterative_merge(&sizes, &probs, &config, seed);
+        let got =
+            iterative_merge(&sizes, &probs, &config, seed).expect("one probability per player");
         assert_eq!(got.new_shards, want.new_shards, "case {case}");
         assert_eq!(got.leftover, want.leftover, "case {case}");
         assert_eq!(got.total_slots, want.total_slots, "case {case}");
@@ -464,7 +467,8 @@ fn merge_wrapper_matches_reference_on_degenerate_shapes() {
     for (case, (sizes, probs)) in shapes.into_iter().enumerate() {
         for seed in [0u64, 1, u64::MAX] {
             let want = reference_one_shot_merge(&sizes, &probs, &cfg, seed);
-            let got = one_shot_merge(&sizes, &probs, &cfg, seed);
+            let got =
+                one_shot_merge(&sizes, &probs, &cfg, seed).expect("one probability per player");
             assert_merge_equal(case as u64, &got, &want);
         }
     }
@@ -651,7 +655,8 @@ fn reward_cost_margins_do_not_break_equivalence() {
         let sizes = vec![9u64, 9, 9, 9];
         let probs = vec![0.5; 4];
         let want = reference_one_shot_merge(&sizes, &probs, &config, case);
-        let got = one_shot_merge(&sizes, &probs, &config, case);
+        let got =
+            one_shot_merge(&sizes, &probs, &config, case).expect("one probability per player");
         assert_merge_equal(case, &got, &want);
     }
 }

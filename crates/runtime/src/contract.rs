@@ -52,7 +52,7 @@ use crate::harness::Runtime;
 use crate::propagation::PropagationModel;
 use crate::report::{RunReport, ShardReport};
 use cshard_crypto::Prf;
-use cshard_games::dynamics::{BestReplyDynamics, SelectInput};
+use cshard_games::dynamics::BestReplyDynamics;
 use cshard_games::selection::SelectionConfig;
 use cshard_network::Blackouts;
 use cshard_primitives::{Error, ShardId, SimTime};
@@ -185,22 +185,21 @@ pub struct SelectionDynamicsStats {
 
 /// An equilibrium shard's Algorithm 2 epochs, which read each
 /// transaction's fee and confirmation. A greedy shard has none of this.
+/// A restart costs what it changes: one pass over the last epoch's
+/// transactions, no `%` per stride entry, and no allocation after the
+/// first epoch, the largest.
 struct EquilibriumState {
     max_rounds: usize,
-    /// Fee of each transaction (local indices).
-    fees: Vec<u64>,
     /// Per local tx (None = unconfirmed): when the confirming block
     /// reaches the whole shard — its delivery time, once drawn — and its
     /// author.
     confirmed: Vec<Option<(SimTime, usize)>>,
-    /// The current epoch's per-miner assignment.
-    assignments: Vec<Vec<usize>>,
     epoch_unconfirmed: usize,
-    /// Per-epoch selection-game inputs, kept so an epoch after the first
-    /// allocates nothing: the unconfirmed local indices, their fees, and
-    /// each miner's unified initial choice.
+    /// The local indices unconfirmed at the last epoch start, ascending,
+    /// and their fees: the selection game's transactions, by sub-index.
     remaining: Vec<usize>,
-    sub_fees: Vec<u64>,
+    fees: Vec<u64>,
+    /// Each miner's unified initial choice, in sub-indices.
     initial: Vec<Vec<usize>>,
     /// The block a miner is packing.
     candidate: Vec<usize>,
@@ -213,65 +212,59 @@ struct EquilibriumState {
 }
 
 impl EquilibriumState {
-    fn new(fees: Vec<u64>, miners: usize, max_rounds: usize, rng: SimRng) -> Self {
+    fn new(fees: Vec<u64>, miners: usize, max_rounds: usize, capacity: usize, rng: SimRng) -> Self {
         EquilibriumState {
             max_rounds,
             confirmed: vec![None; fees.len()],
-            fees,
-            assignments: vec![Vec::new(); miners],
             epoch_unconfirmed: 0,
-            remaining: Vec::new(),
-            sub_fees: Vec::new(),
-            initial: vec![Vec::new(); miners],
-            candidate: Vec::new(),
+            remaining: (0..fees.len()).collect(),
+            initial: (0..miners)
+                .map(|_| Vec::with_capacity(capacity.min(fees.len())))
+                .collect(),
+            fees,
+            candidate: Vec::with_capacity(capacity),
             rng,
-            dynamics: BestReplyDynamics::new(),
+            dynamics: BestReplyDynamics::default(),
             stats: SelectionDynamicsStats::default(),
         }
     }
 
     /// Starts a new selection-game epoch over the currently unconfirmed
-    /// transactions (Algorithm 2 under unified parameters). Every buffer
-    /// it fills lives in `self`, so after a shard's first epoch this
-    /// allocates nothing.
+    /// transactions (Algorithm 2 under unified parameters).
     fn start_epoch(&mut self, capacity: usize) {
         self.stats.epochs += 1;
-        self.assignments.iter_mut().for_each(Vec::clear);
-        self.remaining.clear();
-        self.remaining
-            .extend((0..self.fees.len()).filter(|&i| self.confirmed[i].is_none()));
-        if self.remaining.is_empty() {
-            self.epoch_unconfirmed = 0;
-            return;
+        // Drop what the last epoch confirmed, keeping the order.
+        let mut kept = 0;
+        for k in 0..self.remaining.len() {
+            let i = self.remaining[k];
+            (self.remaining[kept], self.fees[kept]) = (i, self.fees[k]);
+            kept += usize::from(self.confirmed[i].is_none());
         }
-        self.sub_fees.clear();
-        self.sub_fees
-            .extend(self.remaining.iter().map(|&i| self.fees[i]));
-        let t = self.sub_fees.len();
+        self.remaining.truncate(kept);
+        self.fees.truncate(kept);
+        let t = kept;
         let cap = capacity.min(t);
-        // Unified initial choices: a seeded stride per miner.
-        for (m, choice) in self.initial.iter_mut().enumerate() {
+        // Unified initial choices: a seeded stride per miner, miner `m`
+        // taking `(offset + 7k + m) mod t` for `k < cap`.
+        self.initial.iter_mut().for_each(Vec::clear);
+        let (step, miners) = (7 % t.max(1), self.initial.len() * usize::from(t > 0));
+        for (m, choice) in self.initial[..miners].iter_mut().enumerate() {
             #[expect(
                 clippy::cast_possible_truncation,
                 reason = "the draw is below `t`, a `usize`"
             )]
             let offset = self.rng.below(t as u64) as usize;
-            choice.clear();
-            choice.extend((0..cap).map(|k| (offset + k * 7 + m) % t));
+            let mut at = (offset + m) % t;
+            for _ in 0..cap {
+                choice.push(at);
+                at = at + step - t * usize::from(at + step >= t);
+            }
         }
-        self.stats.rounds += self.dynamics.run(SelectInput {
-            fees: &self.sub_fees,
-            initial: &self.initial,
-            config: &SelectionConfig {
-                capacity: cap,
-                max_rounds: self.max_rounds,
-            },
-        }) as u64;
-        // Map sub-indices back to local tx indices.
-        for (epoch_set, set) in self.assignments.iter_mut().zip(self.dynamics.assignments()) {
-            epoch_set.extend(set.iter().map(|&j| self.remaining[j]));
-        }
-        // Union size = number of covered (distinct) remaining txs.
+        let config = SelectionConfig {
+            capacity: cap,
+            max_rounds: self.max_rounds,
+        };
+        self.stats.rounds += self.dynamics.run(&self.fees, &self.initial, &config) as u64;
         self.epoch_unconfirmed = self.dynamics.covered();
     }
 
@@ -290,7 +283,8 @@ impl EquilibriumState {
             self.start_epoch(config.block_capacity);
         }
         self.candidate.clear();
-        for &tx in &self.assignments[miner] {
+        let assigned = self.dynamics.assignments().get(miner).into_iter().flatten();
+        for tx in assigned.map(|&j| self.remaining[j]) {
             if self.candidate.len() >= config.block_capacity {
                 break;
             }
@@ -371,13 +365,16 @@ impl ContractShardDriver {
         let epoch_rng = root.fork(0x4550_4F43); // "EPOC"
         let miner_rngs: Vec<SimRng> = (0..spec.miners as u64).map(|m| root.fork(m)).collect();
         let prop_rng = root.fork(0x5052_4F50); // "PROP"
-        let equilibrium =
-            match spec.strategy {
-                SelectionStrategy::IdenticalGreedy => None,
-                SelectionStrategy::Equilibrium { max_rounds } => Some(Box::new(
-                    EquilibriumState::new(spec.fees.clone(), spec.miners, max_rounds, epoch_rng),
-                )),
-            };
+        let equilibrium = match spec.strategy {
+            SelectionStrategy::IdenticalGreedy => None,
+            SelectionStrategy::Equilibrium { max_rounds } => Some(Box::new(EquilibriumState::new(
+                spec.fees.clone(),
+                spec.miners,
+                max_rounds,
+                config.block_capacity,
+                epoch_rng,
+            ))),
+        };
         Ok(ContractShardDriver {
             shard: spec.shard,
             txs: spec.fees.len(),
@@ -1024,6 +1021,93 @@ mod tests {
         };
         let r = simulate(&[spec], &latency_cfg(3, LatencyModel::wide_area()));
         assert_eq!(r.shards[0].confirmed, 60);
+    }
+
+    /// The restart inputs as the full-rescan reference builds them: every
+    /// unconfirmed local index, its fees, and miner `m`'s stride `(offset
+    /// + 7k + m) mod t`, drawing the offsets from `rng` in miner order.
+    fn reference_restart(
+        fees: &[u64],
+        confirmed: &[Option<(SimTime, usize)>],
+        miners: usize,
+        capacity: usize,
+        rng: &mut SimRng,
+    ) -> (Vec<usize>, Vec<u64>, Vec<Vec<usize>>) {
+        let remaining: Vec<usize> = (0..fees.len())
+            .filter(|&i| confirmed[i].is_none())
+            .collect();
+        let sub_fees = remaining.iter().map(|&i| fees[i]).collect();
+        let t = remaining.len();
+        let initial = (0..miners)
+            .map(|m| {
+                if t == 0 {
+                    return Vec::new();
+                }
+                let offset = rng.below(t as u64) as usize;
+                (0..capacity.min(t))
+                    .map(|k| (offset + k * 7 + m) % t)
+                    .collect()
+            })
+            .collect();
+        (remaining, sub_fees, initial)
+    }
+
+    /// `start_epoch` compacts the unconfirmed list and builds each stride
+    /// by addition; epoch by epoch, it hands the game exactly the inputs
+    /// the full rescan and the `%` stride build. The shards cover `t < 7`,
+    /// `t` a multiple of 7 (strides that repeat an index), `capacity ≥ t`,
+    /// and one and nine miners, and every epoch in between as `t` shrinks.
+    #[test]
+    fn restart_inputs_equal_the_full_rescan_reference() {
+        // Shapes met: 0 < t < 7, a stride that repeats (7 | t and
+        // capacity > t / 7), 0 < t ≤ capacity.
+        let mut met = [false; 3];
+        for (txs, miners, capacity) in [
+            (5, 3, 3),
+            (14, 3, 10),
+            (21, 2, 10),
+            (4, 1, 10),
+            (40, 1, 10),
+            (63, 9, 10),
+            (97, 9, 4),
+        ] {
+            let fees = fees(txs);
+            let mut state =
+                EquilibriumState::new(fees.clone(), miners, 200, capacity, SimRng::new(txs as u64));
+            let mut rng = SimRng::new(txs as u64);
+            let mut epochs = 0;
+            loop {
+                let want = reference_restart(&fees, &state.confirmed, miners, capacity, &mut rng);
+                let t = want.0.len();
+                for (seen, shape) in
+                    met.iter_mut()
+                        .zip([t < 7, t % 7 == 0 && capacity > t / 7, t <= capacity])
+                {
+                    *seen |= t > 0 && shape;
+                }
+                state.start_epoch(capacity);
+                epochs += 1;
+                let case =
+                    format!("{txs} txs, {miners} miners, capacity {capacity}, epoch {epochs}");
+                assert_eq!(state.remaining, want.0, "{case}");
+                assert_eq!(state.fees, want.1, "{case}");
+                assert_eq!(state.initial, want.2, "{case}");
+                if want.0.is_empty() {
+                    break;
+                }
+                // Mine the epoch out, one block per miner per second.
+                for now in (1..).map(SimTime::from_secs) {
+                    for miner in 0..miners {
+                        state.pack(now, miner, 0, &cfg(0));
+                    }
+                    if state.epoch_unconfirmed == 0 {
+                        break;
+                    }
+                }
+            }
+            assert!(epochs > 1, "{txs} txs: one epoch");
+        }
+        assert_eq!(met, [true; 3], "shapes met");
     }
 
     #[test]
